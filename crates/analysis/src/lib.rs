@@ -36,6 +36,7 @@
 //! assert!(loops.loops.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alias;

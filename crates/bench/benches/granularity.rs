@@ -5,8 +5,8 @@
 
 use carat_kernel::PhysicalMemory;
 use carat_runtime::{
-    perform_move, perform_move_alloc_granular, AllocKind, AllocationTable, CostModel, MemAccess,
-    MoveRequest,
+    perform_move_alloc_granular, perform_shared_move_journaled, AllocKind, AllocationTable,
+    CostModel, MemAccess, MoveRequest,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -43,8 +43,9 @@ fn bench(c: &mut Criterion) {
             setup,
             |(mut t, mut m)| {
                 let mut regs = [0u64; 16];
-                perform_move(
-                    &mut t,
+                // One table, one request, no interrupt hook.
+                perform_shared_move_journaled(
+                    &mut [&mut t],
                     &mut m,
                     &mut regs,
                     MoveRequest {
@@ -53,6 +54,7 @@ fn bench(c: &mut Criterion) {
                         dst: 0x800000,
                     },
                     &cost,
+                    None,
                 )
             },
             criterion::BatchSize::SmallInput,

@@ -14,7 +14,7 @@ fn main() {
     let workers = workers_from_args();
     let rates: [f64; 4] = [1.0, 100.0, 10_000.0, 20_000.0];
     println!(
-        "Figure 9: worst-case page movement overhead ({scale:?} scale, {workers} patch worker(s))"
+        "Figure 9: worst-case page movement overhead ({scale:?} scale, {workers} modeled patch worker(s))"
     );
     println!("(* = measurement infeasible at this rate, as in the paper)\n");
     let mut rows = Vec::new();
@@ -37,12 +37,13 @@ fn main() {
                 mode: Mode::Carat,
                 guard_impl: GuardImpl::IfTree,
                 move_driver: Some(driver),
-                move_workers: workers,
                 max_steps: (base.counters.instructions * 50).max(10_000_000),
                 max_cycles: base.counters.cycles.saturating_mul(50),
                 ..VmConfig::default()
             };
-            match Vm::new(m.clone(), cfg).expect("loads").run() {
+            let mut vm = Vm::new(m.clone(), cfg).expect("loads");
+            vm.kernel.cost.patch_workers = workers;
+            match vm.run() {
                 Ok(r) => {
                     let norm = r.counters.normalized_to(&base.counters);
                     per_rate[ri].push(norm);

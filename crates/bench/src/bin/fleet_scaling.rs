@@ -44,9 +44,6 @@
 //! scaling gates must hold on every tier. `--sched quantum|timer`
 //! (default quantum) selects the preemption source: the instruction
 //! quantum or the CLINT-style cycle-deadline timer.
-//! `--spawn batch|seq` (default batch) picks the fleets' admission
-//! path, and `--scan-limit N` (default 64; 0 = unbounded full rescan)
-//! bounds the epoch pressure scans.
 
 use std::rc::Rc;
 use std::time::Instant;
@@ -78,45 +75,6 @@ fn fleet_sizes(scale: Scale) -> &'static [usize] {
         Scale::Small => &[10, 100, 1000],
         Scale::Full => &[10, 100, 1000, 10000, 100000],
     }
-}
-
-/// Which admission path builds the measured fleets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SpawnMode {
-    /// One `spawn_batch` call: verify + quota once, stamp per tenant.
-    Batch,
-    /// N sequential `spawn_shared` calls (the pre-batch path).
-    Seq,
-}
-
-fn spawn_mode_from_args() -> SpawnMode {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .windows(2)
-        .find(|w| w[0] == "--spawn")
-        .map(|w| w[1].as_str())
-    {
-        Some("seq") | Some("sequential") => SpawnMode::Seq,
-        Some("batch") | None => SpawnMode::Batch,
-        Some(other) => {
-            eprintln!("fleet_scaling: unknown --spawn {other} (want batch|seq)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Epoch pressure-scan bound (`--scan-limit N`; 0 = unbounded rescan).
-fn scan_limit_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--scan-limit")
-        .map(|w| {
-            w[1].parse().unwrap_or_else(|_| {
-                eprintln!("fleet_scaling: --scan-limit wants a number, got {}", w[1]);
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(64)
 }
 
 fn kernel_mem(tenants: usize) -> u64 {
@@ -165,44 +123,22 @@ fn build_fleet(
             kernel_mem: kernel_mem(tenants),
             pressure_every,
             pressure_batch: 4,
-            pressure_scan_limit: scan_limit_from_args(),
             ..MultiVmConfig::default()
         },
     )
     .expect("empty fleet builds");
     let cfg = tenant_cfg(variant);
-    let pids = spawn_fleet(&mut mv, &module, &cfg, tenants, spawn_mode_from_args());
+    let pids = spawn_fleet(&mut mv, &module, &cfg, tenants);
     (mv, pids)
 }
 
-/// Admit `tenants` identical tenants named `t0..` via the selected
-/// admission path. The two paths stamp bit-identical tenants (the
-/// `batch_admission_differential` suite holds them to that), so the
-/// scaling arms are comparable whichever one built them.
-fn spawn_fleet(
-    mv: &mut MultiVm,
-    module: &Rc<Module>,
-    cfg: &VmConfig,
-    tenants: usize,
-    mode: SpawnMode,
-) -> Vec<Pid> {
-    match mode {
-        SpawnMode::Batch => mv
-            .spawn_batch("t", module.clone(), cfg.clone(), tenants)
-            .unwrap_or_else(|e| {
-                eprintln!("fleet_scaling: batch-admitting {tenants} tenants failed: {e}");
-                std::process::exit(2);
-            }),
-        SpawnMode::Seq => (0..tenants)
-            .map(|i| {
-                mv.spawn_shared(&format!("t{i}"), module.clone(), cfg.clone())
-                    .unwrap_or_else(|e| {
-                        eprintln!("fleet_scaling: admitting tenant {i}/{tenants} failed: {e}");
-                        std::process::exit(2);
-                    })
-            })
-            .collect(),
-    }
+/// Batch-admit `tenants` identical tenants named `t0..`.
+fn spawn_fleet(mv: &mut MultiVm, module: &Rc<Module>, cfg: &VmConfig, tenants: usize) -> Vec<Pid> {
+    mv.spawn_batch("t", module.clone(), cfg.clone(), tenants)
+        .unwrap_or_else(|e| {
+            eprintln!("fleet_scaling: batch-admitting {tenants} tenants failed: {e}");
+            std::process::exit(2);
+        })
 }
 
 /// One measured arm: warm every tenant once, time a steady-state batch,
@@ -332,29 +268,35 @@ struct AdmissionResult {
     arena_steady: bool,
 }
 
-/// The admission arm: build the same fleet through both admission paths
-/// and compare the modeled toll, wall-clock per admit, and (bounded)
-/// per-tenant counters; then drive externalize/rehydrate churn through
-/// the batch fleet to exercise the pooled capsule arena.
+/// The admission arm: build the same fleet as one batch of n and as n
+/// batches of one, and compare the modeled toll, wall-clock per admit,
+/// and (bounded) per-tenant counters; then drive externalize/rehydrate
+/// churn through the batch fleet to exercise the pooled capsule arena.
 fn run_admission(tenants: usize, scale: Scale) -> AdmissionResult {
     let module = tenant_module(scale, Variant::Full, 0);
     let cfg = tenant_cfg(Variant::Full);
     let fleet_cfg = MultiVmConfig {
         quantum: 128,
         kernel_mem: kernel_mem(tenants),
-        pressure_scan_limit: scan_limit_from_args(),
         ..MultiVmConfig::default()
     };
 
     let t0 = Instant::now();
-    let mut batch = MultiVm::new(Vec::new(), fleet_cfg.clone()).expect("empty fleet builds");
-    let pids = spawn_fleet(&mut batch, &module, &cfg, tenants, SpawnMode::Batch);
+    let mut batch = MultiVm::new(Vec::new(), fleet_cfg).expect("empty fleet builds");
+    let pids = spawn_fleet(&mut batch, &module, &cfg, tenants);
     let ns_per_admit_batch = t0.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
     let batch_cycles = batch.admission_cycles();
 
     let t0 = Instant::now();
     let mut seq = MultiVm::new(Vec::new(), fleet_cfg).expect("empty fleet builds");
-    spawn_fleet(&mut seq, &module, &cfg, tenants, SpawnMode::Seq);
+    for i in 0..tenants {
+        // `spawn_shared` is `spawn_batch` of one under the caller's name.
+        seq.spawn_shared(&format!("t{i}"), module.clone(), cfg.clone())
+            .unwrap_or_else(|e| {
+                eprintln!("fleet_scaling: admitting tenant {i}/{tenants} failed: {e}");
+                std::process::exit(2);
+            });
+    }
     let ns_per_admit_seq = t0.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
     let seq_cycles = seq.admission_cycles();
 
@@ -516,12 +458,11 @@ fn main() {
         .unwrap_or_else(|| "BENCH_fleet.json".to_string());
     let sizes = fleet_sizes(scale);
     let cost = CostModel::default();
-    let scan_limit = scan_limit_from_args();
+    let scan_limit = MultiVmConfig::default().pressure_scan_limit;
     println!(
         "fleet_scaling: fleets of {sizes:?} tenants, scale {scale:?}, engine {}, \
-         spawn {:?}, scan limit {} (modeled switch: carat {} vs traditional {})",
+         scan limit {} (modeled switch: carat {} vs traditional {})",
         engine_from_args().name(),
-        spawn_mode_from_args(),
         scan_limit,
         cost.ctx_switch_carat(),
         cost.ctx_switch_traditional()
@@ -557,12 +498,7 @@ fn main() {
         arena_ok &= admission.arena_steady;
         // Epoch scans examine at most the externalization window plus
         // the compaction window per pass, whatever the fleet size.
-        let scan_bound = if scan_limit == 0 {
-            2.0 * n as f64
-        } else {
-            2.0 * scan_limit as f64
-        };
-        scan_ok &= pressure.scan_slots_per_pass <= scan_bound + 2.0;
+        scan_ok &= pressure.scan_slots_per_pass <= 2.0 * scan_limit as f64 + 2.0;
         // The latency tail must stay within two orders of magnitude of
         // the mean: an O(fleet) pass hiding in 1% of slices blows
         // through this at the large scales while the mean stays put.
@@ -690,11 +626,7 @@ fn main() {
     println!(
         "{}: pressure scans bounded at {} slots/pass whatever the fleet size",
         if scan_ok { "PASS" } else { "FAIL" },
-        if scan_limit == 0 {
-            "2n".to_string()
-        } else {
-            format!("{}", 2 * scan_limit)
-        }
+        2 * scan_limit
     );
     println!(
         "{}: p99 slice latency within 100x of the mean at every scale",
@@ -725,7 +657,7 @@ fn main() {
         && churn.ok;
     let json = format!(
         "{{\n  \"benchmark\": \"fleet_scaling\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"engine\": \"{eng}\",\n  \"spawn_mode\": \"{sm:?}\",\n  \"scan_limit\": {scan_limit},\n  \
+         \"engine\": \"{eng}\",\n  \"scan_limit\": {scan_limit},\n  \
          \"modeled_ctx\": {{\"carat\": {mc}, \"traditional\": {mt}}},\n  \"curve\": [\n{curve_json}\n  ],\n  \
          \"flat_ctx_ok\": {flat_ctx_ok},\n  \"gap_every_scale\": {gap_every_scale},\n  \
          \"flat_mem_ok\": {flat_mem_ok},\n  \"o1_sched_ok\": {o1_sched_ok},\n  \
@@ -734,7 +666,6 @@ fn main() {
          \"churn\": {{\"tenants\": {cn}, \"spawned\": {csp}, \
          \"killed\": {ck}, \"admission_refusals\": {cr}, \"stale_lookups_typed\": {cs}, \
          \"slices\": {csl}, \"ok\": {cok}}},\n  \"pass\": {pass}\n}}\n",
-        sm = spawn_mode_from_args(),
         eng = engine_from_args().name(),
         mc = cost.ctx_switch_carat(),
         mt = cost.ctx_switch_traditional(),

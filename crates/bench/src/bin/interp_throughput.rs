@@ -24,11 +24,10 @@
 //!    instruction count for both columns.
 //!
 //! Usage: `interp_throughput [--scale test|small|full] [--only a,b]
-//! [--engine reference|decoded|fused|threaded] [--reference] [--out PATH]`.
+//! [--engine reference|decoded|fused|threaded] [--out PATH]`.
 //! `--engine X` times only engine X, after verifying its counters against
 //! the reference interpreter (a divergence panics — this is the CI smoke
-//! mode). `--reference` is a legacy alias for `--engine reference`. The
-//! default times all four engines with interleaved reps and reports the
+//! mode). The default times all four engines with interleaved reps and reports the
 //! speedup columns. Results are also written as JSON (default
 //! `BENCH_interp.json`).
 
@@ -188,9 +187,6 @@ fn best_of_guard_pair(module: &Module, reps: usize, name: &str) -> GuardRow {
 }
 
 fn parse_engine(args: &[String]) -> Option<Engine> {
-    if args.iter().any(|a| a == "--reference") {
-        return Some(Engine::Reference);
-    }
     let val = args.windows(2).find(|w| w[0] == "--engine").map(|w| &w[1]);
     match val {
         None => None,

@@ -13,7 +13,7 @@ fn main() {
     let scale = scale_from_args();
     let workers = workers_from_args();
     println!(
-        "Table 3: Worst-case Page Movement Costs in Cycles ({scale:?} scale, {workers} patch worker(s))\n"
+        "Table 3: Worst-case Page Movement Costs in Cycles ({scale:?} scale, {workers} modeled patch worker(s))\n"
     );
     let mut rows = Vec::new();
     let mut cols: [Vec<f64>; 8] = Default::default();
@@ -28,10 +28,11 @@ fn main() {
             mode: Variant::Full.mode(),
             guard_impl: GuardImpl::IfTree,
             move_driver: Some(driver),
-            move_workers: workers,
             ..VmConfig::default()
         };
-        let r = Vm::new(m, cfg).expect("loads").run().expect("runs");
+        let mut vm = Vm::new(m, cfg).expect("loads");
+        vm.kernel.cost.patch_workers = workers;
+        let r = vm.run().expect("runs");
         let (expand, patch, regs, mv) = r.counters.move_breakdown.averages();
         if r.counters.move_breakdown.episodes == 0 {
             continue;

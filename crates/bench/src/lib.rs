@@ -4,6 +4,7 @@
 //! library holds the shared machinery: compiling workloads in each
 //! configuration, running them on the VM, and rendering aligned tables.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use carat_core::{CaratCompiler, CompileOptions, OptPreset};
@@ -136,14 +137,14 @@ pub fn scale_from_args() -> Scale {
     Scale::Small
 }
 
-/// Read the move-engine worker count from argv (`--workers N`;
-/// default 1 = serial). Sets both the host patch threads and the cost
-/// model's `patch_workers`, mirroring `SimKernel::set_move_workers`.
-pub fn workers_from_args() -> usize {
+/// Read the *modeled* patch-worker count from argv (`--workers N`;
+/// default 1 = the serial protocol). A what-if on the cost model's
+/// `patch_workers` only: the host always patches on one thread.
+pub fn workers_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
     for w in args.windows(2) {
         if w[0] == "--workers" {
-            return w[1].parse::<usize>().unwrap_or(1).max(1);
+            return w[1].parse::<u64>().unwrap_or(1).max(1);
         }
     }
     1

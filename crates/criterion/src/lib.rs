@@ -9,6 +9,8 @@
 //! benches double as smoke tests. Timings are printed as mean
 //! nanoseconds per iteration; no statistics, plots, or baselines.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::Instant;
 

@@ -38,11 +38,11 @@ pub enum FaultPoint {
     /// at `load` must reject it.
     SignatureCorrupt,
     /// The capsule device fails to persist an externalized tenant capsule
-    /// (`capsule_write`): the write is refused before any bytes land, so
+    /// (`capsule_write_from`): the write is refused before any bytes land, so
     /// the tenant simply stays resident.
     CapsuleWrite,
     /// An externalized capsule rots at rest: the stored bytes are flipped
-    /// so the checksum verification on `capsule_read` must reject them.
+    /// so the checksum verification on `capsule_read_into` must reject them.
     CapsuleCorrupt,
     /// A tenant's heap allocation is refused as if its arena were
     /// exhausted — the per-tenant OOM a supervisor must absorb.

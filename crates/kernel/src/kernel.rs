@@ -15,7 +15,7 @@ use carat_core::sign::{SignedModule, SigningKey};
 use carat_ir::Module;
 use carat_runtime::{
     check_unpinned, perform_move_batch_journaled, perform_shared_move_journaled, AllocationTable,
-    CostModel, MemAccess, MoveOutcome, MovePhase, MoveRequest, PatchMem, Perms, PinnedRange,
+    CostModel, MemAccess, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, Perms, PinnedRange,
     Region, RegionTable, WorldStop, WorldStopError,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -85,10 +85,6 @@ pub struct SimKernel {
     /// Injected fault schedule. `None` (the default) also disables the
     /// patch journal, so the fault-free fast path pays nothing.
     faults: Option<FaultPlan>,
-    /// Host threads applying patch plans (1 = serial). Sharding is
-    /// deterministic, so memory state and counters are identical at every
-    /// setting; see [`SimKernel::set_move_workers`].
-    move_workers: usize,
     /// Move-destination allocations that succeeded only after compaction
     /// and retry (OOM recoveries).
     pub oom_recoveries: u64,
@@ -228,22 +224,6 @@ pub struct SwapAwareMem<'a> {
     swap: &'a mut HashMap<u64, SwapEntry>,
 }
 
-impl PatchMem for SwapAwareMem<'_> {
-    fn cell_ptr(&mut self, addr: u64) -> Option<*mut u8> {
-        if addr >= POISON_BASE {
-            let slot = (addr - POISON_BASE) / POISON_SLOT_SPAN;
-            let off = ((addr - POISON_BASE) % POISON_SLOT_SPAN) as usize;
-            let e = self.swap.get_mut(&slot)?;
-            // Out-of-bounds slot offsets decline the pointer, which sends
-            // the whole plan down the serial path — matching write_u64's
-            // silent-drop semantics would otherwise need a sentinel.
-            (off + 8 <= e.data.len()).then(|| unsafe { e.data.as_mut_ptr().add(off) })
-        } else {
-            self.mem.cell_ptr(addr)
-        }
-    }
-}
-
 impl MemAccess for SwapAwareMem<'_> {
     fn read_u64(&self, addr: u64) -> u64 {
         if addr >= POISON_BASE {
@@ -317,7 +297,6 @@ impl SimKernel {
             last_touched_page: u64::MAX,
             trusted: Vec::new(),
             faults: None,
-            move_workers: 1,
             oom_recoveries: 0,
             procs: ProcTable::new(),
             dev: DeviceBay::new(),
@@ -347,21 +326,6 @@ impl SimKernel {
     /// The installed fault plan, if any (for inspecting fired faults).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// Set the move engine's worker count. `n` host threads apply every
-    /// subsequent patch plan (deterministic sharding — memory state and
-    /// counters are bit-identical at every setting), and the cost model's
-    /// `patch_workers` is set to match, so modeled move cycles describe
-    /// the same machine that is actually running.
-    pub fn set_move_workers(&mut self, n: usize) {
-        self.move_workers = n.max(1);
-        self.cost.patch_workers = self.move_workers as u64;
-    }
-
-    /// Current move-engine worker count.
-    pub fn move_workers(&self) -> usize {
-        self.move_workers
     }
 
     /// Record an occurrence of `point` against the installed plan and
@@ -457,7 +421,7 @@ impl SimKernel {
 
     /// Park a serialized tenant capsule in the simulated swap device.
     /// The checksum is taken here, over exactly the bytes stored; a later
-    /// [`SimKernel::capsule_read`] verifies it before handing the image
+    /// [`SimKernel::capsule_read_into`] verifies it before handing the image
     /// back. The bytes land in a pooled arena slot (reusing a freed
     /// buffer of the same size class when one exists) and the
     /// generation-tagged slot id is returned. The caller keeps ownership
@@ -477,12 +441,6 @@ impl SimKernel {
         }
         let checksum = fnv1a(data);
         Ok(self.capsules.store(data, checksum))
-    }
-
-    /// [`SimKernel::capsule_write_from`] for callers that already hold
-    /// an owned buffer.
-    pub fn capsule_write(&mut self, data: Vec<u8>) -> Result<u64, KernelError> {
-        self.capsule_write_from(&data)
     }
 
     /// Take capsule `slot` back out of the swap device into `out`
@@ -515,13 +473,6 @@ impl SimKernel {
             return Err(KernelError::CapsuleCorrupt { slot });
         }
         Ok(())
-    }
-
-    /// [`SimKernel::capsule_read_into`] returning a fresh buffer.
-    pub fn capsule_read(&mut self, slot: u64) -> Result<Vec<u8>, KernelError> {
-        let mut out = Vec::new();
-        self.capsule_read_into(slot, &mut out)?;
-        Ok(out)
     }
 
     /// Reap capsule `slot` without reading it (its tenant was killed);
@@ -752,33 +703,23 @@ impl SimKernel {
         Ok(())
     }
 
-    /// Run a journaled move inside an already-stopped world: the MidMove
-    /// fault point is consulted between the patch and copy phases; when it
-    /// fires, the journal restores a byte-identical pre-move state.
-    fn journaled_move(
+    /// Run one runtime move transaction inside an already-stopped world —
+    /// the single carrier for every mover. `run` picks the runtime adapter
+    /// and is handed `reqs` back, the swap-aware memory view, the cost
+    /// model, and (when a fault plan is installed) the interrupt hook: the
+    /// MidMove fault point is consulted between the patch and copy phases,
+    /// and when it fires the journal restores a byte-identical pre-move
+    /// state.
+    fn journaled<T>(
         &mut self,
-        table: &mut AllocationTable,
-        regs: &mut [u64],
-        req: MoveRequest,
-    ) -> Result<MoveOutcome, KernelError> {
-        self.journaled_move_batch(table, regs, std::slice::from_ref(&req))
-            .and_then(|mut outs| {
-                outs.pop().ok_or(KernelError::MoveInterrupted {
-                    src: req.src,
-                    len: req.len,
-                    dst: req.dst,
-                })
-            })
-    }
-
-    /// [`SimKernel::journaled_move`] over a whole batch of requests as one
-    /// transaction: a MidMove fault rolls back every request's patches.
-    fn journaled_move_batch(
-        &mut self,
-        table: &mut AllocationTable,
-        regs: &mut [u64],
         reqs: &[MoveRequest],
-    ) -> Result<Vec<MoveOutcome>, KernelError> {
+        run: impl FnOnce(
+            &[MoveRequest],
+            &mut dyn MemAccess,
+            &CostModel,
+            Option<&mut dyn FnMut(MovePhase) -> bool>,
+        ) -> Result<T, MoveInterrupted>,
+    ) -> Result<T, KernelError> {
         // Defense in depth: every caller screens its sources against the
         // pin registry before reaching here, but a pinned cell must never
         // be patched even if a new caller forgets — re-check each request
@@ -796,18 +737,14 @@ impl SimKernel {
                     .as_mut()
                     .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
         };
-        let workers = self.move_workers;
         let mut routed = SwapAwareMem {
             mem: &mut self.mem,
             swap: &mut self.swap,
         };
-        let res = perform_move_batch_journaled(
-            table,
-            &mut routed,
-            regs,
+        let res = run(
             reqs,
+            &mut routed,
             &self.cost,
-            workers,
             if journal_on { Some(&mut hook) } else { None },
         );
         self.faults = plan;
@@ -877,28 +814,12 @@ impl SimKernel {
         Ok(img)
     }
 
-    /// Load an unsigned module from a shared handle (fleet spawn path:
-    /// one `Rc<Module>` feeds thousands of tenants without cloning IR).
-    ///
-    /// # Errors
-    ///
-    /// See [`LoadError`].
-    pub fn load_shared(
-        &mut self,
-        module: std::rc::Rc<Module>,
-        table: &mut AllocationTable,
-        cfg: LoadConfig,
-    ) -> Result<ProcessImage, LoadError> {
-        let img = crate::loader::load_shared(module, &mut self.mem, &mut self.buddy, table, cfg)?;
-        self.install_image(&img);
-        Ok(img)
-    }
-
-    /// [`SimKernel::load_shared`] for a module already verified and
-    /// measured by a batch admission pass — skips `verify_module` and
-    /// the `print_module` length walk. `text_len` must be the value the
-    /// sequential path would compute, so the stamped image is
-    /// bit-identical to its sequential counterpart.
+    /// Load an unsigned module from a shared handle (fleet admission: one
+    /// `Rc<Module>` feeds thousands of tenants without cloning IR) that a
+    /// batch admission pass has already verified and measured — skips
+    /// `verify_module` and the `print_module` length walk. `text_len`
+    /// must be the module's `print_module` length, so the stamped image
+    /// is bit-identical to [`SimKernel::load_unsigned`]'s.
     ///
     /// # Errors
     ///
@@ -1415,7 +1336,10 @@ impl SimKernel {
                 dst: d.addr,
             })
             .collect();
-        let mut outcomes = match self.journaled_move_batch(table, regs, &reqs) {
+        let moved = self.journaled(&reqs, |reqs, mem, cost, hook| {
+            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, hook)
+        });
+        let mut outcomes = match moved {
             Ok(outs) => outs,
             Err(e) => {
                 world.abort(&self.cost);
@@ -1718,7 +1642,12 @@ impl SimKernel {
             len: old_len,
             dst: data_dst,
         };
-        let outcome = match self.journaled_move(table, regs, req) {
+        // One table, one request: the shared mover's shape with a single
+        // owner, which hands back the one outcome directly.
+        let moved = self.journaled(&[req], |reqs, mem, cost, hook| {
+            perform_shared_move_journaled(&mut [table], mem, regs, reqs[0], cost, hook)
+        });
+        let outcome = match moved {
             Ok(out) => out,
             Err(e) => {
                 world.abort(&self.cost);
@@ -2054,44 +1983,6 @@ impl SimKernel {
         Ok(())
     }
 
-    /// [`SimKernel::journaled_move`] across several owner tables at once
-    /// (shared-region move).
-    fn journaled_shared_move(
-        &mut self,
-        tables: &mut [&mut AllocationTable],
-        regs: &mut [u64],
-        req: MoveRequest,
-    ) -> Result<MoveOutcome, KernelError> {
-        let mut plan = self.faults.take();
-        let journal_on = plan.is_some();
-        let mut hook = |phase: MovePhase| {
-            phase == MovePhase::Patched
-                && plan
-                    .as_mut()
-                    .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
-        };
-        let workers = self.move_workers;
-        let mut routed = SwapAwareMem {
-            mem: &mut self.mem,
-            swap: &mut self.swap,
-        };
-        let res = perform_shared_move_journaled(
-            tables,
-            &mut routed,
-            regs,
-            req,
-            &self.cost,
-            workers,
-            if journal_on { Some(&mut hook) } else { None },
-        );
-        self.faults = plan;
-        res.map_err(|_| KernelError::MoveInterrupted {
-            src: req.src,
-            len: req.len,
-            dst: req.dst,
-        })
-    }
-
     /// Move shared block `id` to a fresh location, patching the escapes
     /// and dumped registers of *every* owner in one world stop, and
     /// updating every owner's guard-region map. `regs` is the
@@ -2179,7 +2070,9 @@ impl SimKernel {
         };
         let res = {
             let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-            self.journaled_shared_move(&mut refs, regs, req)
+            self.journaled(&[req], |reqs, mem, cost, hook| {
+                perform_shared_move_journaled(&mut refs, mem, regs, reqs[0], cost, hook)
+            })
         };
         for (&p, t) in owners.iter().zip(tables) {
             self.procs.checkin_table(p, t);
@@ -2756,14 +2649,16 @@ mod tests {
     fn capsule_round_trip_is_byte_identical() {
         let mut k = SimKernel::new(1024 * 1024);
         let image: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
-        let slot = k.capsule_write(image.clone()).expect("write accepted");
+        let slot = k.capsule_write_from(&image).expect("write accepted");
         assert_eq!(k.capsule_count(), 1);
         assert_eq!(k.capsule_bytes(), 4096);
-        let back = k.capsule_read(slot).expect("checksum verifies");
+        let mut back = Vec::new();
+        k.capsule_read_into(slot, &mut back)
+            .expect("checksum verifies");
         assert_eq!(back, image);
         // A read consumes the slot.
         assert_eq!(
-            k.capsule_read(slot),
+            k.capsule_read_into(slot, &mut back),
             Err(KernelError::CapsuleMissing { slot })
         );
         assert_eq!(k.capsule_count(), 0);
@@ -2772,9 +2667,11 @@ mod tests {
     #[test]
     fn corrupted_capsule_fails_checksum_with_typed_error() {
         let mut k = SimKernel::new(1024 * 1024);
-        let slot = k.capsule_write(vec![7u8; 512]).expect("write accepted");
+        let slot = k.capsule_write_from(&[7u8; 512]).expect("write accepted");
         assert!(k.debug_corrupt_capsule(slot));
-        let err = k.capsule_read(slot).expect_err("corruption detected");
+        let err = k
+            .capsule_read_into(slot, &mut Vec::new())
+            .expect_err("corruption detected");
         assert_eq!(err, KernelError::CapsuleCorrupt { slot });
         assert!(err.is_recoverable(), "capsule loss degrades one tenant");
         // The corrupted image is dropped, not left to be retried.
@@ -2789,19 +2686,19 @@ mod tests {
                 .arm(FaultPoint::CapsuleWrite, 1)
                 .arm(FaultPoint::CapsuleCorrupt, 1),
         );
-        let err = k.capsule_write(vec![1u8; 64]).expect_err("armed write");
+        let err = k.capsule_write_from(&[1u8; 64]).expect_err("armed write");
         assert_eq!(err, KernelError::CapsuleWriteFailed { len: 64 });
         assert_eq!(k.capsule_count(), 0, "failed write stored nothing");
-        let slot = k.capsule_write(vec![2u8; 64]).expect("fault disarmed");
+        let slot = k.capsule_write_from(&[2u8; 64]).expect("fault disarmed");
+        let mut back = Vec::new();
         let err = k
-            .capsule_read(slot)
+            .capsule_read_into(slot, &mut back)
             .expect_err("armed corrupt flips a byte");
         assert_eq!(err, KernelError::CapsuleCorrupt { slot });
-        let slot = k.capsule_write(vec![3u8; 64]).expect("write ok");
-        assert_eq!(
-            k.capsule_read(slot).expect("corrupt disarmed"),
-            vec![3u8; 64]
-        );
+        let slot = k.capsule_write_from(&[3u8; 64]).expect("write ok");
+        k.capsule_read_into(slot, &mut back)
+            .expect("corrupt disarmed");
+        assert_eq!(back, vec![3u8; 64]);
     }
 
     #[test]

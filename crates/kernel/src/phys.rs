@@ -2,7 +2,7 @@
 //! CARAT processes operate in (paper §2.2: "CARAT processes and the kernel
 //! run within a single physical address space using physical addresses").
 
-use carat_runtime::{MemAccess, PatchMem};
+use carat_runtime::MemAccess;
 
 /// Flat byte-addressable physical memory.
 #[derive(Debug, Clone)]
@@ -101,15 +101,6 @@ impl MemAccess for PhysicalMemory {
         self.check(dst, len);
         self.bytes
             .copy_within(src as usize..(src + len) as usize, dst as usize);
-    }
-}
-
-impl PatchMem for PhysicalMemory {
-    fn cell_ptr(&mut self, addr: u64) -> Option<*mut u8> {
-        // Out-of-range cells decline the pointer: the serial fallback then
-        // raises the same bus-error panic an 8-byte write would.
-        (addr.checked_add(8)? <= self.size())
-            .then(|| unsafe { self.bytes.as_mut_ptr().add(addr as usize) })
     }
 }
 

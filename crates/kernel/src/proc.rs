@@ -726,18 +726,12 @@ impl ProcTable {
         id
     }
 
-    /// Compaction victim pick under memory pressure: walk the run queue
-    /// (O(runnable), never O(ever registered)) and pick the checked-in
-    /// tenant whose allocation table carries the most live escapes — the
-    /// candidate whose move buys the most patch coverage, read off the
-    /// table's O(1) reverse-map count. Deterministic: ties resolve to the
-    /// earliest queue position.
-    pub fn pick_compaction_victim(&self) -> Option<Pid> {
-        self.pick_compaction_victim_bounded(0).0
-    }
-
-    /// [`ProcTable::pick_compaction_victim`] with the walk bounded to
-    /// the first `limit` run-queue entries (`0` = unbounded). Because
+    /// Compaction victim pick under memory pressure: walk the first
+    /// `limit` run-queue entries (O(limit), never O(ever registered)) and
+    /// pick the checked-in tenant whose allocation table carries the most
+    /// live escapes — the candidate whose move buys the most patch
+    /// coverage, read off the table's O(1) reverse-map count.
+    /// Deterministic: ties resolve to the earliest queue position. Because
     /// [`ProcTable::next_runnable`] rotates the queue every slice, the
     /// bounded window is a moving clock hand over the runnable set —
     /// each pressure pass examines a different stretch, and every tenant
@@ -750,7 +744,7 @@ impl ProcTable {
         let mut examined = 0usize;
         let mut idx = self.rq_head;
         while idx != NIL {
-            if limit != 0 && examined >= limit {
+            if examined >= limit {
                 break;
             }
             examined += 1;
@@ -1085,8 +1079,12 @@ mod tests {
         table.flush_escapes(|_| 0x1010);
         t.checkout_table(b);
         t.checkin_table(b, table);
-        assert_eq!(t.pick_compaction_victim(), Some(b));
+        assert_eq!(t.pick_compaction_victim_bounded(usize::MAX).0, Some(b));
         t.set_state(b, ProcState::Exited(0));
-        assert_eq!(t.pick_compaction_victim(), Some(a), "dead tenants skipped");
+        assert_eq!(
+            t.pick_compaction_victim_bounded(usize::MAX).0,
+            Some(a),
+            "dead tenants skipped"
+        );
     }
 }

@@ -50,7 +50,7 @@ fn boot() -> (SimKernel, AllocationTable, ProcessImage) {
 /// First page-aligned address inside the image's heap arena.
 fn heap_page(k: &SimKernel, img: &ProcessImage) -> u64 {
     let page = k.cost.page_size;
-    (img.heap.0 + page - 1) / page * page
+    img.heap.0.div_ceil(page) * page
 }
 
 #[test]

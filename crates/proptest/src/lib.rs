@@ -8,6 +8,8 @@
 //! deterministic per-test RNG instead of shrinking. Failures report the
 //! case number so a run can be reproduced by re-running the test.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy {
     //! Value-generation strategies.
 

@@ -10,7 +10,8 @@
 //!   tree ([`RbTree`]), each with its Allocation-to-Escape Map entry;
 //! * [`RegionTable`] — kernel-supplied regions with binary-search,
 //!   if-tree, and MPX-style guard evaluators;
-//! * [`perform_move`] — the pointer-swizzling patch engine (Figure 8);
+//! * [`perform_move_batch_journaled`] / [`perform_shared_move_journaled`] —
+//!   the pointer-swizzling move transaction (Figure 8);
 //! * [`WorldStop`] — the signal/barrier protocol state machine;
 //! * [`CostModel`] — the shared simulated-machine cycle model.
 //!
@@ -28,6 +29,7 @@
 //! assert!(regions.check(GuardImpl::Mpx, 0x1080, 8, Access::Write).ok);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alloc_table;
@@ -42,11 +44,10 @@ pub use alloc_table::{AllocInfo, AllocKind, AllocationTable, TrackStats};
 pub use cost::CostModel;
 pub use fast_hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use patch::{
-    check_unpinned, expand_to_allocations, parallel_min_cells, perform_move,
-    perform_move_alloc_granular, perform_move_batch_journaled, perform_move_journaled,
-    perform_move_workers, perform_shared_move_journaled, set_parallel_min_cells, ExpandVeto,
-    MemAccess, MoveCostBreakdown, MoveError, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest,
-    PatchMem, PatchPlan, PinnedRange, PlannedPatch, PARALLEL_MIN_CELLS,
+    check_unpinned, expand_to_allocations, perform_move_alloc_granular,
+    perform_move_batch_journaled, perform_shared_move_journaled, MemAccess, MoveCostBreakdown,
+    MoveError, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, PatchPlan, PinnedRange,
+    PlannedPatch,
 };
 pub use rbtree::RbTree;
 pub use region::{Access, GuardCheck, GuardImpl, Perms, Region, RegionTable};

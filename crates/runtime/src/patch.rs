@@ -13,16 +13,17 @@
 //!    signal handler);
 //! 5. moves the data and updates the allocation table.
 //!
-//! The engine is split into **plan** and **apply**: a [`PatchPlan`] — one
-//! flat array of `(cell, old, new, owner)` records — is built from the
-//! allocation table with pure reads, then applied over raw memory. The
-//! apply step is embarrassingly parallel (the paper notes patching is a
-//! data-parallel scan over escape cells): the plan is sharded
-//! *deterministically by cell index* across a persistent worker pool
-//! (workers park on a job queue between applies — no per-apply
-//! fork/join), and per-shard journals are merged in shard order, so
-//! memory state, counters, and rollback are byte-identical at every
-//! worker count.
+//! There is one mover: a journaled **move transaction** over any number
+//! of allocation tables and any number of requests, with two public
+//! shapes — [`perform_move_batch_journaled`] (one table, N requests under
+//! one world-stop) and [`perform_shared_move_journaled`] (N owner tables,
+//! one request). Patching is split into **plan** and **apply**: a
+//! [`PatchPlan`] — one flat array of `(cell, old, new, owner)` records —
+//! is built from the allocation table(s) with pure reads, then written
+//! through [`MemAccess`] in plan order. The paper notes patching is a
+//! data-parallel scan over escape cells; that parallelism is *modeled*
+//! ([`CostModel::patch_cost`](crate::cost::CostModel::patch_cost)), not
+//! executed on host threads.
 //!
 //! Every phase reports counts so the caller can convert to cycles with the
 //! [`CostModel`](crate::cost::CostModel) — this is the raw material of
@@ -32,7 +33,6 @@ use crate::alloc_table::AllocationTable;
 use crate::cost::CostModel;
 use crate::fast_hash::FastSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Memory access interface the engine uses to read/patch/copy simulated
 /// physical memory. Implemented by the kernel's physical memory.
@@ -43,22 +43,6 @@ pub trait MemAccess {
     fn write_u64(&mut self, addr: u64, val: u64);
     /// Copy `len` bytes from `src` to `dst` (ranges may not overlap).
     fn copy(&mut self, src: u64, dst: u64, len: u64);
-}
-
-/// [`MemAccess`] that can additionally expose raw host pointers to its
-/// backing store, unlocking the parallel patch path.
-pub trait PatchMem: MemAccess {
-    /// Raw host pointer to the 8 bytes backing `addr`, or `None` when
-    /// this memory has no contiguous host backing for the cell (the plan
-    /// is then applied serially through [`MemAccess`], with identical
-    /// results).
-    ///
-    /// Contract: the pointer must stay valid, and be written through by
-    /// nobody else, until the next `&mut self` method call.
-    fn cell_ptr(&mut self, addr: u64) -> Option<*mut u8> {
-        let _ = addr;
-        None
-    }
 }
 
 /// A kernel request to move `[src, src+len)` to `dst`.
@@ -104,7 +88,7 @@ impl MoveCostBreakdown {
 }
 
 /// Outcome of a completed move.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MoveOutcome {
     /// The range actually moved, after expansion.
     pub moved_src: u64,
@@ -120,16 +104,6 @@ pub struct MoveOutcome {
     pub registers_patched: usize,
     /// Cycle breakdown.
     pub cost: MoveCostBreakdown,
-}
-
-/// Expansion failure: the expanded range would exceed what the caller
-/// allows (the kernel may veto, paper §4.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpandVeto {
-    /// The range the negotiation wanted.
-    pub wanted_src: u64,
-    /// Its length.
-    pub wanted_len: u64,
 }
 
 /// Expand `[src, src+len)` (page-aligned growth) until no tracked
@@ -313,45 +287,10 @@ pub struct PlannedPatch {
     pub owner: u64,
 }
 
-/// Below this many cells a parallel apply is not attempted: host
-/// dispatch overhead overwhelms the scan (the cost model charges the
-/// analogous `patch_fork_join_per_worker`). Results are identical either
-/// way.
-///
-/// Set from measurement, not intuition — and re-measured when the
-/// dispatch mechanism changed. The original `thread::scope` engine paid
-/// ~80 µs fork/join per apply; at ~18 ns/cell serial and an ideal 4×
-/// scan that broke even near `80 µs / (18 ns × 0.75)` ≈ 5.9k cells,
-/// rounded up to 8192. The persistent worker pool replaced the per-apply
-/// fork/join with a channel send + parked-thread wakeup: `move_parallel`'s
-/// crossover sweep puts the fixed per-apply dispatch cost (intercept of
-/// the delta-vs-cells fit) at ~23 µs on the reference host — break-even
-/// `≈ 23 µs / (22 ns × 0.75)` ≈ 1.4k cells, rounded up to the next
-/// power of two (see EXPERIMENTS.md, "Parallel move engine").
-pub const PARALLEL_MIN_CELLS: usize = 2048;
-
-static PARALLEL_MIN: AtomicUsize = AtomicUsize::new(PARALLEL_MIN_CELLS);
-
-/// The live parallel-apply threshold, in cells (defaults to
-/// [`PARALLEL_MIN_CELLS`]).
-pub fn parallel_min_cells() -> usize {
-    PARALLEL_MIN.load(Ordering::Relaxed)
-}
-
-/// Override the parallel-apply threshold — benchmark machinery: the
-/// crossover sweep forces the parallel path onto small plans to measure
-/// pool dispatch overhead, and a host-tuned harness can install its own
-/// measured break-even. Returns the previous value. `0` is clamped to 1
-/// (a zero threshold would parallelize empty plans).
-pub fn set_parallel_min_cells(n: usize) -> usize {
-    PARALLEL_MIN.swap(n.max(1), Ordering::Relaxed)
-}
-
 /// The flat patch plan for one move: every cell rewrite, precomputed from
 /// the allocation table(s) with pure reads, plus the affected allocation
-/// starts per table. Plan order equals the serial engine's mutation
-/// order, so journals and rollbacks are byte-identical however the plan
-/// is later sharded.
+/// starts per table. Plan order is mutation order, so the journal a move
+/// keeps — and the rollback it replays — is a function of the plan alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchPlan {
     /// Expanded source range start.
@@ -368,137 +307,15 @@ pub struct PatchPlan {
     pub affected: Vec<Vec<u64>>,
 }
 
-/// Raw cell pointer that may cross into a worker thread. Safety is
-/// argued at the dispatch site: every shard writes pairwise-disjoint
-/// 8-byte windows and nothing else touches the backing store until
-/// every dispatched shard has replied.
-struct SendPtr(*mut u8);
-unsafe impl Send for SendPtr {}
-
-/// Apply one shard of a patch plan: capture old bytes when journaling,
-/// then write each cell's precomputed new value. The per-worker half of
-/// [`PatchPlan::apply`]'s parallel path; the safety argument lives at
-/// the dispatch site.
-fn apply_shard(shard: Vec<(SendPtr, u64, u64)>, journaling: bool) -> Vec<(u64, u64)> {
-    let mut seg = Vec::with_capacity(if journaling { shard.len() } else { 0 });
-    for (SendPtr(ptr), new, cell) in shard {
-        if journaling {
-            let mut b = [0u8; 8];
-            unsafe { std::ptr::copy_nonoverlapping(ptr, b.as_mut_ptr(), 8) };
-            seg.push((cell, u64::from_le_bytes(b)));
-        }
-        let bytes = new.to_le_bytes();
-        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr, 8) };
-    }
-    seg
-}
-
-/// The persistent patch worker pool. `std::thread::scope` paid a
-/// fork/join (~80 µs on the reference host) on EVERY parallel apply —
-/// under fleet-scale pressure compaction that tax recurs per move. The
-/// pool parks its workers on a shared job queue across applies instead:
-/// dispatch is a channel send, and the barrier `thread::scope` provided
-/// is re-created by the caller blocking on every shard's reply before
-/// touching memory again. Workers are spawned on demand up to the
-/// largest worker count any apply has requested, then live for the
-/// process (parked on `recv`, costing nothing while idle).
-mod pool {
-    use super::{apply_shard, SendPtr};
-    use std::sync::mpsc::{channel, Receiver, Sender};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// One dispatched shard plus the reply channel its caller blocks on.
-    struct Job {
-        shard: Vec<(SendPtr, u64, u64)>,
-        journaling: bool,
-        reply: Sender<Vec<(u64, u64)>>,
-    }
-
-    struct PatchPool {
-        queue: Sender<Job>,
-        /// Workers share one receiver behind a mutex (idle workers block
-        /// in `recv`, so a job is taken by exactly one).
-        intake: Arc<Mutex<Receiver<Job>>>,
-        spawned: usize,
-    }
-
-    static POOL: OnceLock<Mutex<PatchPool>> = OnceLock::new();
-
-    fn worker_loop(intake: Arc<Mutex<Receiver<Job>>>) {
-        loop {
-            // Take the next job; holding the lock only across the recv
-            // keeps other workers free to take the following one.
-            let job = {
-                let guard = intake.lock().expect("patch pool intake poisoned");
-                guard.recv()
-            };
-            let Ok(job) = job else {
-                return;
-            };
-            let seg = apply_shard(job.shard, job.journaling);
-            // A dropped reply receiver means the caller is gone
-            // (panicking); nothing to do with the segment.
-            let _ = job.reply.send(seg);
-        }
-    }
-
-    /// Ship `shards` to the pool, growing it if this apply wants more
-    /// workers than any before. Returns one reply receiver per shard,
-    /// in shard order — the caller MUST block on every one before
-    /// touching the patched memory (that recv loop is the safety
-    /// barrier for the raw pointers the shards carry).
-    pub(super) fn dispatch(
-        shards: Vec<Vec<(SendPtr, u64, u64)>>,
-        journaling: bool,
-    ) -> Vec<Receiver<Vec<(u64, u64)>>> {
-        if shards.is_empty() {
-            return Vec::new();
-        }
-        let pool = POOL.get_or_init(|| {
-            let (queue, rx) = channel();
-            Mutex::new(PatchPool {
-                queue,
-                intake: Arc::new(Mutex::new(rx)),
-                spawned: 0,
-            })
-        });
-        let mut pool = pool.lock().expect("patch pool poisoned");
-        while pool.spawned < shards.len() {
-            let intake = pool.intake.clone();
-            std::thread::Builder::new()
-                .name("carat-patch-worker".into())
-                .spawn(move || worker_loop(intake))
-                .expect("spawn patch worker");
-            pool.spawned += 1;
-        }
-        shards
-            .into_iter()
-            .map(|shard| {
-                let (reply, receiver) = channel();
-                pool.queue
-                    .send(Job {
-                        shard,
-                        journaling,
-                        reply,
-                    })
-                    .expect("patch pool queue closed");
-                receiver
-            })
-            .collect()
-    }
-}
-
 impl PatchPlan {
     /// Build the plan for moving `[src, src+len)` to `dst` across one or
     /// more allocation tables (several for the cross-process shared-region
     /// case). Pure reads: neither the tables nor memory are touched.
     ///
-    /// A cell registered by more than one table is planned exactly once
-    /// (the serial engine got the same idempotence from re-reading the
-    /// already-patched, now out-of-range value).
+    /// A cell registered by more than one table is planned exactly once.
     pub fn build(
         tables: &[&AllocationTable],
-        mem: &dyn PatchMem,
+        mem: &dyn MemAccess,
         src: u64,
         len: u64,
         dst: u64,
@@ -541,264 +358,74 @@ impl PatchPlan {
         }
     }
 
-    /// Execute every planned rewrite over `workers` host threads (1 =
-    /// serial). Deterministic regardless of worker count: the plan is
-    /// sharded by cell index into contiguous chunks, each worker writes
-    /// precomputed values into disjoint cells, and nothing depends on
-    /// scheduling.
-    pub fn apply(&self, mem: &mut dyn PatchMem, workers: usize) {
-        self.apply_with_journal(mem, workers, None);
+    /// Execute every planned rewrite, in plan order.
+    ///
+    /// `_workers` is ignored: it is accepted only because the frozen
+    /// `benchmark/` crate passes `1` here. There is no host-parallel apply.
+    pub fn apply(&self, mem: &mut dyn MemAccess, _workers: usize) {
+        self.write_cells(mem);
     }
 
-    /// [`PatchPlan::apply`], optionally producing an undo journal. In the
-    /// parallel path each shard journals the cells it wrote, and the
-    /// per-shard journals are merged in shard order — which is plan
-    /// order, which is the serial engine's mutation order — so a later
-    /// rollback is byte-identical to a serial run's.
-    fn apply_with_journal(
-        &self,
-        mem: &mut dyn PatchMem,
-        workers: usize,
-        journal: Option<&mut PatchJournal>,
-    ) {
-        let n = self.cells.len();
-        if workers > 1 && n >= parallel_min_cells() && self.cell_windows_disjoint() {
-            if let Some(ptrs) = self.resolve_ptrs(mem) {
-                self.apply_parallel(ptrs, workers, journal);
-                return;
-            }
+    fn write_cells(&self, mem: &mut dyn MemAccess) {
+        for p in &self.cells {
+            mem.write_u64(p.cell, p.new);
         }
-        // Serial path (also the fallback for memories without raw
-        // backing, or plans with overlapping / too few cell windows).
-        if let Some(j) = journal {
-            j.cells.reserve(n);
-            for p in &self.cells {
-                j.cells.push((p.cell, p.old));
-                mem.write_u64(p.cell, p.new);
-            }
+    }
+}
+
+/// Expand `[src, src+len)` against *every* table until no owner's
+/// allocation straddles it. One [`expand_to_allocations`] call leaves its
+/// own table at a fixed point, so the walk stops once every other table
+/// has confirmed the range in turn — a single call for a single table.
+fn expand_across_tables(
+    tables: &[&mut AllocationTable],
+    mut src: u64,
+    mut len: u64,
+    page: u64,
+) -> (u64, u64) {
+    let (mut next, mut confirmed) = (0, 0);
+    while confirmed < tables.len() {
+        let grown = expand_to_allocations(tables[next % tables.len()], src, len, page);
+        confirmed = if grown == (src, len) {
+            confirmed + 1
         } else {
-            for p in &self.cells {
-                mem.write_u64(p.cell, p.new);
-            }
-        }
+            1
+        };
+        (src, len) = grown;
+        next += 1;
     }
-
-    /// Whether every pair of 8-byte cell windows is disjoint. Escape
-    /// cells closer than 8 bytes apart would make parallel writes race on
-    /// the overlap, so such plans fall back to the serial path.
-    fn cell_windows_disjoint(&self) -> bool {
-        let mut addrs: Vec<u64> = self.cells.iter().map(|p| p.cell).collect();
-        addrs.sort_unstable();
-        addrs.windows(2).all(|w| w[1] - w[0] >= 8)
-    }
-
-    /// Resolve every cell to a raw host pointer, or `None` if the memory
-    /// declines any of them.
-    fn resolve_ptrs(&self, mem: &mut dyn PatchMem) -> Option<Vec<*mut u8>> {
-        self.cells.iter().map(|p| mem.cell_ptr(p.cell)).collect()
-    }
-
-    fn apply_parallel(
-        &self,
-        ptrs: Vec<*mut u8>,
-        workers: usize,
-        journal: Option<&mut PatchJournal>,
-    ) {
-        let n = self.cells.len();
-        let shard_len = n.div_ceil(workers);
-        let journaling = journal.is_some();
-        // Contiguous index shards: worker k owns cells
-        // [k*shard_len, (k+1)*shard_len) — a pure function of (n, workers).
-        let shards: Vec<Vec<(SendPtr, u64, u64)>> = self
-            .cells
-            .chunks(shard_len)
-            .zip(ptrs.chunks(shard_len))
-            .map(|(cells, ptrs)| {
-                cells
-                    .iter()
-                    .zip(ptrs)
-                    .map(|(p, &ptr)| (SendPtr(ptr), p.new, p.cell))
-                    .collect()
-            })
-            .collect();
-        // SAFETY: every pointer addresses an 8-byte window disjoint from
-        // every other (checked by `cell_windows_disjoint`; distinct cell
-        // addresses reach distinct backing regions per the `cell_ptr`
-        // contract), each window is written by exactly one worker, and
-        // `mem` is untouched until every dispatched shard has replied —
-        // the recv loop below re-creates the barrier `thread::scope`
-        // used to provide, without paying its per-apply fork/join.
-        let mut shards = shards.into_iter();
-        let first = shards.next().unwrap_or_default();
-        let pending = pool::dispatch(shards.collect(), journaling);
-        let mut segments: Vec<Vec<(u64, u64)>> = Vec::with_capacity(pending.len() + 1);
-        // The calling thread is worker 0: its shard overlaps with the
-        // pool's, so the serial share of the apply is one shard, not the
-        // whole plan.
-        segments.push(apply_shard(first, journaling));
-        for rx in pending {
-            segments.push(rx.recv().expect("patch worker panicked"));
-        }
-        if let Some(j) = journal {
-            // Merge per-shard journals in shard order == plan order. The
-            // comparison offset is plan-local: a batched journal already
-            // carries earlier moves' entries, so `j.cells.len()` is not
-            // an index into THIS plan's cells.
-            j.cells.reserve(n);
-            let mut off = 0usize;
-            for seg in segments {
-                debug_assert!(seg
-                    .iter()
-                    .zip(&self.cells[off..])
-                    .all(|(&(cell, old), p)| cell == p.cell && old == p.old));
-                off += seg.len();
-                j.cells.extend(seg);
-            }
-        }
-    }
+    (src, len)
 }
 
-/// Execute a move entirely: negotiate, patch escapes and registers, copy,
-/// and update the allocation table. `regs` is the dumped register state of
-/// all stopped threads (patched in place).
+/// The one move transaction behind both public movers: `reqs.len()`
+/// requests against `tables.len()` allocation tables, one outcome written
+/// per request into `outcomes` (same length as `reqs`).
 ///
-/// The caller (kernel) has already stopped the world and picked a `dst`
-/// with room for the *expanded* range; `dst` is adjusted by the same
-/// leading expansion so relative layout is preserved.
+/// 1. every request is expanded to a fixed point across every table;
+/// 2. one [`PatchPlan`] per request is built over all tables (pure reads),
+///    then every plan is applied;
+/// 3. ONE register pass covers every range;
+/// 4. after the final [`MovePhase::Patched`] checkpoint, the data copies
+///    and per-table maintenance run in request order.
 ///
-/// Infallible by construction — the no-interrupt path runs straight over
-/// the plan builder and keeps no journal, so it pays zero crash-
-/// consistency overhead and has no error to surface.
-pub fn perform_move(
-    table: &mut AllocationTable,
-    mem: &mut dyn PatchMem,
-    regs: &mut [u64],
-    req: MoveRequest,
-    cost: &CostModel,
-) -> MoveOutcome {
-    perform_move_workers(table, mem, regs, req, cost, 1)
-}
-
-/// [`perform_move`] applying the patch plan over `workers` host threads.
-/// The outcome — memory, registers, table, and modeled cycles — is
-/// identical at every worker count; only host wall-clock changes.
-pub fn perform_move_workers(
-    table: &mut AllocationTable,
-    mem: &mut dyn PatchMem,
-    regs: &mut [u64],
-    req: MoveRequest,
-    cost: &CostModel,
-    workers: usize,
-) -> MoveOutcome {
-    let (src, len) = expand_to_allocations(table, req.src, req.len, cost.page_size);
-    let dst = req.dst.wrapping_sub(req.src - src);
-    let plan = PatchPlan::build(&[table], &*mem, src, len, dst);
-    plan.apply(mem, workers);
-    let mut registers_patched = 0usize;
-    for r in regs.iter_mut() {
-        if *r >= src && *r < src + len {
-            *r = r.wrapping_add(plan.delta as u64);
-            registers_patched += 1;
-        }
-    }
-    mem.copy(src, dst, len);
-    table.rebase_escape_cells(src, src + len, plan.delta);
-    for &start in &plan.affected[0] {
-        table.relocate(start, plan.delta);
-    }
-    MoveOutcome {
-        moved_src: src,
-        moved_len: len,
-        moved_dst: dst,
-        allocations: plan.affected[0].len(),
-        escapes_patched: plan.cells.len(),
-        registers_patched,
-        cost: MoveCostBreakdown {
-            page_expand: cost.move_expand_fixed
-                + plan.affected[0].len() as u64 * cost.move_expand_per_alloc,
-            patch_gen_exec: cost.patch_cost(plan.cells.len() as u64),
-            register_patch: regs.len() as u64 * cost.move_register_patch_per_reg,
-            alloc_and_move: cost.move_alloc_fixed + cost.copy_cost(len),
-        },
-    }
-}
-
-/// [`perform_move`] with crash consistency: when `interrupt` is present,
-/// every escape-cell and register patch is journaled, and the hook is
-/// consulted at each [`MovePhase`] checkpoint. If it returns `true` the
-/// move is abandoned: the journal is replayed in reverse, restoring a
-/// byte-identical pre-move state (the data copy and all allocation-table
-/// maintenance happen strictly after the last checkpoint, so cells and
-/// registers are the only mutations to undo).
-///
-/// With `interrupt == None` no journal is kept and no overhead is paid.
-/// `workers` shards the patch apply across host threads (1 = serial) with
-/// bit-identical results.
-///
-/// # Errors
-///
-/// [`MoveInterrupted`] when the hook fired; the rollback has already
-/// happened by the time the error is returned.
-pub fn perform_move_journaled(
-    table: &mut AllocationTable,
-    mem: &mut dyn PatchMem,
-    regs: &mut [u64],
-    req: MoveRequest,
-    cost: &CostModel,
-    workers: usize,
-    interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
-) -> Result<MoveOutcome, MoveInterrupted> {
-    perform_move_batch_journaled(
-        table,
-        mem,
-        regs,
-        std::slice::from_ref(&req),
-        cost,
-        workers,
-        interrupt,
-    )
-    .map(|mut outs| outs.pop().expect("one request, one outcome"))
-}
-
-/// Execute a *batch* of moves as one transaction: every request is
-/// expanded and planned up front, every plan is applied (cells first,
-/// then one register pass over all ranges), and only then — after the
-/// final [`MovePhase::Patched`] checkpoint — are the data copies and
-/// table maintenance performed, in request order. The caller wraps the
-/// whole batch in ONE world-stop, amortizing the signal+barrier round
-/// and the register pass across every coalesced move.
-///
-/// Requirements (the kernel's batch planner guarantees both): expanded
-/// source ranges are pairwise disjoint, and every destination is disjoint
-/// from its own and from every *later* request's source range. A
-/// destination may reuse an earlier request's source frames: the data
-/// copies run in request order, so that range has been evacuated by the
-/// time a later copy lands in it (which is exactly how sequential moves
-/// recycle vacated frames). Under those, the batch is bit-identical —
-/// memory, registers, table — to executing the requests sequentially.
-///
-/// Per-request outcomes match the sequential engine's exactly, except
-/// that the register-patch charge (`regs.len()` inspections) is paid once
-/// per batch and carried by the first outcome.
-///
-/// # Errors
-///
-/// [`MoveInterrupted`] when the hook fired; the whole batch — every cell
-/// and register of every request — has been rolled back in reverse
-/// mutation order.
-pub fn perform_move_batch_journaled(
-    table: &mut AllocationTable,
-    mem: &mut dyn PatchMem,
+/// A journal exists exactly when an interrupt hook does, and travels with
+/// it: cells and registers are the only mutations before the last
+/// checkpoint, so replaying it in reverse restores the pre-move state.
+fn move_transaction(
+    tables: &mut [&mut AllocationTable],
+    mem: &mut dyn MemAccess,
     regs: &mut [u64],
     reqs: &[MoveRequest],
     cost: &CostModel,
-    workers: usize,
-    mut interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
-) -> Result<Vec<MoveOutcome>, MoveInterrupted> {
+    interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
+    outcomes: &mut [MoveOutcome],
+) -> Result<(), MoveInterrupted> {
+    debug_assert_eq!(reqs.len(), outcomes.len(), "one outcome per request");
+
     // --- Phase 1: page expand (negotiation), every request up front ---
     let mut expanded: Vec<(u64, u64, u64)> = Vec::with_capacity(reqs.len());
     for req in reqs {
-        let (src, len) = expand_to_allocations(table, req.src, req.len, cost.page_size);
+        let (src, len) = expand_across_tables(tables, req.src, req.len, cost.page_size);
         let dst = req.dst.wrapping_sub(req.src - src);
         debug_assert!(
             expanded
@@ -808,45 +435,53 @@ pub fn perform_move_batch_journaled(
         );
         expanded.push((src, len, dst));
     }
-    if let Some(hook) = interrupt.as_deref_mut() {
-        if hook(MovePhase::Expanded) {
-            // Nothing mutated yet; the journal is empty.
-            return Err(MoveInterrupted {
-                phase: MovePhase::Expanded,
-                cells_rolled_back: 0,
-                registers_rolled_back: 0,
-            });
+    let mut journaled = match interrupt {
+        Some(hook) => {
+            if hook(MovePhase::Expanded) {
+                // Nothing mutated yet; there is nothing to roll back.
+                return Err(MoveInterrupted {
+                    phase: MovePhase::Expanded,
+                    cells_rolled_back: 0,
+                    registers_rolled_back: 0,
+                });
+            }
+            Some((hook, PatchJournal::default()))
         }
-    }
+        None => None,
+    };
 
     // --- Phase 2: build every plan (pure reads), then apply them all ---
-    let plans: Vec<PatchPlan> = expanded
-        .iter()
-        .map(|&(src, len, dst)| PatchPlan::build(&[table], &*mem, src, len, dst))
-        .collect();
-    let mut journal = interrupt.as_ref().map(|_| PatchJournal::default());
+    let plans: Vec<PatchPlan> = {
+        let views: Vec<&AllocationTable> = tables.iter().map(|t| &**t).collect();
+        expanded
+            .iter()
+            .map(|&(src, len, dst)| PatchPlan::build(&views, &*mem, src, len, dst))
+            .collect()
+    };
     for plan in &plans {
-        plan.apply_with_journal(mem, workers, journal.as_mut());
+        if let Some((_, journal)) = journaled.as_mut() {
+            journal
+                .cells
+                .extend(plan.cells.iter().map(|p| (p.cell, p.old)));
+        }
+        plan.write_cells(mem);
     }
 
     // --- Phase 3: ONE register pass over every range in the batch ---
     let mut reg_counts = vec![0usize; plans.len()];
     for (idx, r) in regs.iter_mut().enumerate() {
         if let Some(k) = expanded.iter().position(|&(s, l, _)| *r >= s && *r < s + l) {
-            if let Some(j) = journal.as_mut() {
-                j.regs.push((idx, *r));
+            if let Some((_, journal)) = journaled.as_mut() {
+                journal.regs.push((idx, *r));
             }
             *r = r.wrapping_add(plans[k].delta as u64);
             reg_counts[k] += 1;
         }
     }
 
-    if let Some(hook) = interrupt {
+    if let Some((hook, journal)) = journaled {
         if hook(MovePhase::Patched) {
-            let (nc, nr) = journal
-                .take()
-                .expect("journal exists whenever a hook does")
-                .rollback(mem, regs);
+            let (nc, nr) = journal.rollback(mem, regs);
             return Err(MoveInterrupted {
                 phase: MovePhase::Patched,
                 cells_rolled_back: nc,
@@ -856,25 +491,30 @@ pub fn perform_move_batch_journaled(
     }
 
     // --- Phase 4: data movement + table maintenance, request order ---
-    let mut outcomes = Vec::with_capacity(plans.len());
-    for (k, plan) in plans.iter().enumerate() {
+    for (k, out) in outcomes.iter_mut().enumerate() {
         let (src, len, dst) = expanded[k];
+        let plan = &plans[k];
         mem.copy(src, dst, len);
-        table.rebase_escape_cells(src, src + len, plan.delta);
-        for &start in &plan.affected[0] {
-            table.relocate(start, plan.delta);
+        for (table, affected) in tables.iter_mut().zip(&plan.affected) {
+            table.rebase_escape_cells(src, src + len, plan.delta);
+            for &start in affected {
+                table.relocate(start, plan.delta);
+            }
         }
-        outcomes.push(MoveOutcome {
+        let allocations: usize = plan.affected.iter().map(Vec::len).sum();
+        *out = MoveOutcome {
             moved_src: src,
             moved_len: len,
             moved_dst: dst,
-            allocations: plan.affected[0].len(),
+            allocations,
             escapes_patched: plan.cells.len(),
             registers_patched: reg_counts[k],
             cost: MoveCostBreakdown {
                 page_expand: cost.move_expand_fixed
-                    + plan.affected[0].len() as u64 * cost.move_expand_per_alloc,
+                    + allocations as u64 * cost.move_expand_per_alloc,
                 patch_gen_exec: cost.patch_cost(plan.cells.len() as u64),
+                // One pass inspected `regs.len()` registers for the whole
+                // transaction; the first outcome carries that charge.
                 register_patch: if k == 0 {
                     regs.len() as u64 * cost.move_register_patch_per_reg
                 } else {
@@ -882,8 +522,68 @@ pub fn perform_move_batch_journaled(
                 },
                 alloc_and_move: cost.move_alloc_fixed + cost.copy_cost(len),
             },
-        });
+        };
     }
+    Ok(())
+}
+
+/// Execute a *batch* of moves against one allocation table as one
+/// transaction: every request is expanded and planned up front, every
+/// plan is applied (cells first, then one register pass over all ranges),
+/// and only then — after the final [`MovePhase::Patched`] checkpoint — are
+/// the data copies and table maintenance performed, in request order. The
+/// caller wraps the whole batch in ONE world-stop, amortizing the
+/// signal+barrier round and the register pass across every coalesced move.
+/// `regs` is the dumped register state of all stopped threads (patched in
+/// place); the caller has picked each `dst` with room for the *expanded*
+/// range, and `dst` is adjusted by the same leading expansion so relative
+/// layout is preserved.
+///
+/// Requirements (the kernel's batch planner guarantees both): expanded
+/// source ranges are pairwise disjoint, and every destination is disjoint
+/// from its own and from every *later* request's source range. A
+/// destination may reuse an earlier request's source frames: the data
+/// copies run in request order, so that range has been evacuated by the
+/// time a later copy lands in it (which is exactly how sequential moves
+/// recycle vacated frames). Under those, the batch is bit-identical —
+/// memory, registers, table — to executing the requests one transaction
+/// each.
+///
+/// Per-request outcomes match the one-at-a-time ones exactly, except that
+/// the register-patch charge (`regs.len()` inspections) is paid once per
+/// batch and carried by the first outcome.
+///
+/// With `interrupt` present every escape-cell and register patch is
+/// journaled and the hook is consulted at each [`MovePhase`] checkpoint;
+/// with `None` no journal is kept.
+///
+/// `_workers` is ignored: it is accepted only because the frozen
+/// `benchmark/` crate passes `1` here. There is no host-parallel apply.
+///
+/// # Errors
+///
+/// [`MoveInterrupted`] when the hook fired; the whole batch — every cell
+/// and register of every request — has been rolled back in reverse
+/// mutation order.
+pub fn perform_move_batch_journaled(
+    table: &mut AllocationTable,
+    mem: &mut dyn MemAccess,
+    regs: &mut [u64],
+    reqs: &[MoveRequest],
+    cost: &CostModel,
+    _workers: usize,
+    interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
+) -> Result<Vec<MoveOutcome>, MoveInterrupted> {
+    let mut outcomes = vec![MoveOutcome::default(); reqs.len()];
+    move_transaction(
+        &mut [table],
+        mem,
+        regs,
+        reqs,
+        cost,
+        interrupt,
+        &mut outcomes,
+    )?;
     Ok(outcomes)
 }
 
@@ -912,96 +612,16 @@ pub fn perform_move_batch_journaled(
 /// owners has already happened.
 pub fn perform_shared_move_journaled(
     tables: &mut [&mut AllocationTable],
-    mem: &mut dyn PatchMem,
+    mem: &mut dyn MemAccess,
     regs: &mut [u64],
     req: MoveRequest,
     cost: &CostModel,
-    workers: usize,
-    mut interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
+    interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
 ) -> Result<MoveOutcome, MoveInterrupted> {
-    // --- Phase 1: page expand, negotiated across every owner ---
-    let (mut src, mut len) = (req.src, req.len);
-    loop {
-        let before = (src, len);
-        for table in tables.iter() {
-            let (s, l) = expand_to_allocations(table, src, len, cost.page_size);
-            (src, len) = (s, l);
-        }
-        if (src, len) == before {
-            break;
-        }
-    }
-    let dst = req.dst.wrapping_sub(req.src - src);
-    let plan = {
-        let views: Vec<&AllocationTable> = tables.iter().map(|t| &**t).collect();
-        PatchPlan::build(&views, &*mem, src, len, dst)
-    };
-    let total_affected: usize = plan.affected.iter().map(Vec::len).sum();
-
-    if let Some(hook) = interrupt.as_deref_mut() {
-        if hook(MovePhase::Expanded) {
-            return Err(MoveInterrupted {
-                phase: MovePhase::Expanded,
-                cells_rolled_back: 0,
-                registers_rolled_back: 0,
-            });
-        }
-    }
-
-    // --- Phase 2: apply the combined plan ---
-    let mut journal = interrupt.as_ref().map(|_| PatchJournal::default());
-    plan.apply_with_journal(mem, workers, journal.as_mut());
-
-    // --- Phase 3: register patch (all owners' dumped threads) ---
-    let mut registers_patched = 0usize;
-    for (idx, r) in regs.iter_mut().enumerate() {
-        if *r >= src && *r < src + len {
-            if let Some(j) = journal.as_mut() {
-                j.regs.push((idx, *r));
-            }
-            *r = r.wrapping_add(plan.delta as u64);
-            registers_patched += 1;
-        }
-    }
-
-    if let Some(hook) = interrupt {
-        if hook(MovePhase::Patched) {
-            let (nc, nr) = journal
-                .take()
-                .expect("journal exists whenever a hook does")
-                .rollback(mem, regs);
-            return Err(MoveInterrupted {
-                phase: MovePhase::Patched,
-                cells_rolled_back: nc,
-                registers_rolled_back: nr,
-            });
-        }
-    }
-
-    // --- Phase 4: single data copy + per-owner table maintenance ---
-    mem.copy(src, dst, len);
-    for (table, affected) in tables.iter_mut().zip(&plan.affected) {
-        table.rebase_escape_cells(src, src + len, plan.delta);
-        for &start in affected {
-            table.relocate(start, plan.delta);
-        }
-    }
-
-    Ok(MoveOutcome {
-        moved_src: src,
-        moved_len: len,
-        moved_dst: dst,
-        allocations: total_affected,
-        escapes_patched: plan.cells.len(),
-        registers_patched,
-        cost: MoveCostBreakdown {
-            page_expand: cost.move_expand_fixed
-                + total_affected as u64 * cost.move_expand_per_alloc,
-            patch_gen_exec: cost.patch_cost(plan.cells.len() as u64),
-            register_patch: regs.len() as u64 * cost.move_register_patch_per_reg,
-            alloc_and_move: cost.move_alloc_fixed + cost.copy_cost(len),
-        },
-    })
+    let mut outcome = [MoveOutcome::default()];
+    move_transaction(tables, mem, regs, &[req], cost, interrupt, &mut outcome)?;
+    let [outcome] = outcome;
+    Ok(outcome)
 }
 
 /// Allocation-granularity move (the paper's §6 "Allocation Granularity"
@@ -1058,8 +678,7 @@ mod tests {
     use crate::alloc_table::AllocKind;
     use std::collections::HashMap;
 
-    /// Sparse simulated memory for tests. No raw backing, so plans over
-    /// it always take the serial apply path.
+    /// Sparse simulated memory for tests.
     #[derive(Default)]
     struct TestMem {
         words: HashMap<u64, u64>,
@@ -1086,7 +705,29 @@ mod tests {
         }
     }
 
-    impl PatchMem for TestMem {}
+    /// One request as its own transaction, optionally under an interrupt
+    /// hook.
+    fn move_one_journaled(
+        table: &mut AllocationTable,
+        mem: &mut TestMem,
+        regs: &mut [u64],
+        req: MoveRequest,
+        cost: &CostModel,
+        interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
+    ) -> Result<MoveOutcome, MoveInterrupted> {
+        perform_move_batch_journaled(table, mem, regs, &[req], cost, 1, interrupt)
+            .map(|mut outs| outs.pop().expect("one request, one outcome"))
+    }
+
+    fn move_one(
+        table: &mut AllocationTable,
+        mem: &mut TestMem,
+        regs: &mut [u64],
+        req: MoveRequest,
+        cost: &CostModel,
+    ) -> MoveOutcome {
+        move_one_journaled(table, mem, regs, req, cost, None).expect("no hook, no interrupt")
+    }
 
     fn setup() -> (AllocationTable, TestMem) {
         let mut t = AllocationTable::new();
@@ -1119,7 +760,7 @@ mod tests {
         let (mut t, mut m) = setup();
         let cost = CostModel::default();
         let mut regs = vec![0x1044u64, 0xdead];
-        let out = perform_move(
+        let out = move_one(
             &mut t,
             &mut m,
             &mut regs,
@@ -1153,7 +794,7 @@ mod tests {
         let (mut t, mut m) = setup();
         let cost = CostModel::default();
         let mut regs = vec![0u64; 16];
-        let out = perform_move(
+        let out = move_one(
             &mut t,
             &mut m,
             &mut regs,
@@ -1245,7 +886,7 @@ mod tests {
             // Move one page of the layout.
             let src = 0x10000 + move_page * 0x1000;
             let mut regs = vec![starts[0], 0x0];
-            let out = perform_move(
+            let out = move_one(
                 &mut t,
                 &mut m,
                 &mut regs,
@@ -1279,7 +920,7 @@ mod tests {
         let regs_before = regs.clone();
         let table_before = t.snapshot();
         let mut fire = |phase: MovePhase| phase == MovePhase::Patched;
-        let err = perform_move_journaled(
+        let err = move_one_journaled(
             &mut t,
             &mut m,
             &mut regs,
@@ -1289,7 +930,6 @@ mod tests {
                 dst: 0x9000,
             },
             &cost,
-            1,
             Some(&mut fire),
         )
         .unwrap_err();
@@ -1303,7 +943,7 @@ mod tests {
         assert!(t.info(0x1000).is_some(), "allocation still at old address");
         assert!(t.info(0x9000).is_none(), "nothing landed at the dst");
         // The machine is not poisoned: the same move succeeds afterwards.
-        let out = perform_move(
+        let out = move_one(
             &mut t,
             &mut m,
             &mut regs,
@@ -1325,7 +965,7 @@ mod tests {
         let mut regs = vec![0x1044u64];
         let words_before = m.words.clone();
         let mut fire = |phase: MovePhase| phase == MovePhase::Expanded;
-        let err = perform_move_journaled(
+        let err = move_one_journaled(
             &mut t,
             &mut m,
             &mut regs,
@@ -1335,7 +975,6 @@ mod tests {
                 dst: 0x9000,
             },
             &cost,
-            1,
             Some(&mut fire),
         )
         .unwrap_err();
@@ -1357,18 +996,10 @@ mod tests {
         };
         let mut regs1 = vec![0x1044u64, 0xdead];
         let mut regs2 = regs1.clone();
-        let plain = perform_move(&mut t1, &mut m1, &mut regs1, req, &cost);
+        let plain = move_one(&mut t1, &mut m1, &mut regs1, req, &cost);
         let mut never = |_: MovePhase| false;
-        let journaled = perform_move_journaled(
-            &mut t2,
-            &mut m2,
-            &mut regs2,
-            req,
-            &cost,
-            1,
-            Some(&mut never),
-        )
-        .unwrap();
+        let journaled =
+            move_one_journaled(&mut t2, &mut m2, &mut regs2, req, &cost, Some(&mut never)).unwrap();
         assert_eq!(plain, journaled, "journal must not change the outcome");
         assert_eq!(regs1, regs2);
         assert_eq!(m1.words, m2.words);
@@ -1414,7 +1045,7 @@ mod tests {
         let mut regs1 = vec![0x1044u64, 0x3044, 0xdead];
         let seq: Vec<MoveOutcome> = reqs
             .iter()
-            .map(|&req| perform_move(&mut t1, &mut m1, &mut regs1, req, &cost))
+            .map(|&req| move_one(&mut t1, &mut m1, &mut regs1, req, &cost))
             .collect();
 
         let (mut t2, mut m2) = setup_two();
@@ -1441,8 +1072,12 @@ mod tests {
         );
         assert_eq!(batch[1].cost.register_patch, 0);
         // The cross-range pointer followed both moves: the cell moved
-        // with A, its value was patched for B.
+        // with A, its value was patched for B. Absolute values, so the
+        // check does not lean on the sequential arm sharing the batch core.
         assert_eq!(m2.read_u64(0x9080), 0xb020);
+        assert_eq!(m2.read_u64(0x5000), 0x9010);
+        assert_eq!(m2.read_u64(0x6000), 0xb040);
+        assert_eq!(regs2, vec![0x9044, 0xb044, 0xdead]);
     }
 
     #[test]
@@ -1528,7 +1163,6 @@ mod tests {
                 dst: 0x90000,
             },
             &cost,
-            1,
             None,
         )
         .unwrap();
@@ -1573,7 +1207,6 @@ mod tests {
                 dst: 0x90000,
             },
             &cost,
-            1,
             Some(&mut fire),
         )
         .unwrap_err();
@@ -1595,7 +1228,6 @@ mod tests {
                 dst: 0x90000,
             },
             &cost,
-            1,
             None,
         )
         .unwrap();
@@ -1610,7 +1242,7 @@ mod tests {
         m.write_u64(0x1000, 42);
         let cost = CostModel::default();
         let mut regs = vec![0u64; 4];
-        let out = perform_move(
+        let out = move_one(
             &mut t,
             &mut m,
             &mut regs,

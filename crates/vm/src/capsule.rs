@@ -4,7 +4,7 @@
 //! This is the fleet's cold-tenant path (ROADMAP: capsule
 //! externalization toward very large fleets): a tenant that has not run
 //! for a while is flattened into bytes and parked in the simulated swap
-//! device through [`SimKernel::capsule_write`](carat_kernel::SimKernel),
+//! device through [`SimKernel::capsule_write_from`](carat_kernel::SimKernel),
 //! which checksums the image. Rehydration verifies the checksum, so a
 //! corrupted capsule surfaces as a typed, recoverable error — one lost
 //! tenant, never a poisoned fleet.

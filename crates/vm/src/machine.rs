@@ -80,7 +80,7 @@ pub enum Engine {
     Decoded,
     /// Walk the IR arena directly, cloning each instruction — the original
     /// interpreter, retained as the semantic reference for differential
-    /// testing and as the `--reference` baseline in `interp_throughput`.
+    /// testing and as the `--engine reference` baseline in `interp_throughput`.
     Reference,
     /// Execute over the threaded-code streams: superblock chains of the
     /// fused stream with guard checks elided or hoisted under the static
@@ -187,11 +187,6 @@ pub struct VmConfig {
     /// `Some(FaultPlan::new())` arms nothing but enables the journaled
     /// (crash-consistent) move path, for measuring its overhead.
     pub fault_plan: Option<FaultPlan>,
-    /// Host threads the kernel's move engine shards patch plans across
-    /// (1 = serial). Guest-visible state and counters are bit-identical
-    /// at every setting; modeled move cycles follow the cost model's
-    /// matching `patch_workers` (see [`SimKernel::set_move_workers`]).
-    pub move_workers: usize,
     /// Threaded-tier transform toggles (only read by [`Engine::Threaded`];
     /// both on by default, the ablation rows of the guard-opts table turn
     /// them off selectively).
@@ -217,7 +212,6 @@ impl Default for VmConfig {
             auto_grow_stack: true,
             max_stack: 8 * 1024 * 1024,
             fault_plan: None,
-            move_workers: 1,
             threaded: crate::decode::ThreadedOpts::default(),
         }
     }
@@ -741,12 +735,11 @@ impl Vm {
     /// each VM on a placeholder kernel, swapping the real kernel in for
     /// the duration of each time slice (see [`crate::MultiVm`]).
     pub fn from_parts(
-        mut kernel: SimKernel,
+        kernel: SimKernel,
         table: AllocationTable,
         image: ProcessImage,
         cfg: VmConfig,
     ) -> Vm {
-        kernel.set_move_workers(cfg.move_workers);
         let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
         let program = Rc::new(DecodedProgram::decode_with(&image.module, threaded));
         Vm::assemble(kernel, table, image, cfg, program)

@@ -103,9 +103,6 @@ pub struct MultiVmConfig {
     /// victim list as sequential per-move stops — the slower arm of the
     /// batching differential.
     pub batch_stops: bool,
-    /// Host threads for the shared kernel's move engine (1 = serial);
-    /// see [`SimKernel::set_move_workers`].
-    pub move_workers: usize,
     /// Admission quotas for the fleet (default unlimited): spawns past
     /// the tenant-count or resident-byte ceiling fail with a typed
     /// [`VmError::Admission`] instead of exhausting the kernel arena.
@@ -136,12 +133,11 @@ pub struct MultiVmConfig {
     /// is reaped in full when the tenant dies.
     pub tenant_pool_pages: u64,
     /// Epoch-based pressure scanning: slots a pressure pass examines
-    /// when choosing its externalization and compaction victims (`0` =
-    /// unbounded, the pre-epoch full rescan). The scan is a clock hand
-    /// over the tenant slab — each pass picks up where the last left
-    /// off, so every slot is still examined once per `fleet /
-    /// pressure_scan_limit` passes, but per-pass cost is bounded and
-    /// independent of fleet size. Fleets no larger than the limit get
+    /// when choosing its externalization and compaction victims. The
+    /// scan is a clock hand over the tenant slab — each pass picks up
+    /// where the last left off, so every slot is still examined once per
+    /// `fleet / pressure_scan_limit` passes, but per-pass cost is bounded
+    /// and independent of fleet size. Fleets no larger than the limit get
     /// exactly the full-scan victims.
     pub pressure_scan_limit: usize,
 }
@@ -158,7 +154,6 @@ impl Default for MultiVmConfig {
             pressure_every: 0,
             pressure_batch: 1,
             batch_stops: true,
-            move_workers: 1,
             quotas: TenantQuotas::default(),
             supervisor: None,
             externalize_watermark: 100,
@@ -318,7 +313,6 @@ impl MultiVm {
     /// ([`VmError::Admission`]).
     pub fn new(specs: Vec<ProcSpec>, cfg: MultiVmConfig) -> Result<MultiVm, VmError> {
         let mut kernel = SimKernel::new(cfg.kernel_mem);
-        kernel.set_move_workers(cfg.move_workers);
         kernel.set_quotas(cfg.quotas);
         let mut mv = MultiVm {
             kernel,
@@ -362,16 +356,22 @@ impl MultiVm {
     ///
     /// Loader failures ([`VmError::Load`]), a module without `main`, or
     /// a quota refusal ([`VmError::Admission`]). Refused spawns roll the
-    /// kernel back completely — capsule frames freed, no pid burned.
+    /// kernel back completely — capsule frames freed, no pid burned. A
+    /// module the verifier rejects is refused at the gate, before
+    /// anything per-tenant happens: no admission toll is charged, the
+    /// spec's fault plan is not installed, and the current process stays
+    /// installed.
     pub fn spawn(&mut self, spec: ProcSpec) -> Result<Pid, VmError> {
         let ProcSpec { name, module, cfg } = spec;
-        self.admit(&name, Rc::new(module), cfg, false)
+        let module = Rc::new(module);
+        let text_len = self.admission_gate(&module)?;
+        self.stamp(&name, module, cfg, false, text_len)
     }
 
     /// Admit one tenant from a shared module: every tenant spawned from
     /// the same `Rc<Module>` shares one decoded program, so a 10k-tenant
-    /// fleet of one workload holds ONE decoded copy of its code. Same
-    /// admission path and errors as [`MultiVm::spawn`].
+    /// fleet of one workload holds ONE decoded copy of its code. Exactly
+    /// [`MultiVm::spawn_batch`] of one, under the caller's name.
     ///
     /// # Errors
     ///
@@ -382,7 +382,8 @@ impl MultiVm {
         module: Rc<Module>,
         cfg: VmConfig,
     ) -> Result<Pid, VmError> {
-        self.admit(name, module, cfg, true)
+        let text_len = self.admission_gate(&module)?;
+        self.stamp(name, module, cfg, true, text_len)
     }
 
     /// Admit N tenants from one shared module in a single admission
@@ -390,7 +391,7 @@ impl MultiVm {
     /// gate is consulted ONCE, and each tenant is then stamped through
     /// the preverified load path. Tenant `i` is named
     /// `{name_prefix}{i}`, and its image, counters, guards, and capsule
-    /// bytes are bit-identical to the tenant the `i`-th sequential
+    /// bytes are bit-identical to the tenant the `i`-th one-tenant
     /// [`MultiVm::spawn_shared`] call would have produced — only the
     /// modeled admission cost differs ([`MultiVm::admission_cycles`]
     /// grows by `verify + quota + n × stamp` instead of `n × (verify +
@@ -412,25 +413,11 @@ impl MultiVm {
         cfg: VmConfig,
         n: usize,
     ) -> Result<Vec<Pid>, VmError> {
-        // Rung 4, consulted once for the whole batch.
-        let utilization_pct = self.utilization_pct();
-        if utilization_pct >= self.cfg.backpressure_watermark {
-            return Err(VmError::Admission(AdmissionError::Backpressure {
-                utilization_pct,
-                watermark_pct: self.cfg.backpressure_watermark,
-            }));
-        }
-        // Verify and measure the template once; every stamp below skips
-        // both. `text_len` is exactly what the sequential path computes,
-        // so stamped images are bit-identical to sequential ones.
-        carat_ir::verify_module(&module).map_err(|e| VmError::Load(LoadError::Verify(e)))?;
-        let text_len = carat_ir::print_module(&module).len() as u64;
-        self.admission_cycles += self.kernel.cost.admit_verify + self.kernel.cost.admit_quota;
+        let text_len = self.admission_gate(&module)?;
         let mut pids = Vec::with_capacity(n);
         for i in 0..n {
-            self.admission_cycles += self.kernel.cost.admit_stamp;
             let name = format!("{name_prefix}{i}");
-            match self.admit_load(&name, module.clone(), cfg.clone(), true, Some(text_len)) {
+            match self.stamp(&name, module.clone(), cfg.clone(), true, text_len) {
                 Ok(pid) => pids.push(pid),
                 Err(e) => {
                     // Unwind the partial batch: admission is
@@ -445,13 +432,11 @@ impl MultiVm {
         Ok(pids)
     }
 
-    fn admit(
-        &mut self,
-        name: &str,
-        module: Rc<Module>,
-        cfg: VmConfig,
-        share_program: bool,
-    ) -> Result<Pid, VmError> {
+    /// The once-per-admission-pass half of every admission, however many
+    /// tenants follow: consult the backpressure gate, verify and measure
+    /// the template module, and charge `admit_verify + admit_quota`.
+    /// Returns the module's text length for [`MultiVm::stamp`].
+    fn admission_gate(&mut self, module: &Module) -> Result<u64, VmError> {
         // Rung 4 of the degradation ladder: past the backpressure
         // watermark the fleet sheds load at the door — a typed refusal
         // before any frame is committed, never an allocator panic.
@@ -462,27 +447,25 @@ impl MultiVm {
                 watermark_pct: self.cfg.backpressure_watermark,
             }));
         }
-        // A sequential admission pays the full toll: verification,
-        // quota consultation, and the capsule stamp.
-        self.admission_cycles += self.kernel.cost.admit_verify
-            + self.kernel.cost.admit_quota
-            + self.kernel.cost.admit_stamp;
-        self.admit_load(name, module, cfg, share_program, None)
+        // Verify and measure the template once; every stamp skips both.
+        carat_ir::verify_module(module).map_err(|e| VmError::Load(LoadError::Verify(e)))?;
+        let text_len = carat_ir::print_module(module).len() as u64;
+        self.admission_cycles += self.kernel.cost.admit_verify + self.kernel.cost.admit_quota;
+        Ok(text_len)
     }
 
-    /// The admission tail shared by the sequential and batch paths:
-    /// everything after the backpressure gate and cost charge. With
-    /// `preverified = Some(text_len)` the loader skips module
-    /// verification and the text-length walk (the batch entry point did
-    /// both once for the whole batch).
-    fn admit_load(
+    /// The per-tenant half of every admission: charge `admit_stamp` and
+    /// load one tenant from a module [`MultiVm::admission_gate`] already
+    /// verified and measured (`text_len`).
+    fn stamp(
         &mut self,
         name: &str,
         module: Rc<Module>,
         cfg: VmConfig,
         share_program: bool,
-        preverified: Option<u64>,
+        text_len: u64,
     ) -> Result<Pid, VmError> {
+        self.admission_cycles += self.kernel.cost.admit_stamp;
         if let Some(plan) = cfg.fault_plan.clone() {
             self.kernel.install_fault_plan(plan);
         }
@@ -492,17 +475,9 @@ impl MultiVm {
         // regions would be swept into the newcomer's entry.
         self.kernel.proc_park();
         let mut table = AllocationTable::new();
-        let image = match preverified {
-            None => self
-                .kernel
-                .load_shared(module.clone(), &mut table, cfg.load)?,
-            Some(text_len) => self.kernel.load_shared_preverified(
-                module.clone(),
-                text_len,
-                &mut table,
-                cfg.load,
-            )?,
-        };
+        let image =
+            self.kernel
+                .load_shared_preverified(module.clone(), text_len, &mut table, cfg.load)?;
         let pid = self.kernel.register_proc(name, image.clone())?;
         if let Err(e) = self
             .kernel
@@ -1308,7 +1283,7 @@ impl MultiVm {
             _ => return,
         };
         for r in due {
-            match self.admit(&r.name, r.module.clone(), r.cfg.clone(), true) {
+            match self.spawn_shared(&r.name, r.module.clone(), r.cfg.clone()) {
                 Ok(new_pid) => {
                     let slice = self.slices;
                     if let Some(t) = self.slots.get_mut(new_pid.index()).and_then(|s| s.as_mut()) {
@@ -1413,10 +1388,7 @@ impl MultiVm {
         if n == 0 {
             return None;
         }
-        let limit = match self.cfg.pressure_scan_limit {
-            0 => n,
-            l => l.min(n),
-        };
+        let limit = self.cfg.pressure_scan_limit.min(n);
         let mut best: Option<(u64, Pid)> = None;
         for step in 0..limit {
             let idx = (self.scan_hand + step) % n;

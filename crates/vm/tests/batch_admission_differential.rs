@@ -15,8 +15,10 @@ use std::rc::Rc;
 
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::{GlobalInit, Module, ModuleBuilder, Pred, Type};
-use carat_kernel::{AdmissionError, LoadConfig, Pid, TenantQuotas};
-use carat_vm::{Engine, Mode, MultiVm, MultiVmConfig, ProcOutcome, VmConfig, VmError};
+use carat_kernel::{
+    AdmissionError, FaultPlan, FaultPoint, LoadConfig, LoadError, Pid, TenantQuotas,
+};
+use carat_vm::{Engine, Mode, MultiVm, MultiVmConfig, ProcOutcome, ProcSpec, VmConfig, VmError};
 use proptest::prelude::*;
 
 const ENGINES: [Engine; 4] = [
@@ -249,6 +251,52 @@ fn refused_batch_unwinds_completely() {
         };
         assert_eq!(rr.ret, 120 * 119 / 2);
     }
+}
+
+/// Every admission entry point verifies the module in the once-per-pass
+/// gate, before the per-tenant stamp: an ill-formed module is refused
+/// typed with no toll charged, no fault plan installed, and the
+/// incumbent process left installed.
+#[test]
+fn ill_formed_module_is_refused_before_any_side_effect() {
+    let cfg = vm_cfg(Engine::Fused, Mode::Carat);
+    let mut mv = empty_fleet(64);
+    mv.spawn_batch("t", template(Mode::Carat), cfg.clone(), 2)
+        .expect("incumbents admit");
+    mv.run_batch(1);
+    let incumbent = mv.kernel.procs.current();
+    assert!(incumbent.is_some(), "a slice leaves its tenant installed");
+    let (toll, tenants) = (mv.admission_cycles(), mv.len());
+
+    let mut mb = ModuleBuilder::new("ill_formed");
+    mb.global("short", Type::I64, GlobalInit::Bytes(vec![0; 3]));
+    let bad = Rc::new(mb.finish());
+    let armed = VmConfig {
+        fault_plan: Some(FaultPlan::new().arm(FaultPoint::MidMove, 1)),
+        ..cfg
+    };
+    let refusals = [
+        mv.spawn(ProcSpec {
+            name: "bad".into(),
+            module: (*bad).clone(),
+            cfg: armed.clone(),
+        }),
+        mv.spawn_shared("bad", bad.clone(), armed.clone()),
+        mv.spawn_batch("bad", bad, armed, 3).map(|pids| pids[0]),
+    ];
+    for refusal in refusals {
+        assert!(
+            matches!(refusal, Err(VmError::Load(LoadError::Verify(_)))),
+            "typed verifier refusal, got {refusal:?}"
+        );
+    }
+    assert_eq!(mv.admission_cycles(), toll, "no toll for a refused module");
+    assert_eq!(mv.len(), tenants);
+    assert!(
+        mv.kernel.fault_plan().is_none(),
+        "its fault plan never lands"
+    );
+    assert_eq!(mv.kernel.procs.current(), incumbent, "incumbent not parked");
 }
 
 proptest! {

@@ -192,9 +192,12 @@ fn swap_device_round_trip_verifies_checksum() {
 
     // Through the simulated swap device: checksummed on write, verified
     // and consumed on read.
-    let slot = kernel.capsule_write(bytes.clone()).expect("write accepted");
+    let slot = kernel.capsule_write_from(&bytes).expect("write accepted");
     assert_eq!(kernel.capsule_count(), 1);
-    let read_back = kernel.capsule_read(slot).expect("checksum verifies");
+    let mut read_back = Vec::new();
+    kernel
+        .capsule_read_into(slot, &mut read_back)
+        .expect("checksum verifies");
     assert_eq!(read_back, bytes);
     assert_eq!(kernel.capsule_count(), 0, "read consumed the slot");
 
@@ -208,10 +211,12 @@ fn corrupted_capsule_is_a_typed_checksum_error() {
     let vm = mid_run(config(Mode::Carat, Engine::Fused), 2, 10_000);
     let (mut kernel, _table, state) = vm.into_tenant();
     let slot = kernel
-        .capsule_write(state.externalize())
+        .capsule_write_from(&state.externalize())
         .expect("write accepted");
     assert!(kernel.debug_corrupt_capsule(slot));
-    let err = kernel.capsule_read(slot).expect_err("corruption detected");
+    let err = kernel
+        .capsule_read_into(slot, &mut Vec::new())
+        .expect_err("corruption detected");
     assert_eq!(err, KernelError::CapsuleCorrupt { slot });
     assert!(err.is_recoverable(), "one lost tenant, not a fleet panic");
 }

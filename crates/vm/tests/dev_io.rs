@@ -289,7 +289,7 @@ fn chaos_storm_with_pinned_dma_yields_typed_errors_only() {
         externalize_watermark: 0,
         ..MultiVmConfig::default()
     });
-    mv.install_fault_plan(FaultPlan::from_seed_chaos(0xD3AD_10));
+    mv.install_fault_plan(FaultPlan::from_seed_chaos(0x00D3_AD10));
 
     // Drive slices and DMA traffic concurrently under the storm.
     let mut completions = 0u64;
