@@ -7,15 +7,17 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use carat_ir::{BlockId, Function, Inst, ValueId};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// A single natural loop.
 #[derive(Debug, Clone)]
 pub struct Loop {
     /// The loop header.
     pub header: BlockId,
-    /// All blocks in the loop, including the header.
-    pub blocks: HashSet<BlockId>,
+    /// All blocks in the loop, including the header. Ordered: the guard
+    /// optimizations iterate this to decide emission order, and compiler
+    /// output must be byte-reproducible (a signed image names its bytes).
+    pub blocks: BTreeSet<BlockId>,
     /// Latch blocks (in-loop predecessors of the header).
     pub latches: Vec<BlockId>,
     /// Index of the enclosing loop in the forest, if any.
@@ -63,7 +65,7 @@ impl LoopForest {
             .into_iter()
             .zip(latches_of)
             .map(|(header, latches)| {
-                let mut blocks = HashSet::new();
+                let mut blocks = BTreeSet::new();
                 blocks.insert(header);
                 let mut stack: Vec<BlockId> = latches.clone();
                 while let Some(b) = stack.pop() {

@@ -11,7 +11,7 @@
 //!   install, no TLB flush) must undercut traditional paging (TLB flush
 //!   + amortized ASID refill) at EVERY scale.
 //! * **Host ns per slice** — the scheduler's own work per slice
-//!   (run-queue pop, table checkout, O(1) tenant materialization) must
+//!   (run-queue pop, table checkout, three borrows) must
 //!   not grow with fleet size: the curve gates on the largest scale
 //!   staying within a small factor of the smallest. Each slice is timed
 //!   individually, so the JSON also carries the **p99 slice latency** —

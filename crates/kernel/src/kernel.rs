@@ -305,16 +305,6 @@ impl SimKernel {
         }
     }
 
-    /// A minimal kernel (a few frames of memory) used as the placeholder
-    /// inside a descheduled VM: the multi-process scheduler swaps the one
-    /// real kernel into whichever VM is running, and every parked VM holds
-    /// one of these. Its cost model is the default — identical to a real
-    /// kernel's, so anything computed from a parked VM's cost view (e.g.
-    /// TLB geometry at construction) matches the live kernel exactly.
-    pub fn placeholder() -> SimKernel {
-        SimKernel::new(128 * 1024)
-    }
-
     /// Install a fault-injection schedule. Also enables the patch journal
     /// for every subsequent move (crash consistency), even when the plan
     /// is empty — an empty plan is how the journal's zero-fault overhead

@@ -245,9 +245,8 @@ pub enum VmError {
     /// The kernel's admission control refused the tenant (quota
     /// over-commit) before it became schedulable.
     Admission(AdmissionError),
-    /// A fleet-level tenancy operation was refused (stale pid,
-    /// externalized state, or an engaged kernel); see
-    /// [`crate::TenancyError`].
+    /// A fleet-level tenancy operation was refused (stale pid or
+    /// externalized state); see [`crate::TenancyError`].
     Tenancy(crate::multi::TenancyError),
     /// A DMA pin operation was refused, or an operation collided with
     /// a pinned region (e.g. externalizing a tenant whose memory is a
@@ -425,7 +424,7 @@ pub(crate) struct Frame {
 }
 
 /// Bookkeeping for writing a patched register snapshot back into every
-/// thread (see [`Vm::snapshot_regs`]).
+/// thread (see [`TenantState::snapshot_regs`]).
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotMap {
     reg_slots: Vec<(usize, usize, usize)>,
@@ -474,7 +473,7 @@ impl Default for GuardFastPath {
 /// Lifecycle state of one thread slot.
 pub(crate) enum ThreadState {
     /// This slot is the currently executing thread (its state lives in the
-    /// `Vm` fields).
+    /// [`TenantState`] fields).
     Current,
     /// Parked, waiting for its next time slice.
     Parked(ParkedThread),
@@ -482,106 +481,32 @@ pub(crate) enum ThreadState {
     Done(i64),
 }
 
-/// The virtual machine.
+/// The virtual machine: one kernel, one allocation table, one tenant.
 pub struct Vm {
-    cfg: VmConfig,
     /// The simulated kernel (public for post-run inspection).
     pub kernel: SimKernel,
     /// The runtime allocation table (public for post-run inspection).
     pub table: AllocationTable,
-    image: ProcessImage,
-    heap: HeapAllocator,
-    tlb: TranslationUnit,
-    counters: PerfCounters,
-    output: Vec<String>,
-    /// The module compiled to its flat executable form (also carries the
-    /// per-function frame sizes and alloca offsets the reference engine
-    /// reads). Shared: a fleet of tenants spawned from one module holds
-    /// one decoded copy.
-    program: Rc<DecodedProgram>,
-    /// Reusable buffer for parallel phi-batch copies (decoded engine).
-    phi_scratch: Vec<Value>,
-    rng: u64,
-    sp: u64,
-    frames: Vec<Frame>,
-    /// All thread slots (index = thread id); slot `cur_tid` is `Current`.
-    threads: Vec<ThreadState>,
-    cur_tid: usize,
-    /// Threads currently in [`ThreadState::Parked`] — maintained so the
-    /// per-instruction scheduler gate and the fused engine's mid-pair
-    /// bail check are one integer compare instead of a slot scan.
-    /// (`Done` slots stay in `threads` forever; counting the parked ones
-    /// lets a program whose workers have retired keep its fast path.)
-    parked_threads: usize,
-    /// Set by a blocking intrinsic (join on a live thread): the current
-    /// instruction must not advance; the scheduler rotates instead.
-    block_current: bool,
-    /// Low bound of the current thread's stack (rebased on relocations).
-    cur_stack_base: u64,
-    access_counter: u64,
-    next_move_at: u64,
-    moves_done: u64,
-    next_swap_at: u64,
-    swaps_done: u64,
-    peak_tracking_bytes: usize,
-    /// Guard fast path: last-hit region (see [`GuardFastPath`]).
-    guard_cache: GuardFastPath,
-    /// Translation fast path (traditional mode): the last VPN that went
-    /// through [`TranslationUnit::access`]. A repeat of the same VPN is a
-    /// guaranteed DTLB hit (the entry was touched last and cannot have
-    /// been evicted without an intervening different-VPN access), so the
-    /// front cache charges the hit without the set walk.
-    last_vpn: u64,
-    /// Superinstruction execution statistics (fused engine).
-    fusion: FusionStats,
-    /// Recycled frame register files: `push_frame` reuses a retired
-    /// frame's `regs` allocation instead of hitting the allocator on
-    /// every call. Bounded by the deepest call stack seen.
-    regs_pool: Vec<Vec<Value>>,
-    /// Next scheduler-rotation point in retired instructions (see
-    /// [`VmConfig::sched_quantum`]); meaningful only while a thread is
-    /// parked. Forced to 0 by a blocked join so the scheduler rotates at
-    /// the next boundary.
-    next_rotate_at: u64,
-    /// Cached bail threshold in retired instructions: the next rotation
-    /// point while any thread is parked, `max_steps` otherwise. Folded so
-    /// [`Vm::fusion_bail`] is two compares on the hot path.
-    bail_insts_at: u64,
-    /// Cached bail threshold in cycles: the earliest of the next due
-    /// move driver, the next due swap driver, and the cycle limit.
-    bail_cycles_at: u64,
-    /// Instruction count at which the current [`Vm::run_slice`] quantum
-    /// expires (`u64::MAX` outside a bounded slice). Folded into
-    /// `bail_insts_at` so the fused engine bails out of superinstruction
-    /// pairs at slice boundaries exactly as it does at rotation points.
-    slice_limit: u64,
-    /// Cycle count at which the current [`Vm::run_slice_cycles`] deadline
-    /// expires (`u64::MAX` outside a timer slice) — the CLINT-style
-    /// `mtimecmp` comparator seen from inside the VM. Folded into
-    /// `bail_cycles_at` the same way `slice_limit` folds into
-    /// `bail_insts_at`.
-    slice_cycle_limit: u64,
+    state: TenantState,
 }
 
 impl fmt::Debug for Vm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Vm")
-            .field("mode", &self.cfg.mode)
-            .field("cycles", &self.counters.cycles)
+            .field("mode", &self.state.cfg.mode)
+            .field("cycles", &self.state.counters.cycles)
             .finish()
     }
 }
 
-/// A descheduled tenant: everything a [`Vm`] owns *except* the kernel and
-/// the allocation table (which park in the kernel's process table between
-/// slices). This is what the fleet scheduler keeps per tenant — frame
-/// stack, thread slots, decoded-code handle, counters, driver cursors —
-/// instead of a full `Vm` wrapped around a placeholder kernel.
-///
-/// [`Vm::from_tenant`] / [`Vm::into_tenant`] convert in O(1) field moves:
-/// a context switch materializes the running tenant around the one real
-/// kernel and dismantles it again at slice end, never cloning or
-/// allocating. The guard fast path and translation caches ride along and
+/// Everything the interpreter keeps per tenant — frame stack, thread
+/// slots, decoded-code handle, counters, driver cursors — and the only
+/// declaration of it. A [`Vm`] is a kernel, an allocation table and one
+/// of these; the fleet scheduler keeps one per descheduled tenant (the
+/// table parks in the kernel's process table between slices) and runs a
+/// slice by lending the engine the shared kernel, the checked-out table
+/// and the slot's state in place — nothing is moved, cloned or rebuilt.
+/// The guard fast path and translation caches ride along and
 /// self-invalidate (the region-table generation bumps on every switch).
 pub struct TenantState {
     pub(crate) cfg: VmConfig,
@@ -590,15 +515,29 @@ pub struct TenantState {
     pub(crate) tlb: TranslationUnit,
     pub(crate) counters: PerfCounters,
     pub(crate) output: Vec<String>,
+    /// The module compiled to its flat executable form (also carries the
+    /// per-function frame sizes and alloca offsets the reference engine
+    /// reads). Shared: a fleet of tenants spawned from one module holds
+    /// one decoded copy.
     pub(crate) program: Rc<DecodedProgram>,
+    /// Reusable buffer for parallel phi-batch copies (decoded engine).
     pub(crate) phi_scratch: Vec<Value>,
     pub(crate) rng: u64,
     pub(crate) sp: u64,
     pub(crate) frames: Vec<Frame>,
+    /// All thread slots (index = thread id); slot `cur_tid` is `Current`.
     pub(crate) threads: Vec<ThreadState>,
     pub(crate) cur_tid: usize,
+    /// Threads currently in [`ThreadState::Parked`] — maintained so the
+    /// per-instruction scheduler gate and the fused engine's mid-pair
+    /// bail check are one integer compare instead of a slot scan.
+    /// (`Done` slots stay in `threads` forever; counting the parked ones
+    /// lets a program whose workers have retired keep its fast path.)
     pub(crate) parked_threads: usize,
+    /// Set by a blocking intrinsic (join on a live thread): the current
+    /// instruction must not advance; the scheduler rotates instead.
     pub(crate) block_current: bool,
+    /// Low bound of the current thread's stack (rebased on relocations).
     pub(crate) cur_stack_base: u64,
     pub(crate) access_counter: u64,
     pub(crate) next_move_at: u64,
@@ -606,14 +545,42 @@ pub struct TenantState {
     pub(crate) next_swap_at: u64,
     pub(crate) swaps_done: u64,
     pub(crate) peak_tracking_bytes: usize,
+    /// Guard fast path: last-hit region (see [`GuardFastPath`]).
     pub(crate) guard_cache: GuardFastPath,
+    /// Translation fast path (traditional mode): the last VPN that went
+    /// through [`TranslationUnit::access`]. A repeat of the same VPN is a
+    /// guaranteed DTLB hit (the entry was touched last and cannot have
+    /// been evicted without an intervening different-VPN access), so the
+    /// front cache charges the hit without the set walk.
     pub(crate) last_vpn: u64,
+    /// Superinstruction execution statistics (fused engine).
     pub(crate) fusion: FusionStats,
+    /// Recycled frame register files: `push_frame` reuses a retired
+    /// frame's `regs` allocation instead of hitting the allocator on
+    /// every call. Bounded by the deepest call stack seen.
     pub(crate) regs_pool: Vec<Vec<Value>>,
+    /// Next scheduler-rotation point in retired instructions (see
+    /// [`VmConfig::sched_quantum`]); meaningful only while a thread is
+    /// parked. Forced to 0 by a blocked join so the scheduler rotates at
+    /// the next boundary.
     pub(crate) next_rotate_at: u64,
+    /// Cached bail threshold in retired instructions: the next rotation
+    /// point while any thread is parked, `max_steps` otherwise. Folded so
+    /// [`TenantState::fusion_bail`] is two compares on the hot path.
     pub(crate) bail_insts_at: u64,
+    /// Cached bail threshold in cycles: the earliest of the next due
+    /// move driver, the next due swap driver, and the cycle limit.
     pub(crate) bail_cycles_at: u64,
+    /// Instruction count at which the current [`Vm::run_slice`] quantum
+    /// expires (`u64::MAX` outside a bounded slice). Folded into
+    /// `bail_insts_at` so the fused engine bails out of superinstruction
+    /// pairs at slice boundaries exactly as it does at rotation points.
     pub(crate) slice_limit: u64,
+    /// Cycle count at which the current [`Vm::run_slice_cycles`] deadline
+    /// expires (`u64::MAX` outside a timer slice) — the CLINT-style
+    /// `mtimecmp` comparator seen from inside the VM. Folded into
+    /// `bail_cycles_at` the same way `slice_limit` folds into
+    /// `bail_insts_at`.
     pub(crate) slice_cycle_limit: u64,
 }
 
@@ -627,166 +594,35 @@ impl fmt::Debug for TenantState {
 }
 
 impl TenantState {
-    /// The tenant's live performance counters (the differential
-    /// comparison target — kernel-side scheduling charges never appear
-    /// here).
-    pub fn counters(&self) -> &PerfCounters {
-        &self.counters
-    }
-
-    /// The tenant's live image (globals patched by moves, stack rebased).
-    pub fn image(&self) -> &ProcessImage {
-        &self.image
-    }
-
-    /// The tenant's VM configuration — the host-side half of an
-    /// externalized capsule (the serialized image deliberately excludes
-    /// it; see [`TenantState::externalize`]).
-    pub fn config(&self) -> &VmConfig {
-        &self.cfg
-    }
-
-    /// The tenant's decoded program handle (shared across the fleet;
-    /// never serialized).
-    pub fn program(&self) -> &Rc<DecodedProgram> {
-        &self.program
-    }
-
-    /// Approximate heap bytes this descheduled tenant pins on the host:
-    /// frame stack, thread slots, register pools, buffered output. The
-    /// decoded program is shared across the fleet and the capsule lives
-    /// in kernel physical memory, so neither is charged here. The fleet
-    /// bench uses this to show per-descheduled-tenant overhead is
-    /// O(tenant size), not O(fleet size).
-    pub fn footprint_bytes(&self) -> usize {
-        let frame_bytes = |frames: &[Frame]| -> usize {
-            frames
-                .iter()
-                .map(|f| f.regs.capacity() * std::mem::size_of::<Value>())
-                .sum::<usize>()
-                + std::mem::size_of_val(frames)
-        };
-        let mut bytes = std::mem::size_of::<TenantState>();
-        bytes += frame_bytes(&self.frames);
-        bytes += self.threads.len() * std::mem::size_of::<ThreadState>();
-        for t in &self.threads {
-            if let ThreadState::Parked(p) = t {
-                bytes += frame_bytes(&p.frames);
-            }
-        }
-        bytes += self
-            .regs_pool
-            .iter()
-            .map(|r| r.capacity() * std::mem::size_of::<Value>())
-            .sum::<usize>();
-        bytes += self.output.iter().map(|s| s.capacity()).sum::<usize>();
-        bytes += self.phi_scratch.capacity() * std::mem::size_of::<Value>();
-        bytes += self.image.globals.capacity() * std::mem::size_of::<u64>();
-        bytes
-    }
-}
-
-impl Vm {
-    /// Create a VM over a fresh kernel and load `module` into it
-    /// (unsigned path; use [`Vm::load_signed`] for the full trust chain).
-    ///
-    /// # Errors
-    ///
-    /// Propagates loader failures.
-    pub fn new(module: Module, cfg: VmConfig) -> Result<Vm, VmError> {
-        let mut kernel = SimKernel::new(512 * 1024 * 1024);
-        if let Some(plan) = cfg.fault_plan.clone() {
-            kernel.install_fault_plan(plan);
-        }
-        let mut table = AllocationTable::new();
-        let image = kernel.load_unsigned(module, &mut table, cfg.load)?;
-        Ok(Vm::from_parts(kernel, table, image, cfg))
-    }
-
-    /// Create a VM from a signed module, verifying the trust chain.
-    ///
-    /// # Errors
-    ///
-    /// Signature, parse, verify, or memory failures.
-    pub fn load_signed(
-        signed: &carat_core::SignedModule,
-        trusted: Vec<carat_core::SigningKey>,
-        cfg: VmConfig,
-    ) -> Result<Vm, VmError> {
-        let mut kernel = SimKernel::new(512 * 1024 * 1024);
-        // The plan must be live before `load` so faults can target the
-        // trust chain (signature corruption in flight).
-        if let Some(plan) = cfg.fault_plan.clone() {
-            kernel.install_fault_plan(plan);
-        }
-        for k in trusted {
-            kernel.trust(k);
-        }
-        let mut table = AllocationTable::new();
-        let image = kernel.load(signed, &mut table, cfg.load)?;
-        Ok(Vm::from_parts(kernel, table, image, cfg))
-    }
-
-    /// Assemble a VM from an already-loaded process: a kernel (real or
-    /// [`SimKernel::placeholder`]), the allocation table the loader
-    /// populated, and the image it produced. This is the multi-tenant
-    /// entry point — a scheduler loads N images through one shared
-    /// kernel, registers each with the kernel's process table, and parks
-    /// each VM on a placeholder kernel, swapping the real kernel in for
-    /// the duration of each time slice (see [`crate::MultiVm`]).
-    pub fn from_parts(
-        kernel: SimKernel,
-        table: AllocationTable,
-        image: ProcessImage,
-        cfg: VmConfig,
-    ) -> Vm {
-        let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
-        let program = Rc::new(DecodedProgram::decode_with(&image.module, threaded));
-        Vm::assemble(kernel, table, image, cfg, program)
-    }
-
-    /// Assemble a VM from parts plus an already-decoded (possibly shared)
-    /// program, without touching the kernel's move-engine configuration.
-    /// This is the fleet spawn path: the scheduler owns the kernel's
-    /// worker setting, and thousands of tenants share one decoded copy of
-    /// their module.
-    pub(crate) fn assemble(
-        kernel: SimKernel,
-        table: AllocationTable,
+    /// Fresh state for a loaded process, around an already-decoded
+    /// (possibly shared) program: thousands of tenants spawned from one
+    /// module hold one decoded copy. `cost` is the cost model of the
+    /// kernel the tenant will run on (it sizes the TLBs).
+    pub(crate) fn new(
         image: ProcessImage,
         cfg: VmConfig,
         program: Rc<DecodedProgram>,
-    ) -> Vm {
-        let heap = HeapAllocator::new(image.heap.0, image.heap.1);
-        let tlb = TranslationUnit::new(&kernel.cost);
-        let sp = image.stack_top();
-        let next_move_at = cfg.move_driver.map(|d| d.period_cycles).unwrap_or(u64::MAX);
-        let next_swap_at = cfg.swap_driver.map(|d| d.period_cycles).unwrap_or(u64::MAX);
-        let seed = cfg.seed;
-        let stack_base = image.stack.0;
-        let mut vm = Vm {
-            cfg,
-            kernel,
-            table,
-            image,
-            heap,
-            tlb,
+        cost: &CostModel,
+    ) -> TenantState {
+        let mut state = TenantState {
+            heap: HeapAllocator::new(image.heap.0, image.heap.1),
+            tlb: TranslationUnit::new(cost),
             counters: PerfCounters::default(),
             output: Vec::new(),
             program,
             phi_scratch: Vec::new(),
-            rng: seed | 1,
-            sp,
+            rng: cfg.seed | 1,
+            sp: image.stack_top(),
             frames: Vec::new(),
             threads: vec![ThreadState::Current],
             cur_tid: 0,
             parked_threads: 0,
             block_current: false,
-            cur_stack_base: 0, // set just below from the image
+            cur_stack_base: image.stack.0,
             access_counter: 0,
-            next_move_at,
+            next_move_at: cfg.move_driver.map(|d| d.period_cycles).unwrap_or(u64::MAX),
             moves_done: 0,
-            next_swap_at,
+            next_swap_at: cfg.swap_driver.map(|d| d.period_cycles).unwrap_or(u64::MAX),
             swaps_done: 0,
             peak_tracking_bytes: 0,
             guard_cache: GuardFastPath::default(),
@@ -798,467 +634,11 @@ impl Vm {
             bail_cycles_at: 0,
             slice_limit: u64::MAX,
             slice_cycle_limit: u64::MAX,
+            image,
+            cfg,
         };
-        vm.cur_stack_base = stack_base;
-        vm.recompute_bail();
-        vm
-    }
-
-    /// Dismantle this VM into the kernel, the allocation table, and a
-    /// compact [`TenantState`]. The fleet scheduler calls this at the end
-    /// of every slice: the kernel goes back to the scheduler, the table
-    /// checks back into the process table, and the `TenantState` parks in
-    /// the tenant slot. Pure field moves — no allocation, no clone.
-    pub fn into_tenant(self) -> (SimKernel, AllocationTable, TenantState) {
-        let Vm {
-            cfg,
-            kernel,
-            table,
-            image,
-            heap,
-            tlb,
-            counters,
-            output,
-            program,
-            phi_scratch,
-            rng,
-            sp,
-            frames,
-            threads,
-            cur_tid,
-            parked_threads,
-            block_current,
-            cur_stack_base,
-            access_counter,
-            next_move_at,
-            moves_done,
-            next_swap_at,
-            swaps_done,
-            peak_tracking_bytes,
-            guard_cache,
-            last_vpn,
-            fusion,
-            regs_pool,
-            next_rotate_at,
-            bail_insts_at,
-            bail_cycles_at,
-            slice_limit,
-            slice_cycle_limit,
-        } = self;
-        let state = TenantState {
-            cfg,
-            image,
-            heap,
-            tlb,
-            counters,
-            output,
-            program,
-            phi_scratch,
-            rng,
-            sp,
-            frames,
-            threads,
-            cur_tid,
-            parked_threads,
-            block_current,
-            cur_stack_base,
-            access_counter,
-            next_move_at,
-            moves_done,
-            next_swap_at,
-            swaps_done,
-            peak_tracking_bytes,
-            guard_cache,
-            last_vpn,
-            fusion,
-            regs_pool,
-            next_rotate_at,
-            bail_insts_at,
-            bail_cycles_at,
-            slice_limit,
-            slice_cycle_limit,
-        };
-        (kernel, table, state)
-    }
-
-    /// Rebuild a runnable VM around the real kernel and the tenant's
-    /// checked-out allocation table — the other half of
-    /// [`Vm::into_tenant`]. Pure field moves; the caches inside the state
-    /// (guard fast path, TLB) self-invalidate against the freshly
-    /// installed region table on first use.
-    pub fn from_tenant(kernel: SimKernel, table: AllocationTable, state: TenantState) -> Vm {
-        let TenantState {
-            cfg,
-            image,
-            heap,
-            tlb,
-            counters,
-            output,
-            program,
-            phi_scratch,
-            rng,
-            sp,
-            frames,
-            threads,
-            cur_tid,
-            parked_threads,
-            block_current,
-            cur_stack_base,
-            access_counter,
-            next_move_at,
-            moves_done,
-            next_swap_at,
-            swaps_done,
-            peak_tracking_bytes,
-            guard_cache,
-            last_vpn,
-            fusion,
-            regs_pool,
-            next_rotate_at,
-            bail_insts_at,
-            bail_cycles_at,
-            slice_limit,
-            slice_cycle_limit,
-        } = state;
-        Vm {
-            cfg,
-            kernel,
-            table,
-            image,
-            heap,
-            tlb,
-            counters,
-            output,
-            program,
-            phi_scratch,
-            rng,
-            sp,
-            frames,
-            threads,
-            cur_tid,
-            parked_threads,
-            block_current,
-            cur_stack_base,
-            access_counter,
-            next_move_at,
-            moves_done,
-            next_swap_at,
-            swaps_done,
-            peak_tracking_bytes,
-            guard_cache,
-            last_vpn,
-            fusion,
-            regs_pool,
-            next_rotate_at,
-            bail_insts_at,
-            bail_cycles_at,
-            slice_limit,
-            slice_cycle_limit,
-        }
-    }
-
-    /// The loaded image.
-    pub fn image(&self) -> &ProcessImage {
-        &self.image
-    }
-
-    /// The performance counters accumulated so far (live view — useful
-    /// between scheduler slices, before [`Vm::finish_run`]).
-    pub fn counters(&self) -> &PerfCounters {
-        &self.counters
-    }
-
-    /// Run `main` to completion.
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`].
-    pub fn run(mut self) -> Result<RunResult, VmError> {
-        self.run_mut()
-    }
-
-    /// Run `main` to completion, then audit the machine's structural
-    /// integrity — whatever the outcome. This is the fault-soak
-    /// entry point: a run that dies with a typed error must still leave
-    /// the allocation table, frame allocator, and swap store consistent,
-    /// and the report proves (or disproves) that.
-    pub fn run_checked(mut self) -> (Result<RunResult, VmError>, IntegrityReport) {
-        let result = self.run_mut();
-        let report = self.check_integrity();
-        (result, report)
-    }
-
-    fn run_mut(&mut self) -> Result<RunResult, VmError> {
-        self.start()?;
-        match self.run_slice(u64::MAX)? {
-            SliceExit::Finished(v) => Ok(self.finish_run(v)),
-            // An unbounded slice cannot expire: the budget saturates to
-            // `u64::MAX` retired instructions, unreachable under any
-            // `max_steps`.
-            SliceExit::Quantum => Err(VmError::Trap("unbounded slice expired".into())),
-        }
-    }
-
-    /// Push `main`'s frame, making the VM runnable. Call once before the
-    /// first [`Vm::run_slice`]; [`Vm::run`] does this internally.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError::Trap`] when the module has no `main` or its frame does
-    /// not fit the stack.
-    pub fn start(&mut self) -> Result<(), VmError> {
-        let main = self
-            .image
-            .module
-            .main()
-            .ok_or_else(|| VmError::Trap("no main function".into()))?;
-        self.push_frame(main, &[], None)
-    }
-
-    /// Run for at most `budget` more retired instructions, stopping at
-    /// the first safe boundary at or past the budget — the scheduler
-    /// quantum primitive. Semantics and accounting are identical to an
-    /// uninterrupted run: a preempted VM resumed by further slices
-    /// retires the same instruction stream and charges the same cycles
-    /// as [`Vm::run`] would in one pass (the multi-process differential
-    /// suite enforces this).
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`]; the slice bound is always unwound first, so a
-    /// failed slice leaves the VM consistent for inspection.
-    pub fn run_slice(&mut self, budget: u64) -> Result<SliceExit, VmError> {
-        self.slice_limit = self.counters.instructions.saturating_add(budget);
-        self.recompute_bail();
-        let out = self.run_slice_inner();
-        self.slice_limit = u64::MAX;
-        self.recompute_bail();
-        out
-    }
-
-    /// Run until the modeled cycle counter reaches `deadline` — the
-    /// timer-interrupt primitive. The CLINT-style timer arms `deadline`
-    /// as its `mtimecmp`; the slice loop observes `cycles >= deadline`
-    /// at the first safe boundary past it and returns
-    /// [`SliceExit::Quantum`], exactly as an instruction quantum would.
-    /// The same signals-masked deferrals apply (pending escape
-    /// notifications, mid-flight fused pairs), and the gap between the
-    /// deadline and the cycle count at the exit *is* the
-    /// interrupt-to-dispatch latency the timer device records.
-    ///
-    /// A `deadline` at or before the current cycle count preempts at the
-    /// first safe boundary (one interrupt, not a livelock: every step
-    /// retires at least one cycle).
-    ///
-    /// # Errors
-    ///
-    /// See [`VmError`]; identical surface to [`Vm::run_slice`].
-    pub fn run_slice_cycles(&mut self, deadline: u64) -> Result<SliceExit, VmError> {
-        self.slice_cycle_limit = deadline;
-        self.recompute_bail();
-        let out = self.run_slice_inner();
-        self.slice_cycle_limit = u64::MAX;
-        self.recompute_bail();
-        out
-    }
-
-    fn run_slice_inner(&mut self) -> Result<SliceExit, VmError> {
-        loop {
-            // Slice expiry first: like a world-stop, preemption may not
-            // land between a pointer store and its escape callback —
-            // defer to the next boundary once the notification is in.
-            // Instruction quanta and cycle deadlines share one exit; a
-            // scheduler arms whichever preemption source it uses.
-            if (self.counters.instructions >= self.slice_limit
-                || self.counters.cycles >= self.slice_cycle_limit)
-                && !self.tracking_owed()
-            {
-                return Ok(SliceExit::Quantum);
-            }
-            // Step limit in retired instructions: every `step()` call
-            // retires at least one (a blocked join still counts, exactly
-            // as before), and a fused pair retires two — so this check is
-            // equivalent to the old per-iteration counter for the unfused
-            // engines and exact for the fused one, which bails out of a
-            // pair the moment the limit is reached.
-            if self.counters.instructions >= self.cfg.max_steps
-                || self.counters.cycles > self.cfg.max_cycles
-            {
-                return Err(VmError::StepLimit);
-            }
-            if let Some(v) = self.step()? {
-                if self.cur_tid == 0 {
-                    // Main returned: the process ends (any still-running
-                    // threads are abandoned, as on a real exit()).
-                    return Ok(SliceExit::Finished(v));
-                }
-                self.threads[self.cur_tid] = ThreadState::Done(v);
-                self.counters.cycles += self.kernel.cost.call;
-                if !self.rotate(true)? {
-                    return Err(VmError::Trap("all threads finished but main".into()));
-                }
-                self.grant_quantum();
-                continue;
-            }
-            if self.counters.cycles >= self.next_move_at && !self.tracking_owed() {
-                // A world-stop may not land between a pointer store and its
-                // escape callback (the instrumentation stub runs with
-                // signals masked in a real CARAT); defer until the
-                // notification has been delivered.
-                self.drive_move()?;
-            }
-            if self.counters.cycles >= self.next_swap_at && !self.tracking_owed() {
-                self.drive_swap()?;
-            }
-            // Rotation can only change state when a parked thread exists;
-            // gating on the parked count (not `threads.len()`, which keeps
-            // `Done` slots forever) skips the no-op scan once every worker
-            // has retired. With a parked thread, switch only at quantum
-            // boundaries — per-instruction context switching is neither
-            // realistic nor cheap (it dominated the threaded workloads).
-            if self.parked_threads > 0
-                && self.counters.instructions >= self.next_rotate_at
-                && !self.tracking_owed()
-            {
-                self.rotate(false)?;
-                self.grant_quantum();
-            }
-        }
-    }
-
-    /// Fold the final tracking state into a [`RunResult`] after
-    /// [`Vm::run_slice`] returned [`SliceExit::Finished`].
-    pub fn finish_run(&mut self, ret: i64) -> RunResult {
-        // End of program: final escape flush and histogram fold.
-        self.flush_escapes();
-        self.table.finish();
-        self.note_tracking_bytes();
-        let mpki = self.tlb.dtlb_mpki(self.counters.instructions);
-        RunResult {
-            ret,
-            output: std::mem::take(&mut self.output),
-            track_stats: self.table.stats.clone(),
-            tracking_bytes: self.peak_tracking_bytes,
-            peak_heap_bytes: self.heap.peak_bytes,
-            page_allocs: self.kernel.trace.allocs,
-            page_moves: self.kernel.trace.moves,
-            initial_pages: self.image.initial_pages,
-            static_footprint: self.image.static_footprint,
-            dtlb_misses: self.tlb.dtlb.misses,
-            dtlb_mpki: mpki,
-            pagewalks: self.tlb.pagewalks,
-            fusion: self.fusion.clone(),
-            counters: self.counters.clone(),
-        }
-    }
-
-    /// Structural audit of the machine's memory-management state. Checks
-    /// hold at any quiescent point — including right after a failed run —
-    /// because every kernel error path rolls back or aborts first:
-    ///
-    /// * tracked allocations are disjoint (no move landed on live data);
-    /// * the frame allocator's usage accounting is within the arena;
-    /// * every swap entry's payload matches its recorded length;
-    /// * kernel regions are well-formed.
-    pub fn check_integrity(&self) -> IntegrityReport {
-        let mut violations = Vec::new();
-        // Allocation disjointness over the sorted snapshot. Poisoned
-        // (swapped-out) allocations live in disjoint per-slot windows and
-        // participate like any others.
-        let mut allocs: Vec<(u64, u64)> = self
-            .table
-            .snapshot()
-            .into_iter()
-            .map(|(start, len, _, _)| (start, len))
-            .collect();
-        allocs.sort_unstable();
-        for w in allocs.windows(2) {
-            let (a_start, a_len) = w[0];
-            let (b_start, _) = w[1];
-            if a_start + a_len > b_start {
-                violations.push(format!(
-                    "allocations overlap: [{a_start:#x},+{a_len:#x}) and {b_start:#x}"
-                ));
-            }
-        }
-        let in_use = self.kernel.buddy.pages_in_use;
-        let total = self.kernel.buddy.total_pages();
-        if in_use > total {
-            violations.push(format!(
-                "frame allocator accounts {in_use} pages in use of {total}"
-            ));
-        }
-        for slot in self.kernel.corrupt_swap_slots() {
-            violations.push(format!("swap slot {slot} length/payload mismatch"));
-        }
-        for r in self.kernel.regions.regions() {
-            if r.len == 0 || r.start.checked_add(r.len).is_none() {
-                violations.push(format!("malformed region [{:#x},+{:#x})", r.start, r.len));
-            }
-        }
-        IntegrityReport {
-            allocations: allocs.len(),
-            frames_in_use: in_use,
-            swap_entries: self.kernel.swapped_ranges(),
-            violations,
-        }
-    }
-
-    fn push_frame(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        ret_to: Option<ValueId>,
-    ) -> Result<(), VmError> {
-        let f = self.image.module.func(func);
-        let fsize = self.program.funcs[func.index()].frame_size;
-        if self.sp < fsize {
-            return Err(VmError::Trap("stack exhausted".into()));
-        }
-        let sp_base = self.sp - fsize;
-        // Without guards (baseline builds) nothing checks the stack bound;
-        // physical addressing means an overflow would silently clobber
-        // neighboring memory — exactly the protection CARAT's call guards
-        // reintroduce. Trap loudly in the simulator instead.
-        if sp_base < self.cur_stack_base {
-            return Err(VmError::Trap(
-                "stack overflow (no call guards to trigger expansion)".into(),
-            ));
-        }
-        // Traditional model: the kernel grows the stack transparently; in
-        // CARAT the call guard checked this range already.
-        self.sp = sp_base;
-        let mut regs = self.regs_pool.pop().unwrap_or_default();
-        regs.clear();
-        regs.resize(f.num_values(), Value::Undef);
-        regs[..args.len()].copy_from_slice(args);
-        let entry = f.entry();
-        self.frames.push(Frame {
-            func,
-            regs,
-            block: entry,
-            idx: 0,
-            prev_block: None,
-            sp_base,
-            ret_to,
-            code: self.pinned_code(func.index(), entry.index()),
-        });
-        self.counters.calls += 1;
-        self.counters.cycles += self.kernel.cost.call;
-        Ok(())
-    }
-
-    /// Execute one instruction; returns `Some(ret)` when `main` returns.
-    ///
-    /// The fused and decoded engines share one core: fused variants are
-    /// just additional [`DecodedInst`] arms that only ever appear in the
-    /// streams the fused engine pins into frames.
-    fn step(&mut self) -> Result<Option<i64>, VmError> {
-        match self.cfg.engine {
-            Engine::Fused | Engine::Threaded => self.step_decoded::<true>(),
-            Engine::Decoded => self.step_decoded::<false>(),
-            Engine::Reference => self.step_reference(),
-        }
+        state.recompute_bail();
+        state
     }
 
     /// The code stream to pin for `(func, block)` under the configured
@@ -1319,29 +699,539 @@ impl Vm {
             .min(self.cfg.max_cycles.saturating_add(1));
     }
 
+    /// The tenant's live performance counters (the differential
+    /// comparison target — kernel-side scheduling charges never appear
+    /// here).
+    pub fn counters(&self) -> &PerfCounters {
+        &self.counters
+    }
+
+    /// The tenant's live image (globals patched by moves, stack rebased).
+    pub fn image(&self) -> &ProcessImage {
+        &self.image
+    }
+
+    /// The tenant's VM configuration — the host-side half of an
+    /// externalized capsule (the serialized image deliberately excludes
+    /// it; see [`TenantState::externalize`]).
+    pub fn config(&self) -> &VmConfig {
+        &self.cfg
+    }
+
+    /// The tenant's decoded program handle (shared across the fleet;
+    /// never serialized).
+    pub fn program(&self) -> &Rc<DecodedProgram> {
+        &self.program
+    }
+
+    /// Approximate heap bytes this descheduled tenant pins on the host:
+    /// frame stack, thread slots, register pools, buffered output. The
+    /// decoded program is shared across the fleet and the capsule lives
+    /// in kernel physical memory, so neither is charged here. The fleet
+    /// bench uses this to show per-descheduled-tenant overhead is
+    /// O(tenant size), not O(fleet size).
+    pub fn footprint_bytes(&self) -> usize {
+        let frame_bytes = |frames: &[Frame]| -> usize {
+            frames
+                .iter()
+                .map(|f| f.regs.capacity() * std::mem::size_of::<Value>())
+                .sum::<usize>()
+                + std::mem::size_of_val(frames)
+        };
+        let mut bytes = std::mem::size_of::<TenantState>();
+        bytes += frame_bytes(&self.frames);
+        bytes += self.threads.len() * std::mem::size_of::<ThreadState>();
+        for t in &self.threads {
+            if let ThreadState::Parked(p) = t {
+                bytes += frame_bytes(&p.frames);
+            }
+        }
+        bytes += self
+            .regs_pool
+            .iter()
+            .map(|r| r.capacity() * std::mem::size_of::<Value>())
+            .sum::<usize>();
+        bytes += self.output.iter().map(|s| s.capacity()).sum::<usize>();
+        bytes += self.phi_scratch.capacity() * std::mem::size_of::<Value>();
+        bytes += self.image.globals.capacity() * std::mem::size_of::<u64>();
+        bytes
+    }
+}
+
+/// The engine's view of one running tenant: the kernel it runs on, its
+/// allocation table, and its interpreter state, all borrowed. A [`Vm`]
+/// lends its own three fields; the fleet scheduler lends the shared
+/// kernel, the tenant's checked-out table and the slot's state.
+pub(crate) struct Core<'a> {
+    pub(crate) kernel: &'a mut SimKernel,
+    pub(crate) table: &'a mut AllocationTable,
+    pub(crate) t: &'a mut TenantState,
+}
+
+/// The running thread's innermost frame. A running VM always has one:
+/// `start` and `spawn_thread` push a frame before the thread's first
+/// `step`, and the `Ret` that pops a thread's last frame ends it.
+#[inline]
+fn frame(frames: &[Frame]) -> &Frame {
+    frames.last().expect("a running thread has a frame")
+}
+
+/// Mutable twin of [`frame`].
+#[inline]
+fn frame_mut(frames: &mut [Frame]) -> &mut Frame {
+    frames.last_mut().expect("a running thread has a frame")
+}
+
+impl Vm {
+    /// Create a VM over a fresh kernel and load `module` into it
+    /// (unsigned path; use [`Vm::load_signed`] for the full trust chain).
+    ///
+    /// # Errors
+    ///
+    /// Propagates loader failures.
+    pub fn new(module: Module, cfg: VmConfig) -> Result<Vm, VmError> {
+        let mut kernel = SimKernel::new(512 * 1024 * 1024);
+        if let Some(plan) = cfg.fault_plan.clone() {
+            kernel.install_fault_plan(plan);
+        }
+        let mut table = AllocationTable::new();
+        let image = kernel.load_unsigned(module, &mut table, cfg.load)?;
+        Ok(Vm::from_parts(kernel, table, image, cfg))
+    }
+
+    /// Create a VM from a signed module, verifying the trust chain.
+    ///
+    /// # Errors
+    ///
+    /// Signature, parse, verify, or memory failures.
+    pub fn load_signed(
+        signed: &carat_core::SignedModule,
+        trusted: Vec<carat_core::SigningKey>,
+        cfg: VmConfig,
+    ) -> Result<Vm, VmError> {
+        let mut kernel = SimKernel::new(512 * 1024 * 1024);
+        // The plan must be live before `load` so faults can target the
+        // trust chain (signature corruption in flight).
+        if let Some(plan) = cfg.fault_plan.clone() {
+            kernel.install_fault_plan(plan);
+        }
+        for k in trusted {
+            kernel.trust(k);
+        }
+        let mut table = AllocationTable::new();
+        let image = kernel.load(signed, &mut table, cfg.load)?;
+        Ok(Vm::from_parts(kernel, table, image, cfg))
+    }
+
+    /// Assemble a VM from an already-loaded process: a kernel, the
+    /// allocation table the loader populated, and the image it produced.
+    pub fn from_parts(
+        kernel: SimKernel,
+        table: AllocationTable,
+        image: ProcessImage,
+        cfg: VmConfig,
+    ) -> Vm {
+        let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
+        let program = Rc::new(DecodedProgram::decode_with(&image.module, threaded));
+        let state = TenantState::new(image, cfg, program, &kernel.cost);
+        Vm::from_tenant(kernel, table, state)
+    }
+
+    /// Take this VM apart into its kernel, allocation table and
+    /// [`TenantState`] — three field moves.
+    pub fn into_tenant(self) -> (SimKernel, AllocationTable, TenantState) {
+        (self.kernel, self.table, self.state)
+    }
+
+    /// The other half of [`Vm::into_tenant`]: a runnable VM over `kernel`,
+    /// `table` and `state`. The caches inside the state (guard fast path,
+    /// TLB) self-invalidate against the kernel's region table on first use.
+    pub fn from_tenant(kernel: SimKernel, table: AllocationTable, state: TenantState) -> Vm {
+        Vm {
+            kernel,
+            table,
+            state,
+        }
+    }
+
+    fn core(&mut self) -> Core<'_> {
+        Core {
+            kernel: &mut self.kernel,
+            table: &mut self.table,
+            t: &mut self.state,
+        }
+    }
+
+    /// The loaded image.
+    pub fn image(&self) -> &ProcessImage {
+        &self.state.image
+    }
+
+    /// The performance counters accumulated so far (live view — useful
+    /// between scheduler slices, before [`Vm::finish_run`]).
+    pub fn counters(&self) -> &PerfCounters {
+        &self.state.counters
+    }
+
+    /// Run `main` to completion.
+    ///
+    /// # Errors
+    ///
+    /// See [`VmError`].
+    pub fn run(mut self) -> Result<RunResult, VmError> {
+        self.core().run()
+    }
+
+    /// Run `main` to completion, then audit the machine's structural
+    /// integrity — whatever the outcome. This is the fault-soak
+    /// entry point: a run that dies with a typed error must still leave
+    /// the allocation table, frame allocator, and swap store consistent,
+    /// and the report proves (or disproves) that.
+    pub fn run_checked(mut self) -> (Result<RunResult, VmError>, IntegrityReport) {
+        let result = self.core().run();
+        let report = self.check_integrity();
+        (result, report)
+    }
+
+    /// Push `main`'s frame, making the VM runnable. Call once before the
+    /// first [`Vm::run_slice`]; [`Vm::run`] does this internally.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Trap`] when the module has no `main` or its frame does
+    /// not fit the stack.
+    pub fn start(&mut self) -> Result<(), VmError> {
+        self.core().start()
+    }
+
+    /// Run for at most `budget` more retired instructions, stopping at
+    /// the first safe boundary at or past the budget — the scheduler
+    /// quantum primitive. Semantics and accounting are identical to an
+    /// uninterrupted run: a preempted VM resumed by further slices
+    /// retires the same instruction stream and charges the same cycles
+    /// as [`Vm::run`] would in one pass (the multi-process differential
+    /// suite enforces this).
+    ///
+    /// # Errors
+    ///
+    /// See [`VmError`]; the slice bound is always unwound first, so a
+    /// failed slice leaves the VM consistent for inspection.
+    pub fn run_slice(&mut self, budget: u64) -> Result<SliceExit, VmError> {
+        self.core().run_slice(budget)
+    }
+
+    /// Run until the modeled cycle counter reaches `deadline` — the
+    /// timer-interrupt primitive. The CLINT-style timer arms `deadline`
+    /// as its `mtimecmp`; the slice loop observes `cycles >= deadline`
+    /// at the first safe boundary past it and returns
+    /// [`SliceExit::Quantum`], exactly as an instruction quantum would.
+    /// The same signals-masked deferrals apply (pending escape
+    /// notifications, mid-flight fused pairs), and the gap between the
+    /// deadline and the cycle count at the exit *is* the
+    /// interrupt-to-dispatch latency the timer device records.
+    ///
+    /// A `deadline` at or before the current cycle count preempts at the
+    /// first safe boundary (one interrupt, not a livelock: every step
+    /// retires at least one cycle).
+    ///
+    /// # Errors
+    ///
+    /// See [`VmError`]; identical surface to [`Vm::run_slice`].
+    pub fn run_slice_cycles(&mut self, deadline: u64) -> Result<SliceExit, VmError> {
+        self.core().run_slice_cycles(deadline)
+    }
+
+    /// Fold the final tracking state into a [`RunResult`] after
+    /// [`Vm::run_slice`] returned [`SliceExit::Finished`].
+    pub fn finish_run(&mut self, ret: i64) -> RunResult {
+        self.core().finish_run(ret)
+    }
+
+    /// Structural audit of the machine's memory-management state. Checks
+    /// hold at any quiescent point — including right after a failed run —
+    /// because every kernel error path rolls back or aborts first:
+    ///
+    /// * tracked allocations are disjoint (no move landed on live data);
+    /// * the frame allocator's usage accounting is within the arena;
+    /// * every swap entry's payload matches its recorded length;
+    /// * kernel regions are well-formed.
+    pub fn check_integrity(&self) -> IntegrityReport {
+        let mut violations = Vec::new();
+        // Allocation disjointness over the sorted snapshot. Poisoned
+        // (swapped-out) allocations live in disjoint per-slot windows and
+        // participate like any others.
+        let mut allocs: Vec<(u64, u64)> = self
+            .table
+            .snapshot()
+            .into_iter()
+            .map(|(start, len, _, _)| (start, len))
+            .collect();
+        allocs.sort_unstable();
+        for w in allocs.windows(2) {
+            let (a_start, a_len) = w[0];
+            let (b_start, _) = w[1];
+            if a_start + a_len > b_start {
+                violations.push(format!(
+                    "allocations overlap: [{a_start:#x},+{a_len:#x}) and {b_start:#x}"
+                ));
+            }
+        }
+        let in_use = self.kernel.buddy.pages_in_use;
+        let total = self.kernel.buddy.total_pages();
+        if in_use > total {
+            violations.push(format!(
+                "frame allocator accounts {in_use} pages in use of {total}"
+            ));
+        }
+        for slot in self.kernel.corrupt_swap_slots() {
+            violations.push(format!("swap slot {slot} length/payload mismatch"));
+        }
+        for r in self.kernel.regions.regions() {
+            if r.len == 0 || r.start.checked_add(r.len).is_none() {
+                violations.push(format!("malformed region [{:#x},+{:#x})", r.start, r.len));
+            }
+        }
+        IntegrityReport {
+            allocations: allocs.len(),
+            frames_in_use: in_use,
+            swap_entries: self.kernel.swapped_ranges(),
+            violations,
+        }
+    }
+}
+
+// The engine. `run`, `start`, `run_slice`, `run_slice_cycles` and
+// `finish_run` are documented on the public [`Vm`] methods that delegate
+// here; the fleet scheduler calls them on its own view.
+impl Core<'_> {
+    fn run(&mut self) -> Result<RunResult, VmError> {
+        self.start()?;
+        match self.run_slice(u64::MAX)? {
+            SliceExit::Finished(v) => Ok(self.finish_run(v)),
+            // An unbounded slice cannot expire: the budget saturates to
+            // `u64::MAX` retired instructions, unreachable under any
+            // `max_steps`.
+            SliceExit::Quantum => Err(VmError::Trap("unbounded slice expired".into())),
+        }
+    }
+
+    pub(crate) fn start(&mut self) -> Result<(), VmError> {
+        let main = self
+            .t
+            .image
+            .module
+            .main()
+            .ok_or_else(|| VmError::Trap("no main function".into()))?;
+        self.push_frame(main, &[], None)
+    }
+
+    pub(crate) fn run_slice(&mut self, budget: u64) -> Result<SliceExit, VmError> {
+        self.t.slice_limit = self.t.counters.instructions.saturating_add(budget);
+        self.t.recompute_bail();
+        let out = self.run_slice_inner();
+        self.t.slice_limit = u64::MAX;
+        self.t.recompute_bail();
+        out
+    }
+
+    pub(crate) fn run_slice_cycles(&mut self, deadline: u64) -> Result<SliceExit, VmError> {
+        self.t.slice_cycle_limit = deadline;
+        self.t.recompute_bail();
+        let out = self.run_slice_inner();
+        self.t.slice_cycle_limit = u64::MAX;
+        self.t.recompute_bail();
+        out
+    }
+
+    fn run_slice_inner(&mut self) -> Result<SliceExit, VmError> {
+        loop {
+            // Slice expiry first: like a world-stop, preemption may not
+            // land between a pointer store and its escape callback —
+            // defer to the next boundary once the notification is in.
+            // Instruction quanta and cycle deadlines share one exit; a
+            // scheduler arms whichever preemption source it uses.
+            if (self.t.counters.instructions >= self.t.slice_limit
+                || self.t.counters.cycles >= self.t.slice_cycle_limit)
+                && !self.t.tracking_owed()
+            {
+                return Ok(SliceExit::Quantum);
+            }
+            // Step limit in retired instructions: every `step()` call
+            // retires at least one (a blocked join still counts, exactly
+            // as before), and a fused pair retires two — so this check is
+            // equivalent to the old per-iteration counter for the unfused
+            // engines and exact for the fused one, which bails out of a
+            // pair the moment the limit is reached.
+            if self.t.counters.instructions >= self.t.cfg.max_steps
+                || self.t.counters.cycles > self.t.cfg.max_cycles
+            {
+                return Err(VmError::StepLimit);
+            }
+            if let Some(v) = self.step()? {
+                if self.t.cur_tid == 0 {
+                    // Main returned: the process ends (any still-running
+                    // threads are abandoned, as on a real exit()).
+                    return Ok(SliceExit::Finished(v));
+                }
+                self.t.threads[self.t.cur_tid] = ThreadState::Done(v);
+                self.t.counters.cycles += self.kernel.cost.call;
+                if !self.t.rotate(true)? {
+                    return Err(VmError::Trap("all threads finished but main".into()));
+                }
+                self.t.grant_quantum();
+                continue;
+            }
+            if self.t.counters.cycles >= self.t.next_move_at && !self.t.tracking_owed() {
+                // A world-stop may not land between a pointer store and its
+                // escape callback (the instrumentation stub runs with
+                // signals masked in a real CARAT); defer until the
+                // notification has been delivered.
+                self.drive_move()?;
+            }
+            if self.t.counters.cycles >= self.t.next_swap_at && !self.t.tracking_owed() {
+                self.drive_swap()?;
+            }
+            // Rotation can only change state when a parked thread exists;
+            // gating on the parked count (not `threads.len()`, which keeps
+            // `Done` slots forever) skips the no-op scan once every worker
+            // has retired. With a parked thread, switch only at quantum
+            // boundaries — per-instruction context switching is neither
+            // realistic nor cheap (it dominated the threaded workloads).
+            if self.t.parked_threads > 0
+                && self.t.counters.instructions >= self.t.next_rotate_at
+                && !self.t.tracking_owed()
+            {
+                self.t.rotate(false)?;
+                self.t.grant_quantum();
+            }
+        }
+    }
+
+    pub(crate) fn finish_run(&mut self, ret: i64) -> RunResult {
+        // End of program: final escape flush and histogram fold.
+        self.flush_escapes();
+        self.table.finish();
+        self.note_tracking_bytes();
+        let mpki = self.t.tlb.dtlb_mpki(self.t.counters.instructions);
+        RunResult {
+            ret,
+            output: std::mem::take(&mut self.t.output),
+            track_stats: self.table.stats.clone(),
+            tracking_bytes: self.t.peak_tracking_bytes,
+            peak_heap_bytes: self.t.heap.peak_bytes,
+            page_allocs: self.kernel.trace.allocs,
+            page_moves: self.kernel.trace.moves,
+            initial_pages: self.t.image.initial_pages,
+            static_footprint: self.t.image.static_footprint,
+            dtlb_misses: self.t.tlb.dtlb.misses,
+            dtlb_mpki: mpki,
+            pagewalks: self.t.tlb.pagewalks,
+            fusion: self.t.fusion.clone(),
+            counters: self.t.counters.clone(),
+        }
+    }
+
+    fn push_frame(
+        &mut self,
+        func: FuncId,
+        args: &[Value],
+        ret_to: Option<ValueId>,
+    ) -> Result<(), VmError> {
+        let f = self.t.image.module.func(func);
+        let fsize = self.t.program.funcs[func.index()].frame_size;
+        if self.t.sp < fsize {
+            return Err(VmError::Trap("stack exhausted".into()));
+        }
+        let sp_base = self.t.sp - fsize;
+        // Without guards (baseline builds) nothing checks the stack bound;
+        // physical addressing means an overflow would silently clobber
+        // neighboring memory — exactly the protection CARAT's call guards
+        // reintroduce. Trap loudly in the simulator instead.
+        if sp_base < self.t.cur_stack_base {
+            return Err(VmError::Trap(
+                "stack overflow (no call guards to trigger expansion)".into(),
+            ));
+        }
+        // Traditional model: the kernel grows the stack transparently; in
+        // CARAT the call guard checked this range already.
+        self.t.sp = sp_base;
+        let mut regs = self.t.regs_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(f.num_values(), Value::Undef);
+        regs[..args.len()].copy_from_slice(args);
+        let entry = f.entry();
+        self.t.frames.push(Frame {
+            func,
+            regs,
+            block: entry,
+            idx: 0,
+            prev_block: None,
+            sp_base,
+            ret_to,
+            code: self.t.pinned_code(func.index(), entry.index()),
+        });
+        self.t.counters.calls += 1;
+        self.t.counters.cycles += self.kernel.cost.call;
+        Ok(())
+    }
+
+    /// Retire the current frame with return value `out` — the `Ret` of
+    /// every engine: release its stack, recycle its register file, and
+    /// deliver `out` to the caller's destination register. Returns
+    /// `Some(ret)` when it was the thread's last frame.
+    fn ret(&mut self, out: Option<Value>) -> Option<i64> {
+        let done = self.t.frames.pop().expect("a running thread has a frame");
+        self.t.sp = done.sp_base + self.t.program.funcs[done.func.index()].frame_size;
+        self.t.counters.cycles += self.kernel.cost.branch;
+        self.t.regs_pool.push(done.regs);
+        let Some(parent) = self.t.frames.last_mut() else {
+            return Some(out.map(Value::as_i).unwrap_or(0));
+        };
+        if let (Some(dst), Some(val)) = (done.ret_to, out) {
+            parent.regs[dst.index()] = val;
+        }
+        None
+    }
+
+    /// Execute one instruction; returns `Some(ret)` when `main` returns.
+    ///
+    /// The fused and decoded engines share one core: fused variants are
+    /// just additional [`DecodedInst`] arms that only ever appear in the
+    /// streams the fused engine pins into frames.
+    fn step(&mut self) -> Result<Option<i64>, VmError> {
+        match self.t.cfg.engine {
+            Engine::Fused | Engine::Threaded => self.step_decoded::<true>(),
+            Engine::Decoded => self.step_decoded::<false>(),
+            Engine::Reference => self.step_reference(),
+        }
+    }
+
     /// Reference engine: clone each instruction out of the IR arena. Kept
     /// byte-for-byte semantically identical to the decoded fast path; any
     /// observable divergence between the two is a bug.
     fn step_reference(&mut self) -> Result<Option<i64>, VmError> {
-        let frame = self.frames.last().expect("non-empty");
-        let fid = frame.func;
-        let f = self.image.module.func(fid);
-        let block = frame.block;
+        let fr = frame(&self.t.frames);
+        let fid = fr.func;
+        let f = self.t.image.module.func(fid);
+        let block = fr.block;
         let insts = &f.block(block).insts;
-        let v = insts[frame.idx];
-        let inst = f.inst(v).expect("placed instruction").clone();
-        self.counters.instructions += 1;
-        self.counters.opcode_mix.record(inst.opcode());
+        let v = insts[fr.idx];
+        let inst = f
+            .inst(v)
+            .ok_or_else(|| VmError::Trap(format!("block {block} lists unplaced value {v}")))?
+            .clone();
+        self.t.counters.instructions += 1;
+        self.t.counters.opcode_mix.record(inst.opcode());
         let cost = &self.kernel.cost;
 
         macro_rules! frame_mut {
             () => {
-                self.frames.last_mut().expect("non-empty")
+                frame_mut(&mut self.t.frames)
             };
         }
         macro_rules! reg {
             ($v:expr) => {
-                self.frames.last().expect("frame").regs[$v.index()]
+                frame(&self.t.frames).regs[$v.index()]
             };
         }
 
@@ -1351,15 +1241,15 @@ impl Vm {
                     Const::Int(x, w) => Value::I(w.wrap(x)),
                     Const::F64(x) => Value::F(x),
                     Const::Null => Value::P(0),
-                    Const::GlobalAddr(g) => Value::P(self.image.globals[g.index()]),
+                    Const::GlobalAddr(g) => Value::P(self.t.image.globals[g.index()]),
                 };
                 frame_mut!().regs[v.index()] = val;
                 frame_mut!().idx += 1;
             }
             Inst::Alloca(_) => {
-                let off = self.program.funcs[fid.index()].alloca_offset(v.index());
-                let addr = self.frames.last().unwrap().sp_base + off;
-                self.counters.cycles += self.kernel.cost.alu;
+                let off = self.t.program.funcs[fid.index()].alloca_offset(v.index());
+                let addr = frame(&self.t.frames).sp_base + off;
+                self.t.counters.cycles += self.kernel.cost.alu;
                 frame_mut!().regs[v.index()] = Value::P(addr);
                 frame_mut!().idx += 1;
             }
@@ -1373,7 +1263,7 @@ impl Vm {
                     Type::Int(w) => Value::I(w.wrap(self.kernel.mem.read_uint(paddr, size) as i64)),
                     _ => return Err(VmError::Trap("load of aggregate".into())),
                 };
-                self.counters.loads += 1;
+                self.t.counters.loads += 1;
                 frame_mut!().regs[v.index()] = val;
                 frame_mut!().idx += 1;
             }
@@ -1392,14 +1282,14 @@ impl Vm {
                     Type::Int(_) => self.kernel.mem.write_uint(paddr, x.as_i() as u64, size),
                     _ => return Err(VmError::Trap("store of aggregate".into())),
                 }
-                self.counters.stores += 1;
+                self.t.counters.stores += 1;
                 frame_mut!().idx += 1;
             }
             Inst::PtrAdd { base, index, elem } => {
                 let b = reg!(base).as_p();
                 let i = reg!(index).as_i();
                 let addr = b.wrapping_add((i.wrapping_mul(elem.stride() as i64)) as u64);
-                self.counters.cycles += cost.alu;
+                self.t.counters.cycles += cost.alu;
                 frame_mut!().regs[v.index()] = Value::P(addr);
                 frame_mut!().idx += 1;
             }
@@ -1410,12 +1300,13 @@ impl Vm {
             } => {
                 let b = reg!(base).as_p();
                 let addr = b + struct_ty.field_offset(field as usize);
-                self.counters.cycles += cost.alu;
+                self.t.counters.cycles += cost.alu;
                 frame_mut!().regs[v.index()] = Value::P(addr);
                 frame_mut!().idx += 1;
             }
             Inst::Bin { op, lhs, rhs } => {
                 let width = self
+                    .t
                     .image
                     .module
                     .func(fid)
@@ -1435,7 +1326,7 @@ impl Vm {
                     }
                     _ => icmp_i(pred, a.as_i(), b.as_i()),
                 };
-                self.counters.cycles += self.kernel.cost.alu;
+                self.t.counters.cycles += self.kernel.cost.alu;
                 frame_mut!().regs[v.index()] = Value::I(r as i64);
                 frame_mut!().idx += 1;
             }
@@ -1449,7 +1340,7 @@ impl Vm {
                     Pred::Sgt => a > b,
                     Pred::Sge | Pred::Uge => a >= b,
                 };
-                self.counters.cycles += self.kernel.cost.fpu;
+                self.t.counters.cycles += self.kernel.cost.fpu;
                 frame_mut!().regs[v.index()] = Value::I(r as i64);
                 frame_mut!().idx += 1;
             }
@@ -1465,7 +1356,7 @@ impl Vm {
                     CastKind::PtrToInt => Value::I(x.as_p() as i64),
                     CastKind::IntToPtr => Value::P(x.as_i() as u64),
                 };
-                self.counters.cycles += self.kernel.cost.alu;
+                self.t.counters.cycles += self.kernel.cost.alu;
                 frame_mut!().regs[v.index()] = out;
                 frame_mut!().idx += 1;
             }
@@ -1476,7 +1367,7 @@ impl Vm {
             } => {
                 let c = reg!(cond).as_i() != 0;
                 let out = if c { reg!(if_true) } else { reg!(if_false) };
-                self.counters.cycles += self.kernel.cost.alu;
+                self.t.counters.cycles += self.kernel.cost.alu;
                 frame_mut!().regs[v.index()] = out;
                 frame_mut!().idx += 1;
             }
@@ -1506,12 +1397,12 @@ impl Vm {
             Inst::CallIntrinsic { intr, args } => {
                 let argv: Vec<Value> = args.iter().map(|&a| reg!(a)).collect();
                 let out = self.exec_intrinsic(intr, &argv)?;
-                if self.block_current {
+                if self.t.block_current {
                     // A blocking intrinsic (join): leave the instruction
                     // pointer in place; the run loop's scheduler rotates
                     // away and this instruction re-executes later.
-                    self.block_current = false;
-                    self.counters.cycles += self.kernel.cost.branch;
+                    self.t.block_current = false;
+                    self.t.counters.cycles += self.kernel.cost.branch;
                     return Ok(None);
                 }
                 if let Some(x) = out {
@@ -1520,7 +1411,7 @@ impl Vm {
                 frame_mut!().idx += 1;
             }
             Inst::Jmp { target } => {
-                self.counters.cycles += self.kernel.cost.branch;
+                self.t.counters.cycles += self.kernel.cost.branch;
                 self.jump(block, target);
             }
             Inst::Br {
@@ -1529,26 +1420,12 @@ impl Vm {
                 if_false,
             } => {
                 let c = reg!(cond).as_i() != 0;
-                self.counters.cycles += self.kernel.cost.branch;
+                self.t.counters.cycles += self.kernel.cost.branch;
                 self.jump(block, if c { if_true } else { if_false });
             }
             Inst::Ret { value } => {
                 let out = value.map(|x| reg!(x));
-                let frame = self.frames.pop().expect("frame");
-                // Release the stack frame; recycle its register file.
-                self.sp = frame.sp_base + self.program.funcs[frame.func.index()].frame_size;
-                self.counters.cycles += self.kernel.cost.branch;
-                self.regs_pool.push(frame.regs);
-                match self.frames.last_mut() {
-                    Some(parent) => {
-                        if let (Some(dst), Some(val)) = (frame.ret_to, out) {
-                            parent.regs[dst.index()] = val;
-                        }
-                    }
-                    None => {
-                        return Ok(Some(out.map(Value::as_i).unwrap_or(0)));
-                    }
-                }
+                return Ok(self.ret(out));
             }
             Inst::Unreachable => {
                 return Err(VmError::Trap("unreachable executed".into()));
@@ -1581,7 +1458,7 @@ impl Vm {
     ///
     /// Batched dispatch (`BATCH = true`, fused engine only): instead of
     /// returning to the run loop after every instruction, keep executing
-    /// until [`Vm::fusion_bail`] reports that the run loop could need
+    /// until [`TenantState::fusion_bail`] reports that the run loop could need
     /// control — a parked thread to rotate to, a step/cycle limit, or a
     /// due move/swap driver. Between two instructions where none of those
     /// hold, a run-loop iteration is a provable no-op, so skipping it
@@ -1591,10 +1468,10 @@ impl Vm {
         loop {
             // --- fast tier: register-only ops, one sustained borrow ---
             {
-                let Vm {
+                let kernel = &mut *self.kernel;
+                let TenantState {
                     frames,
                     counters,
-                    kernel,
                     tlb,
                     program,
                     image,
@@ -1607,10 +1484,10 @@ impl Vm {
                     bail_cycles_at,
                     guard_cache,
                     ..
-                } = self;
+                } = &mut *self.t;
                 let stream = cfg.engine.stream();
                 let mode = cfg.mode;
-                let fr = frames.last_mut().expect("non-empty");
+                let fr = frame_mut(frames);
                 loop {
                     match fr.code[fr.idx] {
                         DecodedInst::ConstI { dst, val } => {
@@ -1763,7 +1640,7 @@ impl Vm {
                             // edge `prev_block -> block`, in parallel (all
                             // sources read before any destination is
                             // written). Counts as one instruction, matching
-                            // [`Vm::exec_phis`].
+                            // [`Core::exec_phis`].
                             counters.instructions += 1;
                             counters.opcode_mix.record(Opcode::Phi);
                             let prev = fr
@@ -2451,7 +2328,7 @@ impl Vm {
             }
 
             // --- slow tier: one full-`self` dispatch ---
-            let fr = self.frames.last_mut().expect("non-empty");
+            let fr = frame_mut(&mut self.t.frames);
             let fid = fr.func;
             let inst = fr.code[fr.idx];
             // A hoisted whole-trip guard retires no instruction of its
@@ -2460,14 +2337,14 @@ impl Vm {
             // before the slow tier's instruction accounting.
             if let DecodedInst::HoistedGuard { meta } = inst {
                 self.exec_hoisted_guard(fid, meta)?;
-                self.frames.last_mut().expect("frame").idx += 1;
-                if !BATCH || self.fusion_bail() {
+                frame_mut(&mut self.t.frames).idx += 1;
+                if !BATCH || self.t.fusion_bail() {
                     return Ok(None);
                 }
                 continue;
             }
-            self.counters.instructions += 1;
-            self.counters.opcode_mix.record(inst.opcode());
+            self.t.counters.instructions += 1;
+            self.t.counters.opcode_mix.record(inst.opcode());
 
             match inst {
                 DecodedInst::Load { dst, addr, cls } => {
@@ -2481,8 +2358,8 @@ impl Vm {
                             Value::I(w.wrap(self.kernel.mem.read_uint(paddr, size) as i64))
                         }
                     };
-                    self.counters.loads += 1;
-                    let fr = self.frames.last_mut().expect("frame");
+                    self.t.counters.loads += 1;
+                    let fr = frame_mut(&mut self.t.frames);
                     fr.regs[dst as usize] = val;
                     fr.idx += 1;
                 }
@@ -2494,7 +2371,7 @@ impl Vm {
                     // a poison address triggers a page-in world-stop inside
                     // `data_access`, which patches registers — a value read
                     // earlier would be stale.
-                    let fr = self.frames.last_mut().expect("frame");
+                    let fr = frame_mut(&mut self.t.frames);
                     let x = fr.regs[value as usize];
                     fr.idx += 1;
                     match cls {
@@ -2504,14 +2381,14 @@ impl Vm {
                             self.kernel.mem.write_uint(paddr, x.as_i() as u64, size)
                         }
                     }
-                    self.counters.stores += 1;
+                    self.t.counters.stores += 1;
                 }
                 DecodedInst::Call { dst, callee, args } => {
                     fr.idx += 1; // return lands after the call
                                  // Args buffered on the stack: no per-call heap
                                  // allocation for the common arity.
                     let n = args.len as usize;
-                    let pool = &self.program.funcs[fid.index()].operands;
+                    let pool = &self.t.program.funcs[fid.index()].operands;
                     let mut buf = [Value::Undef; 16];
                     let mut heap = Vec::new();
                     let argv: &[Value] = if n <= buf.len() {
@@ -2531,22 +2408,22 @@ impl Vm {
                 }
                 DecodedInst::Intrinsic { dst, intr, args } => {
                     let mut argv = [Value::Undef; 4];
-                    let pool = &self.program.funcs[fid.index()].operands;
+                    let pool = &self.t.program.funcs[fid.index()].operands;
                     let n = args.len as usize;
                     for (slot, &r) in argv.iter_mut().zip(&pool[args.start as usize..][..n]) {
                         *slot = fr.regs[r as usize];
                     }
                     let out = self.exec_intrinsic(intr, &argv[..n])?;
-                    if self.block_current {
+                    if self.t.block_current {
                         // A blocking intrinsic (join): leave the instruction
                         // pointer in place; the join path already yielded the
                         // quantum, so the run loop's scheduler rotates away
                         // and this instruction re-executes later.
-                        self.block_current = false;
-                        self.counters.cycles += self.kernel.cost.branch;
+                        self.t.block_current = false;
+                        self.t.counters.cycles += self.kernel.cost.branch;
                         return Ok(None);
                     }
-                    let fr = self.frames.last_mut().expect("frame");
+                    let fr = frame_mut(&mut self.t.frames);
                     if let Some(x) = out {
                         fr.regs[dst as usize] = x;
                     }
@@ -2554,20 +2431,8 @@ impl Vm {
                 }
                 DecodedInst::Ret { value } => {
                     let out = (value != NO_REG).then(|| fr.regs[value as usize]);
-                    let frame = self.frames.pop().expect("frame");
-                    // Release the stack frame; recycle its register file.
-                    self.sp = frame.sp_base + self.program.funcs[frame.func.index()].frame_size;
-                    self.counters.cycles += self.kernel.cost.branch;
-                    self.regs_pool.push(frame.regs);
-                    match self.frames.last_mut() {
-                        Some(parent) => {
-                            if let (Some(dst), Some(val)) = (frame.ret_to, out) {
-                                parent.regs[dst.index()] = val;
-                            }
-                        }
-                        None => {
-                            return Ok(Some(out.map(Value::as_i).unwrap_or(0)));
-                        }
+                    if let Some(v) = self.ret(out) {
+                        return Ok(Some(v));
                     }
                 }
                 DecodedInst::Unreachable => {
@@ -2593,17 +2458,17 @@ impl Vm {
                     let a = fr.regs[gaddr as usize].as_p();
                     let l = fr.regs[glen as usize].as_i().max(0) as u64;
                     self.exec_guard_access(a, l, Access::Read)?;
-                    let fr = self.frames.last_mut().expect("frame");
+                    let fr = frame_mut(&mut self.t.frames);
                     fr.idx += 1;
-                    if self.fusion_bail() {
+                    if self.t.fusion_bail() {
                         return Ok(None);
                     }
-                    self.fusion.executed[FusedKind::GuardLoad as usize] += 1;
-                    self.counters.instructions += 1;
-                    self.counters.opcode_mix.record(Opcode::Load);
+                    self.t.fusion.executed[FusedKind::GuardLoad as usize] += 1;
+                    self.t.counters.instructions += 1;
+                    self.t.counters.opcode_mix.record(Opcode::Load);
                     // Re-read the address register: servicing a poison fault
                     // inside the guard patched registers.
-                    let fr = self.frames.last().expect("frame");
+                    let fr = frame(&self.t.frames);
                     let a2 = fr.regs[addr as usize].as_p();
                     let size = cls.size();
                     let paddr = self.data_access(a2, size, false)?;
@@ -2614,8 +2479,8 @@ impl Vm {
                             Value::I(w.wrap(self.kernel.mem.read_uint(paddr, size) as i64))
                         }
                     };
-                    self.counters.loads += 1;
-                    let fr = self.frames.last_mut().expect("frame");
+                    self.t.counters.loads += 1;
+                    let fr = frame_mut(&mut self.t.frames);
                     fr.regs[dst as usize] = val;
                     fr.idx += 1;
                 }
@@ -2629,20 +2494,20 @@ impl Vm {
                     let a = fr.regs[gaddr as usize].as_p();
                     let l = fr.regs[glen as usize].as_i().max(0) as u64;
                     self.exec_guard_access(a, l, Access::Write)?;
-                    let fr = self.frames.last_mut().expect("frame");
+                    let fr = frame_mut(&mut self.t.frames);
                     fr.idx += 1;
-                    if self.fusion_bail() {
+                    if self.t.fusion_bail() {
                         return Ok(None);
                     }
-                    self.fusion.executed[FusedKind::GuardStore as usize] += 1;
-                    self.counters.instructions += 1;
-                    self.counters.opcode_mix.record(Opcode::Store);
+                    self.t.fusion.executed[FusedKind::GuardStore as usize] += 1;
+                    self.t.counters.instructions += 1;
+                    self.t.counters.opcode_mix.record(Opcode::Store);
                     // Re-read the address register (see `FusedGuardLoad`).
-                    let fr = self.frames.last().expect("frame");
+                    let fr = frame(&self.t.frames);
                     let a2 = fr.regs[addr as usize].as_p();
                     let size = cls.size();
                     let paddr = self.data_access(a2, size, true)?;
-                    let fr = self.frames.last_mut().expect("frame");
+                    let fr = frame_mut(&mut self.t.frames);
                     let x = fr.regs[value as usize];
                     fr.idx += 1;
                     match cls {
@@ -2652,7 +2517,7 @@ impl Vm {
                             self.kernel.mem.write_uint(paddr, x.as_i() as u64, size)
                         }
                     }
-                    self.counters.stores += 1;
+                    self.t.counters.stores += 1;
                 }
                 // A fast-tier range probe whose check missed (cold cache
                 // plus a failing or poison address): run the full guard
@@ -2671,11 +2536,11 @@ impl Vm {
                     };
                     let access = if write { Access::Write } else { Access::Read };
                     self.exec_guard_access(addr, len, access)?;
-                    self.frames.last_mut().expect("frame").idx += 1;
+                    frame_mut(&mut self.t.frames).idx += 1;
                 }
                 _ => unreachable!("fast-tier instruction reached the slow tier"),
             }
-            if !BATCH || self.fusion_bail() {
+            if !BATCH || self.t.fusion_bail() {
                 return Ok(None);
             }
         }
@@ -2684,10 +2549,10 @@ impl Vm {
     /// Evaluate all phis at the head of the current block in parallel,
     /// then advance past them.
     fn exec_phis(&mut self) -> Result<(), VmError> {
-        let frame = self.frames.last().expect("frame");
-        let f = self.image.module.func(frame.func);
-        let block = frame.block;
-        let prev = frame
+        let fr = frame(&self.t.frames);
+        let f = self.t.image.module.func(fr.func);
+        let block = fr.block;
+        let prev = fr
             .prev_block
             .ok_or_else(|| VmError::Trap("phi at function entry".into()))?;
         let mut updates: Vec<(ValueId, Value)> = Vec::new();
@@ -2700,10 +2565,10 @@ impl Vm {
                 .iter()
                 .find(|(b, _)| *b == prev)
                 .ok_or_else(|| VmError::Trap(format!("phi missing incoming from {prev}")))?;
-            updates.push((pv, frame.regs[iv.index()]));
+            updates.push((pv, fr.regs[iv.index()]));
             consumed += 1;
         }
-        let frame = self.frames.last_mut().expect("frame");
+        let frame = frame_mut(&mut self.t.frames);
         for (pv, val) in updates {
             frame.regs[pv.index()] = val;
         }
@@ -2712,24 +2577,24 @@ impl Vm {
     }
 
     fn jump(&mut self, from: BlockId, to: BlockId) {
-        let stream = self.cfg.engine.stream();
-        let frame = self.frames.last_mut().expect("frame");
+        let stream = self.t.cfg.engine.stream();
+        let frame = frame_mut(&mut self.t.frames);
         debug_assert_eq!(frame.block, from, "jump from a non-current block");
-        take_jump(frame, &self.program, stream, to);
+        take_jump(frame, &self.t.program, stream, to);
     }
 
     /// Evaluate a two-operand op. `width` is the integer result width,
     /// pre-resolved by the caller from the left operand's type (the
     /// decoded engine resolves it once at decode time).
     fn eval_bin(&mut self, op: BinOp, a: Value, b: Value, width: IntTy) -> Result<Value, VmError> {
-        eval_bin(&self.kernel.cost, &mut self.counters, op, a, b, width)
+        eval_bin(&self.kernel.cost, &mut self.t.counters, op, a, b, width)
     }
 }
 
 /// Evaluate a two-operand op. A free function over the exact fields it
 /// touches (the cost model and the counters) so the fast dispatch tier
-/// can call it while holding its destructured borrow of `Vm`; the
-/// `Vm::eval_bin` method above wraps it for the reference engine.
+/// can call it while holding its destructured borrow of the tenant; the
+/// `Core::eval_bin` method above wraps it for the reference engine.
 /// `width` is the integer result width, pre-resolved by the caller from
 /// the left operand's type (the decoded engine resolves it once at
 /// decode time).
@@ -2809,7 +2674,7 @@ fn eval_bin(
 /// Redirect `fr` to block `to`, pinning that block's code stream (the
 /// fused, threaded, or plain array, by engine). A free function over the
 /// frame and the decoded program so the fast dispatch tier can take
-/// branches without giving up its destructured borrow; [`Vm::jump`]
+/// branches without giving up its destructured borrow; [`Core::jump`]
 /// wraps it for the reference engine.
 #[inline]
 fn take_jump(fr: &mut Frame, program: &DecodedProgram, stream: StreamKind, to: BlockId) {
@@ -2824,11 +2689,11 @@ fn take_jump(fr: &mut Frame, program: &DecodedProgram, stream: StreamKind, to: B
     };
 }
 
-/// The resolved (non-poison) body of [`Vm::data_access`]: charge the L1
+/// The resolved (non-poison) body of [`Core::data_access`]: charge the L1
 /// model and run the mode-specific translation bookkeeping. A free
 /// function over the disjoint fields it touches, so the fast dispatch
 /// tier can service loads and stores without leaving its sustained
-/// borrow; the [`Vm::data_access`] wrapper (poison handling, page-in
+/// borrow; the [`Core::data_access`] wrapper (poison handling, page-in
 /// world-stops) delegates here for everything after fault resolution.
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -2914,7 +2779,7 @@ fn data_access_resolved(
     }
 }
 
-impl Vm {
+impl Core<'_> {
     /// Account for a data access at `addr` and return the physical address
     /// to use. Traditional mode translates (TLB/pagewalk/fault);
     /// CARAT mode uses the address as-is and records first touches.
@@ -2936,12 +2801,12 @@ impl Vm {
             }
         }
         Ok(data_access_resolved(
-            &mut self.kernel,
-            &mut self.tlb,
-            &mut self.counters,
-            &mut self.access_counter,
-            &mut self.last_vpn,
-            self.cfg.mode,
+            self.kernel,
+            &mut self.t.tlb,
+            &mut self.t.counters,
+            &mut self.t.access_counter,
+            &mut self.t.last_vpn,
+            self.t.cfg.mode,
             addr,
             size,
         ))
@@ -2955,18 +2820,18 @@ impl Vm {
         match intr {
             Intrinsic::Malloc => {
                 let size = args[0].as_i().max(0) as u64;
-                self.counters.cycles += 60;
+                self.t.counters.cycles += 60;
                 // Injected allocation failure: the tenant sees a clean
                 // out-of-memory, exactly as if its arena were exhausted.
                 if self.kernel.poll_fault(FaultPoint::TenantOom) {
                     return Err(VmError::OutOfMemory);
                 }
-                let addr = self.heap.alloc(size).ok_or(VmError::OutOfMemory)?;
+                let addr = self.t.heap.alloc(size).ok_or(VmError::OutOfMemory)?;
                 Ok(Some(Value::P(addr)))
             }
             Intrinsic::Free => {
-                self.counters.cycles += 40;
-                self.heap.free(args[0].as_p());
+                self.t.counters.cycles += 40;
+                self.t.heap.free(args[0].as_p());
                 Ok(None)
             }
             Intrinsic::GuardLoad | Intrinsic::GuardStore => {
@@ -3010,11 +2875,11 @@ impl Vm {
             }
             Intrinsic::GuardCall => {
                 let frame = args[0].as_i().max(0) as u64;
-                let lo = self.sp.saturating_sub(frame);
+                let lo = self.t.sp.saturating_sub(frame);
                 let check =
                     self.kernel
                         .regions
-                        .check(self.cfg.guard_impl, lo, frame, Access::Write);
+                        .check(self.t.cfg.guard_impl, lo, frame, Access::Write);
                 self.account_guard(check.probes);
                 if check.ok {
                     return Ok(None);
@@ -3022,11 +2887,11 @@ impl Vm {
                 // The stack itself may be in swap (its pointers poisoned);
                 // fault to the kernel and page it back in first.
                 if SimKernel::is_poison(lo) && self.try_page_in(lo)?.is_some() {
-                    let lo2 = self.sp.saturating_sub(frame);
+                    let lo2 = self.t.sp.saturating_sub(frame);
                     let again =
                         self.kernel
                             .regions
-                            .check(self.cfg.guard_impl, lo2, frame, Access::Write);
+                            .check(self.t.cfg.guard_impl, lo2, frame, Access::Write);
                     self.account_guard(again.probes);
                     if again.ok {
                         return Ok(None);
@@ -3035,12 +2900,12 @@ impl Vm {
                 // A failed guard involving the stack invokes the kernel,
                 // which implements seamless stack expansion (paper §2.2).
                 // Spawned threads' heap stacks are fixed-size.
-                if self.cfg.auto_grow_stack && self.cur_tid == 0 && self.try_expand_stack()? {
-                    let lo2 = self.sp.saturating_sub(frame);
+                if self.t.cfg.auto_grow_stack && self.t.cur_tid == 0 && self.try_expand_stack()? {
+                    let lo2 = self.t.sp.saturating_sub(frame);
                     let again =
                         self.kernel
                             .regions
-                            .check(self.cfg.guard_impl, lo2, frame, Access::Write);
+                            .check(self.t.cfg.guard_impl, lo2, frame, Access::Write);
                     self.account_guard(again.probes);
                     if again.ok {
                         return Ok(None);
@@ -3055,68 +2920,68 @@ impl Vm {
             Intrinsic::TrackAlloc => {
                 let addr = args[0].as_p();
                 let size = args[1].as_i().max(0) as u64;
-                let kind = if addr >= self.image.heap.0 {
+                let kind = if addr >= self.t.image.heap.0 {
                     AllocKind::Heap
                 } else {
                     AllocKind::Stack
                 };
                 self.table.track_alloc(addr, size, kind);
-                self.counters.track_events += 1;
-                self.counters.track_cycles += self.kernel.cost.track_alloc;
-                self.counters.cycles += self.kernel.cost.track_alloc;
-                self.counters.instrumentation_insts += 1;
+                self.t.counters.track_events += 1;
+                self.t.counters.track_cycles += self.kernel.cost.track_alloc;
+                self.t.counters.cycles += self.kernel.cost.track_alloc;
+                self.t.counters.instrumentation_insts += 1;
                 self.note_tracking_bytes();
                 Ok(None)
             }
             Intrinsic::TrackFree => {
                 self.table.track_free(args[0].as_p());
-                self.counters.track_events += 1;
-                self.counters.track_cycles += self.kernel.cost.track_free;
-                self.counters.cycles += self.kernel.cost.track_free;
-                self.counters.instrumentation_insts += 1;
+                self.t.counters.track_events += 1;
+                self.t.counters.track_cycles += self.kernel.cost.track_free;
+                self.t.counters.cycles += self.kernel.cost.track_free;
+                self.t.counters.instrumentation_insts += 1;
                 Ok(None)
             }
             Intrinsic::TrackEscape => {
                 self.table.track_escape(args[0].as_p());
-                self.counters.track_events += 1;
-                self.counters.track_cycles += self.kernel.cost.track_escape_enqueue;
-                self.counters.cycles += self.kernel.cost.track_escape_enqueue;
-                self.counters.instrumentation_insts += 1;
-                if self.table.pending_escapes() >= self.cfg.escape_batch {
+                self.t.counters.track_events += 1;
+                self.t.counters.track_cycles += self.kernel.cost.track_escape_enqueue;
+                self.t.counters.cycles += self.kernel.cost.track_escape_enqueue;
+                self.t.counters.instrumentation_insts += 1;
+                if self.table.pending_escapes() >= self.t.cfg.escape_batch {
                     self.flush_escapes();
                 }
                 Ok(None)
             }
             Intrinsic::Rand => {
                 // xorshift64*
-                let mut x = self.rng;
+                let mut x = self.t.rng;
                 x ^= x >> 12;
                 x ^= x << 25;
                 x ^= x >> 27;
-                self.rng = x;
-                self.counters.cycles += 4;
+                self.t.rng = x;
+                self.t.counters.cycles += 4;
                 Ok(Some(Value::I(
                     (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 1) as i64,
                 )))
             }
             Intrinsic::Sqrt => {
-                self.counters.cycles += 15;
+                self.t.counters.cycles += 15;
                 Ok(Some(Value::F(args[0].as_f().sqrt())))
             }
             Intrinsic::Exp => {
-                self.counters.cycles += 30;
+                self.t.counters.cycles += 30;
                 Ok(Some(Value::F(args[0].as_f().exp())))
             }
             Intrinsic::Log => {
-                self.counters.cycles += 30;
+                self.t.counters.cycles += 30;
                 Ok(Some(Value::F(args[0].as_f().ln())))
             }
             Intrinsic::PrintI64 => {
-                self.output.push(args[0].as_i().to_string());
+                self.t.output.push(args[0].as_i().to_string());
                 Ok(None)
             }
             Intrinsic::PrintF64 => {
-                self.output.push(format!("{:.6}", args[0].as_f()));
+                self.t.output.push(format!("{:.6}", args[0].as_f()));
                 Ok(None)
             }
             Intrinsic::Memcpy => {
@@ -3148,7 +3013,7 @@ impl Vm {
                     self.data_access(src + p * page, 1, false)?;
                     self.data_access(dst + p * page, 1, true)?;
                 }
-                self.counters.cycles += self.kernel.cost.copy_cost(len);
+                self.t.counters.cycles += self.kernel.cost.copy_cost(len);
                 // Copy through a buffer (ranges may overlap).
                 let data = self.kernel.mem.read_bytes(src, len).to_vec();
                 self.kernel.mem.write_bytes(dst, &data);
@@ -3172,7 +3037,7 @@ impl Vm {
                 for p in 0..=len.saturating_sub(1) / page {
                     self.data_access(dst + p * page, 1, true)?;
                 }
-                self.counters.cycles += self.kernel.cost.copy_cost(len);
+                self.t.counters.cycles += self.kernel.cost.copy_cost(len);
                 self.kernel.mem.write_bytes(dst, &vec![byte; len as usize]);
                 Ok(None)
             }
@@ -3185,24 +3050,24 @@ impl Vm {
             }
             Intrinsic::Join => {
                 let tid = args[0].as_i();
-                if tid < 0 || tid as usize >= self.threads.len() {
+                if tid < 0 || tid as usize >= self.t.threads.len() {
                     return Err(VmError::Trap(format!("join of unknown thread {tid}")));
                 }
-                if tid as usize == self.cur_tid {
+                if tid as usize == self.t.cur_tid {
                     return Err(VmError::Trap("thread cannot join itself".into()));
                 }
-                match self.threads[tid as usize] {
+                match self.t.threads[tid as usize] {
                     ThreadState::Done(v) => {
-                        self.counters.cycles += self.kernel.cost.call;
+                        self.t.counters.cycles += self.kernel.cost.call;
                         Ok(Some(Value::I(v)))
                     }
                     _ => {
                         // Not finished: block and yield the rest of the
                         // quantum; the scheduler re-runs this join after
                         // other threads make progress.
-                        self.block_current = true;
-                        self.next_rotate_at = 0;
-                        self.recompute_bail();
+                        self.t.block_current = true;
+                        self.t.next_rotate_at = 0;
+                        self.t.recompute_bail();
                         Ok(None)
                     }
                 }
@@ -3226,7 +3091,7 @@ impl Vm {
     ///
     /// [`RegionTable`]: carat_runtime::RegionTable
     fn exec_guard_access(&mut self, addr: u64, len: u64, access: Access) -> Result<(), VmError> {
-        let gc = self.guard_cache;
+        let gc = self.t.guard_cache;
         if gc.generation == self.kernel.regions.generation
             && addr >= gc.start
             && addr < gc.end
@@ -3240,7 +3105,7 @@ impl Vm {
         let check = self
             .kernel
             .regions
-            .check(self.cfg.guard_impl, addr, len, access);
+            .check(self.t.cfg.guard_impl, addr, len, access);
         self.account_guard(check.probes);
         if check.ok {
             self.refill_guard_cache(addr, check.probes);
@@ -3253,7 +3118,7 @@ impl Vm {
             let again = self
                 .kernel
                 .regions
-                .check(self.cfg.guard_impl, addr2, len, access);
+                .check(self.t.cfg.guard_impl, addr2, len, access);
             self.account_guard(again.probes);
             if again.ok {
                 self.refill_guard_cache(addr2, again.probes);
@@ -3283,7 +3148,7 @@ impl Vm {
     /// together with the probe count that check charged.
     fn refill_guard_cache(&mut self, addr: u64, probes: u64) {
         if let Some(r) = self.kernel.regions.containing(addr) {
-            self.guard_cache = GuardFastPath {
+            self.t.guard_cache = GuardFastPath {
                 generation: self.kernel.regions.generation,
                 start: r.start,
                 end: r.end(),
@@ -3305,8 +3170,8 @@ impl Vm {
     /// wrapping (per-iteration guards would have faulted on the way
     /// there too).
     fn exec_hoisted_guard(&mut self, fid: FuncId, meta: u32) -> Result<(), VmError> {
-        let m = self.program.funcs[fid.index()].hoists[meta as usize];
-        let fr = self.frames.last().expect("frame");
+        let m = self.t.program.funcs[fid.index()].hoists[meta as usize];
+        let fr = frame(&self.t.frames);
         let init = fr.regs[m.init as usize].as_i() as i128;
         // A peeled bound re-assembles `plus − minus + konst` from registers
         // defined outside the loop; wrapping at i64 matches the header's own
@@ -3336,7 +3201,7 @@ impl Vm {
         let step = m.step.max(1) as i128;
         let strides = (bound_adj - init) / step;
         let n = u64::try_from(strides + 1).unwrap_or(u64::MAX);
-        self.counters.guards_elided = self.counters.guards_elided.saturating_add(n);
+        self.t.counters.guards_elided = self.t.counters.guards_elided.saturating_add(n);
         if !m.check {
             return Ok(());
         }
@@ -3360,7 +3225,7 @@ impl Vm {
                 write: m.write,
             });
         };
-        self.counters.guards_hoisted += 1;
+        self.t.counters.guards_hoisted += 1;
         let check = self.kernel.regions.check_range(lo, hi, access);
         self.account_guard(check.probes);
         if check.ok {
@@ -3383,17 +3248,17 @@ impl Vm {
     }
 
     fn account_guard(&mut self, probes: u64) {
-        self.counters.guards_executed += 1;
-        self.counters.guard_probes += probes;
-        self.counters.instrumentation_insts += 1;
+        self.t.counters.guards_executed += 1;
+        self.t.counters.guard_probes += probes;
+        self.t.counters.instrumentation_insts += 1;
         let cost = &self.kernel.cost;
-        let cycles = if self.cfg.guard_impl == GuardImpl::Mpx && self.kernel.regions.len() == 1 {
+        let cycles = if self.t.cfg.guard_impl == GuardImpl::Mpx && self.kernel.regions.len() == 1 {
             cost.guard_mpx
         } else {
             cost.software_guard_cost(probes)
         };
-        self.counters.guard_cycles += cycles;
-        self.counters.cycles += cycles;
+        self.t.counters.guard_cycles += cycles;
+        self.t.counters.cycles += cycles;
     }
 
     pub(crate) fn flush_escapes(&mut self) {
@@ -3409,17 +3274,69 @@ impl Vm {
         let _ = resolved;
         let cost = &self.kernel.cost;
         let cycles = pending * cost.track_escape_flush;
-        self.counters.track_cycles += cycles;
-        self.counters.cycles += cycles;
+        self.t.counters.track_cycles += cycles;
+        self.t.counters.cycles += cycles;
         self.note_tracking_bytes();
     }
 
     fn note_tracking_bytes(&mut self) {
-        self.peak_tracking_bytes = self
+        self.t.peak_tracking_bytes = self
+            .t
             .peak_tracking_bytes
             .max(self.table.memory_overhead_bytes());
     }
 
+    /// Create a thread running function `fid` with `arg`, on a stack
+    /// allocated from heap memory (paper §2.2). Returns its thread id.
+    fn spawn_thread(&mut self, fid: FuncId, arg: i64) -> Result<i64, VmError> {
+        if fid.index() >= self.t.image.module.num_funcs() {
+            return Err(VmError::Trap("spawn of nonexistent function".into()));
+        }
+        let f = self.t.image.module.func(fid);
+        if f.params != vec![Type::I64] || f.ret != Some(Type::I64) {
+            return Err(VmError::Trap(format!(
+                "spawned function `{}` must have signature i64(i64)",
+                f.name
+            )));
+        }
+        let stack_size = self.t.cfg.load.stack_size;
+        let block = self.t.heap.alloc(stack_size).ok_or(VmError::OutOfMemory)?;
+        // Thread stacks are ordinary tracked allocations: they move and
+        // swap like everything else.
+        self.table.track_alloc(block, stack_size, AllocKind::Stack);
+        let sp_top = block + stack_size;
+        let sp_base = sp_top - self.t.program.funcs[fid.index()].frame_size;
+        let mut regs = vec![Value::Undef; f.num_values()];
+        regs[0] = Value::I(arg);
+        let entry = f.entry();
+        let frame = Frame {
+            func: fid,
+            regs,
+            block: entry,
+            idx: 0,
+            prev_block: None,
+            sp_base,
+            ret_to: None,
+            code: self.t.pinned_code(fid.index(), entry.index()),
+        };
+        self.t.threads.push(ThreadState::Parked(ParkedThread {
+            frames: vec![frame],
+            sp: sp_base,
+            stack_base: block,
+        }));
+        self.t.parked_threads += 1;
+        self.t.recompute_bail();
+        // Thread creation cost: the kernel sets up the stack and registers
+        // the thread with the runtime.
+        self.t.counters.cycles += self.kernel.cost.move_signal_per_thread;
+        Ok((self.t.threads.len() - 1) as i64)
+    }
+}
+
+// Thread scheduling, register dumps and relocation bookkeeping touch only
+// tenant state: the fleet calls the `pub(crate)` ones on a descheduled
+// tenant in its slot while the shared kernel does the moving.
+impl TenantState {
     /// Whether the next instruction is a tracking callback whose
     /// notification the runtime has not received yet — a point where the
     /// world must not stop (see the call site in [`Vm::run`]).
@@ -3511,52 +3428,6 @@ impl Vm {
             .iter()
             .filter(|t| !matches!(t, ThreadState::Done(_)))
             .count()
-    }
-
-    /// Create a thread running function `fid` with `arg`, on a stack
-    /// allocated from heap memory (paper §2.2). Returns its thread id.
-    fn spawn_thread(&mut self, fid: FuncId, arg: i64) -> Result<i64, VmError> {
-        if fid.index() >= self.image.module.num_funcs() {
-            return Err(VmError::Trap("spawn of nonexistent function".into()));
-        }
-        let f = self.image.module.func(fid);
-        if f.params != vec![Type::I64] || f.ret != Some(Type::I64) {
-            return Err(VmError::Trap(format!(
-                "spawned function `{}` must have signature i64(i64)",
-                f.name
-            )));
-        }
-        let stack_size = self.cfg.load.stack_size;
-        let block = self.heap.alloc(stack_size).ok_or(VmError::OutOfMemory)?;
-        // Thread stacks are ordinary tracked allocations: they move and
-        // swap like everything else.
-        self.table.track_alloc(block, stack_size, AllocKind::Stack);
-        let sp_top = block + stack_size;
-        let sp_base = sp_top - self.program.funcs[fid.index()].frame_size;
-        let mut regs = vec![Value::Undef; f.num_values()];
-        regs[0] = Value::I(arg);
-        let entry = f.entry();
-        let frame = Frame {
-            func: fid,
-            regs,
-            block: entry,
-            idx: 0,
-            prev_block: None,
-            sp_base,
-            ret_to: None,
-            code: self.pinned_code(fid.index(), entry.index()),
-        };
-        self.threads.push(ThreadState::Parked(ParkedThread {
-            frames: vec![frame],
-            sp: sp_base,
-            stack_base: block,
-        }));
-        self.parked_threads += 1;
-        self.recompute_bail();
-        // Thread creation cost: the kernel sets up the stack and registers
-        // the thread with the runtime.
-        self.counters.cycles += self.kernel.cost.move_signal_per_thread;
-        Ok((self.threads.len() - 1) as i64)
     }
 
     /// Snapshot every pointer-valued register of every frame (the
@@ -3686,7 +3557,9 @@ impl Vm {
         }
         self.rebase_image_stack(src, len, delta);
     }
+}
 
+impl Core<'_> {
     /// Ask the kernel to grow the stack; returns whether it did.
     ///
     /// # Errors
@@ -3696,29 +3569,30 @@ impl Vm {
     /// restored them, so no writeback happens).
     fn try_expand_stack(&mut self) -> Result<bool, VmError> {
         self.flush_escapes();
-        let (mut regs, map) = self.snapshot_regs();
-        let threads = self.live_threads() + self.cfg.extra_threads;
+        let (mut regs, map) = self.t.snapshot_regs();
+        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         let Some((world, outcome)) = self.kernel.expand_stack(
-            &mut self.table,
+            self.table,
             &mut regs,
-            &mut self.image,
+            &mut self.t.image,
             threads,
-            self.cfg.max_stack,
+            self.t.cfg.max_stack,
         )?
         else {
             return Ok(false);
         };
-        self.writeback_regs(&regs, &map);
+        self.t.writeback_regs(&regs, &map);
         let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-        self.heap
+        self.t
+            .heap
             .rebase(outcome.moved_src, outcome.moved_len, delta);
-        SimKernel::patch_globals(&mut self.image, &outcome);
+        SimKernel::patch_globals(&mut self.t.image, &outcome);
         // The expanded stack block begins below the moved data.
-        self.cur_stack_base = self.image.stack.0;
+        self.t.cur_stack_base = self.t.image.stack.0;
         let cycles = world.cycles + outcome.cost.total();
-        self.counters.stack_expansions += 1;
-        self.counters.move_cycles += cycles;
-        self.counters.cycles += cycles;
+        self.t.counters.stack_expansions += 1;
+        self.t.counters.move_cycles += cycles;
+        self.t.counters.cycles += cycles;
         Ok(true)
     }
 
@@ -3797,15 +3671,16 @@ impl Vm {
 
     /// Inject one page-out (swap driver).
     fn drive_swap(&mut self) -> Result<(), VmError> {
-        self.next_swap_at = self.next_swap_at.saturating_add(
-            self.cfg
+        self.t.next_swap_at = self.t.next_swap_at.saturating_add(
+            self.t
+                .cfg
                 .swap_driver
                 .map(|d| d.period_cycles)
                 .unwrap_or(u64::MAX),
         );
-        self.recompute_bail();
-        if let Some(d) = self.cfg.swap_driver {
-            if d.max_swaps != 0 && self.swaps_done >= d.max_swaps {
+        self.t.recompute_bail();
+        if let Some(d) = self.t.cfg.swap_driver {
+            if d.max_swaps != 0 && self.t.swaps_done >= d.max_swaps {
                 return Ok(());
             }
         }
@@ -3823,33 +3698,26 @@ impl Vm {
             return Ok(());
         };
         let _ = page_size;
-        let (mut regs, map) = self.snapshot_regs();
-        let threads = self.live_threads() + self.cfg.extra_threads;
+        let (mut regs, map) = self.t.snapshot_regs();
+        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         let Some((world, slot, src, len)) =
-            self.kernel
-                .page_out(&mut self.table, &mut regs, page, threads)?
+            self.kernel.page_out(self.table, &mut regs, page, threads)?
         else {
             return Ok(());
         };
-        self.writeback_regs(&regs, &map);
+        self.t.writeback_regs(&regs, &map);
         // Heap bookkeeping and code-image constants follow the data into
         // the poison range.
         let base = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
         let delta = base.wrapping_sub(src) as i64;
-        self.heap.rebase(src, len, delta);
-        for g in &mut self.image.globals {
-            if *g >= src && *g < src + len {
-                *g = g.wrapping_add(delta as u64);
-            }
-        }
-        self.rebase_image_stack(src, len, delta);
+        self.t.apply_relocation(src, len, delta);
         if std::env::var_os("CARAT_VM_DEBUG").is_some() {
             eprintln!("page-out slot {slot}: [{src:#x},+{len:#x})");
         }
-        self.counters.swap_outs += 1;
-        self.counters.cycles += world.cycles;
-        self.counters.move_cycles += world.cycles;
-        self.swaps_done += 1;
+        self.t.counters.swap_outs += 1;
+        self.t.counters.cycles += world.cycles;
+        self.t.counters.move_cycles += world.cycles;
+        self.t.swaps_done += 1;
         self.audit("page_out");
         self.audit_unregistered("page_out");
         self.audit_stale_poison("page_out");
@@ -3881,30 +3749,21 @@ impl Vm {
                 self.kernel.swapped_ranges()
             );
         }
-        let (mut regs, map) = self.snapshot_regs();
-        let threads = self.live_threads() + self.cfg.extra_threads;
+        let (mut regs, map) = self.t.snapshot_regs();
+        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         // On Err the kernel rolled `regs` back to the snapshot, so the
         // writeback is skipped and thread state keeps its pre-fault image.
-        let Some((world, dst)) = self
-            .kernel
-            .page_in(&mut self.table, &mut regs, addr, threads)?
-        else {
+        let Some((world, dst)) = self.kernel.page_in(self.table, &mut regs, addr, threads)? else {
             return Ok(None);
         };
-        self.writeback_regs(&regs, &map);
+        self.t.writeback_regs(&regs, &map);
         let span = carat_kernel::POISON_SLOT_SPAN;
         let base = (addr - carat_kernel::POISON_BASE) / span * span + carat_kernel::POISON_BASE;
         let delta = dst.wrapping_sub(base) as i64;
-        self.heap.rebase(base, span, delta);
-        for g in &mut self.image.globals {
-            if *g >= base && *g < base + span {
-                *g = g.wrapping_add(delta as u64);
-            }
-        }
-        self.rebase_image_stack(base, span, delta);
-        self.counters.swap_ins += 1;
-        self.counters.cycles += world.cycles;
-        self.counters.move_cycles += world.cycles;
+        self.t.apply_relocation(base, span, delta);
+        self.t.counters.swap_ins += 1;
+        self.t.counters.cycles += world.cycles;
+        self.t.counters.move_cycles += world.cycles;
         self.audit("page_in");
         self.audit_unregistered("page_in");
         self.audit_stale_poison("page_in");
@@ -3913,42 +3772,41 @@ impl Vm {
 
     /// Inject one worst-case page movement (Figure 9 driver).
     fn drive_move(&mut self) -> Result<(), VmError> {
-        self.next_move_at = self.next_move_at.saturating_add(
-            self.cfg
+        self.t.next_move_at = self.t.next_move_at.saturating_add(
+            self.t
+                .cfg
                 .move_driver
                 .map(|d| d.period_cycles)
                 .unwrap_or(u64::MAX),
         );
-        self.recompute_bail();
-        if let Some(d) = self.cfg.move_driver {
-            if d.max_moves != 0 && self.moves_done >= d.max_moves {
+        self.t.recompute_bail();
+        if let Some(d) = self.t.cfg.move_driver {
+            if d.max_moves != 0 && self.t.moves_done >= d.max_moves {
                 return Ok(());
             }
         }
         // Escape state must be current before patching.
         self.flush_escapes();
-        let Some(page) = self.kernel.worst_page(&self.table) else {
+        let Some(page) = self.kernel.worst_page(self.table) else {
             return Ok(());
         };
-        let (mut regs, map) = self.snapshot_regs();
-        let threads = self.live_threads() + self.cfg.extra_threads;
+        let (mut regs, map) = self.t.snapshot_regs();
+        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         // On Err the kernel rolled back (journal) or aborted (world stop)
         // and `regs` holds the untouched snapshot: skip the writeback.
-        let (world, outcome) =
-            self.kernel
-                .move_pages(&mut self.table, &mut regs, page, 1, threads)?;
-        self.writeback_regs(&regs, &map);
+        let (world, outcome) = self
+            .kernel
+            .move_pages(self.table, &mut regs, page, 1, threads)?;
+        self.t.writeback_regs(&regs, &map);
         // Rebase host-side bookkeeping.
         let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-        self.heap
-            .rebase(outcome.moved_src, outcome.moved_len, delta);
-        SimKernel::patch_globals(&mut self.image, &outcome);
-        self.rebase_image_stack(outcome.moved_src, outcome.moved_len, delta);
+        self.t
+            .apply_relocation(outcome.moved_src, outcome.moved_len, delta);
 
         if std::env::var_os("CARAT_VM_DEBUG").is_some() {
             eprintln!(
                 "move #{}: [{:#x},+{:#x}) -> {:#x}, allocs={} escapes={} regs={}",
-                self.moves_done + 1,
+                self.t.moves_done + 1,
                 outcome.moved_src,
                 outcome.moved_len,
                 outcome.moved_dst,
@@ -3958,11 +3816,11 @@ impl Vm {
             );
         }
         let cycles = world.cycles + outcome.cost.total();
-        self.counters.moves += 1;
-        self.counters.move_cycles += cycles;
-        self.counters.cycles += cycles;
-        self.counters.move_breakdown.add(&outcome.cost);
-        self.moves_done += 1;
+        self.t.counters.moves += 1;
+        self.t.counters.move_cycles += cycles;
+        self.t.counters.cycles += cycles;
+        self.t.counters.move_breakdown.add(&outcome.cost);
+        self.t.moves_done += 1;
         self.audit("move");
         self.audit_unregistered("move");
         self.audit_stale_poison("move");

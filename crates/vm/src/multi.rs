@@ -1,19 +1,20 @@
 //! Multi-tenant scheduling: N CARAT processes time-sliced on one
 //! simulated kernel.
 //!
-//! The single-process [`Vm`] owns its kernel outright. Here the real
-//! kernel is shared, and a descheduled tenant is *not* a parked `Vm`: it
-//! is a compact [`TenantState`] (frame stack, thread slots, counters,
+//! The single-process [`Vm`](crate::Vm) owns its kernel outright. Here
+//! the one kernel is shared and never leaves [`MultiVm::kernel`]; a
+//! tenant is a [`TenantState`] (frame stack, thread slots, counters,
 //! decoded-code handle) in a slab slot, plus its allocation table checked
 //! into the kernel's process table. A context switch goes through
 //! [`SimKernel::proc_switch`] — which installs the incoming tenant's
 //! guard-region map (CARAT) or page table (traditional) and charges the
-//! modeled switch cost into kernel-side [`ProcAccounting`] — and then
-//! materializes a `Vm` around the real kernel with O(1) field moves
-//! ([`Vm::from_tenant`]). At slice end the `Vm` is dismantled again
-//! ([`Vm::into_tenant`]). Nothing scales with fleet size: no per-tenant
-//! kernel, no per-tenant decoded program (tenants spawned from one
-//! shared module share one decoded copy), no whole-`SimKernel` swap.
+//! modeled switch cost into kernel-side [`ProcAccounting`] — and the
+//! slice then runs the interpreter over three borrows: the kernel, the
+//! tenant's checked-out table, and the slot's state, all in place. There
+//! is almost nothing to switch, which is the paper's point. Nothing
+//! scales with fleet size: no per-tenant kernel, no per-tenant decoded
+//! program (tenants spawned from one shared module share one decoded
+//! copy), nothing built or torn down per slice.
 //!
 //! The accounting split is unchanged: a tenant's own counters never see
 //! scheduling charges, so a time-sliced process retires exactly the
@@ -33,7 +34,7 @@ use std::rc::Rc;
 
 use crate::counters::PerfCounters;
 use crate::decode::{DecodedProgram, ThreadedOpts};
-use crate::machine::{Engine, Mode, RunResult, SliceExit, TenantState, Vm, VmConfig, VmError};
+use crate::machine::{Core, Engine, Mode, RunResult, SliceExit, TenantState, VmConfig, VmError};
 use crate::supervise::{PendingRestart, Supervisor, SupervisorConfig, TenantExit, Verdict};
 use carat_ir::Module;
 use carat_kernel::{
@@ -177,11 +178,6 @@ pub enum TenancyError {
     /// the capsule device: counters and footprint are unreadable until
     /// it is next scheduled (and thus rehydrated).
     NotResident(Pid),
-    /// The shared kernel (or its spare placeholder) is engaged in a
-    /// tenant slice and cannot service a fleet operation right now. A
-    /// host-logic invariant violation surfaced as a typed refusal —
-    /// never a panic mid-fleet.
-    KernelEngaged,
 }
 
 impl fmt::Display for TenancyError {
@@ -190,9 +186,6 @@ impl fmt::Display for TenancyError {
             TenancyError::NoSuchTenant(pid) => write!(f, "no such tenant: {pid}"),
             TenancyError::NotResident(pid) => {
                 write!(f, "tenant {pid} is externalized to the capsule device")
-            }
-            TenancyError::KernelEngaged => {
-                write!(f, "the shared kernel is engaged in a tenant slice")
             }
         }
     }
@@ -229,9 +222,8 @@ pub struct ProcReport {
 }
 
 /// One slab slot of the fleet: the descheduled execution state plus the
-/// scheduler-side facts about the tenant. `state` is `None` while the
-/// tenant is materialized as a `Vm` inside a scheduling operation, or
-/// while its capsule is externalized (`external` holds the device slot).
+/// scheduler-side facts about the tenant. `state` is `None` only while
+/// its capsule is externalized (`external` holds the device slot).
 struct Tenant {
     pid: Pid,
     name: String,
@@ -258,15 +250,10 @@ struct Tenant {
 
 /// N processes time-sliced on one shared simulated kernel.
 pub struct MultiVm {
-    /// The real kernel — parked here between slices, moved into the
-    /// scheduled tenant's materialized `Vm` for the duration of its
-    /// slice (public for post-run inspection, like [`Vm::kernel`]).
+    /// The one kernel: built in [`MultiVm::new`] and never moved — a
+    /// slice borrows it (public for post-run inspection, and for tuning
+    /// its cost model before admission, like [`Vm::kernel`](crate::Vm)).
     pub kernel: SimKernel,
-    /// ONE reusable placeholder kernel: whenever the real kernel moves
-    /// into a `Vm`, this stands in at `self.kernel` so the field is never
-    /// empty; it also backs pressure/shared-move materializations of
-    /// descheduled tenants. `None` only inside those operations.
-    spare: Option<SimKernel>,
     /// Tenant slots, indexed by `pid.index()` — the same slab indices as
     /// the kernel's process table, so both sides recycle in lock-step.
     slots: Vec<Option<Tenant>>,
@@ -316,7 +303,6 @@ impl MultiVm {
         kernel.set_quotas(cfg.quotas);
         let mut mv = MultiVm {
             kernel,
-            spare: Some(SimKernel::placeholder()),
             slots: Vec::new(),
             programs: Vec::new(),
             supervisor: cfg.supervisor.map(Supervisor::new),
@@ -488,7 +474,6 @@ impl MultiVm {
             self.kernel.proc_kill(pid);
             return Err(VmError::Kernel(e));
         }
-        self.kernel.procs.checkin_table(pid, table);
         let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
         let program = if share_program {
             self.decoded(&module, threaded)
@@ -501,22 +486,21 @@ impl MultiVm {
         // supervised respawn must not re-arm it.
         let mut spec_cfg = cfg.clone();
         spec_cfg.fault_plan = None;
-        // Assemble the tenant around the spare placeholder: `start` only
-        // builds host-side frame state, so the real kernel is not needed.
-        let Some(spare) = self.spare.take() else {
-            // Host invariant violated (the spare is away mid-slice):
-            // refuse typed rather than panic with a half-admitted tenant.
-            self.kernel.proc_kill(pid);
-            return Err(VmError::Tenancy(TenancyError::KernelEngaged));
-        };
-        let mut vm = Vm::assemble(spare, AllocationTable::new(), image, cfg, program.clone());
-        let started = vm.start();
-        let (spare, _empty, state) = vm.into_tenant();
-        self.spare = Some(spare);
+        // The newcomer is sized and started against the fleet's own
+        // kernel, so its TLB geometry and the `call` that pushes `main`
+        // follow the same cost model as every later instruction.
+        let mut state = TenantState::new(image, cfg, program.clone(), &self.kernel.cost);
+        let started = Core {
+            kernel: &mut self.kernel,
+            table: &mut table,
+            t: &mut state,
+        }
+        .start();
         if let Err(e) = started {
             self.kernel.proc_kill(pid);
             return Err(e);
         }
+        self.kernel.procs.checkin_table(pid, table);
         let idx = pid.index();
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
@@ -564,22 +548,12 @@ impl MultiVm {
     /// frames, and drop its descheduled state. Returns `false` for a
     /// stale pid — killing twice is a no-op, never a panic.
     pub fn kill(&mut self, pid: Pid) -> bool {
-        let live = self
-            .slots
-            .get(pid.index())
-            .and_then(|s| s.as_ref())
-            .is_some_and(|t| t.pid == pid);
-        if !live {
+        let Ok(t) = self.tenant(pid) else {
             return false;
-        }
+        };
         // Reap-and-release: kernel frames and quota via `proc_kill`,
         // plus any capsule the tenant left in the device.
-        if let Some(slot) = self
-            .slots
-            .get(pid.index())
-            .and_then(|s| s.as_ref())
-            .and_then(|t| t.external)
-        {
+        if let Some(slot) = t.external {
             self.kernel.capsule_free(slot);
         }
         self.kernel.proc_kill(pid);
@@ -594,6 +568,17 @@ impl MultiVm {
         self.slots
             .get(pid.index())
             .and_then(|s| s.as_ref())
+            .filter(|t| t.pid == pid)
+            .ok_or(TenancyError::NoSuchTenant(pid))
+    }
+
+    /// Mutable twin of [`MultiVm::tenant`]. An associated function over
+    /// the slab alone, so the returned tenant can be worked on while
+    /// `self.kernel` does the moving (or runs the slice).
+    fn tenant_mut(slots: &mut [Option<Tenant>], pid: Pid) -> Result<&mut Tenant, TenancyError> {
+        slots
+            .get_mut(pid.index())
+            .and_then(|s| s.as_mut())
             .filter(|t| t.pid == pid)
             .ok_or(TenancyError::NoSuchTenant(pid))
     }
@@ -722,16 +707,9 @@ impl MultiVm {
     /// and untouched.
     pub fn externalize_tenant(&mut self, pid: Pid) -> Result<u64, VmError> {
         let idx = pid.index();
-        {
-            let t = self
-                .slots
-                .get(idx)
-                .and_then(|s| s.as_ref())
-                .filter(|t| t.pid == pid)
-                .ok_or(VmError::Kernel(KernelError::StaleTenant { pid }))?;
-            if let Some(slot) = t.external {
-                return Ok(slot);
-            }
+        let stale = || VmError::Kernel(KernelError::StaleTenant { pid });
+        if let Some(slot) = self.tenant(pid).map_err(|_| stale())?.external {
+            return Ok(slot);
         }
         // A pinned tenant's memory holds live device targets: the DMA
         // engine addresses it by physical location, so serializing the
@@ -744,7 +722,7 @@ impl MultiVm {
         let state = self.slots[idx]
             .as_mut()
             .and_then(|t| t.state.take())
-            .ok_or(VmError::Kernel(KernelError::StaleTenant { pid }))?;
+            .ok_or_else(stale)?;
         // Encode into the fleet's pooled scratch buffer; the kernel
         // copies it into a pooled arena slot. Steady-state churn
         // allocates nothing on the host.
@@ -785,17 +763,11 @@ impl MultiVm {
     /// if configured, respawns the lineage from its admission image.
     pub fn rehydrate_tenant(&mut self, pid: Pid) -> Result<(), VmError> {
         let idx = pid.index();
-        let slot = {
-            let t = self
-                .slots
-                .get(idx)
-                .and_then(|s| s.as_ref())
-                .filter(|t| t.pid == pid)
-                .ok_or(VmError::Kernel(KernelError::StaleTenant { pid }))?;
-            match t.external {
-                Some(slot) => slot,
-                None => return Ok(()),
-            }
+        let t = self
+            .tenant(pid)
+            .map_err(|_| VmError::Kernel(KernelError::StaleTenant { pid }))?;
+        let Some(slot) = t.external else {
+            return Ok(());
         };
         // The read consumes the slot whether or not it verifies; the
         // resident marker is cleared on every path below. The image is
@@ -908,33 +880,35 @@ impl MultiVm {
         };
         // Quiesced by construction: escapes were flushed when each owner
         // was descheduled, and setup escapes were resolved eagerly. Each
-        // owner is materialized briefly (O(1) field moves around the
-        // spare kernel) to dump and later patch its registers.
+        // owner's registers are dumped from, and later patched in, its
+        // slot's state in place.
         let mut regs: Vec<u64> = Vec::new();
         let mut spans = Vec::with_capacity(owners.len());
         let mut threads = 0usize;
         for &pid in &owners {
-            let (vm, _slot) = self
-                .materialize(pid)
-                .map_err(|_| VmError::Kernel(KernelError::StaleTenant { pid }))?;
-            let (r, map) = vm.snapshot_regs();
+            let state = self
+                .tenant(pid)
+                .ok()
+                .and_then(|t| t.state.as_ref())
+                .ok_or(VmError::Kernel(KernelError::StaleTenant { pid }))?;
+            let (r, map) = state.snapshot_regs();
             spans.push((pid, regs.len(), r.len(), map));
             regs.extend(r);
-            threads += vm.live_threads();
-            self.park(pid, vm);
+            threads += state.live_threads();
         }
         let (_world, outcome) = self.kernel.move_shared(id, &mut regs, threads)?;
         let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
         for (pid, off, n, map) in &spans {
-            let Ok((mut vm, _slot)) = self.materialize(*pid) else {
-                // The owner list was validated above; a vanished owner
-                // here means its slot was reaped mid-operation — its
-                // registers no longer exist to patch.
+            // Every owner was validated resident above and nothing ran
+            // in between; a vanished one has no registers left to patch.
+            let Some(state) = Self::tenant_mut(&mut self.slots, *pid)
+                .ok()
+                .and_then(|t| t.state.as_mut())
+            else {
                 continue;
             };
-            vm.writeback_regs(&regs[*off..*off + *n], map);
-            vm.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
-            self.park(*pid, vm);
+            state.writeback_regs(&regs[*off..*off + *n], map);
+            state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
         }
         self.kernel
             .procs
@@ -1005,66 +979,15 @@ impl MultiVm {
         self.kernel.dma_service(max)
     }
 
-    /// Materialize descheduled tenant `pid` around the spare placeholder
-    /// kernel and an empty table — for kernel-side work on its host
-    /// state (register dumps, relocation patching) while the real kernel
-    /// stays home. Pure field moves. Pair with [`MultiVm::park`].
-    fn materialize(&mut self, pid: Pid) -> Result<(Vm, usize), TenancyError> {
-        let idx = pid.index();
-        let state = self
-            .slots
-            .get_mut(idx)
-            .and_then(|s| s.as_mut())
-            .filter(|t| t.pid == pid)
-            .ok_or(TenancyError::NoSuchTenant(pid))?
-            .state
-            .take()
-            .ok_or(TenancyError::NotResident(pid))?;
-        let Some(spare) = self.spare.take() else {
-            // Host invariant violated (the spare is away mid-slice):
-            // restore the state and refuse typed rather than panic.
-            if let Some(t) = self
-                .slots
-                .get_mut(idx)
-                .and_then(|s| s.as_mut())
-                .filter(|t| t.pid == pid)
-            {
-                t.state = Some(state);
-            }
-            return Err(TenancyError::KernelEngaged);
-        };
-        Ok((Vm::from_tenant(spare, AllocationTable::new(), state), idx))
-    }
-
-    /// Undo [`MultiVm::materialize`]: park the tenant state back in its
-    /// slot and the spare kernel back in the scheduler. Tolerant of a
-    /// slot reaped mid-operation — the state is dropped with the slot.
-    fn park(&mut self, pid: Pid, vm: Vm) {
-        let (spare, _empty, state) = vm.into_tenant();
-        self.spare = Some(spare);
-        if let Some(t) = self
-            .slots
-            .get_mut(pid.index())
-            .and_then(|s| s.as_mut())
-            .filter(|t| t.pid == pid)
-        {
-            t.state = Some(state);
-        }
-    }
-
     /// Run ONE time slice for tenant `pid`: context-switch the kernel's
     /// view (regions or page table — the modeled cost lands in kernel
-    /// accounting), materialize the tenant around the real kernel, run
-    /// up to the quantum, dismantle, and record any terminal outcome.
+    /// accounting), run the tenant up to the quantum over the kernel,
+    /// its checked-out table and its slot's state, all borrowed in
+    /// place, and record any terminal outcome.
     fn run_one_slice(&mut self, pid: Pid) {
         self.slices += 1;
         let idx = pid.index();
-        let Some(t) = self
-            .slots
-            .get_mut(idx)
-            .and_then(|s| s.as_mut())
-            .filter(|t| t.pid == pid)
-        else {
+        let Ok(t) = Self::tenant_mut(&mut self.slots, pid) else {
             // The run queue handed us a pid whose slot was reaped
             // between slices; retire it so it is never picked again.
             self.kernel.procs.set_state(pid, ProcState::Exited(-1));
@@ -1089,31 +1012,18 @@ impl MultiVm {
             self.kernel.procs.set_state(pid, ProcState::Exited(-1));
             return;
         }
-        let Some(table) = self.kernel.procs.checkout_table(pid) else {
+        let Some(mut table) = self.kernel.procs.checkout_table(pid) else {
             self.kernel.procs.set_state(pid, ProcState::Exited(-1));
             return;
         };
-        let Some(state) = self.slots[idx].as_mut().and_then(|t| t.state.take()) else {
+        let Some(state) = self.slots[idx].as_mut().and_then(|t| t.state.as_mut()) else {
             self.kernel.procs.checkin_table(pid, table);
             self.kernel.procs.set_state(pid, ProcState::Exited(-1));
-            return;
-        };
-        // The real kernel moves into the tenant's Vm; the spare
-        // placeholder stands in at `self.kernel` for the slice.
-        let Some(spare) = self.spare.take() else {
-            // Host invariant violated (the spare is away): put the
-            // tenant back intact and skip the slice — a lost quantum,
-            // never a panic mid-fleet.
-            self.kernel.procs.checkin_table(pid, table);
-            if let Some(t) = self.slots[idx].as_mut() {
-                t.state = Some(state);
-            }
             return;
         };
         // Timer-preemptive scheduling: arm the kernel's CLINT-style
         // timer at the tenant's current modeled cycles plus the
-        // interval, *before* the kernel is lent to the VM — the armed
-        // comparator travels with it. The quantum path arms nothing.
+        // interval. The quantum path arms nothing.
         let timer_deadline = match self.cfg.sched {
             SchedSource::Quantum => None,
             SchedSource::Timer => {
@@ -1125,22 +1035,27 @@ impl MultiVm {
                 Some(deadline)
             }
         };
-        let kernel = std::mem::replace(&mut self.kernel, spare);
-        let mut vm = Vm::from_tenant(kernel, table, state);
-        let res = match timer_deadline {
-            None => vm.run_slice(self.cfg.quantum),
-            Some(deadline) => vm.run_slice_cycles(deadline),
+        // The table lives inside `kernel.procs`, which the engine borrows
+        // mutably along with the rest of the kernel — hence the checkout.
+        let mut core = Core {
+            kernel: &mut self.kernel,
+            table: &mut table,
+            t: state,
         };
-        // Fold the final result while the real kernel and table are
-        // still in the VM (the flush and audit need them). This match is
-        // the per-tenant fault domain: every failure mode of the slice
-        // lands here as a typed value — the tenant dies alone and the
-        // loop (and every bystander's counters) continues untouched.
+        let res = match timer_deadline {
+            None => core.run_slice(self.cfg.quantum),
+            Some(deadline) => core.run_slice_cycles(deadline),
+        };
+        // Fold the final result while the table is still checked out
+        // (the flush and audit need it). This match is the per-tenant
+        // fault domain: every failure mode of the slice lands here as a
+        // typed value — the tenant dies alone and the loop (and every
+        // bystander's counters) continues untouched.
         let done = match res {
             Ok(SliceExit::Quantum) => None,
-            Ok(SliceExit::Finished(v)) => Some(ProcOutcome::Finished(vm.finish_run(v))),
-            // Typed isolation violation: recorded below, after the
-            // kernel is home (it owns the process table).
+            Ok(SliceExit::Finished(v)) => Some(ProcOutcome::Finished(core.finish_run(v))),
+            // Typed isolation violation: recorded below, once the table
+            // is checked back in.
             Err(VmError::GuardFault { addr, len, write }) => {
                 Some(ProcOutcome::Fault(ProtectionFault {
                     pid,
@@ -1152,20 +1067,14 @@ impl MultiVm {
             Err(e) => Some(ProcOutcome::Error(e)),
         };
         // Flush the slice's pending escapes (so a cross-process move
-        // while descheduled sees every pointer cell), then dismantle.
-        vm.flush_escapes();
-        let (kernel, table, state) = vm.into_tenant();
-        let end_cycles = state.counters().cycles;
-        self.spare = Some(std::mem::replace(&mut self.kernel, kernel));
+        // while descheduled sees every pointer cell), then check in.
+        core.flush_escapes();
+        let end_cycles = core.t.counters().cycles;
         self.kernel.procs.checkin_table(pid, table);
-        if let Some(t) = self.slots[idx].as_mut() {
-            t.state = Some(state);
-        }
-        // Retire the timer interrupt now that the kernel is home: a
-        // quantum exit under timer scheduling *is* the dispatched
-        // interrupt (latency = cycles past the deadline, the deferral
-        // the tenant's masked windows imposed); any terminal outcome
-        // disarms the comparator instead.
+        // Retire the timer interrupt: a quantum exit under timer
+        // scheduling *is* the dispatched interrupt (latency = cycles past
+        // the deadline, the deferral the tenant's masked windows
+        // imposed); any terminal outcome disarms the comparator instead.
         if timer_deadline.is_some() {
             if done.is_none() {
                 let latency = self.kernel.dev.timer.dispatch(end_cycles);
@@ -1212,13 +1121,7 @@ impl MultiVm {
     /// banks the tenant's final report.
     fn supervise(&mut self, pid: Pid, outcome: ProcOutcome) {
         let slice = self.slices;
-        let idx = pid.index();
-        let Some(t) = self
-            .slots
-            .get_mut(idx)
-            .and_then(|s| s.as_mut())
-            .filter(|t| t.pid == pid)
-        else {
+        let Ok(t) = Self::tenant_mut(&mut self.slots, pid) else {
             return;
         };
         let attempt = t.restarts;
@@ -1425,13 +1328,7 @@ impl MultiVm {
         // Compaction is a CARAT mechanism: moves rely on the victim's
         // tracking state and page-outs on its guards to page data back
         // in. A traditional-mode tenant has neither; leave it alone.
-        let Some(traditional) = self
-            .slots
-            .get(victim.index())
-            .and_then(|s| s.as_ref())
-            .filter(|t| t.pid == victim)
-            .map(|t| t.traditional)
-        else {
+        let Ok(traditional) = self.tenant(victim).map(|t| t.traditional) else {
             return;
         };
         if traditional {
@@ -1447,15 +1344,17 @@ impl MultiVm {
         };
         let (mut moves, mut outs, mut cycles) = (0u64, 0u64, 0u64);
         // The victim's host state (registers, TLB, heap bookkeeping) is
-        // patched through a brief materialization on the spare kernel;
-        // the real kernel stays home and drives the moves.
-        let Ok((mut vm, _idx)) = self.materialize(victim) else {
+        // patched in its slot while the kernel drives the moves.
+        let Some(state) = Self::tenant_mut(&mut self.slots, victim)
+            .ok()
+            .and_then(|t| t.state.as_mut())
+        else {
             // Externalized (or reaped) since victim selection: its host
             // state is in the capsule device, not patchable — skip.
             self.kernel.procs.checkin_table(victim, table);
             return;
         };
-        let threads = vm.live_threads();
+        let threads = state.live_threads();
         // The move planner picks up to `pressure_batch` victim pages; the
         // batched arm coalesces them into one world-stop, the sequential
         // arm walks the same list with a stop per move.
@@ -1465,16 +1364,16 @@ impl MultiVm {
         if self.cfg.batch_stops {
             if !victims.is_empty() {
                 let reqs: Vec<(u64, u64)> = victims.iter().map(|&p| (p, 1)).collect();
-                let (mut regs, map) = vm.snapshot_regs();
+                let (mut regs, map) = state.snapshot_regs();
                 if let Ok((world, outcomes)) = self
                     .kernel
                     .move_pages_batch(&mut table, &mut regs, &reqs, threads)
                 {
-                    vm.writeback_regs(&regs, &map);
+                    state.writeback_regs(&regs, &map);
                     cycles += world.cycles;
                     for outcome in &outcomes {
                         let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-                        vm.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
+                        state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
                         moves += 1;
                         cycles += outcome.cost.total();
                     }
@@ -1482,14 +1381,14 @@ impl MultiVm {
             }
         } else {
             for &page in &victims {
-                let (mut regs, map) = vm.snapshot_regs();
+                let (mut regs, map) = state.snapshot_regs();
                 if let Ok((world, outcome)) = self
                     .kernel
                     .move_pages(&mut table, &mut regs, page, 1, threads)
                 {
-                    vm.writeback_regs(&regs, &map);
+                    state.writeback_regs(&regs, &map);
                     let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-                    vm.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
+                    state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
                     moves += 1;
                     cycles += world.cycles + outcome.cost.total();
                 }
@@ -1508,18 +1407,17 @@ impl MultiVm {
             .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
             .map(|(start, _, _, _)| start / page_size * page_size);
         if let Some(page) = target {
-            let (mut regs, map) = vm.snapshot_regs();
+            let (mut regs, map) = state.snapshot_regs();
             if let Ok(Some((world, slot, src, len))) =
                 self.kernel.page_out(&mut table, &mut regs, page, threads)
             {
-                vm.writeback_regs(&regs, &map);
+                state.writeback_regs(&regs, &map);
                 let base = POISON_BASE + slot * POISON_SLOT_SPAN;
-                vm.apply_relocation(src, len, base.wrapping_sub(src) as i64);
+                state.apply_relocation(src, len, base.wrapping_sub(src) as i64);
                 outs += 1;
                 cycles += world.cycles;
             }
         }
-        self.park(victim, vm);
         self.kernel.procs.checkin_table(victim, table);
         if let Some(e) = self.kernel.procs.get_mut(victim) {
             e.accounting.pressure_moves += moves;

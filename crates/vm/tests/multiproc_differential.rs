@@ -12,7 +12,8 @@
 
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::{CastKind, GlobalInit, Module, ModuleBuilder, Pred, Type};
-use carat_kernel::{FaultPlan, FaultPoint, KernelError, Pid};
+use carat_kernel::{FaultPlan, FaultPoint, KernelError, Pid, SimKernel};
+use carat_runtime::{AllocationTable, CostModel};
 use carat_vm::{
     Engine, Mode, MultiVm, MultiVmConfig, ProcOutcome, ProcReport, ProcSpec, Vm, VmConfig, VmError,
 };
@@ -316,6 +317,69 @@ fn pid0_under_scheduler_matches_a_solo_vm() {
         // byte-identical counters.
         assert_eq!(multi.ret, solo.ret, "{mode:?}");
         assert_eq!(multi.counters, solo.counters, "{mode:?}");
+    }
+}
+
+/// A fleet's cost model is its kernel's: tuned before admission, it must
+/// reach the tenant from its very first cycle — the TLB geometry built at
+/// admission and the `call` charged for pushing `main`'s frame included —
+/// so pid 0 still equals a solo VM on a kernel tuned the same way.
+#[test]
+fn fleet_cost_model_reaches_a_tenant_from_admission() {
+    let tune = |cost: &mut CostModel| {
+        cost.call += 1000;
+        // 4 entries, fewer than the 8 pages the sum sweep re-walks.
+        cost.dtlb_entries = 4;
+    };
+    for mode in [Mode::Carat, Mode::Traditional] {
+        let m = array_sum_module(4096);
+        let m = if mode == Mode::Carat {
+            instrument(m)
+        } else {
+            m
+        };
+        let cfg = VmConfig {
+            mode,
+            ..VmConfig::default()
+        };
+        let mut kernel = SimKernel::new(MultiVmConfig::default().kernel_mem);
+        tune(&mut kernel.cost);
+        let mut table = AllocationTable::new();
+        let image = kernel
+            .load_unsigned(m.clone(), &mut table, cfg.load)
+            .unwrap();
+        let solo = Vm::from_parts(kernel, table, image, cfg.clone())
+            .run()
+            .unwrap();
+        let untuned = Vm::new(m.clone(), cfg.clone()).unwrap().run().unwrap();
+        assert_ne!(
+            (untuned.counters.cycles, untuned.dtlb_misses),
+            (solo.counters.cycles, solo.dtlb_misses),
+            "{mode:?}: the tuning is visible in this program's counters"
+        );
+
+        let mut mv = MultiVm::new(
+            vec![],
+            MultiVmConfig {
+                quantum: 97,
+                ..MultiVmConfig::default()
+            },
+        )
+        .unwrap();
+        tune(&mut mv.kernel.cost);
+        mv.spawn(ProcSpec {
+            name: "sweep".into(),
+            module: m,
+            cfg,
+        })
+        .unwrap();
+        let reports = mv.run();
+        let ProcOutcome::Finished(multi) = &reports[0].outcome else {
+            panic!("{mode:?}: pid0 finishes, got {:?}", reports[0].outcome);
+        };
+        assert_eq!(multi.ret, solo.ret, "{mode:?}");
+        assert_eq!(multi.counters, solo.counters, "{mode:?}");
+        assert_eq!(multi.dtlb_misses, solo.dtlb_misses, "{mode:?}");
     }
 }
 
