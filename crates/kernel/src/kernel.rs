@@ -224,11 +224,17 @@ pub struct SwapAwareMem<'a> {
     swap: &'a mut HashMap<u64, SwapEntry>,
 }
 
+/// Split a poison address into its swap slot and the byte offset inside
+/// that slot's window.
+fn poison_slot(addr: u64) -> (u64, usize) {
+    let rel = addr - POISON_BASE;
+    (rel / POISON_SLOT_SPAN, (rel % POISON_SLOT_SPAN) as usize)
+}
+
 impl MemAccess for SwapAwareMem<'_> {
     fn read_u64(&self, addr: u64) -> u64 {
         if addr >= POISON_BASE {
-            let slot = (addr - POISON_BASE) / POISON_SLOT_SPAN;
-            let off = ((addr - POISON_BASE) % POISON_SLOT_SPAN) as usize;
+            let (slot, off) = poison_slot(addr);
             if let Some(e) = self.swap.get(&slot) {
                 if off + 8 <= e.data.len() {
                     let mut b = [0u8; 8];
@@ -243,8 +249,7 @@ impl MemAccess for SwapAwareMem<'_> {
 
     fn write_u64(&mut self, addr: u64, val: u64) {
         if addr >= POISON_BASE {
-            let slot = (addr - POISON_BASE) / POISON_SLOT_SPAN;
-            let off = ((addr - POISON_BASE) % POISON_SLOT_SPAN) as usize;
+            let (slot, off) = poison_slot(addr);
             if let Some(e) = self.swap.get_mut(&slot) {
                 if off + 8 <= e.data.len() {
                     e.data[off..off + 8].copy_from_slice(&val.to_le_bytes());
@@ -255,12 +260,27 @@ impl MemAccess for SwapAwareMem<'_> {
         self.mem.write_u64(addr, val);
     }
 
+    /// Bulk copies cross the swap boundary in either direction, which is
+    /// what lets page-out and page-in run as ordinary move transactions.
     fn copy(&mut self, src: u64, dst: u64, len: u64) {
-        assert!(
-            src < POISON_BASE && dst < POISON_BASE,
-            "bulk copies operate on resident memory"
-        );
-        self.mem.copy(src, dst, len);
+        match (src >= POISON_BASE, dst >= POISON_BASE) {
+            (false, false) => self.mem.copy(src, dst, len),
+            // Page-out: the source frames become the slot's entry.
+            (false, true) => {
+                let data = self.mem.read_bytes(src, len).to_vec();
+                self.swap
+                    .insert(poison_slot(dst).0, SwapEntry { len, data });
+            }
+            // Page-in: the entry's bytes land in the destination frames.
+            // The entry stays in the store; the kernel retires it once the
+            // whole transaction has succeeded.
+            (true, false) => {
+                if let Some(e) = self.swap.get(&poison_slot(src).0) {
+                    self.mem.write_bytes(dst, &e.data);
+                }
+            }
+            (true, true) => panic!("bulk copies never run from swap to swap"),
+        }
     }
 }
 
@@ -346,28 +366,6 @@ impl SimKernel {
         self.swap.contains_key(&slot)
     }
 
-    /// Debug aid: read a u64 through the swap-aware router without
-    /// mutating anything.
-    pub fn debug_read_routed(&self, addr: u64) -> u64 {
-        if Self::is_poison(addr) {
-            let slot = (addr - POISON_BASE) / POISON_SLOT_SPAN;
-            let off = ((addr - POISON_BASE) % POISON_SLOT_SPAN) as usize;
-            if let Some(e) = self.swap.get(&slot) {
-                if off + 8 <= e.data.len() {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&e.data[off..off + 8]);
-                    return u64::from_le_bytes(b);
-                }
-            }
-            return 0;
-        }
-        if addr + 8 <= self.mem.size() {
-            self.mem.read_uint(addr, 8)
-        } else {
-            0
-        }
-    }
-
     /// Test hook: corrupt swap slot `slot` by truncating its stored
     /// image, as a disk error would. Returns whether the slot existed.
     pub fn debug_corrupt_swap_slot(&mut self, slot: u64) -> bool {
@@ -391,22 +389,6 @@ impl SimKernel {
             .collect();
         bad.sort_unstable();
         bad
-    }
-
-    /// Debug aid: find occurrences of an 8-byte value inside swap images.
-    /// Returns `(slot, byte offset)` pairs.
-    pub fn debug_scan_swap(&self, needle: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for (&slot, e) in &self.swap {
-            for off in (0..e.data.len().saturating_sub(7)).step_by(8) {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&e.data[off..off + 8]);
-                if u64::from_le_bytes(b) == needle {
-                    out.push((slot, off as u64));
-                }
-            }
-        }
-        out
     }
 
     /// Park a serialized tenant capsule in the simulated swap device.
@@ -693,16 +675,25 @@ impl SimKernel {
         Ok(())
     }
 
-    /// Run one runtime move transaction inside an already-stopped world —
-    /// the single carrier for every mover. `run` picks the runtime adapter
-    /// and is handed `reqs` back, the swap-aware memory view, the cost
-    /// model, and (when a fault plan is installed) the interrupt hook: the
-    /// MidMove fault point is consulted between the patch and copy phases,
-    /// and when it fires the journal restores a byte-identical pre-move
-    /// state.
+    /// Run one runtime move transaction inside the stopped `world` — the
+    /// single carrier for every mover, paging included. `run` picks the
+    /// runtime adapter and is handed `reqs` back, the swap-aware memory
+    /// view, the cost model, and (when a fault plan is installed) the
+    /// interrupt hook: the MidMove fault point is consulted between the
+    /// patch and copy phases, and when it fires the journal restores a
+    /// byte-identical pre-move state.
+    ///
+    /// `dst` is the single destination a one-request mover allocated for
+    /// this episode, if any: a failed transaction aborts the stop and
+    /// hands the destination back, a successful one records a fresh buddy
+    /// block as owned by the current process. (The batch planner passes
+    /// `None`: its destinations interleave with pre-published sources, so
+    /// it releases and commits them itself.)
     fn journaled<T>(
         &mut self,
+        world: &mut WorldStop,
         reqs: &[MoveRequest],
+        dst: Option<DstAlloc>,
         run: impl FnOnce(
             &[MoveRequest],
             &mut dyn MemAccess,
@@ -714,38 +705,51 @@ impl SimKernel {
         // pin registry before reaching here, but a pinned cell must never
         // be patched even if a new caller forgets — re-check each request
         // while nothing has been mutated yet.
-        for req in reqs {
-            check_unpinned(req.src, req.len, &self.pins).map_err(KernelError::Move)?;
+        let pinned = reqs
+            .iter()
+            .find_map(|r| check_unpinned(r.src, r.len, &self.pins).err());
+        let moved = if let Some(e) = pinned {
+            Err(KernelError::Move(e))
+        } else {
+            // The hook needs the plan while the router borrows mem+swap;
+            // take the plan out for the duration of the move.
+            let mut plan = self.faults.take();
+            let journal_on = plan.is_some();
+            let mut hook = |phase: MovePhase| {
+                phase == MovePhase::Patched
+                    && plan
+                        .as_mut()
+                        .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
+            };
+            let mut routed = SwapAwareMem {
+                mem: &mut self.mem,
+                swap: &mut self.swap,
+            };
+            let res = run(
+                reqs,
+                &mut routed,
+                &self.cost,
+                if journal_on { Some(&mut hook) } else { None },
+            );
+            self.faults = plan;
+            res.map_err(|_| {
+                let req = reqs[0];
+                KernelError::MoveInterrupted {
+                    src: req.src,
+                    len: req.len,
+                    dst: req.dst,
+                }
+            })
+        };
+        if moved.is_err() {
+            world.abort(&self.cost);
         }
-        // The hook needs the plan while the router borrows mem+swap; take
-        // the plan out for the duration of the move.
-        let mut plan = self.faults.take();
-        let journal_on = plan.is_some();
-        let mut hook = |phase: MovePhase| {
-            phase == MovePhase::Patched
-                && plan
-                    .as_mut()
-                    .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
-        };
-        let mut routed = SwapAwareMem {
-            mem: &mut self.mem,
-            swap: &mut self.swap,
-        };
-        let res = run(
-            reqs,
-            &mut routed,
-            &self.cost,
-            if journal_on { Some(&mut hook) } else { None },
-        );
-        self.faults = plan;
-        res.map_err(|_| {
-            let req = reqs[0];
-            KernelError::MoveInterrupted {
-                src: req.src,
-                len: req.len,
-                dst: req.dst,
-            }
-        })
+        match dst {
+            Some(dst) if moved.is_ok() => self.commit_dst_block(&dst),
+            Some(dst) => self.release_move_dst(dst),
+            None => {}
+        }
+        moved
     }
 
     /// Register a toolchain key the kernel trusts.
@@ -920,6 +924,23 @@ impl SimKernel {
         self.master = next;
     }
 
+    /// Region publication after a relocation: every `(start, len)` becomes
+    /// an RW region of the current process (replacing whatever the master
+    /// list held there), then ONE sort and ONE rebuild of the live region
+    /// table cover them all.
+    fn publish_rw(&mut self, mapped: impl IntoIterator<Item = (u64, u64)>) {
+        for (start, len) in mapped {
+            self.punch_hole(start, start + len);
+            self.master.push(Region {
+                start,
+                len,
+                perms: Perms::RW,
+            });
+        }
+        self.master.sort_by_key(|r| r.start);
+        self.regions.set_regions(self.master.clone());
+    }
+
     /// The worst-case page to move: the page-aligned address overlapping
     /// the allocation with the most live escapes (paper §4.4).
     pub fn worst_page(&self, table: &AllocationTable) -> Option<u64> {
@@ -1089,6 +1110,16 @@ impl SimKernel {
     fn note_denied_move(&mut self, len: u64) {
         self.pin_stats.denied_moves += 1;
         self.pin_stats.denied_bytes += len;
+    }
+
+    /// The single movers' pin screen, run on the *expanded* source before
+    /// anything is allocated or stopped: a pinned range is refused with a
+    /// typed error and charged to the pin ledger, nothing mutated.
+    fn refuse_pinned(&mut self, src: u64, len: u64) -> Result<(), KernelError> {
+        check_unpinned(src, len, &self.pins).map_err(|e| {
+            self.note_denied_move(len);
+            KernelError::Move(e)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1326,13 +1357,12 @@ impl SimKernel {
                 dst: d.addr,
             })
             .collect();
-        let moved = self.journaled(&reqs, |reqs, mem, cost, hook| {
+        let moved = self.journaled(&mut world, &reqs, None, |reqs, mem, cost, hook| {
             perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, hook)
         });
         let mut outcomes = match moved {
             Ok(outs) => outs,
             Err(e) => {
-                world.abort(&self.cost);
                 release_all(self, dsts);
                 return Err(e);
             }
@@ -1351,11 +1381,6 @@ impl SimKernel {
         // rebuild covers the whole batch.
         for outcome in &outcomes {
             self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
-            self.master.push(Region {
-                start: outcome.moved_dst,
-                len: outcome.moved_len,
-                perms: Perms::RW,
-            });
             for p in 0..outcome.moved_len / page {
                 self.trace.record(PagingEvent::Move {
                     from: outcome.moved_src / page + p,
@@ -1363,8 +1388,7 @@ impl SimKernel {
                 });
             }
         }
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.publish_rw(outcomes.iter().map(|o| (o.moved_dst, o.moved_len)));
         Ok((world, outcomes))
     }
 
@@ -1373,11 +1397,21 @@ impl SimKernel {
     /// cause a fault … the specific non-canonical address can be used to
     /// encode different conditions").
     ///
-    /// Expands `page` to whole allocations, patches every escape and
-    /// register pointing into the range to a poison address encoding the
-    /// swap slot, copies the data to the swap store, revokes the region,
-    /// and recycles the frames. Returns the slot id, or `Ok(None)` for a
-    /// range the kernel declines to swap (too large, or already in swap).
+    /// Expands `page` to whole allocations, then runs the one move
+    /// transaction with the slot's poison window as its destination: every
+    /// escape and register pointing into the range is patched to a poison
+    /// address encoding the swap slot, the router's copy turns the frames
+    /// into the slot's swap entry, and the tracking is rebased into the
+    /// window. The kernel then revokes the region and recycles the frames.
+    /// Returns the slot id, or `Ok(None)` for a range the kernel declines
+    /// to swap (too large, or already in swap).
+    ///
+    /// Paging passes **no interrupt hook** to the transaction (page-in
+    /// likewise), so it keeps no journal and consults no
+    /// [`FaultPoint::MidMove`]: that point fires on its N-th dynamic
+    /// occurrence, so counting page-outs would renumber every seeded fault
+    /// schedule and move the modeled numbers. Handing `hook` through
+    /// instead of `None` is all it takes to make paging crash-consistent.
     ///
     /// # Errors
     ///
@@ -1397,48 +1431,26 @@ impl SimKernel {
             return Ok(None);
         }
         // A pinned DMA buffer can never be swapped: the device holds its
-        // physical address. Typed refusal, nothing mutated.
-        if let Err(e) = check_unpinned(src, len, &self.pins) {
-            self.note_denied_move(len);
-            return Err(KernelError::Move(e));
-        }
+        // physical address.
+        self.refuse_pinned(src, len)?;
         // The slot id is only consumed once the episode is under way.
         let slot = self.peek_swap_slot();
-        let poison = POISON_BASE + slot * POISON_SLOT_SPAN;
-        let delta = poison.wrapping_sub(src) as i64;
 
         // All mutations happen after the world has stopped; a stall here
         // leaves every byte as it was.
         let mut world = self.begin_stop(threads)?;
         self.commit_swap_slot(slot);
 
-        // Patch escapes of every affected allocation to poison addresses
-        // (cells may themselves live in other swapped ranges).
-        let mut routed = SwapAwareMem {
-            mem: &mut self.mem,
-            swap: &mut self.swap,
+        // Escape cells may themselves live in other swapped ranges; the
+        // router reaches them.
+        let req = MoveRequest {
+            src,
+            len,
+            dst: POISON_BASE + slot * POISON_SLOT_SPAN,
         };
-        for (start, info) in table.overlapping_infos(src, src + len) {
-            let (lo, hi) = (start, start + info.len);
-            for &cell in &info.escapes {
-                let val = routed.read_u64(cell);
-                if val >= lo && val < hi {
-                    routed.write_u64(cell, val.wrapping_add(delta as u64));
-                }
-            }
-        }
-        for r in regs.iter_mut() {
-            if *r >= src && *r < src + len {
-                *r = r.wrapping_add(delta as u64);
-            }
-        }
-        // Copy out, rebase tracking to the poison range, free the frames.
-        let data = self.mem.read_bytes(src, len).to_vec();
-        table.rebase_escape_cells(src, src + len, delta);
-        for start in table.overlapping(src, src + len) {
-            table.relocate(start, delta);
-        }
-        self.swap.insert(slot, SwapEntry { len, data });
+        self.journaled(&mut world, &[req], None, |reqs, mem, cost, _hook| {
+            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
+        })?;
         self.vacated.push((src, len));
         self.punch_hole(src, src + len);
         self.regions.set_regions(self.master.clone());
@@ -1475,106 +1487,50 @@ impl SimKernel {
         if !Self::is_poison(poison_addr) {
             return Ok(None);
         }
-        let slot = (poison_addr - POISON_BASE) / POISON_SLOT_SPAN;
+        let (slot, _) = poison_slot(poison_addr);
         let Some(len) = self.swap.get(&slot).map(|e| e.len) else {
             return Ok(None);
         };
         if self.fire(FaultPoint::SwapRead) {
             return Err(KernelError::SwapReadFailed { slot });
         }
-        let poison = POISON_BASE + slot * POISON_SLOT_SPAN;
-        // Allocate before taking the entry out of the store: an OOM here
-        // must not lose the swapped data.
+        // The entry stays in the store until the move out of it has
+        // succeeded: no failure below can lose the swapped data.
         let (dst, backoff) = self.alloc_move_dst(len)?;
-        let mut world = match self.begin_stop(threads) {
-            Ok(w) => w,
-            Err(e) => {
-                self.release_move_dst(dst);
-                return Err(e);
-            }
-        };
+        let mut world = self
+            .begin_stop(threads)
+            .inspect_err(|_| self.release_move_dst(dst))?;
         world.cycles += backoff;
-        let Some(entry) = self.swap.remove(&slot) else {
-            // The slot vanished between the liveness probe and here —
-            // impossible today, but a typed error keeps a future razed
-            // invariant from taking the fleet down with it.
-            world.abort(&self.cost);
-            self.release_move_dst(dst);
-            return Err(KernelError::SwapReadFailed { slot });
-        };
-        if entry.data.len() as u64 != entry.len {
-            // Corrupted entry: keep it for post-mortem, release
-            // everything else, surface a typed error.
-            self.swap.insert(slot, entry);
+        if self.swap.get(&slot).map(|e| e.data.len() as u64) != Some(len) {
+            // Corrupted (or vanished) entry: keep what is there for
+            // post-mortem, release everything else, surface a typed error.
             world.abort(&self.cost);
             self.release_move_dst(dst);
             return Err(KernelError::SwapReadFailed { slot });
         }
-        self.page_in_stopped(table, regs, world, entry, dst, poison)
-    }
-
-    /// The body of [`SimKernel::page_in`] once the world is stopped and
-    /// the entry + destination are in hand.
-    fn page_in_stopped(
-        &mut self,
-        table: &mut AllocationTable,
-        regs: &mut [u64],
-        mut world: WorldStop,
-        entry: SwapEntry,
-        dst_alloc: DstAlloc,
-        poison: u64,
-    ) -> Result<Option<(WorldStop, u64)>, KernelError> {
-        let dst = dst_alloc.addr;
-        let delta = dst.wrapping_sub(poison) as i64;
-
-        self.mem.write_bytes(dst, &entry.data);
-        // Patch every escape cell holding a pointer into the poison range.
-        let mut routed = SwapAwareMem {
-            mem: &mut self.mem,
-            swap: &mut self.swap,
+        // Paging in is a move out of the slot's poison window. Cells that
+        // live inside this slot are patched through the router while the
+        // entry still holds them, then travel with the copy.
+        let req = MoveRequest {
+            src: POISON_BASE + slot * POISON_SLOT_SPAN,
+            len,
+            dst: dst.addr,
         };
-        for (start, info) in table.overlapping_infos(poison, poison + entry.len) {
-            let (lo, hi) = (start, start + info.len);
-            for &cell in &info.escapes {
-                // Cells inside this slot were restored at dst; cells in
-                // other slots are reached through the router.
-                let cell = if cell >= poison && cell < poison + entry.len {
-                    cell.wrapping_add(delta as u64)
-                } else {
-                    cell
-                };
-                let val = routed.read_u64(cell);
-                if val >= lo && val < hi {
-                    routed.write_u64(cell, val.wrapping_add(delta as u64));
-                }
-            }
-        }
-        for r in regs.iter_mut() {
-            if *r >= poison && *r < poison + entry.len {
-                *r = r.wrapping_add(delta as u64);
-            }
-        }
-        table.rebase_escape_cells(poison, poison + entry.len, delta);
-        for start in table.overlapping(poison, poison + entry.len) {
-            table.relocate(start, delta);
-        }
-        self.punch_hole(dst, dst + entry.len);
-        self.master.push(Region {
-            start: dst,
-            len: entry.len,
-            perms: Perms::RW,
-        });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, _hook| {
+            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
+        })?;
+        self.swap.remove(&slot);
+        self.publish_rw([(dst.addr, len)]);
         let pg = self.cost.page_size;
-        for p in 0..entry.len / pg {
-            self.trace.record(PagingEvent::Alloc { page: dst / pg + p });
+        for p in 0..len / pg {
+            self.trace.record(PagingEvent::Alloc {
+                page: dst.addr / pg + p,
+            });
         }
-        self.commit_dst_block(&dst_alloc);
-        self.release_swap_slot((poison - POISON_BASE) / POISON_SLOT_SPAN);
+        self.release_swap_slot(slot);
 
         Self::finish_stop(&mut world, &self.cost)?;
-        Ok(Some((world, dst)))
+        Ok(Some((world, dst.addr)))
     }
 
     /// Seamless stack expansion (paper §2.2: "a failed guard involving the
@@ -1609,23 +1565,16 @@ impl SimKernel {
         }
         // Stack growth relocates the old stack block; a pinned stack
         // range (a tenant DMA-ing from its own stack) blocks it, typed.
-        if let Err(e) = check_unpinned(old_start, old_len, &self.pins) {
-            self.note_denied_move(old_len);
-            return Err(KernelError::Move(e));
-        }
+        self.refuse_pinned(old_start, old_len)?;
         let (dst, backoff) = self.alloc_move_dst(new_len)?;
         let dst_block = dst.addr;
         // Live data keeps its distance from the stack top: it lands at the
         // top of the new block.
         let data_dst = dst_block + new_len - old_len;
 
-        let mut world = match self.begin_stop(threads) {
-            Ok(w) => w,
-            Err(e) => {
-                self.release_move_dst(dst);
-                return Err(e);
-            }
-        };
+        let mut world = self
+            .begin_stop(threads)
+            .inspect_err(|_| self.release_move_dst(dst))?;
         world.cycles += backoff;
         let req = MoveRequest {
             src: old_start,
@@ -1634,18 +1583,9 @@ impl SimKernel {
         };
         // One table, one request: the shared mover's shape with a single
         // owner, which hands back the one outcome directly.
-        let moved = self.journaled(&[req], |reqs, mem, cost, hook| {
+        let outcome = self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, hook| {
             perform_shared_move_journaled(&mut [table], mem, regs, reqs[0], cost, hook)
-        });
-        let outcome = match moved {
-            Ok(out) => out,
-            Err(e) => {
-                world.abort(&self.cost);
-                self.release_move_dst(dst);
-                return Err(e);
-            }
-        };
-        self.commit_dst_block(&dst);
+        })?;
         Self::finish_stop(&mut world, &self.cost)?;
 
         // Extend the relocated stack allocation downward over the whole
@@ -1664,14 +1604,7 @@ impl SimKernel {
         // it, including the fresh growth room) becomes the stack region.
         self.vacated.push((outcome.moved_src, outcome.moved_len));
         self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
-        self.punch_hole(dst_block, dst_block + new_len);
-        self.master.push(Region {
-            start: dst_block,
-            len: new_len,
-            perms: Perms::RW,
-        });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.publish_rw([(dst_block, new_len)]);
         self.trace.record(PagingEvent::Move {
             from: old_start / self.cost.page_size,
             to: data_dst / self.cost.page_size,
@@ -2020,18 +1953,11 @@ impl SimKernel {
         }
         // Shared regions are the natural DMA-buffer vehicle, so this is
         // the mover most likely to meet a pin. Refuse before allocating.
-        if let Err(e) = check_unpinned(xsrc, xlen, &self.pins) {
-            self.note_denied_move(xlen);
-            return Err(KernelError::Move(e));
-        }
+        self.refuse_pinned(xsrc, xlen)?;
         let (dst, backoff) = self.alloc_move_dst(xlen)?;
-        let mut world = match self.begin_stop(threads) {
-            Ok(w) => w,
-            Err(e) => {
-                self.release_move_dst(dst);
-                return Err(e);
-            }
-        };
+        let mut world = self
+            .begin_stop(threads)
+            .inspect_err(|_| self.release_move_dst(dst))?;
         // Check out every owner's table; a missing one (stale owner, or a
         // table still checked out to a running tenant) aborts the episode
         // with everything restored.
@@ -2060,23 +1986,15 @@ impl SimKernel {
         };
         let res = {
             let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-            self.journaled(&[req], |reqs, mem, cost, hook| {
+            self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, hook| {
                 perform_shared_move_journaled(&mut refs, mem, regs, reqs[0], cost, hook)
             })
         };
         for (&p, t) in owners.iter().zip(tables) {
             self.procs.checkin_table(p, t);
         }
-        let mut outcome = match res {
-            Ok(out) => out,
-            Err(e) => {
-                world.abort(&self.cost);
-                self.release_move_dst(dst);
-                return Err(e);
-            }
-        };
+        let mut outcome = res?;
         outcome.cost.alloc_and_move += backoff;
-        self.commit_dst_block(&dst);
         Self::finish_stop(&mut world, &self.cost)?;
 
         // Region maintenance, for every owner: the moved range leaves its
@@ -2552,6 +2470,163 @@ mod tests {
         assert_eq!(k.mem.read_uint(cell, 8), g2 + 8);
         assert_eq!(regs[0], g2 + 16);
         assert_eq!(len % k.cost.page_size, 0);
+    }
+
+    /// Two heap allocations on separate pages wired the ways paging has
+    /// to get right: `a` holds a tracked pointer into `b` (a cell that
+    /// follows `a` into its swap entry), `a` holds a tracked pointer into
+    /// itself, and one register points into the interior of each. Returns
+    /// `(a, b, regs)`.
+    fn track_linked_pair(
+        k: &mut SimKernel,
+        table: &mut AllocationTable,
+        img: &ProcessImage,
+    ) -> (u64, u64, Vec<u64>) {
+        let (a, b) = (img.heap.0 + 0x2000, img.heap.0 + 0x5000);
+        table.track_alloc(a, 128, carat_runtime::AllocKind::Heap);
+        table.track_alloc(b, 256, carat_runtime::AllocKind::Heap);
+        for i in 0..16u64 {
+            k.mem.write_uint(a + i * 8, 0xAAAA_0000 + i, 8);
+        }
+        for i in 0..32u64 {
+            k.mem.write_uint(b + i * 8, 0xBBBB_0000 + i, 8);
+        }
+        k.mem.write_uint(a + 32, b + 8, 8);
+        k.mem.write_uint(a + 40, a + 8, 8);
+        table.track_escape(a + 32);
+        table.track_escape(a + 40);
+        table.flush_escapes(|c| k.mem.read_uint(c, 8));
+        (a, b, vec![a + 16, b + 24])
+    }
+
+    /// Whether the allocation at `base` still holds the pattern
+    /// `track_linked_pair` wrote, outside the words that hold pointers.
+    fn payload_intact(k: &SimKernel, base: u64, tag: u64, words: u64, pointers: &[u64]) -> bool {
+        (0..words)
+            .filter(|i| !pointers.contains(i))
+            .all(|i| k.mem.read_uint(base + i * 8, 8) == tag + i)
+    }
+
+    #[test]
+    fn cell_inside_a_swapped_range_is_patched_through_the_router() {
+        for b_first in [true, false] {
+            let (mut k, mut table, img) = boot_small();
+            let (a, b, mut regs) = track_linked_pair(&mut k, &mut table, &img);
+            // Out: `a`, then `b` — by then the cell pointing at `b` lives
+            // in `a`'s swap entry and is reached through the router.
+            k.page_out(&mut table, &mut regs, a, 1)
+                .expect("no fault")
+                .expect("swappable");
+            k.page_out(&mut table, &mut regs, b, 1)
+                .expect("no fault")
+                .expect("swappable");
+            assert!(regs.iter().all(|&r| SimKernel::is_poison(r)));
+            assert_eq!(k.swapped_ranges(), 2);
+            // In, both orders. Paging `a` in first carries a cell that
+            // still holds a poison pointer to `b` into resident memory.
+            let order = if b_first { [1, 0] } else { [0, 1] };
+            for r in order {
+                let poisoned = regs[r];
+                k.page_in(&mut table, &mut regs, poisoned, 1)
+                    .expect("no fault")
+                    .expect("slot live");
+            }
+            assert_eq!(k.swapped_ranges(), 0);
+            let (a2, b2) = (regs[0] - 16, regs[1] - 24);
+            assert_eq!(k.mem.read_uint(a2 + 32, 8), b2 + 8, "b_first={b_first}");
+            assert_eq!(table.info(a2).map(|i| i.len), Some(128));
+            assert_eq!(table.info(b2).map(|i| i.len), Some(256));
+            assert!(table
+                .info(b2)
+                .is_some_and(|i| i.escapes.contains(&(a2 + 32))));
+            assert!(payload_intact(&k, a2, 0xAAAA_0000, 16, &[4, 5]));
+            assert!(payload_intact(&k, b2, 0xBBBB_0000, 32, &[]));
+        }
+    }
+
+    #[test]
+    fn self_pointer_and_interior_register_survive_paging() {
+        let (mut k, mut table, img) = boot_small();
+        let (a, _, mut regs) = track_linked_pair(&mut k, &mut table, &img);
+        let (_, slot, src, _) = k
+            .page_out(&mut table, &mut regs, a, 1)
+            .expect("no fault")
+            .expect("swappable");
+        // The register keeps its interior offset inside the poison window.
+        let window = POISON_BASE + slot * POISON_SLOT_SPAN;
+        assert_eq!(regs[0], window + (a - src) + 16);
+        let (_, dst) = k
+            .page_in(&mut table, &mut regs, window, 1)
+            .expect("no fault")
+            .expect("slot live");
+        let a2 = dst + (a - src);
+        assert_eq!(regs[0], a2 + 16);
+        assert_eq!(k.mem.read_uint(a2 + 40, 8), a2 + 8, "self pointer");
+        assert!(table
+            .info(a2)
+            .is_some_and(|i| i.escapes.contains(&(a2 + 40))));
+        assert!(payload_intact(&k, a2, 0xAAAA_0000, 16, &[4, 5]));
+    }
+
+    /// Paging hands the move transaction no interrupt hook, so an armed
+    /// mid-move fault neither fires on it nor counts it: seeded fault
+    /// schedules number moves only.
+    #[test]
+    fn paging_does_not_consult_the_mid_move_fault_point() {
+        let (mut k, mut table, img) = boot_small();
+        let (a, _, mut regs) = track_linked_pair(&mut k, &mut table, &img);
+        k.install_fault_plan(FaultPlan::new().arm(FaultPoint::MidMove, 1));
+        k.page_out(&mut table, &mut regs, a, 1)
+            .expect("no fault")
+            .expect("swappable");
+        let poisoned = regs[0];
+        k.page_in(&mut table, &mut regs, poisoned, 1)
+            .expect("no fault")
+            .expect("slot live");
+        let plan = k.fault_plan().expect("installed");
+        assert_eq!(plan.occurrences(FaultPoint::MidMove), 0);
+        assert!(plan.fired().is_empty());
+    }
+
+    /// The batch of two is the two stand-alone moves, bit for bit — memory,
+    /// registers, table, outcomes — except that it stops the world once
+    /// and inspects the register dump once.
+    #[test]
+    fn batch_of_two_equals_two_stand_alone_moves() {
+        let twin = || {
+            let (mut k, mut table, img) = boot_small();
+            let (a, b, regs) = track_linked_pair(&mut k, &mut table, &img);
+            (k, table, a, b, regs)
+        };
+        let (mut kb, mut tb, a, b, mut rb) = twin();
+        let (mut ks, mut ts, _, _, mut rs) = twin();
+        let (wb, batched) = kb
+            .move_pages_batch(&mut tb, &mut rb, &[(a, 1), (b, 1)], 2)
+            .expect("batch moves");
+        let (w1, o1) = ks.move_pages(&mut ts, &mut rs, a, 1, 2).expect("moves");
+        let (w2, o2) = ks.move_pages(&mut ts, &mut rs, b, 1, 2).expect("moves");
+
+        assert_eq!(
+            kb.mem.read_bytes(0, kb.mem.size()),
+            ks.mem.read_bytes(0, ks.mem.size())
+        );
+        assert_eq!(rb, rs);
+        assert_ne!(rb, vec![a + 16, b + 24], "both registers were patched");
+        assert_eq!(tb.snapshot(), ts.snapshot());
+        // Same outcomes, apart from the register pass charged once.
+        let per_pass = rs.len() as u64 * ks.cost.move_register_patch_per_reg;
+        assert_eq!(batched[0], o1);
+        assert_eq!(o2.cost.register_patch, per_pass);
+        let mut second = o2.clone();
+        second.cost.register_patch = 0;
+        assert_eq!(batched[1], second);
+        assert!(
+            wb.cycles < w1.cycles + w2.cycles,
+            "one stop is cheaper than two: {} vs {} + {}",
+            wb.cycles,
+            w1.cycles,
+            w2.cycles
+        );
     }
 
     #[test]

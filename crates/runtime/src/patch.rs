@@ -17,7 +17,10 @@
 //! of allocation tables and any number of requests, with two public
 //! shapes — [`perform_move_batch_journaled`] (one table, N requests under
 //! one world-stop) and [`perform_shared_move_journaled`] (N owner tables,
-//! one request). Patching is split into **plan** and **apply**: a
+//! one request); [`perform_move_alloc_granular`] is the same transaction
+//! over one allocation's exact extent, and the kernel's page-out and
+//! page-in are the batch shape aimed at (or out of) a swap slot's poison
+//! window. Patching is split into **plan** and **apply**: a
 //! [`PatchPlan`] — one flat array of `(cell, old, new, owner)` records —
 //! is built from the allocation table(s) with pure reads, then written
 //! through [`MemAccess`] in plan order. The paper notes patching is a
@@ -627,6 +630,8 @@ pub fn perform_shared_move_journaled(
 /// Allocation-granularity move (the paper's §6 "Allocation Granularity"
 /// future-work extension, implemented here for the ablation benchmarks):
 /// moves exactly one allocation, with no page expansion or negotiation.
+/// It is the move transaction over the allocation's exact extent — which
+/// is its own expansion fixed point, so nothing grows.
 pub fn perform_move_alloc_granular(
     table: &mut AllocationTable,
     mem: &mut dyn MemAccess,
@@ -635,41 +640,16 @@ pub fn perform_move_alloc_granular(
     dst: u64,
     cost: &CostModel,
 ) -> Option<MoveOutcome> {
-    let info = table.info(alloc_start)?;
-    let len = info.len;
-    let delta = dst.wrapping_sub(alloc_start) as i64;
-    let mut escapes_patched = 0;
-    for &cell in &info.escapes {
-        let val = mem.read_u64(cell);
-        if val >= alloc_start && val < alloc_start + len {
-            mem.write_u64(cell, val.wrapping_add(delta as u64));
-            escapes_patched += 1;
-        }
-    }
-    let mut registers_patched = 0;
-    for r in regs.iter_mut() {
-        if *r >= alloc_start && *r < alloc_start + len {
-            *r = r.wrapping_add(delta as u64);
-            registers_patched += 1;
-        }
-    }
-    mem.copy(alloc_start, dst, len);
-    table.rebase_escape_cells(alloc_start, alloc_start + len, delta);
-    table.relocate(alloc_start, delta);
-    Some(MoveOutcome {
-        moved_src: alloc_start,
-        moved_len: len,
-        moved_dst: dst,
-        allocations: 1,
-        escapes_patched,
-        registers_patched,
-        cost: MoveCostBreakdown {
-            page_expand: 0, // the whole point of allocation granularity
-            patch_gen_exec: cost.patch_cost(escapes_patched as u64),
-            register_patch: regs.len() as u64 * cost.move_register_patch_per_reg,
-            alloc_and_move: cost.move_alloc_fixed + cost.copy_cost(len),
-        },
-    })
+    let req = MoveRequest {
+        src: alloc_start,
+        len: table.info(alloc_start)?.len,
+        dst,
+    };
+    let mut outcome = [MoveOutcome::default()];
+    move_transaction(&mut [table], mem, regs, &[req], cost, None, &mut outcome).ok()?;
+    let [mut outcome] = outcome;
+    outcome.cost.page_expand = 0; // the whole point of allocation granularity
+    Some(outcome)
 }
 
 #[cfg(test)]

@@ -517,6 +517,48 @@ mod tests {
     }
 
     #[test]
+    fn integrity_audit_cross_checks_table_against_swap_store() {
+        let mut vm = Vm::new(array_sum_module(100), VmConfig::default()).unwrap();
+        let (start, ..) = vm.table.snapshot()[0];
+        let (_, slot, ..) = vm
+            .kernel
+            .page_out(&mut vm.table, &mut [], start, 1)
+            .expect("no fault")
+            .expect("swappable");
+        assert!(vm.check_integrity().ok(), "a clean page-out is consistent");
+        // A live slot no allocation lives in: its data is unreachable.
+        let window = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
+        let poisoned: Vec<(u64, u64)> = vm
+            .table
+            .snapshot()
+            .into_iter()
+            .filter(|&(s, ..)| s >= window && s < window + carat_kernel::POISON_SLOT_SPAN)
+            .map(|(s, len, ..)| (s, len))
+            .collect();
+        assert!(!poisoned.is_empty());
+        for &(s, _) in &poisoned {
+            vm.table.track_free(s);
+        }
+        let report = vm.check_integrity();
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("1 live swap slots"));
+        // An allocation poisoned into a slot whose entry is gone: the next
+        // guard fault on it could never be serviced.
+        let dead = carat_kernel::POISON_BASE + (slot + 5) * carat_kernel::POISON_SLOT_SPAN;
+        vm.table
+            .track_alloc(dead, 64, carat_runtime::AllocKind::Heap);
+        let report = vm.check_integrity();
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.contains("dead swap slot")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
     fn swap_and_moves_compose() {
         let src = "
             int main() {

@@ -25,7 +25,9 @@ use carat_kernel::{
     AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PinError,
     ProcessImage, SimKernel,
 };
-use carat_runtime::{Access, AllocKind, AllocationTable, CostModel, GuardImpl, TrackStats};
+use carat_runtime::{
+    Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, TrackStats, WorldStop,
+};
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -954,6 +956,9 @@ impl Vm {
     /// * tracked allocations are disjoint (no move landed on live data);
     /// * the frame allocator's usage accounting is within the arena;
     /// * every swap entry's payload matches its recorded length;
+    /// * the table and the swap store agree: every allocation poisoned
+    ///   into the swap address space sits inside the window of a live
+    ///   slot, and every live slot backs at least one allocation;
     /// * kernel regions are well-formed.
     pub fn check_integrity(&self) -> IntegrityReport {
         let mut violations = Vec::new();
@@ -985,6 +990,33 @@ impl Vm {
         }
         for slot in self.kernel.corrupt_swap_slots() {
             violations.push(format!("swap slot {slot} length/payload mismatch"));
+        }
+        // Table <-> swap: a page-out moved these allocations into a slot's
+        // poison window; the slot must still be live, and (this kernel
+        // serves one process) no other slot may exist.
+        let mut backed_slots = Vec::new();
+        for &(start, len) in allocs.iter().filter(|a| SimKernel::is_poison(a.0)) {
+            let slot = (start - carat_kernel::POISON_BASE) / carat_kernel::POISON_SLOT_SPAN;
+            let window_end =
+                carat_kernel::POISON_BASE + (slot + 1) * carat_kernel::POISON_SLOT_SPAN;
+            if !self.kernel.has_swap_slot(slot) {
+                violations.push(format!(
+                    "allocation [{start:#x},+{len:#x}) is poisoned into dead swap slot {slot}"
+                ));
+            } else if start.checked_add(len).is_none_or(|end| end > window_end) {
+                violations.push(format!(
+                    "allocation [{start:#x},+{len:#x}) overruns the window of swap slot {slot}"
+                ));
+            } else if !backed_slots.contains(&slot) {
+                backed_slots.push(slot);
+            }
+        }
+        let live_slots = self.kernel.swapped_ranges();
+        if backed_slots.len() != live_slots {
+            violations.push(format!(
+                "{live_slots} live swap slots but tracked allocations back {}",
+                backed_slots.len()
+            ));
         }
         for r in self.kernel.regions.regions() {
             if r.len == 0 || r.start.checked_add(r.len).is_none() {
@@ -3125,18 +3157,6 @@ impl Core<'_> {
                 return Ok(());
             }
         }
-        if std::env::var_os("CARAT_VM_DEBUG").is_some() {
-            eprintln!(
-                "guard fault @ {addr:#x}: alloc={:?}, regions={:?}",
-                self.table.find_containing(addr).map(|(s, i)| (s, i.len)),
-                self.kernel
-                    .regions
-                    .regions()
-                    .iter()
-                    .map(|r| (r.start, r.len))
-                    .collect::<Vec<_>>()
-            );
-        }
         Err(VmError::GuardFault {
             addr,
             len,
@@ -3557,6 +3577,40 @@ impl TenantState {
         }
         self.rebase_image_stack(src, len, delta);
     }
+
+    /// The one relocation driver: dump the registers of every stopped
+    /// thread, hand the dump to `kernel_call` (a move, a batch, a page-out
+    /// or a page-in — anything that patches it in place), and on success
+    /// write the dump back and rebase the host-side bookkeeping by every
+    /// `(src, len, delta)` that `moved` reads off the call's result. On
+    /// `Err` (or `None`: the kernel declined) the kernel rolled the dump
+    /// back or never touched it, so the writeback is skipped and thread
+    /// state keeps its pre-call image.
+    ///
+    /// It touches only tenant state, so the solo machine and the fleet
+    /// both call it while holding the kernel and the table separately.
+    pub(crate) fn relocated_by<T, R: IntoIterator<Item = (u64, u64, i64)>>(
+        &mut self,
+        kernel_call: impl FnOnce(&mut [u64]) -> Result<Option<T>, KernelError>,
+        moved: impl FnOnce(&T) -> R,
+    ) -> Result<Option<T>, KernelError> {
+        let (mut regs, map) = self.snapshot_regs();
+        let Some(out) = kernel_call(&mut regs)? else {
+            return Ok(None);
+        };
+        self.writeback_regs(&regs, &map);
+        for (src, len, delta) in moved(&out) {
+            self.apply_relocation(src, len, delta);
+        }
+        Ok(Some(out))
+    }
+}
+
+/// The `(src, len, delta)` a completed move relocated, in the shape
+/// [`TenantState::relocated_by`] consumes.
+pub(crate) fn relocation_of(outcome: &MoveOutcome) -> (u64, u64, i64) {
+    let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
+    (outcome.moved_src, outcome.moved_len, delta)
 }
 
 impl Core<'_> {
@@ -3596,79 +3650,6 @@ impl Core<'_> {
         Ok(true)
     }
 
-    /// Debug audit: every registered escape cell must hold a pointer into
-    /// its owner allocation (reading through the swap store).
-    #[allow(dead_code)]
-    fn audit(&self, tag: &str) {
-        if std::env::var_os("CARAT_VM_AUDIT").is_none() {
-            return;
-        }
-        for (start, len, _, _) in self.table.snapshot() {
-            if let Some(info) = self.table.info(start) {
-                for &cell in &info.escapes {
-                    let val = self.kernel.debug_read_routed(cell);
-                    if !(val >= start && val < start + len) {
-                        eprintln!(
-                            "AUDIT[{tag}]: cell {cell:#x} -> {val:#x} outside owner [{start:#x},+{len:#x})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Debug audit 2: scan resident memory for pointers into tracked
-    /// allocations that are NOT registered as escapes (slow; env-gated).
-    #[allow(dead_code)]
-    fn audit_unregistered(&self, tag: &str) {
-        if std::env::var_os("CARAT_VM_AUDIT2").is_none() {
-            return;
-        }
-        let snap = self.table.snapshot();
-        for probe in (0x10000u64..0x4100000.min(self.kernel.mem.size() - 8)).step_by(8) {
-            let v = self.kernel.mem.read_uint(probe, 8);
-            if v < 0x10000 {
-                continue;
-            }
-            for &(start, len, _, _) in &snap {
-                if v >= start && v < start + len && len >= 64 {
-                    if let Some(info) = self.table.info(start) {
-                        // Is the holder cell registered?
-                        if !info.escapes.contains(&probe)
-                            && self.table.find_containing(probe).is_some()
-                        {
-                            eprintln!(
-                                "AUDIT2[{tag}]: unregistered cell {probe:#x} -> {v:#x} (target alloc {start:#x}, cell alloc {:?})",
-                                self.table.find_containing(probe).map(|(s, _)| s)
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Debug audit 3: any poison value in resident memory must refer to a
-    /// live swap slot (env-gated scan).
-    #[allow(dead_code)]
-    fn audit_stale_poison(&self, tag: &str) {
-        if std::env::var_os("CARAT_VM_AUDIT3").is_none() {
-            return;
-        }
-        for probe in (0x10000u64..0x4100000.min(self.kernel.mem.size() - 8)).step_by(8) {
-            let v = self.kernel.mem.read_uint(probe, 8);
-            if SimKernel::is_poison(v) {
-                let slot = (v - carat_kernel::POISON_BASE) / carat_kernel::POISON_SLOT_SPAN;
-                if !self.kernel.has_swap_slot(slot) {
-                    eprintln!(
-                        "AUDIT3[{tag}]: stale poison {v:#x} (dead slot {slot}) in cell {probe:#x}, cell alloc {:?}",
-                        self.table.find_containing(probe).map(|(s, _)| s)
-                    );
-                }
-            }
-        }
-    }
-
     /// Inject one page-out (swap driver).
     fn drive_swap(&mut self) -> Result<(), VmError> {
         self.t.next_swap_at = self.t.next_swap_at.saturating_add(
@@ -3697,30 +3678,20 @@ impl Core<'_> {
         else {
             return Ok(());
         };
-        let _ = page_size;
-        let (mut regs, map) = self.t.snapshot_regs();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        let Some((world, slot, src, len)) =
-            self.kernel.page_out(self.table, &mut regs, page, threads)?
+        // Heap bookkeeping and code-image constants follow the data into
+        // the poison range.
+        let Some((world, ..)) = self.t.relocated_by(
+            |regs| self.kernel.page_out(self.table, regs, page, threads),
+            paged_out,
+        )?
         else {
             return Ok(());
         };
-        self.t.writeback_regs(&regs, &map);
-        // Heap bookkeeping and code-image constants follow the data into
-        // the poison range.
-        let base = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
-        let delta = base.wrapping_sub(src) as i64;
-        self.t.apply_relocation(src, len, delta);
-        if std::env::var_os("CARAT_VM_DEBUG").is_some() {
-            eprintln!("page-out slot {slot}: [{src:#x},+{len:#x})");
-        }
         self.t.counters.swap_outs += 1;
         self.t.counters.cycles += world.cycles;
         self.t.counters.move_cycles += world.cycles;
         self.t.swaps_done += 1;
-        self.audit("page_out");
-        self.audit_unregistered("page_out");
-        self.audit_stale_poison("page_out");
         Ok(())
     }
 
@@ -3742,32 +3713,21 @@ impl Core<'_> {
         // poison pointers; their escape notifications must reach the table
         // before the kernel patches, or those cells would be missed.
         self.flush_escapes();
-        if std::env::var_os("CARAT_VM_DEBUG").is_some() {
-            let slot = (addr - carat_kernel::POISON_BASE) / carat_kernel::POISON_SLOT_SPAN;
-            eprintln!(
-                "page-in attempt @ {addr:#x} (slot {slot}); swapped_ranges={}",
-                self.kernel.swapped_ranges()
-            );
-        }
-        let (mut regs, map) = self.t.snapshot_regs();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        // On Err the kernel rolled `regs` back to the snapshot, so the
-        // writeback is skipped and thread state keeps its pre-fault image.
-        let Some((world, dst)) = self.kernel.page_in(self.table, &mut regs, addr, threads)? else {
-            return Ok(None);
-        };
-        self.t.writeback_regs(&regs, &map);
         let span = carat_kernel::POISON_SLOT_SPAN;
         let base = (addr - carat_kernel::POISON_BASE) / span * span + carat_kernel::POISON_BASE;
-        let delta = dst.wrapping_sub(base) as i64;
-        self.t.apply_relocation(base, span, delta);
+        let delta_to = |dst: u64| dst.wrapping_sub(base) as i64;
+        let Some((world, dst)) = self.t.relocated_by(
+            |regs| self.kernel.page_in(self.table, regs, addr, threads),
+            |&(_, dst)| [(base, span, delta_to(dst))],
+        )?
+        else {
+            return Ok(None);
+        };
         self.t.counters.swap_ins += 1;
         self.t.counters.cycles += world.cycles;
         self.t.counters.move_cycles += world.cycles;
-        self.audit("page_in");
-        self.audit_unregistered("page_in");
-        self.audit_stale_poison("page_in");
-        Ok(Some((base, span, delta)))
+        Ok(Some((base, span, delta_to(dst))))
     }
 
     /// Inject one worst-case page movement (Figure 9 driver).
@@ -3790,42 +3750,33 @@ impl Core<'_> {
         let Some(page) = self.kernel.worst_page(self.table) else {
             return Ok(());
         };
-        let (mut regs, map) = self.t.snapshot_regs();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        // On Err the kernel rolled back (journal) or aborted (world stop)
-        // and `regs` holds the untouched snapshot: skip the writeback.
-        let (world, outcome) = self
-            .kernel
-            .move_pages(self.table, &mut regs, page, 1, threads)?;
-        self.t.writeback_regs(&regs, &map);
-        // Rebase host-side bookkeeping.
-        let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-        self.t
-            .apply_relocation(outcome.moved_src, outcome.moved_len, delta);
-
-        if std::env::var_os("CARAT_VM_DEBUG").is_some() {
-            eprintln!(
-                "move #{}: [{:#x},+{:#x}) -> {:#x}, allocs={} escapes={} regs={}",
-                self.t.moves_done + 1,
-                outcome.moved_src,
-                outcome.moved_len,
-                outcome.moved_dst,
-                outcome.allocations,
-                outcome.escapes_patched,
-                outcome.registers_patched
-            );
-        }
+        let Some((world, outcome)) = self.t.relocated_by(
+            |regs| {
+                self.kernel
+                    .move_pages(self.table, regs, page, 1, threads)
+                    .map(Some)
+            },
+            |(_, outcome)| [relocation_of(outcome)],
+        )?
+        else {
+            return Ok(());
+        };
         let cycles = world.cycles + outcome.cost.total();
         self.t.counters.moves += 1;
         self.t.counters.move_cycles += cycles;
         self.t.counters.cycles += cycles;
         self.t.counters.move_breakdown.add(&outcome.cost);
         self.t.moves_done += 1;
-        self.audit("move");
-        self.audit_unregistered("move");
-        self.audit_stale_poison("move");
         Ok(())
     }
+}
+
+/// The relocation a completed [`SimKernel::page_out`] performed: the
+/// range moved into its slot's poison window.
+pub(crate) fn paged_out(&(_, slot, src, len): &(WorldStop, u64, u64, u64)) -> [(u64, u64, i64); 1] {
+    let window = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
+    [(src, len, window.wrapping_sub(src) as i64)]
 }
 
 /// Rebase `x` by `delta` when it lies within `[base, base+span)`.

@@ -34,13 +34,15 @@ use std::rc::Rc;
 
 use crate::counters::PerfCounters;
 use crate::decode::{DecodedProgram, ThreadedOpts};
-use crate::machine::{Core, Engine, Mode, RunResult, SliceExit, TenantState, VmConfig, VmError};
+use crate::machine::{
+    paged_out, relocation_of, Core, Engine, Mode, RunResult, SliceExit, TenantState, VmConfig,
+    VmError,
+};
 use crate::supervise::{PendingRestart, Supervisor, SupervisorConfig, TenantExit, Verdict};
 use carat_ir::Module;
 use carat_kernel::{
     AdmissionError, ArenaStats, DmaCompletion, DmaDir, FaultPlan, KernelError, LoadError, Pid,
     PinError, ProcAccounting, ProcState, ProtectionFault, SharedId, SimKernel, TenantQuotas,
-    POISON_BASE, POISON_SLOT_SPAN,
 };
 use carat_runtime::{AllocKind, AllocationTable, MemAccess};
 
@@ -96,14 +98,10 @@ pub struct MultiVmConfig {
     /// journaled CARAT moves plus a `page_out` — all while it is
     /// descheduled, charged to its kernel-side accounting.
     pub pressure_every: u64,
-    /// Compaction victims relocated per pressure pass (the batch the
-    /// kernel's move planner coalesces; clamped to at least 1).
+    /// Compaction victims relocated per pressure pass, coalesced into ONE
+    /// world-stop via [`SimKernel::move_pages_batch`] (clamped to at
+    /// least 1).
     pub pressure_batch: usize,
-    /// Coalesce the pass's moves into ONE world-stop via
-    /// [`SimKernel::move_pages_batch`] (default). `false` issues the same
-    /// victim list as sequential per-move stops — the slower arm of the
-    /// batching differential.
-    pub batch_stops: bool,
     /// Admission quotas for the fleet (default unlimited): spawns past
     /// the tenant-count or resident-byte ceiling fail with a typed
     /// [`VmError::Admission`] instead of exhausting the kernel arena.
@@ -154,7 +152,6 @@ impl Default for MultiVmConfig {
             kernel_mem: 512 * 1024 * 1024,
             pressure_every: 0,
             pressure_batch: 1,
-            batch_stops: true,
             quotas: TenantQuotas::default(),
             supervisor: None,
             externalize_watermark: 100,
@@ -1355,43 +1352,25 @@ impl MultiVm {
             return;
         };
         let threads = state.live_threads();
-        // The move planner picks up to `pressure_batch` victim pages; the
-        // batched arm coalesces them into one world-stop, the sequential
-        // arm walks the same list with a stop per move.
-        let victims = self
+        // The move planner picks up to `pressure_batch` victim pages and
+        // the kernel coalesces them into one world-stop.
+        let reqs: Vec<(u64, u64)> = self
             .kernel
-            .worst_pages(&table, self.cfg.pressure_batch.max(1));
-        if self.cfg.batch_stops {
-            if !victims.is_empty() {
-                let reqs: Vec<(u64, u64)> = victims.iter().map(|&p| (p, 1)).collect();
-                let (mut regs, map) = state.snapshot_regs();
-                if let Ok((world, outcomes)) = self
-                    .kernel
-                    .move_pages_batch(&mut table, &mut regs, &reqs, threads)
-                {
-                    state.writeback_regs(&regs, &map);
-                    cycles += world.cycles;
-                    for outcome in &outcomes {
-                        let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-                        state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
-                        moves += 1;
-                        cycles += outcome.cost.total();
-                    }
-                }
-            }
-        } else {
-            for &page in &victims {
-                let (mut regs, map) = state.snapshot_regs();
-                if let Ok((world, outcome)) = self
-                    .kernel
-                    .move_pages(&mut table, &mut regs, page, 1, threads)
-                {
-                    state.writeback_regs(&regs, &map);
-                    let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-                    state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
-                    moves += 1;
-                    cycles += world.cycles + outcome.cost.total();
-                }
+            .worst_pages(&table, self.cfg.pressure_batch.max(1))
+            .into_iter()
+            .map(|p| (p, 1))
+            .collect();
+        if !reqs.is_empty() {
+            if let Ok(Some((world, outcomes))) = state.relocated_by(
+                |regs| {
+                    self.kernel
+                        .move_pages_batch(&mut table, regs, &reqs, threads)
+                        .map(Some)
+                },
+                |(_, outcomes)| outcomes.iter().map(relocation_of).collect::<Vec<_>>(),
+            ) {
+                moves += outcomes.len() as u64;
+                cycles += world.cycles + outcomes.iter().map(|o| o.cost.total()).sum::<u64>();
             }
         }
         let page_size = self.kernel.cost.page_size;
@@ -1407,13 +1386,10 @@ impl MultiVm {
             .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
             .map(|(start, _, _, _)| start / page_size * page_size);
         if let Some(page) = target {
-            let (mut regs, map) = state.snapshot_regs();
-            if let Ok(Some((world, slot, src, len))) =
-                self.kernel.page_out(&mut table, &mut regs, page, threads)
-            {
-                state.writeback_regs(&regs, &map);
-                let base = POISON_BASE + slot * POISON_SLOT_SPAN;
-                state.apply_relocation(src, len, base.wrapping_sub(src) as i64);
+            if let Ok(Some((world, ..))) = state.relocated_by(
+                |regs| self.kernel.page_out(&mut table, regs, page, threads),
+                paged_out,
+            ) {
                 outs += 1;
                 cycles += world.cycles;
             }

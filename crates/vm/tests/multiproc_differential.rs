@@ -584,126 +584,58 @@ fn interrupted_shared_move_rolls_back_every_owner_and_is_retryable() {
     }
 }
 
+/// The pressure pass — with the move planner handing the kernel one
+/// victim page per pass, and two coalesced into one world-stop — is
+/// invisible to the tenants it relocates. (That a batch of two equals two
+/// stand-alone moves bit for bit, for fewer stop cycles, is pinned where
+/// no fleet is needed: `batch_of_two_equals_two_stand_alone_moves` in the
+/// kernel crate.)
 #[test]
 fn pressure_compaction_relocates_tenants_transparently() {
-    let specs: Vec<ProcSpec> = vec![
-        ("sweep", instrument(array_sum_module(240)), 28680i64),
-        ("escape", instrument(escape_module()), 7),
-        ("sweep2", instrument(array_sum_module(90)), 4005),
-        ("compute", instrument(compute_module(500)), 124750),
-    ]
-    .into_iter()
-    .map(|(name, module, _)| ProcSpec {
-        name: name.to_string(),
-        module,
-        cfg: VmConfig::default(),
-    })
-    .collect();
-    let mv = MultiVm::new(
-        specs,
-        MultiVmConfig {
-            quantum: 97,
-            pressure_every: 2,
-            ..MultiVmConfig::default()
-        },
-    )
-    .expect("loads");
-    let reports = mv.run();
-    let expected = [28680i64, 7, 4005, 124750];
-    let mut compaction_work = 0u64;
-    for (r, want) in reports.iter().zip(expected) {
-        let ProcOutcome::Finished(rr) = &r.outcome else {
-            panic!("{}: survives compaction, got {:?}", r.name, r.outcome);
-        };
-        assert_eq!(rr.ret, want, "{}: compaction is transparent", r.name);
-        compaction_work += r.accounting.pressure_moves + r.accounting.pressure_page_outs;
+    // Four tenants fill the default arena; the escape-heavy one spans two
+    // pages in the arm that batches two victims.
+    let escapers = [
+        (1, ("escape", escape_module(), 7i64)),
+        (2, ("two-page", two_page_escape_module(150), 150 * 149)),
+    ];
+    for (pressure_batch, escaper) in escapers {
+        let tenants = [
+            ("sweep", array_sum_module(240), 28680i64),
+            escaper,
+            ("sweep2", array_sum_module(90), 4005),
+            ("compute", compute_module(500), 124750),
+        ];
+        let expected: Vec<i64> = tenants.iter().map(|t| t.2).collect();
+        let specs: Vec<ProcSpec> = tenants
+            .into_iter()
+            .map(|(name, module, _)| ProcSpec {
+                name: name.to_string(),
+                module: instrument(module),
+                cfg: VmConfig::default(),
+            })
+            .collect();
+        let mv = MultiVm::new(
+            specs,
+            MultiVmConfig {
+                quantum: 97,
+                pressure_every: 2,
+                pressure_batch,
+                ..MultiVmConfig::default()
+            },
+        )
+        .expect("loads");
+        let reports = mv.run();
+        let mut moves = 0u64;
+        for (r, want) in reports.iter().zip(expected) {
+            let ProcOutcome::Finished(rr) = &r.outcome else {
+                panic!("{}: survives compaction, got {:?}", r.name, r.outcome);
+            };
+            assert_eq!(rr.ret, want, "{}: compaction is transparent", r.name);
+            moves += r.accounting.pressure_moves;
+        }
+        assert!(
+            moves > 0,
+            "batch {pressure_batch}: the pressure pass actually moved pages"
+        );
     }
-    assert!(
-        compaction_work > 0,
-        "the pressure pass actually moved or paged something"
-    );
-}
-
-/// Run the four-tenant pressure mix with the move planner coalescing up
-/// to two victim pages per pass, either batched into one world-stop or
-/// issued as sequential per-move stops.
-fn pressure_mix_reports(batch_stops: bool) -> Vec<ProcReport> {
-    let specs: Vec<ProcSpec> = [
-        ("sweep", array_sum_module(240)),
-        ("two-page", two_page_escape_module(150)),
-        ("sweep2", array_sum_module(90)),
-        ("compute", compute_module(500)),
-    ]
-    .into_iter()
-    .map(|(name, module)| ProcSpec {
-        name: name.to_string(),
-        module: instrument(module),
-        cfg: VmConfig::default(),
-    })
-    .collect();
-    let mv = MultiVm::new(
-        specs,
-        MultiVmConfig {
-            quantum: 97,
-            pressure_every: 2,
-            pressure_batch: 2,
-            batch_stops,
-            ..MultiVmConfig::default()
-        },
-    )
-    .expect("loads");
-    mv.run()
-}
-
-/// Batched pressure compaction must equal sequential per-move compaction
-/// bit-for-bit from the guest's point of view — same returns, same
-/// PerfCounters — while doing the same moves for fewer kernel cycles
-/// (one signal+barrier round and one register pass per batch instead of
-/// per move).
-#[test]
-fn batched_pressure_compaction_matches_sequential_per_move() {
-    let batched = pressure_mix_reports(true);
-    let sequential = pressure_mix_reports(false);
-    let expected = [28680i64, 150 * 149, 4005, 124750];
-    let (mut moves_b, mut moves_s, mut cycles_b, mut cycles_s) = (0u64, 0u64, 0u64, 0u64);
-    for ((b, s), want) in batched.iter().zip(&sequential).zip(expected) {
-        let (ProcOutcome::Finished(rb), ProcOutcome::Finished(rs)) = (&b.outcome, &s.outcome)
-        else {
-            panic!(
-                "{}: both arms finish, got {:?} / {:?}",
-                b.name, b.outcome, s.outcome
-            );
-        };
-        assert_eq!(
-            rb.ret, want,
-            "{}: batched arm returns the right value",
-            b.name
-        );
-        assert_eq!(
-            rs.ret, want,
-            "{}: sequential arm returns the right value",
-            s.name
-        );
-        assert_eq!(
-            rb.counters, rs.counters,
-            "{}: guest counters must not see the batching strategy",
-            b.name
-        );
-        moves_b += b.accounting.pressure_moves;
-        moves_s += s.accounting.pressure_moves;
-        cycles_b += b.accounting.compaction_cycles;
-        cycles_s += s.accounting.compaction_cycles;
-    }
-    assert!(
-        moves_b > 0,
-        "the batched pressure pass actually moved pages (batched={moves_b} sequential={moves_s})"
-    );
-    assert_eq!(
-        moves_b, moves_s,
-        "both arms walk the same victim lists and execute the same moves"
-    );
-    assert!(
-        cycles_b < cycles_s,
-        "batching amortizes the world-stop: batched={cycles_b} sequential={cycles_s}"
-    );
 }
