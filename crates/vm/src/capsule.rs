@@ -22,8 +22,10 @@
 //! - the [`DecodedProgram`] handle (shared decode cache).
 //!
 //! Per-frame pinned code streams are rebuilt from the program by
-//! `(func, block)` under the configured engine, exactly as the
-//! interpreter pins them, so execution resumes bit-identically.
+//! `(func, block)`, exactly as the interpreter pins them, so execution
+//! resumes bit-identically. A block has one stream, so the image's
+//! cursors only mean something against a program decoded for the engine
+//! the tenant runs: [`TenantState::rehydrate`] refuses any other.
 //!
 //! ## Determinism
 //!
@@ -36,7 +38,7 @@
 use crate::decode::DecodedProgram;
 use crate::heap::HeapAllocator;
 use crate::machine::{
-    Frame, GuardFastPath, ParkedThread, StreamKind, TenantState, ThreadState, Value, VmConfig,
+    Frame, GuardFastPath, ParkedThread, TenantState, ThreadState, Value, VmConfig,
 };
 use crate::tlb::{Tlb, TranslationUnit};
 use carat_ir::{BlockId, FuncId, Module, ValueId};
@@ -187,7 +189,7 @@ impl<'a> Dec<'a> {
         }
         Some(v)
     }
-    fn frame(&mut self, program: &DecodedProgram, stream: StreamKind) -> Option<Frame> {
+    fn frame(&mut self, program: &DecodedProgram) -> Option<Frame> {
         let func = FuncId(self.u32()?);
         let regs = self.regs()?;
         let block = BlockId(self.u32()?);
@@ -198,11 +200,6 @@ impl<'a> Dec<'a> {
         let has_ret = self.bool()?;
         let ret_raw = self.u32()?;
         let blk = program.funcs.get(func.index())?.blocks.get(block.index())?;
-        let code = match stream {
-            StreamKind::Fused => blk.fused_code.clone(),
-            StreamKind::Threaded => blk.threaded_code.clone(),
-            StreamKind::Plain => blk.code.clone(),
-        };
         Some(Frame {
             func,
             regs,
@@ -211,14 +208,14 @@ impl<'a> Dec<'a> {
             prev_block: has_prev.then_some(BlockId(prev_raw)),
             sp_base,
             ret_to: has_ret.then_some(ValueId(ret_raw)),
-            code,
+            code: blk.code.clone(),
         })
     }
-    fn frames(&mut self, program: &DecodedProgram, stream: StreamKind) -> Option<Vec<Frame>> {
+    fn frames(&mut self, program: &DecodedProgram) -> Option<Vec<Frame>> {
         let n = self.len(32)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
-            v.push(self.frame(program, stream)?);
+            v.push(self.frame(program)?);
         }
         Some(v)
     }
@@ -468,10 +465,9 @@ impl TenantState {
         program: Rc<DecodedProgram>,
     ) -> Option<TenantState> {
         let mut d = Dec { buf: bytes, pos: 0 };
-        if d.u64()? != CAPSULE_MAGIC {
+        if d.u64()? != CAPSULE_MAGIC || !program.decoded_for(cfg.engine, cfg.threaded) {
             return None;
         }
-        let stream = cfg.engine.stream();
 
         // --- image ---
         let nglobals = d.len(8)?;
@@ -596,14 +592,14 @@ impl TenantState {
         let phi_scratch = d.regs()?;
         let rng = d.u64()?;
         let sp = d.u64()?;
-        let frames = d.frames(&program, stream)?;
+        let frames = d.frames(&program)?;
         let nthreads = d.len(1)?;
         let mut threads = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
             threads.push(match d.u8()? {
                 0 => ThreadState::Current,
                 1 => ThreadState::Parked(ParkedThread {
-                    frames: d.frames(&program, stream)?,
+                    frames: d.frames(&program)?,
                     sp: d.u64()?,
                     stack_base: d.u64()?,
                 }),

@@ -12,7 +12,11 @@
 //! as the reference interpreter walking the IR arena directly. The
 //! differential harness in `tests/decoded_differential.rs` enforces this
 //! across the full workload suite.
+//!
+//! Each block has one stream; [`DecodedProgram::decode_for`] decides what
+//! it holds from the [`Engine`], and the interpreter never asks.
 
+use crate::machine::Engine;
 use carat_core::guards::frame_size;
 use carat_ir::{BinOp, BlockId, CastKind, Const, Inst, IntTy, Intrinsic, Module, Opcode, Pred};
 
@@ -239,11 +243,11 @@ pub enum DecodedInst {
         store: bool,
     },
 
-    // --- superinstructions (fused streams only) ---
+    // --- superinstructions (fused and threaded decodes only) ---
     //
     // Each fused variant packs two adjacent instructions into one dispatch.
-    // The fused stream keeps the *original* instruction in the second
-    // (tail) slot, so execution can resume unfused at an exact component
+    // The stream keeps the *original* instruction in the second (tail)
+    // slot, so execution can resume unfused at an exact component
     // boundary when the engine bails out mid-pair (scheduler rotation,
     // due move/swap driver, step limit). Fused execution is accounting-
     // transparent: each component charges exactly the cycles, counters,
@@ -495,12 +499,11 @@ pub enum DecodedInst {
         bw: IntTy,
     },
 
-    // --- threaded-tier ops (threaded streams only) ---
+    // --- threaded-tier ops (threaded decodes only) ---
     //
-    // These appear only in `DecodedBlock::threaded_code`, built by the
-    // threaded engine's decode-time transform. They are never produced by
-    // plain decoding or fusion, so the reference/decoded/fused engines
-    // never see them.
+    // These are produced only by the threaded engine's decode-time
+    // transform, never by plain decoding or fusion, so the
+    // reference/decoded/fused engines never see them.
     /// Superblock seam: replaces the unconditional branch between two
     /// chained blocks. Accounts exactly like the `Jmp` it replaced but
     /// advances the cursor *into the next member's segment of the same
@@ -904,26 +907,23 @@ pub struct PhiEdge {
 /// [`DecodedInst::PhiBatch`] slot, the rest map one-to-one.
 #[derive(Debug, Clone, Default)]
 pub struct DecodedBlock {
-    /// The instruction stream. Shared (`Rc`) so the VM can pin the
-    /// current block's code in the active frame and fetch with a single
-    /// index, instead of re-walking `funcs[f].blocks[b].code` every step.
+    /// The instruction stream — the only one; what it holds was decided
+    /// at decode time ([`DecodedProgram::decode_for`]). Shared (`Rc`) so
+    /// the VM can pin the current block's code in the active frame and
+    /// fetch with a single index, instead of re-walking
+    /// `funcs[f].blocks[b].code` every step.
+    ///
+    /// A plain or fused decode is slot-parallel with the IR block: a fused
+    /// pair's head slot holds the superinstruction and its tail slot keeps
+    /// the original unfused instruction, so mid-pair bail-outs and
+    /// blocking intrinsics resume at exact component boundaries and the
+    /// head is never re-executed unfused. A threaded decode is *not*
+    /// slot-parallel: guard slots may be elided, hoisted checks inserted,
+    /// and chained blocks share one concatenated stream (every member of a
+    /// superblock chain holds the same `Rc`, with its segment at the
+    /// offset the preceding [`DecodedInst::Seam`]s imply). A cursor is
+    /// only meaningful against the decode that produced it.
     pub code: std::rc::Rc<[DecodedInst]>,
-    /// The superinstruction view of `code`, pinned instead of `code` by
-    /// the fused engine. Same length: a fused pair's head slot holds the
-    /// superinstruction and its tail slot keeps the original unfused
-    /// instruction, so any cursor into `code` is also a valid cursor here
-    /// (and vice versa) — mid-pair bail-outs and blocking intrinsics
-    /// resume at exact component boundaries.
-    pub fused_code: std::rc::Rc<[DecodedInst]>,
-    /// The threaded-tier view, pinned by the threaded engine (empty
-    /// unless the program was decoded with [`ThreadedOpts`]). Unlike
-    /// `fused_code` this is *not* slot-parallel with `code`: guard slots
-    /// may be elided, hoisted checks inserted, and chained blocks share
-    /// one concatenated stream (every member of a superblock chain holds
-    /// the same `Rc`, with its segment at the offset the preceding
-    /// [`DecodedInst::Seam`]s imply). Cursors into a threaded stream are
-    /// only meaningful against the threaded stream itself.
-    pub threaded_code: std::rc::Rc<[DecodedInst]>,
     /// Per-predecessor phi copy lists (empty when the block has no phis).
     /// An entry exists only for predecessors every phi covers; entering
     /// from any other block traps, as in the reference interpreter.
@@ -971,61 +971,69 @@ impl DecodedFunc {
 pub struct DecodedProgram {
     /// Decoded functions, indexed by [`FuncId`](carat_ir::FuncId).
     pub funcs: Vec<DecodedFunc>,
-    /// Static census of the fusion sites created across all functions.
-    /// For a threaded decode this is the census over the *threaded*
-    /// streams (elision re-exposes fusion opportunities the guard slots
-    /// were blocking).
+    /// Static census of the fusion sites in the streams (all zero for a
+    /// plain decode; for a threaded decode, elision re-exposes fusion
+    /// opportunities the guard slots were blocking).
     pub fusion: FusionSummary,
     /// Census of the threaded transform, when the program was decoded
-    /// with [`ThreadedOpts`].
+    /// for [`Engine::Threaded`].
     pub threaded: Option<ThreadedReport>,
+    /// What the streams were decoded for. Cursors (frame `idx`, capsule
+    /// images) are only valid against a program of the same recipe.
+    recipe: (Engine, ThreadedOpts),
 }
 
 impl DecodedProgram {
-    /// Decode every function of `module`. Pure and infallible: malformed
-    /// constructs (aggregate accesses, incomplete phi webs) decode to
-    /// trapping forms so behavior stays identical to the reference
-    /// interpreter, which also rejects them only upon execution.
-    pub fn decode(module: &Module) -> DecodedProgram {
-        DecodedProgram::decode_with(module, None)
-    }
-
-    /// Decode every function, and when `threaded` is given also build the
-    /// threaded-tier streams: proof-driven guard elision and hoisting,
-    /// superblock chaining, then one fusion pass over the chained code.
-    /// The plain and fused streams are unaffected — the same decoded
-    /// program can back any engine.
-    pub fn decode_with(module: &Module, threaded: Option<ThreadedOpts>) -> DecodedProgram {
+    /// Decode every function of `module` into the streams `engine` runs
+    /// (`opts` is read only by [`Engine::Threaded`]): plain, fused in
+    /// place, or the threaded rewrite — proof-driven guard elision and
+    /// hoisting, superblock chaining, then one fusion pass over the
+    /// chained code. Pure and infallible: malformed constructs (aggregate
+    /// accesses, incomplete phi webs) decode to trapping forms so behavior
+    /// stays identical to the reference interpreter, which also rejects
+    /// them only upon execution.
+    pub fn decode_for(module: &Module, engine: Engine, opts: ThreadedOpts) -> DecodedProgram {
         let mut fusion = FusionSummary::default();
-        let mut funcs: Vec<DecodedFunc> = module
+        let mut report = ThreadedReport::default();
+        let funcs = module
             .func_ids()
-            .map(|fid| decode_func(module.func(fid), &mut fusion))
+            .map(|fid| {
+                let f = module.func(fid);
+                let mut df = decode_func(f, (engine == Engine::Fused).then_some(&mut fusion));
+                if engine == Engine::Threaded {
+                    thread_func(module, f, &mut df, opts, &mut fusion, &mut report);
+                }
+                df
+            })
             .collect();
-        let threaded = threaded.map(|opts| {
-            let mut report = ThreadedReport::default();
-            let mut tfusion = FusionSummary::default();
-            for (df, fid) in funcs.iter_mut().zip(module.func_ids()) {
-                thread_func(
-                    module,
-                    module.func(fid),
-                    df,
-                    opts,
-                    &mut tfusion,
-                    &mut report,
-                );
-            }
-            fusion = tfusion;
-            report
-        });
         DecodedProgram {
             funcs,
             fusion,
-            threaded,
+            threaded: (engine == Engine::Threaded).then_some(report),
+            recipe: (engine, opts),
         }
+    }
+
+    /// [`DecodedProgram::decode_for`] by its two common recipes: `None`
+    /// decodes for [`Engine::default`], `Some` for [`Engine::Threaded`].
+    pub fn decode_with(module: &Module, threaded: Option<ThreadedOpts>) -> DecodedProgram {
+        match threaded {
+            None => DecodedProgram::decode_for(module, Engine::default(), ThreadedOpts::default()),
+            Some(opts) => DecodedProgram::decode_for(module, Engine::Threaded, opts),
+        }
+    }
+
+    /// Whether this program was decoded for `engine` (and, as only the
+    /// threaded rewrite reads them, `opts`) — i.e. whether cursors made
+    /// under that configuration mean anything against it.
+    pub(crate) fn decoded_for(&self, engine: Engine, opts: ThreadedOpts) -> bool {
+        self.recipe.0 == engine && (engine != Engine::Threaded || self.recipe.1 == opts)
     }
 }
 
-fn decode_func(f: &carat_ir::Function, fusion: &mut FusionSummary) -> DecodedFunc {
+/// Decode one function to plain streams, fusing each block in place when
+/// `fuse` carries the census to count sites into.
+fn decode_func(f: &carat_ir::Function, mut fuse: Option<&mut FusionSummary>) -> DecodedFunc {
     // Alloca offsets: identical layout walk to the seed interpreter's
     // FuncMeta construction (alignment-rounded, 8-byte minimum stride).
     let mut alloca_offsets = vec![u64::MAX; f.num_values()];
@@ -1092,11 +1100,11 @@ fn decode_func(f: &carat_ir::Function, fusion: &mut FusionSummary) -> DecodedFun
             let Some(inst) = f.inst(v) else { continue };
             code.push(decode_inst(f, v.0, inst, &alloca_offsets, &mut operands));
         }
-        let fused = fuse_block(&code, &operands, fusion);
+        if let Some(fusion) = fuse.as_deref_mut() {
+            fuse_block(&mut code, &operands, fusion);
+        }
         blocks.push(DecodedBlock {
             code: code.into(),
-            fused_code: fused.into(),
-            threaded_code: Vec::new().into(),
             phi_edges,
         });
     }
@@ -1248,10 +1256,10 @@ const KEEP: u8 = 0;
 const DROP: u8 = 1;
 const MARK: u8 = 2;
 
-/// Build the threaded-tier streams for one function: consume the guard
-/// proofs to drop/mark slots and insert hoisted checks, chain
-/// single-entry straight-line successors into superblocks, then fuse
-/// once over each concatenated stream.
+/// Rewrite one plain-decoded function's streams into the threaded tier's:
+/// consume the guard proofs to drop/mark slots and insert hoisted checks,
+/// chain single-entry straight-line successors into superblocks, then
+/// fuse once over each concatenated stream.
 fn thread_func(
     module: &Module,
     f: &carat_ir::Function,
@@ -1559,7 +1567,8 @@ fn thread_func(
                 code.extend_from_slice(&transformed[b]);
             }
         }
-        let rc: std::rc::Rc<[DecodedInst]> = fuse_block(&code, &df.operands, fusion).into();
+        fuse_block(&mut code, &df.operands, fusion);
+        let rc: std::rc::Rc<[DecodedInst]> = code.into();
         if chain.len() > 1 {
             report.chains += 1;
             report.chained_blocks += (chain.len() - 1) as u64;
@@ -1568,46 +1577,41 @@ fn thread_func(
             streams[b] = Some(rc.clone());
         }
     }
-    for (b, stream) in streams.into_iter().enumerate() {
+    for (b, (stream, mut own)) in streams.into_iter().zip(transformed).enumerate() {
         // Blocks on a pure `next` cycle have no head; they are
         // unreachable (a cycle of single-predecessor blocks cannot be
         // entered), but still get a well-formed single-block stream.
-        df.blocks[b].threaded_code = match stream {
-            Some(s) => s,
-            None => fuse_block(&transformed[b], &df.operands, fusion).into(),
-        };
+        df.blocks[b].code = stream.unwrap_or_else(|| {
+            fuse_block(&mut own, &df.operands, fusion);
+            own.into()
+        });
     }
 }
 
-/// Peephole superinstruction fusion over one block's decoded stream.
+/// Peephole superinstruction fusion over one block's decoded stream, in
+/// place.
 ///
-/// The output has the *same length* as the input: a recognized pair's
-/// head slot is replaced by the fused variant while the tail slot keeps
-/// the original instruction. Execution that lands on a tail slot (branch
-/// to the block re-enters at 0, but a mid-pair bail-out or a re-executed
-/// blocking instruction resumes at the component boundary) simply runs
-/// the unfused form — same semantics, same accounting.
+/// The stream keeps its length: a recognized pair's head slot is replaced
+/// by the fused variant while the tail slot keeps the original
+/// instruction. Execution that lands on a tail slot (branch to the block
+/// re-enters at 0, but a mid-pair bail-out or a re-executed blocking
+/// instruction resumes at the component boundary) simply runs the unfused
+/// form — same semantics, same accounting.
 ///
 /// Pairs never overlap: after fusing at `i` the scan resumes at `i + 2`,
 /// so a tail slot is never also a fused head.
-fn fuse_block(
-    code: &[DecodedInst],
-    operands: &[u32],
-    fusion: &mut FusionSummary,
-) -> Vec<DecodedInst> {
-    let mut out = code.to_vec();
+fn fuse_block(code: &mut [DecodedInst], operands: &[u32], fusion: &mut FusionSummary) {
     let mut i = 0;
-    while i + 1 < out.len() {
-        match try_fuse(out[i], out[i + 1], operands) {
+    while i + 1 < code.len() {
+        match try_fuse(code[i], code[i + 1], operands) {
             Some((fused, kind)) => {
-                out[i] = fused;
+                code[i] = fused;
                 fusion.sites[kind as usize] += 1;
                 i += 2;
             }
             None => i += 1,
         }
     }
-    out
 }
 
 /// Recognize one fusable adjacent pair. Immediates that must shrink to
@@ -1958,6 +1962,10 @@ mod tests {
     use super::*;
     use carat_ir::{ModuleBuilder, Type};
 
+    fn plain(m: &Module) -> DecodedProgram {
+        DecodedProgram::decode_for(m, Engine::Decoded, ThreadedOpts::default())
+    }
+
     #[test]
     fn decodes_constants_and_allocas() {
         let mut mb = ModuleBuilder::new("t");
@@ -1973,7 +1981,7 @@ mod tests {
             b.ret(Some(y));
         }
         let m = mb.finish();
-        let prog = DecodedProgram::decode(&m);
+        let prog = plain(&m);
         let f = &prog.funcs[0];
         assert_eq!(f.blocks.len(), 1);
         let code = &f.blocks[0].code;
@@ -2009,7 +2017,7 @@ mod tests {
             b.ret(Some(i));
         }
         let m = mb.finish();
-        let prog = DecodedProgram::decode(&m);
+        let prog = plain(&m);
         let head = &prog.funcs[0].blocks[1];
         assert!(matches!(head.code[0], DecodedInst::PhiBatch));
         assert_eq!(head.phi_edges.len(), 2, "one edge per predecessor");
@@ -2060,41 +2068,31 @@ mod tests {
             b.ret(Some(v2));
         }
         let m = mb.finish();
-        let prog = DecodedProgram::decode(&m);
-        let blk = &prog.funcs[0].blocks[0];
-        assert_eq!(
-            blk.code.len(),
-            blk.fused_code.len(),
-            "streams stay parallel"
-        );
+        let prog = DecodedProgram::decode_with(&m, None);
+        let fused = &prog.funcs[0].blocks[0].code;
+        let unfused = plain(&m);
+        let unfused = &unfused.funcs[0].blocks[0].code;
+        assert_eq!(fused.len(), unfused.len(), "fusion keeps the length");
         // Heads fused, tails untouched.
-        assert!(matches!(
-            blk.fused_code[2],
-            DecodedInst::FusedPtrAddStore { .. }
-        ));
-        assert!(matches!(blk.fused_code[3], DecodedInst::Store { .. }));
-        assert!(matches!(
-            blk.fused_code[4],
-            DecodedInst::FusedPtrAddLoad { .. }
-        ));
-        assert!(matches!(blk.fused_code[5], DecodedInst::Load { .. }));
-        assert!(matches!(
-            blk.fused_code[6],
-            DecodedInst::FusedConstBin { .. }
-        ));
-        assert!(matches!(blk.fused_code[7], DecodedInst::Bin { .. }));
-        assert!(matches!(blk.fused_code[8], DecodedInst::FusedIcmpBr { .. }));
-        assert!(matches!(blk.fused_code[9], DecodedInst::Br { .. }));
-        // Every unfused slot is bit-identical to the plain stream.
-        for (i, inst) in blk.fused_code.iter().enumerate() {
+        assert!(matches!(fused[2], DecodedInst::FusedPtrAddStore { .. }));
+        assert!(matches!(fused[3], DecodedInst::Store { .. }));
+        assert!(matches!(fused[4], DecodedInst::FusedPtrAddLoad { .. }));
+        assert!(matches!(fused[5], DecodedInst::Load { .. }));
+        assert!(matches!(fused[6], DecodedInst::FusedConstBin { .. }));
+        assert!(matches!(fused[7], DecodedInst::Bin { .. }));
+        assert!(matches!(fused[8], DecodedInst::FusedIcmpBr { .. }));
+        assert!(matches!(fused[9], DecodedInst::Br { .. }));
+        // Every non-head slot is the plain decode's instruction.
+        for (i, inst) in fused.iter().enumerate() {
             if inst.fused_kind().is_none() {
                 assert_eq!(
                     std::mem::discriminant(inst),
-                    std::mem::discriminant(&blk.code[i]),
+                    std::mem::discriminant(&unfused[i]),
                     "slot {i} must match the unfused stream"
                 );
             }
         }
+        assert_eq!(unfused.iter().filter_map(|i| i.fused_kind()).count(), 0);
         assert_eq!(prog.fusion.total(), 4);
         assert_eq!(prog.fusion.sites[FusedKind::PtrAddStore as usize], 1);
         assert_eq!(prog.fusion.sites[FusedKind::IcmpBr as usize], 1);
@@ -2142,7 +2140,7 @@ mod tests {
         assert_eq!(report.hoisted_sites, 1);
         let f = &prog.funcs[0];
         // The guard slot is gone from the body's threaded stream…
-        let body = &f.blocks[2].threaded_code;
+        let body = &f.blocks[2].code;
         assert!(
             body.iter().all(|i| !matches!(
                 i,
@@ -2159,7 +2157,7 @@ mod tests {
             .any(|i| matches!(i, DecodedInst::FusedPtrAddLoad { .. })));
         // The widened check sits in the preheader (entry), with the
         // proof's parameters in the side table.
-        let entry = &f.blocks[0].threaded_code;
+        let entry = &f.blocks[0].code;
         let meta = entry
             .iter()
             .find_map(|i| match i {
@@ -2173,11 +2171,11 @@ mod tests {
         assert_eq!(h.len, 8);
         assert_eq!(h.step, 1);
         assert!(!h.inclusive && !h.write && h.check);
-        // The plain and fused streams are untouched.
-        assert!(f.blocks[2]
+        // A fused decode of the same module still carries the guard.
+        assert!(DecodedProgram::decode_with(&m, None).funcs[0].blocks[2]
             .code
             .iter()
-            .any(|i| matches!(i, DecodedInst::Intrinsic { .. })));
+            .any(|i| matches!(i, DecodedInst::FusedGuardLoad { .. })));
     }
 
     #[test]
@@ -2233,17 +2231,11 @@ mod tests {
         assert_eq!(report.chained_blocks, 2);
         let f = &prog.funcs[0];
         // All three blocks share one concatenated stream…
-        assert!(std::rc::Rc::ptr_eq(
-            &f.blocks[0].threaded_code,
-            &f.blocks[1].threaded_code
-        ));
-        assert!(std::rc::Rc::ptr_eq(
-            &f.blocks[0].threaded_code,
-            &f.blocks[2].threaded_code
-        ));
+        assert!(std::rc::Rc::ptr_eq(&f.blocks[0].code, &f.blocks[1].code));
+        assert!(std::rc::Rc::ptr_eq(&f.blocks[0].code, &f.blocks[2].code));
         // …with seams where the interior jumps were.
         let seams: Vec<u32> = f.blocks[0]
-            .threaded_code
+            .code
             .iter()
             .filter_map(|i| match i {
                 DecodedInst::Seam { to } => Some(*to),
@@ -2252,7 +2244,7 @@ mod tests {
             .collect();
         assert_eq!(seams, vec![1, 2]);
         assert!(matches!(
-            f.blocks[0].threaded_code.last(),
+            f.blocks[0].code.last(),
             Some(DecodedInst::Ret { .. })
         ));
     }
@@ -2277,7 +2269,7 @@ mod tests {
         let prog = DecodedProgram::decode_with(&m, Some(ThreadedOpts::default()));
         let report = prog.threaded.as_ref().unwrap();
         assert_eq!(report.dup_guard_sites, 1);
-        let stream = &prog.funcs[0].blocks[0].threaded_code;
+        let stream = &prog.funcs[0].blocks[0].code;
         assert_eq!(
             stream
                 .iter()
@@ -2307,10 +2299,10 @@ mod tests {
             b.ret(Some(zero));
         }
         let m = mb.finish();
-        let prog = DecodedProgram::decode(&m);
+        let prog = DecodedProgram::decode_with(&m, None);
         let blk = &prog.funcs[0].blocks[0];
         assert!(
-            blk.fused_code
+            blk.code
                 .iter()
                 .all(|i| !matches!(i, DecodedInst::FusedIcmpBr { .. })),
             "stale compare must not fuse into the branch"

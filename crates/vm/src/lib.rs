@@ -50,8 +50,8 @@ pub use decode::{
 };
 pub use heap::HeapAllocator;
 pub use machine::{
-    Engine, IntegrityReport, Mode, MoveDriverConfig, RunResult, SliceExit, StreamKind,
-    SwapDriverConfig, TenantState, Vm, VmConfig, VmError,
+    Engine, IntegrityReport, Mode, MoveDriverConfig, RunResult, SliceExit, SwapDriverConfig,
+    TenantState, Vm, VmConfig, VmError,
 };
 pub use multi::{
     MultiVm, MultiVmConfig, ProcOutcome, ProcReport, ProcSpec, SchedSource, TenancyError,

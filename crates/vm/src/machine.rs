@@ -12,6 +12,12 @@
 //!
 //! A [`MoveDriverConfig`] injects worst-case page movements at a fixed
 //! simulated rate (Figure 9 / Table 3 methodology).
+//!
+//! Two interpreters execute the IR: the reference one walks the arena
+//! ([`Engine::Reference`], the oracle of the differential suites); every
+//! other [`Engine`] is a decode recipe for the one decoded dispatch loop,
+//! in which each instruction that can be half of a superinstruction has a
+//! single component body ([`Fast`]).
 
 use crate::counters::PerfCounters;
 use crate::decode::{DecodedInst, DecodedProgram, FusedKind, FusionStats, ScalarClass, NO_REG};
@@ -22,11 +28,12 @@ use carat_ir::{
     ValueId,
 };
 use carat_kernel::{
-    AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PinError,
-    ProcessImage, SimKernel,
+    AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PhysicalMemory,
+    PinError, ProcessImage, SimKernel,
 };
 use carat_runtime::{
-    Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, TrackStats, WorldStop,
+    Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, RegionTable, TrackStats,
+    WorldStop,
 };
 use std::error::Error;
 use std::fmt;
@@ -62,21 +69,25 @@ pub struct SwapDriverConfig {
     pub max_swaps: u64,
 }
 
-/// Which interpreter core executes instructions.
+/// Which interpreter executes instructions — in effect a decode recipe:
+/// [`Engine::Reference`] walks the IR arena, the other three run the one
+/// decoded dispatch loop over whatever
+/// [`DecodedProgram::decode_for`] put in each block's stream for them.
 ///
-/// Both engines implement identical semantics and identical accounting —
-/// every [`PerfCounters`] field, guard/tracking behavior, and world-stop
-/// interleaving match exactly (enforced by the differential test suite).
-/// They differ only in host-side speed.
+/// Reference, decoded and fused implement identical semantics and
+/// identical accounting — every [`PerfCounters`] field, guard/tracking
+/// behavior, and world-stop interleaving match exactly (enforced by the
+/// differential test suites) — and differ only in host-side speed. The
+/// threaded tier is the one documented exception (see its variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Execute over the superinstruction (fused) view of the pre-decoded
-    /// stream: dominant adjacent pairs — address computation + memory
-    /// access, guard + access, compare + branch, constant + ALU op —
-    /// retire in a single dispatch (see [`crate::decode`]'s fusion pass).
+    /// Decode with superinstructions fused in place: dominant adjacent
+    /// pairs — address computation + memory access, guard + access,
+    /// compare + branch, constant + ALU op — retire in a single dispatch
+    /// (see [`crate::decode`]'s fusion pass).
     #[default]
     Fused,
-    /// Execute over the flat pre-decoded instruction stream
+    /// Decode to the flat one-slot-per-instruction stream
     /// (see [`crate::decode`]): no per-step cloning, no hash lookups, one
     /// dispatch per instruction.
     Decoded,
@@ -84,7 +95,7 @@ pub enum Engine {
     /// interpreter, retained as the semantic reference for differential
     /// testing and as the `--engine reference` baseline in `interp_throughput`.
     Reference,
-    /// Execute over the threaded-code streams: superblock chains of the
+    /// Decode to the threaded-code streams: superblock chains of the
     /// fused stream with guard checks elided or hoisted under the static
     /// whole-trip proofs of `carat_analysis::prove_function` (see
     /// [`crate::decode::ThreadedOpts`]). The only engine whose simulated
@@ -98,17 +109,6 @@ pub enum Engine {
     Threaded,
 }
 
-/// Which decoded instruction stream an engine pins into active frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamKind {
-    /// The plain one-slot-per-instruction stream (`code`).
-    Plain,
-    /// The superinstruction view (`fused_code`).
-    Fused,
-    /// The threaded-tier superblock view (`threaded_code`).
-    Threaded,
-}
-
 impl Engine {
     /// Every engine, in the order benchmarks report them.
     pub const ALL: [Engine; 4] = [
@@ -117,16 +117,6 @@ impl Engine {
         Engine::Fused,
         Engine::Threaded,
     ];
-
-    /// The decoded stream this engine executes.
-    #[inline]
-    pub fn stream(self) -> StreamKind {
-        match self {
-            Engine::Fused => StreamKind::Fused,
-            Engine::Threaded => StreamKind::Threaded,
-            Engine::Decoded | Engine::Reference => StreamKind::Plain,
-        }
-    }
 
     /// Stable CLI / report name.
     pub fn name(self) -> &'static str {
@@ -149,7 +139,7 @@ impl Engine {
 pub struct VmConfig {
     /// Execution mode.
     pub mode: Mode,
-    /// Interpreter core (decoded fast path by default).
+    /// Interpreter (the fused decode by default).
     pub engine: Engine,
     /// Guard mechanism for guard intrinsics.
     pub guard_impl: GuardImpl,
@@ -458,6 +448,35 @@ pub(crate) struct GuardFastPath {
     pub(crate) probes: u64,
 }
 
+impl GuardFastPath {
+    /// Whether the cached region still stands (`regions` has not changed
+    /// since the fill) and admits `access` to all of `[addr, addr+len)`.
+    #[inline]
+    fn covers(&self, regions: &RegionTable, addr: u64, len: u64, access: Access) -> bool {
+        self.generation == regions.generation
+            && addr >= self.start
+            && addr < self.end
+            && len > 0
+            && addr.saturating_add(len) <= self.end
+            && self.perms.allows(access)
+    }
+
+    /// Remember the region containing `addr` (which a check just accepted)
+    /// together with the probe count that check charged.
+    #[inline]
+    fn refill(&mut self, regions: &RegionTable, addr: u64, probes: u64) {
+        if let Some(r) = regions.containing(addr) {
+            *self = GuardFastPath {
+                generation: regions.generation,
+                start: r.start,
+                end: r.end(),
+                perms: r.perms,
+                probes,
+            };
+        }
+    }
+}
+
 impl Default for GuardFastPath {
     fn default() -> GuardFastPath {
         // `generation` 0 never matches a live table (the loader's initial
@@ -606,6 +625,10 @@ impl TenantState {
         program: Rc<DecodedProgram>,
         cost: &CostModel,
     ) -> TenantState {
+        debug_assert!(
+            program.decoded_for(cfg.engine, cfg.threaded),
+            "program decoded for a different engine than the tenant runs"
+        );
         let mut state = TenantState {
             heap: HeapAllocator::new(image.heap.0, image.heap.1),
             tlb: TranslationUnit::new(cost),
@@ -641,23 +664,6 @@ impl TenantState {
         };
         state.recompute_bail();
         state
-    }
-
-    /// The code stream to pin for `(func, block)` under the configured
-    /// engine: the superinstruction view for [`Engine::Fused`], the
-    /// threaded superblock stream for [`Engine::Threaded`], the plain
-    /// decoded stream otherwise. Plain and fused are index-compatible by
-    /// construction; threaded cursors are only ever created and resumed
-    /// against threaded streams (chain members share one stream, so a
-    /// frame suspended mid-chain re-pins the identical code).
-    #[inline]
-    fn pinned_code(&self, func: usize, block: usize) -> std::rc::Rc<[DecodedInst]> {
-        let blk = &self.program.funcs[func].blocks[block];
-        match self.cfg.engine.stream() {
-            StreamKind::Fused => blk.fused_code.clone(),
-            StreamKind::Threaded => blk.threaded_code.clone(),
-            StreamKind::Plain => blk.code.clone(),
-        }
     }
 
     /// Whether a fused pair must split between its components: the run
@@ -833,8 +839,11 @@ impl Vm {
         image: ProcessImage,
         cfg: VmConfig,
     ) -> Vm {
-        let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
-        let program = Rc::new(DecodedProgram::decode_with(&image.module, threaded));
+        let program = Rc::new(DecodedProgram::decode_for(
+            &image.module,
+            cfg.engine,
+            cfg.threaded,
+        ));
         let state = TenantState::new(image, cfg, program, &kernel.cost);
         Vm::from_tenant(kernel, table, state)
     }
@@ -1200,7 +1209,9 @@ impl Core<'_> {
             prev_block: None,
             sp_base,
             ret_to,
-            code: self.t.pinned_code(func.index(), entry.index()),
+            code: self.t.program.funcs[func.index()].blocks[entry.index()]
+                .code
+                .clone(),
         });
         self.t.counters.calls += 1;
         self.t.counters.cycles += self.kernel.cost.call;
@@ -1225,16 +1236,12 @@ impl Core<'_> {
         None
     }
 
-    /// Execute one instruction; returns `Some(ret)` when `main` returns.
-    ///
-    /// The fused and decoded engines share one core: fused variants are
-    /// just additional [`DecodedInst`] arms that only ever appear in the
-    /// streams the fused engine pins into frames.
+    /// Execute one instruction (or, on a decoded stream, one batch of
+    /// them); returns `Some(ret)` when `main` returns.
     fn step(&mut self) -> Result<Option<i64>, VmError> {
         match self.t.cfg.engine {
-            Engine::Fused | Engine::Threaded => self.step_decoded::<true>(),
-            Engine::Decoded => self.step_decoded::<false>(),
             Engine::Reference => self.step_reference(),
+            Engine::Decoded | Engine::Fused | Engine::Threaded => self.step_decoded(),
         }
     }
 
@@ -1331,7 +1338,7 @@ impl Core<'_> {
                 field,
             } => {
                 let b = reg!(base).as_p();
-                let addr = b + struct_ty.field_offset(field as usize);
+                let addr = b.wrapping_add(struct_ty.field_offset(field as usize));
                 self.t.counters.cycles += cost.alu;
                 frame_mut!().regs[v.index()] = Value::P(addr);
                 frame_mut!().idx += 1;
@@ -1466,41 +1473,43 @@ impl Core<'_> {
         Ok(None)
     }
 
-    /// Decoded engine: execute instructions from the flat pre-resolved
-    /// stream. No cloning, no arena walk, no hash lookups — the decoded
-    /// instruction is `Copy` and carries its operand register slots,
-    /// immediates, and resolved offsets inline.
+    /// Decoded engines: execute from the flat pre-resolved stream. No
+    /// cloning, no arena walk, no hash lookups — a decoded instruction is
+    /// `Copy` and carries its operand register slots, immediates and
+    /// resolved offsets inline. One loop serves every decode recipe:
+    /// superinstructions and threaded-tier ops are arms that only streams
+    /// decoded for those engines reach.
     ///
-    /// Dispatch is two-tiered. The **fast tier** executes register-only
-    /// instructions (constants, arithmetic, compares, casts, selects, phi
-    /// batches, branches, the fused pairs built from them) and — through
-    /// the shared [`data_access_resolved`] free function — loads and
-    /// stores to resolved (non-poison) addresses, all under one sustained
-    /// destructured borrow of the disjoint fields they touch: the frame,
-    /// the counters, the kernel, the TLB, the decoded program. The
-    /// per-instruction frame re-borrow disappears and the compiler can
-    /// keep the hot counters in registers across instructions. Anything
-    /// that needs the whole `&mut self` — calls, intrinsics, guards,
-    /// returns, and accesses to poison (swapped-out) addresses, whose
-    /// page-in world-stop patches arbitrary state — breaks to the **slow
-    /// tier**: a full-`self` dispatch of that one instruction, identical
-    /// to the pre-split loop. Each arm records its own instruction count
-    /// and opcode mix (with a constant opcode index in the fast tier)
-    /// exactly as the shared loop header used to.
+    /// Dispatch is two-tiered. The **fast tier** runs register-only
+    /// instructions and loads/stores to resolved (non-poison) addresses
+    /// under one sustained borrow ([`Fast`]) of the disjoint fields they
+    /// touch, so the per-instruction frame re-borrow disappears and the
+    /// hot counters can live in registers. Anything that needs the whole
+    /// `&mut self` — calls, intrinsics, guards, returns, and accesses to
+    /// poison (swapped-out) addresses, whose page-in world-stop patches
+    /// arbitrary state — breaks to the **slow tier**: a full-`self`
+    /// dispatch of that one instruction.
     ///
-    /// Batched dispatch (`BATCH = true`, fused engine only): instead of
-    /// returning to the run loop after every instruction, keep executing
-    /// until [`TenantState::fusion_bail`] reports that the run loop could need
-    /// control — a parked thread to rotate to, a step/cycle limit, or a
-    /// due move/swap driver. Between two instructions where none of those
+    /// Every instruction that can be half of a fused pair has one body (a
+    /// [`Fast`] method or a `*_slow` method) holding its accounting, its
+    /// effect and its cursor advance. A plain arm calls it; a fused arm is
+    /// *first component, bail test, count the pair, second component*
+    /// over the same bodies, so fused execution charges what unfused
+    /// execution does by construction. When the bail test fires, the arm
+    /// returns with the frame index already on the tail slot — which
+    /// holds the original unfused instruction — and the pair retires
+    /// unfused at the exact component boundary, uncounted.
+    ///
+    /// Dispatch is batched: keep executing until
+    /// [`TenantState::fusion_bail`] reports that the run loop could need
+    /// control (a parked thread to rotate to, a step/cycle limit, a due
+    /// move/swap driver). Between two instructions where none of those
     /// hold, a run-loop iteration is a provable no-op, so skipping it
-    /// changes host time only. Every per-instruction effect (counters,
-    /// opcode mix, cycles) is still charged identically inside the loop.
-    fn step_decoded<const BATCH: bool>(&mut self) -> Result<Option<i64>, VmError> {
+    /// changes host time only.
+    fn step_decoded(&mut self) -> Result<Option<i64>, VmError> {
         loop {
             // --- fast tier: register-only ops, one sustained borrow ---
             {
-                let kernel = &mut *self.kernel;
                 let TenantState {
                     frames,
                     counters,
@@ -1517,43 +1526,34 @@ impl Core<'_> {
                     guard_cache,
                     ..
                 } = &mut *self.t;
-                let stream = cfg.engine.stream();
-                let mode = cfg.mode;
-                let fr = frame_mut(frames);
+                let mut f = Fast {
+                    fr: frame_mut(frames),
+                    counters,
+                    kernel: &mut *self.kernel,
+                    tlb,
+                    program,
+                    fusion,
+                    access_counter,
+                    last_vpn,
+                    mode: cfg.mode,
+                    bail_insts_at: *bail_insts_at,
+                    bail_cycles_at: *bail_cycles_at,
+                };
                 loop {
-                    match fr.code[fr.idx] {
-                        DecodedInst::ConstI { dst, val } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst as usize] = Value::I(val);
-                            fr.idx += 1;
-                        }
-                        DecodedInst::ConstF { dst, val } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst as usize] = Value::F(val);
-                            fr.idx += 1;
-                        }
-                        DecodedInst::ConstNull { dst } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst as usize] = Value::P(0);
-                            fr.idx += 1;
-                        }
+                    match f.fr.code[f.fr.idx] {
+                        DecodedInst::ConstI { dst, val } => f.konst(dst, Value::I(val)),
+                        DecodedInst::ConstF { dst, val } => f.konst(dst, Value::F(val)),
+                        DecodedInst::ConstNull { dst } => f.konst(dst, Value::P(0)),
+                        // Globals relocate (moves, swaps): always read the
+                        // current address out of the image.
                         DecodedInst::ConstGlobal { dst, global } => {
-                            // Globals relocate (moves, swaps): always read the
-                            // current address out of the image.
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst as usize] = Value::P(image.globals[global as usize]);
-                            fr.idx += 1;
+                            f.konst(dst, Value::P(image.globals[global as usize]))
                         }
                         DecodedInst::Alloca { dst, off } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Alloca);
-                            counters.cycles += kernel.cost.alu;
-                            fr.regs[dst as usize] = Value::P(fr.sp_base + off);
-                            fr.idx += 1;
+                            f.retire(Opcode::Alloca);
+                            f.counters.cycles += f.kernel.cost.alu;
+                            f.fr.regs[dst as usize] = Value::P(f.fr.sp_base + off);
+                            f.fr.idx += 1;
                         }
                         DecodedInst::PtrAdd {
                             dst,
@@ -1561,21 +1561,10 @@ impl Core<'_> {
                             index,
                             stride,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::PtrAdd);
-                            counters.cycles += kernel.cost.alu;
-                            let b = fr.regs[base as usize].as_p();
-                            let i = fr.regs[index as usize].as_i();
-                            fr.regs[dst as usize] =
-                                Value::P(b.wrapping_add((i.wrapping_mul(stride as i64)) as u64));
-                            fr.idx += 1;
+                            f.ptr_add(dst, base, index, stride);
                         }
                         DecodedInst::FieldAddr { dst, base, off } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::FieldAddr);
-                            counters.cycles += kernel.cost.alu;
-                            fr.regs[dst as usize] = Value::P(fr.regs[base as usize].as_p() + off);
-                            fr.idx += 1;
+                            f.field_addr(dst, base, off);
                         }
                         DecodedInst::Bin {
                             dst,
@@ -1583,32 +1572,14 @@ impl Core<'_> {
                             lhs,
                             rhs,
                             width,
-                        } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            fr.regs[dst as usize] =
-                                eval_bin(&kernel.cost, counters, op, a, b, width)?;
-                            fr.idx += 1;
-                        }
+                        } => f.bin(dst, op, lhs, rhs, width)?,
                         DecodedInst::Icmp {
                             dst,
                             pred,
                             lhs,
                             rhs,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Icmp);
-                            counters.cycles += kernel.cost.alu;
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            let r = match (a, b) {
-                                (Value::P(_), _) | (_, Value::P(_)) => {
-                                    icmp_u(pred, a.as_p(), b.as_p())
-                                }
-                                _ => icmp_i(pred, a.as_i(), b.as_i()),
-                            };
-                            fr.regs[dst as usize] = Value::I(r as i64);
-                            fr.idx += 1;
+                            f.icmp(dst, pred, lhs, rhs);
                         }
                         DecodedInst::Fcmp {
                             dst,
@@ -1616,56 +1587,26 @@ impl Core<'_> {
                             lhs,
                             rhs,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Fcmp);
-                            counters.cycles += kernel.cost.fpu;
-                            let (a, b) =
-                                (fr.regs[lhs as usize].as_f(), fr.regs[rhs as usize].as_f());
-                            let r = match pred {
-                                Pred::Eq => a == b,
-                                Pred::Ne => a != b,
-                                Pred::Slt | Pred::Ult => a < b,
-                                Pred::Sle => a <= b,
-                                Pred::Sgt => a > b,
-                                Pred::Sge | Pred::Uge => a >= b,
-                            };
-                            fr.regs[dst as usize] = Value::I(r as i64);
-                            fr.idx += 1;
+                            f.fcmp(dst, pred, lhs, rhs);
                         }
                         DecodedInst::Cast {
                             dst,
                             kind,
                             src,
                             width,
-                        } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Cast);
-                            counters.cycles += kernel.cost.alu;
-                            let x = fr.regs[src as usize];
-                            fr.regs[dst as usize] = match kind {
-                                CastKind::Sext | CastKind::Zext | CastKind::Trunc => {
-                                    Value::I(width.wrap(x.as_i()))
-                                }
-                                CastKind::SiToFp => Value::F(x.as_i() as f64),
-                                CastKind::FpToSi => Value::I(x.as_f() as i64),
-                                CastKind::PtrToInt => Value::I(x.as_p() as i64),
-                                CastKind::IntToPtr => Value::P(x.as_i() as u64),
-                            };
-                            fr.idx += 1;
-                        }
+                        } => f.cast(dst, kind, src, width),
                         DecodedInst::Select {
                             dst,
                             cond,
                             if_true,
                             if_false,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Select);
-                            counters.cycles += kernel.cost.alu;
-                            let c = fr.regs[cond as usize].as_i() != 0;
+                            f.retire(Opcode::Select);
+                            f.counters.cycles += f.kernel.cost.alu;
+                            let c = f.fr.regs[cond as usize].as_i() != 0;
                             let src = if c { if_true } else { if_false };
-                            fr.regs[dst as usize] = fr.regs[src as usize];
-                            fr.idx += 1;
+                            f.fr.regs[dst as usize] = f.fr.regs[src as usize];
+                            f.fr.idx += 1;
                         }
                         DecodedInst::PhiBatch => {
                             // Apply the pre-resolved phi copy list for the
@@ -1673,12 +1614,12 @@ impl Core<'_> {
                             // sources read before any destination is
                             // written). Counts as one instruction, matching
                             // [`Core::exec_phis`].
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Phi);
+                            f.retire(Opcode::Phi);
+                            let fr = &mut *f.fr;
                             let prev = fr
                                 .prev_block
                                 .ok_or_else(|| VmError::Trap("phi at function entry".into()))?;
-                            let df = &program.funcs[fr.func.index()];
+                            let df = &f.program.funcs[fr.func.index()];
                             let blk = &df.blocks[fr.block.index()];
                             let Some(edge) = blk.phi_edges.iter().find(|e| e.pred == prev) else {
                                 return Err(VmError::Trap(format!(
@@ -1694,108 +1635,39 @@ impl Core<'_> {
                             }
                             fr.idx += 1;
                         }
-                        DecodedInst::Jmp { target } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Jmp);
-                            counters.cycles += kernel.cost.branch;
-                            take_jump(fr, program, stream, BlockId(target));
-                        }
+                        DecodedInst::Jmp { target } => f.jmp(target),
                         DecodedInst::Br {
                             cond,
                             if_true,
                             if_false,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Br);
-                            counters.cycles += kernel.cost.branch;
-                            let c = fr.regs[cond as usize].as_i() != 0;
-                            take_jump(
-                                fr,
-                                program,
-                                stream,
-                                BlockId(if c { if_true } else { if_false }),
-                            );
+                            let c = f.fr.regs[cond as usize].as_i() != 0;
+                            f.br(c, if_true, if_false);
                         }
 
                         // Loads and stores to *resolved* addresses run in
-                        // the fast tier through the shared
-                        // [`data_access_resolved`] free function. A poison
-                        // (swapped-out) address breaks to the slow tier —
-                        // before any accounting, so the re-dispatch there
-                        // records the instruction exactly once — because
-                        // servicing it triggers a page-in world-stop that
-                        // needs the whole `&mut self`.
+                        // the fast tier. A poison (swapped-out) address
+                        // breaks to the slow tier — before any accounting,
+                        // so the re-dispatch there records the instruction
+                        // exactly once — because servicing it triggers a
+                        // page-in world-stop that needs the whole
+                        // `&mut self`.
                         DecodedInst::Load { dst, addr, cls } => {
-                            let a = fr.regs[addr as usize].as_p();
+                            let a = f.fr.regs[addr as usize].as_p();
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Load);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            fr.regs[dst as usize] = match cls {
-                                ScalarClass::F64 => Value::F(kernel.mem.read_f64(paddr)),
-                                ScalarClass::Ptr => Value::P(kernel.mem.read_uint(paddr, 8)),
-                                ScalarClass::Int(w) => {
-                                    Value::I(w.wrap(kernel.mem.read_uint(paddr, size) as i64))
-                                }
-                            };
-                            counters.loads += 1;
-                            fr.idx += 1;
+                            f.load(dst, a, cls);
                         }
                         DecodedInst::Store { addr, value, cls } => {
-                            let a = fr.regs[addr as usize].as_p();
+                            let a = f.fr.regs[addr as usize].as_p();
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Store);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            let x = fr.regs[value as usize];
-                            fr.idx += 1;
-                            match cls {
-                                ScalarClass::F64 => kernel.mem.write_f64(paddr, x.as_f()),
-                                ScalarClass::Ptr => kernel.mem.write_uint(paddr, x.as_p(), 8),
-                                ScalarClass::Int(_) => {
-                                    kernel.mem.write_uint(paddr, x.as_i() as u64, size)
-                                }
-                            }
-                            counters.stores += 1;
+                            f.store(a, value, cls);
                         }
 
                         // --- superinstructions over register-only pairs ---
-                        //
-                        // Each arm executes its first component exactly as
-                        // the plain arm above does (same counters, same
-                        // register writes), then consults the bail
-                        // thresholds: if the run loop could need control
-                        // between the components, the arm returns with the
-                        // frame index already on the tail slot — which holds
-                        // the original unfused instruction — and execution
-                        // resumes unfused at the exact component boundary.
-                        // Otherwise the second component runs inline,
-                        // charging its own instruction / opcode-mix / cycle
-                        // accounting, and the pair counts as fused.
                         DecodedInst::FusedIcmpBr {
                             cdst,
                             pred,
@@ -1804,33 +1676,27 @@ impl Core<'_> {
                             if_true,
                             if_false,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Icmp);
-                            counters.cycles += kernel.cost.alu;
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            let r = match (a, b) {
-                                (Value::P(_), _) | (_, Value::P(_)) => {
-                                    icmp_u(pred, a.as_p(), b.as_p())
-                                }
-                                _ => icmp_i(pred, a.as_i(), b.as_i()),
-                            };
-                            fr.regs[cdst as usize] = Value::I(r as i64);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            let r = f.icmp(cdst, pred, lhs, rhs);
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::IcmpBr as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Br);
-                            counters.cycles += kernel.cost.branch;
-                            take_jump(
-                                fr,
-                                program,
-                                stream,
-                                BlockId(if r { if_true } else { if_false }),
-                            );
+                            f.fusion.executed[FusedKind::IcmpBr as usize] += 1;
+                            f.br(r, if_true, if_false);
+                        }
+                        DecodedInst::FusedFcmpBr {
+                            cdst,
+                            pred,
+                            lhs,
+                            rhs,
+                            if_true,
+                            if_false,
+                        } => {
+                            let r = f.fcmp(cdst, pred, lhs, rhs);
+                            if f.bail() {
+                                return Ok(None);
+                            }
+                            f.fusion.executed[FusedKind::FcmpBr as usize] += 1;
+                            f.br(r, if_true, if_false);
                         }
                         DecodedInst::FusedConstBin {
                             cdst,
@@ -1841,22 +1707,36 @@ impl Core<'_> {
                             rhs,
                             width,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[cdst as usize] = Value::I(imm as i64);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            f.konst(cdst, Value::I(imm as i64));
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::ConstBin as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            fr.regs[dst as usize] =
-                                eval_bin(&kernel.cost, counters, op, a, b, width)?;
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::ConstBin as usize] += 1;
+                            f.bin(dst, op, lhs, rhs, width)?;
+                        }
+                        DecodedInst::FusedConstFBin {
+                            val,
+                            cdst,
+                            dst,
+                            lhs,
+                            rhs,
+                            op,
+                            width,
+                        } => {
+                            f.konst(cdst.into(), Value::F(val));
+                            if f.bail() {
+                                return Ok(None);
+                            }
+                            f.fusion.executed[FusedKind::ConstFBin as usize] += 1;
+                            f.bin(dst.into(), op, lhs.into(), rhs.into(), width)?;
+                        }
+                        DecodedInst::FusedConstConst { dst1, v1, dst2, v2 } => {
+                            f.konst(dst1, Value::I(v1 as i64));
+                            if f.bail() {
+                                return Ok(None);
+                            }
+                            f.fusion.executed[FusedKind::ConstConst as usize] += 1;
+                            f.konst(dst2, Value::I(v2 as i64));
                         }
                         DecodedInst::FusedBinBin {
                             dst1,
@@ -1870,24 +1750,12 @@ impl Core<'_> {
                             w1,
                             w2,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs1 as usize], fr.regs[rhs1 as usize]);
-                            fr.regs[dst1 as usize] =
-                                eval_bin(&kernel.cost, counters, op1, a, b, w1)?;
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            f.bin(dst1.into(), op1, lhs1.into(), rhs1.into(), w1)?;
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::BinBin as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs2 as usize], fr.regs[rhs2 as usize]);
-                            fr.regs[dst2 as usize] =
-                                eval_bin(&kernel.cost, counters, op2, a, b, w2)?;
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::BinBin as usize] += 1;
+                            f.bin(dst2.into(), op2, lhs2.into(), rhs2.into(), w2)?;
                         }
                         DecodedInst::FusedBinJmp {
                             dst,
@@ -1897,103 +1765,12 @@ impl Core<'_> {
                             op,
                             width,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            fr.regs[dst as usize] =
-                                eval_bin(&kernel.cost, counters, op, a, b, width)?;
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            f.bin(dst, op, lhs, rhs, width)?;
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::BinJmp as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Jmp);
-                            counters.cycles += kernel.cost.branch;
-                            take_jump(fr, program, stream, BlockId(target));
-                        }
-                        DecodedInst::FusedFcmpBr {
-                            cdst,
-                            pred,
-                            lhs,
-                            rhs,
-                            if_true,
-                            if_false,
-                        } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Fcmp);
-                            counters.cycles += kernel.cost.fpu;
-                            let (a, b) =
-                                (fr.regs[lhs as usize].as_f(), fr.regs[rhs as usize].as_f());
-                            let r = match pred {
-                                Pred::Eq => a == b,
-                                Pred::Ne => a != b,
-                                Pred::Slt | Pred::Ult => a < b,
-                                Pred::Sle => a <= b,
-                                Pred::Sgt => a > b,
-                                Pred::Sge | Pred::Uge => a >= b,
-                            };
-                            fr.regs[cdst as usize] = Value::I(r as i64);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
-                                return Ok(None);
-                            }
-                            fusion.executed[FusedKind::FcmpBr as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Br);
-                            counters.cycles += kernel.cost.branch;
-                            take_jump(
-                                fr,
-                                program,
-                                stream,
-                                BlockId(if r { if_true } else { if_false }),
-                            );
-                        }
-                        DecodedInst::FusedConstFBin {
-                            val,
-                            cdst,
-                            dst,
-                            lhs,
-                            rhs,
-                            op,
-                            width,
-                        } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[cdst as usize] = Value::F(val);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
-                                return Ok(None);
-                            }
-                            fusion.executed[FusedKind::ConstFBin as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            fr.regs[dst as usize] =
-                                eval_bin(&kernel.cost, counters, op, a, b, width)?;
-                            fr.idx += 1;
-                        }
-                        DecodedInst::FusedConstConst { dst1, v1, dst2, v2 } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst1 as usize] = Value::I(v1 as i64);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
-                                return Ok(None);
-                            }
-                            fusion.executed[FusedKind::ConstConst as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[dst2 as usize] = Value::I(v2 as i64);
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::BinJmp as usize] += 1;
+                            f.jmp(target);
                         }
                         DecodedInst::FusedPtrAddConst {
                             pdst,
@@ -2003,24 +1780,12 @@ impl Core<'_> {
                             stride,
                             imm,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::PtrAdd);
-                            counters.cycles += kernel.cost.alu;
-                            let b = fr.regs[base as usize].as_p();
-                            let i = fr.regs[index as usize].as_i();
-                            fr.regs[pdst as usize] =
-                                Value::P(b.wrapping_add((i.wrapping_mul(stride as i64)) as u64));
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            f.ptr_add(pdst.into(), base.into(), index.into(), stride.into());
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::PtrAddConst as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Const);
-                            fr.regs[cdst as usize] = Value::I(imm as i64);
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::PtrAddConst as usize] += 1;
+                            f.konst(cdst.into(), Value::I(imm as i64));
                         }
                         DecodedInst::FusedCastBin {
                             cdst,
@@ -2033,41 +1798,23 @@ impl Core<'_> {
                             op,
                             bw,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Cast);
-                            counters.cycles += kernel.cost.alu;
-                            let x = fr.regs[src as usize];
-                            fr.regs[cdst as usize] = match kind {
-                                CastKind::Sext | CastKind::Zext | CastKind::Trunc => {
-                                    Value::I(cw.wrap(x.as_i()))
-                                }
-                                CastKind::SiToFp => Value::F(x.as_i() as f64),
-                                CastKind::FpToSi => Value::I(x.as_f() as i64),
-                                CastKind::PtrToInt => Value::I(x.as_p() as i64),
-                                CastKind::IntToPtr => Value::P(x.as_i() as u64),
-                            };
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            f.cast(cdst.into(), kind, src.into(), cw);
+                            if f.bail() {
                                 return Ok(None);
                             }
-                            fusion.executed[FusedKind::CastBin as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Bin);
-                            let (a, b) = (fr.regs[lhs as usize], fr.regs[rhs as usize]);
-                            fr.regs[dst as usize] = eval_bin(&kernel.cost, counters, op, a, b, bw)?;
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::CastBin as usize] += 1;
+                            f.bin(dst.into(), op, lhs.into(), rhs.into(), bw)?;
                         }
 
                         // Address-compute + memory superinstructions: the
                         // first component is register-only; the access runs
-                        // through the same fast-tier path as the plain
-                        // load/store arms. A poison address breaks to the
-                        // slow tier at the component boundary (the frame
-                        // index is already on the tail slot, which holds
-                        // the original unfused access) — the pair then
-                        // retires unfused, exactly like a mid-pair bail.
+                        // through the same body as the plain load/store
+                        // arms. A poison address breaks to the slow tier at
+                        // the component boundary (the frame index is
+                        // already on the tail slot, which holds the
+                        // original unfused access) — the pair then retires
+                        // unfused and uncounted, exactly like a mid-pair
+                        // bail.
                         DecodedInst::FusedPtrAddLoad {
                             pdst,
                             base,
@@ -2076,45 +1823,15 @@ impl Core<'_> {
                             dst,
                             cls,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::PtrAdd);
-                            counters.cycles += kernel.cost.alu;
-                            let b = fr.regs[base as usize].as_p();
-                            let i = fr.regs[index as usize].as_i();
-                            let a = b.wrapping_add((i.wrapping_mul(stride as i64)) as u64);
-                            fr.regs[pdst as usize] = Value::P(a);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            let a = f.ptr_add(pdst, base, index, stride.into());
+                            if f.bail() {
                                 return Ok(None);
                             }
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            fusion.executed[FusedKind::PtrAddLoad as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Load);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            fr.regs[dst as usize] = match cls {
-                                ScalarClass::F64 => Value::F(kernel.mem.read_f64(paddr)),
-                                ScalarClass::Ptr => Value::P(kernel.mem.read_uint(paddr, 8)),
-                                ScalarClass::Int(w) => {
-                                    Value::I(w.wrap(kernel.mem.read_uint(paddr, size) as i64))
-                                }
-                            };
-                            counters.loads += 1;
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::PtrAddLoad as usize] += 1;
+                            f.load(dst, a, cls);
                         }
                         DecodedInst::FusedPtrAddStore {
                             pdst,
@@ -2124,46 +1841,15 @@ impl Core<'_> {
                             value,
                             cls,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::PtrAdd);
-                            counters.cycles += kernel.cost.alu;
-                            let b = fr.regs[base as usize].as_p();
-                            let i = fr.regs[index as usize].as_i();
-                            let a = b.wrapping_add((i.wrapping_mul(stride as i64)) as u64);
-                            fr.regs[pdst as usize] = Value::P(a);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            let a = f.ptr_add(pdst, base, index, stride.into());
+                            if f.bail() {
                                 return Ok(None);
                             }
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            fusion.executed[FusedKind::PtrAddStore as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Store);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            let x = fr.regs[value as usize];
-                            fr.idx += 1;
-                            match cls {
-                                ScalarClass::F64 => kernel.mem.write_f64(paddr, x.as_f()),
-                                ScalarClass::Ptr => kernel.mem.write_uint(paddr, x.as_p(), 8),
-                                ScalarClass::Int(_) => {
-                                    kernel.mem.write_uint(paddr, x.as_i() as u64, size)
-                                }
-                            }
-                            counters.stores += 1;
+                            f.fusion.executed[FusedKind::PtrAddStore as usize] += 1;
+                            f.store(a, value, cls);
                         }
                         DecodedInst::FusedFieldLoad {
                             pdst,
@@ -2172,43 +1858,15 @@ impl Core<'_> {
                             dst,
                             cls,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::FieldAddr);
-                            counters.cycles += kernel.cost.alu;
-                            let a = fr.regs[base as usize].as_p() + off as u64;
-                            fr.regs[pdst as usize] = Value::P(a);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            let a = f.field_addr(pdst, base, off.into());
+                            if f.bail() {
                                 return Ok(None);
                             }
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            fusion.executed[FusedKind::FieldLoad as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Load);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            fr.regs[dst as usize] = match cls {
-                                ScalarClass::F64 => Value::F(kernel.mem.read_f64(paddr)),
-                                ScalarClass::Ptr => Value::P(kernel.mem.read_uint(paddr, 8)),
-                                ScalarClass::Int(w) => {
-                                    Value::I(w.wrap(kernel.mem.read_uint(paddr, size) as i64))
-                                }
-                            };
-                            counters.loads += 1;
-                            fr.idx += 1;
+                            f.fusion.executed[FusedKind::FieldLoad as usize] += 1;
+                            f.load(dst, a, cls);
                         }
                         DecodedInst::FusedFieldStore {
                             pdst,
@@ -2217,44 +1875,15 @@ impl Core<'_> {
                             value,
                             cls,
                         } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::FieldAddr);
-                            counters.cycles += kernel.cost.alu;
-                            let a = fr.regs[base as usize].as_p() + off as u64;
-                            fr.regs[pdst as usize] = Value::P(a);
-                            fr.idx += 1;
-                            if counters.instructions >= *bail_insts_at
-                                || counters.cycles >= *bail_cycles_at
-                            {
+                            let a = f.field_addr(pdst, base, off.into());
+                            if f.bail() {
                                 return Ok(None);
                             }
                             if SimKernel::is_poison(a) {
                                 break;
                             }
-                            fusion.executed[FusedKind::FieldStore as usize] += 1;
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Store);
-                            let size = cls.size();
-                            let paddr = data_access_resolved(
-                                kernel,
-                                tlb,
-                                counters,
-                                access_counter,
-                                last_vpn,
-                                mode,
-                                a,
-                                size,
-                            );
-                            let x = fr.regs[value as usize];
-                            fr.idx += 1;
-                            match cls {
-                                ScalarClass::F64 => kernel.mem.write_f64(paddr, x.as_f()),
-                                ScalarClass::Ptr => kernel.mem.write_uint(paddr, x.as_p(), 8),
-                                ScalarClass::Int(_) => {
-                                    kernel.mem.write_uint(paddr, x.as_i() as u64, size)
-                                }
-                            }
-                            counters.stores += 1;
+                            f.fusion.executed[FusedKind::FieldStore as usize] += 1;
+                            f.store(a, value, cls);
                         }
 
                         // --- threaded-tier ops ---
@@ -2267,20 +1896,19 @@ impl Core<'_> {
                         // due drivers get control at the same boundaries a
                         // real Jmp would give them.
                         DecodedInst::Seam { to } => {
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::Jmp);
-                            counters.cycles += kernel.cost.branch;
-                            fr.prev_block = Some(fr.block);
-                            fr.block = BlockId(to);
-                            fr.idx += 1;
+                            f.retire(Opcode::Jmp);
+                            f.counters.cycles += f.kernel.cost.branch;
+                            f.fr.prev_block = Some(f.fr.block);
+                            f.fr.block = BlockId(to);
+                            f.fr.idx += 1;
                         }
                         // A block-local duplicate guard: the covering guard
                         // earlier in the block already ran, so this one
                         // only accounts its own removal — no instruction,
                         // no cycles, no probe.
                         DecodedInst::ElidedGuard => {
-                            counters.guards_elided += 1;
-                            fr.idx += 1;
+                            f.counters.guards_elided += 1;
+                            f.fr.idx += 1;
                         }
                         // A surviving guard intrinsic strength-reduced to a
                         // fast-tier range probe. The passing path — cache hit
@@ -2294,54 +1922,24 @@ impl Core<'_> {
                             imm,
                             write,
                         } => {
-                            let addr = fr.regs[gaddr as usize].as_p();
-                            let len = if glen == NO_REG {
-                                imm as u64
-                            } else {
-                                fr.regs[glen as usize].as_i().max(0) as u64
-                            };
-                            let access = if write { Access::Write } else { Access::Read };
-                            let gc = *guard_cache;
-                            let (probes, fresh) = if gc.generation == kernel.regions.generation
-                                && addr >= gc.start
-                                && addr < gc.end
-                                && len > 0
-                                && addr.saturating_add(len) <= gc.end
-                                && gc.perms.allows(access)
+                            let (addr, len, access) = guard_operands(f.fr, gaddr, glen, imm, write);
+                            let regions = &f.kernel.regions;
+                            let (probes, fresh) = if guard_cache.covers(regions, addr, len, access)
                             {
-                                (gc.probes, false)
+                                (guard_cache.probes, false)
                             } else {
-                                let check = kernel.regions.check(cfg.guard_impl, addr, len, access);
+                                let check = regions.check(cfg.guard_impl, addr, len, access);
                                 if !check.ok {
                                     break;
                                 }
                                 (check.probes, true)
                             };
-                            counters.instructions += 1;
-                            counters.opcode_mix.record(Opcode::CallIntrinsic);
-                            counters.guards_executed += 1;
-                            counters.guard_probes += probes;
-                            counters.instrumentation_insts += 1;
-                            let gcyc =
-                                if cfg.guard_impl == GuardImpl::Mpx && kernel.regions.len() == 1 {
-                                    kernel.cost.guard_mpx
-                                } else {
-                                    kernel.cost.software_guard_cost(probes)
-                                };
-                            counters.guard_cycles += gcyc;
-                            counters.cycles += gcyc;
+                            f.retire(Opcode::CallIntrinsic);
+                            account_guard(f.counters, f.kernel, cfg.guard_impl, probes);
                             if fresh {
-                                if let Some(r) = kernel.regions.containing(addr) {
-                                    *guard_cache = GuardFastPath {
-                                        generation: kernel.regions.generation,
-                                        start: r.start,
-                                        end: r.end(),
-                                        perms: r.perms,
-                                        probes,
-                                    };
-                                }
+                                guard_cache.refill(&f.kernel.regions, addr, probes);
                             }
-                            fr.idx += 1;
+                            f.fr.idx += 1;
                         }
 
                         // Kernel and frame-stack instructions (calls,
@@ -2350,10 +1948,7 @@ impl Core<'_> {
                         // (which records their counters itself).
                         _ => break,
                     }
-                    if !BATCH
-                        || counters.instructions >= *bail_insts_at
-                        || counters.cycles >= *bail_cycles_at
-                    {
+                    if f.bail() {
                         return Ok(None);
                     }
                 }
@@ -2370,7 +1965,7 @@ impl Core<'_> {
             if let DecodedInst::HoistedGuard { meta } = inst {
                 self.exec_hoisted_guard(fid, meta)?;
                 frame_mut(&mut self.t.frames).idx += 1;
-                if !BATCH || self.t.fusion_bail() {
+                if self.t.fusion_bail() {
                     return Ok(None);
                 }
                 continue;
@@ -2379,42 +1974,8 @@ impl Core<'_> {
             self.t.counters.opcode_mix.record(inst.opcode());
 
             match inst {
-                DecodedInst::Load { dst, addr, cls } => {
-                    let a = fr.regs[addr as usize].as_p();
-                    let size = cls.size();
-                    let paddr = self.data_access(a, size, false)?;
-                    let val = match cls {
-                        ScalarClass::F64 => Value::F(self.kernel.mem.read_f64(paddr)),
-                        ScalarClass::Ptr => Value::P(self.kernel.mem.read_uint(paddr, 8)),
-                        ScalarClass::Int(w) => {
-                            Value::I(w.wrap(self.kernel.mem.read_uint(paddr, size) as i64))
-                        }
-                    };
-                    self.t.counters.loads += 1;
-                    let fr = frame_mut(&mut self.t.frames);
-                    fr.regs[dst as usize] = val;
-                    fr.idx += 1;
-                }
-                DecodedInst::Store { addr, value, cls } => {
-                    let a = fr.regs[addr as usize].as_p();
-                    let size = cls.size();
-                    let paddr = self.data_access(a, size, true)?;
-                    // Read the value register only AFTER the access resolved:
-                    // a poison address triggers a page-in world-stop inside
-                    // `data_access`, which patches registers — a value read
-                    // earlier would be stale.
-                    let fr = frame_mut(&mut self.t.frames);
-                    let x = fr.regs[value as usize];
-                    fr.idx += 1;
-                    match cls {
-                        ScalarClass::F64 => self.kernel.mem.write_f64(paddr, x.as_f()),
-                        ScalarClass::Ptr => self.kernel.mem.write_uint(paddr, x.as_p(), 8),
-                        ScalarClass::Int(_) => {
-                            self.kernel.mem.write_uint(paddr, x.as_i() as u64, size)
-                        }
-                    }
-                    self.t.counters.stores += 1;
-                }
+                DecodedInst::Load { dst, addr, cls } => self.load_slow(dst, addr, cls)?,
+                DecodedInst::Store { addr, value, cls } => self.store_slow(addr, value, cls)?,
                 DecodedInst::Call { dst, callee, args } => {
                     fr.idx += 1; // return lands after the call
                                  // Args buffered on the stack: no per-call heap
@@ -2480,6 +2041,10 @@ impl Core<'_> {
                         .into(),
                     ));
                 }
+                // Guard + access superinstructions: the guard component can
+                // service a poison fault (a page-in world-stop that patches
+                // registers), so the access component reads its address
+                // register only when it runs — after the guard.
                 DecodedInst::FusedGuardLoad {
                     gaddr,
                     glen,
@@ -2487,34 +2052,14 @@ impl Core<'_> {
                     addr,
                     cls,
                 } => {
-                    let a = fr.regs[gaddr as usize].as_p();
-                    let l = fr.regs[glen as usize].as_i().max(0) as u64;
-                    self.exec_guard_access(a, l, Access::Read)?;
-                    let fr = frame_mut(&mut self.t.frames);
-                    fr.idx += 1;
+                    self.guard_slow(gaddr, glen, 0, false)?;
                     if self.t.fusion_bail() {
                         return Ok(None);
                     }
                     self.t.fusion.executed[FusedKind::GuardLoad as usize] += 1;
                     self.t.counters.instructions += 1;
                     self.t.counters.opcode_mix.record(Opcode::Load);
-                    // Re-read the address register: servicing a poison fault
-                    // inside the guard patched registers.
-                    let fr = frame(&self.t.frames);
-                    let a2 = fr.regs[addr as usize].as_p();
-                    let size = cls.size();
-                    let paddr = self.data_access(a2, size, false)?;
-                    let val = match cls {
-                        ScalarClass::F64 => Value::F(self.kernel.mem.read_f64(paddr)),
-                        ScalarClass::Ptr => Value::P(self.kernel.mem.read_uint(paddr, 8)),
-                        ScalarClass::Int(w) => {
-                            Value::I(w.wrap(self.kernel.mem.read_uint(paddr, size) as i64))
-                        }
-                    };
-                    self.t.counters.loads += 1;
-                    let fr = frame_mut(&mut self.t.frames);
-                    fr.regs[dst as usize] = val;
-                    fr.idx += 1;
+                    self.load_slow(dst, addr, cls)?;
                 }
                 DecodedInst::FusedGuardStore {
                     gaddr,
@@ -2523,33 +2068,14 @@ impl Core<'_> {
                     value,
                     cls,
                 } => {
-                    let a = fr.regs[gaddr as usize].as_p();
-                    let l = fr.regs[glen as usize].as_i().max(0) as u64;
-                    self.exec_guard_access(a, l, Access::Write)?;
-                    let fr = frame_mut(&mut self.t.frames);
-                    fr.idx += 1;
+                    self.guard_slow(gaddr, glen, 0, true)?;
                     if self.t.fusion_bail() {
                         return Ok(None);
                     }
                     self.t.fusion.executed[FusedKind::GuardStore as usize] += 1;
                     self.t.counters.instructions += 1;
                     self.t.counters.opcode_mix.record(Opcode::Store);
-                    // Re-read the address register (see `FusedGuardLoad`).
-                    let fr = frame(&self.t.frames);
-                    let a2 = fr.regs[addr as usize].as_p();
-                    let size = cls.size();
-                    let paddr = self.data_access(a2, size, true)?;
-                    let fr = frame_mut(&mut self.t.frames);
-                    let x = fr.regs[value as usize];
-                    fr.idx += 1;
-                    match cls {
-                        ScalarClass::F64 => self.kernel.mem.write_f64(paddr, x.as_f()),
-                        ScalarClass::Ptr => self.kernel.mem.write_uint(paddr, x.as_p(), 8),
-                        ScalarClass::Int(_) => {
-                            self.kernel.mem.write_uint(paddr, x.as_i() as u64, size)
-                        }
-                    }
-                    self.t.counters.stores += 1;
+                    self.store_slow(addr, value, cls)?;
                 }
                 // A fast-tier range probe whose check missed (cold cache
                 // plus a failing or poison address): run the full guard
@@ -2559,25 +2085,60 @@ impl Core<'_> {
                     glen,
                     imm,
                     write,
-                } => {
-                    let addr = fr.regs[gaddr as usize].as_p();
-                    let len = if glen == NO_REG {
-                        imm as u64
-                    } else {
-                        fr.regs[glen as usize].as_i().max(0) as u64
-                    };
-                    let access = if write { Access::Write } else { Access::Read };
-                    self.exec_guard_access(addr, len, access)?;
-                    frame_mut(&mut self.t.frames).idx += 1;
-                }
+                } => self.guard_slow(gaddr, glen, imm, write)?,
                 _ => unreachable!("fast-tier instruction reached the slow tier"),
             }
-            if !BATCH || self.t.fusion_bail() {
+            if self.t.fusion_bail() {
                 return Ok(None);
             }
         }
     }
-    /// Copy call arguments out of the operand pool into an argument vector.
+
+    /// Slow-tier guard component (the guard half of a guard + access
+    /// pair, or a [`DecodedInst::GuardFast`] whose probe missed): the
+    /// full [`Core::exec_guard_access`] path over the slot's operands.
+    /// The caller has retired the instruction.
+    #[inline(always)]
+    fn guard_slow(&mut self, gaddr: u32, glen: u32, imm: u32, write: bool) -> Result<(), VmError> {
+        let (addr, len, access) = guard_operands(frame(&self.t.frames), gaddr, glen, imm, write);
+        self.exec_guard_access(addr, len, access)?;
+        frame_mut(&mut self.t.frames).idx += 1;
+        Ok(())
+    }
+
+    /// Slow-tier load component: like [`Fast::load`], but the address is
+    /// resolved through [`Core::data_access`], which services a poison
+    /// address by paging it back in. The caller has retired the
+    /// instruction.
+    #[inline(always)]
+    fn load_slow(&mut self, dst: u32, addr: u32, cls: ScalarClass) -> Result<(), VmError> {
+        let a = frame(&self.t.frames).regs[addr as usize].as_p();
+        let paddr = self.data_access(a, cls.size(), false)?;
+        let val = read_scalar(&self.kernel.mem, paddr, cls);
+        self.t.counters.loads += 1;
+        let fr = frame_mut(&mut self.t.frames);
+        fr.regs[dst as usize] = val;
+        fr.idx += 1;
+        Ok(())
+    }
+
+    /// Slow-tier store component, the twin of [`Core::load_slow`].
+    #[inline(always)]
+    fn store_slow(&mut self, addr: u32, value: u32, cls: ScalarClass) -> Result<(), VmError> {
+        let a = frame(&self.t.frames).regs[addr as usize].as_p();
+        let paddr = self.data_access(a, cls.size(), true)?;
+        // Read the value register only AFTER the access resolved: a
+        // poison address triggers a page-in world-stop inside
+        // `data_access`, which patches registers — a value read earlier
+        // would be stale.
+        let fr = frame_mut(&mut self.t.frames);
+        let x = fr.regs[value as usize];
+        fr.idx += 1;
+        write_scalar(&mut self.kernel.mem, paddr, cls, x);
+        self.t.counters.stores += 1;
+        Ok(())
+    }
+
     /// Evaluate all phis at the head of the current block in parallel,
     /// then advance past them.
     fn exec_phis(&mut self) -> Result<(), VmError> {
@@ -2609,10 +2170,9 @@ impl Core<'_> {
     }
 
     fn jump(&mut self, from: BlockId, to: BlockId) {
-        let stream = self.t.cfg.engine.stream();
         let frame = frame_mut(&mut self.t.frames);
         debug_assert_eq!(frame.block, from, "jump from a non-current block");
-        take_jump(frame, &self.t.program, stream, to);
+        take_jump(frame, &self.t.program, to);
     }
 
     /// Evaluate a two-operand op. `width` is the integer result width,
@@ -2621,6 +2181,262 @@ impl Core<'_> {
     fn eval_bin(&mut self, op: BinOp, a: Value, b: Value, width: IntTy) -> Result<Value, VmError> {
         eval_bin(&self.kernel.cost, &mut self.t.counters, op, a, b, width)
     }
+}
+
+/// The fast dispatch tier's sustained borrow: the innermost frame plus
+/// the disjoint tenant and kernel fields that register-only instructions
+/// and resolved memory accesses touch.
+///
+/// Its methods are the component bodies: each is the *only* statement of
+/// one decoded instruction's accounting, effect and cursor advance, used
+/// by that instruction's plain arm and by every superinstruction it is
+/// half of — `#[inline(always)]`, because the arms are the hot loop.
+struct Fast<'a> {
+    fr: &'a mut Frame,
+    counters: &'a mut PerfCounters,
+    kernel: &'a mut SimKernel,
+    tlb: &'a mut TranslationUnit,
+    program: &'a DecodedProgram,
+    fusion: &'a mut FusionStats,
+    access_counter: &'a mut u64,
+    last_vpn: &'a mut u64,
+    mode: Mode,
+    bail_insts_at: u64,
+    bail_cycles_at: u64,
+}
+
+impl Fast<'_> {
+    /// [`TenantState::fusion_bail`] over the borrowed fields: the test
+    /// between the components of a pair, and the batch gate.
+    #[inline(always)]
+    fn bail(&self) -> bool {
+        self.counters.instructions >= self.bail_insts_at
+            || self.counters.cycles >= self.bail_cycles_at
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, op: Opcode) {
+        self.counters.instructions += 1;
+        self.counters.opcode_mix.record(op);
+    }
+
+    #[inline(always)]
+    fn konst(&mut self, dst: u32, val: Value) {
+        self.retire(Opcode::Const);
+        self.fr.regs[dst as usize] = val;
+        self.fr.idx += 1;
+    }
+
+    /// Returns the computed address (also written to `dst` — the value
+    /// may have other uses, and world-stop register patching must see it).
+    #[inline(always)]
+    fn ptr_add(&mut self, dst: u32, base: u32, index: u32, stride: u64) -> u64 {
+        self.retire(Opcode::PtrAdd);
+        self.counters.cycles += self.kernel.cost.alu;
+        let b = self.fr.regs[base as usize].as_p();
+        let i = self.fr.regs[index as usize].as_i();
+        let a = b.wrapping_add((i.wrapping_mul(stride as i64)) as u64);
+        self.fr.regs[dst as usize] = Value::P(a);
+        self.fr.idx += 1;
+        a
+    }
+
+    /// Returns the computed address, like [`Fast::ptr_add`]. Wraps like
+    /// it too: the base is guest data (`inttoptr`), and an address that
+    /// is never dereferenced is never seen by a guard.
+    #[inline(always)]
+    fn field_addr(&mut self, dst: u32, base: u32, off: u64) -> u64 {
+        self.retire(Opcode::FieldAddr);
+        self.counters.cycles += self.kernel.cost.alu;
+        let a = self.fr.regs[base as usize].as_p().wrapping_add(off);
+        self.fr.regs[dst as usize] = Value::P(a);
+        self.fr.idx += 1;
+        a
+    }
+
+    #[inline(always)]
+    fn bin(
+        &mut self,
+        dst: u32,
+        op: BinOp,
+        lhs: u32,
+        rhs: u32,
+        width: IntTy,
+    ) -> Result<(), VmError> {
+        self.retire(Opcode::Bin);
+        let (a, b) = (self.fr.regs[lhs as usize], self.fr.regs[rhs as usize]);
+        self.fr.regs[dst as usize] = eval_bin(&self.kernel.cost, self.counters, op, a, b, width)?;
+        self.fr.idx += 1;
+        Ok(())
+    }
+
+    /// Returns the comparison result (also written to `dst`: phis and
+    /// later uses read it).
+    #[inline(always)]
+    fn icmp(&mut self, dst: u32, pred: Pred, lhs: u32, rhs: u32) -> bool {
+        self.retire(Opcode::Icmp);
+        self.counters.cycles += self.kernel.cost.alu;
+        let (a, b) = (self.fr.regs[lhs as usize], self.fr.regs[rhs as usize]);
+        let r = match (a, b) {
+            (Value::P(_), _) | (_, Value::P(_)) => icmp_u(pred, a.as_p(), b.as_p()),
+            _ => icmp_i(pred, a.as_i(), b.as_i()),
+        };
+        self.fr.regs[dst as usize] = Value::I(r as i64);
+        self.fr.idx += 1;
+        r
+    }
+
+    /// Float mirror of [`Fast::icmp`].
+    #[inline(always)]
+    fn fcmp(&mut self, dst: u32, pred: Pred, lhs: u32, rhs: u32) -> bool {
+        self.retire(Opcode::Fcmp);
+        self.counters.cycles += self.kernel.cost.fpu;
+        let (a, b) = (
+            self.fr.regs[lhs as usize].as_f(),
+            self.fr.regs[rhs as usize].as_f(),
+        );
+        let r = match pred {
+            Pred::Eq => a == b,
+            Pred::Ne => a != b,
+            Pred::Slt | Pred::Ult => a < b,
+            Pred::Sle => a <= b,
+            Pred::Sgt => a > b,
+            Pred::Sge | Pred::Uge => a >= b,
+        };
+        self.fr.regs[dst as usize] = Value::I(r as i64);
+        self.fr.idx += 1;
+        r
+    }
+
+    #[inline(always)]
+    fn cast(&mut self, dst: u32, kind: CastKind, src: u32, width: IntTy) {
+        self.retire(Opcode::Cast);
+        self.counters.cycles += self.kernel.cost.alu;
+        let x = self.fr.regs[src as usize];
+        self.fr.regs[dst as usize] = match kind {
+            CastKind::Sext | CastKind::Zext | CastKind::Trunc => Value::I(width.wrap(x.as_i())),
+            CastKind::SiToFp => Value::F(x.as_i() as f64),
+            CastKind::FpToSi => Value::I(x.as_f() as i64),
+            CastKind::PtrToInt => Value::I(x.as_p() as i64),
+            CastKind::IntToPtr => Value::P(x.as_i() as u64),
+        };
+        self.fr.idx += 1;
+    }
+
+    #[inline(always)]
+    fn jmp(&mut self, target: u32) {
+        self.retire(Opcode::Jmp);
+        self.counters.cycles += self.kernel.cost.branch;
+        take_jump(self.fr, self.program, BlockId(target));
+    }
+
+    /// `taken` is the condition: the plain arm reads it from the
+    /// condition register, a compare + branch pair hands over the compare
+    /// result it just wrote there.
+    #[inline(always)]
+    fn br(&mut self, taken: bool, if_true: u32, if_false: u32) {
+        self.retire(Opcode::Br);
+        self.counters.cycles += self.kernel.cost.branch;
+        take_jump(
+            self.fr,
+            self.program,
+            BlockId(if taken { if_true } else { if_false }),
+        );
+    }
+
+    /// Load from the *resolved* address `a` (the arm has already sent a
+    /// poison address to the slow tier, before any accounting).
+    #[inline(always)]
+    fn load(&mut self, dst: u32, a: u64, cls: ScalarClass) {
+        self.retire(Opcode::Load);
+        let paddr = self.resolved(a, cls.size());
+        self.fr.regs[dst as usize] = read_scalar(&self.kernel.mem, paddr, cls);
+        self.counters.loads += 1;
+        self.fr.idx += 1;
+    }
+
+    /// Store to the *resolved* address `a`, the twin of [`Fast::load`].
+    #[inline(always)]
+    fn store(&mut self, a: u64, value: u32, cls: ScalarClass) {
+        self.retire(Opcode::Store);
+        let paddr = self.resolved(a, cls.size());
+        let x = self.fr.regs[value as usize];
+        self.fr.idx += 1;
+        write_scalar(&mut self.kernel.mem, paddr, cls, x);
+        self.counters.stores += 1;
+    }
+
+    #[inline(always)]
+    fn resolved(&mut self, a: u64, size: u64) -> u64 {
+        data_access_resolved(
+            self.kernel,
+            self.tlb,
+            self.counters,
+            self.access_counter,
+            self.last_vpn,
+            self.mode,
+            a,
+            size,
+        )
+    }
+}
+
+/// Read one scalar of class `cls` at physical address `paddr` — the
+/// value half of every decoded load, fast tier or slow.
+#[inline(always)]
+fn read_scalar(mem: &PhysicalMemory, paddr: u64, cls: ScalarClass) -> Value {
+    match cls {
+        ScalarClass::F64 => Value::F(mem.read_f64(paddr)),
+        ScalarClass::Ptr => Value::P(mem.read_uint(paddr, 8)),
+        ScalarClass::Int(w) => Value::I(w.wrap(mem.read_uint(paddr, w.size()) as i64)),
+    }
+}
+
+/// Write `x` as one scalar of class `cls` at physical address `paddr` —
+/// the value half of every decoded store.
+#[inline(always)]
+fn write_scalar(mem: &mut PhysicalMemory, paddr: u64, cls: ScalarClass, x: Value) {
+    match cls {
+        ScalarClass::F64 => mem.write_f64(paddr, x.as_f()),
+        ScalarClass::Ptr => mem.write_uint(paddr, x.as_p(), 8),
+        ScalarClass::Int(w) => mem.write_uint(paddr, x.as_i() as u64, w.size()),
+    }
+}
+
+/// The `(addr, len, access)` a guard slot checks: the guarded-address
+/// register, and the length from its register — or from the immediate
+/// when the slot carries none ([`DecodedInst::GuardFast`] only).
+#[inline(always)]
+fn guard_operands(fr: &Frame, gaddr: u32, glen: u32, imm: u32, write: bool) -> (u64, u64, Access) {
+    let len = if glen == NO_REG {
+        imm as u64
+    } else {
+        fr.regs[glen as usize].as_i().max(0) as u64
+    };
+    let access = if write { Access::Write } else { Access::Read };
+    (fr.regs[gaddr as usize].as_p(), len, access)
+}
+
+/// Charge one executed guard that took `probes` region probes. A free
+/// function so the fast tier's range probe and [`Core::account_guard`]
+/// (every slow-tier guard path) charge through the same lines.
+#[inline]
+fn account_guard(
+    counters: &mut PerfCounters,
+    kernel: &SimKernel,
+    guard_impl: GuardImpl,
+    probes: u64,
+) {
+    counters.guards_executed += 1;
+    counters.guard_probes += probes;
+    counters.instrumentation_insts += 1;
+    let cycles = if guard_impl == GuardImpl::Mpx && kernel.regions.len() == 1 {
+        kernel.cost.guard_mpx
+    } else {
+        kernel.cost.software_guard_cost(probes)
+    };
+    counters.guard_cycles += cycles;
+    counters.cycles += cycles;
 }
 
 /// Evaluate a two-operand op. A free function over the exact fields it
@@ -2703,22 +2519,18 @@ fn eval_bin(
     }
 }
 
-/// Redirect `fr` to block `to`, pinning that block's code stream (the
-/// fused, threaded, or plain array, by engine). A free function over the
-/// frame and the decoded program so the fast dispatch tier can take
-/// branches without giving up its destructured borrow; [`Core::jump`]
-/// wraps it for the reference engine.
+/// Redirect `fr` to block `to`, pinning that block's code stream. A free
+/// function over the frame and the decoded program so the fast dispatch
+/// tier can take branches without giving up its sustained borrow;
+/// [`Core::jump`] wraps it for the reference engine.
 #[inline]
-fn take_jump(fr: &mut Frame, program: &DecodedProgram, stream: StreamKind, to: BlockId) {
+fn take_jump(fr: &mut Frame, program: &DecodedProgram, to: BlockId) {
     fr.prev_block = Some(fr.block);
     fr.block = to;
     fr.idx = 0;
-    let blk = &program.funcs[fr.func.index()].blocks[to.index()];
-    fr.code = match stream {
-        StreamKind::Fused => blk.fused_code.clone(),
-        StreamKind::Threaded => blk.threaded_code.clone(),
-        StreamKind::Plain => blk.code.clone(),
-    };
+    fr.code = program.funcs[fr.func.index()].blocks[to.index()]
+        .code
+        .clone();
 }
 
 /// The resolved (non-poison) body of [`Core::data_access`]: charge the L1
@@ -2885,25 +2697,8 @@ impl Core<'_> {
                 } else {
                     Access::Read
                 };
-                let check = self.kernel.regions.check_range(lo, hi, access);
-                self.account_guard(check.probes);
-                if check.ok {
-                    return Ok(None);
-                }
-                if let Some((base, span, delta)) = self.try_page_in(lo)? {
-                    let lo2 = translate(lo, base, span, delta);
-                    let hi2 = translate(hi, base, span, delta);
-                    let again = self.kernel.regions.check_range(lo2, hi2, access);
-                    self.account_guard(again.probes);
-                    if again.ok {
-                        return Ok(None);
-                    }
-                }
-                Err(VmError::GuardFault {
-                    addr: lo,
-                    len: hi.saturating_sub(lo),
-                    write: access == Access::Write,
-                })
+                self.exec_guard_range(lo, hi, access)?;
+                Ok(None)
             }
             Intrinsic::GuardCall => {
                 let frame = args[0].as_i().max(0) as u64;
@@ -3120,17 +2915,9 @@ impl Core<'_> {
     /// same search path — and charge the same probes — as they did on the
     /// hit that filled the cache. The cache keys on the table's
     /// generation, which the kernel bumps on every region change.
-    ///
-    /// [`RegionTable`]: carat_runtime::RegionTable
     fn exec_guard_access(&mut self, addr: u64, len: u64, access: Access) -> Result<(), VmError> {
         let gc = self.t.guard_cache;
-        if gc.generation == self.kernel.regions.generation
-            && addr >= gc.start
-            && addr < gc.end
-            && len > 0
-            && addr.saturating_add(len) <= gc.end
-            && gc.perms.allows(access)
-        {
+        if gc.covers(&self.kernel.regions, addr, len, access) {
             self.account_guard(gc.probes);
             return Ok(());
         }
@@ -3140,7 +2927,9 @@ impl Core<'_> {
             .check(self.t.cfg.guard_impl, addr, len, access);
         self.account_guard(check.probes);
         if check.ok {
-            self.refill_guard_cache(addr, check.probes);
+            self.t
+                .guard_cache
+                .refill(&self.kernel.regions, addr, check.probes);
             return Ok(());
         }
         // A poison address means the data is in swap: the guard
@@ -3153,7 +2942,9 @@ impl Core<'_> {
                 .check(self.t.cfg.guard_impl, addr2, len, access);
             self.account_guard(again.probes);
             if again.ok {
-                self.refill_guard_cache(addr2, again.probes);
+                self.t
+                    .guard_cache
+                    .refill(&self.kernel.regions, addr2, again.probes);
                 return Ok(());
             }
         }
@@ -3164,26 +2955,11 @@ impl Core<'_> {
         })
     }
 
-    /// Remember the region containing `addr` (which a check just accepted)
-    /// together with the probe count that check charged.
-    fn refill_guard_cache(&mut self, addr: u64, probes: u64) {
-        if let Some(r) = self.kernel.regions.containing(addr) {
-            self.t.guard_cache = GuardFastPath {
-                generation: self.kernel.regions.generation,
-                start: r.start,
-                end: r.end(),
-                perms: r.perms,
-                probes,
-            };
-        }
-    }
-
     /// Execute one [`DecodedInst::HoistedGuard`]: reconstruct the loop's
     /// trip count and the full address span its elided per-iteration
     /// guards would have checked, account the whole trip as elided, and
-    /// (when hoisting is enabled) run one widened range check that
-    /// mirrors the `GuardRange` intrinsic exactly — region probe, guard
-    /// accounting, poison page-in retry, fault on rejection.
+    /// (when hoisting is enabled) run one widened range check — the
+    /// `GuardRange` intrinsic's own ([`Core::exec_guard_range`]).
     ///
     /// The trip arithmetic runs in `i128` so a pathological span that
     /// overflows the simulated address space faults instead of silently
@@ -3246,14 +3022,21 @@ impl Core<'_> {
             });
         };
         self.t.counters.guards_hoisted += 1;
+        self.exec_guard_range(lo, hi, access)
+    }
+
+    /// Guard-check the span `[lo, hi)` for `access` — the body of the
+    /// `guard_range` intrinsic and of a hoisted whole-trip check: region
+    /// probe, guard accounting, poison page-in retry, fault on rejection.
+    fn exec_guard_range(&mut self, lo: u64, hi: u64, access: Access) -> Result<(), VmError> {
         let check = self.kernel.regions.check_range(lo, hi, access);
         self.account_guard(check.probes);
         if check.ok {
             return Ok(());
         }
-        if let Some((pbase, span, delta)) = self.try_page_in(lo)? {
-            let lo2 = translate(lo, pbase, span, delta);
-            let hi2 = translate(hi, pbase, span, delta);
+        if let Some((base, span, delta)) = self.try_page_in(lo)? {
+            let lo2 = translate(lo, base, span, delta);
+            let hi2 = translate(hi, base, span, delta);
             let again = self.kernel.regions.check_range(lo2, hi2, access);
             self.account_guard(again.probes);
             if again.ok {
@@ -3263,22 +3046,17 @@ impl Core<'_> {
         Err(VmError::GuardFault {
             addr: lo,
             len: hi.saturating_sub(lo),
-            write: m.write,
+            write: access == Access::Write,
         })
     }
 
     fn account_guard(&mut self, probes: u64) {
-        self.t.counters.guards_executed += 1;
-        self.t.counters.guard_probes += probes;
-        self.t.counters.instrumentation_insts += 1;
-        let cost = &self.kernel.cost;
-        let cycles = if self.t.cfg.guard_impl == GuardImpl::Mpx && self.kernel.regions.len() == 1 {
-            cost.guard_mpx
-        } else {
-            cost.software_guard_cost(probes)
-        };
-        self.t.counters.guard_cycles += cycles;
-        self.t.counters.cycles += cycles;
+        account_guard(
+            &mut self.t.counters,
+            self.kernel,
+            self.t.cfg.guard_impl,
+            probes,
+        );
     }
 
     pub(crate) fn flush_escapes(&mut self) {
@@ -3337,7 +3115,9 @@ impl Core<'_> {
             prev_block: None,
             sp_base,
             ret_to: None,
-            code: self.t.pinned_code(fid.index(), entry.index()),
+            code: self.t.program.funcs[fid.index()].blocks[entry.index()]
+                .code
+                .clone(),
         };
         self.t.threads.push(ThreadState::Parked(ParkedThread {
             frames: vec![frame],

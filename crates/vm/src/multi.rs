@@ -33,10 +33,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::counters::PerfCounters;
-use crate::decode::{DecodedProgram, ThreadedOpts};
+use crate::decode::DecodedProgram;
 use crate::machine::{
-    paged_out, relocation_of, Core, Engine, Mode, RunResult, SliceExit, TenantState, VmConfig,
-    VmError,
+    paged_out, relocation_of, Core, Mode, RunResult, SliceExit, TenantState, VmConfig, VmError,
 };
 use crate::supervise::{PendingRestart, Supervisor, SupervisorConfig, TenantExit, Verdict};
 use carat_ir::Module;
@@ -256,7 +255,7 @@ pub struct MultiVm {
     slots: Vec<Option<Tenant>>,
     /// Decoded-program cache for [`MultiVm::spawn_shared`]: every tenant
     /// spawned from the same `Rc<Module>` shares one decoded copy.
-    programs: Vec<(Rc<Module>, Option<ThreadedOpts>, Rc<DecodedProgram>)>,
+    programs: Vec<(Rc<Module>, Rc<DecodedProgram>)>,
     cfg: MultiVmConfig,
     /// Slices executed so far (drives the pressure cadence across
     /// [`MultiVm::run_batch`] calls).
@@ -471,11 +470,14 @@ impl MultiVm {
             self.kernel.proc_kill(pid);
             return Err(VmError::Kernel(e));
         }
-        let threaded = (cfg.engine == Engine::Threaded).then_some(cfg.threaded);
         let program = if share_program {
-            self.decoded(&module, threaded)
+            self.decoded(&module, &cfg)
         } else {
-            Rc::new(DecodedProgram::decode_with(&module, threaded))
+            Rc::new(DecodedProgram::decode_for(
+                &module,
+                cfg.engine,
+                cfg.threaded,
+            ))
         };
         let traditional = cfg.mode == Mode::Traditional;
         // The respawn spec keeps the admission config minus its fault
@@ -522,21 +524,17 @@ impl MultiVm {
         Ok(pid)
     }
 
-    /// Look up the shared decoded program for `module`, decoding it on
-    /// first sight. Cache entries die with their last tenant (pruned in
-    /// [`MultiVm::kill`]).
-    fn decoded(
-        &mut self,
-        module: &Rc<Module>,
-        threaded: Option<ThreadedOpts>,
-    ) -> Rc<DecodedProgram> {
-        for (m, t, p) in &self.programs {
-            if Rc::ptr_eq(m, module) && *t == threaded {
+    /// Look up the shared decoded program for `module` under `cfg`'s
+    /// decode recipe, decoding it on first sight. Cache entries die with
+    /// their last tenant (pruned in [`MultiVm::kill`]).
+    fn decoded(&mut self, module: &Rc<Module>, cfg: &VmConfig) -> Rc<DecodedProgram> {
+        for (m, p) in &self.programs {
+            if Rc::ptr_eq(m, module) && p.decoded_for(cfg.engine, cfg.threaded) {
                 return p.clone();
             }
         }
-        let p = Rc::new(DecodedProgram::decode_with(module, threaded));
-        self.programs.push((module.clone(), threaded, p.clone()));
+        let p = Rc::new(DecodedProgram::decode_for(module, cfg.engine, cfg.threaded));
+        self.programs.push((module.clone(), p.clone()));
         p
     }
 
@@ -557,7 +555,7 @@ impl MultiVm {
         self.slots[pid.index()] = None;
         // Drop decoded programs whose last tenant just died (the cache
         // holds the only remaining module handle).
-        self.programs.retain(|(m, _, _)| Rc::strong_count(m) > 1);
+        self.programs.retain(|(m, _)| Rc::strong_count(m) > 1);
         true
     }
 

@@ -19,7 +19,8 @@ use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::Module;
 use carat_kernel::KernelError;
 use carat_vm::{
-    Engine, Mode, MoveDriverConfig, SliceExit, SwapDriverConfig, TenantState, Vm, VmConfig,
+    DecodedProgram, Engine, Mode, MoveDriverConfig, SliceExit, SwapDriverConfig, TenantState,
+    ThreadedOpts, Vm, VmConfig,
 };
 use proptest::prelude::*;
 
@@ -244,6 +245,14 @@ fn damaged_images_rehydrate_to_none_never_panic() {
     assert!(
         TenantState::rehydrate(&wrong_magic, cfg.clone(), module.clone(), program.clone())
             .is_none()
+    );
+    // An intact image against a program decoded for another engine: a
+    // block has one stream, so the image's cursors would be reinterpreted.
+    // Refused like damage — the tenant is lost, nothing resumes.
+    let threaded = DecodedProgram::decode_with(&module, Some(ThreadedOpts::default()));
+    assert!(
+        TenantState::rehydrate(&bytes, cfg.clone(), module.clone(), threaded.into()).is_none(),
+        "a fused tenant must not rehydrate over a threaded program"
     );
     // Trailing garbage is rejected (the image must parse exactly).
     let mut padded = bytes.clone();

@@ -59,8 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run it and print the dynamic per-opcode instruction mix the decoded
     // engine's counters record — what the program actually *executes*, as
     // opposed to the static IR printed above.
-    let decoded = DecodedProgram::decode(&optimized.module);
-    let result = Vm::new(optimized.module, VmConfig::default())?.run()?;
+    let cfg = VmConfig::default();
+    let decoded = DecodedProgram::decode_for(&optimized.module, cfg.engine, cfg.threaded);
+    let result = Vm::new(optimized.module, cfg)?.run()?;
     println!(
         "==== dynamic opcode mix ({} instructions retired, ret {}) ====\n",
         result.counters.instructions, result.ret
@@ -97,11 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for w in all_workloads() {
         let module = w.module(Scale::Test)?;
         let compiled = CaratCompiler::new(CompileOptions::default()).compile(module)?;
-        let decoded = DecodedProgram::decode(&compiled.module);
         let cfg = VmConfig {
             engine: Engine::Fused,
             ..VmConfig::default()
         };
+        let decoded = DecodedProgram::decode_for(&compiled.module, cfg.engine, cfg.threaded);
         let r = Vm::new(compiled.module, cfg)?.run()?;
         let frac =
             100.0 * r.fusion.fused_instructions() as f64 / r.counters.instructions.max(1) as f64;

@@ -12,7 +12,8 @@ use carat_suite::core::{CaratCompiler, CompileOptions};
 use carat_suite::frontend::compile_cm;
 use carat_suite::ir::Module;
 use carat_suite::vm::{
-    Engine, Mode, MoveDriverConfig, RunResult, SwapDriverConfig, Vm, VmConfig, VmError,
+    DecodedProgram, Engine, FusedKind, Mode, MoveDriverConfig, RunResult, SwapDriverConfig, Vm,
+    VmConfig, VmError, FUSED_KINDS,
 };
 use carat_suite::workloads::{all_workloads, Scale};
 use proptest::prelude::*;
@@ -210,7 +211,86 @@ fn step_limit_trips_identically() {
         }
     }
     let _ = VmError::StepLimit; // silence unused-import lint paths
+
+    // Every boundary of two small programs, in both worlds: with the
+    // budget swept over every retired-instruction count, each fused pair
+    // they reach is split between its components at least once. Wherever
+    // the limit lands, both decoded engines must stop where the
+    // reference does, having charged what it charged.
+    let mut sites = [0u64; FUSED_KINDS];
+    let mut executed = [0u64; FUSED_KINDS];
+    for src in [gen_program(28).as_str(), CELLS_SRC] {
+        let module = compile_cm("sweep", src).expect("frontend");
+        for (opts, mode) in [
+            (CompileOptions::default(), Mode::Carat),
+            (CompileOptions::baseline(), Mode::Traditional),
+        ] {
+            let m = compile(module.clone(), opts);
+            let stop_at = |engine: Engine, max_steps: u64| {
+                let cfg = VmConfig {
+                    mode,
+                    engine,
+                    max_steps,
+                    ..VmConfig::default()
+                };
+                let mut vm = Vm::new(m.clone(), cfg).expect("load");
+                vm.start().expect("start");
+                let result = vm.run_slice(u64::MAX).map_err(|e| format!("{e:?}"));
+                let c = vm.counters();
+                (result, c.instructions, c.cycles, c.opcode_mix)
+            };
+            let total = stop_at(Engine::Reference, u64::MAX).1;
+            for max_steps in 1..=total {
+                let want = stop_at(Engine::Reference, max_steps);
+                for engine in [Engine::Fused, Engine::Decoded] {
+                    assert_eq!(
+                        stop_at(engine, max_steps),
+                        want,
+                        "{engine:?} {mode:?} max_steps={max_steps}"
+                    );
+                }
+            }
+            let census = DecodedProgram::decode_with(&m, None).fusion;
+            let cfg = VmConfig {
+                mode,
+                ..VmConfig::default()
+            };
+            let full = run_engine(m, &cfg, Engine::Fused);
+            for k in 0..FUSED_KINDS {
+                sites[k] += census.sites[k];
+                executed[k] += full.fusion.executed[k];
+            }
+        }
+    }
+    // The sweep is only as good as the pairs it reaches: every
+    // superinstruction must be built and retired by the swept programs, so
+    // a component body that mis-charges on the bail path cannot hide.
+    for kind in FusedKind::ALL {
+        let k = kind as usize;
+        assert!(sites[k] > 0, "{}: no static site swept", kind.name());
+        assert!(executed[k] > 0, "{}: never executed fused", kind.name());
+    }
 }
+
+/// The pairs [`gen_program`] never forms: a field load through a pointer,
+/// a float compare feeding its branch, a cast feeding arithmetic, and a
+/// float constant next to its use (in the entry block: constants of later
+/// blocks are hoisted there, away from their uses).
+const CELLS_SRC: &str = "
+    struct cell { int n; double w; struct cell* next; };
+    int main() {
+        struct cell* c = (struct cell*) malloc(sizeof(struct cell));
+        c->n = 3; c->w = 1.5; c->next = c;
+        double acc = c->w * 0.5;
+        for (int i = 0; i < 6; i += 1) {
+            struct cell* d = c->next;
+            acc = acc + d->w * 2.0;
+            if (acc > 7.5) { acc = acc - (double) d->n; }
+        }
+        free(c);
+        return (int) acc;
+    }
+";
 
 /// The opcode histogram must agree — fused arms charge the tail
 /// component's opcode themselves, so the histogram still covers every

@@ -3,7 +3,8 @@
 
 use carat_suite::core::{CaratCompiler, CompileOptions};
 use carat_suite::frontend::compile_cm;
-use carat_suite::vm::{Vm, VmConfig, VmError};
+use carat_suite::ir::{CastKind, ModuleBuilder, Type};
+use carat_suite::vm::{Engine, Mode, Vm, VmConfig, VmError};
 
 fn eval(src: &str) -> i64 {
     let module = compile_cm("sem", src).expect("frontend");
@@ -208,4 +209,46 @@ fn while_and_for_with_breaks() {
         }
     "#;
     assert_eq!(eval(src), 1 + 2 + 4 + 5 + 7 + 8 + 10);
+}
+
+/// Field-address arithmetic wraps like pointer arithmetic does: a guest
+/// may form `&((struct s*) -8)->c` without dereferencing it — nothing a
+/// guard ever sees — and that must not overflow-panic the host. Built in
+/// IR (no pass may fold the address away) and run under every engine in
+/// both worlds.
+#[test]
+fn field_address_of_wild_pointer_wraps() {
+    let mut mb = ModuleBuilder::new("wild_field");
+    let f = mb.declare("main", vec![], Some(Type::I64));
+    {
+        let mut b = mb.define(f);
+        let e = b.block("entry");
+        b.switch_to(e);
+        let minus8 = b.const_i64(-8);
+        let p = b.cast(CastKind::IntToPtr, minus8, Type::Ptr);
+        let s = Type::Struct(vec![Type::I64, Type::I64, Type::I64]);
+        let field = b.field_addr(p, s, 2);
+        let back = b.cast(CastKind::PtrToInt, field, Type::I64);
+        b.ret(Some(back));
+    }
+    let module = mb.finish();
+    for mode in [Mode::Carat, Mode::Traditional] {
+        let run = |engine| {
+            let cfg = VmConfig {
+                mode,
+                engine,
+                ..VmConfig::default()
+            };
+            Vm::new(module.clone(), cfg)
+                .expect("load")
+                .run()
+                .expect("run")
+        };
+        let reference = run(Engine::Reference);
+        for engine in Engine::ALL {
+            let r = run(engine);
+            assert_eq!(r.ret, 8, "{engine:?} {mode:?}: -8 + offsetof(c) wraps to 8");
+            assert_eq!(r.counters, reference.counters, "{engine:?} {mode:?}");
+        }
+    }
 }
