@@ -39,7 +39,7 @@ fn main() {
             let start = heap.0 + k * 2 * page;
             vm.kernel.change_protection(start, page, Perms::RW);
         }
-        let regions = vm.kernel.regions.len();
+        let regions = vm.kernel.space.regions.len();
         let r = vm.run().expect("runs");
         if splits == 0 {
             base_cycles = r.counters.cycles;

@@ -7,32 +7,24 @@ use crate::buddy::BuddyAllocator;
 use crate::dev::{DeviceBay, DmaCompletion, DmaDir, DmaError, DmaRequest};
 use crate::faults::{FaultPlan, FaultPoint, KernelError};
 use crate::loader::{load_signed, load_unsigned, LoadConfig, LoadError, ProcessImage};
-use crate::pagetable::{PageTable, Pte};
 use crate::phys::PhysicalMemory;
-use crate::proc::{retarget_region, Pid, ProcTable, SharedId};
+use crate::proc::{Pid, ProcTable, SharedId};
+use crate::space::AddressSpace;
 use crate::trace::{PagingEvent, PagingTrace};
 use carat_core::sign::{SignedModule, SigningKey};
 use carat_ir::Module;
 use carat_runtime::{
     check_unpinned, perform_move_batch_journaled, perform_shared_move_journaled, AllocationTable,
     CostModel, MemAccess, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, Perms, PinnedRange,
-    Region, RegionTable, WorldStop, WorldStopError,
+    WorldStop, WorldStopError,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Bounded retries for a move-destination allocation before surfacing
 /// [`KernelError::OutOfFrames`] (each retry compacts vacated ranges and
 /// charges cost-model backoff).
 const MOVE_ALLOC_RETRIES: u32 = 3;
-
-/// Swap-slot ids are striped per process: process `i` (by slab index)
-/// issues slots `local * SWAP_SLOT_STRIDE + i`, so no tenant's page-outs
-/// can renumber another's poison addresses — a fault domain requirement
-/// (one tenant's death must leave bystander counters bit-identical). A
-/// kernel with no registered process (the solo machine) issues the plain
-/// monotonic sequence, unchanged.
-const SWAP_SLOT_STRIDE: u64 = 16_384;
 
 /// The simulated kernel.
 #[derive(Debug)]
@@ -43,33 +35,15 @@ pub struct SimKernel {
     pub buddy: BuddyAllocator,
     /// MMU-notifier-style trace (Table 2 counters).
     pub trace: PagingTrace,
-    /// Baseline page table (traditional model only).
-    pub pagetable: PageTable,
-    /// CARAT region set for the (single) process.
-    pub regions: RegionTable,
+    /// The installed process's address space (the solo machine's, when no
+    /// process was ever registered): guard regions, baseline page table
+    /// and the per-process allocators. A context switch moves it whole.
+    pub space: AddressSpace,
     /// Machine cost model.
     pub cost: CostModel,
-    /// Master region list behind `regions` (kept sorted; holes punched on
-    /// moves).
-    master: Vec<Region>,
-    /// Page ranges vacated by moves, recycled as future move destinations
-    /// ("frees the data at the old location", paper §4.2). Per-process
-    /// state: this is the *current* process's list (or the solo
-    /// machine's); a context switch parks it in the outgoing
-    /// [`ProcEntry`] and installs the incoming one's.
-    vacated: Vec<(u64, u64)>,
-    /// Whole buddy blocks the current process obtained after admission
-    /// (move/page-in/stack-growth destinations); parked per process like
-    /// `vacated`, and freed on kill.
-    owned_blocks: Vec<u64>,
     /// Swapped-out ranges by slot id: the paper's non-canonical-address
     /// encoding of "this data is in swap" (§2.2).
     swap: HashMap<u64, SwapEntry>,
-    /// Next unissued local swap-slot ordinal and the recycled ordinals —
-    /// per-process state swapped on context switch, like `vacated`. See
-    /// [`SWAP_SLOT_STRIDE`].
-    next_swap_slot: u64,
-    free_swap_slots: BTreeSet<u64>,
     /// Externalized tenant capsules: checksummed serialized
     /// `TenantState` images parked in the pooled, size-classed capsule
     /// arena backing the simulated swap device. The checksum is
@@ -194,10 +168,21 @@ impl std::error::Error for PinError {}
 /// A move destination with its provenance, so an abandoned move can
 /// release it to the right place.
 #[derive(Debug, Clone, Copy)]
-struct DstAlloc {
-    addr: u64,
-    len: u64,
-    from_buddy: bool,
+pub(crate) struct DstAlloc {
+    pub(crate) addr: u64,
+    pub(crate) len: u64,
+    pub(crate) from_buddy: bool,
+}
+
+impl DstAlloc {
+    /// Fresh frames for `len` bytes straight from the buddy allocator.
+    pub(crate) fn fresh(buddy: &mut BuddyAllocator, len: u64, page: u64) -> Option<DstAlloc> {
+        buddy.alloc_pages(len / page).map(|addr| DstAlloc {
+            addr,
+            len,
+            from_buddy: true,
+        })
+    }
 }
 
 /// One swapped-out range.
@@ -304,15 +289,9 @@ impl SimKernel {
             mem: PhysicalMemory::new(mem_size),
             buddy: BuddyAllocator::new(reserved, pages, page),
             trace: PagingTrace::new(4096),
-            pagetable: PageTable::new(),
-            regions: RegionTable::new(),
+            space: AddressSpace::default(),
             cost,
-            master: Vec::new(),
-            vacated: Vec::new(),
-            owned_blocks: Vec::new(),
             swap: HashMap::new(),
-            next_swap_slot: 0,
-            free_swap_slots: BTreeSet::new(),
             capsules: CapsuleArena::new(),
             last_touched_page: u64::MAX,
             trusted: Vec::new(),
@@ -368,7 +347,8 @@ impl SimKernel {
 
     /// Test hook: corrupt swap slot `slot` by truncating its stored
     /// image, as a disk error would. Returns whether the slot existed.
-    pub fn debug_corrupt_swap_slot(&mut self, slot: u64) -> bool {
+    #[cfg(test)]
+    fn debug_corrupt_swap_slot(&mut self, slot: u64) -> bool {
         match self.swap.get_mut(&slot) {
             Some(e) => {
                 e.data.truncate(e.data.len() / 2);
@@ -476,100 +456,6 @@ impl SimKernel {
         self.capsules.corrupt(slot)
     }
 
-    /// The slot id the next page-out would use, without consuming it:
-    /// the lowest recycled local ordinal, else the next fresh one, both
-    /// striped by the current process's slab index (identity for the
-    /// solo machine). Pair with [`SimKernel::commit_swap_slot`] once the
-    /// episode is under way.
-    fn peek_swap_slot(&self) -> u64 {
-        let local = self
-            .free_swap_slots
-            .iter()
-            .next()
-            .copied()
-            .unwrap_or(self.next_swap_slot);
-        match self.procs.current() {
-            Some(pid) => local * SWAP_SLOT_STRIDE + (pid.index() as u64) % SWAP_SLOT_STRIDE,
-            None => local,
-        }
-    }
-
-    /// Consume the slot id returned by [`SimKernel::peek_swap_slot`].
-    fn commit_swap_slot(&mut self, slot: u64) {
-        let local = match self.procs.current() {
-            Some(_) => slot / SWAP_SLOT_STRIDE,
-            None => slot,
-        };
-        if !self.free_swap_slots.remove(&local) {
-            self.next_swap_slot = local + 1;
-        }
-    }
-
-    /// Return a paged-in slot's local ordinal to the current process's
-    /// recycle set, so its slot sequence stays compact and deterministic
-    /// regardless of fleet interleaving. Solo slots are not recycled
-    /// (the monotonic sequence is the historical solo behavior).
-    fn release_swap_slot(&mut self, slot: u64) {
-        if let Some(pid) = self.procs.current() {
-            if slot % SWAP_SLOT_STRIDE == (pid.index() as u64) % SWAP_SLOT_STRIDE {
-                self.free_swap_slots.insert(slot / SWAP_SLOT_STRIDE);
-            }
-        }
-    }
-
-    /// Record a freshly-issued buddy block as owned by the current
-    /// process, so a supervised kill can reap it. Solo machines skip the
-    /// bookkeeping (their blocks die with the kernel).
-    fn commit_dst_block(&mut self, dst: &DstAlloc) {
-        if dst.from_buddy && self.procs.current().is_some() {
-            self.owned_blocks.push(dst.addr);
-        }
-    }
-
-    /// One attempt to take a destination for `len` bytes: recycle a
-    /// vacated range when one fits, else take fresh frames from the buddy
-    /// allocator.
-    fn try_take_dst(&mut self, len: u64) -> Option<DstAlloc> {
-        let page = self.cost.page_size;
-        if let Some(i) = self.vacated.iter().position(|&(_, l)| l >= len) {
-            let (start, l) = self.vacated[i];
-            if l == len {
-                self.vacated.remove(i);
-            } else {
-                self.vacated[i] = (start + len, l - len);
-            }
-            return Some(DstAlloc {
-                addr: start,
-                len,
-                from_buddy: false,
-            });
-        }
-        self.buddy.alloc_pages(len / page).map(|addr| DstAlloc {
-            addr,
-            len,
-            from_buddy: true,
-        })
-    }
-
-    /// Merge adjacent/overlapping vacated ranges so fragments freed by
-    /// earlier moves can satisfy larger requests (the OOM recovery path).
-    fn compact_vacated(&mut self) {
-        if self.vacated.len() < 2 {
-            return;
-        }
-        self.vacated.sort_unstable_by_key(|&(start, _)| start);
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.vacated.len());
-        for &(start, len) in &self.vacated {
-            match merged.last_mut() {
-                Some((ms, ml)) if *ms + *ml >= start => {
-                    *ml = (*ml).max(start + len - *ms);
-                }
-                _ => merged.push((start, len)),
-            }
-        }
-        self.vacated = merged;
-    }
-
     /// Pick a destination for `len` bytes, with bounded recovery: on
     /// exhaustion, compact the vacated ranges and retry up to
     /// [`MOVE_ALLOC_RETRIES`] times, charging exponential cost-model
@@ -584,19 +470,15 @@ impl SimKernel {
     fn alloc_move_dst(&mut self, len: u64) -> Result<(DstAlloc, u64), KernelError> {
         let mut backoff = 0u64;
         for attempt in 0..=MOVE_ALLOC_RETRIES {
+            let page = self.cost.page_size;
             let dst = if self.fire(FaultPoint::MoveDstAlloc) {
                 // Injected exhaustion: the vacated recycle list counts as
                 // unusable, and the failure is routed through the frame
                 // allocator so the whole path under test sees it.
                 self.buddy.inject_alloc_failures(1);
-                let page = self.cost.page_size;
-                self.buddy.alloc_pages(len / page).map(|addr| DstAlloc {
-                    addr,
-                    len,
-                    from_buddy: true,
-                })
+                DstAlloc::fresh(&mut self.buddy, len, page)
             } else {
-                self.try_take_dst(len)
+                self.space.try_take_dst(&mut self.buddy, len, page)
             };
             if let Some(dst) = dst {
                 if attempt > 0 {
@@ -605,26 +487,13 @@ impl SimKernel {
                 return Ok((dst, backoff));
             }
             if attempt < MOVE_ALLOC_RETRIES {
-                self.compact_vacated();
+                self.space.compact_vacated();
                 backoff += self.cost.move_alloc_fixed << attempt;
             }
         }
         Err(KernelError::OutOfFrames {
             pages: len.div_ceil(self.cost.page_size),
         })
-    }
-
-    /// Return an unused (or rolled-back) move destination to its source.
-    fn release_move_dst(&mut self, dst: DstAlloc) {
-        if dst.from_buddy {
-            // The buddy handed this block out moments ago; a rejected free
-            // here would mean kernel-internal corruption. Keep the
-            // original fault as the surfaced error regardless.
-            let freed = self.buddy.free_pages(dst.addr);
-            debug_assert!(freed.is_ok(), "releasing a live buddy block");
-        } else {
-            self.vacated.push((dst.addr, dst.len));
-        }
     }
 
     /// Drive the front half of a world-stop episode (signal, handler
@@ -637,32 +506,27 @@ impl SimKernel {
     /// episode is aborted (threads released, machine idle) first.
     fn begin_stop(&mut self, threads: usize) -> Result<WorldStop, KernelError> {
         let mut world = WorldStop::new(threads);
-        if let Err(e) = self.begin_stop_inner(&mut world, threads) {
+        let mut front_half = || {
+            world.signal_all(&self.cost)?;
+            for entered in 0..threads {
+                if self.fire(FaultPoint::WorldStopStall) {
+                    return Err(KernelError::WorldStop(WorldStopError::Stalled {
+                        entered,
+                        threads,
+                    }));
+                }
+                world.thread_entered()?;
+            }
+            world.barrier1(&self.cost)?;
+            world.negotiated()?;
+            world.patches_computed()?;
+            Ok(())
+        };
+        if let Err(e) = front_half() {
             world.abort(&self.cost);
             return Err(e);
         }
         Ok(world)
-    }
-
-    fn begin_stop_inner(
-        &mut self,
-        world: &mut WorldStop,
-        threads: usize,
-    ) -> Result<(), KernelError> {
-        world.signal_all(&self.cost)?;
-        for entered in 0..threads {
-            if self.fire(FaultPoint::WorldStopStall) {
-                return Err(KernelError::WorldStop(WorldStopError::Stalled {
-                    entered,
-                    threads,
-                }));
-            }
-            world.thread_entered()?;
-        }
-        world.barrier1(&self.cost)?;
-        world.negotiated()?;
-        world.patches_computed()?;
-        Ok(())
     }
 
     /// Drive the back half of a world-stop episode (patched, moved,
@@ -745,8 +609,8 @@ impl SimKernel {
             world.abort(&self.cost);
         }
         match dst {
-            Some(dst) if moved.is_ok() => self.commit_dst_block(&dst),
-            Some(dst) => self.release_move_dst(dst),
+            Some(dst) if moved.is_ok() => self.space.commit_dst_block(&dst),
+            Some(dst) => self.space.release_move_dst(&mut self.buddy, dst),
             None => {}
         }
         moved
@@ -838,8 +702,7 @@ impl SimKernel {
     }
 
     fn install_image(&mut self, img: &ProcessImage) {
-        self.master = vec![img.capsule_region()];
-        self.regions.set_regions(self.master.clone());
+        self.space.regions.set_regions(vec![img.capsule_region()]);
         // Initial pages (stack+data+code) are allocations at load time.
         let page = self.cost.page_size;
         for i in 0..img.initial_pages {
@@ -861,116 +724,35 @@ impl SimKernel {
         self.trace.record_first_touch(page)
     }
 
-    /// Baseline: translate-or-fault. Ensures `vpn` is mapped, allocating
-    /// and mapping a fresh frame on first touch. Returns the PTE.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::OutOfFrames`] when the frame allocator is exhausted.
-    pub fn ensure_mapped(&mut self, vpn: u64) -> Result<Pte, KernelError> {
-        if let Some(pte) = self.pagetable.translate(vpn) {
-            return Ok(pte);
-        }
-        let frame = self
-            .buddy
-            .alloc_pages(1)
-            .ok_or(KernelError::OutOfFrames { pages: 1 })?;
-        let pte = Pte {
-            ppn: frame / self.cost.page_size,
-            writable: true,
-        };
-        self.pagetable.map(vpn, pte);
-        self.trace.record(PagingEvent::Alloc { page: vpn });
-        Ok(pte)
-    }
-
     /// Change protections on a region of the process (paper: "a region
     /// change is a modification of a region entry"). `start..start+len`
     /// must already lie within the capsule.
     pub fn change_protection(&mut self, start: u64, len: u64, perms: Perms) {
-        self.punch_hole(start, start + len);
-        self.master.push(Region { start, len, perms });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.space.remap(&[], &[(start, len, perms)]);
         self.trace.record(PagingEvent::Invalidate {
             first: start / self.cost.page_size,
             count: len.div_ceil(self.cost.page_size),
         });
     }
 
-    fn punch_hole(&mut self, lo: u64, hi: u64) {
-        let mut next = Vec::with_capacity(self.master.len() + 2);
-        for r in self.master.drain(..) {
-            let (rs, re) = (r.start, r.end());
-            if re <= lo || rs >= hi {
-                next.push(r);
-                continue;
-            }
-            if rs < lo {
-                next.push(Region {
-                    start: rs,
-                    len: lo - rs,
-                    perms: r.perms,
-                });
-            }
-            if re > hi {
-                next.push(Region {
-                    start: hi,
-                    len: re - hi,
-                    perms: r.perms,
-                });
-            }
-        }
-        self.master = next;
-    }
-
-    /// Region publication after a relocation: every `(start, len)` becomes
-    /// an RW region of the current process (replacing whatever the master
-    /// list held there), then ONE sort and ONE rebuild of the live region
-    /// table cover them all.
-    fn publish_rw(&mut self, mapped: impl IntoIterator<Item = (u64, u64)>) {
-        for (start, len) in mapped {
-            self.punch_hole(start, start + len);
-            self.master.push(Region {
-                start,
-                len,
-                perms: Perms::RW,
-            });
-        }
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
-    }
-
     /// The worst-case page to move: the page-aligned address overlapping
     /// the allocation with the most live escapes (paper §4.4).
     pub fn worst_page(&self, table: &AllocationTable) -> Option<u64> {
-        let page = self.cost.page_size;
-        table
-            .snapshot()
-            .into_iter()
-            // Swapped-out (poison-resident) allocations cannot be moved,
-            // and pinned DMA targets must not be: plan around both.
-            .filter(|&(start, len, _, _)| {
-                !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
-            })
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page * page)
+        self.worst_pages(table, 1).into_iter().next()
     }
 
     /// The move planner's victim list: up to `max` page-aligned addresses
     /// ordered worst-first by live escape count, deduplicated by page —
     /// the batch fed to [`SimKernel::move_pages_batch`] so several
-    /// compaction victims share one world-stop.
-    ///
-    /// `worst_pages(table, 1)` always agrees with
-    /// [`SimKernel::worst_page`]: ties are broken toward the higher start
-    /// address, matching `max_by_key`'s last-maximum semantics over the
-    /// table's ascending iteration order.
+    /// compaction victims share one world-stop. Ties are broken toward
+    /// the higher start address.
     pub fn worst_pages(&self, table: &AllocationTable, max: usize) -> Vec<u64> {
         let page = self.cost.page_size;
         let mut victims: Vec<(usize, u64)> = table
             .snapshot()
             .into_iter()
+            // Swapped-out (poison-resident) allocations cannot be moved,
+            // and pinned DMA targets must not be: plan around both.
             .filter(|&(start, len, _, _)| {
                 !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
             })
@@ -1058,11 +840,7 @@ impl SimKernel {
         let pin = self.pins.swap_remove(idx);
         self.pin_stats.unpins += 1;
         if let Some(owner) = pin.owner {
-            let owner_pid = self
-                .procs
-                .iter()
-                .map(|e| e.pid)
-                .find(|p| p.index() == owner);
+            let owner_pid = self.procs.pid_at(owner);
             if let Some(e) = owner_pid.and_then(|p| self.procs.get_mut(p)) {
                 e.accounting.unpins += 1;
                 e.accounting.pinned_bytes = e.accounting.pinned_bytes.saturating_sub(len);
@@ -1299,16 +1077,13 @@ impl SimKernel {
         // lands in it. On failure nothing has been patched yet: restoring
         // the vacated list and freeing the buddy blocks is the whole
         // rollback.
-        let vacated_before = self.vacated.clone();
+        let vacated_before = self.space.vacated.clone();
         let mut dsts: Vec<(DstAlloc, u64)> = Vec::with_capacity(expanded.len());
         let mut accepted: Vec<(u64, u64)> = Vec::with_capacity(expanded.len());
         let release_all = |k: &mut Self, dsts: Vec<(DstAlloc, u64)>| {
-            k.vacated = vacated_before.clone();
-            for (d, _) in dsts {
-                if d.from_buddy {
-                    let freed = k.buddy.free_pages(d.addr);
-                    debug_assert!(freed.is_ok(), "releasing a live buddy block");
-                }
+            k.space.vacated = vacated_before.clone();
+            for (d, _) in dsts.into_iter().filter(|(d, _)| d.from_buddy) {
+                k.space.release_move_dst(&mut k.buddy, d);
             }
         };
         // A request whose destination cannot be allocated is skipped, not
@@ -1322,7 +1097,7 @@ impl SimKernel {
                 Ok(d) => {
                     dsts.push(d);
                     accepted.push((xsrc, xlen));
-                    self.vacated.push((xsrc, xlen));
+                    self.space.vacated.push((xsrc, xlen));
                 }
                 Err(e) => alloc_err = Some(e),
             }
@@ -1371,7 +1146,7 @@ impl SimKernel {
             outcome.cost.alloc_and_move += backoff;
         }
         for (d, _) in &dsts {
-            self.commit_dst_block(d);
+            self.space.commit_dst_block(d);
         }
         Self::finish_stop(&mut world, &self.cost)?;
 
@@ -1380,7 +1155,6 @@ impl SimKernel {
         // published during destination allocation above. One region
         // rebuild covers the whole batch.
         for outcome in &outcomes {
-            self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
             for p in 0..outcome.moved_len / page {
                 self.trace.record(PagingEvent::Move {
                     from: outcome.moved_src / page + p,
@@ -1388,7 +1162,16 @@ impl SimKernel {
                 });
             }
         }
-        self.publish_rw(outcomes.iter().map(|o| (o.moved_dst, o.moved_len)));
+        let (srcs, dsts): (Vec<_>, Vec<_>) = outcomes
+            .iter()
+            .map(|o| {
+                (
+                    (o.moved_src, o.moved_len),
+                    (o.moved_dst, o.moved_len, Perms::RW),
+                )
+            })
+            .unzip();
+        self.space.remap(&srcs, &dsts);
         Ok((world, outcomes))
     }
 
@@ -1404,7 +1187,8 @@ impl SimKernel {
     /// into the slot's swap entry, and the tracking is rebased into the
     /// window. The kernel then revokes the region and recycles the frames.
     /// Returns the slot id, or `Ok(None)` for a range the kernel declines
-    /// to swap (too large, or already in swap).
+    /// to swap (too large, already in swap, or its process has no swap-slot
+    /// id left to name it by).
     ///
     /// Paging passes **no interrupt hook** to the transaction (page-in
     /// likewise), so it keeps no journal and consults no
@@ -1433,13 +1217,17 @@ impl SimKernel {
         // A pinned DMA buffer can never be swapped: the device holds its
         // physical address.
         self.refuse_pinned(src, len)?;
-        // The slot id is only consumed once the episode is under way.
-        let slot = self.peek_swap_slot();
+        // The slot id is only consumed once the episode is under way. A
+        // process with every id of its lane in swap has none to give: the
+        // range stays resident rather than share a slot.
+        let Some(slot) = self.space.swap_slots.peek() else {
+            return Ok(None);
+        };
 
         // All mutations happen after the world has stopped; a stall here
         // leaves every byte as it was.
         let mut world = self.begin_stop(threads)?;
-        self.commit_swap_slot(slot);
+        self.space.swap_slots.commit(slot);
 
         // Escape cells may themselves live in other swapped ranges; the
         // router reaches them.
@@ -1451,9 +1239,8 @@ impl SimKernel {
         self.journaled(&mut world, &[req], None, |reqs, mem, cost, _hook| {
             perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
         })?;
-        self.vacated.push((src, len));
-        self.punch_hole(src, src + len);
-        self.regions.set_regions(self.master.clone());
+        self.space.vacated.push((src, len));
+        self.space.remap(&[(src, len)], &[]);
         self.trace.record(PagingEvent::Invalidate {
             first: src / pg,
             count: len / pg,
@@ -1499,13 +1286,13 @@ impl SimKernel {
         let (dst, backoff) = self.alloc_move_dst(len)?;
         let mut world = self
             .begin_stop(threads)
-            .inspect_err(|_| self.release_move_dst(dst))?;
+            .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         world.cycles += backoff;
         if self.swap.get(&slot).map(|e| e.data.len() as u64) != Some(len) {
             // Corrupted (or vanished) entry: keep what is there for
             // post-mortem, release everything else, surface a typed error.
             world.abort(&self.cost);
-            self.release_move_dst(dst);
+            self.space.release_move_dst(&mut self.buddy, dst);
             return Err(KernelError::SwapReadFailed { slot });
         }
         // Paging in is a move out of the slot's poison window. Cells that
@@ -1520,14 +1307,14 @@ impl SimKernel {
             perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
         })?;
         self.swap.remove(&slot);
-        self.publish_rw([(dst.addr, len)]);
+        self.space.remap(&[], &[(dst.addr, len, Perms::RW)]);
         let pg = self.cost.page_size;
         for p in 0..len / pg {
             self.trace.record(PagingEvent::Alloc {
                 page: dst.addr / pg + p,
             });
         }
-        self.release_swap_slot(slot);
+        self.space.swap_slots.release(slot);
 
         Self::finish_stop(&mut world, &self.cost)?;
         Ok(Some((world, dst.addr)))
@@ -1574,7 +1361,7 @@ impl SimKernel {
 
         let mut world = self
             .begin_stop(threads)
-            .inspect_err(|_| self.release_move_dst(dst))?;
+            .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         world.cycles += backoff;
         let req = MoveRequest {
             src: old_start,
@@ -1602,9 +1389,13 @@ impl SimKernel {
 
         // Regions: the old stack range is vacated; the new block (all of
         // it, including the fresh growth room) becomes the stack region.
-        self.vacated.push((outcome.moved_src, outcome.moved_len));
-        self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
-        self.publish_rw([(dst_block, new_len)]);
+        self.space
+            .vacated
+            .push((outcome.moved_src, outcome.moved_len));
+        self.space.remap(
+            &[(outcome.moved_src, outcome.moved_len)],
+            &[(dst_block, new_len, Perms::RW)],
+        );
         self.trace.record(PagingEvent::Move {
             from: old_start / self.cost.page_size,
             to: data_dst / self.cost.page_size,
@@ -1628,10 +1419,10 @@ impl SimKernel {
 
     // --- multi-process operation -----------------------------------------
 
-    /// Register the most recently loaded image as a process: the capsule
-    /// region set the load installed becomes the process's guard-region
-    /// map, and the (empty at this point) live page table is parked with
-    /// it. Call immediately after [`SimKernel::load`] /
+    /// Register the most recently loaded image as a process: the address
+    /// space the load just built (the capsule region set, an empty page
+    /// table) is handed over whole and becomes the process's. Call
+    /// immediately after [`SimKernel::load`] /
     /// [`SimKernel::load_unsigned`] for each tenant; nothing is installed
     /// until the first [`SimKernel::proc_switch`].
     ///
@@ -1645,14 +1436,9 @@ impl SimKernel {
         name: &str,
         image: ProcessImage,
     ) -> Result<Pid, crate::proc::AdmissionError> {
-        let regions = std::mem::take(&mut self.master);
-        let pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
-        self.regions.set_regions(Vec::new());
+        let space = std::mem::take(&mut self.space);
         let capsule_base = image.stack.0;
-        match self
-            .procs
-            .spawn(name.to_string(), image, regions, pagetable, None)
-        {
+        match self.procs.spawn_in(name.to_string(), image, space, None) {
             Ok(pid) => Ok(pid),
             Err(e) => {
                 // Roll the load back: the capsule is one contiguous buddy
@@ -1685,25 +1471,17 @@ impl SimKernel {
             return false;
         };
         if was_current {
-            // The live master list and allocator state described the
-            // victim; drop the regions and claim the per-process
-            // allocator state as the victim's so the reap below sees it.
-            self.master.clear();
-            self.regions.set_regions(Vec::new());
-            self.pagetable = PageTable::new();
-            self.vacated.clear();
-            entry.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            self.next_swap_slot = 0;
-            self.free_swap_slots.clear();
+            // The installed space was the victim's: claim it so the reap
+            // below sees it, leaving the kernel with nothing installed.
+            entry.space = std::mem::take(&mut self.space);
         }
         let _ = self.buddy.free_pages(entry.image.stack.0);
-        for base in entry.owned_blocks.drain(..) {
-            let _ = self.buddy.free_pages(base);
+        // The space knows exactly which slot ids it was ever issued; drop
+        // the victim's pages — and only the victim's — from the simulated
+        // device.
+        for slot in entry.space.reap(&mut self.buddy) {
+            self.swap.remove(&slot);
         }
-        // Striped swap slots carry the owner's lane in their low bits;
-        // reap the victim's pages from the simulated device.
-        let lane = (pid.index() as u64) % SWAP_SLOT_STRIDE;
-        self.swap.retain(|&slot, _| slot % SWAP_SLOT_STRIDE != lane);
         // Reap the victim's DMA pins: a dead tenant must not leave holes
         // the compactor can never clear. (The slab generation was bumped
         // by `kill` above, so a recycled index cannot alias these.)
@@ -1738,27 +1516,24 @@ impl SimKernel {
             .alloc_pages(pages)
             .ok_or(KernelError::OutOfFrames { pages })?;
         let len = pages * self.cost.page_size;
-        if self.procs.current() == Some(pid) {
-            self.vacated.push((base, len));
-            self.owned_blocks.push(base);
-        } else {
-            // `get` above proved the entry live.
-            if let Some(e) = self.procs.get_mut(pid) {
-                e.vacated.push((base, len));
-                e.owned_blocks.push(base);
-            }
+        // `get` above proved the entry live.
+        if let Some(space) = self.space_mut(pid) {
+            space.adopt_block(base, len);
         }
         Ok(())
     }
 
-    /// Context switch to process `to`: park the outgoing process's guard
-    /// regions and page table, install the incoming one's, and charge the
-    /// mode-dependent cost to the incoming process's *kernel* accounting.
+    /// Context switch to process `to`: park the outgoing process's
+    /// address space in its entry, install the incoming one's — two moves
+    /// of one struct — and charge the mode-dependent cost to the incoming
+    /// process's *kernel* accounting.
     ///
     /// CARAT pays [`CostModel::ctx_switch_carat`] — the fixed trap path
     /// plus a region-set install. There is no translation state, so
-    /// nothing is flushed; the region generation bump alone invalidates
-    /// every user-level guard fast path. Traditional pays
+    /// nothing is flushed, and nothing is rebuilt: the incoming table
+    /// carries its own generation, so a guard fast path filled before the
+    /// deschedule is still valid unless the regions were edited since.
+    /// Traditional pays
     /// [`CostModel::ctx_switch_traditional`] — the same fixed path plus a
     /// *modeled* TLB flush and amortized ASID-rollover refill. The flush
     /// is a kernel-side cycle charge, not a simulated-TLB clear: the
@@ -1779,25 +1554,12 @@ impl SimKernel {
         if self.procs.get(to).is_none() {
             return Err(KernelError::StaleTenant { pid: to });
         }
-        if let Some(e) = self.procs.current().and_then(|cur| self.procs.get_mut(cur)) {
-            e.regions = std::mem::take(&mut self.master);
-            e.pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
-            e.vacated = std::mem::take(&mut self.vacated);
-            e.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            e.next_swap_slot = std::mem::take(&mut self.next_swap_slot);
-            e.free_swap_slots = std::mem::take(&mut self.free_swap_slots);
-        }
+        self.park_current();
         let e = self
             .procs
             .get_mut(to)
             .ok_or(KernelError::StaleTenant { pid: to })?;
-        self.master = std::mem::take(&mut e.regions);
-        self.pagetable = std::mem::replace(&mut e.pagetable, PageTable::new());
-        self.vacated = std::mem::take(&mut e.vacated);
-        self.owned_blocks = std::mem::take(&mut e.owned_blocks);
-        self.next_swap_slot = std::mem::take(&mut e.next_swap_slot);
-        self.free_swap_slots = std::mem::take(&mut e.free_swap_slots);
-        self.regions.set_regions(self.master.clone());
+        self.space = std::mem::take(&mut e.space);
         let cycles = if traditional {
             self.cost.ctx_switch_traditional()
         } else {
@@ -1814,31 +1576,37 @@ impl SimKernel {
     }
 
     /// Deschedule the current process without scheduling a successor:
-    /// park its guard regions, page table, and per-process allocator
-    /// state back in its entry and leave the kernel with no process
-    /// installed. Free bookkeeping — no switch cost is charged (the
-    /// next [`SimKernel::proc_switch`] pays the full install).
+    /// park its address space back in its entry and leave the kernel with
+    /// no process installed. Free bookkeeping — no switch cost is charged
+    /// (the next [`SimKernel::proc_switch`] pays the full install).
     ///
-    /// Call before any operation that treats the live master region
-    /// list as scratch space — notably [`SimKernel::load`] /
-    /// [`SimKernel::register_proc`] for a *new* process while another
-    /// is installed: the loader builds the newcomer's region list in
-    /// `master`, and an unparked incumbent's regions would be swept
-    /// into the newcomer's entry. No-op when no process is current.
+    /// Call before loading a *new* process while another is installed:
+    /// the loader builds the newcomer's regions in the kernel's installed
+    /// space, which [`SimKernel::register_proc`] then hands to the
+    /// newcomer's entry whole — an unparked incumbent's space would go
+    /// with it. No-op when no process is current.
     pub fn proc_park(&mut self) {
-        let Some(cur) = self.procs.current() else {
-            return;
-        };
-        if let Some(e) = self.procs.get_mut(cur) {
-            e.regions = std::mem::take(&mut self.master);
-            e.pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
-            e.vacated = std::mem::take(&mut self.vacated);
-            e.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            e.next_swap_slot = std::mem::take(&mut self.next_swap_slot);
-            e.free_swap_slots = std::mem::take(&mut self.free_swap_slots);
-        }
-        self.regions.set_regions(Vec::new());
+        self.park_current();
         self.procs.set_current(None);
+    }
+
+    /// Move the installed space home to the current process's entry (if
+    /// there is one), leaving a default space installed.
+    fn park_current(&mut self) {
+        if let Some(e) = self.procs.current().and_then(|cur| self.procs.get_mut(cur)) {
+            e.space = std::mem::take(&mut self.space);
+        }
+    }
+
+    /// Wherever process `pid`'s address space lives right now: the
+    /// installed one if `pid` is current, else its entry's. `None` for a
+    /// stale pid.
+    fn space_mut(&mut self, pid: Pid) -> Option<&mut AddressSpace> {
+        if self.procs.current() == Some(pid) {
+            Some(&mut self.space)
+        } else {
+            self.procs.get_mut(pid).map(|e| &mut e.space)
+        }
     }
 
     /// Allocate a page-aligned shared memory block of at least `len`
@@ -1882,23 +1650,9 @@ impl SimKernel {
                 .ok_or(KernelError::NoSuchShared { id })?;
             (s.base, s.len)
         };
-        let region = Region {
-            start: base,
-            len,
-            perms: Perms::RW,
-        };
-        if self.procs.current() == Some(pid) {
-            self.master.push(region);
-            self.master.sort_by_key(|r| r.start);
-            self.regions.set_regions(self.master.clone());
-        } else {
-            let e = self
-                .procs
-                .get_mut(pid)
-                .ok_or(KernelError::StaleTenant { pid })?;
-            e.regions.push(region);
-            e.regions.sort_by_key(|r| r.start);
-        }
+        self.space_mut(pid)
+            .ok_or(KernelError::StaleTenant { pid })?
+            .remap(&[], &[(base, len, Perms::RW)]);
         let shared = self.procs.shared_mut(id);
         if !shared.owners.contains(&pid) {
             shared.owners.push(pid);
@@ -1957,7 +1711,7 @@ impl SimKernel {
         let (dst, backoff) = self.alloc_move_dst(xlen)?;
         let mut world = self
             .begin_stop(threads)
-            .inspect_err(|_| self.release_move_dst(dst))?;
+            .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         // Check out every owner's table; a missing one (stale owner, or a
         // table still checked out to a running tenant) aborts the episode
         // with everything restored.
@@ -1974,7 +1728,7 @@ impl SimKernel {
                         self.procs.checkin_table(q, t);
                     }
                     world.abort(&self.cost);
-                    self.release_move_dst(dst);
+                    self.space.release_move_dst(&mut self.buddy, dst);
                     return Err(KernelError::StaleTenant { pid: p });
                 }
             }
@@ -1998,24 +1752,15 @@ impl SimKernel {
         Self::finish_stop(&mut world, &self.cost)?;
 
         // Region maintenance, for every owner: the moved range leaves its
-        // map; the destination enters it. The current process's map is the
-        // live master list.
-        self.vacated.push((outcome.moved_src, outcome.moved_len));
+        // map; the destination enters it.
+        self.space
+            .vacated
+            .push((outcome.moved_src, outcome.moved_len));
         for &pid in &owners {
-            if self.procs.current() == Some(pid) {
-                retarget_region(
-                    &mut self.master,
-                    outcome.moved_src,
-                    outcome.moved_len,
-                    outcome.moved_dst,
-                );
-                self.regions.set_regions(self.master.clone());
-            } else if let Some(e) = self.procs.get_mut(pid) {
-                retarget_region(
-                    &mut e.regions,
-                    outcome.moved_src,
-                    outcome.moved_len,
-                    outcome.moved_dst,
+            if let Some(space) = self.space_mut(pid) {
+                space.remap(
+                    &[(outcome.moved_src, outcome.moved_len)],
+                    &[(outcome.moved_dst, outcome.moved_len, Perms::RW)],
                 );
             }
         }
@@ -2039,8 +1784,11 @@ impl SimKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pagetable::PageTable;
     use carat_ir::{GlobalInit, ModuleBuilder, Type};
-    use carat_runtime::{Access, GuardImpl};
+    use carat_runtime::{Access, GuardImpl, Region};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn module_with_global() -> Module {
         let mut mb = ModuleBuilder::new("prog");
@@ -2072,9 +1820,10 @@ mod tests {
     #[test]
     fn load_installs_capsule_and_counts_pages() {
         let (k, _, img) = boot();
-        assert_eq!(k.regions.len(), 1);
+        assert_eq!(k.space.regions.len(), 1);
         assert!(
-            k.regions
+            k.space
+                .regions
                 .check(GuardImpl::Mpx, img.globals[0], 8, Access::Write)
                 .ok
         );
@@ -2088,10 +1837,18 @@ mod tests {
         let page = k.cost.page_size;
         let page_start = g / page * page;
         k.change_protection(page_start, page, Perms::R);
-        assert!(k.regions.len() >= 2, "capsule split around the page");
-        assert!(k.regions.check(GuardImpl::IfTree, g, 8, Access::Read).ok);
+        assert!(k.space.regions.len() >= 2, "capsule split around the page");
         assert!(
-            !k.regions.check(GuardImpl::IfTree, g, 8, Access::Write).ok,
+            k.space
+                .regions
+                .check(GuardImpl::IfTree, g, 8, Access::Read)
+                .ok
+        );
+        assert!(
+            !k.space
+                .regions
+                .check(GuardImpl::IfTree, g, 8, Access::Write)
+                .ok,
             "write now denied"
         );
         assert_eq!(k.trace.invalidations, 1);
@@ -2122,9 +1879,15 @@ mod tests {
         assert_ne!(regs[0], g + 16);
         assert_eq!(regs[1], 0);
         // Old page is no longer a valid region; new one is.
-        assert!(!k.regions.check(GuardImpl::IfTree, g, 8, Access::Read).ok);
         assert!(
-            k.regions
+            !k.space
+                .regions
+                .check(GuardImpl::IfTree, g, 8, Access::Read)
+                .ok
+        );
+        assert!(
+            k.space
+                .regions
                 .check(GuardImpl::IfTree, new_ptr, 8, Access::Read)
                 .ok
         );
@@ -2132,17 +1895,6 @@ mod tests {
         SimKernel::patch_globals(&mut img, &outcome);
         assert_eq!(img.globals[0], new_ptr - 8);
         assert!(k.trace.moves >= 1);
-    }
-
-    #[test]
-    fn baseline_demand_mapping() {
-        let (mut k, _, _) = boot();
-        let before = k.trace.allocs;
-        let pte1 = k.ensure_mapped(0x4000).unwrap();
-        let pte2 = k.ensure_mapped(0x4000).unwrap();
-        assert_eq!(pte1, pte2, "second touch reuses the mapping");
-        assert_eq!(k.trace.allocs, before + 1);
-        assert_eq!(k.pagetable.mapped, 1);
     }
 
     /// Boot two tenants through one kernel; returns their tables checked
@@ -2172,18 +1924,24 @@ mod tests {
     #[test]
     fn proc_switch_installs_per_process_regions() {
         let (mut k, p0, p1, img0, img1) = boot_two_procs();
-        assert_eq!(k.regions.len(), 0, "nothing installed before a switch");
+        assert_eq!(
+            k.space.regions.len(),
+            0,
+            "nothing installed before a switch"
+        );
 
         let c0 = k.proc_switch(p0, false).expect("live pid");
         assert_eq!(k.procs.current(), Some(p0));
         assert!(
-            k.regions
+            k.space
+                .regions
                 .check(GuardImpl::IfTree, img0.globals[0], 8, Access::Write)
                 .ok,
             "own global accessible"
         );
         assert!(
-            !k.regions
+            !k.space
+                .regions
                 .check(GuardImpl::IfTree, img1.globals[0], 8, Access::Read)
                 .ok,
             "the other tenant's memory is not"
@@ -2191,12 +1949,14 @@ mod tests {
 
         let c1 = k.proc_switch(p1, true).expect("live pid");
         assert!(
-            k.regions
+            k.space
+                .regions
                 .check(GuardImpl::IfTree, img1.globals[0], 8, Access::Write)
                 .ok
         );
         assert!(
-            !k.regions
+            !k.space
+                .regions
                 .check(GuardImpl::IfTree, img0.globals[0], 8, Access::Read)
                 .ok
         );
@@ -2221,7 +1981,8 @@ mod tests {
         for p in [p0, p1] {
             k.proc_switch(p, false).expect("live pid");
             assert!(
-                k.regions
+                k.space
+                    .regions
                     .check(GuardImpl::IfTree, base, 8, Access::Write)
                     .ok,
                 "{p} can reach the shared block"
@@ -2260,11 +2021,15 @@ mod tests {
         for pid in [p0, p1] {
             k.proc_switch(pid, false).expect("live pid");
             assert!(
-                !k.regions.check(GuardImpl::IfTree, base, 8, Access::Read).ok,
+                !k.space
+                    .regions
+                    .check(GuardImpl::IfTree, base, 8, Access::Read)
+                    .ok,
                 "old location revoked for {pid}"
             );
             assert!(
-                k.regions
+                k.space
+                    .regions
                     .check(GuardImpl::IfTree, new_base, 8, Access::Read)
                     .ok,
                 "new location mapped for {pid}"
@@ -2399,7 +2164,12 @@ mod tests {
         assert_eq!(k.mem.read_bytes(0, k.mem.size()), &mem_before[..]);
         assert_eq!(table.snapshot(), table_before);
         assert_eq!(regs, regs_before);
-        assert!(k.regions.check(GuardImpl::IfTree, g, 8, Access::Read).ok);
+        assert!(
+            k.space
+                .regions
+                .check(GuardImpl::IfTree, g, 8, Access::Read)
+                .ok
+        );
         assert_eq!(k.fault_plan().unwrap().fired().len(), 1);
         // The machine is not poisoned: the same move now succeeds.
         let (world, outcome) = k
@@ -2688,6 +2458,112 @@ mod tests {
         assert_eq!(k.mem.read_uint(dst + (g - src), 8), 0xFEED_FACE);
     }
 
+    /// Two tenants whose slab indices are 16 384 apart, each with its
+    /// global paged out: `(kernel, [(pid, table, image, regs, slot, src)])`.
+    #[allow(clippy::type_complexity)]
+    fn two_tenants_16384_apart_paged_out() -> (
+        SimKernel,
+        [(Pid, AllocationTable, ProcessImage, Vec<u64>, u64, u64); 2],
+    ) {
+        let mut k = SimKernel::new(64 * 1024 * 1024);
+        let cfg = LoadConfig {
+            stack_size: 64 * 1024,
+            heap_size: 1024 * 1024,
+            page_size: 4096,
+        };
+        let mut t0 = AllocationTable::new();
+        let img0 = k
+            .load_unsigned(module_with_global(), &mut t0, cfg)
+            .expect("loads");
+        let p0 = k.register_proc("alpha", img0.clone()).expect("admitted");
+        for _ in 1..16_384 {
+            k.procs
+                .spawn(
+                    "filler".into(),
+                    img0.clone(),
+                    Vec::new(),
+                    PageTable::new(),
+                    None,
+                )
+                .expect("admitted");
+        }
+        let mut t1 = AllocationTable::new();
+        let img1 = k
+            .load_unsigned(module_with_global(), &mut t1, cfg)
+            .expect("loads");
+        let p1 = k.register_proc("beta", img1.clone()).expect("admitted");
+        assert_eq!((p0.index(), p1.index()), (0, 16_384));
+        let tenants = [(p0, t0, img0, 0xAAAA_0000u64), (p1, t1, img1, 0xBBBB_0000)];
+        let paged = tenants.map(|(pid, mut table, img, tag)| {
+            k.proc_switch(pid, false).unwrap();
+            let g = img.globals[0];
+            for i in 0..16u64 {
+                k.mem.write_uint(g + i * 8, tag + i, 8);
+            }
+            let mut regs = vec![g];
+            let (_, slot, src, _) = k.page_out(&mut table, &mut regs, g, 1).unwrap().unwrap();
+            (pid, table, img, regs, slot, src)
+        });
+        (k, paged)
+    }
+
+    #[test]
+    fn swap_lanes_of_tenants_16384_apart_do_not_alias() {
+        let (mut k, [(p0, mut t0, img0, mut regs0, slot0, src0), (_, _, _, _, slot1, _)]) =
+            two_tenants_16384_apart_paged_out();
+        assert_ne!(slot0, slot1, "two tenants were issued the same swap slot");
+        k.proc_switch(p0, false).unwrap();
+        let (g0, poisoned) = (img0.globals[0], regs0[0]);
+        let (_, dst) = k
+            .page_in(&mut t0, &mut regs0, poisoned, 1)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            k.mem.read_uint(dst + (g0 - src0), 8),
+            0xAAAA_0000,
+            "alpha read someone else's swap entry"
+        );
+    }
+
+    /// Killing one tenant reaps exactly its own swap entries: a bystander
+    /// 16 384 slots away keeps its range and pages it back in intact.
+    #[test]
+    fn swap_lanes_survive_the_kill_of_a_tenant_16384_away() {
+        let (mut k, [(p0, mut t0, img0, mut regs0, slot0, src0), (p1, _, _, _, slot1, _)]) =
+            two_tenants_16384_apart_paged_out();
+        assert!(k.proc_kill(p1));
+        assert!(!k.has_swap_slot(slot1), "the victim's entry is reaped");
+        assert!(k.has_swap_slot(slot0), "the bystander's is not");
+        k.proc_switch(p0, false).unwrap();
+        let (g0, poisoned) = (img0.globals[0], regs0[0]);
+        let (_, dst) = k
+            .page_in(&mut t0, &mut regs0, poisoned, 1)
+            .unwrap()
+            .unwrap();
+        let back: Vec<u64> = (0..16u64)
+            .map(|i| k.mem.read_uint(dst + (g0 - src0) + i * 8, 8))
+            .collect();
+        let want: Vec<u64> = (0..16u64).map(|i| 0xAAAA_0000 + i).collect();
+        assert_eq!(back, want);
+    }
+
+    /// A process with every slot id of its lane in swap declines further
+    /// page-outs instead of reusing one.
+    #[test]
+    fn page_out_declines_when_the_lane_is_exhausted() {
+        let (mut k, p0, _, img0, _) = boot_two_procs();
+        k.proc_switch(p0, false).unwrap();
+        let mut table = k.procs.checkout_table(p0).unwrap();
+        while let Some(slot) = k.space.swap_slots.peek() {
+            k.space.swap_slots.commit(slot);
+        }
+        let g = img0.globals[0];
+        let mut regs = vec![g];
+        assert!(k.page_out(&mut table, &mut regs, g, 1).unwrap().is_none());
+        assert_eq!(regs, vec![g], "nothing was patched");
+        assert_eq!(k.swapped_ranges(), 0);
+    }
+
     #[test]
     fn signature_corruption_at_load_is_rejected_by_verification() {
         use carat_core::sign::{sign_module, SignatureError, SigningKey};
@@ -2784,6 +2660,122 @@ mod tests {
             k.procs.shared(id).expect("live id").owners.is_empty(),
             "failed map did not half-register an owner"
         );
+    }
+
+    /// The pages a region list grants, with their permissions — a model
+    /// of "what may this process touch" that shares no code with `remap`.
+    fn pages_of(regions: &[Region], page: u64) -> BTreeMap<u64, Perms> {
+        let mut pages = BTreeMap::new();
+        for r in regions {
+            for p in r.start / page..r.end().div_ceil(page) {
+                pages.insert(p, r.perms);
+            }
+        }
+        pages
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The address-space invariant under random process-API traffic:
+        /// after every step the current pid's entry holds a default space
+        /// and the kernel has its regions installed, every other live
+        /// pid's parked regions equal a plain page-map model, and a kill
+        /// returns exactly the frames the victim's space had been charged.
+        #[test]
+        fn address_space_invariant_holds_under_process_api_traffic(
+            ops in proptest::collection::vec((0u8..8, 0usize..8, 0u64..8), 1..40),
+        ) {
+            let mut k = SimKernel::new(64 * 1024 * 1024);
+            let page = k.cost.page_size;
+            let cfg = LoadConfig { stack_size: 64 * 1024, heap_size: 256 * 1024, page_size: page };
+            // pid -> (pages it may touch, buddy pages charged to its space).
+            let mut model: Vec<(Pid, BTreeMap<u64, Perms>, u64)> = Vec::new();
+            let mut shared: Vec<SharedId> = Vec::new();
+            for (op, a, b) in ops {
+                let free_before = k.buddy.pages_free();
+                let pick = |model: &[(Pid, BTreeMap<u64, Perms>, u64)]| {
+                    (!model.is_empty()).then(|| a % model.len())
+                };
+                match (op, pick(&model)) {
+                    (0, _) if model.len() < 5 => {
+                        k.proc_park();
+                        let mut table = AllocationTable::new();
+                        let img = k.load_unsigned(module_with_global(), &mut table, cfg).expect("loads");
+                        let pid = k.register_proc("t", img.clone()).expect("admitted");
+                        k.procs.checkin_table(pid, table);
+                        let charged = free_before - k.buddy.pages_free();
+                        model.push((pid, pages_of(&[img.capsule_region()], page), charged));
+                    }
+                    (1 | 2, Some(i)) => {
+                        k.proc_switch(model[i].0, op == 2).expect("live pid");
+                    }
+                    (3, _) => k.proc_park(),
+                    (4, Some(i)) => {
+                        let (pid, _, charged) = model.remove(i);
+                        prop_assert!(k.proc_kill(pid));
+                        prop_assert_eq!(k.buddy.pages_free(), free_before + charged);
+                        prop_assert!(k.procs.get(pid).is_none());
+                    }
+                    (5, Some(i)) => {
+                        k.proc_reserve_pool(model[i].0, 1 + b).expect("frames available");
+                        model[i].2 += free_before - k.buddy.pages_free();
+                    }
+                    (6, Some(i)) => {
+                        if shared.len() < 3 {
+                            shared.push(k.shared_create(page * (1 + b % 2)).expect("frames available"));
+                        } else {
+                            let id = shared[b as usize % shared.len()];
+                            k.shared_map(model[i].0, id).expect("live pid, live id");
+                            let s = k.procs.shared(id).expect("live id");
+                            for p in s.base / page..(s.base + s.len) / page {
+                                model[i].1.insert(p, Perms::RW);
+                            }
+                        }
+                    }
+                    (7, _) if !shared.is_empty() => {
+                        let id = shared[b as usize % shared.len()];
+                        let owners = k.procs.shared(id).expect("live id").owners.clone();
+                        let (_, out) = k.move_shared(id, &mut [], 1).expect("frames available");
+                        // The destination block is charged to whoever is
+                        // installed (nobody, when no process is).
+                        let charged = free_before - k.buddy.pages_free();
+                        if let Some(cur) = k.procs.current() {
+                            model.iter_mut().find(|m| m.0 == cur).expect("current is live").2 += charged;
+                        }
+                        for m in model.iter_mut().filter(|m| owners.contains(&m.0)) {
+                            for p in 0..out.moved_len / page {
+                                m.1.remove(&(out.moved_src / page + p));
+                            }
+                            for p in 0..out.moved_len / page {
+                                m.1.insert(out.moved_dst / page + p, Perms::RW);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+                let current = k.procs.current();
+                for (pid, pages, _) in &model {
+                    let e = k.procs.get(*pid).expect("model pids are live");
+                    let parked = &e.space;
+                    if current == Some(*pid) {
+                        prop_assert!(
+                            parked.regions.is_empty()
+                                && parked.pagetable.mapped == 0
+                                && parked.vacated.is_empty()
+                                && parked.owned_blocks.is_empty(),
+                            "{pid} is installed yet its entry still holds state"
+                        );
+                        prop_assert_eq!(&pages_of(k.space.regions.regions(), page), pages);
+                    } else {
+                        prop_assert_eq!(&pages_of(parked.regions.regions(), page), pages);
+                    }
+                }
+                if current.is_none() {
+                    prop_assert!(k.space.regions.is_empty(), "nothing installed, yet regions are");
+                }
+            }
+        }
     }
 
     #[test]

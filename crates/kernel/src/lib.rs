@@ -44,6 +44,7 @@ mod loader;
 mod pagetable;
 mod phys;
 mod proc;
+mod space;
 mod trace;
 
 pub use arena::ArenaStats;
@@ -64,4 +65,5 @@ pub use proc::{
     AdmissionError, Pid, ProcAccounting, ProcEntry, ProcState, ProcTable, ProtectionFault,
     SharedId, SharedRegion, TenantQuotas,
 };
+pub use space::AddressSpace;
 pub use trace::{PagingEvent, PagingTrace};

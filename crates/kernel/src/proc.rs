@@ -11,9 +11,9 @@
 //! * its [`Pid`] and lifecycle state ([`ProcState`]);
 //! * the admitted [`ProcessImage`](crate::ProcessImage) (the signing
 //!   record — what the trust chain accepted at load time);
-//! * its guard-region map (installed into the live
-//!   [`RegionTable`](carat_runtime::RegionTable) on context switch);
-//! * its baseline [`PageTable`] (traditional mode only);
+//! * its [`AddressSpace`] while descheduled — guard-region table,
+//!   baseline [`PageTable`] (traditional mode only) and per-process
+//!   allocators, moved whole into the kernel on context switch;
 //! * its runtime [`AllocationTable`], parked here while the process is
 //!   descheduled and checked out by the scheduler while it runs;
 //! * scheduling/fault accounting ([`ProcAccounting`]).
@@ -35,7 +35,8 @@
 
 use crate::loader::ProcessImage;
 use crate::pagetable::PageTable;
-use carat_runtime::{AllocationTable, Perms, Region};
+use crate::space::AddressSpace;
+use carat_runtime::{AllocationTable, Region};
 use std::error::Error;
 use std::fmt;
 
@@ -272,35 +273,15 @@ pub struct ProcEntry {
     /// The *live* image (globals patched by moves, stack rebased) travels
     /// with the VM; this copy is the admission-time snapshot.
     pub image: ProcessImage,
-    /// Guard-region map while descheduled. Taken (left empty) while this
-    /// process is current: the live copy is the kernel's master list.
-    pub regions: Vec<Region>,
-    /// Baseline page table while descheduled (traditional mode); swapped
-    /// with the kernel's live one on context switch.
-    pub pagetable: PageTable,
+    /// The process's address space while descheduled. Taken (left
+    /// default) while this process is current: the kernel has it
+    /// installed as [`SimKernel::space`](crate::SimKernel::space).
+    pub space: AddressSpace,
     /// The runtime allocation table, parked here while descheduled.
     /// `None` while the scheduler has it checked out into the running VM.
     pub table: Option<AllocationTable>,
     /// Scheduling/fault accounting.
     pub accounting: ProcAccounting,
-    /// Move-destination recycler while descheduled: page ranges this
-    /// process's moves vacated, reused for its future move destinations.
-    /// Per-process (swapped with the kernel's live list on context
-    /// switch) so one tenant's churn never changes another's placement —
-    /// and so a dead tenant's fragments cannot alias frames the buddy
-    /// has already re-issued.
-    pub vacated: Vec<(u64, u64)>,
-    /// Base addresses of whole buddy blocks this process obtained after
-    /// admission (move/page-in/stack-growth destinations). Freed back to
-    /// the buddy when the process is killed — the reap half of
-    /// supervision.
-    pub owned_blocks: Vec<u64>,
-    /// Next unissued local swap-slot ordinal (per-process, so one
-    /// tenant's page-outs never renumber another's poison addresses).
-    pub next_swap_slot: u64,
-    /// Recycled local swap-slot ordinals (freed by page-ins), reissued
-    /// lowest-first so slot assignment stays deterministic.
-    pub free_swap_slots: std::collections::BTreeSet<u64>,
 }
 
 /// A page-aligned block mapped into several processes' region sets.
@@ -459,6 +440,12 @@ impl ProcTable {
         s.entry.as_ref()
     }
 
+    /// The live pid occupying slab slot `index`, if any (its generation
+    /// read off the slot).
+    pub fn pid_at(&self, index: usize) -> Option<Pid> {
+        self.slots.get(index)?.entry.as_ref().map(|e| e.pid)
+    }
+
     /// Mutable entry for `pid`, with the same staleness rules as
     /// [`ProcTable::get`].
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut ProcEntry> {
@@ -510,6 +497,22 @@ impl ProcTable {
         pagetable: PageTable,
         table: Option<AllocationTable>,
     ) -> Result<Pid, AdmissionError> {
+        let mut space = AddressSpace::default();
+        space.regions.set_regions(regions);
+        space.pagetable = pagetable;
+        self.spawn_in(name, image, space, table)
+    }
+
+    /// [`ProcTable::spawn`] for a process whose address space already
+    /// exists (the loader just built it): the space is bound to the slot
+    /// the process lands in and parked in its entry.
+    pub(crate) fn spawn_in(
+        &mut self,
+        name: String,
+        image: ProcessImage,
+        mut space: AddressSpace,
+        table: Option<AllocationTable>,
+    ) -> Result<Pid, AdmissionError> {
         let bytes = image.capsule_region().len;
         self.admit(bytes)?;
         let idx = match self.free.pop() {
@@ -521,19 +524,15 @@ impl ProcTable {
         };
         let generation = self.slots[idx as usize].generation;
         let pid = Pid::new(idx as usize, generation);
+        space.bind(idx as usize);
         self.slots[idx as usize].entry = Some(ProcEntry {
             pid,
             name,
             state: ProcState::Runnable,
             image,
-            regions,
-            pagetable,
+            space,
             table,
             accounting: ProcAccounting::default(),
-            vacated: Vec::new(),
-            owned_blocks: Vec::new(),
-            next_swap_slot: 0,
-            free_swap_slots: std::collections::BTreeSet::new(),
         });
         self.live += 1;
         self.resident += bytes;
@@ -765,41 +764,6 @@ impl ProcTable {
     }
 }
 
-/// Replace `[src, src+len)` in a region list with a same-length RW region
-/// at `dst` (the region-map half of a move), keeping the list sorted.
-pub(crate) fn retarget_region(regions: &mut Vec<Region>, src: u64, len: u64, dst: u64) {
-    let (lo, hi) = (src, src + len);
-    let mut next = Vec::with_capacity(regions.len() + 2);
-    for r in regions.drain(..) {
-        let (rs, re) = (r.start, r.end());
-        if re <= lo || rs >= hi {
-            next.push(r);
-            continue;
-        }
-        if rs < lo {
-            next.push(Region {
-                start: rs,
-                len: lo - rs,
-                perms: r.perms,
-            });
-        }
-        if re > hi {
-            next.push(Region {
-                start: hi,
-                len: re - hi,
-                perms: r.perms,
-            });
-        }
-    }
-    next.push(Region {
-        start: dst,
-        len,
-        perms: Perms::RW,
-    });
-    next.sort_by_key(|r| r.start);
-    *regions = next;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,20 +800,6 @@ mod tests {
         };
         let s = f.to_string();
         assert!(s.contains("pid2") && s.contains("write") && s.contains("0x8000"));
-    }
-
-    #[test]
-    fn retarget_splits_and_relocates() {
-        let mut regions = vec![Region {
-            start: 0x1000,
-            len: 0x3000,
-            perms: Perms::RW,
-        }];
-        retarget_region(&mut regions, 0x2000, 0x1000, 0x9000);
-        let starts: Vec<u64> = regions.iter().map(|r| r.start).collect();
-        assert_eq!(starts, vec![0x1000, 0x3000, 0x9000]);
-        assert_eq!(regions[0].len, 0x1000);
-        assert_eq!(regions[2].len, 0x1000);
     }
 
     #[test]

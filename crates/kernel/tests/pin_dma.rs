@@ -167,6 +167,47 @@ fn batched_moves_skip_pinned_batchmates() {
     assert!(matches!(err, KernelError::Move(MoveError::Pinned { .. })));
 }
 
+/// A pin names its owner by slab index. The owner's pins are reaped when
+/// it is killed, so an unpin that arrives after the slot was recycled is a
+/// typed `NotPinned` and lands in nobody's accounting — least of all the
+/// successor's, which `pid_at` would resolve that index to.
+#[test]
+fn unpin_after_owner_death_does_not_credit_the_slot_successor() {
+    let mut k = SimKernel::new(64 * 1024 * 1024);
+    let page = k.cost.page_size;
+    let admit = |k: &mut SimKernel, name: &str| {
+        let mut table = AllocationTable::new();
+        let img = k
+            .load_unsigned(module_with_global(), &mut table, LoadConfig::default())
+            .expect("loads");
+        (k.register_proc(name, img.clone()).expect("admitted"), img)
+    };
+    let (a, img_a) = admit(&mut k, "a");
+    let buf = heap_page(&k, &img_a);
+    k.pin_region_for(a, buf, page).expect("pins");
+    assert_eq!(k.procs.get(a).unwrap().accounting.pinned_bytes, page);
+    assert!(k.proc_kill(a));
+    assert_eq!(k.pin_stats().reaped, 1);
+
+    let (b, img_b) = admit(&mut k, "b");
+    assert_eq!(b.index(), a.index(), "the slot was recycled");
+    assert_eq!(k.procs.pid_at(a.index()), Some(b));
+    assert!(matches!(
+        k.unpin_region(buf, page),
+        Err(PinError::NotPinned { .. })
+    ));
+    let acc = k.procs.get(b).unwrap().accounting;
+    assert_eq!((acc.pins, acc.unpins, acc.pinned_bytes), (0, 0, 0));
+
+    // The successor's own pin is credited to it, once each way.
+    let buf_b = heap_page(&k, &img_b);
+    k.pin_region_for(b, buf_b, page).expect("pins");
+    k.unpin_region(buf_b, page).expect("unpins");
+    let acc = k.procs.get(b).unwrap().accounting;
+    assert_eq!((acc.pins, acc.unpins, acc.pinned_bytes), (1, 1, 0));
+    assert_eq!(k.procs.pid_at(b.index() + 1), None);
+}
+
 #[test]
 fn dma_requires_pin_and_transfers_deterministically() {
     let (mut k, _table, img) = boot();

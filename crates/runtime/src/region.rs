@@ -144,6 +144,16 @@ impl RegionTable {
         self.generation += 1;
     }
 
+    /// Edit the region set in place: `f` is handed the current list and
+    /// what it leaves behind is installed as by
+    /// [`RegionTable::set_regions`] — one sort, one layout rebuild, one
+    /// generation bump, however many regions `f` touched.
+    pub fn edit(&mut self, f: impl FnOnce(&mut Vec<Region>)) {
+        let mut regions = std::mem::take(&mut self.sorted);
+        f(&mut regions);
+        self.set_regions(regions);
+    }
+
     /// Current regions, sorted by start.
     pub fn regions(&self) -> &[Region] {
         &self.sorted

@@ -527,8 +527,10 @@ impl fmt::Debug for Vm {
 /// table parks in the kernel's process table between slices) and runs a
 /// slice by lending the engine the shared kernel, the checked-out table
 /// and the slot's state in place — nothing is moved, cloned or rebuilt.
-/// The guard fast path and translation caches ride along and
-/// self-invalidate (the region-table generation bumps on every switch).
+/// The guard fast path and translation caches ride along: the fast path
+/// is only ever compared with this tenant's own process's region table,
+/// whose generation moves with every edit — installed or parked — so a
+/// cached region outlives a deschedule exactly when it is still true.
 pub struct TenantState {
     pub(crate) cfg: VmConfig,
     pub(crate) image: ProcessImage,
@@ -1027,7 +1029,7 @@ impl Vm {
                 backed_slots.len()
             ));
         }
-        for r in self.kernel.regions.regions() {
+        for r in self.kernel.space.regions.regions() {
             if r.len == 0 || r.start.checked_add(r.len).is_none() {
                 violations.push(format!("malformed region [{:#x},+{:#x})", r.start, r.len));
             }
@@ -1923,7 +1925,7 @@ impl Core<'_> {
                             write,
                         } => {
                             let (addr, len, access) = guard_operands(f.fr, gaddr, glen, imm, write);
-                            let regions = &f.kernel.regions;
+                            let regions = &f.kernel.space.regions;
                             let (probes, fresh) = if guard_cache.covers(regions, addr, len, access)
                             {
                                 (guard_cache.probes, false)
@@ -1937,7 +1939,7 @@ impl Core<'_> {
                             f.retire(Opcode::CallIntrinsic);
                             account_guard(f.counters, f.kernel, cfg.guard_impl, probes);
                             if fresh {
-                                guard_cache.refill(&f.kernel.regions, addr, probes);
+                                guard_cache.refill(&f.kernel.space.regions, addr, probes);
                             }
                             f.fr.idx += 1;
                         }
@@ -2430,7 +2432,7 @@ fn account_guard(
     counters.guards_executed += 1;
     counters.guard_probes += probes;
     counters.instrumentation_insts += 1;
-    let cycles = if guard_impl == GuardImpl::Mpx && kernel.regions.len() == 1 {
+    let cycles = if guard_impl == GuardImpl::Mpx && kernel.space.regions.len() == 1 {
         kernel.cost.guard_mpx
     } else {
         kernel.cost.software_guard_cost(probes)
@@ -2605,8 +2607,8 @@ fn data_access_resolved(
             counters.translation_cycles += extra;
             counters.cycles += extra;
             // Demand fault on first touch (identity-mapped).
-            if kernel.pagetable.translate(vpn).is_none() {
-                kernel.pagetable.map(
+            if kernel.space.pagetable.translate(vpn).is_none() {
+                kernel.space.pagetable.map(
                     vpn,
                     carat_kernel::Pte {
                         ppn: vpn,
@@ -2703,10 +2705,12 @@ impl Core<'_> {
             Intrinsic::GuardCall => {
                 let frame = args[0].as_i().max(0) as u64;
                 let lo = self.t.sp.saturating_sub(frame);
-                let check =
-                    self.kernel
-                        .regions
-                        .check(self.t.cfg.guard_impl, lo, frame, Access::Write);
+                let check = self.kernel.space.regions.check(
+                    self.t.cfg.guard_impl,
+                    lo,
+                    frame,
+                    Access::Write,
+                );
                 self.account_guard(check.probes);
                 if check.ok {
                     return Ok(None);
@@ -2715,10 +2719,12 @@ impl Core<'_> {
                 // fault to the kernel and page it back in first.
                 if SimKernel::is_poison(lo) && self.try_page_in(lo)?.is_some() {
                     let lo2 = self.t.sp.saturating_sub(frame);
-                    let again =
-                        self.kernel
-                            .regions
-                            .check(self.t.cfg.guard_impl, lo2, frame, Access::Write);
+                    let again = self.kernel.space.regions.check(
+                        self.t.cfg.guard_impl,
+                        lo2,
+                        frame,
+                        Access::Write,
+                    );
                     self.account_guard(again.probes);
                     if again.ok {
                         return Ok(None);
@@ -2729,10 +2735,12 @@ impl Core<'_> {
                 // Spawned threads' heap stacks are fixed-size.
                 if self.t.cfg.auto_grow_stack && self.t.cur_tid == 0 && self.try_expand_stack()? {
                     let lo2 = self.t.sp.saturating_sub(frame);
-                    let again =
-                        self.kernel
-                            .regions
-                            .check(self.t.cfg.guard_impl, lo2, frame, Access::Write);
+                    let again = self.kernel.space.regions.check(
+                        self.t.cfg.guard_impl,
+                        lo2,
+                        frame,
+                        Access::Write,
+                    );
                     self.account_guard(again.probes);
                     if again.ok {
                         return Ok(None);
@@ -2917,19 +2925,20 @@ impl Core<'_> {
     /// generation, which the kernel bumps on every region change.
     fn exec_guard_access(&mut self, addr: u64, len: u64, access: Access) -> Result<(), VmError> {
         let gc = self.t.guard_cache;
-        if gc.covers(&self.kernel.regions, addr, len, access) {
+        if gc.covers(&self.kernel.space.regions, addr, len, access) {
             self.account_guard(gc.probes);
             return Ok(());
         }
         let check = self
             .kernel
+            .space
             .regions
             .check(self.t.cfg.guard_impl, addr, len, access);
         self.account_guard(check.probes);
         if check.ok {
             self.t
                 .guard_cache
-                .refill(&self.kernel.regions, addr, check.probes);
+                .refill(&self.kernel.space.regions, addr, check.probes);
             return Ok(());
         }
         // A poison address means the data is in swap: the guard
@@ -2938,13 +2947,14 @@ impl Core<'_> {
             let addr2 = translate(addr, base, span, delta);
             let again = self
                 .kernel
+                .space
                 .regions
                 .check(self.t.cfg.guard_impl, addr2, len, access);
             self.account_guard(again.probes);
             if again.ok {
                 self.t
                     .guard_cache
-                    .refill(&self.kernel.regions, addr2, again.probes);
+                    .refill(&self.kernel.space.regions, addr2, again.probes);
                 return Ok(());
             }
         }
@@ -3029,7 +3039,7 @@ impl Core<'_> {
     /// `guard_range` intrinsic and of a hoisted whole-trip check: region
     /// probe, guard accounting, poison page-in retry, fault on rejection.
     fn exec_guard_range(&mut self, lo: u64, hi: u64, access: Access) -> Result<(), VmError> {
-        let check = self.kernel.regions.check_range(lo, hi, access);
+        let check = self.kernel.space.regions.check_range(lo, hi, access);
         self.account_guard(check.probes);
         if check.ok {
             return Ok(());
@@ -3037,7 +3047,7 @@ impl Core<'_> {
         if let Some((base, span, delta)) = self.try_page_in(lo)? {
             let lo2 = translate(lo, base, span, delta);
             let hi2 = translate(hi, base, span, delta);
-            let again = self.kernel.regions.check_range(lo2, hi2, access);
+            let again = self.kernel.space.regions.check_range(lo2, hi2, access);
             self.account_guard(again.probes);
             if again.ok {
                 return Ok(());

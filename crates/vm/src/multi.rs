@@ -7,8 +7,8 @@
 //! decoded-code handle) in a slab slot, plus its allocation table checked
 //! into the kernel's process table. A context switch goes through
 //! [`SimKernel::proc_switch`] — which installs the incoming tenant's
-//! guard-region map (CARAT) or page table (traditional) and charges the
-//! modeled switch cost into kernel-side [`ProcAccounting`] — and the
+//! address space (guard-region table and page table, one move) and
+//! charges the modeled switch cost into kernel-side [`ProcAccounting`] — and the
 //! slice then runs the interpreter over three borrows: the kernel, the
 //! tenant's checked-out table, and the slot's state, all in place. There
 //! is almost nothing to switch, which is the paper's point. Nothing
@@ -452,9 +452,9 @@ impl MultiVm {
             self.kernel.install_fault_plan(plan);
         }
         // Mid-fleet admission (supervised respawn, churn): the loader
-        // builds the newcomer's region list in the kernel's live master
-        // list, so an installed incumbent must be parked first or its
-        // regions would be swept into the newcomer's entry.
+        // builds the newcomer's regions in the kernel's installed address
+        // space, which registration hands to the newcomer whole — so an
+        // installed incumbent must be parked first.
         self.kernel.proc_park();
         let mut table = AllocationTable::new();
         let image =
@@ -1329,8 +1329,8 @@ impl MultiVm {
         if traditional {
             return;
         }
-        // Install the victim's region map: the move retargets the live
-        // master list. A stale victim skips the pass.
+        // Install the victim's address space: the movers below work on
+        // the installed one. A stale victim skips the pass.
         if self.kernel.proc_switch(victim, traditional).is_err() {
             return;
         }

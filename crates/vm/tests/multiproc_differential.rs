@@ -639,3 +639,182 @@ fn pressure_compaction_relocates_tenants_transparently() {
         );
     }
 }
+
+/// The shared-block reader under attack in
+/// `edits_while_parked_never_meet_a_stale_guard_cache`. Global 0 is the
+/// published shared pointer. The program stashes the shared base as a
+/// plain integer (not a pointer store, so no escape is tracked and no move
+/// patches it), loops `n` times through a heap block published in two
+/// cells — two escapes, so the pressure pass picks it over the shared
+/// block's one — and through the shared block, then spins `delay` times
+/// on registers alone: no access, no guard, so the guard fast path keeps
+/// the shared region it hit last for as many slices as the spin spans.
+/// With `stale_store` it finally stores through the stashed address — the
+/// first guarded access since the spin began. Returns
+/// `n(n-1)/2 + n * shared[0] + delay`.
+fn parked_victim_module(n: i64, delay: i64, stale_store: bool) -> Module {
+    let mut mb = ModuleBuilder::new("parked_victim");
+    let shm = mb.global("shm", Type::Ptr, GlobalInit::Zero);
+    let cell = mb.global("cell", Type::Ptr, GlobalInit::Zero);
+    let cell2 = mb.global("cell2", Type::Ptr, GlobalInit::Zero);
+    let stash = mb.global("stash", Type::I64, GlobalInit::Zero);
+    let f = mb.declare("main", vec![], Some(Type::I64));
+    {
+        let mut b = mb.define(f);
+        let e = b.block("entry");
+        let h = b.block("loop.h");
+        let l = b.block("loop.b");
+        let sh = b.block("spin.h");
+        let sl = b.block("spin.b");
+        let x = b.block("exit");
+        b.switch_to(e);
+        let nn = b.const_i64(n);
+        let dd = b.const_i64(delay);
+        let zero = b.const_i64(0);
+        let one = b.const_i64(1);
+        let size = b.const_i64(4096);
+        let p = b.malloc(size);
+        let gc = b.global_addr(cell);
+        b.store(Type::Ptr, gc, p);
+        let gc2 = b.global_addr(cell2);
+        b.store(Type::Ptr, gc2, p);
+        let gs = b.global_addr(shm);
+        let s0 = b.load(Type::Ptr, gs);
+        let s0i = b.cast(CastKind::PtrToInt, s0, Type::I64);
+        let gst = b.global_addr(stash);
+        b.store(Type::I64, gst, s0i);
+        b.jmp(h);
+        b.switch_to(h);
+        let i = b.phi(Type::I64, vec![(e, zero)]);
+        let acc = b.phi(Type::I64, vec![(e, zero)]);
+        let c = b.icmp(Pred::Slt, i, nn);
+        b.br(c, l, sh);
+        b.switch_to(l);
+        let q = b.load(Type::Ptr, gc);
+        b.store(Type::I64, q, i);
+        let v = b.load(Type::I64, q);
+        let sp = b.load(Type::Ptr, gs);
+        let w = b.load(Type::I64, sp);
+        let acc2 = b.add(acc, v);
+        let acc3 = b.add(acc2, w);
+        let i2 = b.add(i, one);
+        b.phi_add_incoming(i, l, i2);
+        b.phi_add_incoming(acc, l, acc3);
+        b.jmp(h);
+        b.switch_to(sh);
+        let j = b.phi(Type::I64, vec![(h, zero)]);
+        let spun = b.phi(Type::I64, vec![(h, acc)]);
+        let c2 = b.icmp(Pred::Slt, j, dd);
+        b.br(c2, sl, x);
+        b.switch_to(sl);
+        let spun2 = b.add(spun, one);
+        let j2 = b.add(j, one);
+        b.phi_add_incoming(j, sl, j2);
+        b.phi_add_incoming(spun, sl, spun2);
+        b.jmp(sh);
+        b.switch_to(x);
+        if stale_store {
+            let old = b.load(Type::I64, gst);
+            let oldp = b.cast(CastKind::IntToPtr, old, Type::Ptr);
+            b.store(Type::I64, oldp, one);
+        }
+        b.ret(Some(spun));
+    }
+    mb.finish()
+}
+
+/// The generation rule under attack. Two tenants run their memory loop and
+/// enter a register-only spin, each with a guard fast path that holds the
+/// shared block's region; then, with both descheduled, the pressure pass
+/// moves (and pages out) the first one's hottest page and `move_shared`
+/// retargets the block both have mapped — the second tenant's regions are
+/// edited *inside its parked entry*. Neither table is rebuilt when its
+/// tenant is next installed, so only the per-table generation stands
+/// between the warm fast path and the range that was just revoked.
+#[test]
+fn edits_while_parked_never_meet_a_stale_guard_cache() {
+    const N: i64 = 20;
+    const DELAY: i64 = 120;
+    const QUANTUM: u64 = 301;
+    // Each tenant needs four slices: the memory loop ends in its second,
+    // the pressure pass fires once (after slice 4, mid-spin for both), and
+    // both finish before it would fire again.
+    let fleet = |stale_store: bool| {
+        let specs = ["victim-a", "victim-b"]
+            .map(|name| ProcSpec {
+                name: name.to_string(),
+                module: instrument(parked_victim_module(N, DELAY, stale_store)),
+                cfg: VmConfig::default(),
+            })
+            .into_iter()
+            .collect();
+        let cfg = MultiVmConfig {
+            quantum: QUANTUM,
+            pressure_every: 4,
+            ..MultiVmConfig::default()
+        };
+        let mut mv = MultiVm::new(specs, cfg).expect("loads");
+        let id = mv.shared_create(4096).expect("frames available");
+        let base = mv.kernel.procs.shared(id).unwrap().base;
+        mv.kernel.mem.write_uint(base, 11, 8);
+        mv.shared_map(Pid(0), id, 0).expect("maps into live tenant");
+        mv.shared_map(Pid(1), id, 0).expect("maps into live tenant");
+        // Warm: a, b, a, b — then the pass, with nobody running.
+        assert_eq!(mv.run_batch(4), 4);
+        for pid in [Pid(0), Pid(1)] {
+            let c = mv.counters(pid).expect("resident");
+            assert_eq!(c.instructions, 2 * QUANTUM, "{pid} is mid-run");
+            assert_eq!(c.loads, 1 + 4 * N as u64, "{pid} is past its memory loop");
+        }
+        let acct = mv.kernel.procs.get(Pid(0)).unwrap().accounting;
+        assert!(
+            acct.pressure_moves > 0 && acct.pressure_page_outs > 0,
+            "the pass relocated the descheduled victim: {acct:?}"
+        );
+        let moved_to = mv.move_shared(id).expect("clean move");
+        assert_ne!(moved_to, base);
+        (mv, base)
+    };
+    let finished = |reports: &[ProcReport]| -> Vec<(i64, carat_vm::PerfCounters)> {
+        reports
+            .iter()
+            .map(|r| match &r.outcome {
+                ProcOutcome::Finished(rr) => (rr.ret, rr.counters.clone()),
+                other => panic!("{}: finishes, got {other:?}", r.name),
+            })
+            .collect()
+    };
+
+    // Sliced arm: both keep alternating, parked (cache warm) between
+    // every pair of slices.
+    let (sliced, _) = fleet(false);
+    let sliced = finished(&sliced.run());
+    for (ret, _) in &sliced {
+        assert_eq!(
+            *ret,
+            N * (N - 1) / 2 + N * 11 + DELAY,
+            "data survived both moves"
+        );
+    }
+    // Sequential arm: same edits at the same point, then each tenant runs
+    // what is left of it back to back, never parked again.
+    for (pid, want) in [Pid(0), Pid(1)].into_iter().zip(&sliced) {
+        let (mut seq, _) = fleet(false);
+        let other = Pid(1 - pid.0);
+        assert!(seq.kill(other));
+        let reports = seq.run();
+        assert_eq!(&finished(&reports)[0], want, "{pid}: sliced == sequential");
+    }
+    // And the revoked range stays revoked: a store through the address the
+    // shared block had before the move is a typed fault in both tenants,
+    // whichever region their fast path held when they were parked.
+    let (stale, old_base) = fleet(true);
+    for r in stale.run() {
+        match r.outcome {
+            ProcOutcome::Fault(f) => {
+                assert_eq!((f.addr, f.write), (old_base, true), "{}", r.name)
+            }
+            other => panic!("{}: stale store must fault, got {other:?}", r.name),
+        }
+    }
+}

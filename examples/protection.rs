@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "kernel made the page at {:#x} read-only; region count is now {}",
         global_addr / page * page,
-        kernel_view.kernel.regions.len()
+        kernel_view.kernel.space.regions.len()
     );
     // The very next guarded store faults — "the next guard will see the
     // changes" (paper §2.2).
