@@ -885,7 +885,7 @@ impl SimKernel {
 
     /// Record a mover refusal against the pin ledger (fragmentation
     /// cost of the pinned hole).
-    fn note_denied_move(&mut self, len: u64) {
+    pub(super) fn note_denied_move(&mut self, len: u64) {
         self.pin_stats.denied_moves += 1;
         self.pin_stats.denied_bytes += len;
     }
@@ -1601,7 +1601,7 @@ impl SimKernel {
     /// Wherever process `pid`'s address space lives right now: the
     /// installed one if `pid` is current, else its entry's. `None` for a
     /// stale pid.
-    fn space_mut(&mut self, pid: Pid) -> Option<&mut AddressSpace> {
+    pub(super) fn space_mut(&mut self, pid: Pid) -> Option<&mut AddressSpace> {
         if self.procs.current() == Some(pid) {
             Some(&mut self.space)
         } else {
@@ -1790,7 +1790,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    fn module_with_global() -> Module {
+    pub(super) fn module_with_global() -> Module {
         let mut mb = ModuleBuilder::new("prog");
         mb.global(
             "buf",
@@ -1808,7 +1808,7 @@ mod tests {
         mb.finish()
     }
 
-    fn boot() -> (SimKernel, AllocationTable, ProcessImage) {
+    pub(super) fn boot() -> (SimKernel, AllocationTable, ProcessImage) {
         let mut k = SimKernel::new(256 * 1024 * 1024);
         let mut table = AllocationTable::new();
         let img = k
@@ -1899,7 +1899,7 @@ mod tests {
 
     /// Boot two tenants through one kernel; returns their tables checked
     /// into the process table.
-    fn boot_two_procs() -> (SimKernel, Pid, Pid, ProcessImage, ProcessImage) {
+    pub(super) fn boot_two_procs() -> (SimKernel, Pid, Pid, ProcessImage, ProcessImage) {
         let mut k = SimKernel::new(64 * 1024 * 1024);
         let cfg = LoadConfig {
             stack_size: 64 * 1024,
@@ -2083,7 +2083,7 @@ mod tests {
 
     /// A small kernel whose full physical memory is cheap to snapshot for
     /// byte-identity assertions.
-    fn boot_small() -> (SimKernel, AllocationTable, ProcessImage) {
+    pub(super) fn boot_small() -> (SimKernel, AllocationTable, ProcessImage) {
         let mut k = SimKernel::new(8 * 1024 * 1024);
         let mut table = AllocationTable::new();
         let cfg = LoadConfig {
