@@ -173,7 +173,7 @@ fn batched_moves_skip_pinned_batchmates() {
 /// successor's, which `pid_at` would resolve that index to.
 #[test]
 fn unpin_after_owner_death_does_not_credit_the_slot_successor() {
-    let mut k = SimKernel::new(64 * 1024 * 1024);
+    let mut k = SimKernel::new(256 * 1024 * 1024);
     let page = k.cost.page_size;
     let admit = |k: &mut SimKernel, name: &str| {
         let mut table = AllocationTable::new();
