@@ -112,7 +112,8 @@ impl SimKernel {
         let len = pages * self.cost.page_size;
         // `get` above proved the entry live.
         if let Some(space) = self.space_mut(pid) {
-            space.adopt_block(base, len);
+            space.vacated.push((base, len));
+            space.owned_blocks.push(base);
         }
         Ok(())
     }

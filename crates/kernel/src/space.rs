@@ -1,12 +1,5 @@
 //! The address space: everything the kernel keeps about *one* process's
 //! memory, declared once.
-//!
-//! CARAT's isolation story (paper §3, §4.3) is that the kernel-written
-//! region set — not a page table — *is* the process, and that a context
-//! switch is cheap because installing a process is handing that one
-//! object over. [`AddressSpace`] is that object: the guard-region table,
-//! the baseline page table, the move-destination recycler, the buddy
-//! blocks obtained after admission, and the swap-slot allocator.
 
 use crate::buddy::BuddyAllocator;
 use crate::kernel::{DstAlloc, POISON_BASE, POISON_SLOT_SPAN};
@@ -14,7 +7,10 @@ use crate::pagetable::PageTable;
 use carat_runtime::{Perms, Region, RegionTable};
 use std::collections::BTreeSet;
 
-/// One process's memory-management state.
+/// One process's memory-management state. CARAT's isolation story (paper
+/// §3, §4.3) is that the kernel-written region set — not a page table —
+/// *is* the process, and that a context switch is cheap because
+/// installing a process is handing that one object over; this is it.
 ///
 /// **Invariant.** For the current pid exactly one of
 /// [`SimKernel::space`](crate::SimKernel::space) and its
@@ -76,13 +72,6 @@ impl AddressSpace {
                 list.push(Region { start, len, perms });
             }
         });
-    }
-
-    /// Seed a freshly reserved buddy block into the recycler and record
-    /// it for kill-time reaping.
-    pub(crate) fn adopt_block(&mut self, base: u64, len: u64) {
-        self.vacated.push((base, len));
-        self.owned_blocks.push(base);
     }
 
     /// One attempt to take a destination for `len` bytes: recycle a

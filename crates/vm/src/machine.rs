@@ -2705,46 +2705,32 @@ impl Core<'_> {
             Intrinsic::GuardCall => {
                 let frame = args[0].as_i().max(0) as u64;
                 let lo = self.t.sp.saturating_sub(frame);
-                let check = self.kernel.space.regions.check(
-                    self.t.cfg.guard_impl,
-                    lo,
-                    frame,
-                    Access::Write,
-                );
-                self.account_guard(check.probes);
-                if check.ok {
+                // One guard over the frame below the stack pointer as it
+                // stands now, accounted like any other.
+                let frame_ok = |c: &mut Self| {
+                    let lo = c.t.sp.saturating_sub(frame);
+                    let regions = &c.kernel.space.regions;
+                    let check = regions.check(c.t.cfg.guard_impl, lo, frame, Access::Write);
+                    c.account_guard(check.probes);
+                    check.ok
+                };
+                if frame_ok(self) {
                     return Ok(None);
                 }
                 // The stack itself may be in swap (its pointers poisoned);
                 // fault to the kernel and page it back in first.
-                if SimKernel::is_poison(lo) && self.try_page_in(lo)?.is_some() {
-                    let lo2 = self.t.sp.saturating_sub(frame);
-                    let again = self.kernel.space.regions.check(
-                        self.t.cfg.guard_impl,
-                        lo2,
-                        frame,
-                        Access::Write,
-                    );
-                    self.account_guard(again.probes);
-                    if again.ok {
-                        return Ok(None);
-                    }
+                if SimKernel::is_poison(lo) && self.try_page_in(lo)?.is_some() && frame_ok(self) {
+                    return Ok(None);
                 }
                 // A failed guard involving the stack invokes the kernel,
                 // which implements seamless stack expansion (paper §2.2).
                 // Spawned threads' heap stacks are fixed-size.
-                if self.t.cfg.auto_grow_stack && self.t.cur_tid == 0 && self.try_expand_stack()? {
-                    let lo2 = self.t.sp.saturating_sub(frame);
-                    let again = self.kernel.space.regions.check(
-                        self.t.cfg.guard_impl,
-                        lo2,
-                        frame,
-                        Access::Write,
-                    );
-                    self.account_guard(again.probes);
-                    if again.ok {
-                        return Ok(None);
-                    }
+                if self.t.cfg.auto_grow_stack
+                    && self.t.cur_tid == 0
+                    && self.try_expand_stack()?
+                    && frame_ok(self)
+                {
+                    return Ok(None);
                 }
                 Err(VmError::GuardFault {
                     addr: lo,

@@ -1371,19 +1371,10 @@ impl MultiVm {
                 cycles += world.cycles + outcomes.iter().map(|o| o.cost.total()).sum::<u64>();
             }
         }
-        let page_size = self.kernel.cost.page_size;
-        // Skip already-swapped regions and pinned DMA targets: the
-        // kernel's `page_out` would refuse a pinned range with a typed
-        // error anyway, but not selecting it keeps the rung useful.
-        let target = table
-            .snapshot()
-            .into_iter()
-            .filter(|&(start, len, _, _)| {
-                !SimKernel::is_poison(start) && self.kernel.pinned_overlap(start, len).is_none()
-            })
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page_size * page_size);
-        if let Some(page) = target {
+        // The kernel's victim pick skips already-swapped regions and
+        // pinned DMA targets: `page_out` would refuse a pinned range with a
+        // typed error anyway, but not selecting it keeps the rung useful.
+        if let Some(page) = self.kernel.worst_page(&table) {
             if let Ok(Some((world, ..))) = state.relocated_by(
                 |regs| self.kernel.page_out(&mut table, regs, page, threads),
                 paged_out,
