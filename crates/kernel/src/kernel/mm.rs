@@ -496,7 +496,7 @@ impl SimKernel {
                 });
             }
         }
-        let (srcs, dsts): (Vec<_>, Vec<_>) = outcomes
+        let (unmapped, mapped): (Vec<_>, Vec<_>) = outcomes
             .iter()
             .map(|o| {
                 (
@@ -505,7 +505,7 @@ impl SimKernel {
                 )
             })
             .unzip();
-        self.space.remap(&srcs, &dsts);
+        self.space.remap(&unmapped, &mapped);
         Ok((world, outcomes))
     }
 

@@ -21,7 +21,7 @@ pub struct PinStats {
     /// Pins reaped at tenant kill (leaked by the tenant, reclaimed by
     /// the supervisor path).
     pub reaped: u64,
-    /// Moves/page-outs refused with [`MoveError::Pinned`].
+    /// Moves/page-outs refused with [`carat_runtime::MoveError::Pinned`].
     pub denied_moves: u64,
     /// Bytes those refused operations wanted to relocate.
     pub denied_bytes: u64,

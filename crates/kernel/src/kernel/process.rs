@@ -22,7 +22,7 @@ impl SimKernel {
     ///
     /// # Errors
     ///
-    /// [`AdmissionError`] when the tenant quotas refuse the capsule. The
+    /// [`crate::AdmissionError`] when the tenant quotas refuse the capsule. The
     /// refused tenant's capsule frames are released again — admission
     /// failure leaves the kernel exactly as it was before the load.
     pub fn register_proc(
@@ -123,14 +123,14 @@ impl SimKernel {
     /// of one struct — and charge the mode-dependent cost to the incoming
     /// process's *kernel* accounting.
     ///
-    /// CARAT pays [`CostModel::ctx_switch_carat`] — the fixed trap path
-    /// plus a region-set install. There is no translation state, so
+    /// CARAT pays [`carat_runtime::CostModel::ctx_switch_carat`] — the
+    /// fixed trap path plus a region-set install. There is no translation state, so
     /// nothing is flushed, and nothing is rebuilt: the incoming table
     /// carries its own generation, so a guard fast path filled before the
     /// deschedule is still valid unless the regions were edited since.
     /// Traditional pays
-    /// [`CostModel::ctx_switch_traditional`] — the same fixed path plus a
-    /// *modeled* TLB flush and amortized ASID-rollover refill. The flush
+    /// [`carat_runtime::CostModel::ctx_switch_traditional`] — the same
+    /// fixed path plus a *modeled* TLB flush and amortized ASID-rollover refill. The flush
     /// is a kernel-side cycle charge, not a simulated-TLB clear: the
     /// per-process TLB contents model a tagged TLB whose coherence costs
     /// are exactly this charge, which keeps a process's own retired
