@@ -86,8 +86,9 @@ pub struct DmaCompletion {
     pub err: Option<DmaError>,
     /// Device-side modeled cycles the transfer consumed.
     pub cycles: u64,
-    /// FNV-1a checksum of the bytes transferred (both directions), so
-    /// workloads can verify payload integrity end to end. Zero on error.
+    /// [`checksum`](crate::checksum) of the bytes transferred (both
+    /// directions), so workloads can verify payload integrity end to
+    /// end. Zero on error.
     pub checksum: u64,
 }
 

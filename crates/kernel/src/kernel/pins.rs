@@ -1,7 +1,7 @@
 //! The pin registry (DMA targets no mover may touch) and the DMA
 //! engine's service loop that checks transfers against it.
 
-use super::{fnv1a, SimKernel};
+use super::{checksum, SimKernel};
 use crate::dev::{DmaCompletion, DmaDir, DmaError, DmaRequest};
 use crate::faults::FaultPoint;
 use crate::proc::Pid;
@@ -262,38 +262,30 @@ impl SimKernel {
             });
         }
         let cycles = self.cost.dma_cost(req.len);
-        let checksum = match req.dir {
-            DmaDir::DeviceToMem => {
-                // Deterministic device payload: a xorshift64* stream
-                // seeded by the descriptor, so replays are bit-identical
-                // and workloads can verify what "the wire" delivered.
-                let mut x = req
-                    .id
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(req.addr | 1);
-                let mut buf = vec![0u8; req.len as usize];
-                for chunk in buf.chunks_mut(8) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let b = x.to_le_bytes();
-                    chunk.copy_from_slice(&b[..chunk.len()]);
-                }
-                self.mem.write_bytes(req.addr, &buf);
-                self.dev.dma.account_bytes(DmaDir::DeviceToMem, req.len);
-                fnv1a(&buf)
+        if req.dir == DmaDir::DeviceToMem {
+            // Deterministic device payload: a xorshift64* stream seeded
+            // by the descriptor, so replays are bit-identical and
+            // workloads can verify what "the wire" delivered. Generated
+            // straight into the pinned target.
+            let mut x = req
+                .id
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(req.addr | 1);
+            for chunk in self.mem.bytes_mut(req.addr, req.len).chunks_mut(8) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                chunk.copy_from_slice(&x.to_le_bytes()[..chunk.len()]);
             }
-            DmaDir::MemToDevice => {
-                let data = self.mem.read_bytes(req.addr, req.len).to_vec();
-                self.dev.dma.account_bytes(DmaDir::MemToDevice, req.len);
-                fnv1a(&data)
-            }
-        };
+        }
+        self.dev.dma.account_bytes(req.dir, req.len);
         DmaCompletion {
             id: req.id,
             err: None,
             cycles,
-            checksum,
+            // Either direction, the bytes transferred are now the bytes
+            // in memory: sum them in place.
+            checksum: checksum(self.mem.read_bytes(req.addr, req.len)),
         }
     }
 }

@@ -54,10 +54,10 @@ pub use dev::{
     TimerStats,
 };
 pub use faults::{FaultPlan, FaultPoint, KernelError};
-pub use kernel::{fnv1a, PinError, PinStats, SimKernel, POISON_BASE, POISON_SLOT_SPAN};
+pub use kernel::{checksum, fnv1a, PinError, PinStats, SimKernel, POISON_BASE, POISON_SLOT_SPAN};
 pub use loader::{
-    load_shared, load_shared_preverified, load_signed, load_unsigned, LoadConfig, LoadError,
-    ProcessImage,
+    load_shared, load_shared_preverified, load_signed, load_unsigned, CapsuleLayout, LoadConfig,
+    LoadError, ProcessImage,
 };
 pub use pagetable::{PageTable, Pte, Walk};
 pub use phys::PhysicalMemory;

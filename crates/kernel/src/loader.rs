@@ -237,6 +237,48 @@ pub fn load_shared_preverified(
     load_image(module, text_len, mem, buddy, table, cfg)
 }
 
+/// The capsule's section sizes, each rounded up to whole pages: stack |
+/// data | code | heap, one contiguous run. The one statement of the
+/// layout — [`load_image`] allocates and places by it, and fleet
+/// admission asks it what a tenant will cost *before* building one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapsuleLayout {
+    stack: u64,
+    /// Globals: data + bss.
+    data: u64,
+    /// Text + runtime image.
+    code: u64,
+    heap: u64,
+}
+
+impl CapsuleLayout {
+    /// Lay out `module` (whose `carat_ir::print_module` length is
+    /// `text_len`) under `cfg`.
+    pub fn of(module: &Module, text_len: u64, cfg: LoadConfig) -> CapsuleLayout {
+        let round = |b: u64| b.div_ceil(cfg.page_size) * cfg.page_size;
+        let data: u64 = module
+            .global_ids()
+            .map(|g| {
+                let gl = module.global(g);
+                align_up(gl.ty.size().max(1), gl.ty.align().max(1)) + 16
+            })
+            .sum();
+        CapsuleLayout {
+            stack: round(cfg.stack_size),
+            data: round(data.max(1)),
+            code: round(text_len.max(1)),
+            heap: round(cfg.heap_size),
+        }
+    }
+
+    /// Total capsule bytes: the length of the loaded image's
+    /// [`ProcessImage::capsule_region`], and what admission charges
+    /// against [`crate::TenantQuotas::max_resident_bytes`].
+    pub fn bytes(&self) -> u64 {
+        self.stack + self.data + self.code + self.heap
+    }
+}
+
 fn load_image(
     module: Rc<Module>,
     text_len: u64,
@@ -246,34 +288,18 @@ fn load_image(
     cfg: LoadConfig,
 ) -> Result<ProcessImage, LoadError> {
     let page = cfg.page_size;
-    let round = |b: u64| b.div_ceil(page) * page;
-
-    // Sizes: stack | data | code | heap, one contiguous capsule.
-    let data_size: u64 = round(
-        module
-            .global_ids()
-            .map(|g| {
-                let gl = module.global(g);
-                align_up(gl.ty.size().max(1), gl.ty.align().max(1)) + 16
-            })
-            .sum::<u64>()
-            .max(1),
-    );
-    let stack_size = round(cfg.stack_size);
-    let code_size = round(text_len.max(1));
-    let heap_size = round(cfg.heap_size);
-    let total_pages = (stack_size + data_size + code_size + heap_size) / page;
+    let layout = CapsuleLayout::of(&module, text_len, cfg);
     let base = buddy
-        .alloc_pages(total_pages)
+        .alloc_pages(layout.bytes() / page)
         .ok_or(LoadError::OutOfMemory)?;
 
-    let stack = (base, stack_size);
-    let data_base = base + stack_size;
-    let code = (data_base + data_size, code_size);
-    let heap = (code.0 + code_size, heap_size);
+    let stack = (base, layout.stack);
+    let data_base = base + layout.stack;
+    let code = (data_base + layout.data, layout.code);
+    let heap = (code.0 + layout.code, layout.heap);
 
     // Zero stack and data (bss semantics); "copy" code.
-    mem.zero(stack.0, stack_size + data_size);
+    mem.zero(stack.0, layout.stack + layout.data);
 
     // Place globals and perform the initial patch (bind addresses).
     let mut globals = Vec::with_capacity(module.num_globals());
@@ -306,7 +332,7 @@ fn load_image(
     table.track_alloc(stack.0, stack.1, AllocKind::Stack);
 
     let static_footprint = module.static_footprint();
-    let initial_pages = (stack_size + data_size + code_size) / page;
+    let initial_pages = (layout.stack + layout.data + layout.code) / page;
     Ok(ProcessImage {
         module,
         globals,

@@ -43,6 +43,17 @@ impl PhysicalMemory {
         &self.bytes[addr as usize..(addr + len) as usize]
     }
 
+    /// Borrow `len` bytes at `addr` for writing in place (a device
+    /// filling its DMA target without a staging buffer).
+    ///
+    /// # Panics
+    ///
+    /// As [`PhysicalMemory::read_bytes`].
+    pub(crate) fn bytes_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
+        self.check(addr, len);
+        &mut self.bytes[addr as usize..(addr + len) as usize]
+    }
+
     /// Write bytes at `addr`.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         self.check(addr, data.len() as u64);

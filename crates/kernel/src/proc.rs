@@ -463,23 +463,46 @@ impl ProcTable {
     ///
     /// The typed [`AdmissionError`] a spawn would fail with.
     pub fn admit(&self, bytes: u64) -> Result<(), AdmissionError> {
-        if self.live >= self.quotas.max_tenants {
+        self.admit_batch(1, bytes)
+    }
+
+    /// The quota rule, stated once: would `n` capsules of `bytes` each,
+    /// spawned one after another, all be accepted right now? Pure
+    /// arithmetic over the live count and the resident bytes — nothing
+    /// is charged; [`ProcTable::spawn`] charges as each tenant lands.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the error the first failing spawn of that sequence would
+    /// return, payload included: with `k` spawns succeeding first, the
+    /// tenant limit (checked before bytes, as a single spawn checks it)
+    /// or an over-commit reporting `resident + k × bytes`.
+    pub fn admit_batch(&self, n: usize, bytes: u64) -> Result<(), AdmissionError> {
+        let n = n as u64;
+        let room_tenants = self.quotas.max_tenants.saturating_sub(self.live) as u64;
+        let room_bytes = self.quotas.max_resident_bytes.saturating_sub(self.resident);
+        let fits_bytes = match room_bytes.checked_div(bytes) {
+            Some(capsules) => capsules,
+            // Empty capsules never add up: all fit, unless the table is
+            // already over a (lowered) limit.
+            None if self.resident <= self.quotas.max_resident_bytes => u64::MAX,
+            None => 0,
+        };
+        let k = room_tenants.min(fits_bytes);
+        if k >= n {
+            return Ok(());
+        }
+        if k == room_tenants {
             return Err(AdmissionError::TenantLimit {
                 limit: self.quotas.max_tenants,
             });
         }
-        if self
-            .resident
-            .checked_add(bytes)
-            .is_none_or(|total| total > self.quotas.max_resident_bytes)
-        {
-            return Err(AdmissionError::MemoryOverCommit {
-                requested: bytes,
-                resident: self.resident,
-                limit: self.quotas.max_resident_bytes,
-            });
-        }
-        Ok(())
+        Err(AdmissionError::MemoryOverCommit {
+            requested: bytes,
+            // `k × bytes ≤ room_bytes`, so this cannot overflow.
+            resident: self.resident + k * bytes,
+            limit: self.quotas.max_resident_bytes,
+        })
     }
 
     /// Spawn a process into a free slot (recycling one if available):
@@ -898,6 +921,48 @@ mod tests {
     }
 
     proptest! {
+        /// `admit_batch(n, bytes)` is `n` check-then-charge steps of the
+        /// single-capsule rule (tenant limit first, then bytes, overflow
+        /// refused), written out here as the reference: same verdict,
+        /// same variant, same payload — including empty capsules, a table
+        /// already over a lowered limit, and sums that leave `u64`.
+        #[test]
+        fn admit_batch_equals_sequential_admits(
+            max_tenants in prop_oneof![0usize..12, Just(usize::MAX)],
+            max_resident_bytes in prop_oneof![0u64..6000, (u64::MAX - 6000)..=u64::MAX],
+            live in 0usize..12,
+            resident in prop_oneof![0u64..6000, (u64::MAX - 6000)..=u64::MAX],
+            n in 0usize..16,
+            bytes in prop_oneof![Just(0u64), 1u64..2000, Just(u64::MAX)],
+        ) {
+            let mut t = ProcTable::new();
+            t.set_quotas(TenantQuotas { max_tenants, max_resident_bytes });
+            (t.live, t.resident) = (live, resident);
+            let (mut live, mut resident) = (live, resident);
+            let mut sequential = Ok(());
+            for _ in 0..n {
+                if live >= max_tenants {
+                    sequential = Err(AdmissionError::TenantLimit { limit: max_tenants });
+                    break;
+                }
+                match resident.checked_add(bytes) {
+                    Some(total) if total <= max_resident_bytes => {
+                        live += 1;
+                        resident = total;
+                    }
+                    _ => {
+                        sequential = Err(AdmissionError::MemoryOverCommit {
+                            requested: bytes,
+                            resident,
+                            limit: max_resident_bytes,
+                        });
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(t.admit_batch(n, bytes), sequential);
+        }
+
         /// A pid handed out once never validates again after its tenant dies,
         /// no matter how many times the slot is recycled.
         #[test]

@@ -14,7 +14,7 @@
 
 use carat_ir::{GlobalInit, Module, ModuleBuilder, Type};
 use carat_kernel::{
-    fnv1a, DmaDir, DmaError, KernelError, LoadConfig, PinError, ProcessImage, SimKernel,
+    checksum, DmaDir, DmaError, KernelError, LoadConfig, PinError, ProcessImage, SimKernel,
     POISON_BASE, POISON_SLOT_SPAN,
 };
 use carat_runtime::{AllocKind, AllocationTable, MoveError};
@@ -237,7 +237,9 @@ fn dma_requires_pin_and_transfers_deterministically() {
     );
     assert_eq!(done[0].id, rx);
     assert!(done[0].cycles > 0);
-    let in_mem = fnv1a(k.mem.read_bytes(buf, 256));
+    let payload = k.mem.read_bytes(buf, 256);
+    assert!(payload.iter().any(|&b| b != 0), "the payload landed");
+    let in_mem = checksum(payload);
     assert_eq!(done[0].checksum, in_mem, "device and memory agree");
 
     k.dev.dma.submit(buf, 256, DmaDir::MemToDevice);

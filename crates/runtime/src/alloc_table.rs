@@ -198,13 +198,9 @@ impl AllocationTable {
         } else {
             None
         };
-        straddler.into_iter().chain(
-            self.tree
-                .iter()
-                .skip_while(move |&(&start, _)| start < lo)
-                .take_while(move |&(&start, _)| start < hi)
-                .map(|(&start, info)| (start, info)),
-        )
+        straddler
+            .into_iter()
+            .chain(self.tree.range(&lo, hi).map(|(&start, info)| (start, info)))
     }
 
     /// Borrow an allocation's metadata by start address.
@@ -310,6 +306,7 @@ impl AllocationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_free_lifecycle() {
@@ -456,5 +453,40 @@ mod tests {
             * (std::mem::size_of::<u64>() * 2 + std::mem::size_of::<usize>());
         let pending = t.pending.capacity() * std::mem::size_of::<u64>();
         assert_eq!(t.memory_overhead_bytes(), tree + fold + reverse + pending);
+    }
+
+    proptest! {
+        /// `overlapping_infos(lo, hi)` is the filter it abbreviates —
+        /// every allocation that starts in `[lo, hi)` plus the one that
+        /// straddles `lo` from below, ascending — with swapped
+        /// (poison-resident) allocations sorting above everything, a
+        /// query at `lo == 0`, and empty or inverted ranges.
+        #[test]
+        fn overlapping_infos_equals_the_filter(
+            allocs in proptest::collection::vec((0u64..64, 1u64..=0x100, proptest::bool::ANY), 0..40),
+            queries in proptest::collection::vec(
+                (proptest::bool::ANY, 0u64..0x4100, proptest::bool::ANY, 0u64..0x4100), 1..24),
+        ) {
+            // The kernel's `POISON_BASE`: where swapped allocations live.
+            const POISON: u64 = 0xFFFF_8000_0000_0000;
+            let at = |poison: bool, off: u64| if poison { POISON + off } else { off };
+            let mut t = AllocationTable::new();
+            // Slots 0x100 apart, so allocations never overlap each other.
+            for (slot, len, poison) in allocs {
+                t.track_alloc(at(poison, slot * 0x100), len, AllocKind::Heap);
+            }
+            for (lo_poison, lo, hi_poison, hi) in queries {
+                let (lo, hi) = (at(lo_poison, lo), at(hi_poison, hi));
+                let want: Vec<u64> = t
+                    .tree
+                    .iter()
+                    .filter(|&(&start, info)| {
+                        (start < lo && start + info.len > lo) || (lo <= start && start < hi)
+                    })
+                    .map(|(&start, _)| start)
+                    .collect();
+                prop_assert_eq!(t.overlapping(lo, hi), want, "[{:#x}, {:#x})", lo, hi);
+            }
+        }
     }
 }

@@ -100,8 +100,12 @@ pub struct CostModel {
     /// it sequentially; `MultiVm::spawn_batch` pays it once for the
     /// whole batch (the amortization that makes batch admission win).
     pub admit_verify: u64,
-    /// Quota/backpressure bookkeeping per admission pass (also amortized
-    /// to one charge per batch).
+    /// Consulting the quotas, once per admission pass: would the whole
+    /// batch — `n` capsules of the module's size, against the live count
+    /// and the resident bytes — be accepted (`ProcTable::admit_batch`)?
+    /// The charge buys the answer: a pass the quotas refuse pays
+    /// `admit_verify` plus this and no `admit_stamp`, because no tenant
+    /// is built to find out.
     pub admit_quota: u64,
     /// Stamping one tenant: capsule layout, zeroing, the initial patch,
     /// and the slab insert. Paid per tenant on both admission paths.

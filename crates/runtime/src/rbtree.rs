@@ -439,22 +439,52 @@ impl<K: Ord, V> RbTree<K, V> {
         Iter { tree: self, stack }
     }
 
-    /// Keys in range `[lo, hi)` (by key order), in order.
-    pub fn range_keys(&self, lo: &K, hi: &K) -> Vec<&K>
-    where
-        K: Clone,
-    {
-        self.iter()
-            .filter(|(k, _)| *k >= lo && *k < hi)
-            .map(|(k, _)| k)
-            .collect()
+    /// Entries with keys in `[lo, hi)`, in key order: one lower-bound
+    /// descent to the first key ≥ `lo`, then in-order successors through
+    /// the parent links — O(log n + k), however many keys sort below `lo`.
+    pub fn range(&self, lo: &K, hi: K) -> Range<'_, K, V> {
+        let mut cur = self.root;
+        let mut first = NIL;
+        while cur != NIL {
+            if self.node(cur).key < *lo {
+                cur = self.node(cur).right;
+            } else {
+                first = cur;
+                cur = self.node(cur).left;
+            }
+        }
+        Range {
+            tree: self,
+            cur: first,
+            hi,
+        }
+    }
+
+    /// In-order successor of node `i` (`NIL` past the maximum).
+    fn successor(&self, i: u32) -> u32 {
+        let right = self.node(i).right;
+        if right != NIL {
+            return self.minimum(right);
+        }
+        let mut child = i;
+        let mut up = self.node(i).parent;
+        while up != NIL && self.node(up).right == child {
+            child = up;
+            up = self.node(up).parent;
+        }
+        up
     }
 
     /// Validate red/black invariants (test support): root black, no red
-    /// with red child, equal black height on all paths, BST order.
+    /// with red child, equal black height on all paths, BST order, and
+    /// every child's parent link naming its parent ([`RbTree::range`]
+    /// climbs them).
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.root != NIL && self.node(self.root).color != Color::Black {
             return Err("root is not black".into());
+        }
+        if self.root != NIL && self.node(self.root).parent != NIL {
+            return Err("root has a parent".into());
         }
         fn walk<K: Ord, V>(
             t: &RbTree<K, V>,
@@ -480,6 +510,11 @@ impl<K: Ord, V> RbTree<K, V> {
                 && (t.color(n.left) == Color::Red || t.color(n.right) == Color::Red)
             {
                 return Err("red node with red child".into());
+            }
+            for child in [n.left, n.right] {
+                if child != NIL && t.node(child).parent != i {
+                    return Err("parent link does not name the parent".into());
+                }
             }
             let lh = walk(t, n.left, min, Some(&n.key))?;
             let rh = walk(t, n.right, Some(&n.key), max)?;
@@ -509,6 +544,31 @@ impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
             self.stack.push(cur);
             cur = self.tree.node(cur).left;
         }
+        Some((&n.key, n.val.as_ref().expect("live node has a value")))
+    }
+}
+
+/// In-order iterator over the `(&K, &V)` of a key range; see
+/// [`RbTree::range`].
+pub struct Range<'a, K, V> {
+    tree: &'a RbTree<K, V>,
+    cur: u32,
+    hi: K,
+}
+
+impl<'a, K: Ord, V> Iterator for Range<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.cur == NIL {
+            return None;
+        }
+        let n = self.tree.node(self.cur);
+        if n.key >= self.hi {
+            self.cur = NIL;
+            return None;
+        }
+        self.cur = self.tree.successor(self.cur);
         Some((&n.key, n.val.as_ref().expect("live node has a value")))
     }
 }
@@ -569,13 +629,19 @@ mod tests {
     }
 
     #[test]
-    fn range_keys_half_open() {
+    fn range_is_half_open() {
         let mut t = RbTree::new();
-        for k in 0..20u64 {
+        for k in (0..40u64).step_by(2) {
             t.insert(k, ());
         }
-        let ks: Vec<u64> = t.range_keys(&5, &9).into_iter().copied().collect();
-        assert_eq!(ks, vec![5, 6, 7, 8]);
+        let keys = |lo: u64, hi: u64| t.range(&lo, hi).map(|(k, _)| *k).collect::<Vec<_>>();
+        assert_eq!(keys(10, 18), vec![10, 12, 14, 16]);
+        assert_eq!(keys(9, 13), vec![10, 12], "bounds between keys");
+        assert_eq!(keys(0, 1), vec![0]);
+        assert_eq!(keys(36, u64::MAX), vec![36, 38], "runs off the maximum");
+        assert_eq!(keys(12, 12), Vec::<u64>::new());
+        assert_eq!(keys(20, 4), Vec::<u64>::new(), "inverted range is empty");
+        assert_eq!(keys(39, 100), Vec::<u64>::new());
     }
 
     proptest! {
@@ -599,6 +665,11 @@ mod tests {
                         let floor_t = t.floor(&k).map(|(kk, vv)| (*kk, *vv));
                         let floor_m = m.range(..=k).next_back().map(|(kk, vv)| (*kk, *vv));
                         prop_assert_eq!(floor_t, floor_m);
+                        // `v` doubles as the range's width here.
+                        let hi = k + v % 24;
+                        let range_t: Vec<(u64, u64)> = t.range(&k, hi).map(|(kk, vv)| (*kk, *vv)).collect();
+                        let range_m: Vec<(u64, u64)> = m.range(k..hi).map(|(kk, vv)| (*kk, *vv)).collect();
+                        prop_assert_eq!(range_t, range_m);
                     }
                 }
                 t.check_invariants().map_err(TestCaseError::fail)?;

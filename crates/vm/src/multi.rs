@@ -40,8 +40,9 @@ use crate::machine::{
 use crate::supervise::{PendingRestart, Supervisor, SupervisorConfig, TenantExit, Verdict};
 use carat_ir::Module;
 use carat_kernel::{
-    AdmissionError, ArenaStats, DmaCompletion, DmaDir, FaultPlan, KernelError, LoadError, Pid,
-    PinError, ProcAccounting, ProcState, ProtectionFault, SharedId, SimKernel, TenantQuotas,
+    AdmissionError, ArenaStats, CapsuleLayout, DmaCompletion, DmaDir, FaultPlan, KernelError,
+    LoadConfig, LoadError, Pid, PinError, ProcAccounting, ProcState, ProtectionFault, SharedId,
+    SimKernel, TenantQuotas,
 };
 use carat_runtime::{AllocKind, AllocationTable, MemAccess};
 
@@ -244,6 +245,24 @@ struct Tenant {
     outcome: Option<ProcOutcome>,
 }
 
+/// What the fleet knows about one module handle it has admitted from,
+/// keyed by the handle's *identity*: a module behind an `Rc` is
+/// immutable, so what the admission gate learned about it (it verifies;
+/// its text is this long) and what was decoded from it stay true for as
+/// long as the handle lives. Holding the `Rc` here is what makes
+/// identity sound — the address cannot be reused while the record
+/// exists — and the record is dropped once it holds the last handle
+/// (no tenant, pending respawn or caller can present it again).
+struct ModuleRecord {
+    module: Rc<Module>,
+    /// The module's `carat_ir::print_module` length, measured when the
+    /// gate verified it.
+    text_len: u64,
+    /// One decoded copy per decode recipe in use: every tenant of this
+    /// module under the same recipe shares it.
+    programs: Vec<Rc<DecodedProgram>>,
+}
+
 /// N processes time-sliced on one shared simulated kernel.
 pub struct MultiVm {
     /// The one kernel: built in [`MultiVm::new`] and never moved — a
@@ -253,9 +272,10 @@ pub struct MultiVm {
     /// Tenant slots, indexed by `pid.index()` — the same slab indices as
     /// the kernel's process table, so both sides recycle in lock-step.
     slots: Vec<Option<Tenant>>,
-    /// Decoded-program cache for [`MultiVm::spawn_shared`]: every tenant
-    /// spawned from the same `Rc<Module>` shares one decoded copy.
-    programs: Vec<(Rc<Module>, Rc<DecodedProgram>)>,
+    /// One record per live module handle: verified and measured once by
+    /// the admission gate, decoded once per recipe — a 10k-tenant fleet
+    /// of one workload holds ONE decoded copy of its code.
+    modules: Vec<ModuleRecord>,
     cfg: MultiVmConfig,
     /// Slices executed so far (drives the pressure cadence across
     /// [`MultiVm::run_batch`] calls).
@@ -300,7 +320,7 @@ impl MultiVm {
         let mut mv = MultiVm {
             kernel,
             slots: Vec::new(),
-            programs: Vec::new(),
+            modules: Vec::new(),
             supervisor: cfg.supervisor.map(Supervisor::new),
             retired: Vec::new(),
             cfg,
@@ -332,22 +352,21 @@ impl MultiVm {
     /// its program, register it with the kernel's process table
     /// (admission-checked against the quotas), and park it descheduled
     /// and runnable. O(program + capsule) — nothing about this scales
-    /// with the number of tenants already resident.
+    /// with the number of tenants already resident. Exactly
+    /// [`MultiVm::spawn_shared`] of a module handle nobody else holds.
     ///
     /// # Errors
     ///
     /// Loader failures ([`VmError::Load`]), a module without `main`, or
-    /// a quota refusal ([`VmError::Admission`]). Refused spawns roll the
-    /// kernel back completely — capsule frames freed, no pid burned. A
-    /// module the verifier rejects is refused at the gate, before
-    /// anything per-tenant happens: no admission toll is charged, the
-    /// spec's fault plan is not installed, and the current process stays
-    /// installed.
+    /// a quota refusal ([`VmError::Admission`]). Both refusals a module
+    /// can meet at the gate happen before anything per-tenant does: the
+    /// spec's fault plan is not installed, the current process stays
+    /// installed, no frame is allocated and no pid burned. A module the
+    /// verifier rejects is charged no admission toll; a quota refusal is
+    /// charged the gate's `admit_verify + admit_quota` and nothing else.
     pub fn spawn(&mut self, spec: ProcSpec) -> Result<Pid, VmError> {
         let ProcSpec { name, module, cfg } = spec;
-        let module = Rc::new(module);
-        let text_len = self.admission_gate(&module)?;
-        self.stamp(&name, module, cfg, false, text_len)
+        self.spawn_shared(&name, Rc::new(module), cfg)
     }
 
     /// Admit one tenant from a shared module: every tenant spawned from
@@ -364,24 +383,28 @@ impl MultiVm {
         module: Rc<Module>,
         cfg: VmConfig,
     ) -> Result<Pid, VmError> {
-        let text_len = self.admission_gate(&module)?;
-        self.stamp(name, module, cfg, true, text_len)
+        let text_len = self.admission_gate(&module, cfg.load, 1)?;
+        self.stamp(name, module, cfg, text_len)
     }
 
     /// Admit N tenants from one shared module in a single admission
-    /// pass: the module is verified and measured ONCE, the backpressure
-    /// gate is consulted ONCE, and each tenant is then stamped through
-    /// the preverified load path. Tenant `i` is named
-    /// `{name_prefix}{i}`, and its image, counters, guards, and capsule
-    /// bytes are bit-identical to the tenant the `i`-th one-tenant
-    /// [`MultiVm::spawn_shared`] call would have produced — only the
-    /// modeled admission cost differs ([`MultiVm::admission_cycles`]
-    /// grows by `verify + quota + n × stamp` instead of `n × (verify +
-    /// quota + stamp)`).
+    /// pass: the backpressure gate and the quotas are consulted ONCE,
+    /// for the whole batch, and each tenant is then stamped through the
+    /// preverified load path. Tenant `i` is named `{name_prefix}{i}`, and
+    /// its image, counters, guards, and capsule bytes are bit-identical
+    /// to the tenant the `i`-th one-tenant [`MultiVm::spawn_shared`] call
+    /// would have produced — only the modeled admission cost differs
+    /// ([`MultiVm::admission_cycles`] grows by `verify + quota + n ×
+    /// stamp` instead of `n × (verify + quota + stamp)`).
     ///
-    /// All-or-nothing: a mid-batch refusal (per-tenant kernel quota,
-    /// loader OOM) kills the tenants already stamped and returns the
-    /// error — the fleet is left exactly as before the call.
+    /// All-or-nothing, in two steps. A batch the quotas cannot hold is
+    /// refused at the gate, before the first stamp, with the error the
+    /// first failing one-tenant admission would have returned — nothing
+    /// is built to be thrown away. What arithmetic cannot foresee — the
+    /// loader running out of frames, a pool reservation or `start`
+    /// failing, an injected fault — still surfaces mid-batch: the tenants
+    /// already stamped are killed and the error returned, leaving the
+    /// fleet as before the call (their `admit_stamp` tolls stay charged).
     ///
     /// # Errors
     ///
@@ -395,11 +418,11 @@ impl MultiVm {
         cfg: VmConfig,
         n: usize,
     ) -> Result<Vec<Pid>, VmError> {
-        let text_len = self.admission_gate(&module)?;
+        let text_len = self.admission_gate(&module, cfg.load, n)?;
         let mut pids = Vec::with_capacity(n);
         for i in 0..n {
             let name = format!("{name_prefix}{i}");
-            match self.stamp(&name, module.clone(), cfg.clone(), true, text_len) {
+            match self.stamp(&name, module.clone(), cfg.clone(), text_len) {
                 Ok(pid) => pids.push(pid),
                 Err(e) => {
                     // Unwind the partial batch: admission is
@@ -415,10 +438,20 @@ impl MultiVm {
     }
 
     /// The once-per-admission-pass half of every admission, however many
-    /// tenants follow: consult the backpressure gate, verify and measure
-    /// the template module, and charge `admit_verify + admit_quota`.
-    /// Returns the module's text length for [`MultiVm::stamp`].
-    fn admission_gate(&mut self, module: &Module) -> Result<u64, VmError> {
+    /// tenants follow — and where the fleet says no. In order: the
+    /// backpressure watermark (no toll); verify and measure the module,
+    /// once per module handle (a verifier refusal charges no toll and
+    /// remembers nothing); charge `admit_verify + admit_quota`; ask the
+    /// process table whether `n` capsules of this module's size under
+    /// `load` fit the quotas. Nothing per-tenant has happened when this
+    /// returns an error. Returns the module's text length for
+    /// [`MultiVm::stamp`].
+    fn admission_gate(
+        &mut self,
+        module: &Rc<Module>,
+        load: LoadConfig,
+        n: usize,
+    ) -> Result<u64, VmError> {
         // Rung 4 of the degradation ladder: past the backpressure
         // watermark the fleet sheds load at the door — a typed refusal
         // before any frame is committed, never an allocator panic.
@@ -429,22 +462,49 @@ impl MultiVm {
                 watermark_pct: self.cfg.backpressure_watermark,
             }));
         }
-        // Verify and measure the template once; every stamp skips both.
-        carat_ir::verify_module(module).map_err(|e| VmError::Load(LoadError::Verify(e)))?;
-        let text_len = carat_ir::print_module(module).len() as u64;
+        let text_len = match self.record_of(module) {
+            Some(known) => known.text_len,
+            None => {
+                carat_ir::verify_module(module).map_err(|e| VmError::Load(LoadError::Verify(e)))?;
+                let text_len = carat_ir::print_module(module).len() as u64;
+                // A miss is rare (once per module); sweep records whose
+                // module was refused here and then dropped by its caller.
+                self.prune_modules();
+                self.modules.push(ModuleRecord {
+                    module: module.clone(),
+                    text_len,
+                    programs: Vec::new(),
+                });
+                text_len
+            }
+        };
+        // The modeled toll is per pass, not per host-side verification:
+        // the kernel being modeled keeps no such memo.
         self.admission_cycles += self.kernel.cost.admit_verify + self.kernel.cost.admit_quota;
+        let capsule = CapsuleLayout::of(module, text_len, load).bytes();
+        self.kernel.procs.admit_batch(n, capsule)?;
         Ok(text_len)
+    }
+
+    fn record_of(&mut self, module: &Rc<Module>) -> Option<&mut ModuleRecord> {
+        self.modules
+            .iter_mut()
+            .find(|r| Rc::ptr_eq(&r.module, module))
+    }
+
+    /// Drop the records that hold the last handle to their module.
+    fn prune_modules(&mut self) {
+        self.modules.retain(|r| Rc::strong_count(&r.module) > 1);
     }
 
     /// The per-tenant half of every admission: charge `admit_stamp` and
     /// load one tenant from a module [`MultiVm::admission_gate`] already
-    /// verified and measured (`text_len`).
+    /// verified, measured (`text_len`) and found room for.
     fn stamp(
         &mut self,
         name: &str,
         module: Rc<Module>,
         cfg: VmConfig,
-        share_program: bool,
         text_len: u64,
     ) -> Result<Pid, VmError> {
         self.admission_cycles += self.kernel.cost.admit_stamp;
@@ -470,15 +530,7 @@ impl MultiVm {
             self.kernel.proc_kill(pid);
             return Err(VmError::Kernel(e));
         }
-        let program = if share_program {
-            self.decoded(&module, &cfg)
-        } else {
-            Rc::new(DecodedProgram::decode_for(
-                &module,
-                cfg.engine,
-                cfg.threaded,
-            ))
-        };
+        let program = self.decoded(&module, &cfg);
         let traditional = cfg.mode == Mode::Traditional;
         // The respawn spec keeps the admission config minus its fault
         // plan: the shared kernel plan was installed above, once — a
@@ -524,17 +576,22 @@ impl MultiVm {
         Ok(pid)
     }
 
-    /// Look up the shared decoded program for `module` under `cfg`'s
-    /// decode recipe, decoding it on first sight. Cache entries die with
-    /// their last tenant (pruned in [`MultiVm::kill`]).
+    /// The shared decoded program for `module` under `cfg`'s decode
+    /// recipe, decoded on first sight into the module's record (which
+    /// dies with the module's last tenant, pruned in [`MultiVm::kill`]).
     fn decoded(&mut self, module: &Rc<Module>, cfg: &VmConfig) -> Rc<DecodedProgram> {
-        for (m, p) in &self.programs {
-            if Rc::ptr_eq(m, module) && p.decoded_for(cfg.engine, cfg.threaded) {
-                return p.clone();
-            }
+        let record = self
+            .record_of(module)
+            .expect("the gate recorded this module and the stamp still holds its handle");
+        if let Some(p) = record
+            .programs
+            .iter()
+            .find(|p| p.decoded_for(cfg.engine, cfg.threaded))
+        {
+            return p.clone();
         }
         let p = Rc::new(DecodedProgram::decode_for(module, cfg.engine, cfg.threaded));
-        self.programs.push((module.clone(), p.clone()));
+        record.programs.push(p.clone());
         p
     }
 
@@ -553,9 +610,9 @@ impl MultiVm {
         }
         self.kernel.proc_kill(pid);
         self.slots[pid.index()] = None;
-        // Drop decoded programs whose last tenant just died (the cache
-        // holds the only remaining module handle).
-        self.programs.retain(|(m, _)| Rc::strong_count(m) > 1);
+        // Forget modules (and their decoded programs) whose last tenant
+        // just died.
+        self.prune_modules();
         true
     }
 
@@ -1413,5 +1470,93 @@ impl MultiVm {
             });
         }
         reports
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use carat_ir::{GlobalInit, ModuleBuilder, Type};
+
+    fn returns_seven() -> Module {
+        let mut mb = ModuleBuilder::new("seven");
+        let f = mb.declare("main", vec![], Some(Type::I64));
+        {
+            let mut b = mb.define(f);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let c = b.const_i64(7);
+            b.ret(Some(c));
+        }
+        mb.finish()
+    }
+
+    /// The gate's memo answers for a module *handle*, never for module
+    /// content, and never outlives the handle: an equal module behind
+    /// another `Rc` is verified on its own account, a module the
+    /// verifier refuses leaves no record to be believed later, and a
+    /// record goes when it holds the last handle.
+    #[test]
+    fn module_records_follow_the_handle_and_die_with_it() {
+        let cfg = VmConfig {
+            load: LoadConfig {
+                stack_size: 8 * 1024,
+                heap_size: 16 * 1024,
+                page_size: 4096,
+            },
+            ..VmConfig::default()
+        };
+        let mut mv = MultiVm::new(
+            vec![],
+            MultiVmConfig {
+                kernel_mem: 16 * 1024 * 1024,
+                ..MultiVmConfig::default()
+            },
+        )
+        .expect("an empty fleet builds");
+        let (a, b) = (Rc::new(returns_seven()), Rc::new(returns_seven()));
+
+        let a_pids = mv
+            .spawn_batch("a", a.clone(), cfg.clone(), 2)
+            .expect("admits");
+        let a_again = mv
+            .spawn_shared("a2", a.clone(), cfg.clone())
+            .expect("admits");
+        assert_eq!(mv.modules.len(), 1, "one handle, one record");
+        assert_eq!(mv.modules[0].programs.len(), 1, "one recipe, one decode");
+        let b_pid = mv
+            .spawn_shared("b", b.clone(), cfg.clone())
+            .expect("admits");
+        assert_eq!(mv.modules.len(), 2, "equal content is not the same handle");
+
+        let mut mb = ModuleBuilder::new("ill_formed");
+        mb.global("short", Type::I64, GlobalInit::Bytes(vec![0; 3]));
+        let bad = Rc::new(mb.finish());
+        for _ in 0..2 {
+            let refusal = mv.spawn_shared("bad", bad.clone(), cfg.clone());
+            assert!(matches!(refusal, Err(VmError::Load(LoadError::Verify(_)))));
+            assert_eq!(mv.modules.len(), 2, "a refused module is not remembered");
+        }
+
+        // `a`'s record outlives its tenants only while someone could
+        // still present the handle.
+        for pid in a_pids {
+            assert!(mv.kill(pid));
+        }
+        assert_eq!(
+            mv.modules.len(),
+            2,
+            "a tenant and the caller still hold `a`"
+        );
+        drop(a);
+        assert!(mv.kill(a_again));
+        assert_eq!(
+            mv.modules.len(),
+            1,
+            "the last tenant of `a` took its record"
+        );
+        assert!(Rc::ptr_eq(&mv.modules[0].module, &b));
+        assert!(mv.kill(b_pid));
+        assert_eq!(mv.modules.len(), 1, "the caller can still present `b`");
     }
 }

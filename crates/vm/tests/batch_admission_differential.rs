@@ -7,16 +7,19 @@
 //! pass for the whole batch where the sequential path pays it per
 //! tenant.
 //!
-//! Also the transactional half: a mid-batch quota refusal unwinds every
-//! tenant already stamped, leaving the fleet exactly as before the
-//! call.
+//! Also the transactional half. A batch the quotas cannot hold is
+//! refused at the gate, before anything is built, with the refusal the
+//! first failing sequential admission would have returned and for the
+//! gate's toll alone; a batch the *arena* cannot hold fails mid-batch
+//! and the unwind kills every tenant already stamped. Either way the
+//! fleet is left exactly as before the call.
 
 use std::rc::Rc;
 
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::{GlobalInit, Module, ModuleBuilder, Pred, Type};
 use carat_kernel::{
-    AdmissionError, FaultPlan, FaultPoint, LoadConfig, LoadError, Pid, TenantQuotas,
+    AdmissionError, CapsuleLayout, FaultPlan, FaultPoint, LoadConfig, LoadError, Pid, TenantQuotas,
 };
 use carat_vm::{Engine, Mode, MultiVm, MultiVmConfig, ProcOutcome, ProcSpec, VmConfig, VmError};
 use proptest::prelude::*;
@@ -210,6 +213,10 @@ fn batch_admission_amortizes_the_verify_pass() {
     assert!(cost.admit_sequential_cost(10_000) >= 5 * cost.admit_batch_cost(10_000));
 }
 
+/// A batch past the tenant quota is refused whole. (Since the gate
+/// consults the quota for the whole batch nothing is stamped, so there
+/// is nothing to unwind here; `batch_past_the_arena_unwinds_completely`
+/// is where the unwind still runs.)
 #[test]
 fn refused_batch_unwinds_completely() {
     let module = template(Mode::Carat);
@@ -227,7 +234,7 @@ fn refused_batch_unwinds_completely() {
     .expect("empty fleet builds");
     let err = mv
         .spawn_batch("t", module.clone(), cfg.clone(), 6)
-        .expect_err("the 5th stamp exceeds the tenant quota");
+        .expect_err("a fifth tenant exceeds the tenant quota");
     assert!(
         matches!(
             err,
@@ -235,22 +242,258 @@ fn refused_batch_unwinds_completely() {
         ),
         "typed quota refusal, got {err:?}"
     );
-    assert_eq!(mv.len(), 0, "partial stamps are unwound");
+    assert_eq!(mv.len(), 0, "all or nothing");
 
-    // The unwind released every frame and pid: a full-quota batch then
+    // The refusal held no frame and no pid: a full-quota batch then
     // admits and runs cleanly on the same kernel.
     let pids = mv
         .spawn_batch("t", module, cfg, 4)
-        .expect("full-quota batch admits after the unwind");
+        .expect("full-quota batch admits after the refusal");
     assert_eq!(pids.len(), 4);
     let reports = mv.run();
     assert_eq!(reports.len(), 4);
     for r in &reports {
         let ProcOutcome::Finished(rr) = &r.outcome else {
+            panic!("{}: finishes after the refusal", r.name);
+        };
+        assert_eq!(rr.ret, 120 * 119 / 2);
+    }
+}
+
+/// Quotas are arithmetic; frames are not. With unlimited quotas and an
+/// arena that holds `k` capsules the gate lets a batch of `k + 3`
+/// through, the loader runs out of memory at stamp `k + 1`, and the
+/// unwind — which a quota refusal no longer reaches — restores the fleet:
+/// no tenant, no resident byte, every frame and every slab slot back.
+#[test]
+fn batch_past_the_arena_unwinds_completely() {
+    let module = template(Mode::Carat);
+    let cfg = vm_cfg(Engine::Fused, Mode::Carat);
+    let small_fleet = || {
+        MultiVm::new(
+            vec![],
+            MultiVmConfig {
+                kernel_mem: (64 + 1024) * 1024,
+                ..MultiVmConfig::default()
+            },
+        )
+        .expect("an empty fleet builds")
+    };
+    // How many capsules the arena holds, found one admission at a time.
+    let mut probe = small_fleet();
+    let mut k = 0;
+    let full = loop {
+        match probe.spawn_shared("p", module.clone(), cfg.clone()) {
+            Ok(_) => k += 1,
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        matches!(full, VmError::Load(LoadError::OutOfMemory)),
+        "the arena, not a quota, is what fills: {full:?}"
+    );
+    assert!(k >= 2, "the arena holds a few capsules");
+
+    let mut mv = small_fleet();
+    let free_pages = mv.kernel.buddy.pages_free();
+    let err = mv
+        .spawn_batch("t", module.clone(), cfg.clone(), k + 3)
+        .expect_err("the loader runs out of frames mid-batch");
+    assert!(
+        matches!(err, VmError::Load(LoadError::OutOfMemory)),
+        "typed loader refusal, got {err:?}"
+    );
+    let cost = &mv.kernel.cost;
+    assert_eq!(
+        mv.admission_cycles(),
+        cost.admit_verify + cost.admit_quota + (k as u64 + 1) * cost.admit_stamp,
+        "k tenants were stamped and one more attempted before the unwind"
+    );
+    assert_eq!(mv.len(), 0, "partial stamps are unwound");
+    assert_eq!(mv.kernel.procs.len(), 0);
+    assert_eq!(mv.kernel.procs.resident_bytes(), 0);
+    assert_eq!(mv.kernel.buddy.pages_free(), free_pages);
+    assert_eq!(mv.kernel.procs.capacity(), k, "k slab slots were grown");
+
+    let pids = mv
+        .spawn_batch("t", module, cfg, k)
+        .expect("a batch that fits admits after the unwind");
+    assert_eq!(pids.len(), k);
+    assert_eq!(
+        mv.kernel.procs.capacity(),
+        k,
+        "onto the k slots the unwind put back on the free list"
+    );
+    for r in mv.run() {
+        let ProcOutcome::Finished(rr) = &r.outcome else {
             panic!("{}: finishes after unwind", r.name);
         };
         assert_eq!(rr.ret, 120 * 119 / 2);
     }
+}
+
+/// Run `attempt`, which the tenant quota of 4 must refuse, and check that
+/// the refusal cost the gate's toll and nothing else: no stamp charged,
+/// the incumbent still installed, the spec's fault plan not landed, no
+/// frame moved, no tenant added.
+fn assert_refused_at_the_gate(
+    mv: &mut MultiVm,
+    attempt: impl FnOnce(&mut MultiVm) -> Result<(), VmError>,
+) {
+    let incumbent = mv.kernel.procs.current();
+    assert!(incumbent.is_some(), "a slice leaves its tenant installed");
+    let (toll, free_pages, tenants) = (
+        mv.admission_cycles(),
+        mv.kernel.buddy.pages_free(),
+        mv.len(),
+    );
+    let refusal = attempt(mv);
+    assert!(
+        matches!(
+            refusal,
+            Err(VmError::Admission(AdmissionError::TenantLimit { limit: 4 }))
+        ),
+        "typed quota refusal, got {refusal:?}"
+    );
+    assert_eq!(
+        mv.admission_cycles() - toll,
+        mv.kernel.cost.admit_verify + mv.kernel.cost.admit_quota,
+        "the gate's toll, no stamp"
+    );
+    assert_eq!(mv.kernel.procs.current(), incumbent, "incumbent not parked");
+    assert!(
+        mv.kernel.fault_plan().is_none(),
+        "its fault plan never lands"
+    );
+    assert_eq!(mv.kernel.buddy.pages_free(), free_pages, "no frame moved");
+    assert_eq!(mv.len(), tenants);
+}
+
+/// A quota refusal through each admission entry point stops at the gate
+/// (see [`assert_refused_at_the_gate`]) — and burns no pid and recycles
+/// no slab slot, so the next admission gets the pid a fleet that was
+/// never refused issues.
+#[test]
+fn quota_refusal_costs_the_gate_toll_and_nothing_else() {
+    let module = template(Mode::Carat);
+    let cfg = vm_cfg(Engine::Fused, Mode::Carat);
+    let fleet = || {
+        let mut mv = MultiVm::new(
+            vec![],
+            MultiVmConfig {
+                quantum: 64,
+                quotas: TenantQuotas {
+                    max_tenants: 4,
+                    ..TenantQuotas::default()
+                },
+                ..MultiVmConfig::default()
+            },
+        )
+        .expect("an empty fleet builds");
+        let pids = mv
+            .spawn_batch("t", module.clone(), cfg.clone(), 3)
+            .expect("incumbents admit");
+        mv.run_batch(1);
+        (mv, pids)
+    };
+    let (mut mv, pids) = fleet();
+    let (mut never_refused, _) = fleet();
+    let armed = VmConfig {
+        fault_plan: Some(FaultPlan::new().arm(FaultPoint::MidMove, 1)),
+        ..cfg.clone()
+    };
+
+    // Room for one: a batch of three is refused whole, unbuilt.
+    assert_refused_at_the_gate(&mut mv, |mv| {
+        mv.spawn_batch("r", module.clone(), armed.clone(), 3)
+            .map(|_| ())
+    });
+    // Both fleets fill the last place; single admissions are then
+    // refused too.
+    let [fourth, never_refused_fourth] = [&mut mv, &mut never_refused].map(|mv| {
+        let pid = mv
+            .spawn_shared("t3", module.clone(), cfg.clone())
+            .expect("the fourth fits");
+        mv.run_batch(1);
+        pid
+    });
+    assert_eq!(
+        fourth, never_refused_fourth,
+        "no slot was stamped and killed"
+    );
+    assert_refused_at_the_gate(&mut mv, |mv| {
+        mv.spawn(ProcSpec {
+            name: "r".into(),
+            module: (*module).clone(),
+            cfg: armed.clone(),
+        })
+        .map(|_| ())
+    });
+    assert_refused_at_the_gate(&mut mv, |mv| {
+        mv.spawn_shared("r", module.clone(), armed.clone())
+            .map(|_| ())
+    });
+
+    let [next, never_refused_next] = [&mut mv, &mut never_refused].map(|mv| {
+        assert!(mv.kill(pids[1]));
+        mv.spawn_shared("n", module.clone(), cfg.clone())
+            .expect("admits into the freed place")
+    });
+    assert_eq!(next, never_refused_next);
+}
+
+/// A batch the byte quota cannot hold is refused with the refusal — the
+/// variant and its payload — that the first failing one-tenant admission
+/// of the same tenants returns.
+#[test]
+fn batch_refusal_is_the_first_failing_sequential_refusal() {
+    let module = template(Mode::Carat);
+    let cfg = vm_cfg(Engine::Fused, Mode::Carat);
+    let text_len = carat_ir::print_module(&module).len() as u64;
+    let capsule = CapsuleLayout::of(&module, text_len, cfg.load).bytes();
+    let fleet = || {
+        MultiVm::new(
+            vec![],
+            MultiVmConfig {
+                quotas: TenantQuotas {
+                    max_resident_bytes: 5 * capsule + capsule / 2,
+                    ..TenantQuotas::default()
+                },
+                ..MultiVmConfig::default()
+            },
+        )
+        .expect("an empty fleet builds")
+    };
+    let (mut batch, mut seq) = (fleet(), fleet());
+    for mv in [&mut batch, &mut seq] {
+        mv.spawn_batch("t", module.clone(), cfg.clone(), 3)
+            .expect("three of five and a half fit");
+    }
+    let refused_batch = batch
+        .spawn_batch("r", module.clone(), cfg.clone(), 4)
+        .expect_err("two fit, the third over-commits");
+    let refused_seq = (0..4)
+        .find_map(|i| {
+            seq.spawn_shared(&format!("r{i}"), module.clone(), cfg.clone())
+                .err()
+        })
+        .expect("the third over-commits");
+    let VmError::Admission(refused_seq) = refused_seq else {
+        panic!("typed quota refusal, got {refused_seq:?}");
+    };
+    assert_eq!(
+        refused_seq,
+        AdmissionError::MemoryOverCommit {
+            requested: capsule,
+            resident: 5 * capsule,
+            limit: 5 * capsule + capsule / 2,
+        }
+    );
+    assert!(
+        matches!(refused_batch, VmError::Admission(e) if e == refused_seq),
+        "the batch meets the same refusal, got {refused_batch:?}"
+    );
+    assert_eq!(batch.len(), 3, "and admitted none of the four");
 }
 
 /// Every admission entry point verifies the module in the once-per-pass

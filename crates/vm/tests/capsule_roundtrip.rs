@@ -17,7 +17,7 @@
 
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::Module;
-use carat_kernel::KernelError;
+use carat_kernel::{checksum, KernelError};
 use carat_vm::{
     DecodedProgram, Engine, Mode, MoveDriverConfig, SliceExit, SwapDriverConfig, TenantState,
     ThreadedOpts, Vm, VmConfig,
@@ -220,6 +220,40 @@ fn corrupted_capsule_is_a_typed_checksum_error() {
         .expect_err("corruption detected");
     assert_eq!(err, KernelError::CapsuleCorrupt { slot });
     assert!(err.is_recoverable(), "one lost tenant, not a fleet panic");
+}
+
+/// The device's integrity sum over a real capsule image: every
+/// single-bit flip at every offset, every truncation and a run of
+/// zero-extensions change it. (One flipped bit is one changed word,
+/// which the word-at-a-time sum detects by construction; lengths are
+/// folded into its seed.)
+#[test]
+fn checksum_detects_every_bit_flip_truncation_and_zero_extension() {
+    let vm = mid_run(config(Mode::Carat, Engine::Fused), 1, 2_000);
+    let (_, _, state) = vm.into_tenant();
+    let image = state.externalize();
+    assert!(image.len() > 1024, "a real image, not a stub");
+    let sum = checksum(&image);
+    let mut damaged = image.clone();
+    for at in 0..image.len() {
+        for bit in 0..8 {
+            damaged[at] ^= 1 << bit;
+            assert_ne!(checksum(&damaged), sum, "bit {bit} of byte {at} flipped");
+            damaged[at] ^= 1 << bit;
+        }
+    }
+    for cut in 0..image.len() {
+        assert_ne!(checksum(&image[..cut]), sum, "truncated to {cut} bytes");
+    }
+    for _ in 0..64 {
+        damaged.push(0);
+        assert_ne!(
+            checksum(&damaged),
+            sum,
+            "zero-extended to {}",
+            damaged.len()
+        );
+    }
 }
 
 #[test]

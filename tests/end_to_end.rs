@@ -281,3 +281,50 @@ fn carat_census_matches_static_guard_count() {
         "both loops' guards merge into range guards: {c:?}"
     );
 }
+
+/// `CapsuleLayout::of` is the loader's own arithmetic, so fleet admission
+/// can ask what a tenant will cost in resident bytes before building it:
+/// for every Cm source in the suite (the 21 workloads and the three
+/// tenant programs), instrumented, under both the default sizing and the
+/// fleet's microservice sizing, it equals the loaded image's capsule.
+#[test]
+fn capsule_layout_predicts_every_loaded_capsule() {
+    use carat_suite::kernel::{CapsuleLayout, LoadConfig, SimKernel};
+    use carat_suite::runtime::AllocationTable;
+    use carat_suite::workloads::{all_workloads, chaos_tenant, fleet_tenant, io_server, Scale};
+
+    let fleet_load = LoadConfig {
+        stack_size: 8 * 1024,
+        heap_size: 16 * 1024,
+        page_size: 4096,
+    };
+    let mut sources: Vec<_> = all_workloads()
+        .into_iter()
+        .map(|w| (w.name, w.module(Scale::Test).expect("frontend")))
+        .collect();
+    for (name, build) in [
+        ("fleet_tenant", fleet_tenant as fn(Scale, i64) -> _),
+        ("chaos_tenant", chaos_tenant),
+        ("io_server", io_server),
+    ] {
+        sources.push((name, build(Scale::Test, 0).expect("frontend")));
+    }
+    assert_eq!(sources.len(), 24);
+    let compiler = CaratCompiler::new(CompileOptions::default());
+    for (name, source) in sources {
+        let module = compiler.compile(source).expect("carat").module;
+        let text_len = carat_suite::ir::print_module(&module).len() as u64;
+        for cfg in [LoadConfig::default(), fleet_load] {
+            let predicted = CapsuleLayout::of(&module, text_len, cfg).bytes();
+            let mut kernel = SimKernel::new(128 * 1024 * 1024);
+            let image = kernel
+                .load_unsigned(module.clone(), &mut AllocationTable::new(), cfg)
+                .expect("loads");
+            assert_eq!(
+                predicted,
+                image.capsule_region().len,
+                "{name} under {cfg:?}"
+            );
+        }
+    }
+}
