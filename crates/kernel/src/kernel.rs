@@ -414,6 +414,7 @@ impl SimKernel {
     /// Demand-allocate the page containing `addr` (CARAT mode: pure
     /// bookkeeping; the capsule already covers the arena). Returns whether
     /// this was a fresh page.
+    #[inline]
     pub fn demand_touch(&mut self, addr: u64) -> bool {
         let page = self.cost.page_of(addr);
         // Fast path for the VM's per-access call: the touched set only

@@ -23,6 +23,7 @@ impl PhysicalMemory {
         self.bytes.len() as u64
     }
 
+    #[inline]
     fn check(&self, addr: u64, len: u64) {
         assert!(
             addr.checked_add(len).is_some_and(|e| e <= self.size()),
@@ -38,6 +39,7 @@ impl PhysicalMemory {
     /// Panics when the range leaves physical memory — in a real machine
     /// this would be a bus error; in the simulation it is always a
     /// substrate bug because guards/page tables run first.
+    #[inline]
     pub fn read_bytes(&self, addr: u64, len: u64) -> &[u8] {
         self.check(addr, len);
         &self.bytes[addr as usize..(addr + len) as usize]
@@ -55,6 +57,7 @@ impl PhysicalMemory {
     }
 
     /// Write bytes at `addr`.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         self.check(addr, data.len() as u64);
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
@@ -62,6 +65,7 @@ impl PhysicalMemory {
 
     /// Read a little-endian integer of `size` ∈ {1,2,4,8} bytes,
     /// zero-extended.
+    #[inline]
     pub fn read_uint(&self, addr: u64, size: u64) -> u64 {
         let b = self.read_bytes(addr, size);
         // Whole-word fast path: the VM's pointer and f64 traffic.
@@ -76,17 +80,20 @@ impl PhysicalMemory {
     }
 
     /// Write the low `size` bytes of `val` little-endian.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, val: u64, size: u64) {
         let bytes = val.to_le_bytes();
         self.write_bytes(addr, &bytes[..size as usize]);
     }
 
     /// Read an `f64`.
+    #[inline]
     pub fn read_f64(&self, addr: u64) -> f64 {
         f64::from_bits(self.read_uint(addr, 8))
     }
 
     /// Write an `f64`.
+    #[inline]
     pub fn write_f64(&mut self, addr: u64, v: f64) {
         self.write_uint(addr, v.to_bits(), 8);
     }

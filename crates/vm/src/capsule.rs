@@ -507,23 +507,20 @@ impl TenantState {
         // --- TLB ---
         let tlb_level = |d: &mut Dec| -> Option<Tlb> {
             let nsets = d.len(8)?;
-            let mut sets = Vec::with_capacity(nsets);
+            let mut fill = Vec::with_capacity(nsets);
+            let mut entries = Vec::new();
             for _ in 0..nsets {
                 let n = d.len(16)?;
-                let mut set = Vec::with_capacity(n);
+                fill.push(n);
                 for _ in 0..n {
-                    set.push(d.pair()?);
+                    entries.push(d.pair()?);
                 }
-                sets.push(set);
-            }
-            if sets.is_empty() {
-                return None;
             }
             let assoc = d.usize()?;
             let stamp = d.u64()?;
             let hits = d.u64()?;
             let misses = d.u64()?;
-            Some(Tlb::restore(sets, assoc, stamp, hits, misses))
+            Tlb::restore(&fill, &entries, assoc, stamp, hits, misses)
         };
         let dtlb = tlb_level(&mut d)?;
         let stlb = tlb_level(&mut d)?;

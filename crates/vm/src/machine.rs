@@ -1482,15 +1482,27 @@ impl Core<'_> {
     /// superinstructions and threaded-tier ops are arms that only streams
     /// decoded for those engines reach.
     ///
-    /// Dispatch is two-tiered. The **fast tier** runs register-only
-    /// instructions and loads/stores to resolved (non-poison) addresses
-    /// under one sustained borrow ([`Fast`]) of the disjoint fields they
-    /// touch, so the per-instruction frame re-borrow disappears and the
-    /// hot counters can live in registers. Anything that needs the whole
-    /// `&mut self` — calls, intrinsics, guards, returns, and accesses to
-    /// poison (swapped-out) addresses, whose page-in world-stop patches
-    /// arbitrary state — breaks to the **slow tier**: a full-`self`
-    /// dispatch of that one instruction.
+    /// Dispatch is two-tiered. The **fast tier** runs everything that
+    /// cannot stop the world — register-only instructions, loads and
+    /// stores to resolved (non-poison) addresses, and guards that pass
+    /// (last-hit cache or a fresh region check) — under one sustained
+    /// borrow ([`Fast`]) of the disjoint fields they touch, so the
+    /// per-instruction frame re-borrow disappears and the hot counters can
+    /// live in registers. Anything that needs the whole `&mut self` —
+    /// calls, intrinsics, returns, and a guard that does not pass or an
+    /// access to a poison (swapped-out) address, whose page-in world-stop
+    /// patches arbitrary state — breaks to the **slow tier**: a
+    /// full-`self` dispatch of that one instruction. An arm that breaks
+    /// does so before it accounts anything, so the slow tier records the
+    /// instruction exactly once.
+    ///
+    /// Which [`DecodedInst`] variants have an arm in which tier:
+    ///
+    /// | tier | variants |
+    /// |---|---|
+    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedFcmpBr` `FusedConstBin` `FusedConstFBin` `FusedConstConst` `FusedBinBin` `FusedBinJmp` `FusedPtrAddConst` `FusedCastBin`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `Seam` `ElidedGuard` |
+    /// | both (fast arm, slow arm when it declines) | `Load` `Store` (poison address); `GuardFast` `FusedGuardLoad` `FusedGuardStore` (guard does not pass, or poison access address) |
+    /// | slow only | `Call` `Intrinsic` (every guard of a plain decode among them) `Ret` `Unreachable` `TrapAggregate` `HoistedGuard` |
     ///
     /// Every instruction that can be half of a fused pair has one body (a
     /// [`Fast`] method or a `*_slow` method) holding its accounting, its
@@ -1537,7 +1549,9 @@ impl Core<'_> {
                     fusion,
                     access_counter,
                     last_vpn,
+                    guard_cache,
                     mode: cfg.mode,
+                    guard_impl: cfg.guard_impl,
                     bail_insts_at: *bail_insts_at,
                     bail_cycles_at: *bail_cycles_at,
                 };
@@ -1912,11 +1926,12 @@ impl Core<'_> {
                             f.counters.guards_elided += 1;
                             f.fr.idx += 1;
                         }
-                        // A surviving guard intrinsic strength-reduced to a
-                        // fast-tier range probe. The passing path — cache hit
-                        // or fresh region check — accounts exactly like
-                        // `exec_guard_access`; a failing check breaks to the
-                        // slow tier unaccounted, where the full guard path
+                        // --- guards ---
+                        //
+                        // A guard that passes — cache hit or fresh region
+                        // check — is the [`Fast::guard`] component. One
+                        // that does not pass breaks to the slow tier with
+                        // nothing accounted, where the full guard path
                         // (page-in retry, fault reporting) runs instead.
                         DecodedInst::GuardFast {
                             gaddr,
@@ -1924,24 +1939,48 @@ impl Core<'_> {
                             imm,
                             write,
                         } => {
-                            let (addr, len, access) = guard_operands(f.fr, gaddr, glen, imm, write);
-                            let regions = &f.kernel.space.regions;
-                            let (probes, fresh) = if guard_cache.covers(regions, addr, len, access)
-                            {
-                                (guard_cache.probes, false)
-                            } else {
-                                let check = regions.check(cfg.guard_impl, addr, len, access);
-                                if !check.ok {
-                                    break;
-                                }
-                                (check.probes, true)
-                            };
-                            f.retire(Opcode::CallIntrinsic);
-                            account_guard(f.counters, f.kernel, cfg.guard_impl, probes);
-                            if fresh {
-                                guard_cache.refill(&f.kernel.space.regions, addr, probes);
+                            if !f.guard(gaddr, glen, imm, write) {
+                                break;
                             }
-                            f.fr.idx += 1;
+                        }
+                        // Guard + access superinstructions. A guard that
+                        // passes here patches no register, so the access
+                        // address can be read up front: a poison one sends
+                        // the whole pair to the slow tier, like a guard
+                        // that does not pass.
+                        DecodedInst::FusedGuardLoad {
+                            gaddr,
+                            glen,
+                            dst,
+                            addr,
+                            cls,
+                        } => {
+                            let a = f.fr.regs[addr as usize].as_p();
+                            if SimKernel::is_poison(a) || !f.guard(gaddr, glen, 0, false) {
+                                break;
+                            }
+                            if f.bail() {
+                                return Ok(None);
+                            }
+                            f.fusion.executed[FusedKind::GuardLoad as usize] += 1;
+                            f.load(dst, a, cls);
+                        }
+                        DecodedInst::FusedGuardStore {
+                            gaddr,
+                            glen,
+                            addr,
+                            value,
+                            cls,
+                        } => {
+                            let a = f.fr.regs[addr as usize].as_p();
+                            if SimKernel::is_poison(a) || !f.guard(gaddr, glen, 0, true) {
+                                break;
+                            }
+                            if f.bail() {
+                                return Ok(None);
+                            }
+                            f.fusion.executed[FusedKind::GuardStore as usize] += 1;
+                            f.store(a, value, cls);
                         }
 
                         // Kernel and frame-stack instructions (calls,
@@ -2043,10 +2082,12 @@ impl Core<'_> {
                         .into(),
                     ));
                 }
-                // Guard + access superinstructions: the guard component can
-                // service a poison fault (a page-in world-stop that patches
-                // registers), so the access component reads its address
-                // register only when it runs — after the guard.
+                // Guard + access superinstructions whose fast arm declined
+                // (guard miss, or poison access address): the guard
+                // component can service a poison fault (a page-in
+                // world-stop that patches registers), so the access
+                // component reads its address register only when it runs —
+                // after the guard.
                 DecodedInst::FusedGuardLoad {
                     gaddr,
                     glen,
@@ -2079,7 +2120,7 @@ impl Core<'_> {
                     self.t.counters.opcode_mix.record(Opcode::Store);
                     self.store_slow(addr, value, cls)?;
                 }
-                // A fast-tier range probe whose check missed (cold cache
+                // A guard whose fast-tier probe did not pass (cold cache
                 // plus a failing or poison address): run the full guard
                 // path — accounting, page-in retry, fault reporting.
                 DecodedInst::GuardFast {
@@ -2096,9 +2137,8 @@ impl Core<'_> {
         }
     }
 
-    /// Slow-tier guard component (the guard half of a guard + access
-    /// pair, or a [`DecodedInst::GuardFast`] whose probe missed): the
-    /// full [`Core::exec_guard_access`] path over the slot's operands.
+    /// Slow-tier guard component, for a guard [`Fast::guard`] declined:
+    /// the full [`Core::exec_guard_access`] path over the slot's operands.
     /// The caller has retired the instruction.
     #[inline(always)]
     fn guard_slow(&mut self, gaddr: u32, glen: u32, imm: u32, write: bool) -> Result<(), VmError> {
@@ -2177,17 +2217,21 @@ impl Core<'_> {
         take_jump(frame, &self.t.program, to);
     }
 
-    /// Evaluate a two-operand op. `width` is the integer result width,
-    /// pre-resolved by the caller from the left operand's type (the
-    /// decoded engine resolves it once at decode time).
+    /// Evaluate a two-operand op (the reference engine's entry to the
+    /// two evaluator bodies [`Fast::bin`] chooses between). `width` is the
+    /// integer result width, resolved from the left operand's type.
     fn eval_bin(&mut self, op: BinOp, a: Value, b: Value, width: IntTy) -> Result<Value, VmError> {
-        eval_bin(&self.kernel.cost, &mut self.t.counters, op, a, b, width)
+        let counters = &mut self.t.counters;
+        if can_trap(op) {
+            return eval_div(counters, op, a, b, width);
+        }
+        Ok(eval_total(&self.kernel.cost, counters, op, a, b, width))
     }
 }
 
 /// The fast dispatch tier's sustained borrow: the innermost frame plus
-/// the disjoint tenant and kernel fields that register-only instructions
-/// and resolved memory accesses touch.
+/// the disjoint tenant and kernel fields that register-only instructions,
+/// resolved memory accesses and passing guards touch.
 ///
 /// Its methods are the component bodies: each is the *only* statement of
 /// one decoded instruction's accounting, effect and cursor advance, used
@@ -2202,7 +2246,9 @@ struct Fast<'a> {
     fusion: &'a mut FusionStats,
     access_counter: &'a mut u64,
     last_vpn: &'a mut u64,
+    guard_cache: &'a mut GuardFastPath,
     mode: Mode,
+    guard_impl: GuardImpl,
     bail_insts_at: u64,
     bail_cycles_at: u64,
 }
@@ -2267,7 +2313,13 @@ impl Fast<'_> {
     ) -> Result<(), VmError> {
         self.retire(Opcode::Bin);
         let (a, b) = (self.fr.regs[lhs as usize], self.fr.regs[rhs as usize]);
-        self.fr.regs[dst as usize] = eval_bin(&self.kernel.cost, self.counters, op, a, b, width)?;
+        // Only a divide can fail; every other op stores its value without
+        // a `Result` ever existing.
+        self.fr.regs[dst as usize] = if can_trap(op) {
+            eval_div(self.counters, op, a, b, width)?
+        } else {
+            eval_total(&self.kernel.cost, self.counters, op, a, b, width)
+        };
         self.fr.idx += 1;
         Ok(())
     }
@@ -2368,6 +2420,32 @@ impl Fast<'_> {
         self.counters.stores += 1;
     }
 
+    /// The guard component on its passing path: the last-hit region
+    /// cache, else a fresh region check that refills it — accounted
+    /// exactly like [`Core::exec_guard_access`]. Returns `false`, with
+    /// nothing accounted and the cursor unmoved, when the check fails;
+    /// the arm then breaks to the slow tier, whose guard path can page in
+    /// or fault.
+    #[inline(always)]
+    fn guard(&mut self, gaddr: u32, glen: u32, imm: u32, write: bool) -> bool {
+        let (addr, len, access) = guard_operands(self.fr, gaddr, glen, imm, write);
+        let regions = &self.kernel.space.regions;
+        let probes = if self.guard_cache.covers(regions, addr, len, access) {
+            self.guard_cache.probes
+        } else {
+            let check = regions.check(self.guard_impl, addr, len, access);
+            if !check.ok {
+                return false;
+            }
+            self.guard_cache.refill(regions, addr, check.probes);
+            check.probes
+        };
+        self.retire(Opcode::CallIntrinsic);
+        account_guard(self.counters, self.kernel, self.guard_impl, probes);
+        self.fr.idx += 1;
+        true
+    }
+
     #[inline(always)]
     fn resolved(&mut self, a: u64, size: u64) -> u64 {
         data_access_resolved(
@@ -2441,84 +2519,100 @@ fn account_guard(
     counters.cycles += cycles;
 }
 
-/// Evaluate a two-operand op. A free function over the exact fields it
-/// touches (the cost model and the counters) so the fast dispatch tier
-/// can call it while holding its destructured borrow of the tenant; the
-/// `Core::eval_bin` method above wraps it for the reference engine.
-/// `width` is the integer result width, pre-resolved by the caller from
-/// the left operand's type (the decoded engine resolves it once at
-/// decode time).
-#[inline]
-fn eval_bin(
+/// Whether `op` can trap — on a zero divisor, the only way a two-operand
+/// op fails. These four go through [`eval_div`]; the other thirteen
+/// through [`eval_total`], which has no failure to report.
+#[inline(always)]
+fn can_trap(op: BinOp) -> bool {
+    matches!(op, BinOp::Sdiv | BinOp::Srem | BinOp::Udiv | BinOp::Urem)
+}
+
+/// The value of an integer op whose raw result is `r`: pointer arithmetic
+/// via add/sub keeps pointerness, anything else wraps to `width`.
+#[inline(always)]
+fn int_result(op: BinOp, a: Value, r: i64, width: IntTy) -> Value {
+    if matches!((a, op), (Value::P(_), BinOp::Add | BinOp::Sub)) {
+        Value::P(r as u64)
+    } else {
+        Value::I(width.wrap(r))
+    }
+}
+
+/// Evaluate one of the thirteen two-operand ops that cannot trap and
+/// charge its cycles. A free function over the exact fields it touches
+/// (the cost model and the counters) so the fast dispatch tier can call
+/// it while holding its destructured borrow of the tenant. `width` is the
+/// integer result width, pre-resolved by the caller from the left
+/// operand's type (the decoded engines resolve it once at decode time).
+#[inline(always)]
+fn eval_total(
     cost: &CostModel,
     counters: &mut PerfCounters,
     op: BinOp,
     a: Value,
     b: Value,
     width: IntTy,
-) -> Result<Value, VmError> {
-    {
-        if op.is_float() {
-            counters.cycles += cost.fpu;
-            let (x, y) = (a.as_f(), b.as_f());
-            return Ok(Value::F(match op {
-                BinOp::Fadd => x + y,
-                BinOp::Fsub => x - y,
-                BinOp::Fmul => x * y,
-                BinOp::Fdiv => x / y,
-                _ => unreachable!(),
-            }));
-        }
-        counters.cycles += match op {
-            BinOp::Sdiv | BinOp::Srem | BinOp::Udiv | BinOp::Urem => 20,
-            BinOp::Mul => 3,
-            _ => cost.alu,
-        };
-        // Pointer arithmetic via add/sub keeps pointerness.
-        let keep_ptr = matches!((a, op), (Value::P(_), BinOp::Add | BinOp::Sub));
-        let (x, y) = (a.as_i(), b.as_i());
-        let r = match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Sdiv => {
-                if y == 0 {
-                    return Err(VmError::Trap("division by zero".into()));
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Srem => {
-                if y == 0 {
-                    return Err(VmError::Trap("remainder by zero".into()));
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::Udiv => {
-                if y == 0 {
-                    return Err(VmError::Trap("division by zero".into()));
-                }
-                ((x as u64) / (y as u64)) as i64
-            }
-            BinOp::Urem => {
-                if y == 0 {
-                    return Err(VmError::Trap("remainder by zero".into()));
-                }
-                ((x as u64) % (y as u64)) as i64
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-            BinOp::Ashr => x.wrapping_shr(y as u32 & 63),
-            BinOp::Lshr => ((x as u64).wrapping_shr(y as u32 & 63)) as i64,
+) -> Value {
+    if op.is_float() {
+        counters.cycles += cost.fpu;
+        let (x, y) = (a.as_f(), b.as_f());
+        return Value::F(match op {
+            BinOp::Fadd => x + y,
+            BinOp::Fsub => x - y,
+            BinOp::Fmul => x * y,
+            BinOp::Fdiv => x / y,
             _ => unreachable!(),
-        };
-        Ok(if keep_ptr {
-            Value::P(r as u64)
-        } else {
-            Value::I(width.wrap(r))
-        })
+        });
     }
+    counters.cycles += if op == BinOp::Mul { 3 } else { cost.alu };
+    let (x, y) = (a.as_i(), b.as_i());
+    let r = match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32 & 63),
+        BinOp::Ashr => x.wrapping_shr(y as u32 & 63),
+        BinOp::Lshr => ((x as u64).wrapping_shr(y as u32 & 63)) as i64,
+        _ => unreachable!("a trapping op goes through eval_div"),
+    };
+    int_result(op, a, r, width)
+}
+
+/// Evaluate a divide or remainder ([`can_trap`]) and charge its cycles;
+/// a zero divisor traps, after the charge.
+#[inline]
+fn eval_div(
+    counters: &mut PerfCounters,
+    op: BinOp,
+    a: Value,
+    b: Value,
+    width: IntTy,
+) -> Result<Value, VmError> {
+    counters.cycles += 20;
+    let (x, y) = (a.as_i(), b.as_i());
+    if y == 0 {
+        return Err(zero_divisor(op));
+    }
+    let r = match op {
+        BinOp::Sdiv => x.wrapping_div(y),
+        BinOp::Srem => x.wrapping_rem(y),
+        BinOp::Udiv => ((x as u64) / (y as u64)) as i64,
+        BinOp::Urem => ((x as u64) % (y as u64)) as i64,
+        _ => unreachable!("only trapping ops reach eval_div"),
+    };
+    Ok(int_result(op, a, r, width))
+}
+
+#[cold]
+fn zero_divisor(op: BinOp) -> VmError {
+    let what = match op {
+        BinOp::Sdiv | BinOp::Udiv => "division",
+        _ => "remainder",
+    };
+    VmError::Trap(format!("{what} by zero"))
 }
 
 /// Redirect `fr` to block `to`, pinning that block's code stream. A free
@@ -2541,7 +2635,7 @@ fn take_jump(fr: &mut Frame, program: &DecodedProgram, to: BlockId) {
 /// tier can service loads and stores without leaving its sustained
 /// borrow; the [`Core::data_access`] wrapper (poison handling, page-in
 /// world-stops) delegates here for everything after fault resolution.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn data_access_resolved(
     kernel: &mut SimKernel,
@@ -3585,5 +3679,139 @@ fn icmp_u(pred: Pred, a: u64, b: u64) -> bool {
         Pred::Sle => a <= b,
         Pred::Sgt => a > b,
         Pred::Sge | Pred::Uge => a >= b,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The single fallible evaluator the total/fallible pair replaced,
+    /// restated plainly: what every `BinOp` must keep computing and
+    /// charging.
+    fn eval_bin_before_split(
+        cost: &CostModel,
+        counters: &mut PerfCounters,
+        op: BinOp,
+        a: Value,
+        b: Value,
+        width: IntTy,
+    ) -> Result<Value, VmError> {
+        if op.is_float() {
+            counters.cycles += cost.fpu;
+            let (x, y) = (a.as_f(), b.as_f());
+            return Ok(Value::F(match op {
+                BinOp::Fadd => x + y,
+                BinOp::Fsub => x - y,
+                BinOp::Fmul => x * y,
+                _ => x / y,
+            }));
+        }
+        counters.cycles += match op {
+            BinOp::Sdiv | BinOp::Srem | BinOp::Udiv | BinOp::Urem => 20,
+            BinOp::Mul => 3,
+            _ => cost.alu,
+        };
+        let keep_ptr = matches!((a, op), (Value::P(_), BinOp::Add | BinOp::Sub));
+        let (x, y) = (a.as_i(), b.as_i());
+        let zero = |what: &str| Err(VmError::Trap(format!("{what} by zero")));
+        let r = match op {
+            BinOp::Add => x.wrapping_add(y),
+            BinOp::Sub => x.wrapping_sub(y),
+            BinOp::Mul => x.wrapping_mul(y),
+            BinOp::Sdiv | BinOp::Udiv if y == 0 => return zero("division"),
+            BinOp::Srem | BinOp::Urem if y == 0 => return zero("remainder"),
+            BinOp::Sdiv => x.wrapping_div(y),
+            BinOp::Srem => x.wrapping_rem(y),
+            BinOp::Udiv => ((x as u64) / (y as u64)) as i64,
+            BinOp::Urem => ((x as u64) % (y as u64)) as i64,
+            BinOp::And => x & y,
+            BinOp::Or => x | y,
+            BinOp::Xor => x ^ y,
+            BinOp::Shl => x.wrapping_shl(y as u32 & 63),
+            BinOp::Ashr => x.wrapping_shr(y as u32 & 63),
+            _ => ((x as u64).wrapping_shr(y as u32 & 63)) as i64,
+        };
+        Ok(if keep_ptr {
+            Value::P(r as u64)
+        } else {
+            Value::I(width.wrap(r))
+        })
+    }
+
+    /// Tag and payload bits (a NaN equals itself here).
+    fn bits(v: Value) -> (u8, u64) {
+        match v {
+            Value::I(x) => (0, x as u64),
+            Value::F(x) => (1, x.to_bits()),
+            Value::P(x) => (2, x),
+            Value::Undef => (3, 0),
+        }
+    }
+
+    #[test]
+    fn evaluator_pair_matches_the_single_evaluator_on_every_op() {
+        const OPS: [BinOp; 17] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Sdiv,
+            BinOp::Srem,
+            BinOp::Udiv,
+            BinOp::Urem,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Shl,
+            BinOp::Ashr,
+            BinOp::Lshr,
+            BinOp::Fadd,
+            BinOp::Fsub,
+            BinOp::Fmul,
+            BinOp::Fdiv,
+        ];
+        let raw = [0i64, 1, -1, 7, 63, 64, 65, 200, i64::MIN, i64::MAX];
+        let mut vals = vec![Value::Undef];
+        for x in raw {
+            vals.extend([Value::I(x), Value::P(x as u64), Value::F(x as f64)]);
+        }
+        vals.extend([Value::F(f64::NAN), Value::F(-0.0), Value::F(0.5)]);
+        // Charges that tell `alu`, `fpu`, 3 and 20 apart.
+        let cost = CostModel {
+            alu: 7,
+            fpu: 11,
+            ..CostModel::default()
+        };
+        let mut trapped = 0;
+        for op in OPS {
+            for width in [IntTy::I1, IntTy::I8, IntTy::I32, IntTy::I64] {
+                for &a in &vals {
+                    for &b in &vals {
+                        let (mut want_c, mut got_c) =
+                            (PerfCounters::default(), PerfCounters::default());
+                        let want = eval_bin_before_split(&cost, &mut want_c, op, a, b, width);
+                        let got = if can_trap(op) {
+                            eval_div(&mut got_c, op, a, b, width)
+                        } else {
+                            Ok(eval_total(&cost, &mut got_c, op, a, b, width))
+                        };
+                        let case = format!("{op:?} {width:?} {a:?} {b:?}");
+                        assert_eq!(got_c, want_c, "{case}");
+                        match (got, want) {
+                            (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w), "{case}"),
+                            (Err(VmError::Trap(g)), Err(VmError::Trap(w))) => {
+                                assert_eq!(g, w, "{case}");
+                                trapped += 1;
+                            }
+                            (g, w) => panic!("{case}: {g:?} vs {w:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // Four ops × four widths × every left operand × the zero-valued
+        // right operands (`Undef`, `I(0)`, `P(0)` and every float).
+        let zero_divisors = vals.iter().filter(|b| b.as_i() == 0).count();
+        assert_eq!(trapped, 4 * 4 * vals.len() * zero_divisors);
     }
 }

@@ -7,7 +7,14 @@
 /// One set-associative TLB level with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    sets: Vec<Vec<(u64, u64)>>, // (vpn, last-use stamp)
+    /// `nsets × assoc` `(vpn, last-use stamp)` slots, set after set. A
+    /// set's entries are the leading slots of its stripe whose stamp is
+    /// not 0 (a stamp in use is at least 1). Empty until the first
+    /// `insert`: a CARAT tenant never translates and so never pays for
+    /// its TLBs. A boxed slice rather than a `Vec` so that `TenantState`,
+    /// and with it the fleet's per-tenant footprint, keeps its size.
+    slots: Box<[(u64, u64)]>,
+    nsets: usize,
     assoc: usize,
     stamp: u64,
     /// Lookup hits.
@@ -19,9 +26,9 @@ pub struct Tlb {
 impl Tlb {
     /// A TLB with `entries` total entries and `assoc`-way sets.
     pub fn new(entries: usize, assoc: usize) -> Tlb {
-        let nsets = (entries / assoc).max(1);
         Tlb {
-            sets: vec![Vec::with_capacity(assoc); nsets],
+            slots: Box::default(),
+            nsets: (entries / assoc).max(1),
             assoc,
             stamp: 0,
             hits: 0,
@@ -29,16 +36,20 @@ impl Tlb {
         }
     }
 
-    fn set_of(&self, vpn: u64) -> usize {
-        (vpn as usize) % self.sets.len()
+    /// Where the stripe of `vpn`'s set starts in `slots`.
+    fn stripe_of(&self, vpn: u64) -> usize {
+        (vpn as usize) % self.nsets * self.assoc
     }
 
     /// Look up `vpn`; updates hit/miss counters and LRU state.
     pub fn lookup(&mut self, vpn: u64) -> bool {
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = self.set_of(vpn);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.0 == vpn) {
+        let at = self.stripe_of(vpn);
+        // No stripe before the first insert.
+        let stripe = self.slots.get_mut(at..at + self.assoc).unwrap_or_default();
+        let mut entries = stripe.iter_mut().take_while(|e| e.1 != 0);
+        if let Some(e) = entries.find(|e| e.0 == vpn) {
             e.1 = stamp;
             self.hits += 1;
             true
@@ -52,53 +63,92 @@ impl Tlb {
     pub fn insert(&mut self, vpn: u64) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = self.set_of(vpn);
-        let entries = &mut self.sets[set];
-        if let Some(e) = entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = stamp;
-            return;
+        if self.slots.is_empty() {
+            self.slots = vec![(0, 0); self.nsets * self.assoc].into_boxed_slice();
         }
-        if entries.len() >= self.assoc {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            entries.swap_remove(lru);
+        let at = self.stripe_of(vpn);
+        let stripe = &mut self.slots[at..at + self.assoc];
+        let mut lru = 0;
+        for i in 0..stripe.len() {
+            if stripe[i].1 == 0 {
+                // Every entry of the set came before this free slot.
+                stripe[i] = (vpn, stamp);
+                return;
+            }
+            if stripe[i].0 == vpn {
+                stripe[i].1 = stamp;
+                return;
+            }
+            if stripe[i].1 < stripe[lru].1 {
+                lru = i;
+            }
         }
-        entries.push((vpn, stamp));
+        // Full: the last entry takes the LRU's slot (the first of the
+        // oldest stamps) and the newcomer goes last.
+        let last = stripe.len() - 1;
+        stripe[lru] = stripe[last];
+        stripe[last] = (vpn, stamp);
     }
 
     /// Drop every entry (TLB shootdown).
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.slots.fill((0, 0));
     }
 
-    /// Capsule view: sets, associativity, LRU stamp.
-    pub(crate) fn snapshot(&self) -> (&[Vec<(u64, u64)>], usize, u64) {
-        (&self.sets, self.assoc, self.stamp)
+    /// Capsule view: every set's entries in set order, associativity, LRU
+    /// stamp.
+    pub(crate) fn snapshot(&self) -> (impl ExactSizeIterator<Item = &[(u64, u64)]>, usize, u64) {
+        let sets = (0..self.nsets).map(|s| {
+            let stripe = self.slots.get(s * self.assoc..).unwrap_or_default();
+            let n = stripe.iter().take(self.assoc).take_while(|e| e.1 != 0);
+            &stripe[..n.count()]
+        });
+        (sets, self.assoc, self.stamp)
     }
 
-    /// Rebuild a TLB from its capsule view.
+    /// Rebuild a TLB from its capsule view: `fill[s]` entries for each
+    /// set `s`, packed in set order in `entries`. `None` for a view no
+    /// `Tlb` produces: no sets, a set over `assoc` entries, an entry
+    /// stamped 0, or more than [`MAX_RESTORED_SLOTS`] slots.
     pub(crate) fn restore(
-        sets: Vec<Vec<(u64, u64)>>,
+        fill: &[usize],
+        entries: &[(u64, u64)],
         assoc: usize,
         stamp: u64,
         hits: u64,
         misses: u64,
-    ) -> Tlb {
-        Tlb {
-            sets,
+    ) -> Option<Tlb> {
+        let nsets = fill.len();
+        let nslots = nsets
+            .checked_mul(assoc)
+            .filter(|&n| n <= MAX_RESTORED_SLOTS)?;
+        if nslots == 0 || fill.iter().any(|&n| n > assoc) || entries.iter().any(|e| e.1 == 0) {
+            return None;
+        }
+        let mut tlb = Tlb {
+            slots: Box::default(),
+            nsets,
             assoc,
             stamp,
             hits,
             misses,
+        };
+        if !entries.is_empty() {
+            tlb.slots = vec![(0, 0); nslots].into_boxed_slice();
+            let mut rest = entries;
+            for (stripe, &n) in tlb.slots.chunks_exact_mut(assoc).zip(fill) {
+                let (set, tail) = rest.split_at_checked(n)?;
+                stripe[..n].copy_from_slice(set);
+                rest = tail;
+            }
         }
+        Some(tlb)
     }
 }
+
+/// The most slots [`Tlb::restore`] allocates for: the capsule's
+/// associativity is input, and real second-level TLBs hold a few thousand.
+const MAX_RESTORED_SLOTS: usize = 1 << 20;
 
 /// The two-level translation structure plus pagewalk counters.
 #[derive(Debug, Clone)]
@@ -181,6 +231,82 @@ mod tests {
         t.insert(1);
         t.flush();
         assert!(!t.lookup(1));
+    }
+
+    #[test]
+    fn allocates_on_first_insert_only() {
+        let mut t = Tlb::new(1536, 12);
+        assert!(!t.lookup(7));
+        t.flush();
+        assert!(t.slots.is_empty());
+        assert_eq!(t.snapshot().0.len(), 128);
+        assert!(t.snapshot().0.all(|set| set.is_empty()));
+        t.insert(7);
+        assert_eq!(t.slots.len(), 1536);
+        assert!(t.lookup(7));
+    }
+
+    /// The flat sets hold what the nested `Vec`s they replaced held, in
+    /// the same order: evict by `swap_remove` of the first oldest stamp,
+    /// install by `push`. The capsule serializes that order.
+    #[test]
+    fn in_set_order_matches_swap_remove_and_push() {
+        let (nsets, assoc) = (2usize, 3usize);
+        let mut t = Tlb::new(nsets * assoc, assoc);
+        let mut model: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nsets];
+        let mut stamp = 0u64;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let vpn = x % 11;
+            stamp += 1;
+            let set = &mut model[vpn as usize % nsets];
+            let hit = set.iter_mut().find(|e| e.0 == vpn);
+            if step % 3 == 0 {
+                assert_eq!(t.lookup(vpn), hit.is_some());
+                if let Some(e) = hit {
+                    e.1 = stamp;
+                }
+            } else {
+                t.insert(vpn);
+                if let Some(e) = hit {
+                    e.1 = stamp;
+                } else {
+                    if set.len() >= assoc {
+                        let lru = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+                        set.swap_remove(lru);
+                    }
+                    set.push((vpn, stamp));
+                }
+            }
+            let (sets, ..) = t.snapshot();
+            assert!(sets.eq(model.iter().map(Vec::as_slice)), "step {step}");
+        }
+    }
+
+    #[test]
+    fn restore_round_trips_and_rejects_impossible_views() {
+        let mut t = Tlb::new(8, 2);
+        for vpn in [1, 5, 9, 2] {
+            t.insert(vpn);
+        }
+        let (sets, assoc, stamp) = t.snapshot();
+        let sets: Vec<&[(u64, u64)]> = sets.collect();
+        let fill: Vec<usize> = sets.iter().map(|s| s.len()).collect();
+        let r = Tlb::restore(&fill, &sets.concat(), assoc, stamp, 0, 0).unwrap();
+        assert!(r.snapshot().0.eq(t.snapshot().0));
+        assert_eq!(r.snapshot().2, stamp);
+
+        let empty = Tlb::restore(&[0; 4], &[], 2, 0, 0, 0).unwrap();
+        assert!(empty.slots.is_empty());
+        assert!(Tlb::restore(&[], &[], 2, 0, 0, 0).is_none());
+        assert!(Tlb::restore(&[0; 4], &[], 0, 0, 0, 0).is_none());
+        assert!(Tlb::restore(&[3, 0], &[(1, 1); 3], 2, 0, 0, 0).is_none());
+        assert!(Tlb::restore(&[1, 1], &[(1, 1)], 2, 0, 0, 0).is_none());
+        assert!(Tlb::restore(&[1, 0], &[(1, 0)], 2, 0, 0, 0).is_none());
+        assert!(Tlb::restore(&[0; 4], &[], usize::MAX, 0, 0, 0).is_none());
     }
 
     #[test]

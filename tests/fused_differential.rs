@@ -11,9 +11,11 @@
 use carat_suite::core::{CaratCompiler, CompileOptions};
 use carat_suite::frontend::compile_cm;
 use carat_suite::ir::Module;
+use carat_suite::runtime::Perms;
 use carat_suite::vm::{
-    DecodedProgram, Engine, FusedKind, Mode, MoveDriverConfig, RunResult, SwapDriverConfig, Vm,
-    VmConfig, VmError, FUSED_KINDS,
+    DecodedProgram, Engine, FusedKind, Mode, MoveDriverConfig, MultiVm, MultiVmConfig, ProcOutcome,
+    ProcSpec, RunResult, SchedSource, SwapDriverConfig, ThreadedOpts, Vm, VmConfig, VmError,
+    FUSED_KINDS,
 };
 use carat_suite::workloads::{all_workloads, Scale};
 use proptest::prelude::*;
@@ -270,6 +272,153 @@ fn step_limit_trips_identically() {
         assert!(sites[k] > 0, "{}: no static site swept", kind.name());
         assert!(executed[k] > 0, "{}: never executed fused", kind.name());
     }
+}
+
+/// Guard + access pairs and lone guards run in the fast dispatch tier, so
+/// a scheduler slice can end between a guard and its access. Wherever it
+/// ends — every instruction quantum in `1..=64`, a few timer intervals —
+/// a guard-dense kernel must retire exactly what it retires unsliced, and
+/// the fused engine exactly what the reference interpreter does. The swap
+/// driver is on, so some guards meet a poison address and take the slow
+/// arm, page-in included.
+///
+/// The threaded engine is held to the sliced runs agreeing with each
+/// other, and with the unsliced run on what the program did: under swap
+/// its guard counters also depend on when the fleet flushes escapes (at
+/// every slice end), through whether a page-in is raised by a surviving
+/// guard or by an access whose guard was elided — at the parent commit
+/// too, at any bounded quantum (ROADMAP item 4).
+#[test]
+fn guard_pairs_split_identically_at_every_slice_boundary() {
+    let w = carat_suite::workloads::by_name("mcf").expect("workload");
+    let module = w.module(Scale::Test).expect("frontend");
+    let m = compile(module, CompileOptions::default());
+    let run = |engine: Engine, sched: MultiVmConfig| -> RunResult {
+        let spec = ProcSpec {
+            name: "mcf".to_string(),
+            module: m.clone(),
+            cfg: VmConfig {
+                engine,
+                swap_driver: Some(SwapDriverConfig {
+                    period_cycles: 60_000,
+                    max_swaps: 10,
+                }),
+                ..VmConfig::default()
+            },
+        };
+        let mut reports = MultiVm::new(vec![spec], sched).expect("loads").run();
+        match reports.remove(0).outcome {
+            ProcOutcome::Finished(r) => r,
+            other => panic!("{engine:?}: finishes, got {other:?}"),
+        }
+    };
+    let quantum = |quantum: u64| MultiVmConfig {
+        quantum,
+        ..MultiVmConfig::default()
+    };
+    let timer = |timer_interval: u64| MultiVmConfig {
+        sched: SchedSource::Timer,
+        timer_interval,
+        ..MultiVmConfig::default()
+    };
+    let did = |r: &RunResult| {
+        let c = &r.counters;
+        (r.ret, c.instructions, c.loads, c.stores, c.swap_ins)
+    };
+
+    let reference = run(Engine::Reference, quantum(u64::MAX));
+    assert!(reference.counters.swap_ins > 0, "data was paged back in");
+    for engine in [Engine::Fused, Engine::Threaded] {
+        let whole = run(engine, quantum(u64::MAX));
+        let want = if engine == Engine::Fused {
+            assert_eq!(whole.counters, reference.counters, "fused vs reference");
+            let pairs = whole.fusion.executed[FusedKind::GuardLoad as usize]
+                + whole.fusion.executed[FusedKind::GuardStore as usize];
+            assert!(pairs > 1_000, "guard pairs are the hot path: {pairs}");
+            whole.counters.clone()
+        } else {
+            assert!(whole.counters.guards_executed > 1_000, "lone guards run");
+            run(engine, quantum(1)).counters
+        };
+        for sched in (1..=64).map(quantum).chain([7, 50, 333].map(timer)) {
+            let what = format!(
+                "{engine:?} {:?} q={} t={}",
+                sched.sched, sched.quantum, sched.timer_interval
+            );
+            let one_per_slice = sched.sched == SchedSource::Quantum && sched.quantum == 1;
+            let sliced = run(engine, sched);
+            assert_eq!(did(&sliced), did(&whole), "{what}");
+            assert_eq!(sliced.counters, want, "{what}");
+            // A pair split at the boundary retires unfused and uncounted.
+            for k in 0..FUSED_KINDS {
+                assert!(
+                    sliced.fusion.executed[k] <= whole.fusion.executed[k],
+                    "{what}"
+                );
+            }
+            if one_per_slice {
+                assert_eq!(sliced.fusion.fused_pairs(), 0, "{what}: every pair split");
+            }
+        }
+    }
+}
+
+/// The guard fast path may only trust its cached region while the region
+/// table stands: a protection change between two guards must reach the
+/// very next one — no write guard passes on the cached hit — in the fast
+/// tier's arms as in the reference interpreter.
+#[test]
+fn region_edit_between_guards_invalidates_the_cached_hit() {
+    let src = "
+        int main() {
+            int* a = (int*) malloc(64 * sizeof(int));
+            int s = 0;
+            for (int i = 0; i < 4000; i += 1) {
+                a[(i * 7) % 64] = i;
+                s += a[(i * 3) % 64];
+            }
+            free(a);
+            return s % 1000;
+        }
+    ";
+    let m = compile(
+        compile_cm("edit", src).expect("frontend"),
+        CompileOptions::default(),
+    );
+    let faults_after_edit = |engine: Engine| {
+        // Every guard survives decode: an elided one would let its store
+        // through on the strength of a covering guard from before the edit.
+        let cfg = VmConfig {
+            engine,
+            threaded: ThreadedOpts {
+                elide: false,
+                hoist: false,
+            },
+            ..VmConfig::default()
+        };
+        let mut vm = Vm::new(m.clone(), cfg).expect("load");
+        vm.start().expect("start");
+        vm.run_slice(5_000).expect("mid-loop");
+        let (guards, stores) = (vm.counters().guards_executed, vm.counters().stores);
+        assert!(guards > 100, "{engine:?}: the guard cache is warm");
+        let (heap, len) = vm.image().heap;
+        vm.kernel.change_protection(heap, len, Perms::R);
+        let fault = vm.run_slice(u64::MAX).expect_err("the next store faults");
+        assert!(
+            matches!(fault, VmError::GuardFault { write: true, .. }),
+            "{engine:?}: {fault:?}"
+        );
+        // At most the store whose guard had run when the slice ended.
+        let passed = vm.counters().stores - stores;
+        assert!(passed <= 1, "{engine:?}: {passed} stores on a stale hit");
+        (format!("{fault:?}"), vm.counters().clone())
+    };
+    let want = faults_after_edit(Engine::Reference);
+    assert_eq!(faults_after_edit(Engine::Decoded), want);
+    assert_eq!(faults_after_edit(Engine::Fused), want);
+    // The threaded stream chains blocks, so its slice ends elsewhere in
+    // the loop: same verdict, another iteration.
+    faults_after_edit(Engine::Threaded);
 }
 
 /// The pairs [`gen_program`] never forms: a field load through a pointer,
