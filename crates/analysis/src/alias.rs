@@ -214,11 +214,6 @@ impl ChainedAlias {
         }
     }
 
-    /// A chain with custom members (for ablation studies).
-    pub fn with_members(members: Vec<Box<dyn AliasAnalysis>>) -> ChainedAlias {
-        ChainedAlias { members }
-    }
-
     /// The standard chain plus a per-function Steensgaard points-to
     /// analysis (computed once here), which sees through phis and selects
     /// that the syntactic base tracer punts on.

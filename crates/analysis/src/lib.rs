@@ -10,9 +10,11 @@
 //! * [`canonical_loop_info`] / [`ptr_evolution`] — scalar evolution for
 //!   counted loops (Opt 2);
 //! * [`ValueRanges`] — conditional value-range analysis;
-//! * [`Availability`] — the AC/DC available-pointer-defs dataflow (Opt 3);
 //! * [`prove_function`] — whole-trip guard proofs consumed by the threaded
 //!   engine tier to elide and hoist guards at decode time.
+//!
+//! Opt 3 (AC/DC) is not here: `carat_core::opt::redundancy` runs its own
+//! extent-carrying must-availability dataflow and takes only [`Cfg`].
 //!
 //! ## Example
 //!
@@ -40,8 +42,6 @@
 #![warn(missing_docs)]
 
 mod alias;
-mod avail;
-mod bitset;
 mod cfg;
 mod dom;
 mod invariance;
@@ -55,8 +55,6 @@ pub use alias::{
     trace_base, AliasAnalysis, AliasResult, BaseObject, BaseObjectAlias, ChainedAlias, MemLoc,
     OffsetAlias, TypeBasedAlias,
 };
-pub use avail::Availability;
-pub use bitset::BitSet;
 pub use cfg::Cfg;
 pub use dom::DomTree;
 pub use invariance::LoopInvariance;

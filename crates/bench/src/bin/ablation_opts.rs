@@ -3,12 +3,13 @@
 //! per workload. Each row toggles exactly one optimization on, plus the
 //! none/all extremes.
 
-use carat_bench::{geomean, print_table, scale_from_args, selected_workloads, FREQ_HZ};
+use carat_bench::{geomean, print_table, Args, FREQ_HZ};
 use carat_core::{CaratCompiler, CompileOptions, OptPreset, OptToggles};
 use carat_vm::{Vm, VmConfig};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     let _ = FREQ_HZ;
     println!("Ablation: per-optimization contribution ({scale:?} scale)\n");
     let configs: [(&str, OptToggles); 5] = [
@@ -41,7 +42,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut ratio_cols: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for w in selected_workloads() {
+    for w in args.workloads {
         let module = w.module(scale).expect("workload compiles");
         let mut cells = vec![w.name.to_string()];
         let mut none_guards = 0f64;

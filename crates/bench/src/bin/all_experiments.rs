@@ -3,8 +3,10 @@
 //! available as its own binary; see DESIGN.md.
 //!
 //! `--jobs N` runs up to N experiments concurrently (output is captured
-//! and printed in the original order); other flags are passed through.
+//! and printed in the original order); `--scale` and `--only` are handed
+//! to each experiment that accepts them.
 
+use carat_bench::Args;
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -33,19 +35,8 @@ fn main() {
         "fleet_scaling",
         "chaos_soak",
     ];
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        Some(i) if i + 1 < args.len() => {
-            let n = args[i + 1].parse::<usize>().unwrap_or(1).max(1);
-            args.drain(i..=i + 1);
-            n
-        }
-        Some(i) => {
-            args.remove(i);
-            1
-        }
-        None => 1,
-    };
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let jobs = args.jobs;
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir").to_path_buf();
 
@@ -84,7 +75,7 @@ fn main() {
                 };
                 let job = &queue[i];
                 let mut cmd_args: Vec<String> = job.prefix.iter().map(|s| s.to_string()).collect();
-                cmd_args.extend(args.iter().cloned());
+                cmd_args.extend(args.forward_to(job.exe));
                 let out = Command::new(dir.join(job.exe))
                     .args(&cmd_args)
                     .output()

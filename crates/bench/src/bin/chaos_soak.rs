@@ -35,13 +35,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use carat_bench::{engine_from_args, print_table, scale_from_args, Variant};
+use carat_bench::{print_table, Args, Variant};
 use carat_core::CaratCompiler;
 use carat_ir::Module;
 use carat_kernel::{AdmissionError, FaultPlan, FaultPoint, LoadConfig, Pid};
 use carat_vm::{
-    Mode, MoveDriverConfig, MultiVm, MultiVmConfig, PerfCounters, ProcOutcome, SupervisorConfig,
-    SwapDriverConfig, TenantExit, Verdict, Vm, VmConfig, VmError,
+    Engine, Mode, MoveDriverConfig, MultiVm, MultiVmConfig, PerfCounters, ProcOutcome,
+    SupervisorConfig, SwapDriverConfig, TenantExit, Verdict, Vm, VmConfig, VmError,
 };
 use carat_workloads::{chaos_tenant, Scale};
 
@@ -89,10 +89,10 @@ fn chaos_module(scale: Scale) -> Rc<Module> {
     )
 }
 
-fn tenant_cfg() -> VmConfig {
+fn tenant_cfg(engine: Engine) -> VmConfig {
     VmConfig {
         mode: Mode::Carat,
-        engine: engine_from_args(),
+        engine,
         load: CHAOS_LOAD,
         // Aggressive drivers: relocations and page-outs every few
         // thousand cycles, so every storm arm exercises the CARAT
@@ -125,9 +125,11 @@ fn fleet_cfg(tenants: usize, ladder: bool) -> MultiVmConfig {
     }
 }
 
-fn build_fleet(tenants: usize, module: &Rc<Module>, ladder: bool) -> MultiVm {
+/// What every tenant is spawned from: the shared module and its config.
+type Tenant = (Rc<Module>, VmConfig);
+
+fn build_fleet(tenants: usize, (module, cfg): &Tenant, ladder: bool) -> MultiVm {
     let mut mv = MultiVm::new(Vec::new(), fleet_cfg(tenants, ladder)).expect("empty fleet builds");
-    let cfg = tenant_cfg();
     for i in 0..tenants {
         mv.spawn_shared(&format!("t{i}"), module.clone(), cfg.clone())
             .unwrap_or_else(|e| {
@@ -140,8 +142,8 @@ fn build_fleet(tenants: usize, module: &Rc<Module>, ladder: bool) -> MultiVm {
 
 /// The fault-free fleet every isolation storm is compared against:
 /// per-pid return values and bit-exact counters.
-fn reference(tenants: usize, module: &Rc<Module>) -> HashMap<Pid, (i64, PerfCounters)> {
-    let reports = build_fleet(tenants, module, false).run();
+fn reference(tenants: usize, tenant: &Tenant) -> HashMap<Pid, (i64, PerfCounters)> {
+    let reports = build_fleet(tenants, tenant, false).run();
     let mut by_pid = HashMap::new();
     for r in reports {
         match r.outcome {
@@ -195,7 +197,7 @@ fn run_storm(
     label: &str,
     plan: FaultPlan,
     tenants: usize,
-    module: &Rc<Module>,
+    tenant: &Tenant,
     ladder: bool,
     reference: Option<&HashMap<Pid, (i64, PerfCounters)>>,
     expected_ret: i64,
@@ -204,7 +206,7 @@ fn run_storm(
         label: label.to_string(),
         ..StormReport::default()
     };
-    let mut mv = build_fleet(tenants, module, ladder);
+    let mut mv = build_fleet(tenants, tenant, ladder);
     mv.install_fault_plan(plan);
     rep.slices = mv.run_batch(u64::MAX);
     {
@@ -281,7 +283,7 @@ fn run_storm(
 /// Rung 4 in isolation: a starved arena must refuse admission with a
 /// typed backpressure error, never an allocator panic. Returns
 /// (admitted before refusal, refusal was typed).
-fn backpressure_probe(module: &Rc<Module>) -> (usize, bool) {
+fn backpressure_probe((module, cfg): &Tenant) -> (usize, bool) {
     let mut mv = MultiVm::new(
         Vec::new(),
         MultiVmConfig {
@@ -293,7 +295,6 @@ fn backpressure_probe(module: &Rc<Module>) -> (usize, bool) {
         },
     )
     .expect("probe fleet builds");
-    let cfg = tenant_cfg();
     for i in 0..200 {
         match mv.spawn_shared(&format!("p{i}"), module.clone(), cfg.clone()) {
             Ok(_) => {}
@@ -315,15 +316,11 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_chaos.json".to_string());
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, args.out);
+    let engine = args.engine.unwrap_or_default();
     let tenants = fleet_size(scale);
-    let module = chaos_module(scale);
+    let tenant = (chaos_module(scale), tenant_cfg(engine));
     let expected_ret = {
         let solo = chaos_tenant(scale, 0).expect("compiles");
         Vm::new(solo, VmConfig::default())
@@ -334,11 +331,11 @@ fn main() {
     };
     println!(
         "chaos_soak: {tenants}-tenant supervised fleet, scale {scale:?}, engine {}, expected ret {expected_ret}",
-        engine_from_args().name()
+        engine.name()
     );
     println!();
 
-    let by_pid = reference(tenants, &module);
+    let by_pid = reference(tenants, &tenant);
     let mut storms: Vec<StormReport> = Vec::new();
     let mut panics = 0u64;
     let mut arms: Vec<(String, FaultPlan, bool)> = Vec::new();
@@ -374,7 +371,7 @@ fn main() {
                 &label,
                 plan,
                 tenants,
-                &module,
+                &tenant,
                 ladder,
                 reference,
                 expected_ret,
@@ -434,7 +431,7 @@ fn main() {
         .flat_map(|s| s.recovery_samples.iter().copied())
         .collect();
     latencies.sort_unstable();
-    let (admitted, backpressure_typed) = backpressure_probe(&module);
+    let (admitted, backpressure_typed) = backpressure_probe(&tenant);
 
     let zero_panic = panics == 0;
     let bystanders_ok = divergences == 0;
@@ -515,7 +512,7 @@ fn main() {
         percentile(&latencies, 50),
         percentile(&latencies, 90),
         percentile(&latencies, 100),
-        eng = engine_from_args().name(),
+        eng = engine.name(),
     );
     std::fs::write(&out_path, json).expect("write json");
     println!("\nwrote {out_path}");

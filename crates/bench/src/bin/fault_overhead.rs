@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use carat_bench::{compile, print_table, scale_from_args, selected_workloads, Variant};
+use carat_bench::{compile, print_table, Args, Variant};
 use carat_ir::Module;
 use carat_kernel::FaultPlan;
 use carat_vm::{MoveDriverConfig, SwapDriverConfig, Vm, VmConfig};
@@ -63,23 +63,13 @@ struct Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, args.out);
     let reps = 5;
 
     println!("Zero-fault journal overhead ({scale:?} scale, best of {reps})\n");
     let mut rows: Vec<Row> = Vec::new();
-    let selected = selected_workloads();
-    if selected.is_empty() {
-        eprintln!("error: --only matched no workloads");
-        std::process::exit(2);
-    }
-    for w in selected {
+    for w in args.workloads {
         let m = compile(&w, scale, Variant::Full);
         // Interleave reps so host noise degrades both sides equally.
         let mut best_plain = f64::INFINITY;

@@ -1,15 +1,16 @@
 //! Figure 2 — level-1 DTLB misses per 1000 instructions, per benchmark,
 //! under the traditional paging model.
 
-use carat_bench::{print_table, run_simple, scale_from_args, selected_workloads, Variant};
+use carat_bench::{print_table, run_simple, Args, Variant};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!(
         "Figure 2: L1 DTLB misses per 1000 instructions (traditional model, {scale:?} scale)\n"
     );
     let mut rows = Vec::new();
-    for w in selected_workloads() {
+    for w in args.workloads {
         let r = run_simple(&w, scale, Variant::Traditional);
         rows.push(vec![
             w.name.to_string(),

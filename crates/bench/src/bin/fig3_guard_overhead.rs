@@ -3,16 +3,13 @@
 //! `carat` = CARAT-specific optimizations (3b). Each mode reports both the
 //! software range guard and the MPX-modeled guard.
 
-use carat_bench::{
-    arg_after_binary, compile, geomean, print_table, run, run_simple, scale_from_args,
-    selected_workloads, Variant,
-};
+use carat_bench::{compile, geomean, print_table, run, run_simple, Args, Variant};
 use carat_runtime::GuardImpl;
 
 fn main() {
-    let scale = scale_from_args();
-    let mode = arg_after_binary("carat");
-    let variant = match mode.as_str() {
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, mode) = (args.scale, args.mode);
+    let variant = match mode {
         "general" => Variant::GuardsGeneral,
         "none" => Variant::GuardsNaive,
         _ => Variant::GuardsCarat,
@@ -28,7 +25,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     let (mut mpxs, mut ranges) = (Vec::new(), Vec::new());
-    for w in selected_workloads() {
+    for w in args.workloads {
         let base = run_simple(&w, scale, Variant::Baseline);
         let m = compile(&w, scale, variant);
         let mpx = run(m.clone(), variant, GuardImpl::Mpx, None).expect("mpx run");

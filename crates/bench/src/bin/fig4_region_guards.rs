@@ -4,7 +4,7 @@
 //! access patterns. `cargo bench -p carat-bench --bench region_guards`
 //! gives the Criterion version.
 
-use carat_bench::print_table;
+use carat_bench::{print_table, Args};
 use carat_runtime::{Access, Perms, Region, RegionTable};
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,6 +42,8 @@ fn measure(t: &RegionTable, addrs: &[u64], iftree: bool) -> f64 {
 }
 
 fn main() {
+    // No flags: anything on the command line is an error.
+    Args::parse(env!("CARGO_BIN_NAME"));
     println!("Figure 4: multi-region software guard cost (host ns/check)\n");
     let sizes = [1u64, 4, 16, 64, 256, 1024, 4096, 16384];
     // (a) random accesses.

@@ -1,18 +1,19 @@
 //! Figure 5 — histogram of (lifetime) escapes per allocation across the
 //! suite, split at 50 escapes as in the paper.
 
-use carat_bench::{print_table, run_simple, scale_from_args, selected_workloads, Variant};
+use carat_bench::{print_table, run_simple, Args, Variant};
 use std::collections::BTreeMap;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!("Figure 5: escapes per allocation ({scale:?} scale)\n");
     let mut small: BTreeMap<u64, u64> = BTreeMap::new();
     let mut big: BTreeMap<u64, u64> = BTreeMap::new();
     let mut per_wl = Vec::new();
     let mut total_allocs = 0u64;
     let mut le10 = 0u64;
-    for w in selected_workloads() {
+    for w in args.workloads {
         let r = run_simple(&w, scale, Variant::Tracking);
         let mut wl_allocs = 0u64;
         let mut wl_max = 0u64;

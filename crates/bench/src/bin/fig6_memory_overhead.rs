@@ -1,14 +1,15 @@
 //! Figure 6 — memory overhead of allocation/escape tracking: peak program
 //! footprint with tracking state, normalized to the baseline footprint.
 
-use carat_bench::{geomean, print_table, run_simple, scale_from_args, selected_workloads, Variant};
+use carat_bench::{geomean, print_table, run_simple, Args, Variant};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!("Figure 6: memory overhead of tracking ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let mut overheads = Vec::new();
-    for w in selected_workloads() {
+    for w in args.workloads {
         let base = run_simple(&w, scale, Variant::Baseline);
         let trk = run_simple(&w, scale, Variant::Tracking);
         // Program footprint: static + peak heap (+ stack, identical in both).

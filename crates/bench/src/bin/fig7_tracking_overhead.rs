@@ -1,14 +1,15 @@
 //! Figure 7 — time overhead of tracking allocations & escapes, normalized
 //! to the uninstrumented baseline.
 
-use carat_bench::{geomean, print_table, run_simple, scale_from_args, selected_workloads, Variant};
+use carat_bench::{geomean, print_table, run_simple, Args, Variant};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!("Figure 7: time overhead of tracking ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let mut overheads = Vec::new();
-    for w in selected_workloads() {
+    for w in args.workloads {
         let base = run_simple(&w, scale, Variant::Baseline);
         let trk = run_simple(&w, scale, Variant::Tracking);
         let norm = trk.counters.normalized_to(&base.counters);

@@ -2,24 +2,19 @@
 //! (1, 100, 10 000, 20 000 moves per simulated second), normalized to the
 //! CARAT baseline (full instrumentation, no moves).
 
-use carat_bench::{
-    compile, geomean, print_table, scale_from_args, selected_workloads, workers_from_args, Variant,
-    FREQ_HZ,
-};
+use carat_bench::{compile, geomean, print_table, Args, Variant, FREQ_HZ};
 use carat_runtime::GuardImpl;
 use carat_vm::{Mode, MoveDriverConfig, Vm, VmConfig, VmError};
 
 fn main() {
-    let scale = scale_from_args();
-    let workers = workers_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     let rates: [f64; 4] = [1.0, 100.0, 10_000.0, 20_000.0];
-    println!(
-        "Figure 9: worst-case page movement overhead ({scale:?} scale, {workers} modeled patch worker(s))"
-    );
+    println!("Figure 9: worst-case page movement overhead ({scale:?} scale)");
     println!("(* = measurement infeasible at this rate, as in the paper)\n");
     let mut rows = Vec::new();
     let mut per_rate: Vec<Vec<f64>> = vec![Vec::new(); rates.len()];
-    for w in selected_workloads() {
+    for w in args.workloads {
         let m = compile(&w, scale, Variant::Full);
         let base = Vm::new(m.clone(), VmConfig::default())
             .expect("loads")
@@ -41,9 +36,7 @@ fn main() {
                 max_cycles: base.counters.cycles.saturating_mul(50),
                 ..VmConfig::default()
             };
-            let mut vm = Vm::new(m.clone(), cfg).expect("loads");
-            vm.kernel.cost.patch_workers = workers;
-            match vm.run() {
+            match Vm::new(m.clone(), cfg).expect("loads").run() {
                 Ok(r) => {
                     let norm = r.counters.normalized_to(&base.counters);
                     per_rate[ri].push(norm);

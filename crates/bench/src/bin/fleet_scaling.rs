@@ -48,7 +48,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use carat_bench::{engine_from_args, print_table, scale_from_args, Variant};
+use carat_bench::{print_table, Args, Variant};
 use carat_core::CaratCompiler;
 use carat_ir::Module;
 use carat_kernel::{ArenaStats, LoadConfig, Pid, TenantQuotas};
@@ -81,10 +81,10 @@ fn kernel_mem(tenants: usize) -> u64 {
     64 * 1024 * 1024 + tenants as u64 * 128 * 1024
 }
 
-fn tenant_cfg(variant: Variant) -> VmConfig {
+fn tenant_cfg(variant: Variant, args: &Args) -> VmConfig {
     VmConfig {
         mode: variant.mode(),
-        engine: engine_from_args(),
+        engine: args.engine.unwrap_or_default(),
         load: FLEET_LOAD,
         ..VmConfig::default()
     }
@@ -102,12 +102,12 @@ fn tenant_module(scale: Scale, variant: Variant, seed: i64) -> Rc<Module> {
 
 fn build_fleet(
     tenants: usize,
-    scale: Scale,
+    args: &Args,
     variant: Variant,
     pressure_every: u64,
 ) -> (MultiVm, Vec<Pid>) {
-    let module = tenant_module(scale, variant, 0);
-    let quantum = match scale {
+    let module = tenant_module(args.scale, variant, 0);
+    let quantum = match args.scale {
         Scale::Test => 128,
         Scale::Small | Scale::Full => 256,
     };
@@ -118,7 +118,7 @@ fn build_fleet(
             // `--sched timer` swaps the instruction quantum for the
             // CLINT-style cycle-deadline comparator; the scaling gates
             // must hold under either preemption source.
-            sched: carat_bench::sched_from_args(),
+            sched: args.sched,
             timer_interval: quantum * 16,
             kernel_mem: kernel_mem(tenants),
             pressure_every,
@@ -127,7 +127,7 @@ fn build_fleet(
         },
     )
     .expect("empty fleet builds");
-    let cfg = tenant_cfg(variant);
+    let cfg = tenant_cfg(variant, args);
     let pids = spawn_fleet(&mut mv, &module, &cfg, tenants);
     (mv, pids)
 }
@@ -154,8 +154,8 @@ struct ArmResult {
     outcomes_ok: bool,
 }
 
-fn run_arm(tenants: usize, scale: Scale, variant: Variant) -> ArmResult {
-    let (mut mv, pids) = build_fleet(tenants, scale, variant, 0);
+fn run_arm(tenants: usize, args: &Args, variant: Variant) -> ArmResult {
+    let (mut mv, pids) = build_fleet(tenants, args, variant, 0);
     // Warmup: one slice per tenant (first switch installs every region
     // set; the timed batch then sees steady-state switching only).
     mv.run_batch(tenants as u64);
@@ -186,7 +186,7 @@ fn run_arm(tenants: usize, scale: Scale, variant: Variant) -> ArmResult {
         .collect();
     let bytes_per_tenant = sample.iter().sum::<usize>() as f64 / sample.len().max(1) as f64;
     let expected_ret = {
-        let solo = fleet_tenant(scale, 0).expect("compiles");
+        let solo = fleet_tenant(args.scale, 0).expect("compiles");
         carat_vm::Vm::new(solo, VmConfig::default())
             .expect("loads")
             .run()
@@ -226,8 +226,8 @@ struct PressureResult {
 /// The compaction arm: same fleet, pressure pass every 8 slices —
 /// journaled moves + page-outs on descheduled victims, charged to
 /// kernel accounting.
-fn run_pressure(tenants: usize, scale: Scale) -> PressureResult {
-    let (mut mv, _pids) = build_fleet(tenants, scale, Variant::Full, 8);
+fn run_pressure(tenants: usize, args: &Args) -> PressureResult {
+    let (mut mv, _pids) = build_fleet(tenants, args, Variant::Full, 8);
     mv.run_batch(tenants as u64);
     mv.run_batch(u64::MAX);
     // Scan accounting is fleet-level state; read it before teardown.
@@ -272,9 +272,9 @@ struct AdmissionResult {
 /// batches of one, and compare the modeled toll, wall-clock per admit,
 /// and (bounded) per-tenant counters; then drive externalize/rehydrate
 /// churn through the batch fleet to exercise the pooled capsule arena.
-fn run_admission(tenants: usize, scale: Scale) -> AdmissionResult {
-    let module = tenant_module(scale, Variant::Full, 0);
-    let cfg = tenant_cfg(Variant::Full);
+fn run_admission(tenants: usize, args: &Args) -> AdmissionResult {
+    let module = tenant_module(args.scale, Variant::Full, 0);
+    let cfg = tenant_cfg(Variant::Full, args);
     let fleet_cfg = MultiVmConfig {
         quantum: 128,
         kernel_mem: kernel_mem(tenants),
@@ -358,9 +358,9 @@ struct ChurnResult {
 /// Every refusal must be a typed [`VmError::Admission`]; every lookup or
 /// kill of a retired pid must fail typed (never alias a recycled slot,
 /// never panic).
-fn run_churn(tenants: usize, scale: Scale) -> ChurnResult {
-    let module = tenant_module(scale, Variant::Full, 1);
-    let cfg = tenant_cfg(Variant::Full);
+fn run_churn(tenants: usize, args: &Args) -> ChurnResult {
+    let module = tenant_module(args.scale, Variant::Full, 1);
+    let cfg = tenant_cfg(Variant::Full, args);
     let mut mv = MultiVm::new(
         Vec::new(),
         MultiVmConfig {
@@ -449,20 +449,16 @@ fn run_churn(tenants: usize, scale: Scale) -> ChurnResult {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, &args.out);
+    let engine = args.engine.unwrap_or_default();
     let sizes = fleet_sizes(scale);
     let cost = CostModel::default();
     let scan_limit = MultiVmConfig::default().pressure_scan_limit;
     println!(
         "fleet_scaling: fleets of {sizes:?} tenants, scale {scale:?}, engine {}, \
          scan limit {} (modeled switch: carat {} vs traditional {})",
-        engine_from_args().name(),
+        engine.name(),
         scan_limit,
         cost.ctx_switch_carat(),
         cost.ctx_switch_traditional()
@@ -482,10 +478,10 @@ fn main() {
     let mut scan_ok = true;
     let mut p99_ok = true;
     for &n in sizes {
-        let carat = run_arm(n, scale, Variant::Full);
-        let trad = run_arm(n, scale, Variant::Traditional);
-        let pressure = run_pressure(n, scale);
-        let admission = run_admission(n, scale);
+        let carat = run_arm(n, &args, Variant::Full);
+        let trad = run_arm(n, &args, Variant::Traditional);
+        let pressure = run_pressure(n, &args);
+        let admission = run_admission(n, &args);
         gap_every_scale &=
             carat.cycles_per_switch < trad.cycles_per_switch && carat.tlb_flushes == 0;
         outcomes_ok &= carat.outcomes_ok && trad.outcomes_ok;
@@ -634,7 +630,7 @@ fn main() {
     );
 
     let churn_n = *sizes.last().expect("at least one size");
-    let churn = run_churn(churn_n, scale);
+    let churn = run_churn(churn_n, &args);
     println!(
         "{}: churn soak at {churn_n} tenants — {} spawned, {} killed, {} typed refusals, {} typed stale lookups, {} slices, 0 panics",
         if churn.ok { "PASS" } else { "FAIL" },
@@ -666,7 +662,7 @@ fn main() {
          \"churn\": {{\"tenants\": {cn}, \"spawned\": {csp}, \
          \"killed\": {ck}, \"admission_refusals\": {cr}, \"stale_lookups_typed\": {cs}, \
          \"slices\": {csl}, \"ok\": {cok}}},\n  \"pass\": {pass}\n}}\n",
-        eng = engine_from_args().name(),
+        eng = engine.name(),
         mc = cost.ctx_switch_carat(),
         mt = cost.ctx_switch_traditional(),
         cn = churn.tenants,
@@ -677,7 +673,7 @@ fn main() {
         csl = churn.slices,
         cok = churn.ok,
     );
-    std::fs::write(&out_path, json).expect("write json");
+    std::fs::write(out_path, json).expect("write json");
     println!("\nwrote {out_path}");
     if !pass {
         std::process::exit(1);

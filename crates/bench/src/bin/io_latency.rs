@@ -31,7 +31,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use carat_bench::{engine_from_args, percentile, print_table, scale_from_args, Variant};
+use carat_bench::{percentile, print_table, Args, Variant};
 use carat_core::CaratCompiler;
 use carat_ir::Module;
 use carat_kernel::{DmaDir, LoadConfig};
@@ -79,15 +79,15 @@ fn io_module(scale: Scale) -> Rc<Module> {
 /// `dmabuf` globals, pinned on behalf of tenant 0.
 fn build_fleet(
     tenants: usize,
-    scale: Scale,
+    args: &Args,
     sched: SchedSource,
     pressure_every: u64,
     mapped: usize,
 ) -> (MultiVm, carat_kernel::SharedId, u64, u64) {
-    let module = io_module(scale);
+    let module = io_module(args.scale);
     let cfg = VmConfig {
         mode: Variant::Full.mode(),
-        engine: engine_from_args(),
+        engine: args.engine.unwrap_or_default(),
         load: IO_LOAD,
         ..VmConfig::default()
     };
@@ -144,8 +144,8 @@ struct FleetResult {
 
 /// The measured arm: timer-preemptive fleet with live DMA traffic
 /// through the pinned buffer and a pressure pass every slice.
-fn run_fleet(tenants: usize, scale: Scale) -> FleetResult {
-    let (mut mv, id, base, len) = build_fleet(tenants, scale, SchedSource::Timer, 1, 4);
+fn run_fleet(tenants: usize, args: &Args) -> FleetResult {
+    let (mut mv, id, base, len) = build_fleet(tenants, args, SchedSource::Timer, 1, 4);
     let mut slice_ns: Vec<u64> = Vec::new();
     let mut pinned_never_moved = true;
     let (mut completed, mut failed) = (0u64, 0u64);
@@ -217,28 +217,24 @@ fn outcomes(reports: &[ProcReport]) -> Vec<(String, i64, carat_vm::PerfCounters)
 /// writes are genuinely schedule-dependent state — a different slice
 /// interleaving legitimately changes what each reader observes), pin in
 /// place. Guest counters must be bit-identical.
-fn run_divergence(tenants: usize, scale: Scale) -> bool {
-    let (q, _, _, _) = build_fleet(tenants, scale, SchedSource::Quantum, 0, 1);
-    let (t, _, _, _) = build_fleet(tenants, scale, SchedSource::Timer, 0, 1);
+fn run_divergence(tenants: usize, args: &Args) -> bool {
+    let (q, _, _, _) = build_fleet(tenants, args, SchedSource::Quantum, 0, 1);
+    let (t, _, _, _) = build_fleet(tenants, args, SchedSource::Timer, 0, 1);
     let q = outcomes(&q.run());
     let t = outcomes(&t.run());
     q == t
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_io.json".to_string());
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, &args.out);
+    let engine = args.engine.unwrap_or_default();
     let cost = CostModel::default();
     println!(
         "io_latency: fleets of {:?} io_server tenants, scale {scale:?}, engine {}, \
          timer interval {TIMER_INTERVAL} cycles",
         fleet_sizes(scale),
-        engine_from_args().name(),
+        engine.name(),
     );
     println!();
 
@@ -285,8 +281,8 @@ fn main() {
     let mut dma_ok = true;
     let mut divergence_ok = true;
     for &n in fleet_sizes(scale) {
-        let r = run_fleet(n, scale);
-        let diverge = run_divergence(n, scale);
+        let r = run_fleet(n, &args);
+        let diverge = run_divergence(n, &args);
         latency_ok &= r.latency_ok;
         pinned_ok &= r.pinned_never_moved;
         dma_ok &= r.dma_completed > 0 && r.dma_failed == 0 && r.dma_accounted;
@@ -369,9 +365,9 @@ fn main() {
          \"carat_pin_flat_ok\": {carat_flat},\n  \"pin_gap_ok\": {gap_every_size},\n  \
          \"latency_ok\": {latency_ok},\n  \"pinned_never_moved_ok\": {pinned_ok},\n  \
          \"dma_ok\": {dma_ok},\n  \"divergence_ok\": {divergence_ok},\n  \"pass\": {pass}\n}}\n",
-        eng = engine_from_args().name(),
+        eng = engine.name(),
     );
-    std::fs::write(&out_path, json).expect("write json");
+    std::fs::write(out_path, json).expect("write json");
     println!("\nwrote {out_path}");
     if !pass {
         std::process::exit(1);

@@ -1,42 +1,29 @@
-//! Move transaction benchmark: a *modeled* patch-worker sweep {1,2,4,8}
-//! over an escape-heavy move fixture, plus a batched-world-stop sweep
-//! comparing one coalesced stop against per-move stops. Everything
-//! reported is deterministic modeled cycles; the host patches on one
-//! thread (the host-parallel apply measured 0.41× serial and was removed
-//! — see DESIGN.md, "Move transaction").
+//! Move transaction benchmark: a batched-world-stop sweep comparing one
+//! coalesced stop against per-move stops over escape-heavy pages.
+//! Everything reported is deterministic modeled cycles, and every arm is
+//! executed: the moves run through `SimKernel::move_pages` and
+//! `move_pages_batch` on identically built kernels.
 //!
-//! Three hard gates (non-zero exit):
+//! Two hard gates (non-zero exit):
 //!
-//! 1. **Divergence gate** — memory digest, registers, allocation table,
-//!    and the `MoveOutcome` apart from its patch term are bit-identical
-//!    at every modeled worker count, and the batched stop equals the
-//!    sequential stops bit-for-bit.
-//! 2. **Modeled speedup gate** — the cost model's parallel patch
-//!    accounting (`ceil(serial/workers) + fork/join`) shows ≥2× fewer
-//!    patch cycles at 4 workers on this escape-heavy plan.
-//! 3. **Amortization gate** — a batched stop pays one signal+barrier
+//! 1. **Divergence gate** — memory digest, registers and allocation
+//!    table after the batched stop equal the sequential stops'
+//!    bit-for-bit.
+//! 2. **Amortization gate** — a batched stop pays one signal+barrier
 //!    round and one register pass for the whole batch.
 //!
 //! Usage: `move_parallel [--scale test|small|full] [--out PATH]`.
 //! Writes `BENCH_moves.json` by default.
 
-use carat_bench::{print_table, scale_from_args};
-use carat_kernel::{PhysicalMemory, SimKernel};
-use carat_runtime::{
-    perform_shared_move_journaled, AllocKind, AllocationTable, CostModel, MemAccess, MoveOutcome,
-    MoveRequest,
-};
+use carat_bench::{print_table, Args};
+use carat_kernel::SimKernel;
+use carat_runtime::{AllocKind, AllocationTable, MemAccess};
 use carat_workloads::Scale;
 
-const WORKER_COUNTS: [u64; 4] = [1, 2, 4, 8];
 const ALLOC_SIZE: u64 = 0x400;
-const ALLOC_BASE: u64 = 0x10000;
-const ARENA_BASE: u64 = 0x200000;
-const MOVE_DST: u64 = 0x400000;
 const MEM_SIZE: u64 = 16 << 20;
 
 struct Dims {
-    n_allocs: usize,
     cells_per_alloc: usize,
     batch_sizes: &'static [usize],
 }
@@ -44,17 +31,14 @@ struct Dims {
 fn dims(scale: Scale) -> Dims {
     match scale {
         Scale::Test => Dims {
-            n_allocs: 8,
             cells_per_alloc: 16,
             batch_sizes: &[1, 2],
         },
         Scale::Small => Dims {
-            n_allocs: 64,
             cells_per_alloc: 32,
             batch_sizes: &[1, 2, 4],
         },
         Scale::Full => Dims {
-            n_allocs: 512,
             cells_per_alloc: 256,
             batch_sizes: &[1, 2, 4, 8],
         },
@@ -67,50 +51,6 @@ fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state >> 7;
     *state ^= *state << 17;
     *state
-}
-
-/// Escape-heavy fixture: contiguous allocations from `base`, each with
-/// `cells_per_alloc` external pointer cells in a dense arena plus one
-/// internal cross-pointer, all registered as escapes.
-fn build_fixture(
-    mem: &mut PhysicalMemory,
-    base: u64,
-    arena: u64,
-    n_allocs: usize,
-    cells_per_alloc: usize,
-    seed: u64,
-) -> AllocationTable {
-    let mut t = AllocationTable::new();
-    let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut cursor = arena;
-    for i in 0..n_allocs {
-        let start = base + i as u64 * ALLOC_SIZE;
-        t.track_alloc(start, ALLOC_SIZE, AllocKind::Heap);
-        for w in 0..(ALLOC_SIZE / 8) {
-            mem.write_u64(start + w * 8, (i as u64) << 32 | w);
-        }
-        for _ in 0..cells_per_alloc {
-            let target = start + (xorshift(&mut rng) % (ALLOC_SIZE / 8)) * 8;
-            mem.write_u64(cursor, target);
-            t.track_escape(cursor);
-            cursor += 8;
-        }
-        let cell = start + ALLOC_SIZE - 8;
-        let target = base + ((i + 1) % n_allocs) as u64 * ALLOC_SIZE + 0x10;
-        mem.write_u64(cell, target);
-        t.track_escape(cell);
-    }
-    t.flush_escapes(|c| mem.read_u64(c));
-    t
-}
-
-fn fixture_regs(base: u64, n_allocs: usize) -> Vec<u64> {
-    vec![
-        base + 0x10,
-        0xdead_beef,
-        base + (n_allocs as u64 - 1) * ALLOC_SIZE + 8,
-        0x50,
-    ]
 }
 
 /// FNV-1a digest over memory, registers, and the table snapshot — the
@@ -137,52 +77,6 @@ fn digest(mem_bytes: &[u8], regs: &[u64], table: &AllocationTable) -> u64 {
         }
     }
     h
-}
-
-struct WorkerRun {
-    workers: u64,
-    modeled_patch_cycles: u64,
-    digest: u64,
-    outcome: MoveOutcome,
-}
-
-/// One worker-sweep arm: rebuild the fixture and move it once under a
-/// cost model with `workers` modeled patch workers.
-fn run_workers(d: &Dims, workers: u64) -> WorkerRun {
-    let len = (d.n_allocs as u64 * ALLOC_SIZE).div_ceil(0x1000) * 0x1000;
-    let cost = CostModel {
-        patch_workers: workers,
-        ..CostModel::default()
-    };
-    let mut mem = PhysicalMemory::new(MEM_SIZE);
-    let mut table = build_fixture(
-        &mut mem,
-        ALLOC_BASE,
-        ARENA_BASE,
-        d.n_allocs,
-        d.cells_per_alloc,
-        42,
-    );
-    let mut regs = fixture_regs(ALLOC_BASE, d.n_allocs);
-    let outcome = perform_shared_move_journaled(
-        &mut [&mut table],
-        &mut mem,
-        &mut regs,
-        MoveRequest {
-            src: ALLOC_BASE,
-            len,
-            dst: MOVE_DST,
-        },
-        &cost,
-        None,
-    )
-    .expect("no hook, no interrupt");
-    WorkerRun {
-        workers,
-        modeled_patch_cycles: outcome.cost.patch_gen_exec,
-        digest: digest(mem.read_bytes(0, MEM_SIZE), &regs, &table),
-        outcome,
-    }
 }
 
 struct BatchRun {
@@ -269,69 +163,15 @@ fn run_batch(d: &Dims, k: usize) -> BatchRun {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_moves.json".to_string());
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, args.out);
     let d = dims(scale);
-    let cells = d.n_allocs * (d.cells_per_alloc + 1);
     println!(
-        "Move transaction ({scale:?} scale: {} allocations, {cells} escape cells)\n",
-        d.n_allocs
+        "Move transaction ({scale:?} scale: batches of {:?} page moves, {} escape cells per page)\n",
+        d.batch_sizes,
+        4 * d.cells_per_alloc
     );
 
-    // --- Modeled worker sweep ---
-    let runs: Vec<WorkerRun> = WORKER_COUNTS.iter().map(|&w| run_workers(&d, w)).collect();
-    let base = &runs[0];
-    let mut diverged = false;
-    for r in &runs[1..] {
-        if r.digest != base.digest {
-            eprintln!(
-                "FAIL: machine state diverged at {} workers (digest {:#x} != {:#x})",
-                r.workers, r.digest, base.digest
-            );
-            diverged = true;
-        }
-        // The patch term follows `patch_workers`; everything else in
-        // the outcome must not.
-        let (mut a, mut b) = (r.outcome.clone(), base.outcome.clone());
-        a.cost.patch_gen_exec = 0;
-        b.cost.patch_gen_exec = 0;
-        if a != b {
-            eprintln!("FAIL: move outcome diverged at {} workers", r.workers);
-            diverged = true;
-        }
-    }
-    let mut table = Vec::new();
-    for r in &runs {
-        table.push(vec![
-            format!("{}", r.workers),
-            format!("{}", r.modeled_patch_cycles),
-            format!(
-                "{:.2}x",
-                base.modeled_patch_cycles as f64 / r.modeled_patch_cycles.max(1) as f64
-            ),
-        ]);
-    }
-    print_table(&["workers", "modeled patch cyc", "modeled speedup"], &table);
-    let modeled4 = runs
-        .iter()
-        .find(|r| r.workers == 4)
-        .expect("sweep includes 4")
-        .modeled_patch_cycles;
-    let modeled_ok = base.modeled_patch_cycles >= 2 * modeled4;
-    println!(
-        "\nModeled patch cycles, 1w -> 4w: {} -> {} ({:.2}x, target >= 2x): {}",
-        base.modeled_patch_cycles,
-        modeled4,
-        base.modeled_patch_cycles as f64 / modeled4.max(1) as f64,
-        if modeled_ok { "PASS" } else { "FAIL" }
-    );
-    // --- Batch sweep ---
-    println!();
     let batches: Vec<BatchRun> = d.batch_sizes.iter().map(|&k| run_batch(&d, k)).collect();
     let mut batch_diverged = false;
     let mut amortized = true;
@@ -378,19 +218,7 @@ fn main() {
     // --- JSON ---
     let mut json = String::from("{\n  \"scale\": \"");
     json.push_str(&format!("{scale:?}"));
-    json.push_str(&format!(
-        "\",\n  \"escape_cells\": {cells},\n  \"worker_sweep\": [\n"
-    ));
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"modeled_patch_cycles\": {}, \"digest\": \"{:#x}\"}}{}\n",
-            r.workers,
-            r.modeled_patch_cycles,
-            r.digest,
-            if i + 1 < runs.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"batch_sweep\": [\n");
+    json.push_str("\",\n  \"batch_sweep\": [\n");
     for (i, b) in batches.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"batch\": {}, \"stop_cycles_sequential\": {}, \"stop_cycles_batched\": {}, \
@@ -405,17 +233,14 @@ fn main() {
             if i + 1 < batches.len() { "," } else { "" },
         ));
     }
-    let modeled_speedup_4w = base.modeled_patch_cycles as f64 / modeled4.max(1) as f64;
     json.push_str(&format!(
-        "  ],\n  \"modeled_speedup_4w\": {modeled_speedup_4w:.3},\n  \
-         \"workers_identical\": {},\n  \"batch_identical\": {},\n  \
-         \"amortized\": {amortized}\n}}\n",
-        !diverged, !batch_diverged,
+        "  ],\n  \"batch_identical\": {},\n  \"amortized\": {amortized}\n}}\n",
+        !batch_diverged,
     ));
     std::fs::write(&out_path, json).expect("write json");
     println!("wrote {out_path}");
 
-    if diverged || batch_diverged || !modeled_ok || !amortized {
+    if batch_diverged || !amortized {
         std::process::exit(1);
     }
 }

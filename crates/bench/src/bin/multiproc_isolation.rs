@@ -20,7 +20,7 @@
 //!
 //! [`PerfCounters`]: carat_vm::PerfCounters
 
-use carat_bench::{compile, geomean, print_table, scale_from_args, Variant};
+use carat_bench::{compile, geomean, print_table, Args, Variant};
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::{GlobalInit, Module, ModuleBuilder, Type};
 use carat_kernel::Pid;
@@ -187,13 +187,8 @@ fn ctx_stats(reports: &[ProcReport]) -> CtxStats {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_multiproc.json".to_string());
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let (scale, out_path) = (args.scale, args.out);
     // Short slices at test scale so even the quickest tenants get
     // preempted; longer at full scale to keep switch counts sane.
     let quantum: u64 = match scale {

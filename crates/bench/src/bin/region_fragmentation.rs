@@ -6,13 +6,15 @@
 //! Runs one guard-heavy workload repeatedly while splitting the capsule
 //! into progressively more read-write regions before execution.
 
-use carat_bench::print_table;
+use carat_bench::{print_table, Args};
 use carat_core::{CaratCompiler, CompileOptions, OptPreset};
 use carat_runtime::{GuardImpl, Perms};
 use carat_vm::{Vm, VmConfig};
 use carat_workloads::{by_name, Scale};
 
 fn main() {
+    // No flags: anything on the command line is an error.
+    Args::parse(env!("CARGO_BIN_NAME"));
     println!("Guard cost vs region fragmentation (mcf, Test scale)\n");
     let w = by_name("mcf").expect("workload");
     let module = w.module(Scale::Test).expect("compiles");

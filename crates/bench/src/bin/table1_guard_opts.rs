@@ -10,13 +10,11 @@
 //! optimization — so the decode-time proofs carry the whole burden, and
 //! each config's guard counters reconcile against the `none` row.
 
-use carat_bench::{
-    compile, mean, print_table, scale_from_args, selected_workloads, Variant, LOOP_HEAVY,
-};
+use carat_bench::{compile, mean, print_table, Args, Variant, LOOP_HEAVY};
 use carat_core::{CaratCompiler, CompileOptions, OptPreset};
 use carat_ir::Module;
 use carat_vm::{Engine, RunResult, ThreadedOpts, Vm, VmConfig};
-use carat_workloads::Scale;
+use carat_workloads::{Scale, Workload};
 
 /// Run one loop-heavy workload on the threaded engine with the given
 /// decode-time toggles.
@@ -30,7 +28,7 @@ fn run_threaded(module: Module, opts: ThreadedOpts) -> RunResult {
 }
 
 /// The decode-time ablation over the loop-heavy subset.
-fn threaded_ablation(scale: Scale) {
+fn threaded_ablation(scale: Scale, workloads: &[Workload]) {
     println!("\nThreaded-tier guard ablation (GuardsNaive builds, loop-heavy subset)\n");
     let configs = [
         (
@@ -56,13 +54,13 @@ fn threaded_ablation(scale: Scale) {
         ),
     ];
     let mut rows = Vec::new();
-    for w in selected_workloads() {
+    for w in workloads {
         if !LOOP_HEAVY.contains(&w.name) {
             continue;
         }
         let results: Vec<RunResult> = configs
             .iter()
-            .map(|(_, opts)| run_threaded(compile(&w, scale, Variant::GuardsNaive), *opts))
+            .map(|(_, opts)| run_threaded(compile(w, scale, Variant::GuardsNaive), *opts))
             .collect();
         let [none, elide, full] = results.as_slice() else {
             unreachable!()
@@ -111,11 +109,12 @@ fn threaded_ablation(scale: Scale) {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!("Table 1: Effectiveness of Compiler Optimizations ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let mut cols: [Vec<f64>; 5] = Default::default();
-    for w in selected_workloads() {
+    for w in &args.workloads {
         let module = w.module(scale).expect("workload compiles");
         let out = CaratCompiler::new(CompileOptions::guards_only(OptPreset::CaratSpecific))
             .compile(module)
@@ -163,5 +162,5 @@ fn main() {
         &rows,
     );
 
-    threaded_ablation(scale);
+    threaded_ablation(scale, &args.workloads);
 }

@@ -2,14 +2,15 @@
 //! traditional model: static footprint, initial pages, demand allocations,
 //! moves, simulated execution time, and the derived rates.
 
-use carat_bench::{print_table, run_simple, scale_from_args, selected_workloads, Variant, FREQ_HZ};
+use carat_bench::{print_table, run_simple, Args, Variant, FREQ_HZ};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
     println!("Table 2: Page (4KB) Allocation and Movement Rates ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let mut alloc_rates = Vec::new();
-    for w in selected_workloads() {
+    for w in args.workloads {
         let r = run_simple(&w, scale, Variant::Traditional);
         let secs = r.counters.seconds(FREQ_HZ);
         let alloc_rate = r.page_allocs as f64 / secs.max(1e-9);

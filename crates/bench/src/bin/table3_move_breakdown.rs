@@ -2,22 +2,17 @@
 //! Expand / Patch Gen.&Exec / Register Patch / Allocation & Movement, plus
 //! the derived prototype-cost columns.
 
-use carat_bench::{
-    compile, geomean, print_table, scale_from_args, selected_workloads, workers_from_args, Variant,
-    FREQ_HZ,
-};
+use carat_bench::{compile, geomean, print_table, Args, Variant, FREQ_HZ};
 use carat_runtime::GuardImpl;
 use carat_vm::{MoveDriverConfig, Vm, VmConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let workers = workers_from_args();
-    println!(
-        "Table 3: Worst-case Page Movement Costs in Cycles ({scale:?} scale, {workers} modeled patch worker(s))\n"
-    );
+    let args = Args::parse(env!("CARGO_BIN_NAME"));
+    let scale = args.scale;
+    println!("Table 3: Worst-case Page Movement Costs in Cycles ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let mut cols: [Vec<f64>; 8] = Default::default();
-    for w in selected_workloads() {
+    for w in args.workloads {
         let m = compile(&w, scale, Variant::Full);
         // Drive moves at 10k/s so every workload performs many episodes.
         let driver = MoveDriverConfig {
@@ -30,9 +25,7 @@ fn main() {
             move_driver: Some(driver),
             ..VmConfig::default()
         };
-        let mut vm = Vm::new(m, cfg).expect("loads");
-        vm.kernel.cost.patch_workers = workers;
-        let r = vm.run().expect("runs");
+        let r = Vm::new(m, cfg).expect("loads").run().expect("runs");
         let (expand, patch, regs, mv) = r.counters.move_breakdown.averages();
         if r.counters.move_breakdown.episodes == 0 {
             continue;

@@ -9,8 +9,8 @@
 
 use carat_core::{CaratCompiler, CompileOptions, OptPreset};
 use carat_ir::Module;
-use carat_vm::{Mode, MoveDriverConfig, RunResult, Vm, VmConfig, VmError};
-use carat_workloads::{all_workloads, Scale, Workload};
+use carat_vm::{Engine, Mode, MoveDriverConfig, RunResult, SchedSource, Vm, VmConfig, VmError};
+use carat_workloads::{all_workloads, by_name, Scale, Workload};
 
 /// Workloads whose hot paths are counted loops with affine accesses — the
 /// subset where the threaded tier's decode-time whole-trip proofs have
@@ -122,71 +122,275 @@ pub fn run_simple(workload: &Workload, scale: Scale, variant: Variant) -> RunRes
         .unwrap_or_else(|e| panic!("{}: run: {e}", workload.name))
 }
 
-/// Read the scale from argv (`--scale test|small|full`; default small).
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--scale" {
-            return match w[1].as_str() {
-                "test" => Scale::Test,
-                "full" => Scale::Full,
-                _ => Scale::Small,
-            };
-        }
-    }
-    Scale::Small
+/// A command-line flag a bench bin can accept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    /// `--scale test|small|full` (default small).
+    Scale,
+    /// `--only name,name`: run a subset of the workloads (default all).
+    Only,
+    /// `--engine reference|decoded|fused|threaded`.
+    Engine,
+    /// `--sched quantum|timer` (default quantum).
+    Sched,
+    /// `--out PATH`; carries the bin's default artifact name.
+    Out(&'static str),
+    /// `--jobs N` (default 1).
+    Jobs,
+    /// One positional word out of these; the first is the default.
+    Mode(&'static [&'static str]),
 }
 
-/// Read the *modeled* patch-worker count from argv (`--workers N`;
-/// default 1 = the serial protocol). A what-if on the cost model's
-/// `patch_workers` only: the host always patches on one thread.
-pub fn workers_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--workers" {
-            return w[1].parse::<u64>().unwrap_or(1).max(1);
-        }
-    }
-    1
+const SCALES: [(&str, Scale); 3] = [
+    ("test", Scale::Test),
+    ("small", Scale::Small),
+    ("full", Scale::Full),
+];
+
+const SCHEDS: [(&str, SchedSource); 2] = [
+    ("quantum", SchedSource::Quantum),
+    ("timer", SchedSource::Timer),
+];
+
+/// Every bench bin and the flags it accepts — the one place a flag is
+/// declared, so `all_experiments` forwards to each child only what that
+/// child takes.
+const BINS: &[(&str, &[Flag])] = &[
+    ("ablation_opts", &[Flag::Scale, Flag::Only]),
+    ("all_experiments", &[Flag::Scale, Flag::Only, Flag::Jobs]),
+    (
+        "chaos_soak",
+        &[Flag::Scale, Flag::Engine, Flag::Out("BENCH_chaos.json")],
+    ),
+    (
+        "fault_overhead",
+        &[Flag::Scale, Flag::Only, Flag::Out("BENCH_faults.json")],
+    ),
+    ("fig2_dtlb_misses", &[Flag::Scale, Flag::Only]),
+    (
+        "fig3_guard_overhead",
+        &[
+            Flag::Scale,
+            Flag::Only,
+            Flag::Mode(&["carat", "general", "none"]),
+        ],
+    ),
+    ("fig4_region_guards", &[]),
+    ("fig5_escape_histogram", &[Flag::Scale, Flag::Only]),
+    ("fig6_memory_overhead", &[Flag::Scale, Flag::Only]),
+    ("fig7_tracking_overhead", &[Flag::Scale, Flag::Only]),
+    ("fig9_move_overhead", &[Flag::Scale, Flag::Only]),
+    (
+        "fleet_scaling",
+        &[
+            Flag::Scale,
+            Flag::Engine,
+            Flag::Sched,
+            Flag::Out("BENCH_fleet.json"),
+        ],
+    ),
+    (
+        "interp_throughput",
+        &[
+            Flag::Scale,
+            Flag::Only,
+            Flag::Engine,
+            Flag::Out("BENCH_interp.json"),
+        ],
+    ),
+    (
+        "io_latency",
+        &[Flag::Scale, Flag::Engine, Flag::Out("BENCH_io.json")],
+    ),
+    (
+        "move_parallel",
+        &[Flag::Scale, Flag::Out("BENCH_moves.json")],
+    ),
+    (
+        "multiproc_isolation",
+        &[Flag::Scale, Flag::Out("BENCH_multiproc.json")],
+    ),
+    ("region_fragmentation", &[]),
+    ("table1_guard_opts", &[Flag::Scale, Flag::Only]),
+    ("table2_paging_rates", &[Flag::Scale, Flag::Only]),
+    ("table3_move_breakdown", &[Flag::Scale, Flag::Only]),
+];
+
+/// The flags `bin` accepts.
+fn flags_of(bin: &str) -> &'static [Flag] {
+    BINS.iter()
+        .find(|(name, _)| *name == bin)
+        .unwrap_or_else(|| panic!("{bin} is not listed in carat_bench::BINS"))
+        .1
 }
 
-/// Read the interpreter engine from argv
-/// (`--engine reference|decoded|fused|threaded`; default fused).
-///
-/// Panics on an unknown name so a typo in a CI job fails loudly instead
-/// of silently benchmarking the wrong engine.
-pub fn engine_from_args() -> carat_vm::Engine {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--engine" {
-            return carat_vm::Engine::parse(&w[1]).unwrap_or_else(|| {
-                panic!(
-                    "unknown engine {:?}: want reference|decoded|fused|threaded",
-                    w[1]
-                )
+/// A bench bin's parsed command line. A field whose flag the bin does
+/// not accept holds that flag's default.
+#[derive(Debug)]
+pub struct Args {
+    /// `--scale`.
+    pub scale: Scale,
+    /// `--only`, in suite order.
+    pub workloads: Vec<Workload>,
+    /// `--engine`; `None` when not given.
+    pub engine: Option<Engine>,
+    /// `--sched`.
+    pub sched: SchedSource,
+    /// `--out`, or the bin's default artifact name.
+    pub out: String,
+    /// `--jobs`.
+    pub jobs: usize,
+    /// The positional mode word.
+    pub mode: &'static str,
+}
+
+impl Args {
+    /// Parse this process's command line against the flags `bin`
+    /// accepts. Every bin calls this first: a flag the bin does not
+    /// accept, a missing or unknown value, or an `--only` name that is
+    /// not a workload prints usage to stderr and exits 2 before any work
+    /// is done or any file is written.
+    pub fn parse(bin: &str) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse_from(flags_of(bin), &argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{}", usage(bin));
+            std::process::exit(2)
+        })
+    }
+
+    fn parse_from(accepts: &[Flag], argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            scale: Scale::default(),
+            workloads: all_workloads(),
+            engine: None,
+            sched: SchedSource::default(),
+            out: String::new(),
+            jobs: 1,
+            mode: "",
+        };
+        for f in accepts {
+            match *f {
+                Flag::Out(default) => args.out = default.to_string(),
+                Flag::Mode(choices) => args.mode = choices[0],
+                _ => {}
+            }
+        }
+        let mut mode_given = false;
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let positional = !arg.starts_with("--");
+            let flag = accepts.iter().copied().find(|f| match f {
+                Flag::Mode(_) => positional && !mode_given,
+                f => f.name() == arg,
             });
+            let Some(flag) = flag else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            let val = if positional {
+                arg
+            } else {
+                it.next().ok_or(format!("{arg} needs a value"))?
+            };
+            match flag {
+                Flag::Scale => args.scale = one_of(&SCALES, flag, val)?,
+                Flag::Sched => args.sched = one_of(&SCHEDS, flag, val)?,
+                Flag::Engine => args.engine = Some(one_of(&engines(), flag, val)?),
+                Flag::Only => {
+                    let names: Vec<&str> = val.split(',').collect();
+                    if let Some(bad) = names.iter().find(|n| by_name(n).is_none()) {
+                        return Err(format!("--only: {bad:?} is not a workload"));
+                    }
+                    args.workloads.retain(|w| names.contains(&w.name));
+                }
+                Flag::Out(_) => args.out = val.clone(),
+                Flag::Jobs => {
+                    args.jobs = val
+                        .parse()
+                        .ok()
+                        .filter(|n| *n > 0)
+                        .ok_or(format!("--jobs: {val:?} is not a positive integer"))?;
+                }
+                Flag::Mode(choices) => {
+                    let choices: Vec<_> = choices.iter().map(|c| (*c, *c)).collect();
+                    args.mode = one_of(&choices, flag, val)?;
+                    mode_given = true;
+                }
+            }
         }
+        Ok(args)
     }
-    carat_vm::Engine::default()
+
+    /// This command line's `--scale` and `--only` as arguments for `bin`,
+    /// which is handed only the ones it accepts.
+    pub fn forward_to(&self, bin: &str) -> Vec<String> {
+        let scale = SCALES.iter().find(|s| s.1 == self.scale);
+        let scale = scale.expect("every scale has a name").0;
+        let only: Vec<&str> = self.workloads.iter().map(|w| w.name).collect();
+        [
+            (Flag::Scale, scale.to_string()),
+            (Flag::Only, only.join(",")),
+        ]
+        .into_iter()
+        .filter(|(flag, _)| flags_of(bin).contains(flag))
+        .flat_map(|(flag, val)| [flag.name().to_string(), val])
+        .collect()
+    }
 }
 
-/// Read the fleet preemption source from argv
-/// (`--sched quantum|timer`; default quantum, the historical behavior).
-///
-/// Panics on an unknown name so a typo in a CI job fails loudly instead
-/// of silently benchmarking the wrong scheduler.
-pub fn sched_from_args() -> carat_vm::SchedSource {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--sched" {
-            return match w[1].as_str() {
-                "quantum" => carat_vm::SchedSource::Quantum,
-                "timer" => carat_vm::SchedSource::Timer,
-                other => panic!("unknown scheduler {other:?}: want quantum|timer"),
-            };
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Scale => "--scale",
+            Flag::Only => "--only",
+            Flag::Engine => "--engine",
+            Flag::Sched => "--sched",
+            Flag::Out(_) => "--out",
+            Flag::Jobs => "--jobs",
+            Flag::Mode(_) => "a mode",
         }
     }
-    carat_vm::SchedSource::default()
+
+    fn usage(self) -> String {
+        match self {
+            Flag::Scale => format!("--scale {}", names(&SCALES)),
+            Flag::Only => "--only workload,workload".to_string(),
+            Flag::Engine => format!("--engine {}", names(&engines())),
+            Flag::Sched => format!("--sched {}", names(&SCHEDS)),
+            Flag::Out(default) => format!("--out PATH (default {default})"),
+            Flag::Jobs => "--jobs N".to_string(),
+            Flag::Mode(choices) => choices.join("|"),
+        }
+    }
+}
+
+fn engines() -> [(&'static str, Engine); 4] {
+    Engine::ALL.map(|e| (e.name(), e))
+}
+
+fn names<T>(choices: &[(&'static str, T)]) -> String {
+    let names: Vec<&str> = choices.iter().map(|c| c.0).collect();
+    names.join("|")
+}
+
+/// The value `val` names among `choices`, or an error listing them.
+fn one_of<T: Copy>(choices: &[(&'static str, T)], flag: Flag, val: &str) -> Result<T, String> {
+    choices
+        .iter()
+        .find(|c| c.0 == val)
+        .map(|c| c.1)
+        .ok_or_else(|| {
+            format!(
+                "{}: unknown value {val:?} (want {})",
+                flag.name(),
+                names(choices)
+            )
+        })
+}
+
+fn usage(bin: &str) -> String {
+    flags_of(bin).iter().fold(format!("usage: {bin}"), |u, f| {
+        format!("{u} [{}]", f.usage())
+    })
 }
 
 /// Percentile over a sample set (nearest-rank on a sorted copy);
@@ -199,29 +403,6 @@ pub fn percentile(xs: &[u64], pct: f64) -> u64 {
     sorted.sort_unstable();
     let rank = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Read a positional mode argument (used by fig3: `general` / `carat`).
-pub fn arg_after_binary(default: &str) -> String {
-    std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// The workload list, optionally filtered by `--only name,name`.
-pub fn selected_workloads() -> Vec<Workload> {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--only" {
-            let names: Vec<&str> = w[1].split(',').collect();
-            return all_workloads()
-                .into_iter()
-                .filter(|wl| names.contains(&wl.name))
-                .collect();
-        }
-    }
-    all_workloads()
 }
 
 /// Render an aligned text table.
@@ -295,6 +476,89 @@ mod tests {
             let r = run_simple(&w, Scale::Test, v);
             assert!(r.counters.instructions > 0, "{v:?}");
         }
+    }
+
+    fn parse(bin: &str, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse_from(flags_of(bin), &argv)
+    }
+
+    #[test]
+    fn a_misspelt_flag_or_value_is_an_error() {
+        for (bin, argv) in [
+            ("interp_throughput", &["--scael", "test"][..]),
+            ("interp_throughput", &["--scale"]),
+            ("interp_throughput", &["--scale", "tset"]),
+            ("interp_throughput", &["--engine", "fuse"]),
+            ("interp_throughput", &["--only", "mcf,nope"]),
+            ("interp_throughput", &["--out"]),
+            ("interp_throughput", &["stray"]),
+            ("fleet_scaling", &["--sched", "tick"]),
+            ("fleet_scaling", &["--only", "mcf"]),
+            ("fig3_guard_overhead", &["generic"]),
+            ("fig3_guard_overhead", &["general", "carat"]),
+            ("fig9_move_overhead", &["--engine", "fused"]),
+            ("fig4_region_guards", &["--scale", "test"]),
+            ("all_experiments", &["--jobs", "0"]),
+            ("all_experiments", &["--jobs", "many"]),
+        ] {
+            assert!(parse(bin, argv).is_err(), "{bin} accepted {argv:?}");
+        }
+    }
+
+    #[test]
+    fn every_flag_a_bin_declares_parses() {
+        for (bin, flags) in BINS {
+            let mut argv = Vec::new();
+            for f in *flags {
+                match f {
+                    Flag::Scale => argv.extend(["--scale", "test"]),
+                    Flag::Only => argv.extend(["--only", "mcf,ep"]),
+                    Flag::Engine => argv.extend(["--engine", "threaded"]),
+                    Flag::Sched => argv.extend(["--sched", "timer"]),
+                    Flag::Out(_) => argv.extend(["--out", "/tmp/x.json"]),
+                    Flag::Jobs => argv.extend(["--jobs", "3"]),
+                    Flag::Mode(choices) => argv.push(choices[1]),
+                }
+            }
+            let args = parse(bin, &argv).unwrap_or_else(|e| panic!("{bin} {argv:?}: {e}"));
+            for f in *flags {
+                match f {
+                    Flag::Scale => assert_eq!(args.scale, Scale::Test),
+                    Flag::Only => {
+                        let names: Vec<_> = args.workloads.iter().map(|w| w.name).collect();
+                        assert_eq!(names, ["ep", "mcf"], "suite order");
+                    }
+                    Flag::Engine => assert_eq!(args.engine, Some(Engine::Threaded)),
+                    Flag::Sched => assert_eq!(args.sched, SchedSource::Timer),
+                    Flag::Out(_) => assert_eq!(args.out, "/tmp/x.json"),
+                    Flag::Jobs => assert_eq!(args.jobs, 3),
+                    Flag::Mode(choices) => assert_eq!(args.mode, choices[1]),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_arguments_means_the_declared_defaults() {
+        let args = parse("interp_throughput", &[]).unwrap();
+        assert_eq!(args.scale, Scale::Small);
+        assert_eq!(args.workloads.len(), all_workloads().len());
+        assert_eq!(args.engine, None);
+        assert_eq!(args.out, "BENCH_interp.json");
+        assert_eq!(parse("fig3_guard_overhead", &[]).unwrap().mode, "carat");
+        assert_eq!(parse("all_experiments", &[]).unwrap().jobs, 1);
+    }
+
+    #[test]
+    fn a_child_is_forwarded_only_the_flags_it_accepts() {
+        let args = parse("all_experiments", &["--scale", "test", "--only", "mcf"]).unwrap();
+        assert_eq!(
+            args.forward_to("fig9_move_overhead"),
+            ["--scale", "test", "--only", "mcf"]
+        );
+        assert_eq!(args.forward_to("fleet_scaling"), ["--scale", "test"]);
+        assert!(args.forward_to("fig4_region_guards").is_empty());
     }
 
     #[test]

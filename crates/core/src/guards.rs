@@ -7,7 +7,7 @@
 //! immediately before the instruction they protect; the optimization passes
 //! in [`crate::opt`] then hoist, merge, or eliminate them.
 
-use carat_ir::{FuncId, Function, Inst, Intrinsic, Module, Type, ValueId};
+use carat_ir::{FuncId, Function, Inst, Intrinsic, Module, ValueId};
 
 /// Fixed per-call stack overhead assumed by call guards, covering the
 /// return address, saved registers, and compiler-generated spill slots.
@@ -216,10 +216,6 @@ pub fn guard_extent(f: &Function, guard: ValueId) -> Option<u64> {
         _ => None,
     }
 }
-
-/// Type alias re-export so callers do not need `carat_ir::Type` for the
-/// common case of sizing accesses.
-pub type AccessType = Type;
 
 #[cfg(test)]
 mod tests {

@@ -57,11 +57,6 @@ impl ModuleBuilder {
         self.module.func_mut(f)
     }
 
-    /// Read-only view of the module under construction.
-    pub fn as_module(&self) -> &Module {
-        &self.module
-    }
-
     /// Finish and return the module.
     pub fn finish(self) -> Module {
         self.module

@@ -746,11 +746,6 @@ impl Inst {
         )
     }
 
-    /// Whether this is a memory-accessing instruction that CARAT must guard.
-    pub fn is_memory_access(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-
     /// All value operands, in a fixed order.
     pub fn operands(&self) -> Vec<ValueId> {
         match self {

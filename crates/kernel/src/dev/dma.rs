@@ -159,11 +159,6 @@ impl DmaDevice {
         self.completions.push_back(c);
     }
 
-    /// Pop the oldest response, if any (software side).
-    pub fn pop_completion(&mut self) -> Option<DmaCompletion> {
-        self.completions.pop_front()
-    }
-
     /// Drain every pending response (software side).
     pub fn drain_completions(&mut self) -> Vec<DmaCompletion> {
         self.completions.drain(..).collect()

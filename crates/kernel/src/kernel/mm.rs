@@ -654,7 +654,7 @@ impl SimKernel {
         Ok(Some((world, dst.addr)))
     }
 
-    /// Seamless stack expansion (paper §2.2: "a failed guard involving the
+    /// Stack expansion, seamless to the guest (paper §2.2: "a failed guard involving the
     /// stack causes the kernel to be invoked; this provides a mechanism by
     /// which the kernel can implement seamless stack expansion").
     ///

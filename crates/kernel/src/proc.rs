@@ -723,11 +723,6 @@ impl ProcTable {
         fault
     }
 
-    /// All shared regions.
-    pub fn shared_regions(&self) -> &[SharedRegion] {
-        &self.shared
-    }
-
     /// The shared region `id`.
     pub fn shared(&self, id: SharedId) -> Option<&SharedRegion> {
         self.shared.get(id.0 as usize)

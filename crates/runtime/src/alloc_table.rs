@@ -208,11 +208,6 @@ impl AllocationTable {
         self.tree.get(&start)
     }
 
-    /// Mutable metadata access (used by the patching engine).
-    pub fn info_mut(&mut self, start: u64) -> Option<&mut AllocInfo> {
-        self.tree.get_mut(&start)
-    }
-
     /// Hand an existing escape set (e.g. salvaged from [`Self::track_free`])
     /// to the allocation at `start`, keeping the incremental byte
     /// accounting behind [`Self::memory_overhead_bytes`] consistent.

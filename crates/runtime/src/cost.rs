@@ -86,13 +86,6 @@ pub struct CostModel {
     pub move_alloc_fixed: u64,
     /// Copy cost per byte moved (Allocation & Movement).
     pub move_copy_per_byte_milli: u64,
-    /// Cores the modeled machine dedicates to the patch scan (the paper
-    /// notes patching is embarrassingly parallel across allocations).
-    /// 1 = the serial protocol; see [`CostModel::patch_cost`].
-    pub patch_workers: u64,
-    /// Fork/join synchronization charge per patch worker: dispatching a
-    /// shard to a core and joining it at the patch barrier.
-    pub patch_fork_join_per_worker: u64,
 
     // --- fleet admission + pressure scanning ---
     /// Verifying an admission image: signature walk plus IR
@@ -185,8 +178,6 @@ impl Default for CostModel {
             move_register_patch_per_reg: 4,
             move_alloc_fixed: 800,
             move_copy_per_byte_milli: 250, // 0.25 cycles/byte
-            patch_workers: 1,
-            patch_fork_join_per_worker: 800,
             admit_verify: 18_000,
             admit_quota: 300,
             admit_stamp: 1_400,
@@ -228,22 +219,9 @@ impl CostModel {
     }
 
     /// Modeled cycles of the "Patch Gen. & Exec." phase over `escapes`
-    /// cells. At one worker this is the serial scan
-    /// (`escapes * move_patch_per_escape`); with `W = patch_workers > 1`
-    /// the scan is sharded evenly and the critical path is
-    /// `ceil(serial / W) + W * patch_fork_join_per_worker`.
-    ///
-    /// A pure function of the plan size and this model — never of host
-    /// thread count, scheduling, or timing — so modeled cycles are
-    /// identical across hosts and across host worker counts.
+    /// cells: the serial scan the paper measures (Table 3, Fig 9).
     pub fn patch_cost(&self, escapes: u64) -> u64 {
-        let serial = escapes * self.move_patch_per_escape;
-        let w = self.patch_workers.max(1);
-        if w == 1 {
-            serial
-        } else {
-            serial.div_ceil(w) + w * self.patch_fork_join_per_worker
-        }
+        escapes * self.move_patch_per_escape
     }
 
     /// Number of 4KiB pages covering `bytes`.
@@ -346,25 +324,6 @@ mod tests {
         let c = CostModel::default();
         assert_eq!(c.patch_cost(1000), 1000 * c.move_patch_per_escape);
         assert_eq!(c.patch_cost(0), 0, "no escapes, no charge");
-    }
-
-    #[test]
-    fn patch_cost_parallel_speedup_and_overhead() {
-        let mut c = CostModel::default();
-        let serial = c.patch_cost(1000);
-        c.patch_workers = 4;
-        let par = c.patch_cost(1000);
-        assert_eq!(
-            par,
-            (1000 * c.move_patch_per_escape).div_ceil(4) + 4 * c.patch_fork_join_per_worker
-        );
-        assert!(
-            serial >= 2 * par,
-            "escape-heavy plans must see >=2x at 4 workers: {serial} vs {par}"
-        );
-        // Tiny plans are dominated by fork/join: parallelism can lose.
-        let tiny_serial = CostModel::default().patch_cost(4);
-        assert!(c.patch_cost(4) > tiny_serial);
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //! window. Patching is split into **plan** and **apply**: a
 //! [`PatchPlan`] — one flat array of `(cell, old, new, owner)` records —
 //! is built from the allocation table(s) with pure reads, then written
-//! through [`MemAccess`] in plan order. The paper notes patching is a
-//! data-parallel scan over escape cells; that parallelism is *modeled*
-//! ([`CostModel::patch_cost`](crate::cost::CostModel::patch_cost)), not
-//! executed on host threads.
+//! through [`MemAccess`] in plan order, on one thread: the serial patch
+//! phase the paper measures
+//! ([`CostModel::patch_cost`](crate::cost::CostModel::patch_cost)).
 //!
 //! Every phase reports counts so the caller can convert to cycles with the
 //! [`CostModel`](crate::cost::CostModel) — this is the raw material of

@@ -2,8 +2,7 @@
 //! memory: a batch equals its requests issued one transaction each, a
 //! mid-batch interrupt (the window the kernel's `FaultPoint::MidMove` maps
 //! onto) rolls everything back byte-for-byte, a cell two owners registered
-//! is planned once, planning is deterministic, and the modeled patch term
-//! follows the cost model's `patch_workers` alone.
+//! is planned once, and planning is deterministic.
 
 use carat_runtime::{
     perform_move_batch_journaled, perform_shared_move_journaled, AllocKind, AllocationTable,
@@ -302,39 +301,4 @@ fn plan_build_is_deterministic() {
     let p2 = PatchPlan::build(&[&t2], &m2, req.src, req.len, req.dst);
     assert_eq!(p1, p2);
     assert!(!p1.cells.is_empty());
-}
-
-/// Modeled `patch_gen_exec` is a function of the plan size and the cost
-/// model's `patch_workers` alone: the serial scan at one worker,
-/// `ceil(serial / w) + w * fork_join` above, ≥2× down at four workers on
-/// an escape-heavy plan — and nothing else about the move changes.
-#[test]
-fn modeled_patch_term_follows_cost_model_workers() {
-    let (n_allocs, cells_per_alloc, seed) = (32, 40, 3);
-    let run = |cost: &CostModel| {
-        let (mut t, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
-        let out = move_one(&mut t, &mut m, &mut regs, whole_range(n_allocs), cost);
-        (out, m.bytes, regs, t.snapshot())
-    };
-    let (serial, bytes, regs, table) = run(&CostModel::default());
-    let cells = serial.escapes_patched as u64;
-    let serial_cycles = cells * CostModel::default().move_patch_per_escape;
-    assert_eq!(serial.cost.patch_gen_exec, serial_cycles);
-    for w in [2u64, 4, 8] {
-        let cost = CostModel {
-            patch_workers: w,
-            ..CostModel::default()
-        };
-        let (mut out, b, r, t) = run(&cost);
-        assert_eq!(
-            out.cost.patch_gen_exec,
-            serial_cycles.div_ceil(w) + w * cost.patch_fork_join_per_worker
-        );
-        if w == 4 {
-            assert!(serial_cycles >= 2 * out.cost.patch_gen_exec);
-        }
-        out.cost.patch_gen_exec = serial_cycles;
-        assert_eq!(out, serial, "only the patch term may differ at w={w}");
-        assert_eq!((&b, &r, &t), (&bytes, &regs, &table));
-    }
 }

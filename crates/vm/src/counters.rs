@@ -46,7 +46,7 @@ pub struct PerfCounters {
     pub translation_cycles: u64,
 
     // --- moves ---
-    /// Seamless stack expansions performed by the kernel.
+    /// Stack expansions the kernel performed, seamless to the guest.
     pub stack_expansions: u64,
     /// Ranges paged out to swap.
     pub swap_outs: u64,

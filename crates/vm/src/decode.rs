@@ -504,16 +504,6 @@ pub enum DecodedInst {
     // These are produced only by the threaded engine's decode-time
     // transform, never by plain decoding or fusion, so the
     // reference/decoded/fused engines never see them.
-    /// Superblock seam: replaces the unconditional branch between two
-    /// chained blocks. Accounts exactly like the `Jmp` it replaced but
-    /// advances the cursor *into the next member's segment of the same
-    /// concatenated stream* instead of re-pinning code — the whole point
-    /// of chaining.
-    Seam {
-        /// Block index the cursor logically enters (the chain member whose
-        /// segment starts at the next slot).
-        to: u32,
-    },
     /// A guard statically proven redundant by an identical-or-wider guard
     /// earlier in its block. Executes nothing — it only counts one elided
     /// guard so `guards_executed + guards_elided` stays reconcilable with
@@ -598,10 +588,9 @@ impl DecodedInst {
             DecodedInst::FusedBinBin { .. } | DecodedInst::FusedBinJmp { .. } => Opcode::Bin,
             DecodedInst::FusedPtrAddConst { .. } => Opcode::PtrAdd,
             DecodedInst::FusedCastBin { .. } => Opcode::Cast,
-            // A seam retires the Jmp it replaced; the guard markers retire
-            // nothing (their arms account explicitly), but `opcode` must
-            // stay total, and the guards they stand in for were intrinsics.
-            DecodedInst::Seam { .. } => Opcode::Jmp,
+            // The guard markers retire nothing (their arms account
+            // explicitly), but `opcode` must stay total, and the guards
+            // they stand in for were intrinsics.
             DecodedInst::ElidedGuard
             | DecodedInst::HoistedGuard { .. }
             | DecodedInst::GuardFast { .. } => Opcode::CallIntrinsic,
@@ -780,8 +769,8 @@ impl FusionSummary {
 
 /// Configuration for the threaded tier's decode-time transform — the
 /// ablation axes of the guard-optimization table (none / elide /
-/// elide+hoist). Superblock chaining and fusion are always on for the
-/// threaded engine; these toggles control only the proof-driven parts.
+/// elide+hoist). Fusion is always on for the threaded engine; these
+/// toggles control only the proof-driven parts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadedOpts {
     /// Drop guards proven redundant (whole-trip loop proofs, block-local
@@ -875,21 +864,10 @@ pub struct ThreadedReport {
     /// Constants dropped because their last use was an elided guard, or
     /// was embedded as a fast-guard length immediate.
     pub dead_consts: u64,
-    /// Multi-block superblocks formed by chaining.
-    pub chains: u64,
-    /// Member blocks absorbed into a chain (beyond the head).
-    pub chained_blocks: u64,
     /// Per-loop decisions for inspection.
     pub loops: Vec<LoopReport>,
     /// Loops the prover skipped structurally: "func bbN: reason".
     pub skipped_loops: Vec<String>,
-}
-
-impl ThreadedReport {
-    /// Total guard slots removed or markered by proofs.
-    pub fn total_elided_sites(&self) -> u64 {
-        self.elided_sites + self.dup_guard_sites
-    }
 }
 
 /// The copy list for entering a phi-headed block from one predecessor.
@@ -918,11 +896,9 @@ pub struct DecodedBlock {
     /// the original unfused instruction, so mid-pair bail-outs and
     /// blocking intrinsics resume at exact component boundaries and the
     /// head is never re-executed unfused. A threaded decode is *not*
-    /// slot-parallel: guard slots may be elided, hoisted checks inserted,
-    /// and chained blocks share one concatenated stream (every member of a
-    /// superblock chain holds the same `Rc`, with its segment at the
-    /// offset the preceding [`DecodedInst::Seam`]s imply). A cursor is
-    /// only meaningful against the decode that produced it.
+    /// slot-parallel: guard slots may be elided and hoisted checks
+    /// inserted. A cursor is only meaningful against the decode that
+    /// produced it.
     pub code: std::rc::Rc<[DecodedInst]>,
     /// Per-predecessor phi copy lists (empty when the block has no phis).
     /// An entry exists only for predecessors every phi covers; entering
@@ -987,8 +963,8 @@ impl DecodedProgram {
     /// Decode every function of `module` into the streams `engine` runs
     /// (`opts` is read only by [`Engine::Threaded`]): plain, fused in
     /// place, or the threaded rewrite — proof-driven guard elision and
-    /// hoisting, superblock chaining, then one fusion pass over the
-    /// chained code. Pure and infallible: malformed constructs (aggregate
+    /// hoisting, then the same fusion pass over each rewritten block.
+    /// Pure and infallible: malformed constructs (aggregate
     /// accesses, incomplete phi webs) decode to trapping forms so behavior
     /// stays identical to the reference interpreter, which also rejects
     /// them only upon execution.
@@ -1258,8 +1234,8 @@ const MARK: u8 = 2;
 
 /// Rewrite one plain-decoded function's streams into the threaded tier's:
 /// consume the guard proofs to drop/mark slots and insert hoisted checks,
-/// chain single-entry straight-line successors into superblocks, then
-/// fuse once over each concatenated stream.
+/// then fuse each block. With nothing to drop, mark or insert — a module
+/// with no guards and no tracking calls — the result is the fused decode.
 fn thread_func(
     module: &Module,
     f: &carat_ir::Function,
@@ -1473,13 +1449,11 @@ fn thread_func(
 
     // Apply the actions per block; hoisted checks go right before the
     // preheader's terminator (the last slot, never dropped or marked).
-    // Surviving guard intrinsics are strength-reduced to fast-tier range
-    // probes here — before fusion, so `FusedGuardLoad`/`FusedGuardStore`
-    // never form in a threaded stream and the probe stays inside the
-    // fast dispatch loop instead of breaking out to the intrinsic
-    // machinery.
-    let mut transformed: Vec<Vec<DecodedInst>> = Vec::with_capacity(nblocks);
-    for (bi, blk) in df.blocks.iter().enumerate() {
+    // Surviving guard intrinsics become `GuardFast` probes here — before
+    // fusion, so `FusedGuardLoad`/`FusedGuardStore` never form in a
+    // threaded stream. Both spellings pass in the fast tier; `GuardFast`
+    // can also carry its length as an immediate.
+    for (bi, blk) in df.blocks.iter_mut().enumerate() {
         let mut code: Vec<DecodedInst> = Vec::with_capacity(blk.code.len() + inserts[bi].len());
         for (s, &inst) in blk.code.iter().enumerate() {
             if s + 1 == blk.code.len() {
@@ -1512,79 +1486,8 @@ fn thread_func(
         if blk.code.is_empty() {
             code.extend(inserts[bi].iter().copied());
         }
-        transformed.push(code);
-    }
-
-    // Superblock chaining: follow unconditional jumps into blocks with a
-    // single predecessor and no phis (never the entry block, never a
-    // self-loop). In-degree and out-degree are both at most one, so the
-    // `next` edges form vertex-disjoint paths; each path becomes one
-    // concatenated stream with a Seam replacing every interior
-    // terminator, shared by all members so absolute cursors stay valid
-    // wherever a frame suspends.
-    let preds = f.predecessors();
-    let mut next: Vec<Option<usize>> = vec![None; nblocks];
-    for b in 0..nblocks {
-        let Some(&DecodedInst::Jmp { target }) = transformed[b].last() else {
-            continue;
-        };
-        let t = target as usize;
-        if t == 0 || t == b || t >= nblocks || transformed[t].is_empty() {
-            continue;
-        }
-        if preds[t].len() != 1 || preds[t][0].index() != b {
-            continue;
-        }
-        if matches!(transformed[t].first(), Some(DecodedInst::PhiBatch)) {
-            continue;
-        }
-        next[b] = Some(t);
-    }
-    let mut is_target = vec![false; nblocks];
-    for &t in next.iter().flatten() {
-        is_target[t] = true;
-    }
-    let mut streams: Vec<Option<std::rc::Rc<[DecodedInst]>>> = vec![None; nblocks];
-    for (head, &targeted) in is_target.iter().enumerate() {
-        if targeted {
-            continue;
-        }
-        let mut chain = vec![head];
-        let mut cur = head;
-        while let Some(t) = next[cur] {
-            chain.push(t);
-            cur = t;
-        }
-        let mut code: Vec<DecodedInst> = Vec::new();
-        for (k, &b) in chain.iter().enumerate() {
-            if k + 1 < chain.len() {
-                let seg = &transformed[b];
-                code.extend_from_slice(&seg[..seg.len() - 1]);
-                code.push(DecodedInst::Seam {
-                    to: chain[k + 1] as u32,
-                });
-            } else {
-                code.extend_from_slice(&transformed[b]);
-            }
-        }
         fuse_block(&mut code, &df.operands, fusion);
-        let rc: std::rc::Rc<[DecodedInst]> = code.into();
-        if chain.len() > 1 {
-            report.chains += 1;
-            report.chained_blocks += (chain.len() - 1) as u64;
-        }
-        for &b in &chain {
-            streams[b] = Some(rc.clone());
-        }
-    }
-    for (b, (stream, mut own)) in streams.into_iter().zip(transformed).enumerate() {
-        // Blocks on a pure `next` cycle have no head; they are
-        // unreachable (a cycle of single-predecessor blocks cannot be
-        // entered), but still get a well-formed single-block stream.
-        df.blocks[b].code = stream.unwrap_or_else(|| {
-            fuse_block(&mut own, &df.operands, fusion);
-            own.into()
-        });
+        blk.code = code.into();
     }
 }
 
@@ -2205,48 +2108,28 @@ mod tests {
         assert!(!elide_only.funcs[0].hoists[0].check);
     }
 
+    /// "Threaded = fused + proofs": with no guard to elide or hoist and no
+    /// tracking call to dedup, the threaded rewrite has nothing to do and
+    /// both recipes end in the same `fuse_block` over the same slots.
     #[test]
-    fn threaded_chains_straightline_blocks() {
-        let mut mb = ModuleBuilder::new("t");
-        let fid = mb.declare("main", vec![], Some(Type::I64));
-        {
-            let mut b = mb.define(fid);
-            let e = b.block("entry");
-            let m1 = b.block("mid1");
-            let m2 = b.block("mid2");
-            b.switch_to(e);
-            let x = b.const_i64(1);
-            b.jmp(m1);
-            b.switch_to(m1);
-            let y = b.const_i64(2);
-            b.jmp(m2);
-            b.switch_to(m2);
-            let z = b.add(x, y);
-            b.ret(Some(z));
+    fn threaded_decode_of_an_unguarded_module_is_the_fused_decode() {
+        for w in carat_workloads::all_workloads() {
+            let m = w.module(carat_workloads::Scale::Test).unwrap();
+            let opts = ThreadedOpts::default();
+            let fused = DecodedProgram::decode_for(&m, Engine::Fused, opts);
+            let threaded = DecodedProgram::decode_for(&m, Engine::Threaded, opts);
+            assert_eq!(threaded.fusion.sites, fused.fusion.sites, "{}", w.name);
+            for (tf, ff) in threaded.funcs.iter().zip(&fused.funcs) {
+                for (b, (tb, fb)) in tf.blocks.iter().zip(&ff.blocks).enumerate() {
+                    assert_eq!(
+                        format!("{:?}", tb.code),
+                        format!("{:?}", fb.code),
+                        "{} bb{b}",
+                        w.name
+                    );
+                }
+            }
         }
-        let m = mb.finish();
-        let prog = DecodedProgram::decode_with(&m, Some(ThreadedOpts::default()));
-        let report = prog.threaded.as_ref().unwrap();
-        assert_eq!(report.chains, 1);
-        assert_eq!(report.chained_blocks, 2);
-        let f = &prog.funcs[0];
-        // All three blocks share one concatenated stream…
-        assert!(std::rc::Rc::ptr_eq(&f.blocks[0].code, &f.blocks[1].code));
-        assert!(std::rc::Rc::ptr_eq(&f.blocks[0].code, &f.blocks[2].code));
-        // …with seams where the interior jumps were.
-        let seams: Vec<u32> = f.blocks[0]
-            .code
-            .iter()
-            .filter_map(|i| match i {
-                DecodedInst::Seam { to } => Some(*to),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(seams, vec![1, 2]);
-        assert!(matches!(
-            f.blocks[0].code.last(),
-            Some(DecodedInst::Ret { .. })
-        ));
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub enum Engine {
     /// interpreter, retained as the semantic reference for differential
     /// testing and as the `--engine reference` baseline in `interp_throughput`.
     Reference,
-    /// Decode to the threaded-code streams: superblock chains of the
-    /// fused stream with guard checks elided or hoisted under the static
+    /// Decode to the threaded-code streams: the fused stream with guard
+    /// checks elided or hoisted under the static
     /// whole-trip proofs of `carat_analysis::prove_function` (see
     /// [`crate::decode::ThreadedOpts`]). The only engine whose simulated
     /// counters legitimately diverge from the others: it retires fewer
@@ -126,11 +126,6 @@ impl Engine {
             Engine::Reference => "reference",
             Engine::Threaded => "threaded",
         }
-    }
-
-    /// Parse a CLI name (as produced by [`Engine::name`]).
-    pub fn parse(s: &str) -> Option<Engine> {
-        Engine::ALL.into_iter().find(|e| e.name() == s)
     }
 }
 
@@ -1500,7 +1495,7 @@ impl Core<'_> {
     ///
     /// | tier | variants |
     /// |---|---|
-    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedFcmpBr` `FusedConstBin` `FusedConstFBin` `FusedConstConst` `FusedBinBin` `FusedBinJmp` `FusedPtrAddConst` `FusedCastBin`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `Seam` `ElidedGuard` |
+    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedFcmpBr` `FusedConstBin` `FusedConstFBin` `FusedConstConst` `FusedBinBin` `FusedBinJmp` `FusedPtrAddConst` `FusedCastBin`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `ElidedGuard` |
     /// | both (fast arm, slow arm when it declines) | `Load` `Store` (poison address); `GuardFast` `FusedGuardLoad` `FusedGuardStore` (guard does not pass, or poison access address) |
     /// | slow only | `Call` `Intrinsic` (every guard of a plain decode among them) `Ret` `Unreachable` `TrapAggregate` `HoistedGuard` |
     ///
@@ -1904,20 +1899,6 @@ impl Core<'_> {
 
                         // --- threaded-tier ops ---
                         //
-                        // A seam is the Jmp between two chained blocks:
-                        // identical accounting, but the cursor continues
-                        // into the next member's segment of the same
-                        // concatenated stream — no re-pin, no idx reset.
-                        // The batch gate below still runs, so rotation and
-                        // due drivers get control at the same boundaries a
-                        // real Jmp would give them.
-                        DecodedInst::Seam { to } => {
-                            f.retire(Opcode::Jmp);
-                            f.counters.cycles += f.kernel.cost.branch;
-                            f.fr.prev_block = Some(f.fr.block);
-                            f.fr.block = BlockId(to);
-                            f.fr.idx += 1;
-                        }
                         // A block-local duplicate guard: the covering guard
                         // earlier in the block already ran, so this one
                         // only accounts its own removal — no instruction,

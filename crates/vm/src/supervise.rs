@@ -268,9 +268,4 @@ impl Supervisor {
         }
         due
     }
-
-    /// The earliest slice at which a pending respawn becomes due.
-    pub fn next_due_slice(&self) -> Option<u64> {
-        self.pending.iter().map(|p| p.due_slice).min()
-    }
 }

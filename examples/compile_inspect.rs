@@ -133,13 +133,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rep = threaded.threaded.as_ref().expect("threaded report");
     println!(
         "\n==== threaded tier (per-loop decisions; {} elided, {} hoisted, {} dup-marked, \
-         {} fast-tier guards, {} dead consts, {} chains) ====\n",
+         {} fast-tier guards, {} dead consts) ====\n",
         rep.elided_sites,
         rep.hoisted_sites,
         rep.dup_guard_sites,
         rep.fast_guard_sites,
-        rep.dead_consts,
-        rep.chains
+        rep.dead_consts
     );
     for lp in &rep.loops {
         println!("  {} bb{}:", lp.func, lp.header);

@@ -416,7 +416,8 @@ fn region_edit_between_guards_invalidates_the_cached_hit() {
     let want = faults_after_edit(Engine::Reference);
     assert_eq!(faults_after_edit(Engine::Decoded), want);
     assert_eq!(faults_after_edit(Engine::Fused), want);
-    // The threaded stream chains blocks, so its slice ends elsewhere in
+    // The threaded stream carries guard lengths as immediates and drops
+    // their constants, so its 5,000-instruction slice ends elsewhere in
     // the loop: same verdict, another iteration.
     faults_after_edit(Engine::Threaded);
 }

@@ -114,8 +114,8 @@ const LOOP_HEAVY: &[&str] = &[
 ];
 
 /// Every workload, traditional paging mode (uninstrumented baseline
-/// build): no guards exist, so the threaded tier is pure superblock
-/// chaining — semantics identical, nothing elided.
+/// build): no guards exist, so the threaded decode is the fused decode
+/// — semantics identical, nothing elided.
 #[test]
 fn all_workloads_agree_in_traditional_mode() {
     for w in all_workloads() {
