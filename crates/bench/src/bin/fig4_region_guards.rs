@@ -1,8 +1,7 @@
 //! Figure 4 — cost of multi-region software guards (host-measured
 //! nanoseconds, since the guard data structures are real code) as a
 //! function of region count: if-tree vs binary search, random and strided
-//! access patterns. `cargo bench -p carat-bench --bench region_guards`
-//! gives the Criterion version.
+//! access patterns.
 
 use carat_bench::{print_table, Args};
 use carat_runtime::{Access, Perms, Region, RegionTable};

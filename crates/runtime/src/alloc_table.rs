@@ -1,14 +1,23 @@
 //! The Allocation Table and Allocation-to-Escape Map (paper §4.2).
 //!
 //! The runtime's hard-state: every live allocation (static, stack, heap),
-//! keyed by start address in a red/black tree, each carrying the set of
+//! keyed by start address in an ordered map, each carrying the set of
 //! memory cells that hold a pointer into it (its *escapes*). Escapes are
 //! registered in batches, as in the prototype ("we use the first method
 //! when tracking allocations, and the second when tracking the escapes").
+//!
+//! The prototype's table is "a C++ red/black tree whose key is the address
+//! of an allocated block"; here it is a `BTreeMap`, the same ordered-map
+//! interface at the same O(log n).
 
 use crate::fast_hash::{FastMap, FastSet};
-use crate::rbtree::RbTree;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// Bytes of one red/black tree node holding an allocation: the key/value
+/// pair plus libstdc++'s `_Rb_tree_node_base` (colour word and parent,
+/// left and right links).
+const RB_NODE_BYTES: usize =
+    std::mem::size_of::<(u64, AllocInfo)>() + 4 * std::mem::size_of::<u64>();
 
 /// Where an allocation came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +66,7 @@ pub struct TrackStats {
 /// The allocation table.
 #[derive(Debug, Default)]
 pub struct AllocationTable {
-    tree: RbTree<u64, AllocInfo>,
+    tree: BTreeMap<u64, AllocInfo>,
     /// Reverse map: escape cell address → allocation start it points into.
     escape_owner: FastMap<u64, u64>,
     /// Batched escapes not yet resolved.
@@ -122,7 +131,7 @@ impl AllocationTable {
 
     /// The allocation containing `addr`, if any.
     pub fn find_containing(&self, addr: u64) -> Option<(u64, &AllocInfo)> {
-        let (&start, info) = self.tree.floor(&addr)?;
+        let (&start, info) = self.tree.range(..=addr).next_back()?;
         (addr < start + info.len).then_some((start, info))
     }
 
@@ -157,10 +166,14 @@ impl AllocationTable {
                 }
             }
             let ptr = read_ptr(cell);
-            let Some((start, _)) = self.find_containing(ptr) else {
+            let Some((&start, info)) = self
+                .tree
+                .range_mut(..=ptr)
+                .next_back()
+                .filter(|(&start, info)| ptr < start + info.len)
+            else {
                 continue; // null or points outside tracked memory
             };
-            let info = self.tree.get_mut(&start).expect("found above");
             let cap_before = info.escapes.capacity();
             if info.escapes.insert(cell) {
                 info.escapes_ever += 1;
@@ -191,16 +204,17 @@ impl AllocationTable {
     ) -> impl Iterator<Item = (u64, &AllocInfo)> + '_ {
         // An allocation starting strictly before `lo` may straddle into the
         // range.
-        let straddler = if lo > 0 {
-            self.tree.floor(&(lo - 1)).and_then(|(&start, info)| {
-                (start < lo && start + info.len > lo).then_some((start, info))
-            })
-        } else {
-            None
-        };
+        let straddler = self
+            .tree
+            .range(..lo)
+            .next_back()
+            .filter(|&(&start, info)| start + info.len > lo);
+        // `BTreeMap::range` panics on an inverted range; that one is empty.
+        let within = (lo < hi).then(|| self.tree.range(lo..hi));
         straddler
             .into_iter()
-            .chain(self.tree.range(&lo, hi).map(|(&start, info)| (start, info)))
+            .chain(within.into_iter().flatten())
+            .map(|(&start, info)| (start, info))
     }
 
     /// Borrow an allocation's metadata by start address.
@@ -279,9 +293,12 @@ impl AllocationTable {
     /// Fold live allocations into the lifetime escape histogram (call at
     /// program end before reading [`TrackStats::escape_histogram`]).
     pub fn finish(&mut self) {
-        let counts: Vec<u64> = self.tree.iter().map(|(_, i)| i.escapes_ever).collect();
-        for c in counts {
-            *self.stats.escape_histogram.entry(c).or_insert(0) += 1;
+        for info in self.tree.values() {
+            *self
+                .stats
+                .escape_histogram
+                .entry(info.escapes_ever)
+                .or_insert(0) += 1;
         }
     }
 
@@ -289,8 +306,11 @@ impl AllocationTable {
     ///
     /// O(1): the escape-set component is maintained incrementally, so the
     /// VM can sample this on every tracking callback without a table walk.
+    /// The tree term models the prototype's red/black tree
+    /// (`RB_NODE_BYTES` per node at the live high water), not the host
+    /// map.
     pub fn memory_overhead_bytes(&self) -> usize {
-        let tree = self.tree.heap_bytes();
+        let tree = self.stats.max_live * RB_NODE_BYTES;
         let reverse = self.escape_owner.capacity()
             * (std::mem::size_of::<u64>() * 2 + std::mem::size_of::<usize>());
         let pending = self.pending.capacity() * std::mem::size_of::<u64>();
@@ -419,7 +439,8 @@ mod tests {
     }
 
     /// The incrementally-maintained escape-set byte count must equal a
-    /// from-scratch fold over every live allocation.
+    /// from-scratch fold over every live allocation, beside the modeled
+    /// tree term.
     #[test]
     fn incremental_escape_bytes_match_full_fold() {
         let mut t = AllocationTable::new();
@@ -435,19 +456,63 @@ mod tests {
             t.track_escape(0x90000 + c * 8); // rebind to a different target
         }
         t.flush_escapes(|cell| 0x10000 + ((cell + 7) % 64) * 0x100);
+        let tree = t.stats.max_live * RB_NODE_BYTES;
         for i in 0..16u64 {
             t.track_free(0x10000 + i * 0x100);
         }
         t.rebase_escape_cells(0x90000, 0x90400, 0x1_0000);
+        // The tree term is a high-water mark: frees do not lower it.
+        assert_eq!(t.stats.max_live * RB_NODE_BYTES, tree);
+        assert_eq!(tree, 64 * RB_NODE_BYTES);
         let fold: usize = (0..64u64)
             .filter_map(|i| t.info(0x10000 + i * 0x100))
             .map(|info| info.escapes.capacity() * std::mem::size_of::<u64>())
             .sum();
-        let tree = t.tree.heap_bytes();
         let reverse = t.escape_owner.capacity()
             * (std::mem::size_of::<u64>() * 2 + std::mem::size_of::<usize>());
         let pending = t.pending.capacity() * std::mem::size_of::<u64>();
         assert_eq!(t.memory_overhead_bytes(), tree + fold + reverse + pending);
+    }
+
+    /// The kernel's `POISON_BASE`: where swapped allocations live.
+    const POISON: u64 = 0xFFFF_8000_0000_0000;
+
+    fn at(poison: bool, off: u64) -> u64 {
+        if poison {
+            POISON + off
+        } else {
+            off
+        }
+    }
+
+    /// The table's order queries against linear scans of `model`
+    /// (start → len).
+    fn check_against(
+        t: &AllocationTable,
+        model: &BTreeMap<u64, u64>,
+        queries: &[(bool, u64, bool, u64)],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(t.live(), model.len());
+        for &(lo_poison, lo, hi_poison, hi) in queries {
+            let (lo, hi) = (at(lo_poison, lo), at(hi_poison, hi));
+            let want: Vec<u64> = model
+                .iter()
+                .filter(|&(&start, &len)| {
+                    (start < lo && start + len > lo) || (lo <= start && start < hi)
+                })
+                .map(|(&start, _)| start)
+                .collect();
+            prop_assert_eq!(t.overlapping(lo, hi), want, "[{:#x}, {:#x})", lo, hi);
+            for q in [lo, hi] {
+                let holder = model
+                    .iter()
+                    .find(|&(&start, &len)| start <= q && q < start + len)
+                    .map(|(&start, &len)| (start, len));
+                let found = t.find_containing(q).map(|(start, info)| (start, info.len));
+                prop_assert_eq!(found, holder, "find_containing({:#x})", q);
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -455,32 +520,37 @@ mod tests {
         /// every allocation that starts in `[lo, hi)` plus the one that
         /// straddles `lo` from below, ascending — with swapped
         /// (poison-resident) allocations sorting above everything, a
-        /// query at `lo == 0`, and empty or inverted ranges.
+        /// query at `lo == 0`, and empty or inverted ranges; and
+        /// `find_containing` is the allocation a linear scan finds. Both
+        /// are re-checked after every free (of a live or an untracked
+        /// start) and every re-registration at a live start, which
+        /// replaces the entry there.
         #[test]
         fn overlapping_infos_equals_the_filter(
             allocs in proptest::collection::vec((0u64..64, 1u64..=0x100, proptest::bool::ANY), 0..40),
+            steps in proptest::collection::vec(
+                (proptest::bool::ANY, 0u64..64, 1u64..=0x100, proptest::bool::ANY), 0..24),
             queries in proptest::collection::vec(
                 (proptest::bool::ANY, 0u64..0x4100, proptest::bool::ANY, 0u64..0x4100), 1..24),
         ) {
-            // The kernel's `POISON_BASE`: where swapped allocations live.
-            const POISON: u64 = 0xFFFF_8000_0000_0000;
-            let at = |poison: bool, off: u64| if poison { POISON + off } else { off };
             let mut t = AllocationTable::new();
+            let mut model = BTreeMap::new();
             // Slots 0x100 apart, so allocations never overlap each other.
             for (slot, len, poison) in allocs {
-                t.track_alloc(at(poison, slot * 0x100), len, AllocKind::Heap);
+                let start = at(poison, slot * 0x100);
+                t.track_alloc(start, len, AllocKind::Heap);
+                model.insert(start, len);
             }
-            for (lo_poison, lo, hi_poison, hi) in queries {
-                let (lo, hi) = (at(lo_poison, lo), at(hi_poison, hi));
-                let want: Vec<u64> = t
-                    .tree
-                    .iter()
-                    .filter(|&(&start, info)| {
-                        (start < lo && start + info.len > lo) || (lo <= start && start < hi)
-                    })
-                    .map(|(&start, _)| start)
-                    .collect();
-                prop_assert_eq!(t.overlapping(lo, hi), want, "[{:#x}, {:#x})", lo, hi);
+            check_against(&t, &model, &queries)?;
+            for (free, pick, len, poison) in steps {
+                if free {
+                    let start = at(poison, pick * 0x100);
+                    prop_assert_eq!(t.track_free(start).map(|info| info.len), model.remove(&start));
+                } else if let Some(&start) = model.keys().nth(pick as usize % model.len().max(1)) {
+                    t.track_alloc(start, len, AllocKind::Heap);
+                    model.insert(start, len);
+                }
+                check_against(&t, &model, &queries)?;
             }
         }
     }

@@ -6,8 +6,8 @@
 //! region set, and executes mapping changes by patching every affected
 //! pointer.
 //!
-//! * [`AllocationTable`] — allocations keyed in a from-scratch red/black
-//!   tree ([`RbTree`]), each with its Allocation-to-Escape Map entry;
+//! * [`AllocationTable`] — allocations keyed by start address in an
+//!   ordered map, each with its Allocation-to-Escape Map entry;
 //! * [`RegionTable`] — kernel-supplied regions with binary-search,
 //!   if-tree, and MPX-style guard evaluators;
 //! * [`perform_move_batch_journaled`] / [`perform_shared_move_journaled`] —
@@ -36,7 +36,6 @@ mod alloc_table;
 mod cost;
 mod fast_hash;
 mod patch;
-mod rbtree;
 mod region;
 mod world;
 
@@ -49,6 +48,5 @@ pub use patch::{
     MoveError, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, PatchPlan, PinnedRange,
     PlannedPatch,
 };
-pub use rbtree::RbTree;
 pub use region::{Access, GuardCheck, GuardImpl, Perms, Region, RegionTable};
 pub use world::{ProtocolError, Step, WorldStop, WorldStopError};
