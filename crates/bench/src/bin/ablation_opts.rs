@@ -3,43 +3,31 @@
 //! per workload. Each row toggles exactly one optimization on, plus the
 //! none/all extremes.
 
-use carat_bench::{geomean, print_table, Args, FREQ_HZ};
+use carat_bench::{geomean, print_table, Args};
 use carat_core::{CaratCompiler, CompileOptions, OptPreset, OptToggles};
 use carat_vm::{Vm, VmConfig};
 
 fn main() {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let scale = args.scale;
-    let _ = FREQ_HZ;
     println!("Ablation: per-optimization contribution ({scale:?} scale)\n");
-    let configs: [(&str, OptToggles); 5] = [
-        ("none", OptToggles::NONE),
+    let configs = [
+        ("none", false, false, false),
+        ("hoist", true, false, false),
+        ("merge", false, true, false),
+        ("acdc", false, false, true),
+        ("all", true, true, true),
+    ]
+    .map(|(label, hoist, merge, redundancy)| {
         (
-            "hoist",
+            label,
             OptToggles {
-                hoist: true,
-                merge: false,
-                redundancy: false,
+                hoist,
+                merge,
+                redundancy,
             },
-        ),
-        (
-            "merge",
-            OptToggles {
-                hoist: false,
-                merge: true,
-                redundancy: false,
-            },
-        ),
-        (
-            "acdc",
-            OptToggles {
-                hoist: false,
-                merge: false,
-                redundancy: true,
-            },
-        ),
-        ("all", OptToggles::ALL),
-    ];
+        )
+    });
     let mut rows = Vec::new();
     let mut ratio_cols: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
     for w in args.workloads {
@@ -74,9 +62,7 @@ fn main() {
         rows.push(cells);
     }
     let mut mean_row = vec!["Geo. Mean".to_string()];
-    for col in &ratio_cols {
-        mean_row.push(format!("{:.3}", geomean(col)));
-    }
+    mean_row.extend(ratio_cols.iter().map(|col| format!("{:.3}", geomean(col))));
     rows.push(mean_row);
     println!("dynamic guard executions, normalized to no optimization:");
     print_table(

@@ -10,52 +10,31 @@ use carat_bench::Args;
 use std::process::Command;
 use std::sync::Mutex;
 
-/// One spawnable experiment: binary name plus extra leading args.
-struct Job {
-    exe: &'static str,
-    prefix: &'static [&'static str],
-}
-
 fn main() {
-    let exes = [
-        "fig2_dtlb_misses",
-        "table1_guard_opts",
-        "fig3_guard_overhead",
-        "fig4_region_guards",
-        "table2_paging_rates",
-        "fig5_escape_histogram",
-        "fig6_memory_overhead",
-        "fig7_tracking_overhead",
-        "fig9_move_overhead",
-        "table3_move_breakdown",
-        "region_fragmentation",
-        "fault_overhead",
-        "multiproc_isolation",
-        "move_parallel",
-        "fleet_scaling",
-        "chaos_soak",
+    // Each experiment: its binary and any leading mode word. Figure 3's
+    // two sub-figures are two jobs.
+    let queue: &[(&str, &[&str])] = &[
+        ("fig2_dtlb_misses", &[]),
+        ("table1_guard_opts", &[]),
+        ("fig3_guard_overhead", &["general"]),
+        ("fig3_guard_overhead", &["carat"]),
+        ("fig4_region_guards", &[]),
+        ("table2_paging_rates", &[]),
+        ("fig5_escape_histogram", &[]),
+        ("fig6_memory_overhead", &[]),
+        ("fig7_tracking_overhead", &[]),
+        ("fig9_move_overhead", &[]),
+        ("table3_move_breakdown", &[]),
+        ("region_fragmentation", &[]),
+        ("fault_overhead", &[]),
+        ("multiproc_isolation", &[]),
+        ("fleet_scaling", &[]),
+        ("chaos_soak", &[]),
     ];
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let jobs = args.jobs;
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir").to_path_buf();
-
-    let mut queue: Vec<Job> = Vec::new();
-    for exe in exes {
-        if exe == "fig3_guard_overhead" {
-            // Two sub-figures, each its own job.
-            queue.push(Job {
-                exe,
-                prefix: &["general"],
-            });
-            queue.push(Job {
-                exe,
-                prefix: &["carat"],
-            });
-        } else {
-            queue.push(Job { exe, prefix: &[] });
-        }
-    }
 
     // Work-stealing pool over scoped threads: each worker claims the next
     // unclaimed job; outputs are stored by index and printed in order.
@@ -73,10 +52,10 @@ fn main() {
                     *n += 1;
                     *n - 1
                 };
-                let job = &queue[i];
-                let mut cmd_args: Vec<String> = job.prefix.iter().map(|s| s.to_string()).collect();
-                cmd_args.extend(args.forward_to(job.exe));
-                let out = Command::new(dir.join(job.exe))
+                let (exe, prefix) = queue[i];
+                let mut cmd_args: Vec<String> = prefix.iter().map(|s| s.to_string()).collect();
+                cmd_args.extend(args.forward_to(exe));
+                let out = Command::new(dir.join(exe))
                     .args(&cmd_args)
                     .output()
                     .expect("spawn");
@@ -87,11 +66,8 @@ fn main() {
     });
 
     let mut failed = Vec::new();
-    for (job, slot) in queue.iter().zip(&results) {
-        let title: String = std::iter::once(job.exe)
-            .chain(job.prefix.iter().copied())
-            .collect::<Vec<_>>()
-            .join(" ");
+    for (&(exe, prefix), slot) in queue.iter().zip(&results) {
+        let title = [&[exe], prefix].concat().join(" ");
         println!("\n=== {title} ===\n");
         let (ok, stdout, stderr) = slot
             .lock()

@@ -33,10 +33,10 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
 use std::rc::Rc;
 
-use carat_bench::{print_table, Args, Variant};
-use carat_core::CaratCompiler;
+use carat_bench::{instrument, obj, percentile, print_table, Args, Json, Report, Variant};
 use carat_ir::Module;
 use carat_kernel::{AdmissionError, FaultPlan, FaultPoint, LoadConfig, Pid};
 use carat_vm::{
@@ -77,16 +77,6 @@ fn fleet_size(scale: Scale) -> usize {
 
 fn kernel_mem(tenants: usize) -> u64 {
     64 * 1024 * 1024 + tenants as u64 * 256 * 1024
-}
-
-fn chaos_module(scale: Scale) -> Rc<Module> {
-    let module = chaos_tenant(scale, 0).expect("chaos tenant compiles");
-    Rc::new(
-        CaratCompiler::new(Variant::Full.options())
-            .compile(module)
-            .expect("chaos tenant instruments")
-            .module,
-    )
 }
 
 fn tenant_cfg(engine: Engine) -> VmConfig {
@@ -144,12 +134,10 @@ fn build_fleet(tenants: usize, (module, cfg): &Tenant, ladder: bool) -> MultiVm 
 /// per-pid return values and bit-exact counters.
 fn reference(tenants: usize, tenant: &Tenant) -> HashMap<Pid, (i64, PerfCounters)> {
     let reports = build_fleet(tenants, tenant, false).run();
-    let mut by_pid = HashMap::new();
-    for r in reports {
-        match r.outcome {
-            ProcOutcome::Finished(rr) => {
-                by_pid.insert(r.pid, (rr.ret, rr.counters));
-            }
+    reports
+        .into_iter()
+        .map(|r| match r.outcome {
+            ProcOutcome::Finished(rr) => (r.pid, (rr.ret, rr.counters)),
             other => {
                 eprintln!(
                     "chaos_soak: fault-free reference tenant {} did not finish: {other:?}",
@@ -157,9 +145,8 @@ fn reference(tenants: usize, tenant: &Tenant) -> HashMap<Pid, (i64, PerfCounters
                 );
                 std::process::exit(2);
             }
-        }
-    }
-    by_pid
+        })
+        .collect()
 }
 
 /// What one storm arm produced, folded down to the gate inputs.
@@ -192,7 +179,6 @@ fn typed_recoverable(e: &VmError) -> bool {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_storm(
     label: &str,
     plan: FaultPlan,
@@ -308,19 +294,16 @@ fn backpressure_probe((module, cfg): &Tenant) -> (usize, bool) {
     (200, false)
 }
 
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() - 1) * pct / 100]
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let (scale, out_path) = (args.scale, args.out);
     let engine = args.engine.unwrap_or_default();
     let tenants = fleet_size(scale);
-    let tenant = (chaos_module(scale), tenant_cfg(engine));
+    let module = chaos_tenant(scale, 0).expect("chaos tenant compiles");
+    let tenant = (
+        Rc::new(instrument(module, Variant::Full)),
+        tenant_cfg(engine),
+    );
     let expected_ret = {
         let solo = chaos_tenant(scale, 0).expect("compiles");
         Vm::new(solo, VmConfig::default())
@@ -338,32 +321,27 @@ fn main() {
     let by_pid = reference(tenants, &tenant);
     let mut storms: Vec<StormReport> = Vec::new();
     let mut panics = 0u64;
-    let mut arms: Vec<(String, FaultPlan, bool)> = Vec::new();
-    for seed in ISOLATION_SEEDS {
-        arms.push((
-            format!("iso-seed{seed}"),
-            FaultPlan::from_seed_chaos(seed),
-            false,
-        ));
-    }
-    for seed in LADDER_SEEDS {
-        arms.push((
-            format!("ladder-seed{seed}"),
-            FaultPlan::from_seed_chaos(seed),
-            true,
-        ));
-    }
+    let seeded = |prefix: &'static str, ladder| {
+        move |seed| {
+            (
+                format!("{prefix}-seed{seed}"),
+                FaultPlan::from_seed_chaos(seed),
+                ladder,
+            )
+        }
+    };
     // A deliberate capsule storm so the corrupt-recovery gate always
     // has samples: the first device read fails its checksum, a later
     // device write is refused, and a mid-run malloc is starved.
-    arms.push((
-        "ladder-capsule".to_string(),
-        FaultPlan::new()
-            .arm(FaultPoint::CapsuleCorrupt, 1)
-            .arm(FaultPoint::CapsuleWrite, 3)
-            .arm(FaultPoint::TenantOom, 9),
-        true,
-    ));
+    let capsule = FaultPlan::new()
+        .arm(FaultPoint::CapsuleCorrupt, 1)
+        .arm(FaultPoint::CapsuleWrite, 3)
+        .arm(FaultPoint::TenantOom, 9);
+    let arms = ISOLATION_SEEDS
+        .map(seeded("iso", false))
+        .into_iter()
+        .chain(LADDER_SEEDS.map(seeded("ladder", true)))
+        .chain([("ladder-capsule".to_string(), capsule, true)]);
     for (label, plan, ladder) in arms {
         let reference = (!ladder).then_some(&by_pid);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -426,97 +404,72 @@ fn main() {
     let backoff_cycles: u64 = storms.iter().map(|s| s.backoff_cycles).sum();
     let corrupt_seen: u64 = storms.iter().map(|s| s.corrupt_seen).sum();
     let corrupt_recovered: u64 = storms.iter().map(|s| s.corrupt_recovered).sum();
-    let mut latencies: Vec<u64> = storms
+    let latencies: Vec<u64> = storms
         .iter()
         .flat_map(|s| s.recovery_samples.iter().copied())
         .collect();
-    latencies.sort_unstable();
+    let [p50, p90, max] = [50.0, 90.0, 100.0].map(|p| percentile(&latencies, p));
     let (admitted, backpressure_typed) = backpressure_probe(&tenant);
 
-    let zero_panic = panics == 0;
-    let bystanders_ok = divergences == 0;
-    let typed_ok = untyped == 0;
-    let corrupt_ok = corrupt_seen >= 1 && corrupt_recovered == corrupt_seen;
+    let mut report = Report::default();
     println!();
-    println!(
-        "{}: zero panics across {} storm arms",
-        if zero_panic { "PASS" } else { "FAIL" },
-        storms.len() as u64 + panics
+    report.gate(
+        "zero_panic",
+        panics == 0,
+        &format!(
+            "zero panics across {} storm arms",
+            storms.len() as u64 + panics
+        ),
     );
-    println!(
-        "{}: zero bystander divergence (counters bit-identical to the fault-free fleet)",
-        if bystanders_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "bystanders_identical",
+        divergences == 0,
+        "zero bystander divergence (counters bit-identical to the fault-free fleet)",
     );
-    println!(
-        "{}: every failure typed (recoverable error or supervised verdict)",
-        if typed_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "typed_outcomes",
+        untyped == 0,
+        "every failure typed (recoverable error or supervised verdict)",
     );
-    println!(
-        "{}: every injected CapsuleCorrupt recovered by respawn-from-image ({corrupt_recovered}/{corrupt_seen})",
-        if corrupt_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "corrupt_recovered",
+        corrupt_seen >= 1 && corrupt_recovered == corrupt_seen,
+        &format!("every injected CapsuleCorrupt recovered by respawn-from-image ({corrupt_recovered}/{corrupt_seen})"),
     );
-    println!(
-        "{}: starved arena refused admission typed after {admitted} tenants",
-        if backpressure_typed { "PASS" } else { "FAIL" }
+    report.gate(
+        "backpressure_typed",
+        backpressure_typed,
+        &format!("starved arena refused admission typed after {admitted} tenants"),
     );
     println!(
         "supervision: {restarts} restarts, {quarantines} quarantines, {backoff_cycles} backoff cycles; \
-         recovery latency p50 {} p90 {} max {} slices ({} samples)",
-        percentile(&latencies, 50),
-        percentile(&latencies, 90),
-        percentile(&latencies, 100),
+         recovery latency p50 {p50} p90 {p90} max {max} slices ({} samples)",
         latencies.len()
     );
 
-    let pass = zero_panic && bystanders_ok && typed_ok && corrupt_ok && backpressure_typed;
-    let mut storms_json = String::new();
-    for s in &storms {
-        if !storms_json.is_empty() {
-            storms_json.push_str(",\n");
-        }
-        storms_json.push_str(&format!(
-            "    {{\"storm\": \"{}\", \"slices\": {}, \"finished\": {}, \"respawned_finished\": {}, \
-             \"errors_typed\": {}, \"untyped\": {}, \"divergences\": {}, \"restarts\": {}, \
-             \"quarantines\": {}, \"corrupt_seen\": {}, \"corrupt_recovered\": {}, \
-             \"externalizations\": {}, \"pressure_moves\": {}, \"pressure_page_outs\": {}, \
-             \"respawn_refusals\": {}}}",
-            s.label,
-            s.slices,
-            s.finished,
-            s.respawned_finished,
-            s.errors_typed,
-            s.untyped,
-            s.divergences,
-            s.restarts,
-            s.quarantines,
-            s.corrupt_seen,
-            s.corrupt_recovered,
-            s.externalizations,
-            s.pressure_moves,
-            s.pressure_page_outs,
-            s.respawn_refusals,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"chaos_soak\",\n  \"scale\": \"{scale:?}\",\n  \"tenants\": {tenants},\n  \
-         \"engine\": \"{eng}\",\n  \"expected_ret\": {expected_ret},\n  \"storms\": [\n{storms_json}\n  ],\n  \
-         \"panics\": {panics},\n  \"divergences\": {divergences},\n  \"untyped\": {untyped},\n  \
-         \"restarts\": {restarts},\n  \"quarantines\": {quarantines},\n  \"backoff_cycles\": {backoff_cycles},\n  \
-         \"recovery_latency_slices\": {{\"samples\": {}, \"p50\": {}, \"p90\": {}, \"max\": {}}},\n  \
-         \"capsule\": {{\"corrupt_seen\": {corrupt_seen}, \"corrupt_recovered\": {corrupt_recovered}}},\n  \
-         \"backpressure\": {{\"admitted_before_refusal\": {admitted}, \"typed\": {backpressure_typed}}},\n  \
-         \"gates\": {{\"zero_panic\": {zero_panic}, \"bystanders_identical\": {bystanders_ok}, \
-         \"typed_outcomes\": {typed_ok}, \"corrupt_recovered\": {corrupt_ok}, \
-         \"backpressure_typed\": {backpressure_typed}}},\n  \"pass\": {pass}\n}}\n",
-        latencies.len(),
-        percentile(&latencies, 50),
-        percentile(&latencies, 90),
-        percentile(&latencies, 100),
-        eng = engine.name(),
-    );
-    std::fs::write(&out_path, json).expect("write json");
-    println!("\nwrote {out_path}");
-    if !pass {
-        std::process::exit(1);
-    }
+    let storms: Vec<Json> = storms
+        .iter()
+        .map(|s| {
+            obj! {
+                "storm": s.label.as_str(), "slices": s.slices, "finished": s.finished,
+                "respawned_finished": s.respawned_finished, "errors_typed": s.errors_typed,
+                "untyped": s.untyped, "divergences": s.divergences, "restarts": s.restarts,
+                "quarantines": s.quarantines, "corrupt_seen": s.corrupt_seen,
+                "corrupt_recovered": s.corrupt_recovered, "externalizations": s.externalizations,
+                "pressure_moves": s.pressure_moves, "pressure_page_outs": s.pressure_page_outs,
+                "respawn_refusals": s.respawn_refusals,
+            }
+        })
+        .collect();
+    report.extend(obj! {
+        "benchmark": "chaos_soak", "scale": format!("{scale:?}"), "tenants": tenants,
+        "engine": engine.name(), "expected_ret": expected_ret, "storms": storms,
+        "panics": panics, "divergences": divergences, "untyped": untyped,
+        "restarts": restarts, "quarantines": quarantines, "backoff_cycles": backoff_cycles,
+        "recovery_latency_slices":
+            obj! {"samples": latencies.len(), "p50": p50, "p90": p90, "max": max},
+        "capsule": obj! {"corrupt_seen": corrupt_seen, "corrupt_recovered": corrupt_recovered},
+        "backpressure": obj! {"admitted_before_refusal": admitted, "typed": backpressure_typed},
+    });
+    report.finish(&out_path)
 }

@@ -12,11 +12,15 @@
 //!
 //! Usage: `fault_overhead [--scale test|small|full] [--only a,b]
 //! [--out PATH]`. Writes `BENCH_faults.json` by default. Target: < 3%
-//! geomean overhead.
+//! geomean overhead. The report's `verdict` is `unresolved` when the
+//! geomean effect is no larger than the plain side's rep-to-rep spread
+//! (the geomean over workloads of slowest / fastest plain rep), else
+//! `pass` or `warn` against the target.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use carat_bench::{compile, print_table, Args, Variant};
+use carat_bench::{compile, fixed, geomean, obj, print_table, Args, Json, Report, Variant};
 use carat_ir::Module;
 use carat_kernel::FaultPlan;
 use carat_vm::{MoveDriverConfig, SwapDriverConfig, Vm, VmConfig};
@@ -38,19 +42,15 @@ fn config(plan: Option<FaultPlan>) -> VmConfig {
     }
 }
 
-/// Wall-clock one run; returns (elapsed ns, instructions, simulated cycles, moves).
-fn time_run(module: Module, journaled: bool) -> (f64, u64, u64, u64) {
+/// Wall-clock one run; returns elapsed ns and the simulated
+/// (instructions, cycles, moves).
+fn time_run(module: Module, journaled: bool) -> (f64, [u64; 3]) {
     let plan = journaled.then(FaultPlan::new);
     let vm = Vm::new(module, config(plan)).expect("load");
     let start = Instant::now();
-    let r = vm.run().expect("run");
+    let c = vm.run().expect("run").counters;
     let ns = start.elapsed().as_nanos() as f64;
-    (
-        ns,
-        r.counters.instructions,
-        r.counters.cycles,
-        r.counters.moves,
-    )
+    (ns, [c.instructions, c.cycles, c.moves])
 }
 
 struct Row {
@@ -59,10 +59,11 @@ struct Row {
     moves: u64,
     plain_ns_per_inst: f64,
     journal_ns_per_inst: f64,
-    overhead_pct: f64,
+    /// Slowest over fastest plain rep: the host noise the effect is read against.
+    plain_spread: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let (scale, out_path) = (args.scale, args.out);
     let reps = 5;
@@ -72,24 +73,24 @@ fn main() {
     for w in args.workloads {
         let m = compile(&w, scale, Variant::Full);
         // Interleave reps so host noise degrades both sides equally.
-        let mut best_plain = f64::INFINITY;
+        let mut plain = Vec::with_capacity(reps);
         let mut best_journal = f64::INFINITY;
-        let mut insts = 0;
-        let mut moves = 0;
+        let mut sim = [0; 3];
         for _ in 0..reps {
-            let (ns, n, cycles, mv) = time_run(m.clone(), false);
-            best_plain = best_plain.min(ns);
-            insts = n;
-            moves = mv;
-            let (ns, n2, cycles2, mv2) = time_run(m.clone(), true);
+            let (ns, unjournaled) = time_run(m.clone(), false);
+            plain.push(ns);
+            let (ns, journaled) = time_run(m.clone(), true);
             best_journal = best_journal.min(ns);
             assert_eq!(
-                (n, cycles, mv),
-                (n2, cycles2, mv2),
+                unjournaled, journaled,
                 "{}: journaling must be invisible to simulated accounting",
                 w.name
             );
+            sim = journaled;
         }
+        let [insts, _, moves] = sim;
+        let best_plain = plain.iter().copied().fold(f64::INFINITY, f64::min);
+        let worst_plain = plain.iter().copied().fold(0.0, f64::max);
         let per = |ns: f64| ns / insts.max(1) as f64;
         rows.push(Row {
             name: w.name.to_string(),
@@ -97,21 +98,26 @@ fn main() {
             moves,
             plain_ns_per_inst: per(best_plain),
             journal_ns_per_inst: per(best_journal),
-            overhead_pct: (best_journal / best_plain - 1.0) * 100.0,
+            plain_spread: worst_plain / best_plain,
         });
     }
+    let overhead_pct = |r: &Row| (r.journal_ns_per_inst / r.plain_ns_per_inst - 1.0) * 100.0;
+    let spread_pct = |x: f64| (x - 1.0) * 100.0;
 
-    let mut table = Vec::new();
-    for r in &rows {
-        table.push(vec![
-            r.name.clone(),
-            format!("{}", r.insts),
-            format!("{}", r.moves),
-            format!("{:.2}", r.plain_ns_per_inst),
-            format!("{:.2}", r.journal_ns_per_inst),
-            format!("{:+.2}%", r.overhead_pct),
-        ]);
-    }
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.clone(),
+                format!("{}", r.insts),
+                format!("{}", r.moves),
+                format!("{:.2}", r.plain_ns_per_inst),
+                format!("{:.2}", r.journal_ns_per_inst),
+                format!("{:+.2}%", overhead_pct(r)),
+                format!("{:.2}%", spread_pct(r.plain_spread)),
+            ]
+        })
+        .collect();
     print_table(
         &[
             "workload",
@@ -120,6 +126,7 @@ fn main() {
             "plain ns/i",
             "journal ns/i",
             "overhead",
+            "plain spread",
         ],
         &table,
     );
@@ -128,35 +135,43 @@ fn main() {
         .iter()
         .map(|r| r.journal_ns_per_inst / r.plain_ns_per_inst)
         .collect();
-    let geomean_pct = (carat_bench::geomean(&ratios) - 1.0) * 100.0;
+    let geomean_pct = spread_pct(geomean(&ratios));
+    let spreads: Vec<f64> = rows.iter().map(|r| r.plain_spread).collect();
+    let plain_spread_pct = spread_pct(geomean(&spreads));
     let within = geomean_pct < TARGET_PCT;
+    // An effect no larger than the plain side's own rep-to-rep spread is
+    // not a measurement of the journal, whichever side of the target it
+    // lands on.
+    let verdict = if geomean_pct.abs() <= plain_spread_pct {
+        "unresolved"
+    } else if within {
+        "pass"
+    } else {
+        "warn"
+    };
     println!(
-        "\nGeomean zero-fault journal overhead: {geomean_pct:+.2}% (target < {TARGET_PCT}%): {}",
-        if within { "PASS" } else { "WARN" }
+        "\nGeomean zero-fault journal overhead: {geomean_pct:+.2}% against a plain \
+         rep-to-rep spread of {plain_spread_pct:.2}% (target < {TARGET_PCT}%): {verdict}"
     );
 
-    // Hand-rolled JSON: no serde in the dependency closure.
-    let mut json = String::from("{\n  \"scale\": \"");
-    json.push_str(&format!("{scale:?}"));
-    json.push_str("\",\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ir_instructions\": {}, \"moves\": {}, \
-             \"plain_ns_per_inst\": {:.3}, \"journal_ns_per_inst\": {:.3}, \
-             \"overhead_pct\": {:.3}}}{}\n",
-            r.name,
-            r.insts,
-            r.moves,
-            r.plain_ns_per_inst,
-            r.journal_ns_per_inst,
-            r.overhead_pct,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"geomean_overhead_pct\": {geomean_pct:.3},\n  \
-         \"target_pct\": {TARGET_PCT},\n  \"within_target\": {within}\n}}\n"
-    ));
-    std::fs::write(&out_path, json).expect("write json");
-    println!("wrote {out_path}");
+    let workloads: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            obj! {
+                "name": r.name.as_str(), "ir_instructions": r.insts, "moves": r.moves,
+                "plain_ns_per_inst": fixed(r.plain_ns_per_inst, 3),
+                "journal_ns_per_inst": fixed(r.journal_ns_per_inst, 3),
+                "overhead_pct": fixed(overhead_pct(r), 3),
+                "plain_spread_pct": fixed(spread_pct(r.plain_spread), 3),
+            }
+        })
+        .collect();
+    let mut report = Report::default();
+    report.extend(obj! {
+        "scale": format!("{scale:?}"), "workloads": workloads,
+        "geomean_overhead_pct": fixed(geomean_pct, 3),
+        "plain_spread_pct": fixed(plain_spread_pct, 3),
+        "target_pct": fixed(TARGET_PCT, 0), "within_target": within, "verdict": verdict,
+    });
+    report.finish(&out_path)
 }

@@ -14,15 +14,12 @@ fn main() {
         "none" => Variant::GuardsNaive,
         _ => Variant::GuardsCarat,
     };
-    println!(
-        "Figure 3{}: guard overhead with {} optimizations ({scale:?} scale)\n",
-        if variant == Variant::GuardsGeneral {
-            "a"
-        } else {
-            "b"
-        },
-        mode
-    );
+    let sub = if variant == Variant::GuardsGeneral {
+        "a"
+    } else {
+        "b"
+    };
+    println!("Figure 3{sub}: guard overhead with {mode} optimizations ({scale:?} scale)\n");
     let mut rows = Vec::new();
     let (mut mpxs, mut ranges) = (Vec::new(), Vec::new());
     for w in args.workloads {
@@ -42,11 +39,12 @@ fn main() {
             format!("{}", mpx.counters.guards_executed),
         ]);
     }
+    let [mpx, rng] = [&mpxs, &ranges].map(|c| format!("{:.3}", geomean(c)));
     rows.push(vec![
         "Geo. Mean".into(),
         "1.000".into(),
-        format!("{:.3}", geomean(&mpxs)),
-        format!("{:.3}", geomean(&ranges)),
+        mpx,
+        rng,
         String::new(),
     ]);
     print_table(

@@ -43,22 +43,21 @@ fn main() {
     }
     print_table(&["benchmark", "allocations", "max escapes"], &per_wl);
 
+    let histogram = |h: &BTreeMap<u64, u64>| {
+        let rows: Vec<Vec<String>> = h
+            .iter()
+            .map(|(e, c)| vec![e.to_string(), c.to_string()])
+            .collect();
+        print_table(&["escapes", "allocations"], &rows);
+    };
     println!("\n(a) allocations with <= 50 escapes");
-    let rows: Vec<Vec<String>> = small
-        .iter()
-        .map(|(e, c)| vec![e.to_string(), c.to_string()])
-        .collect();
-    print_table(&["escapes", "allocations"], &rows);
+    histogram(&small);
 
     println!("\n(b) allocations with > 50 escapes (outliers)");
     if big.is_empty() {
         println!("(none)");
     } else {
-        let rows: Vec<Vec<String>> = big
-            .iter()
-            .map(|(e, c)| vec![e.to_string(), c.to_string()])
-            .collect();
-        print_table(&["escapes", "allocations"], &rows);
+        histogram(&big);
     }
     println!(
         "\n{:.1}% of all {} allocations have <= 10 escapes (paper: ~90%)",

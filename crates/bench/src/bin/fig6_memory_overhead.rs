@@ -24,12 +24,8 @@ fn main() {
             format!("{norm:.3}"),
         ]);
     }
-    rows.push(vec![
-        "Geo. Mean".into(),
-        String::new(),
-        String::new(),
-        format!("{:.3}", geomean(&overheads)),
-    ]);
+    let geo = format!("{:.3}", geomean(&overheads));
+    rows.push(vec!["Geo. Mean".into(), String::new(), String::new(), geo]);
     print_table(
         &[
             "benchmark",

@@ -52,9 +52,7 @@ fn main() {
         rows.push(cells);
     }
     let mut mean_row = vec!["Geo. Mean".to_string(), "1.000".into()];
-    for col in &per_rate {
-        mean_row.push(format!("{:.3}", geomean(col)));
-    }
+    mean_row.extend(per_rate.iter().map(|col| format!("{:.3}", geomean(col))));
     rows.push(mean_row);
     print_table(
         &[

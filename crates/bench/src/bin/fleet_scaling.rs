@@ -45,11 +45,11 @@
 //! (default quantum) selects the preemption source: the instruction
 //! quantum or the CLINT-style cycle-deadline timer.
 
+use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
-use carat_bench::{print_table, Args, Variant};
-use carat_core::CaratCompiler;
+use carat_bench::{fixed, instrument, obj, print_table, Args, Json, Report, Variant};
 use carat_ir::Module;
 use carat_kernel::{ArenaStats, LoadConfig, Pid, TenantQuotas};
 use carat_runtime::CostModel;
@@ -92,12 +92,7 @@ fn tenant_cfg(variant: Variant, args: &Args) -> VmConfig {
 
 fn tenant_module(scale: Scale, variant: Variant, seed: i64) -> Rc<Module> {
     let module = fleet_tenant(scale, seed).expect("fleet tenant compiles");
-    Rc::new(
-        CaratCompiler::new(variant.options())
-            .compile(module)
-            .expect("fleet tenant instruments")
-            .module,
-    )
+    Rc::new(instrument(module, variant))
 }
 
 fn build_fleet(
@@ -152,6 +147,16 @@ struct ArmResult {
     tlb_flushes: u64,
     descheduled_bytes_per_tenant: f64,
     outcomes_ok: bool,
+}
+
+impl ArmResult {
+    fn json(&self) -> Json {
+        obj! {
+            "ns_per_slice": fixed(self.ns_per_slice, 1), "p99_ns_per_slice": self.p99_ns_per_slice,
+            "cycles_per_switch": fixed(self.cycles_per_switch, 3), "switches": self.switches,
+            "tlb_flushes": self.tlb_flushes,
+        }
+    }
 }
 
 fn run_arm(tenants: usize, args: &Args, variant: Variant) -> ArmResult {
@@ -344,21 +349,11 @@ fn run_admission(tenants: usize, args: &Args) -> AdmissionResult {
     }
 }
 
-struct ChurnResult {
-    tenants: usize,
-    spawned: u64,
-    killed: u64,
-    admission_refusals: u64,
-    stale_lookups_typed: u64,
-    slices: u64,
-    ok: bool,
-}
-
 /// Spawn/kill/respawn churn against tight quotas at the largest scale.
 /// Every refusal must be a typed [`VmError::Admission`]; every lookup or
 /// kill of a retired pid must fail typed (never alias a recycled slot,
-/// never panic).
-fn run_churn(tenants: usize, args: &Args) -> ChurnResult {
+/// never panic). Records the soak's gate and returns its counts.
+fn run_churn(tenants: usize, args: &Args, report: &mut Report) -> Json {
     let module = tenant_module(args.scale, Variant::Full, 1);
     let cfg = tenant_cfg(Variant::Full, args);
     let mut mv = MultiVm::new(
@@ -437,20 +432,76 @@ fn run_churn(tenants: usize, args: &Args) -> ChurnResult {
     // `ok` already went false on any untyped refusal, aliased lookup, or
     // double kill; the soak additionally must have hit the quota and run.
     ok &= refusals > 0 && slices > 0 && stale_typed > 0;
-    ChurnResult {
-        tenants,
-        spawned,
-        killed,
-        admission_refusals: refusals,
-        stale_lookups_typed: stale_typed,
-        slices,
+    report.gate(
+        "ok",
         ok,
+        &format!(
+            "churn soak at {tenants} tenants — {spawned} spawned, {killed} killed, \
+             {refusals} typed refusals, {stale_typed} typed stale lookups, {slices} slices, \
+             0 panics"
+        ),
+    );
+    obj! {
+        "tenants": tenants, "spawned": spawned, "killed": killed,
+        "admission_refusals": refusals, "stale_lookups_typed": stale_typed, "slices": slices,
     }
 }
 
-fn main() {
+/// One fleet size's four arms.
+struct Point {
+    n: usize,
+    carat: ArmResult,
+    trad: ArmResult,
+    pressure: PressureResult,
+    admission: AdmissionResult,
+}
+
+impl Point {
+    fn row(&self) -> Vec<String> {
+        let (c, p, a) = (&self.carat, &self.pressure, &self.admission);
+        vec![
+            self.n.to_string(),
+            format!("{:.0}", c.ns_per_slice),
+            c.p99_ns_per_slice.to_string(),
+            format!("{:.1}", c.cycles_per_switch),
+            format!("{:.1}", self.trad.cycles_per_switch),
+            format!("{:.0}", c.descheduled_bytes_per_tenant),
+            format!("{:.0}", p.cycles_per_relocation),
+            format!("{:.1}", a.ratio),
+            format!("{:.0}", p.scan_slots_per_pass),
+            (a.arena.high_water_bytes / 1024).to_string(),
+        ]
+    }
+
+    fn json(&self) -> Json {
+        let (p, a) = (&self.pressure, &self.admission);
+        obj! {
+            "tenants": self.n, "carat": self.carat.json(), "traditional": self.trad.json(),
+            "descheduled_bytes_per_tenant": fixed(self.carat.descheduled_bytes_per_tenant, 1),
+            "pressure": obj! {
+                "moves": p.moves, "page_outs": p.page_outs,
+                "cycles_per_relocation": fixed(p.cycles_per_relocation, 1),
+                "scan_slots_per_pass": fixed(p.scan_slots_per_pass, 1),
+                "scan_cycles_per_pass": fixed(p.scan_cycles_per_pass, 1),
+            },
+            "admission": obj! {
+                "batch_cycles": a.batch_cycles, "seq_cycles": a.seq_cycles,
+                "ratio": fixed(a.ratio, 2), "ns_per_admit_batch": fixed(a.ns_per_admit_batch, 0),
+                "ns_per_admit_seq": fixed(a.ns_per_admit_seq, 0),
+                "counters_match": a.counters_match,
+            },
+            "arena": obj! {
+                "high_water_bytes": a.arena.high_water_bytes,
+                "high_water_slots": a.arena.high_water_slots, "allocs": a.arena.allocs,
+                "reuses": a.arena.reuses, "steady": a.arena_steady,
+            },
+        }
+    }
+}
+
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let (scale, out_path) = (args.scale, &args.out);
+    let scale = args.scale;
     let engine = args.engine.unwrap_or_default();
     let sizes = fleet_sizes(scale);
     let cost = CostModel::default();
@@ -465,96 +516,16 @@ fn main() {
     );
     println!();
 
-    let mut rows = Vec::new();
-    let mut curve_json = String::new();
-    let mut carat_cps = Vec::new();
-    let mut trad_cps = Vec::new();
-    let mut carat_ns = Vec::new();
-    let mut mem_per_tenant = Vec::new();
-    let mut gap_every_scale = true;
-    let mut outcomes_ok = true;
-    let mut admission_ok = true;
-    let mut arena_ok = true;
-    let mut scan_ok = true;
-    let mut p99_ok = true;
-    for &n in sizes {
-        let carat = run_arm(n, &args, Variant::Full);
-        let trad = run_arm(n, &args, Variant::Traditional);
-        let pressure = run_pressure(n, &args);
-        let admission = run_admission(n, &args);
-        gap_every_scale &=
-            carat.cycles_per_switch < trad.cycles_per_switch && carat.tlb_flushes == 0;
-        outcomes_ok &= carat.outcomes_ok && trad.outcomes_ok;
-        // Modeled admission must amortize ≥5× AND match the cost model
-        // exactly; the counter probe is the divergence gate.
-        admission_ok &= admission.ratio >= 5.0
-            && admission.batch_cycles == cost.admit_batch_cost(n as u64)
-            && admission.seq_cycles == cost.admit_sequential_cost(n as u64)
-            && admission.counters_match;
-        arena_ok &= admission.arena_steady;
-        // Epoch scans examine at most the externalization window plus
-        // the compaction window per pass, whatever the fleet size.
-        scan_ok &= pressure.scan_slots_per_pass <= 2.0 * scan_limit as f64 + 2.0;
-        // The latency tail must stay within two orders of magnitude of
-        // the mean: an O(fleet) pass hiding in 1% of slices blows
-        // through this at the large scales while the mean stays put.
-        p99_ok &= (carat.p99_ns_per_slice as f64) < carat.ns_per_slice * 100.0;
-        rows.push(vec![
-            n.to_string(),
-            format!("{:.0}", carat.ns_per_slice),
-            carat.p99_ns_per_slice.to_string(),
-            format!("{:.1}", carat.cycles_per_switch),
-            format!("{:.1}", trad.cycles_per_switch),
-            format!("{:.0}", carat.descheduled_bytes_per_tenant),
-            format!("{:.0}", pressure.cycles_per_relocation),
-            format!("{:.1}", admission.ratio),
-            format!("{:.0}", pressure.scan_slots_per_pass),
-            (admission.arena.high_water_bytes / 1024).to_string(),
-        ]);
-        if !curve_json.is_empty() {
-            curve_json.push_str(",\n");
-        }
-        curve_json.push_str(&format!(
-            "    {{\"tenants\": {n}, \
-             \"carat\": {{\"ns_per_slice\": {:.1}, \"p99_ns_per_slice\": {}, \"cycles_per_switch\": {:.3}, \"switches\": {}, \"tlb_flushes\": {}}}, \
-             \"traditional\": {{\"ns_per_slice\": {:.1}, \"p99_ns_per_slice\": {}, \"cycles_per_switch\": {:.3}, \"switches\": {}, \"tlb_flushes\": {}}}, \
-             \"descheduled_bytes_per_tenant\": {:.1}, \
-             \"pressure\": {{\"moves\": {}, \"page_outs\": {}, \"cycles_per_relocation\": {:.1}, \"scan_slots_per_pass\": {:.1}, \"scan_cycles_per_pass\": {:.1}}}, \
-             \"admission\": {{\"batch_cycles\": {}, \"seq_cycles\": {}, \"ratio\": {:.2}, \"ns_per_admit_batch\": {:.0}, \"ns_per_admit_seq\": {:.0}, \"counters_match\": {}}}, \
-             \"arena\": {{\"high_water_bytes\": {}, \"high_water_slots\": {}, \"allocs\": {}, \"reuses\": {}, \"steady\": {}}}}}",
-            carat.ns_per_slice,
-            carat.p99_ns_per_slice,
-            carat.cycles_per_switch,
-            carat.switches,
-            carat.tlb_flushes,
-            trad.ns_per_slice,
-            trad.p99_ns_per_slice,
-            trad.cycles_per_switch,
-            trad.switches,
-            trad.tlb_flushes,
-            carat.descheduled_bytes_per_tenant,
-            pressure.moves,
-            pressure.page_outs,
-            pressure.cycles_per_relocation,
-            pressure.scan_slots_per_pass,
-            pressure.scan_cycles_per_pass,
-            admission.batch_cycles,
-            admission.seq_cycles,
-            admission.ratio,
-            admission.ns_per_admit_batch,
-            admission.ns_per_admit_seq,
-            admission.counters_match,
-            admission.arena.high_water_bytes,
-            admission.arena.high_water_slots,
-            admission.arena.allocs,
-            admission.arena.reuses,
-            admission.arena_steady,
-        ));
-        carat_cps.push(carat.cycles_per_switch);
-        trad_cps.push(trad.cycles_per_switch);
-        carat_ns.push(carat.ns_per_slice);
-        mem_per_tenant.push(carat.descheduled_bytes_per_tenant);
-    }
+    let points: Vec<Point> = sizes
+        .iter()
+        .map(|&n| Point {
+            n,
+            carat: run_arm(n, &args, Variant::Full),
+            trad: run_arm(n, &args, Variant::Traditional),
+            pressure: run_pressure(n, &args),
+            admission: run_admission(n, &args),
+        })
+        .collect();
     print_table(
         &[
             "tenants",
@@ -568,114 +539,110 @@ fn main() {
             "scan/pass",
             "arena hw KiB",
         ],
-        &rows,
+        &points.iter().map(Point::row).collect::<Vec<_>>(),
     );
 
-    let spread = |xs: &[f64]| {
-        let max = xs.iter().cloned().fold(f64::MIN, f64::max);
-        let min = xs.iter().cloned().fold(f64::MAX, f64::min);
+    let spread = |f: fn(&Point) -> f64| {
+        let max = points.iter().map(f).fold(f64::MIN, f64::max);
+        let min = points.iter().map(f).fold(f64::MAX, f64::min);
         max / min.max(1e-9)
     };
+    let every = |f: &dyn Fn(&Point) -> bool| points.iter().all(f);
+    let mut report = Report::default();
+    println!();
     // Modeled switch cost is a constant charge: flat means *exactly* flat
     // (1% slack for integer division on unequal switch counts).
-    let flat_ctx_ok = spread(&carat_cps) < 1.01 && spread(&trad_cps) < 1.01;
+    let ctx = [
+        spread(|p| p.carat.cycles_per_switch),
+        spread(|p| p.trad.cycles_per_switch),
+    ];
+    report.gate(
+        "flat_ctx_ok",
+        ctx.iter().all(|s| *s < 1.01),
+        &format!(
+            "modeled cycles/switch flat across scales (carat spread {:.4}, trad {:.4})",
+            ctx[0], ctx[1]
+        ),
+    );
+    report.gate(
+        "gap_every_scale",
+        every(&|p| {
+            p.carat.cycles_per_switch < p.trad.cycles_per_switch && p.carat.tlb_flushes == 0
+        }),
+        "carat switch undercuts traditional at every scale, 0 TLB flushes",
+    );
     // Parked tenants are identical programs: their footprint must not
     // grow with fleet size.
-    let flat_mem_ok = spread(&mem_per_tenant) < 1.25;
+    let mem = spread(|p| p.carat.descheduled_bytes_per_tenant);
+    report.gate(
+        "flat_mem_ok",
+        mem < 1.25,
+        &format!("descheduled bytes/tenant flat across scales (spread {mem:.3})"),
+    );
     // Host scheduling work per slice is O(1) in fleet size; allow a
     // generous factor for cache effects at 10k (an O(fleet) scheduler
     // would blow through this by orders of magnitude).
-    let o1_sched_ok = spread(&carat_ns) < 10.0;
-    println!();
-    println!(
-        "{}: modeled cycles/switch flat across scales (carat spread {:.4}, trad {:.4})",
-        if flat_ctx_ok { "PASS" } else { "FAIL" },
-        spread(&carat_cps),
-        spread(&trad_cps)
+    let ns = spread(|p| p.carat.ns_per_slice);
+    report.gate(
+        "o1_sched_ok",
+        ns < 10.0,
+        &format!("host ns/slice O(1) in fleet size (spread {ns:.2}x)"),
     );
-    println!(
-        "{}: carat switch undercuts traditional at every scale, 0 TLB flushes",
-        if gap_every_scale { "PASS" } else { "FAIL" }
+    report.gate(
+        "outcomes_ok",
+        every(&|p| p.carat.outcomes_ok && p.trad.outcomes_ok),
+        "every tenant finished with the expected checksum",
     );
-    println!(
-        "{}: descheduled bytes/tenant flat across scales (spread {:.3})",
-        if flat_mem_ok { "PASS" } else { "FAIL" },
-        spread(&mem_per_tenant)
+    // Modeled admission must amortize ≥5× AND match the cost model
+    // exactly; the counter probe is the divergence gate.
+    report.gate(
+        "admission_ok",
+        every(&|p| {
+            let (a, n) = (&p.admission, p.n as u64);
+            a.ratio >= 5.0
+                && a.batch_cycles == cost.admit_batch_cost(n)
+                && a.seq_cycles == cost.admit_sequential_cost(n)
+                && a.counters_match
+        }),
+        "batch admission >=5x cheaper than sequential (modeled), counters bit-identical",
     );
-    println!(
-        "{}: host ns/slice O(1) in fleet size (spread {:.2}x)",
-        if o1_sched_ok { "PASS" } else { "FAIL" },
-        spread(&carat_ns)
+    report.gate(
+        "arena_ok",
+        every(&|p| p.admission.arena_steady),
+        "capsule arena steady-state churn allocates nothing (reuse after round one)",
     );
-    println!(
-        "{}: every tenant finished with the expected checksum",
-        if outcomes_ok { "PASS" } else { "FAIL" }
+    // Epoch scans examine at most the externalization window plus the
+    // compaction window per pass, whatever the fleet size.
+    report.gate(
+        "scan_ok",
+        every(&|p| p.pressure.scan_slots_per_pass <= 2.0 * scan_limit as f64 + 2.0),
+        &format!(
+            "pressure scans bounded at {} slots/pass whatever the fleet size",
+            2 * scan_limit
+        ),
     );
-    println!(
-        "{}: batch admission >=5x cheaper than sequential (modeled), counters bit-identical",
-        if admission_ok { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "{}: capsule arena steady-state churn allocates nothing (reuse after round one)",
-        if arena_ok { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "{}: pressure scans bounded at {} slots/pass whatever the fleet size",
-        if scan_ok { "PASS" } else { "FAIL" },
-        2 * scan_limit
-    );
-    println!(
-        "{}: p99 slice latency within 100x of the mean at every scale",
-        if p99_ok { "PASS" } else { "FAIL" }
-    );
-
-    let churn_n = *sizes.last().expect("at least one size");
-    let churn = run_churn(churn_n, &args);
-    println!(
-        "{}: churn soak at {churn_n} tenants — {} spawned, {} killed, {} typed refusals, {} typed stale lookups, {} slices, 0 panics",
-        if churn.ok { "PASS" } else { "FAIL" },
-        churn.spawned,
-        churn.killed,
-        churn.admission_refusals,
-        churn.stale_lookups_typed,
-        churn.slices
+    // The latency tail must stay within two orders of magnitude of the
+    // mean: an O(fleet) pass hiding in 1% of slices blows through this at
+    // the large scales while the mean stays put.
+    report.gate(
+        "p99_ok",
+        every(&|p| (p.carat.p99_ns_per_slice as f64) < p.carat.ns_per_slice * 100.0),
+        "p99 slice latency within 100x of the mean at every scale",
     );
 
-    let pass = flat_ctx_ok
-        && gap_every_scale
-        && flat_mem_ok
-        && o1_sched_ok
-        && outcomes_ok
-        && admission_ok
-        && arena_ok
-        && scan_ok
-        && p99_ok
-        && churn.ok;
-    let json = format!(
-        "{{\n  \"benchmark\": \"fleet_scaling\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"engine\": \"{eng}\",\n  \"scan_limit\": {scan_limit},\n  \
-         \"modeled_ctx\": {{\"carat\": {mc}, \"traditional\": {mt}}},\n  \"curve\": [\n{curve_json}\n  ],\n  \
-         \"flat_ctx_ok\": {flat_ctx_ok},\n  \"gap_every_scale\": {gap_every_scale},\n  \
-         \"flat_mem_ok\": {flat_mem_ok},\n  \"o1_sched_ok\": {o1_sched_ok},\n  \
-         \"outcomes_ok\": {outcomes_ok},\n  \"admission_ok\": {admission_ok},\n  \
-         \"arena_ok\": {arena_ok},\n  \"scan_ok\": {scan_ok},\n  \"p99_ok\": {p99_ok},\n  \
-         \"churn\": {{\"tenants\": {cn}, \"spawned\": {csp}, \
-         \"killed\": {ck}, \"admission_refusals\": {cr}, \"stale_lookups_typed\": {cs}, \
-         \"slices\": {csl}, \"ok\": {cok}}},\n  \"pass\": {pass}\n}}\n",
-        eng = engine.name(),
-        mc = cost.ctx_switch_carat(),
-        mt = cost.ctx_switch_traditional(),
-        cn = churn.tenants,
-        csp = churn.spawned,
-        ck = churn.killed,
-        cr = churn.admission_refusals,
-        cs = churn.stale_lookups_typed,
-        csl = churn.slices,
-        cok = churn.ok,
+    let churn = run_churn(
+        *sizes.last().expect("at least one size"),
+        &args,
+        &mut report,
     );
-    std::fs::write(out_path, json).expect("write json");
-    println!("\nwrote {out_path}");
-    if !pass {
-        std::process::exit(1);
-    }
+    report.extend(obj! {
+        "benchmark": "fleet_scaling", "scale": format!("{scale:?}"), "engine": engine.name(),
+        "scan_limit": scan_limit,
+        "modeled_ctx": obj! {
+            "carat": cost.ctx_switch_carat(), "traditional": cost.ctx_switch_traditional(),
+        },
+        "curve": points.iter().map(Point::json).collect::<Vec<_>>(),
+        "churn": churn,
+    });
+    report.finish(&args.out)
 }

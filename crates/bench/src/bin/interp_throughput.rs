@@ -32,11 +32,14 @@
 //! speedup columns. Results are also written as JSON (default
 //! `BENCH_interp.json`).
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use carat_bench::{compile, print_table, Args, Variant, LOOP_HEAVY};
+use carat_bench::{
+    compile, fixed, geomean, obj, print_table, Args, Json, Report, Variant, LOOP_HEAVY,
+};
 use carat_ir::Module;
-use carat_vm::{Engine, RunResult, Vm, VmConfig};
+use carat_vm::{Engine, PerfCounters, RunResult, Vm, VmConfig};
 
 /// Wall-clock one run; returns (elapsed ns, full run result).
 fn time_run(module: Module, engine: Engine) -> (f64, RunResult) {
@@ -56,38 +59,32 @@ fn time_run(module: Module, engine: Engine) -> (f64, RunResult) {
 /// Asserts that every engine retires the same instructions with the same
 /// simulated counters — on an uninstrumented build the threaded tier has
 /// nothing to elide, so even it must match the reference exactly.
-#[allow(clippy::type_complexity)]
-fn best_of_quad(module: &Module, reps: usize) -> (f64, f64, f64, f64, u64, f64) {
-    let mut best_ref = f64::INFINITY;
-    let mut best_dec = f64::INFINITY;
-    let mut best_fus = f64::INFINITY;
-    let mut best_thr = f64::INFINITY;
-    let mut insts = 0;
+fn best_of_quad(name: &str, module: &Module, reps: usize) -> Row {
+    let mut best = [f64::INFINITY; 4];
+    let mut base: Option<PerfCounters> = None;
     let mut fused_fraction = 0.0;
     for _ in 0..reps {
-        let (ns, r) = time_run(module.clone(), Engine::Reference);
-        best_ref = best_ref.min(ns);
-        insts = r.counters.instructions;
-        let base = r.counters;
-        let (ns, r) = time_run(module.clone(), Engine::Decoded);
-        best_dec = best_dec.min(ns);
-        assert_eq!(base, r.counters, "decoded engine diverged from reference");
-        let (ns, r) = time_run(module.clone(), Engine::Fused);
-        best_fus = best_fus.min(ns);
-        assert_eq!(base, r.counters, "fused engine diverged from reference");
-        fused_fraction = r.fusion.fused_instructions() as f64 / insts.max(1) as f64;
-        let (ns, r) = time_run(module.clone(), Engine::Threaded);
-        best_thr = best_thr.min(ns);
-        assert_eq!(base, r.counters, "threaded engine diverged from reference");
+        for (best, engine) in best.iter_mut().zip(Engine::ALL) {
+            let (ns, r) = time_run(module.clone(), engine);
+            *best = best.min(ns);
+            let base = base.get_or_insert_with(|| r.counters.clone());
+            assert_eq!(
+                *base, r.counters,
+                "{engine:?} engine diverged from reference"
+            );
+            if engine == Engine::Fused {
+                let fused = r.fusion.fused_instructions() as f64;
+                fused_fraction = fused / base.instructions.max(1) as f64;
+            }
+        }
     }
-    (
-        best_ref,
-        best_dec,
-        best_fus,
-        best_thr,
+    let insts = base.map_or(0, |b| b.instructions);
+    Row {
+        name: name.to_string(),
         insts,
+        ns_per_inst: best.map(|ns| ns / insts.max(1) as f64),
         fused_fraction,
-    )
+    }
 }
 
 /// Time a single engine, best-of-N, after one counter-verification run
@@ -114,10 +111,8 @@ fn best_of_single(module: &Module, reps: usize, engine: Engine) -> (f64, u64) {
 struct Row {
     name: String,
     insts: u64,
-    reference_ns_per_inst: f64,
-    decoded_ns_per_inst: f64,
-    fused_ns_per_inst: f64,
-    threaded_ns_per_inst: f64,
+    /// Per engine, in `Engine::ALL` order.
+    ns_per_inst: [f64; 4],
     fused_fraction: f64,
 }
 
@@ -128,18 +123,16 @@ impl Row {
 }
 
 /// One workload of the guard-elision section: fused vs threaded on a
-/// `GuardsNaive` build. `work_insts` is the fused engine's retired
-/// instruction count — the common denominator for both MIPS columns.
+/// `GuardsNaive` build. The fused engine's retired instruction count is
+/// the common denominator for both MIPS columns.
 struct GuardRow {
     name: String,
     loop_heavy: bool,
-    work_insts: u64,
     fused_ns: f64,
     threaded_ns: f64,
-    guards_executed_fused: u64,
-    guards_executed_threaded: u64,
-    guards_elided: u64,
-    guards_hoisted: u64,
+    /// The last rep's counters of each engine.
+    fused: PerfCounters,
+    threaded: PerfCounters,
 }
 
 /// Fused vs threaded on a guard-instrumented module: interleaved
@@ -172,22 +165,17 @@ fn best_of_guard_pair(module: &Module, reps: usize, name: &str) -> GuardRow {
         fus_last = Some(f);
         thr_last = Some(t);
     }
-    let f = fus_last.expect("reps >= 1");
-    let t = thr_last.expect("reps >= 1");
     GuardRow {
         name: name.to_string(),
         loop_heavy: LOOP_HEAVY.contains(&name),
-        work_insts: f.counters.instructions,
         fused_ns: best_fus,
         threaded_ns: best_thr,
-        guards_executed_fused: f.counters.guards_executed,
-        guards_executed_threaded: t.counters.guards_executed,
-        guards_elided: t.counters.guards_elided,
-        guards_hoisted: t.counters.guards_hoisted,
+        fused: fus_last.expect("reps >= 1").counters,
+        threaded: thr_last.expect("reps >= 1").counters,
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let (scale, selected, out_path) = (args.scale, args.workloads, args.out);
     let reps = 7;
@@ -218,31 +206,21 @@ fn main() {
             for w in &selected {
                 let m = compile(w, scale, Variant::GuardsNaive);
                 let g = best_of_guard_pair(&m, 1, w.name);
-                elided_total += g.guards_elided;
+                elided_total += g.threaded.guards_elided;
             }
             println!(
                 "guard accounting verified on GuardsNaive builds: OK \
                  ({elided_total} guards elided)"
             );
         }
-        return;
+        return ExitCode::SUCCESS;
     }
 
     println!("Interpreter throughput ({scale:?} scale, best of {reps})\n");
     let mut rows: Vec<Row> = Vec::new();
     for w in &selected {
         let m = compile(w, scale, Variant::Baseline);
-        let (ref_ns, dec_ns, fus_ns, thr_ns, insts, fused_fraction) = best_of_quad(&m, reps);
-        let per = |ns: f64| ns / insts.max(1) as f64;
-        rows.push(Row {
-            name: w.name.to_string(),
-            insts,
-            reference_ns_per_inst: per(ref_ns),
-            decoded_ns_per_inst: per(dec_ns),
-            fused_ns_per_inst: per(fus_ns),
-            threaded_ns_per_inst: per(thr_ns),
-            fused_fraction,
-        });
+        rows.push(best_of_quad(w.name, &m, reps));
     }
 
     let mut table = Vec::new();
@@ -252,10 +230,8 @@ fn main() {
     let mut thr_vs_fus_bare = Vec::new();
     let mut at_least_3x = 0usize;
     for r in &rows {
-        let dvr = r.reference_ns_per_inst / r.decoded_ns_per_inst;
-        let fvr = r.reference_ns_per_inst / r.fused_ns_per_inst;
-        let fvd = r.decoded_ns_per_inst / r.fused_ns_per_inst;
-        let tvf = r.fused_ns_per_inst / r.threaded_ns_per_inst;
+        let [rf, dec, fus, thr] = r.ns_per_inst;
+        let (dvr, fvr, fvd, tvf) = (rf / dec, rf / fus, dec / fus, fus / thr);
         if fvr >= 3.0 {
             at_least_3x += 1;
         }
@@ -266,10 +242,10 @@ fn main() {
         table.push(vec![
             r.name.clone(),
             format!("{}", r.insts),
-            format!("{:.1}", r.reference_ns_per_inst),
-            format!("{:.1}", r.decoded_ns_per_inst),
-            format!("{:.1}", r.fused_ns_per_inst),
-            format!("{:.1}", r.threaded_ns_per_inst),
+            format!("{rf:.1}"),
+            format!("{dec:.1}"),
+            format!("{fus:.1}"),
+            format!("{thr:.1}"),
             format!("{:.0}%", r.fused_fraction * 100.0),
             format!("{fvr:.2}x"),
             format!("{tvf:.2}x"),
@@ -284,15 +260,15 @@ fn main() {
     );
     println!(
         "\nGeomean fused speedup {:.2}x vs reference ({:.2}x vs decoded, decoded alone {:.2}x); >=3x on {}/{} workloads",
-        carat_bench::geomean(&fus_vs_ref),
-        carat_bench::geomean(&fus_vs_dec),
-        carat_bench::geomean(&dec_vs_ref),
+        geomean(&fus_vs_ref),
+        geomean(&fus_vs_dec),
+        geomean(&dec_vs_ref),
         at_least_3x,
         rows.len()
     );
     println!(
         "Geomean threaded speedup {:.2}x vs fused on uninstrumented builds (the same decode: noise floor)",
-        carat_bench::geomean(&thr_vs_fus_bare),
+        geomean(&thr_vs_fus_bare),
     );
 
     // Guard-elision section: the threaded tier's actual target. Under
@@ -308,19 +284,20 @@ fn main() {
     let mut thr_vs_fus_all = Vec::new();
     let mut thr_vs_fus_loop = Vec::new();
     for g in &grows {
-        let per = |ns: f64| ns / g.work_insts.max(1) as f64;
+        let (f, t) = (&g.fused, &g.threaded);
+        let per = |ns: f64| ns / f.instructions.max(1) as f64;
         let speedup = g.fused_ns / g.threaded_ns;
         thr_vs_fus_all.push(speedup);
         if g.loop_heavy {
             thr_vs_fus_loop.push(speedup);
         }
-        let elided_pct = 100.0 * g.guards_elided as f64 / g.guards_executed_fused.max(1) as f64;
+        let elided_pct = 100.0 * t.guards_elided as f64 / f.guards_executed.max(1) as f64;
         gtable.push(vec![
             g.name.clone(),
             if g.loop_heavy { "*".into() } else { "".into() },
-            format!("{}", g.guards_executed_fused),
-            format!("{}", g.guards_elided),
-            format!("{}", g.guards_hoisted),
+            format!("{}", f.guards_executed),
+            format!("{}", t.guards_elided),
+            format!("{}", t.guards_hoisted),
             format!("{elided_pct:.0}%"),
             format!("{:.1}", per(g.fused_ns)),
             format!("{:.1}", per(g.threaded_ns)),
@@ -336,102 +313,75 @@ fn main() {
     );
     println!(
         "\nGeomean threaded speedup vs fused: {:.2}x overall, {:.2}x on the {} loop-heavy workloads",
-        carat_bench::geomean(&thr_vs_fus_all),
-        carat_bench::geomean(&thr_vs_fus_loop),
+        geomean(&thr_vs_fus_all),
+        geomean(&thr_vs_fus_loop),
         thr_vs_fus_loop.len(),
     );
 
-    // Hand-rolled JSON: no serde in the dependency closure. Legacy
-    // field names (decoded vs reference) are preserved so older tooling
-    // keeps parsing; fused and threaded columns are additive.
-    let mut json = String::from("{\n  \"scale\": \"");
-    json.push_str(&format!("{scale:?}"));
-    json.push_str("\",\n  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ir_instructions\": {}, \
-             \"reference_ns_per_inst\": {:.3}, \"reference_mips\": {:.3}, \
-             \"decoded_ns_per_inst\": {:.3}, \"decoded_mips\": {:.3}, \
-             \"fused_ns_per_inst\": {:.3}, \"fused_mips\": {:.3}, \
-             \"threaded_ns_per_inst\": {:.3}, \"threaded_mips\": {:.3}, \
-             \"fused_fraction\": {:.4}, \
-             \"speedup\": {:.3}, \"fused_speedup_vs_reference\": {:.3}, \
-             \"fused_speedup_vs_decoded\": {:.3}, \
-             \"threaded_speedup_vs_fused\": {:.3}}}{}\n",
-            r.name,
-            r.insts,
-            r.reference_ns_per_inst,
-            Row::mips(r.reference_ns_per_inst),
-            r.decoded_ns_per_inst,
-            Row::mips(r.decoded_ns_per_inst),
-            r.fused_ns_per_inst,
-            Row::mips(r.fused_ns_per_inst),
-            r.threaded_ns_per_inst,
-            Row::mips(r.threaded_ns_per_inst),
-            r.fused_fraction,
-            r.reference_ns_per_inst / r.decoded_ns_per_inst,
-            r.reference_ns_per_inst / r.fused_ns_per_inst,
-            r.decoded_ns_per_inst / r.fused_ns_per_inst,
-            r.fused_ns_per_inst / r.threaded_ns_per_inst,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    // The dedup outlier investigation (ISSUE 3 satellite): profiling
-    // showed the old per-instruction scheduler rotation scan — not a
-    // hashing hot spot — cost dedup ~33% of its host time (16.8 ns/inst,
-    // 1.77x). The instruction-quantum scheduler (`VmConfig::sched_quantum`)
-    // fixed it; the "after" is dedup's row above.
-    let dedup_after = rows.iter().find(|r| r.name == "dedup");
-    json.push_str(&format!(
-        "  ],\n  \"dedup_outlier_fix\": {{\"before_ns_per_inst\": 16.8, \
-         \"before_speedup\": 1.77, \"after_ns_per_inst\": {}, \
-         \"cause\": \"per-instruction scheduler rotation scan\", \
-         \"fix\": \"instruction-quantum round-robin (sched_quantum)\"}},\n",
-        dedup_after
-            .map(|r| format!("{:.3}", r.fused_ns_per_inst))
-            .unwrap_or_else(|| "null".into()),
-    ));
+    // Legacy field names (decoded vs reference) are preserved so older
+    // tooling keeps parsing; fused and threaded columns are additive.
+    let workloads: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            let [rf, dec, fus, thr] = r.ns_per_inst;
+            obj! {
+                "name": r.name.as_str(), "ir_instructions": r.insts,
+                "reference_ns_per_inst": fixed(rf, 3), "reference_mips": fixed(Row::mips(rf), 3),
+                "decoded_ns_per_inst": fixed(dec, 3), "decoded_mips": fixed(Row::mips(dec), 3),
+                "fused_ns_per_inst": fixed(fus, 3), "fused_mips": fixed(Row::mips(fus), 3),
+                "threaded_ns_per_inst": fixed(thr, 3), "threaded_mips": fixed(Row::mips(thr), 3),
+                "fused_fraction": fixed(r.fused_fraction, 4), "speedup": fixed(rf / dec, 3),
+                "fused_speedup_vs_reference": fixed(rf / fus, 3),
+                "fused_speedup_vs_decoded": fixed(dec / fus, 3),
+                "threaded_speedup_vs_fused": fixed(fus / thr, 3),
+            }
+        })
+        .collect();
+    // The dedup outlier investigation: profiling showed the old
+    // per-instruction scheduler rotation scan — not a hashing hot spot —
+    // cost dedup ~33% of its host time (16.8 ns/inst, 1.77x). The
+    // instruction-quantum scheduler (`VmConfig::sched_quantum`) fixed it;
+    // the "after" is dedup's row above.
+    let dedup_after = rows
+        .iter()
+        .find(|r| r.name == "dedup")
+        .map(|r| r.ns_per_inst[2]);
     // Guard-elision section: MIPS here is work-normalized (ns over the
     // fused engine's retired instruction count for both engines).
-    json.push_str("  \"guard_elision\": [\n");
-    for (i, g) in grows.iter().enumerate() {
-        let per = |ns: f64| ns / g.work_insts.max(1) as f64;
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"loop_heavy\": {}, \"work_instructions\": {}, \
-             \"guards_executed_fused\": {}, \"guards_executed_threaded\": {}, \
-             \"guards_elided\": {}, \"guards_hoisted\": {}, \
-             \"fused_ns_per_inst\": {:.3}, \"fused_mips\": {:.3}, \
-             \"threaded_ns_per_inst\": {:.3}, \"threaded_mips\": {:.3}, \
-             \"threaded_speedup_vs_fused\": {:.3}}}{}\n",
-            g.name,
-            g.loop_heavy,
-            g.work_insts,
-            g.guards_executed_fused,
-            g.guards_executed_threaded,
-            g.guards_elided,
-            g.guards_hoisted,
-            per(g.fused_ns),
-            Row::mips(per(g.fused_ns)),
-            per(g.threaded_ns),
-            Row::mips(per(g.threaded_ns)),
-            g.fused_ns / g.threaded_ns,
-            if i + 1 < grows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"geomean_speedup\": {:.3},\n  \"fused_geomean_vs_reference\": {:.3},\n  \
-         \"fused_geomean_vs_decoded\": {:.3},\n  \"workloads_at_3x\": {},\n  \
-         \"threaded_geomean_vs_fused_uninstrumented\": {:.3},\n  \
-         \"threaded_geomean_vs_fused_guards\": {:.3},\n  \
-         \"threaded_geomean_vs_fused_guards_loop_heavy\": {:.3}\n}}\n",
-        carat_bench::geomean(&dec_vs_ref),
-        carat_bench::geomean(&fus_vs_ref),
-        carat_bench::geomean(&fus_vs_dec),
-        at_least_3x,
-        carat_bench::geomean(&thr_vs_fus_bare),
-        carat_bench::geomean(&thr_vs_fus_all),
-        carat_bench::geomean(&thr_vs_fus_loop),
-    ));
-    std::fs::write(&out_path, json).expect("write json");
-    println!("wrote {out_path}");
+    let guard_elision: Vec<Json> = grows
+        .iter()
+        .map(|g| {
+            let (f, t) = (&g.fused, &g.threaded);
+            let per = |ns: f64| ns / f.instructions.max(1) as f64;
+            let (fus, thr) = (per(g.fused_ns), per(g.threaded_ns));
+            obj! {
+                "name": g.name.as_str(), "loop_heavy": g.loop_heavy,
+                "work_instructions": f.instructions, "guards_executed_fused": f.guards_executed,
+                "guards_executed_threaded": t.guards_executed,
+                "guards_elided": t.guards_elided, "guards_hoisted": t.guards_hoisted,
+                "fused_ns_per_inst": fixed(fus, 3), "fused_mips": fixed(Row::mips(fus), 3),
+                "threaded_ns_per_inst": fixed(thr, 3), "threaded_mips": fixed(Row::mips(thr), 3),
+                "threaded_speedup_vs_fused": fixed(g.fused_ns / g.threaded_ns, 3),
+            }
+        })
+        .collect();
+    let mut report = Report::default();
+    report.extend(obj! {
+        "scale": format!("{scale:?}"), "workloads": workloads,
+        "dedup_outlier_fix": obj! {
+            "before_ns_per_inst": fixed(16.8, 1), "before_speedup": fixed(1.77, 2),
+            "after_ns_per_inst": dedup_after.map_or(Json::Scalar("null".into()), |ns| fixed(ns, 3)),
+            "cause": "per-instruction scheduler rotation scan",
+            "fix": "instruction-quantum round-robin (sched_quantum)",
+        },
+        "guard_elision": guard_elision,
+        "geomean_speedup": fixed(geomean(&dec_vs_ref), 3),
+        "fused_geomean_vs_reference": fixed(geomean(&fus_vs_ref), 3),
+        "fused_geomean_vs_decoded": fixed(geomean(&fus_vs_dec), 3),
+        "workloads_at_3x": at_least_3x,
+        "threaded_geomean_vs_fused_uninstrumented": fixed(geomean(&thr_vs_fus_bare), 3),
+        "threaded_geomean_vs_fused_guards": fixed(geomean(&thr_vs_fus_all), 3),
+        "threaded_geomean_vs_fused_guards_loop_heavy": fixed(geomean(&thr_vs_fus_loop), 3),
+    });
+    report.finish(&out_path)
 }

@@ -28,13 +28,12 @@
 //! when any gate fails. `--scale test` runs the 10-tenant fleet only,
 //! `small` adds 100, `full` adds 1k.
 
+use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
-use carat_bench::{percentile, print_table, Args, Variant};
-use carat_core::CaratCompiler;
-use carat_ir::Module;
-use carat_kernel::{DmaDir, LoadConfig};
+use carat_bench::{fixed, instrument, obj, percentile, print_table, Args, Json, Report, Variant};
+use carat_kernel::{DmaDir, DmaStats, LoadConfig, PinStats, TimerStats};
 use carat_runtime::CostModel;
 use carat_vm::{MultiVm, MultiVmConfig, ProcOutcome, ProcReport, SchedSource, VmConfig};
 use carat_workloads::{io_server, Scale};
@@ -64,16 +63,6 @@ fn kernel_mem(tenants: usize) -> u64 {
     64 * 1024 * 1024 + tenants as u64 * 256 * 1024
 }
 
-fn io_module(scale: Scale) -> Rc<Module> {
-    let module = io_server(scale, 0).expect("io_server compiles");
-    Rc::new(
-        CaratCompiler::new(Variant::Full.options())
-            .compile(module)
-            .expect("io_server instruments")
-            .module,
-    )
-}
-
 /// Build an io fleet: `tenants` copies of the shared io_server module,
 /// a 4 KiB shared DMA buffer mapped into the first few tenants'
 /// `dmabuf` globals, pinned on behalf of tenant 0.
@@ -84,7 +73,8 @@ fn build_fleet(
     pressure_every: u64,
     mapped: usize,
 ) -> (MultiVm, carat_kernel::SharedId, u64, u64) {
-    let module = io_module(args.scale);
+    let module = io_server(args.scale, 0).expect("io_server compiles");
+    let module = Rc::new(instrument(module, Variant::Full));
     let cfg = VmConfig {
         mode: Variant::Full.mode(),
         engine: args.engine.unwrap_or_default(),
@@ -124,26 +114,60 @@ fn build_fleet(
 
 struct FleetResult {
     tenants: usize,
-    dispatched: u64,
-    cancelled: u64,
-    lat_mean: f64,
-    lat_p50: u64,
-    lat_p99: u64,
-    lat_max: u64,
+    timer: TimerStats,
+    /// Interrupt-to-dispatch latency mean, p50, p99 in cycles.
+    lat: (f64, u64, u64),
     p99_slice_ns: u64,
-    dma_completed: u64,
-    dma_failed: u64,
-    dma_bytes: u64,
-    denied_moves: u64,
-    denied_bytes: u64,
+    dma: DmaStats,
+    pin: PinStats,
     pinned_never_moved: bool,
     /// Completions observed by the caller match the device's own books.
     dma_accounted: bool,
-    latency_ok: bool,
+    /// Quantum and timer scheduling agreed per tenant.
+    diverge_ok: bool,
+}
+
+impl FleetResult {
+    fn row(&self) -> Vec<String> {
+        let (mean, p50, p99) = self.lat;
+        vec![
+            self.tenants.to_string(),
+            self.timer.dispatched.to_string(),
+            format!("{mean:.1}"),
+            p50.to_string(),
+            p99.to_string(),
+            self.timer.latency_max.to_string(),
+            self.p99_slice_ns.to_string(),
+            self.dma.completed.to_string(),
+            self.pin.denied_moves.to_string(),
+            (if self.diverge_ok { "ok" } else { "DIVERGED" }).to_string(),
+        ]
+    }
+
+    fn json(&self) -> Json {
+        let (t, (mean, p50, p99), dma, pin) = (&self.timer, self.lat, &self.dma, &self.pin);
+        obj! {
+            "tenants": self.tenants,
+            "interrupt_latency_cycles": obj! {
+                "mean": fixed(mean, 2), "p50": p50, "p99": p99, "max": t.latency_max,
+            },
+            "dispatched": t.dispatched, "cancelled": t.cancelled, "p99_slice_ns": self.p99_slice_ns,
+            "dma": obj! {
+                "completed": dma.completed, "failed": dma.failed,
+                "bytes": dma.bytes_in + dma.bytes_out,
+            },
+            "pin": obj! {
+                "denied_moves": pin.denied_moves, "denied_bytes": pin.denied_bytes,
+                "never_moved": self.pinned_never_moved,
+            },
+            "divergence_ok": self.diverge_ok,
+        }
+    }
 }
 
 /// The measured arm: timer-preemptive fleet with live DMA traffic
-/// through the pinned buffer and a pressure pass every slice.
+/// through the pinned buffer and a pressure pass every slice, then the
+/// scheduling-divergence check at the same size.
 fn run_fleet(tenants: usize, args: &Args) -> FleetResult {
     let (mut mv, id, base, len) = build_fleet(tenants, args, SchedSource::Timer, 1, 4);
     let mut slice_ns: Vec<u64> = Vec::new();
@@ -175,28 +199,21 @@ fn run_fleet(tenants: usize, args: &Args) -> FleetResult {
             && mv.kernel.procs.shared(id).map(|s| s.base) == Some(base);
     }
     let timer = &mv.kernel.dev.timer;
-    let s = timer.stats();
     let dma = mv.kernel.dev.dma.stats();
-    let pin = mv.kernel.pin_stats();
     FleetResult {
         tenants,
-        dispatched: s.dispatched,
-        cancelled: s.cancelled,
-        lat_mean: timer.mean_latency(),
-        lat_p50: timer.latency_percentile(50.0),
-        lat_p99: timer.latency_percentile(99.0),
-        lat_max: s.latency_max,
+        timer: timer.stats(),
+        lat: (
+            timer.mean_latency(),
+            timer.latency_percentile(50.0),
+            timer.latency_percentile(99.0),
+        ),
         p99_slice_ns: percentile(&slice_ns, 99.0),
-        dma_completed: dma.completed,
-        dma_failed: dma.failed,
-        dma_bytes: dma.bytes_in + dma.bytes_out,
-        denied_moves: pin.denied_moves,
-        denied_bytes: pin.denied_bytes,
+        dma,
+        pin: mv.kernel.pin_stats(),
         pinned_never_moved,
         dma_accounted: completed == dma.completed && failed == dma.failed,
-        // Dispatch happens at the first safe boundary past the deadline;
-        // even the worst tail must stay inside one timer interval.
-        latency_ok: s.dispatched > 0 && s.latency_max < TIMER_INTERVAL,
+        diverge_ok: run_divergence(tenants, args),
     }
 }
 
@@ -225,9 +242,9 @@ fn run_divergence(tenants: usize, args: &Args) -> bool {
     q == t
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
-    let (scale, out_path) = (args.scale, &args.out);
+    let scale = args.scale;
     let engine = args.engine.unwrap_or_default();
     let cost = CostModel::default();
     println!(
@@ -242,7 +259,7 @@ fn main() {
     // traditional per-page walk+PTE pin.
     let pin_pages: &[u64] = &[1, 4, 16, 64, 256];
     let mut pin_rows = Vec::new();
-    let mut pin_json = String::new();
+    let mut pin_cost = Vec::new();
     let mut carat_flat = true;
     let mut gap_every_size = true;
     for &pages in pin_pages {
@@ -256,74 +273,26 @@ fn main() {
             t.to_string(),
             format!("{:.1}x", t as f64 / c.max(1) as f64),
         ]);
-        if !pin_json.is_empty() {
-            pin_json.push_str(",\n");
-        }
-        pin_json.push_str(&format!(
-            "    {{\"pages\": {pages}, \"carat\": {c}, \"traditional\": {t}}}"
-        ));
+        pin_cost.push(obj! {"pages": pages, "carat": c, "traditional": t});
     }
     print_table(&["pin pages", "carat cyc", "trad cyc", "gap"], &pin_rows);
-    println!(
-        "{}: CARAT pin cost flat in region size (registry entry, no pagewalk)",
-        if carat_flat { "PASS" } else { "FAIL" }
+    let mut report = Report::default();
+    report.gate(
+        "carat_pin_flat_ok",
+        carat_flat,
+        "CARAT pin cost flat in region size (registry entry, no pagewalk)",
     );
-    println!(
-        "{}: CARAT pin undercuts traditional get_user_pages at every size",
-        if gap_every_size { "PASS" } else { "FAIL" }
+    report.gate(
+        "pin_gap_ok",
+        gap_every_size,
+        "CARAT pin undercuts traditional get_user_pages at every size",
     );
     println!();
 
-    let mut rows = Vec::new();
-    let mut fleet_json = String::new();
-    let mut latency_ok = true;
-    let mut pinned_ok = true;
-    let mut dma_ok = true;
-    let mut divergence_ok = true;
-    for &n in fleet_sizes(scale) {
-        let r = run_fleet(n, &args);
-        let diverge = run_divergence(n, &args);
-        latency_ok &= r.latency_ok;
-        pinned_ok &= r.pinned_never_moved;
-        dma_ok &= r.dma_completed > 0 && r.dma_failed == 0 && r.dma_accounted;
-        divergence_ok &= diverge;
-        rows.push(vec![
-            r.tenants.to_string(),
-            r.dispatched.to_string(),
-            format!("{:.1}", r.lat_mean),
-            r.lat_p50.to_string(),
-            r.lat_p99.to_string(),
-            r.lat_max.to_string(),
-            r.p99_slice_ns.to_string(),
-            r.dma_completed.to_string(),
-            r.denied_moves.to_string(),
-            if diverge { "ok" } else { "DIVERGED" }.to_string(),
-        ]);
-        if !fleet_json.is_empty() {
-            fleet_json.push_str(",\n");
-        }
-        fleet_json.push_str(&format!(
-            "    {{\"tenants\": {n}, \
-             \"interrupt_latency_cycles\": {{\"mean\": {:.2}, \"p50\": {}, \"p99\": {}, \"max\": {}}}, \
-             \"dispatched\": {}, \"cancelled\": {}, \"p99_slice_ns\": {}, \
-             \"dma\": {{\"completed\": {}, \"failed\": {}, \"bytes\": {}}}, \
-             \"pin\": {{\"denied_moves\": {}, \"denied_bytes\": {}, \"never_moved\": {}}}, \
-             \"divergence_ok\": {diverge}}}",
-            r.lat_mean,
-            r.lat_p50,
-            r.lat_p99,
-            r.lat_max,
-            r.dispatched,
-            r.cancelled,
-            r.p99_slice_ns,
-            r.dma_completed,
-            r.dma_failed,
-            r.dma_bytes,
-            r.denied_moves,
-            r.denied_bytes,
-            r.pinned_never_moved,
-        ));
-    }
+    let fleets: Vec<FleetResult> = fleet_sizes(scale)
+        .iter()
+        .map(|&n| run_fleet(n, &args))
+        .collect();
     print_table(
         &[
             "tenants",
@@ -337,39 +306,40 @@ fn main() {
             "denied mv",
             "sched diff",
         ],
-        &rows,
+        &fleets.iter().map(FleetResult::row).collect::<Vec<_>>(),
     );
     println!();
-    println!(
-        "{}: interrupt-to-dispatch latency bounded by one timer interval at every fleet size",
-        if latency_ok { "PASS" } else { "FAIL" }
+    // Dispatch happens at the first safe boundary past the deadline; even
+    // the worst tail must stay inside one timer interval.
+    report.gate(
+        "latency_ok",
+        fleets
+            .iter()
+            .all(|f| f.timer.dispatched > 0 && f.timer.latency_max < TIMER_INTERVAL),
+        "interrupt-to-dispatch latency bounded by one timer interval at every fleet size",
     );
-    println!(
-        "{}: the pinned DMA buffer never moved (compaction skipped or refused typed)",
-        if pinned_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "pinned_never_moved_ok",
+        fleets.iter().all(|f| f.pinned_never_moved),
+        "the pinned DMA buffer never moved (compaction skipped or refused typed)",
     );
-    println!(
-        "{}: all DMA traffic completed through the pinned buffer",
-        if dma_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "dma_ok",
+        fleets
+            .iter()
+            .all(|f| f.dma.completed > 0 && f.dma.failed == 0 && f.dma_accounted),
+        "all DMA traffic completed through the pinned buffer",
     );
-    println!(
-        "{}: quantum and timer scheduling agree bit-exactly per tenant",
-        if divergence_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "divergence_ok",
+        fleets.iter().all(|f| f.diverge_ok),
+        "quantum and timer scheduling agree bit-exactly per tenant",
     );
 
-    let pass = carat_flat && gap_every_size && latency_ok && pinned_ok && dma_ok && divergence_ok;
-    let json = format!(
-        "{{\n  \"benchmark\": \"io_latency\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"engine\": \"{eng}\",\n  \"timer_interval\": {TIMER_INTERVAL},\n  \
-         \"pin_cost\": [\n{pin_json}\n  ],\n  \"fleets\": [\n{fleet_json}\n  ],\n  \
-         \"carat_pin_flat_ok\": {carat_flat},\n  \"pin_gap_ok\": {gap_every_size},\n  \
-         \"latency_ok\": {latency_ok},\n  \"pinned_never_moved_ok\": {pinned_ok},\n  \
-         \"dma_ok\": {dma_ok},\n  \"divergence_ok\": {divergence_ok},\n  \"pass\": {pass}\n}}\n",
-        eng = engine.name(),
-    );
-    std::fs::write(out_path, json).expect("write json");
-    println!("\nwrote {out_path}");
-    if !pass {
-        std::process::exit(1);
-    }
+    report.extend(obj! {
+        "benchmark": "io_latency", "scale": format!("{scale:?}"), "engine": engine.name(),
+        "timer_interval": TIMER_INTERVAL, "pin_cost": pin_cost,
+        "fleets": fleets.iter().map(FleetResult::json).collect::<Vec<_>>(),
+    });
+    report.finish(&args.out)
 }

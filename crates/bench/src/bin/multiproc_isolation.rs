@@ -20,8 +20,11 @@
 //!
 //! [`PerfCounters`]: carat_vm::PerfCounters
 
-use carat_bench::{compile, geomean, print_table, Args, Variant};
-use carat_core::{CaratCompiler, CompileOptions};
+use std::process::ExitCode;
+
+use carat_bench::{
+    compile, fixed, geomean, instrument, obj, print_table, Args, Json, Report, Variant,
+};
 use carat_ir::{GlobalInit, Module, ModuleBuilder, Type};
 use carat_kernel::Pid;
 use carat_runtime::CostModel;
@@ -84,17 +87,10 @@ fn differential_ok(sliced: &[ProcReport], seq: &[ProcReport], label: &str) -> bo
     let mut ok = true;
     for (s, q) in sliced.iter().zip(seq) {
         let (rs, rq) = (finished(s), finished(q));
-        if rs.ret != rq.ret {
+        if (rs.ret, &rs.counters) != (rq.ret, &rq.counters) {
             println!(
-                "FAIL [{label}] {}: result diverges under slicing ({} vs {})",
+                "[{label}] {}: result ({} vs {}) or counters diverge under slicing",
                 s.name, rs.ret, rq.ret
-            );
-            ok = false;
-        }
-        if rs.counters != rq.counters {
-            println!(
-                "FAIL [{label}] {}: per-process counters diverge under slicing",
-                s.name
             );
             ok = false;
         }
@@ -129,10 +125,7 @@ fn shared_reader_module() -> Module {
 /// times (patching every owner), then run and check every reader sums
 /// the block through its patched pointer. Returns (cycles/move, ok).
 fn shared_move_cost(owners: usize) -> (f64, bool) {
-    let reader = CaratCompiler::new(CompileOptions::default())
-        .compile(shared_reader_module())
-        .expect("reader instruments")
-        .module;
+    let reader = instrument(shared_reader_module(), Variant::Full);
     let specs = (0..owners)
         .map(|i| ProcSpec {
             name: format!("reader-{i}"),
@@ -172,21 +165,45 @@ fn shared_move_cost(owners: usize) -> (f64, bool) {
     (per_move, ok)
 }
 
+/// One world's context-switch accounting, summed over the mix.
 struct CtxStats {
     switches: u64,
     cycles: u64,
     tlb_flushes: u64,
 }
 
-fn ctx_stats(reports: &[ProcReport]) -> CtxStats {
-    CtxStats {
-        switches: reports.iter().map(|r| r.accounting.ctx_switches).sum(),
-        cycles: reports.iter().map(|r| r.accounting.ctx_switch_cycles).sum(),
-        tlb_flushes: reports.iter().map(|r| r.accounting.tlb_flushes).sum(),
+impl CtxStats {
+    fn of(reports: &[ProcReport]) -> CtxStats {
+        CtxStats {
+            switches: reports.iter().map(|r| r.accounting.ctx_switches).sum(),
+            cycles: reports.iter().map(|r| r.accounting.ctx_switch_cycles).sum(),
+            tlb_flushes: reports.iter().map(|r| r.accounting.tlb_flushes).sum(),
+        }
+    }
+
+    fn per_switch(&self) -> f64 {
+        self.cycles as f64 / self.switches.max(1) as f64
+    }
+
+    fn row(&self, world: &str) -> Vec<String> {
+        vec![
+            world.into(),
+            self.switches.to_string(),
+            self.cycles.to_string(),
+            format!("{:.1}", self.per_switch()),
+            self.tlb_flushes.to_string(),
+        ]
+    }
+
+    fn json(&self) -> Json {
+        obj! {
+            "switches": self.switches, "kernel_cycles": self.cycles,
+            "cycles_per_switch": fixed(self.per_switch(), 3), "tlb_flushes": self.tlb_flushes,
+        }
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::parse(env!("CARGO_BIN_NAME"));
     let (scale, out_path) = (args.scale, args.out);
     // Short slices at test scale so even the quickest tenants get
@@ -213,10 +230,7 @@ fn main() {
 
     // --- context-switch cost ---------------------------------------------
     let cost = CostModel::default();
-    let carat_ctx = ctx_stats(&carat_sliced);
-    let trad_ctx = ctx_stats(&trad_sliced);
-    let carat_per_switch = carat_ctx.cycles as f64 / carat_ctx.switches.max(1) as f64;
-    let trad_per_switch = trad_ctx.cycles as f64 / trad_ctx.switches.max(1) as f64;
+    let (carat_ctx, trad_ctx) = (CtxStats::of(&carat_sliced), CtxStats::of(&trad_sliced));
     println!("Context-switch cost (kernel accounting, never guest counters):");
     print_table(
         &[
@@ -226,32 +240,18 @@ fn main() {
             "cycles/switch",
             "TLB flushes",
         ],
-        &[
-            vec![
-                "carat".to_string(),
-                carat_ctx.switches.to_string(),
-                carat_ctx.cycles.to_string(),
-                format!("{carat_per_switch:.1}"),
-                carat_ctx.tlb_flushes.to_string(),
-            ],
-            vec![
-                "traditional".to_string(),
-                trad_ctx.switches.to_string(),
-                trad_ctx.cycles.to_string(),
-                format!("{trad_per_switch:.1}"),
-                trad_ctx.tlb_flushes.to_string(),
-            ],
-        ],
+        &[carat_ctx.row("carat"), trad_ctx.row("traditional")],
     );
     println!(
         "modeled: carat {} cyc/switch vs traditional {} cyc/switch",
         cost.ctx_switch_carat(),
         cost.ctx_switch_traditional()
     );
-    let ctx_ok = carat_per_switch < trad_per_switch && carat_ctx.tlb_flushes == 0;
-    println!(
-        "{}: carat context switch pays no TLB flush and undercuts paging",
-        if ctx_ok { "PASS" } else { "FAIL" }
+    let mut report = Report::default();
+    report.gate(
+        "carat_below_traditional",
+        carat_ctx.per_switch() < trad_ctx.per_switch() && carat_ctx.tlb_flushes == 0,
+        "carat context switch pays no TLB flush and undercuts paging",
     );
     println!();
 
@@ -259,7 +259,7 @@ fn main() {
     println!("Isolation-guard overhead (guarded mix vs uninstrumented mix):");
     let mut guard_rows = Vec::new();
     let mut overheads = Vec::new();
-    let mut guard_json = String::new();
+    let mut per_process = Vec::new();
     for (g, b) in carat_sliced.iter().zip(&base_sliced) {
         let (rg, rb) = (finished(g), finished(b));
         let ratio = rg.counters.cycles as f64 / rb.counters.cycles.max(1) as f64;
@@ -272,15 +272,10 @@ fn main() {
             format!("{:+.1}%", (ratio - 1.0) * 100.0),
             format!("{share:.1}%"),
         ]);
-        if !guard_json.is_empty() {
-            guard_json.push_str(",\n");
-        }
-        guard_json.push_str(&format!(
-            "      {{\"name\": \"{}\", \"overhead_pct\": {:.3}, \"guard_cycle_share_pct\": {:.3}}}",
-            g.name,
-            (ratio - 1.0) * 100.0,
-            share
-        ));
+        per_process.push(obj! {
+            "name": g.name.as_str(), "overhead_pct": fixed((ratio - 1.0) * 100.0, 3),
+            "guard_cycle_share_pct": fixed(share, 3),
+        });
     }
     print_table(
         &[
@@ -299,7 +294,7 @@ fn main() {
     // --- cross-process shared-region moves ---------------------------------
     println!("Cross-process shared-region move latency (journaled, all owners patched):");
     let mut move_rows = Vec::new();
-    let mut move_json = String::new();
+    let mut shared_moves = Vec::new();
     let mut shared_ok = true;
     for owners in [2usize, 4, 6] {
         let (per_move, ok) = shared_move_cost(owners);
@@ -308,64 +303,57 @@ fn main() {
             owners.to_string(),
             SHARED_MOVES.to_string(),
             format!("{per_move:.1}"),
-            if ok {
-                "ok".to_string()
-            } else {
-                "FAIL".to_string()
-            },
+            (if ok { "ok" } else { "wrong" }).to_string(),
         ]);
-        if !move_json.is_empty() {
-            move_json.push_str(",\n");
-        }
-        move_json.push_str(&format!(
-            "      {{\"owners\": {owners}, \"moves\": {SHARED_MOVES}, \"cycles_per_move\": {per_move:.3}}}"
-        ));
+        shared_moves.push(obj! {
+            "owners": owners, "moves": SHARED_MOVES, "cycles_per_move": fixed(per_move, 3),
+        });
     }
     print_table(&["owners", "moves", "cycles/move", "readers"], &move_rows);
-    println!(
-        "{}: every owner reads correctly through the patched pointer",
-        if shared_ok { "PASS" } else { "FAIL" }
+    report.gate(
+        "shared_readers_ok",
+        shared_ok,
+        "every owner reads correctly through the patched pointer",
     );
     println!();
 
     // --- differential: slicing is invisible to the guest -------------------
-    let diff_carat = differential_ok(&carat_sliced, &carat_seq, "carat");
-    let diff_trad = differential_ok(&trad_sliced, &trad_seq, "traditional");
-    let diff_ok = diff_carat && diff_trad;
-    println!(
-        "{}: per-process counters identical under slicing ({} tenants x 2 worlds)",
-        if diff_ok { "PASS" } else { "FAIL" },
-        SERVER_MIX.len()
-    );
-
-    let pass = ctx_ok && shared_ok && diff_ok;
-    let json = format!(
-        "{{\n  \"benchmark\": \"multiproc_isolation\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"processes\": {nproc},\n  \"quantum\": {quantum},\n  \"ctx_switch\": {{\n    \
-         \"carat\": {{\"switches\": {cs}, \"kernel_cycles\": {cc}, \"cycles_per_switch\": {cps:.3}, \"tlb_flushes\": {cf}}},\n    \
-         \"traditional\": {{\"switches\": {ts}, \"kernel_cycles\": {tc}, \"cycles_per_switch\": {tps:.3}, \"tlb_flushes\": {tf}}},\n    \
-         \"modeled_carat\": {mc},\n    \"modeled_traditional\": {mt},\n    \
-         \"carat_below_traditional\": {ctx_ok}\n  }},\n  \"isolation_guard_overhead\": {{\n    \
-         \"geomean_pct\": {gg:.3},\n    \"per_process\": [\n{guard_json}\n    ]\n  }},\n  \
-         \"shared_region_moves\": [\n{move_json}\n  ],\n  \"differential\": {{\n    \
-         \"carat_counters_identical\": {diff_carat},\n    \
-         \"traditional_counters_identical\": {diff_trad}\n  }},\n  \"pass\": {pass}\n}}\n",
-        nproc = SERVER_MIX.len(),
-        cs = carat_ctx.switches,
-        cc = carat_ctx.cycles,
-        cps = carat_per_switch,
-        cf = carat_ctx.tlb_flushes,
-        ts = trad_ctx.switches,
-        tc = trad_ctx.cycles,
-        tps = trad_per_switch,
-        tf = trad_ctx.tlb_flushes,
-        mc = cost.ctx_switch_carat(),
-        mt = cost.ctx_switch_traditional(),
-        gg = guard_geomean_pct,
-    );
-    std::fs::write(&out_path, json).expect("write json");
-    println!("\nwrote {out_path}");
-    if !pass {
-        std::process::exit(1);
+    for (name, world, sliced, seq) in [
+        (
+            "carat_counters_identical",
+            "carat",
+            &carat_sliced,
+            &carat_seq,
+        ),
+        (
+            "traditional_counters_identical",
+            "traditional",
+            &trad_sliced,
+            &trad_seq,
+        ),
+    ] {
+        report.gate(
+            name,
+            differential_ok(sliced, seq, world),
+            &format!(
+                "{world}: per-process counters identical under slicing ({} tenants)",
+                SERVER_MIX.len()
+            ),
+        );
     }
+
+    report.extend(obj! {
+        "benchmark": "multiproc_isolation", "scale": format!("{scale:?}"),
+        "processes": SERVER_MIX.len(), "quantum": quantum,
+        "ctx_switch": obj! {
+            "carat": carat_ctx.json(), "traditional": trad_ctx.json(),
+            "modeled_carat": cost.ctx_switch_carat(),
+            "modeled_traditional": cost.ctx_switch_traditional(),
+        },
+        "isolation_guard_overhead": obj! {
+            "geomean_pct": fixed(guard_geomean_pct, 3), "per_process": per_process,
+        },
+        "shared_region_moves": shared_moves,
+    });
+    report.finish(&out_path)
 }

@@ -6,8 +6,7 @@
 //! Runs one guard-heavy workload repeatedly while splitting the capsule
 //! into progressively more read-write regions before execution.
 
-use carat_bench::{print_table, Args};
-use carat_core::{CaratCompiler, CompileOptions, OptPreset};
+use carat_bench::{instrument, print_table, Args, Variant};
 use carat_runtime::{GuardImpl, Perms};
 use carat_vm::{Vm, VmConfig};
 use carat_workloads::{by_name, Scale};
@@ -18,15 +17,13 @@ fn main() {
     println!("Guard cost vs region fragmentation (mcf, Test scale)\n");
     let w = by_name("mcf").expect("workload");
     let module = w.module(Scale::Test).expect("compiles");
-    let compiled = CaratCompiler::new(CompileOptions::guards_only(OptPreset::CaratSpecific))
-        .compile(module)
-        .expect("carat");
+    let compiled = instrument(module, Variant::GuardsCarat);
 
     let mut rows = Vec::new();
     let mut base_cycles = 0u64;
     for &splits in &[0u64, 4, 16, 64, 256] {
         let mut vm = Vm::new(
-            compiled.module.clone(),
+            compiled.clone(),
             VmConfig {
                 guard_impl: GuardImpl::IfTree,
                 ..VmConfig::default()

@@ -31,28 +31,11 @@ fn run_threaded(module: Module, opts: ThreadedOpts) -> RunResult {
 fn threaded_ablation(scale: Scale, workloads: &[Workload]) {
     println!("\nThreaded-tier guard ablation (GuardsNaive builds, loop-heavy subset)\n");
     let configs = [
-        (
-            "none",
-            ThreadedOpts {
-                elide: false,
-                hoist: false,
-            },
-        ),
-        (
-            "elide",
-            ThreadedOpts {
-                elide: true,
-                hoist: false,
-            },
-        ),
-        (
-            "elide+hoist",
-            ThreadedOpts {
-                elide: true,
-                hoist: true,
-            },
-        ),
-    ];
+        ("none", false, false),
+        ("elide", true, false),
+        ("elide+hoist", true, true),
+    ]
+    .map(|(label, elide, hoist)| (label, ThreadedOpts { elide, hoist }));
     let mut rows = Vec::new();
     for w in workloads {
         if !LOOP_HEAVY.contains(&w.name) {
@@ -130,25 +113,15 @@ fn main() {
         for (col, v) in cols.iter_mut().zip(vals) {
             col.push(v);
         }
-        rows.push(vec![
-            w.name.to_string(),
-            format!("{:.3}", vals[0]),
-            format!("{:.3}", vals[1]),
-            format!("{:.3}", vals[2]),
-            format!("{:.3}", vals[3]),
-            format!("{:.3}", vals[4]),
-            format!("{}", c.total),
-        ]);
+        let mut cells = vec![w.name.to_string()];
+        cells.extend(vals.iter().map(|v| format!("{v:.3}")));
+        cells.push(c.total.to_string());
+        rows.push(cells);
     }
-    rows.push(vec![
-        "Arith. Mean".into(),
-        format!("{:.3}", mean(&cols[0])),
-        format!("{:.3}", mean(&cols[1])),
-        format!("{:.3}", mean(&cols[2])),
-        format!("{:.3}", mean(&cols[3])),
-        format!("{:.3}", mean(&cols[4])),
-        String::new(),
-    ]);
+    let mut means = vec!["Arith. Mean".to_string()];
+    means.extend(cols.iter().map(|col| format!("{:.3}", mean(col))));
+    means.push(String::new());
+    rows.push(means);
     print_table(
         &[
             "benchmark",

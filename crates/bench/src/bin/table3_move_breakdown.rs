@@ -38,17 +38,10 @@ fn main() {
         for (c, v) in cols.iter_mut().zip(vals) {
             c.push(v);
         }
-        rows.push(vec![
-            w.name.to_string(),
-            format!("{expand:.0}"),
-            format!("{patch:.0}"),
-            format!("{regs:.0}"),
-            format!("{mv:.0}"),
-            format!("{proto:.0}"),
-            format!("{proto_wo:.0}"),
-            format!("{total:.0}"),
-            format!("{frac:.4}"),
-        ]);
+        let mut cells = vec![w.name.to_string()];
+        cells.extend(vals[..7].iter().map(|v| format!("{v:.0}")));
+        cells.push(format!("{frac:.4}"));
+        rows.push(cells);
     }
     let mut mean_row = vec!["Geo. Mean".to_string()];
     for c in &cols {

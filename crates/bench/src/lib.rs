@@ -2,10 +2,13 @@
 //!
 //! One binary per table/figure (see DESIGN.md's experiment index); this
 //! library holds the shared machinery: compiling workloads in each
-//! configuration, running them on the VM, and rendering aligned tables.
+//! configuration, running them on the VM, rendering aligned tables, and
+//! writing every `BENCH_*.json` through one [`Report`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::process::ExitCode;
 
 use carat_core::{CaratCompiler, CompileOptions, OptPreset};
 use carat_ir::Module;
@@ -85,9 +88,19 @@ pub fn compile(workload: &Workload, scale: Scale, variant: Variant) -> Module {
     let module = workload
         .module(scale)
         .unwrap_or_else(|e| panic!("{}: frontend: {e}", workload.name));
+    instrument(module, variant)
+}
+
+/// Instrument `module` under `variant`.
+///
+/// # Panics
+///
+/// Panics on a compiler bug.
+pub fn instrument(module: Module, variant: Variant) -> Module {
+    let name = module.name.clone();
     CaratCompiler::new(variant.options())
         .compile(module)
-        .unwrap_or_else(|e| panic!("{}: carat: {e}", workload.name))
+        .unwrap_or_else(|e| panic!("{name}: carat: {e}"))
         .module
 }
 
@@ -201,10 +214,6 @@ const BINS: &[(&str, &[Flag])] = &[
     (
         "io_latency",
         &[Flag::Scale, Flag::Engine, Flag::Out("BENCH_io.json")],
-    ),
-    (
-        "move_parallel",
-        &[Flag::Scale, Flag::Out("BENCH_moves.json")],
     ),
     (
         "multiproc_isolation",
@@ -405,6 +414,138 @@ pub fn percentile(xs: &[u64], pct: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
+/// One value of a `BENCH_*.json` report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A number, bool, string or `null`, as written.
+    Scalar(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, keys in insertion order.
+    Object(Vec<(String, Json)>),
+}
+
+/// `x` with `decimals` digits after the point.
+pub fn fixed(x: f64, decimals: usize) -> Json {
+    Json::Scalar(format!("{x:.decimals$}"))
+}
+
+macro_rules! json_scalar {
+    ($fmt:literal: $($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(x: $t) -> Json {
+                Json::Scalar(format!($fmt, x))
+            }
+        }
+    )*};
+}
+json_scalar!("{}": u64, i64, usize, bool);
+// Report strings are names, plain ASCII, where Rust's escapes are JSON's.
+json_scalar!("{:?}": &str, String);
+
+impl From<Vec<Json>> for Json {
+    fn from(xs: Vec<Json>) -> Json {
+        Json::Array(xs)
+    }
+}
+
+/// A [`Json::Object`] from `"key": value` pairs, in order; a value is
+/// anything with `Into<Json>`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal: $val:expr),* $(,)?) => {
+        $crate::Json::Object(vec![$(($key.to_string(), $crate::Json::from($val))),*])
+    };
+}
+
+impl Json {
+    /// The one report layout: 2-space indents, and an array or object
+    /// whose members are all scalars on one line.
+    fn write(&self, indent: usize, out: &mut String) {
+        let (open, close, members): (_, _, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Scalar(s) => return out.push_str(s),
+            Json::Array(xs) => ('[', ']', xs.iter().map(|x| (None, x)).collect()),
+            Json::Object(kvs) => ('{', '}', kvs.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let one_line = members.iter().all(|(_, v)| matches!(v, Json::Scalar(_)));
+        let pad = |n: usize| {
+            if one_line {
+                String::new()
+            } else {
+                format!("\n{}", " ".repeat(n))
+            }
+        };
+        out.push(open);
+        for (i, (key, v)) in members.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(if one_line { ", " } else { "," });
+            }
+            out.push_str(&pad(indent + 2));
+            if let Some(k) = key {
+                out.push_str(&format!("{k:?}: "));
+            }
+            v.write(indent + 2, out);
+        }
+        out.push_str(&pad(indent));
+        out.push(close);
+    }
+}
+
+/// A bench bin's `BENCH_*.json` report. A gate is stated once, through
+/// [`Report::gate`]; [`Report::finish`] writes it and decides the exit
+/// code from the same record.
+#[derive(Debug, Default)]
+pub struct Report {
+    fields: Vec<(String, Json)>,
+    gates: Vec<(String, bool)>,
+}
+
+impl Report {
+    /// Record the members of `fields`, an [`obj!`], in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` is not an object.
+    pub fn extend(&mut self, fields: Json) {
+        let Json::Object(kvs) = fields else {
+            panic!("report fields are an object, not {fields:?}");
+        };
+        self.fields.extend(kvs);
+    }
+
+    /// Record gate `name` and print `PASS: what` or `FAIL: what`.
+    pub fn gate(&mut self, name: &str, ok: bool, what: &str) {
+        println!("{}: {what}", if ok { "PASS" } else { "FAIL" });
+        self.gates.push((name.to_string(), ok));
+    }
+
+    /// Write the report to `out` — the fields, then every gate in one
+    /// `gates` object and `pass` (both left out by a bin that states no
+    /// gate) — print `wrote out`, and fail if any gate failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` cannot be written.
+    pub fn finish(mut self, out: &str) -> ExitCode {
+        let pass = self.gates.iter().all(|g| g.1);
+        if !self.gates.is_empty() {
+            let gates = self.gates.into_iter().map(|(k, ok)| (k, ok.into()));
+            self.fields
+                .push(("gates".into(), Json::Object(gates.collect())));
+            self.fields.push(("pass".into(), pass.into()));
+        }
+        let mut text = String::new();
+        Json::Object(self.fields).write(0, &mut text);
+        std::fs::write(out, text + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+        println!("\nwrote {out}");
+        if pass {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// Render an aligned text table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -537,6 +678,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_container_of_scalars_is_one_line_and_any_other_is_indented() {
+        let rows: Vec<Json> = vec![obj! {"name": "mcf", "ok": true}, obj! {}];
+        let v = obj! {
+            "scale": "Test", "n": 3usize, "ret": -4i64, "pct": fixed(1.23456, 3),
+            "rows": rows, "nested": obj! {"p50": 2u64, "xs": Vec::<Json>::new()},
+        };
+        let mut out = String::new();
+        v.write(0, &mut out);
+        assert_eq!(
+            out,
+            "{\n  \"scale\": \"Test\",\n  \"n\": 3,\n  \"ret\": -4,\n  \"pct\": 1.235,\n  \
+             \"rows\": [\n    {\"name\": \"mcf\", \"ok\": true},\n    {}\n  ],\n  \
+             \"nested\": {\n    \"p50\": 2,\n    \"xs\": []\n  }\n}"
+        );
+    }
+
+    #[test]
+    fn finish_writes_every_gate_and_fails_on_any() {
+        let path = std::env::temp_dir().join(format!("carat-bench-report-{}", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp dir");
+        let written = |gates: &[(&str, bool)]| {
+            let mut r = Report::default();
+            r.extend(obj! {"scale": "Test"});
+            for &(name, ok) in gates {
+                r.gate(name, ok, name);
+            }
+            let code = r.finish(path);
+            (code, std::fs::read_to_string(path).expect("report written"))
+        };
+        let (code, text) = written(&[]);
+        assert_eq!(code, ExitCode::SUCCESS);
+        assert_eq!(text, "{\"scale\": \"Test\"}\n", "no gate, no gates or pass");
+        let (code, text) = written(&[("a_ok", true), ("b_ok", false)]);
+        assert_eq!(code, ExitCode::FAILURE);
+        assert!(text
+            .ends_with("  \"gates\": {\"a_ok\": true, \"b_ok\": false},\n  \"pass\": false\n}\n"));
+        let (code, text) = written(&[("a_ok", true)]);
+        assert_eq!(code, ExitCode::SUCCESS);
+        assert!(text.contains("\"pass\": true"));
+        std::fs::remove_file(path).expect("temp report removed");
     }
 
     #[test]

@@ -1264,45 +1264,107 @@ mod tests {
         assert!(plan.fired().is_empty());
     }
 
-    /// The batch of two is the two stand-alone moves, bit for bit — memory,
-    /// registers, table, outcomes — except that it stops the world once
-    /// and inspects the register dump once.
+    /// Four single pages, each filled exactly by four quarter-page
+    /// allocations, with a few escape cells into every allocation from an
+    /// arena elsewhere in the heap; one register points into each page.
+    fn track_four_escape_heavy_pages(
+        k: &mut SimKernel,
+        table: &mut AllocationTable,
+        img: &ProcessImage,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let page = k.cost.page_size;
+        let quarter = page / 4;
+        let pages: Vec<u64> = (8..12).map(|i| img.heap.0 + i * page).collect();
+        let mut cell = img.heap.0 + 32 * page;
+        for (p, &base) in (0u64..).zip(&pages) {
+            for start in (0..4).map(|a| base + a * quarter) {
+                table.track_alloc(start, quarter, carat_runtime::AllocKind::Heap);
+                for w in 0..quarter / 8 {
+                    k.mem.write_uint(start + w * 8, p << 32 | start << 8 | w, 8);
+                }
+                for e in 0..4 {
+                    k.mem.write_uint(cell, start + 8 + e * 56, 8);
+                    table.track_escape(cell);
+                    cell += 8;
+                }
+            }
+        }
+        table.flush_escapes(|c| k.mem.read_uint(c, 8));
+        let mut regs: Vec<u64> = pages.iter().map(|p| p + 0x18).collect();
+        regs.push(0xdead_beef);
+        (pages, regs)
+    }
+
+    /// A batch is its stand-alone moves, bit for bit — memory, registers,
+    /// table, outcomes — except that it stops the world once and inspects
+    /// the register dump once. Two inputs: a linked pair, and four
+    /// escape-heavy pages whose later destinations recycle frames an
+    /// earlier batchmate vacated.
     #[test]
     fn batch_of_two_equals_two_stand_alone_moves() {
-        let twin = || {
-            let (mut k, mut table, img) = boot_small();
-            let (a, b, regs) = track_linked_pair(&mut k, &mut table, &img);
-            (k, table, a, b, regs)
+        type Fixture =
+            fn(&mut SimKernel, &mut AllocationTable, &ProcessImage) -> (Vec<u64>, Vec<u64>);
+        let pair: Fixture = |k, table, img| {
+            let (a, b, regs) = track_linked_pair(k, table, img);
+            (vec![a, b], regs)
         };
-        let (mut kb, mut tb, a, b, mut rb) = twin();
-        let (mut ks, mut ts, _, _, mut rs) = twin();
-        let (wb, batched) = kb
-            .move_pages_batch(&mut tb, &mut rb, &[(a, 1), (b, 1)], 2)
-            .expect("batch moves");
-        let (w1, o1) = ks.move_pages(&mut ts, &mut rs, a, 1, 2).expect("moves");
-        let (w2, o2) = ks.move_pages(&mut ts, &mut rs, b, 1, 2).expect("moves");
+        for fixture in [pair, track_four_escape_heavy_pages] {
+            let twin = || {
+                let (mut k, mut table, img) = boot_small();
+                let (pages, regs) = fixture(&mut k, &mut table, &img);
+                (k, table, pages, regs)
+            };
+            let (mut kb, mut tb, pages, mut rb) = twin();
+            let (mut ks, mut ts, _, mut rs) = twin();
+            let before = rb.clone();
+            let reqs: Vec<(u64, u64)> = pages.iter().map(|&p| (p, 1)).collect();
+            let (wb, batched) = kb
+                .move_pages_batch(&mut tb, &mut rb, &reqs, 2)
+                .expect("batch moves");
+            let mut stops = Vec::new();
+            let mut alone = Vec::new();
+            for &p in &pages {
+                let (w, o) = ks.move_pages(&mut ts, &mut rs, p, 1, 2).expect("moves");
+                stops.push(w.cycles);
+                alone.push(o);
+            }
 
-        assert_eq!(
-            kb.mem.read_bytes(0, kb.mem.size()),
-            ks.mem.read_bytes(0, ks.mem.size())
-        );
-        assert_eq!(rb, rs);
-        assert_ne!(rb, vec![a + 16, b + 24], "both registers were patched");
-        assert_eq!(tb.snapshot(), ts.snapshot());
-        // Same outcomes, apart from the register pass charged once.
-        let per_pass = rs.len() as u64 * ks.cost.move_register_patch_per_reg;
-        assert_eq!(batched[0], o1);
-        assert_eq!(o2.cost.register_patch, per_pass);
-        let mut second = o2.clone();
-        second.cost.register_patch = 0;
-        assert_eq!(batched[1], second);
-        assert!(
-            wb.cycles < w1.cycles + w2.cycles,
-            "one stop is cheaper than two: {} vs {} + {}",
-            wb.cycles,
-            w1.cycles,
-            w2.cycles
-        );
+            assert_eq!(
+                kb.mem.read_bytes(0, kb.mem.size()),
+                ks.mem.read_bytes(0, ks.mem.size())
+            );
+            assert_eq!(rb, rs);
+            let patched = rb.iter().zip(&before).filter(|(r, b)| r != b).count();
+            assert_eq!(
+                patched,
+                pages.len(),
+                "every register into a page was patched"
+            );
+            assert_eq!(tb.snapshot(), ts.snapshot());
+            // Same outcomes, apart from the register pass charged once.
+            let per_pass = rs.len() as u64 * ks.cost.move_register_patch_per_reg;
+            assert_eq!(batched.len(), alone.len());
+            for (i, (b, mut o)) in batched.iter().zip(alone).enumerate() {
+                assert_eq!(o.cost.register_patch, per_pass);
+                if i > 0 {
+                    o.cost.register_patch = 0;
+                }
+                assert_eq!(*b, o);
+            }
+            let stand_alone: u64 = stops.iter().sum();
+            assert!(
+                wb.cycles < stand_alone,
+                "one stop is cheaper than {}: {} vs {stops:?}",
+                stops.len(),
+                wb.cycles
+            );
+            if pages.len() == 4 {
+                let recycled = batched[1..]
+                    .iter()
+                    .any(|o| batched.iter().any(|e| e.moved_src == o.moved_dst));
+                assert!(recycled, "a later destination reuses a vacated page");
+            }
+        }
     }
 
     #[test]
