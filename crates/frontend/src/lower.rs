@@ -338,11 +338,11 @@ impl<'c, 'm> FnLower<'c, 'm> {
             self.incomplete.entry(block).or_default().push((var, phi));
             phi
         } else {
-            let preds = self.b.func().predecessors()[block.index()].clone();
-            match preds.len() {
-                0 => self.zero_of(&self.var_types[var as usize].clone()),
-                1 => self.read_var(var, preds[0]),
-                _ => {
+            match *self.b.preds(block) {
+                [] => self.zero_of(&self.var_types[var as usize].clone()),
+                [p] => self.read_var(var, p),
+                ref many => {
+                    let preds = many.to_vec();
                     // Break cycles with a self-referencing placeholder.
                     let phi = self.insert_phi(block, &self.var_types[var as usize].clone());
                     self.write_var(var, block, phi);
@@ -365,7 +365,7 @@ impl<'c, 'm> FnLower<'c, 'm> {
             return;
         }
         if let Some(pending) = self.incomplete.remove(&block) {
-            let preds = self.b.func().predecessors()[block.index()].clone();
+            let preds = self.b.preds(block).to_vec();
             for (var, phi) in pending {
                 for &p in &preds {
                     let v = self.read_var(var, p);
@@ -566,7 +566,7 @@ impl<'c, 'm> FnLower<'c, 'm> {
         self.b.switch_to(join);
         // A join with no predecessors (both arms returned) stays as a dead
         // block; terminate it so verification passes.
-        if self.b.func().predecessors()[join.index()].is_empty() {
+        if self.b.preds(join).is_empty() {
             self.b.push(Inst::Unreachable);
             let dead = self.b.block("dead");
             self.sealed.insert(dead);
@@ -612,7 +612,7 @@ impl<'c, 'm> FnLower<'c, 'm> {
         // Step block: preds now final (body fallthrough + continues).
         self.seal_block(step_bb);
         self.b.switch_to(step_bb);
-        if self.b.func().predecessors()[step_bb.index()].is_empty() {
+        if self.b.preds(step_bb).is_empty() {
             // Body always breaks/returns: the step is dead.
             self.b.push(Inst::Unreachable);
         } else {
@@ -1434,49 +1434,68 @@ fn collect_addr_taken(body: &[Stmt]) -> HashSet<String> {
 
 /// Remove trivial phis (all incomings equal, possibly including the phi
 /// itself) left behind by SSA construction, to fixpoint.
+///
+/// Each round scans the phis once in layout order, reading every
+/// incoming through the replacements found earlier in the round, then
+/// rewrites every operand once through the resolved map — one pass per
+/// round instead of one full scan and rewrite per removed phi.
 fn cleanup_trivial_phis(f: &mut carat_ir::Function) {
+    // `to[v]` is what value `v` is replaced by (itself when kept).
+    let mut to: Vec<ValueId> = Vec::new();
+    let resolve = |to: &[ValueId], mut v: ValueId| {
+        while to[v.index()] != v {
+            v = to[v.index()];
+        }
+        v
+    };
     loop {
-        let mut replaced: Option<(ValueId, ValueId)> = None;
-        'search: for b in f.block_ids().collect::<Vec<_>>() {
+        to.clear();
+        to.extend((0..f.num_values() as u32).map(ValueId));
+        let mut removed = false;
+        for b in f.block_ids() {
             for &v in &f.block(b).insts {
-                if let Some(Inst::Phi { incomings, .. }) = f.inst(v) {
-                    let mut unique: Option<ValueId> = None;
-                    let mut trivial = true;
-                    for (_, iv) in incomings {
-                        if *iv == v {
-                            continue; // self-reference
-                        }
-                        match unique {
-                            None => unique = Some(*iv),
-                            Some(u) if u == *iv => {}
-                            Some(_) => {
-                                trivial = false;
-                                break;
-                            }
-                        }
+                let Some(Inst::Phi { incomings, .. }) = f.inst(v) else {
+                    continue;
+                };
+                let mut unique: Option<ValueId> = None;
+                let mut trivial = true;
+                for (_, iv) in incomings {
+                    let iv = resolve(&to, *iv);
+                    if iv == v {
+                        continue; // self-reference
                     }
-                    if trivial {
-                        if let Some(u) = unique {
-                            replaced = Some((v, u));
-                            break 'search;
+                    match unique {
+                        None => unique = Some(iv),
+                        Some(u) if u == iv => {}
+                        Some(_) => {
+                            trivial = false;
+                            break;
                         }
                     }
                 }
+                if let (true, Some(u)) = (trivial, unique) {
+                    to[v.index()] = u;
+                    removed = true;
+                }
             }
         }
-        let Some((phi, val)) = replaced else { break };
-        // Rewrite all uses, then drop the phi.
-        let n = f.num_values();
-        for i in 0..n {
-            let vid = ValueId(i as u32);
-            if vid == phi {
-                continue;
-            }
-            if let Some(inst) = f.inst_mut(vid) {
-                inst.map_operands(|op| if op == phi { val } else { op });
+        if !removed {
+            break;
+        }
+        // Resolve chains once (a phi may be replaced by a phi removed
+        // later in the same round), then rewrite every use and drop the
+        // removed phis.
+        for i in 0..to.len() {
+            to[i] = resolve(&to, ValueId(i as u32));
+        }
+        for i in 0..to.len() {
+            if let Some(inst) = f.inst_mut(ValueId(i as u32)) {
+                inst.map_operands(|op| to[op.index()]);
             }
         }
-        f.remove_from_block(phi);
+        for b in f.block_ids().collect::<Vec<_>>() {
+            f.block_mut(b).insts.retain(|v| to[v.index()] == *v);
+        }
     }
 }
 

@@ -69,6 +69,10 @@ pub struct FuncBuilder<'a> {
     f: &'a mut Function,
     cur: Option<BlockId>,
     const_pool: HashMap<ConstKey, ValueId>,
+    /// Per-block predecessor lists, kept equal to
+    /// [`Function::predecessors`] as [`FuncBuilder::push`] appends each
+    /// terminator, so SSA construction never rebuilds the CFG.
+    preds: Vec<Vec<BlockId>>,
 }
 
 /// Hashable key for constant interning (f64 by bits).
@@ -84,6 +88,7 @@ impl<'a> FuncBuilder<'a> {
     /// Wrap an existing function for appending.
     pub fn new(f: &'a mut Function) -> FuncBuilder<'a> {
         FuncBuilder {
+            preds: f.predecessors(),
             f,
             cur: None,
             const_pool: HashMap::new(),
@@ -120,7 +125,23 @@ impl<'a> FuncBuilder<'a> {
 
     /// Create a block (does not switch to it).
     pub fn block(&mut self, name: impl Into<String>) -> BlockId {
+        self.preds.push(Vec::new());
         self.f.add_block(name)
+    }
+
+    /// Predecessors of `b` as the CFG stands now: exactly
+    /// `self.func().predecessors()[b]` — ascending block order, a block
+    /// listed twice when its branch names `b` on both arms — without
+    /// rebuilding every list. The order is the phi-incoming order SSA
+    /// construction emits, so it reaches the printed and signed text.
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        debug_assert_eq!(
+            self.preds[b.index()],
+            self.f.predecessors()[b.index()],
+            "predecessor list of {b} in {} out of date",
+            self.f.name
+        );
+        &self.preds[b.index()]
     }
 
     /// Make `b` the insertion point.
@@ -150,6 +171,10 @@ impl<'a> FuncBuilder<'a> {
             "appending to terminated block {b} in {}",
             self.f.name
         );
+        for s in inst.successors() {
+            let list = &mut self.preds[s.index()];
+            list.insert(list.partition_point(|&p| p <= b), b);
+        }
         self.f.append(b, inst)
     }
 
@@ -395,6 +420,37 @@ mod tests {
         let f = m.func(m.func_by_name("sum").unwrap());
         assert_eq!(f.num_blocks(), 4);
         assert!(matches!(f.terminator(f.entry()), Some(Inst::Jmp { .. })));
+    }
+
+    #[test]
+    fn predecessor_lists_follow_function_order() {
+        let mut mb = ModuleBuilder::new("m");
+        let f = mb.declare("f", vec![], None);
+        {
+            let mut b = mb.define(f);
+            let blocks: Vec<BlockId> = (0..4).map(|i| b.block(format!("b{i}"))).collect();
+            let [entry, left, right, join] = blocks[..] else {
+                unreachable!()
+            };
+            // Terminators arrive out of block order; the lists stay in
+            // block order, with a block listed twice when both arms of
+            // its branch name the same target.
+            b.switch_to(right);
+            b.jmp(join);
+            b.switch_to(entry);
+            let t = b.const_bool(true);
+            b.br(t, left, right);
+            b.switch_to(left);
+            b.br(t, join, join);
+            b.switch_to(join);
+            b.ret(None);
+            assert_eq!(b.preds(join), &[left, left, right]);
+            assert_eq!(b.preds(right), &[entry]);
+            assert!(b.preds(entry).is_empty());
+            for blk in [entry, left, right, join] {
+                assert_eq!(b.preds(blk), b.func().predecessors()[blk.index()]);
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,10 @@ pub struct BuddyAllocator {
     allocated: std::collections::HashMap<u64, usize>,
     /// Pages currently allocated.
     pub pages_in_use: u64,
+    /// End (in pages) of the highest block ever handed out. Frames at or
+    /// above it have not been allocated since boot, so they still hold
+    /// the zeroes physical memory starts with.
+    high_water: u64,
     /// Fault injection: this many upcoming allocations fail regardless of
     /// free space (simulated frame exhaustion).
     fail_next_allocs: u64,
@@ -69,6 +73,7 @@ impl BuddyAllocator {
             free,
             allocated: std::collections::HashMap::new(),
             pages_in_use: 0,
+            high_water: 0,
             fail_next_allocs: 0,
         }
     }
@@ -120,7 +125,16 @@ impl BuddyAllocator {
         }
         self.allocated.insert(block, order);
         self.pages_in_use += 1 << order;
+        self.high_water = self.high_water.max(block + (1 << order));
         Some(self.base + block * self.page_size)
+    }
+
+    /// The address of the first frame never handed out since boot: every
+    /// block at or above it is still zero, provided nothing writes a
+    /// frame before this allocator returns it. The loader skips zeroing a
+    /// capsule that lands there.
+    pub fn never_allocated_from(&self) -> u64 {
+        self.base + self.high_water * self.page_size
     }
 
     /// Free a block previously returned by [`BuddyAllocator::alloc_pages`].

@@ -284,16 +284,23 @@ impl SimKernel {
     /// the higher start address.
     pub fn worst_pages(&self, table: &AllocationTable, max: usize) -> Vec<u64> {
         let page = self.cost.page_size;
-        let mut victims: Vec<(usize, u64)> = table
-            .snapshot()
-            .into_iter()
-            // Swapped-out (poison-resident) allocations cannot be moved,
-            // and pinned DMA targets must not be: plan around both.
-            .filter(|&(start, len, _, _)| {
-                !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
+        let pins = &self.pins;
+        // Swapped-out (poison-resident) allocations cannot be moved, and
+        // pinned DMA targets must not be: plan around both.
+        let movable = table
+            .below(POISON_BASE)
+            .filter(|&(start, info)| {
+                pins.is_empty() || check_unpinned(start, info.len, pins).is_ok()
             })
-            .map(|(start, _, escapes_live, _)| (escapes_live, start))
-            .collect();
+            .map(|(start, info)| (info.escapes.len(), start));
+        if max == 1 {
+            return movable
+                .max()
+                .map(|(_, start)| start / page * page)
+                .into_iter()
+                .collect();
+        }
+        let mut victims: Vec<(usize, u64)> = movable.collect();
         victims.sort_unstable_by(|a, b| b.cmp(a));
         let mut out: Vec<u64> = Vec::new();
         for (_, start) in victims {

@@ -289,6 +289,7 @@ fn load_image(
 ) -> Result<ProcessImage, LoadError> {
     let page = cfg.page_size;
     let layout = CapsuleLayout::of(&module, text_len, cfg);
+    let fresh_from = buddy.never_allocated_from();
     let base = buddy
         .alloc_pages(layout.bytes() / page)
         .ok_or(LoadError::OutOfMemory)?;
@@ -298,8 +299,12 @@ fn load_image(
     let code = (data_base + layout.data, layout.code);
     let heap = (code.0 + layout.code, layout.heap);
 
-    // Zero stack and data (bss semantics); "copy" code.
-    mem.zero(stack.0, layout.stack + layout.data);
+    // Zero stack and data (bss semantics); "copy" code. Frames never
+    // handed out since boot are still zero, as a kernel's pre-zeroed
+    // pages are: only a reused block pays for the fill.
+    if base < fresh_from {
+        mem.zero(stack.0, layout.stack + layout.data);
+    }
 
     // Place globals and perform the initial patch (bind addresses).
     let mut globals = Vec::with_capacity(module.num_globals());

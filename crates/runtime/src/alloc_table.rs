@@ -223,10 +223,15 @@ impl AllocationTable {
     }
 
     /// Hand an existing escape set (e.g. salvaged from [`Self::track_free`])
-    /// to the allocation at `start`, keeping the incremental byte
-    /// accounting behind [`Self::memory_overhead_bytes`] consistent.
+    /// to the allocation at `start`: each cell is registered in the
+    /// reverse map against `start` (`track_free` dropped it), and the
+    /// incremental byte accounting behind
+    /// [`Self::memory_overhead_bytes`] stays consistent.
     pub fn adopt_escapes(&mut self, start: u64, escapes: FastSet<u64>, escapes_ever: u64) {
         if let Some(info) = self.tree.get_mut(&start) {
+            for &cell in &escapes {
+                self.escape_owner.insert(cell, start);
+            }
             let cap_before = info.escapes.capacity();
             info.escapes = escapes;
             info.escapes_ever = escapes_ever;
@@ -280,6 +285,12 @@ impl AllocationTable {
     /// descheduled tenants by it without walking their allocation trees.
     pub fn live_escapes(&self) -> usize {
         self.escape_owner.len()
+    }
+
+    /// Live allocations starting below `hi`, as `(start, &info)` pairs in
+    /// ascending start order — a walk of the table without a copy.
+    pub fn below(&self, hi: u64) -> impl Iterator<Item = (u64, &AllocInfo)> + '_ {
+        self.tree.range(..hi).map(|(&start, info)| (start, info))
     }
 
     /// All live allocations as `(start, len, escapes_live, escapes_ever)`.
@@ -412,6 +423,31 @@ mod tests {
         let esc = &t.info(0x2000).unwrap().escapes;
         assert!(esc.contains(&0x8010));
         assert!(!esc.contains(&0x1010));
+    }
+
+    /// Stack growth frees the old stack entry and hands its escape set to
+    /// the enlarged one: the cells must be owned by the new start again.
+    #[test]
+    fn adopted_escapes_are_registered_against_the_new_start() {
+        let mut t = AllocationTable::new();
+        t.track_alloc(0x1000, 0x100, AllocKind::Stack);
+        t.track_alloc(0x5000, 0x100, AllocKind::Heap);
+        // A cell inside the heap block points into the stack.
+        t.track_escape(0x5010);
+        t.flush_escapes(|_| 0x1080);
+        let info = t.track_free(0x1000).expect("tracked");
+        t.track_alloc(0x0800, 0x900, AllocKind::Stack);
+        t.adopt_escapes(0x0800, info.escapes, info.escapes_ever);
+        assert_eq!(t.live_escapes(), 1, "the victim score counts the cell");
+        // Moving the cell's own allocation rebases the adopted cell.
+        assert_eq!(t.rebase_escape_cells(0x5000, 0x5100, 0x1000), 1);
+        let esc = &t.info(0x0800).unwrap().escapes;
+        assert!(esc.contains(&0x6010) && !esc.contains(&0x5010));
+        // Rebinding the cell to null drops it from the stack's set.
+        t.track_escape(0x6010);
+        t.flush_escapes(|_| 0);
+        assert!(t.info(0x0800).unwrap().escapes.is_empty());
+        assert_eq!(t.live_escapes(), 0);
     }
 
     #[test]

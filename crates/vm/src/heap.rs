@@ -7,7 +7,7 @@
 //! other pointer; here the metadata is host-side, so the rebase is
 //! explicit.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Allocation alignment.
 const ALIGN: u64 = 16;
@@ -17,8 +17,9 @@ const ALIGN: u64 = 16;
 pub struct HeapAllocator {
     /// Free chunks `(start, len)`, kept sorted by start and coalesced.
     free: Vec<(u64, u64)>,
-    /// Live blocks `start -> len`.
-    allocated: HashMap<u64, u64>,
+    /// Live blocks `start -> len`, ordered so a move rebases only the
+    /// blocks inside its range.
+    allocated: BTreeMap<u64, u64>,
     /// High-water mark of live bytes.
     pub peak_bytes: u64,
     /// Currently live bytes.
@@ -30,7 +31,7 @@ impl HeapAllocator {
     pub fn new(base: u64, len: u64) -> HeapAllocator {
         HeapAllocator {
             free: vec![(base, len)],
-            allocated: HashMap::new(),
+            allocated: BTreeMap::new(),
             peak_bytes: 0,
             live_bytes: 0,
         }
@@ -95,14 +96,12 @@ impl HeapAllocator {
         self.allocated.len()
     }
 
-    /// Capsule view of the allocator: the free list (already sorted) and
-    /// the live-block map sorted by start address, so serializing the
-    /// same heap twice yields identical bytes regardless of `HashMap`
-    /// iteration order.
+    /// Capsule view of the allocator: the free list and the live blocks,
+    /// both sorted by start address, so serializing the same heap twice
+    /// yields identical bytes.
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot(&self) -> (&[(u64, u64)], Vec<(u64, u64)>) {
-        let mut allocated: Vec<(u64, u64)> = self.allocated.iter().map(|(&s, &l)| (s, l)).collect();
-        allocated.sort_unstable();
+        let allocated = self.allocated.iter().map(|(&s, &l)| (s, l)).collect();
         (&self.free, allocated)
     }
 
@@ -130,12 +129,13 @@ impl HeapAllocator {
         let hi = lo + len;
         let moved: Vec<(u64, u64)> = self
             .allocated
-            .iter()
-            .filter(|(&s, _)| s >= lo && s < hi)
+            .range(lo..hi)
             .map(|(&s, &l)| (s, l))
             .collect();
-        for (s, l) in moved {
+        for &(s, _) in &moved {
             self.allocated.remove(&s);
+        }
+        for (s, l) in moved {
             self.allocated.insert(s.wrapping_add(delta as u64), l);
         }
         let mut next: Vec<(u64, u64)> = Vec::with_capacity(self.free.len() + 2);

@@ -29,7 +29,7 @@ use carat_ir::{
 };
 use carat_kernel::{
     AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PhysicalMemory,
-    PinError, ProcessImage, SimKernel,
+    PinError, ProcessImage, SimKernel, POISON_BASE,
 };
 use carat_runtime::{
     Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, RegionTable, TrackStats,
@@ -3519,13 +3519,12 @@ impl Core<'_> {
         self.flush_escapes();
         // Pick the most-escaped allocation still resident in memory.
         let page_size = self.kernel.cost.page_size;
+        // Ties go to the highest start, the last maximum of the walk.
         let Some(page) = self
             .table
-            .snapshot()
-            .into_iter()
-            .filter(|&(start, _, _, _)| !SimKernel::is_poison(start))
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page_size * page_size)
+            .below(POISON_BASE)
+            .max_by_key(|&(_, info)| info.escapes.len())
+            .map(|(start, _)| start / page_size * page_size)
         else {
             return Ok(());
         };

@@ -455,6 +455,26 @@ mod tests {
         assert!(by_name("nope").is_none());
     }
 
+    /// Lowering keeps per-block predecessor lists in its function
+    /// builder instead of rebuilding the CFG per variable read; in debug
+    /// builds every list it consults is checked against
+    /// `Function::predecessors`. This drives that check over every
+    /// source the repository compiles.
+    #[test]
+    fn every_source_lowers_with_consistent_predecessor_lists() {
+        for scale in [Scale::Test, Scale::Small] {
+            for w in all_workloads() {
+                w.module(scale)
+                    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            }
+            for build in [fleet_tenant, chaos_tenant, io_server] {
+                for seed in 0..3 {
+                    build(scale, seed).unwrap();
+                }
+            }
+        }
+    }
+
     #[test]
     fn server_mix_is_valid_and_heterogeneous() {
         let mix = server_mix(Scale::Test).unwrap();
