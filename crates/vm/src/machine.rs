@@ -1495,7 +1495,7 @@ impl Core<'_> {
     ///
     /// | tier | variants |
     /// |---|---|
-    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedFcmpBr` `FusedConstBin` `FusedConstFBin` `FusedConstConst` `FusedBinBin` `FusedBinJmp` `FusedPtrAddConst` `FusedCastBin`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `ElidedGuard` |
+    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedBinBin` `FusedPtrAddConst`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `ElidedGuard` |
     /// | both (fast arm, slow arm when it declines) | `Load` `Store` (poison address); `GuardFast` `FusedGuardLoad` `FusedGuardStore` (guard does not pass, or poison access address) |
     /// | slow only | `Call` `Intrinsic` (every guard of a plain decode among them) `Ret` `Unreachable` `TrapAggregate` `HoistedGuard` |
     ///
@@ -1694,61 +1694,6 @@ impl Core<'_> {
                             f.fusion.executed[FusedKind::IcmpBr as usize] += 1;
                             f.br(r, if_true, if_false);
                         }
-                        DecodedInst::FusedFcmpBr {
-                            cdst,
-                            pred,
-                            lhs,
-                            rhs,
-                            if_true,
-                            if_false,
-                        } => {
-                            let r = f.fcmp(cdst, pred, lhs, rhs);
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::FcmpBr as usize] += 1;
-                            f.br(r, if_true, if_false);
-                        }
-                        DecodedInst::FusedConstBin {
-                            cdst,
-                            imm,
-                            dst,
-                            op,
-                            lhs,
-                            rhs,
-                            width,
-                        } => {
-                            f.konst(cdst, Value::I(imm as i64));
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::ConstBin as usize] += 1;
-                            f.bin(dst, op, lhs, rhs, width)?;
-                        }
-                        DecodedInst::FusedConstFBin {
-                            val,
-                            cdst,
-                            dst,
-                            lhs,
-                            rhs,
-                            op,
-                            width,
-                        } => {
-                            f.konst(cdst.into(), Value::F(val));
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::ConstFBin as usize] += 1;
-                            f.bin(dst.into(), op, lhs.into(), rhs.into(), width)?;
-                        }
-                        DecodedInst::FusedConstConst { dst1, v1, dst2, v2 } => {
-                            f.konst(dst1, Value::I(v1 as i64));
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::ConstConst as usize] += 1;
-                            f.konst(dst2, Value::I(v2 as i64));
-                        }
                         DecodedInst::FusedBinBin {
                             dst1,
                             lhs1,
@@ -1768,21 +1713,6 @@ impl Core<'_> {
                             f.fusion.executed[FusedKind::BinBin as usize] += 1;
                             f.bin(dst2.into(), op2, lhs2.into(), rhs2.into(), w2)?;
                         }
-                        DecodedInst::FusedBinJmp {
-                            dst,
-                            lhs,
-                            rhs,
-                            target,
-                            op,
-                            width,
-                        } => {
-                            f.bin(dst, op, lhs, rhs, width)?;
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::BinJmp as usize] += 1;
-                            f.jmp(target);
-                        }
                         DecodedInst::FusedPtrAddConst {
                             pdst,
                             base,
@@ -1797,24 +1727,6 @@ impl Core<'_> {
                             }
                             f.fusion.executed[FusedKind::PtrAddConst as usize] += 1;
                             f.konst(cdst.into(), Value::I(imm as i64));
-                        }
-                        DecodedInst::FusedCastBin {
-                            cdst,
-                            src,
-                            dst,
-                            lhs,
-                            rhs,
-                            kind,
-                            cw,
-                            op,
-                            bw,
-                        } => {
-                            f.cast(cdst.into(), kind, src.into(), cw);
-                            if f.bail() {
-                                return Ok(None);
-                            }
-                            f.fusion.executed[FusedKind::CastBin as usize] += 1;
-                            f.bin(dst.into(), op, lhs.into(), rhs.into(), bw)?;
                         }
 
                         // Address-compute + memory superinstructions: the
@@ -2323,7 +2235,7 @@ impl Fast<'_> {
 
     /// Float mirror of [`Fast::icmp`].
     #[inline(always)]
-    fn fcmp(&mut self, dst: u32, pred: Pred, lhs: u32, rhs: u32) -> bool {
+    fn fcmp(&mut self, dst: u32, pred: Pred, lhs: u32, rhs: u32) {
         self.retire(Opcode::Fcmp);
         self.counters.cycles += self.kernel.cost.fpu;
         let (a, b) = (
@@ -2340,7 +2252,6 @@ impl Fast<'_> {
         };
         self.fr.regs[dst as usize] = Value::I(r as i64);
         self.fr.idx += 1;
-        r
     }
 
     #[inline(always)]

@@ -96,6 +96,45 @@ fn all_workloads_agree_in_carat_mode() {
     );
 }
 
+/// Every superinstruction earns its slot: each kind retires at least 1 %
+/// of the suite's instructions in the CARAT build or in the traditional
+/// one. A pair below that costs a variant, a decode rule and a dispatch
+/// arm for a speedup no measurement can see (EXPERIMENTS.md, "Which
+/// superinstructions pay").
+#[test]
+fn every_fused_kind_retires_a_share_of_the_suite() {
+    let mut share = Vec::new();
+    for (opts, mode) in [
+        (CompileOptions::default(), Mode::Carat),
+        (CompileOptions::baseline(), Mode::Traditional),
+    ] {
+        let mut insts = 0u64;
+        let mut executed = [0u64; FUSED_KINDS];
+        for w in all_workloads() {
+            let m = compile(w.module(Scale::Test).expect("frontend"), opts.clone());
+            let cfg = VmConfig {
+                mode,
+                ..VmConfig::default()
+            };
+            let r = run_engine(m, &cfg, Engine::Fused);
+            insts += r.counters.instructions;
+            for (sum, n) in executed.iter_mut().zip(r.fusion.executed) {
+                *sum += n;
+            }
+        }
+        // A pair retires two instructions.
+        share.push(executed.map(|pairs| 100.0 * (2 * pairs) as f64 / insts as f64));
+    }
+    for kind in FusedKind::ALL {
+        let (carat, trad) = (share[0][kind as usize], share[1][kind as usize]);
+        assert!(
+            carat >= 1.0 || trad >= 1.0,
+            "{}: {carat:.2} % (carat) / {trad:.2} % (traditional) of retired instructions",
+            kind.name()
+        );
+    }
+}
+
 /// Page moves exercise the world-stop machinery (register snapshot,
 /// escape patching, poison handling); the fused engine must bail out of
 /// pairs so the world stops on exactly the same cycle.
@@ -422,10 +461,7 @@ fn region_edit_between_guards_invalidates_the_cached_hit() {
     faults_after_edit(Engine::Threaded);
 }
 
-/// The pairs [`gen_program`] never forms: a field load through a pointer,
-/// a float compare feeding its branch, a cast feeding arithmetic, and a
-/// float constant next to its use (in the entry block: constants of later
-/// blocks are hoisted there, away from their uses).
+/// The pair [`gen_program`] never forms: a field load through a pointer.
 const CELLS_SRC: &str = "
     struct cell { int n; double w; struct cell* next; };
     int main() {
@@ -464,7 +500,7 @@ fn opcode_mix_agrees_and_sums_to_instructions() {
 /// Deterministically generate a small random Cm program rich in fusable
 /// patterns: array loops (`PtrAdd`+`Load`/`Store`, guard+access once
 /// instrumented), compare-and-branch chains (`Icmp`+`Br`), struct field
-/// traffic (`FieldAddr`+access), and constant arithmetic (`Const`+`Bin`).
+/// traffic (`FieldAddr`+access), and arithmetic chains (`Bin`+`Bin`).
 fn gen_program(seed: u64) -> String {
     let mut state = seed | 1;
     let mut next = move || {
