@@ -516,6 +516,54 @@ mod tests {
         assert!(r.counters.swap_ins > 0, "poison faults paged them back in");
     }
 
+    /// The swap driver screens DMA pins as the move driver does: with the
+    /// most-escaped allocation pinned, page-outs take the next victim
+    /// instead of failing the run on the pinned range.
+    #[test]
+    fn swap_driver_skips_a_pinned_victim() {
+        let src = "
+            int target[37];
+            int main() {
+                int** cells = (int**) malloc(200 * sizeof(int*));
+                for (int i = 0; i < 200; i += 1) { cells[i] = &target[i % 37]; }
+                int* b = (int*) malloc(8 * sizeof(int));
+                int** other = (int**) malloc(20 * sizeof(int*));
+                for (int i = 0; i < 20; i += 1) { b[i % 8] = i; other[i] = &b[i % 8]; }
+                int s = 0;
+                for (int pass = 0; pass < 20; pass += 1) {
+                    for (int i = 0; i < 200; i += 1) { s += *cells[i]; }
+                    for (int i = 0; i < 20; i += 1) { s += *other[i]; }
+                }
+                return s;
+            }
+        ";
+        let module = carat_frontend::compile_cm("pinned", src).unwrap();
+        let m = compile(module, CompileOptions::default());
+        let expect = Vm::new(m.clone(), VmConfig::default())
+            .unwrap()
+            .run()
+            .unwrap()
+            .ret;
+        let cfg = VmConfig {
+            swap_driver: Some(SwapDriverConfig {
+                period_cycles: 20_000,
+                max_swaps: 5,
+            }),
+            ..VmConfig::default()
+        };
+        let mut vm = Vm::new(m, cfg).unwrap();
+        let (start, len) = vm
+            .table
+            .below(u64::MAX)
+            .find(|(_, info)| info.len == 37 * 8)
+            .map(|(start, info)| (start, info.len))
+            .expect("the global is tracked at load");
+        vm.kernel.pin_region(start, len).unwrap();
+        let r = vm.run().unwrap();
+        assert_eq!(r.ret, expect);
+        assert!(r.counters.swap_outs > 0, "the next victim was paged out");
+    }
+
     #[test]
     fn integrity_audit_cross_checks_table_against_swap_store() {
         let mut vm = Vm::new(array_sum_module(100), VmConfig::default()).unwrap();

@@ -29,7 +29,7 @@ use carat_ir::{
 };
 use carat_kernel::{
     AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PhysicalMemory,
-    PinError, ProcessImage, SimKernel, POISON_BASE,
+    PinError, ProcessImage, SimKernel,
 };
 use carat_runtime::{
     Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, RegionTable, TrackStats,
@@ -968,16 +968,14 @@ impl Vm {
     /// * kernel regions are well-formed.
     pub fn check_integrity(&self) -> IntegrityReport {
         let mut violations = Vec::new();
-        // Allocation disjointness over the sorted snapshot. Poisoned
+        // Allocation disjointness over the table in start order. Poisoned
         // (swapped-out) allocations live in disjoint per-slot windows and
         // participate like any others.
-        let mut allocs: Vec<(u64, u64)> = self
+        let allocs: Vec<(u64, u64)> = self
             .table
-            .snapshot()
-            .into_iter()
-            .map(|(start, len, _, _)| (start, len))
+            .below(u64::MAX)
+            .map(|(start, info)| (start, info.len))
             .collect();
-        allocs.sort_unstable();
         for w in allocs.windows(2) {
             let (a_start, a_len) = w[0];
             let (b_start, _) = w[1];
@@ -3428,15 +3426,9 @@ impl Core<'_> {
             }
         }
         self.flush_escapes();
-        // Pick the most-escaped allocation still resident in memory.
-        let page_size = self.kernel.cost.page_size;
-        // Ties go to the highest start, the last maximum of the walk.
-        let Some(page) = self
-            .table
-            .below(POISON_BASE)
-            .max_by_key(|&(_, info)| info.escapes.len())
-            .map(|(start, _)| start / page_size * page_size)
-        else {
+        // The move driver's victim: the most-escaped resident allocation
+        // that no DMA pin covers.
+        let Some(page) = self.kernel.worst_page(self.table) else {
             return Ok(());
         };
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
