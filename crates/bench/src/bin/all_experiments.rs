@@ -26,7 +26,6 @@ fn main() {
         ("fig9_move_overhead", &[]),
         ("table3_move_breakdown", &[]),
         ("region_fragmentation", &[]),
-        ("fault_overhead", &[]),
         ("multiproc_isolation", &[]),
         ("fleet_scaling", &[]),
         ("chaos_soak", &[]),

@@ -340,7 +340,7 @@ fn main() -> ExitCode {
     // The dedup outlier investigation: profiling showed the old
     // per-instruction scheduler rotation scan — not a hashing hot spot —
     // cost dedup ~33% of its host time (16.8 ns/inst, 1.77x). The
-    // instruction-quantum scheduler (`VmConfig::sched_quantum`) fixed it;
+    // instruction-quantum scheduler (a fixed 64-instruction quantum) fixed it;
     // the "after" is dedup's row above.
     let dedup_after = rows
         .iter()

@@ -175,10 +175,6 @@ const BINS: &[(&str, &[Flag])] = &[
         "chaos_soak",
         &[Flag::Scale, Flag::Engine, Flag::Out("BENCH_chaos.json")],
     ),
-    (
-        "fault_overhead",
-        &[Flag::Scale, Flag::Only, Flag::Out("BENCH_faults.json")],
-    ),
     ("fig2_dtlb_misses", &[Flag::Scale, Flag::Only]),
     (
         "fig3_guard_overhead",

@@ -28,7 +28,7 @@ pub enum FaultPoint {
     /// (`move_pages`, `page_in`, `expand_stack`).
     MoveDstAlloc,
     /// Interruption of a move between its patch and copy phases — the
-    /// crash window the patch journal must cover.
+    /// crash window the move's rollback covers.
     MidMove,
     /// A thread stalls and never reaches its world-stop signal handler.
     WorldStopStall,
@@ -125,10 +125,6 @@ struct Arm {
 }
 
 /// A deterministic schedule of injected faults.
-///
-/// An empty plan never fires but still switches the kernel onto the
-/// journaled move path, which is how the zero-fault journal overhead is
-/// measured (`carat-bench --bin fault_overhead`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     arms: Vec<Arm>,
@@ -139,7 +135,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan: journaling on, no faults armed.
+    /// An empty plan: no faults armed.
     pub fn new() -> FaultPlan {
         FaultPlan::default()
     }
@@ -284,7 +280,7 @@ pub enum KernelError {
     /// The world-stop protocol failed (stall or ordering violation); the
     /// episode was aborted and the threads released.
     WorldStop(WorldStopError),
-    /// A move was interrupted between patch and copy; the patch journal
+    /// A move was interrupted between patch and copy; the transaction
     /// rolled every cell and register back to its pre-move value.
     MoveInterrupted {
         /// Expanded source range start.

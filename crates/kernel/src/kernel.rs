@@ -4,10 +4,9 @@
 //!
 //! The `SimKernel` facade is one struct with its `impl` split by concern:
 //! this file keeps the struct, boot, fault-plan plumbing, the loader entry
-//! points, `demand_touch`, `change_protection`, `patch_globals` and the
-//! capsule store; [`mm`] holds the stop-and-move spine and every
-//! relocator, [`pins`] the pin registry and DMA service, [`process`] the
-//! process API. What a process's memory *is* lives in
+//! points, `demand_touch`, `change_protection` and the capsule store;
+//! [`mm`] holds the stop-and-move spine and every relocator, [`pins`] the
+//! pin registry and DMA service, [`process`] the process API. What a process's memory *is* lives in
 //! [`crate::space::AddressSpace`].
 
 mod mm;
@@ -28,7 +27,7 @@ use crate::space::AddressSpace;
 use crate::trace::{PagingEvent, PagingTrace};
 use carat_core::sign::{SignedModule, SigningKey};
 use carat_ir::Module;
-use carat_runtime::{AllocationTable, CostModel, MoveOutcome, Perms, PinnedRange};
+use carat_runtime::{AllocationTable, CostModel, Perms, PinnedRange};
 use std::collections::HashMap;
 
 /// The simulated kernel.
@@ -61,8 +60,7 @@ pub struct SimKernel {
     /// cache shortcutting the per-access touched-set probe.
     last_touched_page: u64,
     trusted: Vec<SigningKey>,
-    /// Injected fault schedule. `None` (the default) also disables the
-    /// patch journal, so the fault-free fast path pays nothing.
+    /// Injected fault schedule. `None` (the default) fires nothing.
     faults: Option<FaultPlan>,
     /// Move-destination allocations that succeeded only after compaction
     /// and retry (OOM recoveries).
@@ -165,10 +163,7 @@ impl SimKernel {
         }
     }
 
-    /// Install a fault-injection schedule. Also enables the patch journal
-    /// for every subsequent move (crash consistency), even when the plan
-    /// is empty — an empty plan is how the journal's zero-fault overhead
-    /// is measured.
+    /// Install a fault-injection schedule.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
     }
@@ -435,18 +430,6 @@ impl SimKernel {
             first: start / self.cost.page_size,
             count: len.div_ceil(self.cost.page_size),
         });
-    }
-
-    /// Update a process image's global bindings after a move (the kernel
-    /// patches the code image's address constants).
-    pub fn patch_globals(img: &mut ProcessImage, outcome: &MoveOutcome) {
-        let (lo, hi) = (outcome.moved_src, outcome.moved_src + outcome.moved_len);
-        let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src);
-        for g in &mut img.globals {
-            if *g >= lo && *g < hi {
-                *g = g.wrapping_add(delta);
-            }
-        }
     }
 }
 

@@ -197,10 +197,10 @@ impl SimKernel {
     /// Run one runtime move transaction inside the stopped `world` — the
     /// single carrier for every mover, paging included. `run` picks the
     /// runtime adapter and is handed `reqs` back, the swap-aware memory
-    /// view, the cost model, and (when a fault plan is installed) the
-    /// interrupt hook: the MidMove fault point is consulted between the
-    /// patch and copy phases, and when it fires the journal restores a
-    /// byte-identical pre-move state.
+    /// view, the cost model, and the interrupt hook: it fires when an
+    /// installed fault plan arms `MidMove` at the transaction's one
+    /// checkpoint (between the patch and copy phases), and the transaction
+    /// then restores a byte-identical pre-move state.
     ///
     /// `dst` is the single destination a one-request mover allocated for
     /// this episode, if any: a failed transaction aborts the stop and
@@ -233,23 +233,15 @@ impl SimKernel {
             // The hook needs the plan while the router borrows mem+swap;
             // take the plan out for the duration of the move.
             let mut plan = self.faults.take();
-            let journal_on = plan.is_some();
-            let mut hook = |phase: MovePhase| {
-                phase == MovePhase::Patched
-                    && plan
-                        .as_mut()
-                        .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
+            let mut hook = |_: MovePhase| {
+                plan.as_mut()
+                    .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
             };
             let mut routed = SwapAwareMem {
                 mem: &mut self.mem,
                 swap: &mut self.swap,
             };
-            let res = run(
-                reqs,
-                &mut routed,
-                &self.cost,
-                if journal_on { Some(&mut hook) } else { None },
-            );
+            let res = run(reqs, &mut routed, &self.cost, Some(&mut hook));
             self.faults = plan;
             res.map_err(|_| {
                 let req = reqs[0];
@@ -340,7 +332,7 @@ impl SimKernel {
     /// compaction + retries); [`KernelError::WorldStop`] when the stop
     /// protocol stalls (the episode is aborted and threads released);
     /// [`KernelError::MoveInterrupted`] when the move was interrupted
-    /// between patch and copy (the patch journal has rolled back).
+    /// between patch and copy (the transaction has rolled back).
     pub fn move_pages(
         &mut self,
         table: &mut AllocationTable,
@@ -532,11 +524,12 @@ impl SimKernel {
     /// id left to name it by).
     ///
     /// Paging passes **no interrupt hook** to the transaction (page-in
-    /// likewise), so it keeps no journal and consults no
-    /// [`FaultPoint::MidMove`]: that point fires on its N-th dynamic
-    /// occurrence, so counting page-outs would renumber every seeded fault
-    /// schedule and move the modeled numbers. Handing `hook` through
-    /// instead of `None` is all it takes to make paging crash-consistent.
+    /// likewise), so it consults no [`FaultPoint::MidMove`]: that point
+    /// fires on its N-th dynamic occurrence, so counting page-outs would
+    /// renumber every seeded fault schedule and move the modeled numbers.
+    /// The transaction already carries its rollback data, so handing
+    /// `hook` through instead of `None` is all it takes to make paging
+    /// crash-consistent.
     ///
     /// # Errors
     ///
@@ -878,7 +871,7 @@ mod tests {
 
     #[test]
     fn move_pages_end_to_end() {
-        let (mut k, mut table, mut img) = boot();
+        let (mut k, mut table, img) = boot();
         let g = img.globals[0];
         // Store a pointer to the global somewhere in the heap and track it.
         let cell = img.heap.0 + 64;
@@ -913,9 +906,11 @@ mod tests {
                 .check(GuardImpl::IfTree, new_ptr, 8, Access::Read)
                 .ok
         );
-        // Kernel patches the image's global table too.
-        SimKernel::patch_globals(&mut img, &outcome);
-        assert_eq!(img.globals[0], new_ptr - 8);
+        // The cell followed the global by exactly the outcome's delta.
+        assert_eq!(
+            new_ptr - 8,
+            g.wrapping_add(outcome.moved_dst.wrapping_sub(outcome.moved_src))
+        );
         assert!(k.trace.moves >= 1);
     }
 

@@ -13,7 +13,7 @@
 //!    signal handler);
 //! 5. moves the data and updates the allocation table.
 //!
-//! There is one mover: a journaled **move transaction** over any number
+//! There is one mover: a rollback-safe **move transaction** over any number
 //! of allocation tables and any number of requests, with two public
 //! shapes — [`perform_move_batch_journaled`] (one table, N requests under
 //! one world-stop) and [`perform_shared_move_journaled`] (N owner tables,
@@ -141,28 +141,26 @@ pub fn expand_to_allocations(
     }
 }
 
-/// Checkpoints at which a journaled move consults its interrupt hook.
+/// The checkpoint at which a move consults its interrupt hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MovePhase {
-    /// After negotiation/expansion — nothing has been mutated yet.
-    Expanded,
     /// After escapes and registers were patched, before the data copy and
-    /// table maintenance — the crash window the patch journal covers.
+    /// table maintenance — the crash window the rollback covers.
     Patched,
 }
 
-/// A journaled move was interrupted and rolled back. Every escape cell and
-/// register the move had patched was restored to its pre-move value; the
-/// allocation table and the data were never touched (both are only updated
-/// after the final checkpoint), so the machine state is byte-identical to
-/// the state before the move began.
+/// A move was interrupted and rolled back. Every escape cell and register
+/// the move had patched was restored to its pre-move value; the allocation
+/// table and the data were never touched (both are only updated after the
+/// checkpoint), so the machine state is byte-identical to the state before
+/// the move began.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveInterrupted {
     /// The checkpoint at which the interrupt fired.
     pub phase: MovePhase,
-    /// Escape cells restored from the journal.
+    /// Escape cells restored from the plans' `old` values.
     pub cells_rolled_back: usize,
-    /// Registers restored from the journal.
+    /// Registers restored from the register undo list.
     pub registers_rolled_back: usize,
 }
 
@@ -254,34 +252,12 @@ pub fn check_unpinned(src: u64, len: u64, pins: &[PinnedRange]) -> Result<(), Mo
     Ok(())
 }
 
-/// Undo log for one move (or one batch of moves): the pre-patch value of
-/// every mutated escape cell and register, in mutation order.
-#[derive(Debug, Default)]
-struct PatchJournal {
-    cells: Vec<(u64, u64)>,
-    regs: Vec<(usize, u64)>,
-}
-
-impl PatchJournal {
-    /// Restore everything in reverse mutation order.
-    fn rollback(self, mem: &mut dyn MemAccess, regs: &mut [u64]) -> (usize, usize) {
-        let (nc, nr) = (self.cells.len(), self.regs.len());
-        for (idx, old) in self.regs.into_iter().rev() {
-            regs[idx] = old;
-        }
-        for (cell, old) in self.cells.into_iter().rev() {
-            mem.write_u64(cell, old);
-        }
-        (nc, nr)
-    }
-}
-
 /// One planned escape-cell rewrite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedPatch {
     /// Address of the cell holding the pointer.
     pub cell: u64,
-    /// Its current value (the journal entry).
+    /// Its current value, which a rollback writes back.
     pub old: u64,
     /// The value it will hold after the move.
     pub new: u64,
@@ -291,8 +267,8 @@ pub struct PlannedPatch {
 
 /// The flat patch plan for one move: every cell rewrite, precomputed from
 /// the allocation table(s) with pure reads, plus the affected allocation
-/// starts per table. Plan order is mutation order, so the journal a move
-/// keeps — and the rollback it replays — is a function of the plan alone.
+/// starts per table. Plan order is mutation order, so the plan is also the
+/// move's rollback journal: its `(cell, old)` column, replayed in reverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchPlan {
     /// Expanded source range start.
@@ -399,6 +375,28 @@ fn expand_across_tables(
     (src, len)
 }
 
+/// Undo a patched, not yet copied transaction in reverse mutation order:
+/// the registers from their undo list, then every planned cell back to its
+/// `old`, last plan first.
+fn roll_back(
+    plans: &[PatchPlan],
+    reg_undo: &[(usize, u64)],
+    mem: &mut dyn MemAccess,
+    regs: &mut [u64],
+) -> MoveInterrupted {
+    for &(idx, old) in reg_undo.iter().rev() {
+        regs[idx] = old;
+    }
+    for p in plans.iter().rev().flat_map(|plan| plan.cells.iter().rev()) {
+        mem.write_u64(p.cell, p.old);
+    }
+    MoveInterrupted {
+        phase: MovePhase::Patched,
+        cells_rolled_back: plans.iter().map(|plan| plan.cells.len()).sum(),
+        registers_rolled_back: reg_undo.len(),
+    }
+}
+
 /// The one move transaction behind both public movers: `reqs.len()`
 /// requests against `tables.len()` allocation tables, one outcome written
 /// per request into `outcomes` (same length as `reqs`).
@@ -406,13 +404,15 @@ fn expand_across_tables(
 /// 1. every request is expanded to a fixed point across every table;
 /// 2. one [`PatchPlan`] per request is built over all tables (pure reads),
 ///    then every plan is applied;
-/// 3. ONE register pass covers every range;
-/// 4. after the final [`MovePhase::Patched`] checkpoint, the data copies
-///    and per-table maintenance run in request order.
+/// 3. ONE register pass covers every range, noting each rewritten
+///    register in an undo list;
+/// 4. after the [`MovePhase::Patched`] checkpoint, the data copies and
+///    per-table maintenance run in request order.
 ///
-/// A journal exists exactly when an interrupt hook does, and travels with
-/// it: cells and registers are the only mutations before the last
-/// checkpoint, so replaying it in reverse restores the pre-move state.
+/// Cells and registers are the only mutations before the checkpoint, and
+/// every transaction carries what undoes them — the plans' `(cell, old)`
+/// column and the register undo list — so an interrupt there restores the
+/// pre-move state whoever asked for the move.
 fn move_transaction(
     tables: &mut [&mut AllocationTable],
     mem: &mut dyn MemAccess,
@@ -437,20 +437,6 @@ fn move_transaction(
         );
         expanded.push((src, len, dst));
     }
-    let mut journaled = match interrupt {
-        Some(hook) => {
-            if hook(MovePhase::Expanded) {
-                // Nothing mutated yet; there is nothing to roll back.
-                return Err(MoveInterrupted {
-                    phase: MovePhase::Expanded,
-                    cells_rolled_back: 0,
-                    registers_rolled_back: 0,
-                });
-            }
-            Some((hook, PatchJournal::default()))
-        }
-        None => None,
-    };
 
     // --- Phase 2: build every plan (pure reads), then apply them all ---
     let plans: Vec<PatchPlan> = {
@@ -461,35 +447,22 @@ fn move_transaction(
             .collect()
     };
     for plan in &plans {
-        if let Some((_, journal)) = journaled.as_mut() {
-            journal
-                .cells
-                .extend(plan.cells.iter().map(|p| (p.cell, p.old)));
-        }
         plan.write_cells(mem);
     }
 
     // --- Phase 3: ONE register pass over every range in the batch ---
     let mut reg_counts = vec![0usize; plans.len()];
+    let mut reg_undo: Vec<(usize, u64)> = Vec::new();
     for (idx, r) in regs.iter_mut().enumerate() {
         if let Some(k) = expanded.iter().position(|&(s, l, _)| *r >= s && *r < s + l) {
-            if let Some((_, journal)) = journaled.as_mut() {
-                journal.regs.push((idx, *r));
-            }
+            reg_undo.push((idx, *r));
             *r = r.wrapping_add(plans[k].delta as u64);
             reg_counts[k] += 1;
         }
     }
 
-    if let Some((hook, journal)) = journaled {
-        if hook(MovePhase::Patched) {
-            let (nc, nr) = journal.rollback(mem, regs);
-            return Err(MoveInterrupted {
-                phase: MovePhase::Patched,
-                cells_rolled_back: nc,
-                registers_rolled_back: nr,
-            });
-        }
+    if interrupt.is_some_and(|hook| hook(MovePhase::Patched)) {
+        return Err(roll_back(&plans, &reg_undo, mem, regs));
     }
 
     // --- Phase 4: data movement + table maintenance, request order ---
@@ -532,7 +505,7 @@ fn move_transaction(
 /// Execute a *batch* of moves against one allocation table as one
 /// transaction: every request is expanded and planned up front, every
 /// plan is applied (cells first, then one register pass over all ranges),
-/// and only then — after the final [`MovePhase::Patched`] checkpoint — are
+/// and only then — after the [`MovePhase::Patched`] checkpoint — are
 /// the data copies and table maintenance performed, in request order. The
 /// caller wraps the whole batch in ONE world-stop, amortizing the
 /// signal+barrier round and the register pass across every coalesced move.
@@ -555,9 +528,8 @@ fn move_transaction(
 /// the register-patch charge (`regs.len()` inspections) is paid once per
 /// batch and carried by the first outcome.
 ///
-/// With `interrupt` present every escape-cell and register patch is
-/// journaled and the hook is consulted at each [`MovePhase`] checkpoint;
-/// with `None` no journal is kept.
+/// `interrupt`, when present, is consulted once, at the
+/// [`MovePhase::Patched`] checkpoint.
 ///
 /// `_workers` is ignored: it is accepted only because the frozen
 /// `benchmark/` crate passes `1` here. There is no host-parallel apply.
@@ -599,11 +571,10 @@ pub fn perform_move_batch_journaled(
 /// Escape patching is idempotent across tables: a cell registered by more
 /// than one owner is planned — and counted — exactly once.
 ///
-/// The journal spans all tables: an interrupt at a checkpoint rolls back
-/// every cell and register patched so far regardless of which owner's
-/// escape set produced it, leaving all processes byte-identical to their
-/// pre-move state (table maintenance happens strictly after the last
-/// checkpoint).
+/// The rollback spans all tables: an interrupt at the checkpoint restores
+/// every patched cell and register regardless of which owner's escape set
+/// produced it, leaving all processes byte-identical to their pre-move
+/// state (table maintenance happens strictly after the checkpoint).
 ///
 /// Expansion negotiates against *all* tables until a fixed point, so no
 /// owner's allocation straddles the moved range.
@@ -938,32 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_before_patching_touches_nothing() {
-        let (mut t, mut m) = setup();
-        let cost = CostModel::default();
-        let mut regs = vec![0x1044u64];
-        let words_before = m.words.clone();
-        let mut fire = |phase: MovePhase| phase == MovePhase::Expanded;
-        let err = move_one_journaled(
-            &mut t,
-            &mut m,
-            &mut regs,
-            MoveRequest {
-                src: 0x1000,
-                len: 0x1000,
-                dst: 0x9000,
-            },
-            &cost,
-            Some(&mut fire),
-        )
-        .unwrap_err();
-        assert_eq!(err.phase, MovePhase::Expanded);
-        assert_eq!(err.cells_rolled_back, 0);
-        assert_eq!(m.words, words_before);
-        assert_eq!(regs, vec![0x1044u64]);
-    }
-
-    #[test]
     fn journaled_move_without_interrupt_matches_plain_move() {
         let (mut t1, mut m1) = setup();
         let (mut t2, mut m2) = setup();
@@ -979,7 +924,7 @@ mod tests {
         let mut never = |_: MovePhase| false;
         let journaled =
             move_one_journaled(&mut t2, &mut m2, &mut regs2, req, &cost, Some(&mut never)).unwrap();
-        assert_eq!(plain, journaled, "journal must not change the outcome");
+        assert_eq!(plain, journaled, "a hook that never fires changes nothing");
         assert_eq!(regs1, regs2);
         assert_eq!(m1.words, m2.words);
     }

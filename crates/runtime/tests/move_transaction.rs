@@ -10,15 +10,19 @@ use carat_runtime::{
 };
 
 /// Flat `Vec<u8>`-backed memory, so whole-image byte comparisons are
-/// exact (unlike the sparse `HashMap` memory in the unit tests).
+/// exact (unlike the sparse `HashMap` memory in the unit tests). Every
+/// `write_u64` address is logged, in order, so a test can read back the
+/// sequence of cell writes a transaction made.
 struct VecMem {
     bytes: Vec<u8>,
+    writes: Vec<u64>,
 }
 
 impl VecMem {
     fn new(size: usize) -> VecMem {
         VecMem {
             bytes: vec![0; size],
+            writes: Vec::new(),
         }
     }
 }
@@ -29,6 +33,7 @@ impl MemAccess for VecMem {
         u64::from_le_bytes(self.bytes[a..a + 8].try_into().unwrap())
     }
     fn write_u64(&mut self, addr: u64, val: u64) {
+        self.writes.push(addr);
         let a = addr as usize;
         self.bytes[a..a + 8].copy_from_slice(&val.to_le_bytes());
     }
@@ -42,6 +47,8 @@ const PAGE: u64 = 0x1000;
 const ALLOC_BASE: u64 = 0x10000;
 const ALLOC_SIZE: u64 = 0x400;
 const ARENA_BASE: u64 = 0x100000;
+/// The second owner's own escape cells, clear of the first owner's arena.
+const ARENA2_BASE: u64 = 0x140000;
 const MOVE_DST: u64 = 0x200000;
 const MEM_SIZE: usize = 4 << 20;
 
@@ -106,6 +113,38 @@ fn whole_range(n_allocs: usize) -> MoveRequest {
     }
 }
 
+/// The batch generator every property here draws from: fixture size in
+/// pages, how many requests the pages split into, external escape cells
+/// per allocation, and the fixture seed.
+fn batch_case() -> impl proptest::strategy::Strategy<Value = (u64, u64, usize, u64)> {
+    (1u64..8, 1u64..8, 1usize..60, 0u64..1_000_000)
+}
+
+/// A second owner of the fixture's allocations, as a process that maps
+/// them shared would see them: it tracks every allocation, registers the
+/// same internal cross-pointer cells as the fixture's own table, and one
+/// cell of its own per allocation.
+fn second_owner(n_allocs: usize, m: &mut VecMem) -> AllocationTable {
+    let mut t = AllocationTable::new();
+    for i in 0..n_allocs as u64 {
+        let start = ALLOC_BASE + i * ALLOC_SIZE;
+        t.track_alloc(start, ALLOC_SIZE, AllocKind::Heap);
+        t.track_escape(start + ALLOC_SIZE - 8);
+        let own = ARENA2_BASE + i * 8;
+        m.write_u64(own, start + 0x18);
+        t.track_escape(own);
+    }
+    t.flush_escapes(|c| m.read_u64(c));
+    t
+}
+
+/// Whether `writes` is a patch pass followed by its rollback: the second
+/// half writes back exactly the cells of the first, each once, last first.
+fn rollback_mirrors_patch(writes: &[u64]) -> bool {
+    let (patch, undo) = writes.split_at(writes.len() / 2);
+    writes.len().is_multiple_of(2) && patch.iter().rev().eq(undo)
+}
+
 /// `pages` pages of fixture split into `n_reqs` disjoint page-aligned
 /// requests, each landing at the same offset from `MOVE_DST`.
 fn split_requests(pages: u64, n_reqs: u64) -> Vec<MoveRequest> {
@@ -146,13 +185,9 @@ proptest::proptest! {
     /// stale cell was patched before or after its range was copied out is
     /// the one thing the two orders do differently.
     #[test]
-    fn batch_equals_one_transaction_per_request(
-        pages in 1u64..8,
-        split in 1u64..8,
-        cells_per_alloc in 1usize..60,
-        seed in 0u64..1_000_000,
-    ) {
+    fn batch_equals_one_transaction_per_request(case in batch_case()) {
         use proptest::prelude::*;
+        let (pages, split, cells_per_alloc, seed) = case;
         let n_allocs = (pages * PAGE / ALLOC_SIZE) as usize;
         let reqs = split_requests(pages, split.min(pages));
         let cost = CostModel::default();
@@ -183,52 +218,85 @@ proptest::proptest! {
             prop_assert_eq!(s, &b);
         }
     }
-}
 
-/// An interrupt at `MovePhase::Patched` — after every cell and register of
-/// every request was rewritten, before any copy — restores byte-identical
-/// memory, registers, and table, and reports exactly as many undone cells
-/// and registers as the uninterrupted batch patches.
-#[test]
-fn mid_batch_interrupt_rolls_back_byte_identical() {
-    let (n_allocs, cells_per_alloc, seed) = (128, 72, 11);
-    let half = n_allocs as u64 / 2 * ALLOC_SIZE;
-    let reqs = [
-        MoveRequest {
-            src: ALLOC_BASE,
-            len: half,
-            dst: MOVE_DST,
-        },
-        MoveRequest {
-            src: ALLOC_BASE + half,
-            len: half,
-            dst: MOVE_DST + 0x80000,
-        },
-    ];
-    let cost = CostModel::default();
+    /// An interrupt at `MovePhase::Patched` — after every cell and register
+    /// of every request was rewritten, before any copy — restores memory,
+    /// registers and table byte for byte: for a random batch, and for a
+    /// shared move of the same fixture that two owners see. The rollback
+    /// writes back exactly the cells the patch wrote, last first, and
+    /// reports as many cells and registers as the uninterrupted move
+    /// patches.
+    #[test]
+    fn patched_interrupt_rolls_back_byte_identical(case in batch_case()) {
+        use proptest::prelude::*;
+        let (pages, split, cells_per_alloc, seed) = case;
+        let n_allocs = (pages * PAGE / ALLOC_SIZE) as usize;
+        let reqs = split_requests(pages, split.min(pages));
+        let cost = CostModel::default();
+        let mut fire = |phase: MovePhase| phase == MovePhase::Patched;
 
-    let (mut t, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
-    let done = perform_move_batch_journaled(&mut t, &mut m, &mut regs, &reqs, &cost, 1, None)
-        .expect("no hook, no interrupt");
-    let cells: usize = done.iter().map(|o| o.escapes_patched).sum();
-    let patched_regs: usize = done.iter().map(|o| o.registers_patched).sum();
-    assert_eq!(cells, n_allocs * (cells_per_alloc + 1));
-    assert_eq!(patched_regs, 2);
+        // A batch of `reqs` against the fixture's one table.
+        let (mut t, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
+        let done = perform_move_batch_journaled(&mut t, &mut m, &mut regs, &reqs, &cost, 1, None)
+            .unwrap();
+        let cells: usize = done.iter().map(|o| o.escapes_patched).sum();
+        let patched_regs: usize = done.iter().map(|o| o.registers_patched).sum();
 
-    let (mut t, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
-    let pristine_bytes = m.bytes.clone();
-    let pristine_regs = regs.clone();
-    let pristine_table = t.snapshot();
-    let mut fire = |phase: MovePhase| phase == MovePhase::Patched;
-    let err =
-        perform_move_batch_journaled(&mut t, &mut m, &mut regs, &reqs, &cost, 1, Some(&mut fire))
-            .unwrap_err();
-    assert_eq!(err.phase, MovePhase::Patched);
-    assert_eq!(err.cells_rolled_back, cells);
-    assert_eq!(err.registers_rolled_back, patched_regs);
-    assert_eq!(m.bytes, pristine_bytes, "memory not restored");
-    assert_eq!(regs, pristine_regs, "registers not restored");
-    assert_eq!(t.snapshot(), pristine_table, "table not restored");
+        let (mut t, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
+        let (bytes, pristine_regs, table) = (m.bytes.clone(), regs.clone(), t.snapshot());
+        m.writes.clear();
+        let err = perform_move_batch_journaled(
+            &mut t,
+            &mut m,
+            &mut regs,
+            &reqs,
+            &cost,
+            1,
+            Some(&mut fire),
+        )
+        .unwrap_err();
+        prop_assert_eq!(err.phase, MovePhase::Patched);
+        prop_assert_eq!(err.cells_rolled_back, cells);
+        prop_assert_eq!(err.registers_rolled_back, patched_regs);
+        prop_assert!(m.bytes == bytes, "batch: memory not restored");
+        prop_assert_eq!(&regs, &pristine_regs);
+        prop_assert_eq!(t.snapshot(), table);
+        prop_assert_eq!(m.writes.len(), 2 * cells);
+        prop_assert!(rollback_mirrors_patch(&m.writes), "batch: rollback order");
+
+        // One shared move of the whole fixture, patching both owners.
+        let req = whole_range(n_allocs);
+        let (mut t0, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
+        let mut t1 = second_owner(n_allocs, &mut m);
+        regs.extend([ALLOC_BASE + 0x28, 0x77]);
+        let done =
+            perform_shared_move_journaled(&mut [&mut t0, &mut t1], &mut m, &mut regs, req, &cost, None)
+                .unwrap();
+
+        let (mut t0, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
+        let mut t1 = second_owner(n_allocs, &mut m);
+        regs.extend([ALLOC_BASE + 0x28, 0x77]);
+        let (bytes, pristine_regs) = (m.bytes.clone(), regs.clone());
+        let tables = (t0.snapshot(), t1.snapshot());
+        m.writes.clear();
+        let err = perform_shared_move_journaled(
+            &mut [&mut t0, &mut t1],
+            &mut m,
+            &mut regs,
+            req,
+            &cost,
+            Some(&mut fire),
+        )
+        .unwrap_err();
+        prop_assert_eq!(err.phase, MovePhase::Patched);
+        prop_assert_eq!(err.cells_rolled_back, done.escapes_patched);
+        prop_assert_eq!(err.registers_rolled_back, done.registers_patched);
+        prop_assert!(m.bytes == bytes, "shared: memory not restored");
+        prop_assert_eq!(&regs, &pristine_regs);
+        prop_assert_eq!((t0.snapshot(), t1.snapshot()), tables);
+        prop_assert_eq!(m.writes.len(), 2 * done.escapes_patched);
+        prop_assert!(rollback_mirrors_patch(&m.writes), "shared: rollback order");
+    }
 }
 
 /// Two owner tables map one shared allocation; each registers a cell of

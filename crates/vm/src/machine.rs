@@ -145,34 +145,18 @@ pub struct VmConfig {
     pub max_cycles: u64,
     /// Seed for the `rand` intrinsic.
     pub seed: u64,
-    /// Escape batch size before an automatic flush.
-    pub escape_batch: usize,
     /// Optional page-move injection.
     pub move_driver: Option<MoveDriverConfig>,
     /// Optional swap injection.
     pub swap_driver: Option<SwapDriverConfig>,
     /// Additional (idle) threads participating in world stops.
     pub extra_threads: usize,
-    /// Scheduler quantum in retired instructions: with parked threads, the
-    /// round-robin scheduler switches at the first instruction boundary at
-    /// or past this many instructions since the last switch (a blocked
-    /// join yields the rest of its quantum immediately). Uniform across
-    /// engines — quanta are counted in retired instructions, which every
-    /// engine retires identically — so thread interleaving never depends
-    /// on the engine.
-    pub sched_quantum: u64,
-    /// Simulated clock for converting cycles to seconds.
-    pub freq_hz: f64,
     /// Loader sizing.
     pub load: LoadConfig,
     /// Let a failed call guard invoke the kernel for seamless stack
     /// expansion (paper §2.2) instead of faulting.
     pub auto_grow_stack: bool,
-    /// Stack growth ceiling in bytes.
-    pub max_stack: u64,
     /// Optional fault-injection schedule installed into the kernel.
-    /// `Some(FaultPlan::new())` arms nothing but enables the journaled
-    /// (crash-consistent) move path, for measuring its overhead.
     pub fault_plan: Option<FaultPlan>,
     /// Threaded-tier transform toggles (only read by [`Engine::Threaded`];
     /// both on by default, the ablation rows of the guard-opts table turn
@@ -189,15 +173,11 @@ impl Default for VmConfig {
             max_steps: 2_000_000_000,
             max_cycles: u64::MAX,
             seed: 0x5eed_cafe_f00d_0001,
-            escape_batch: 64,
             move_driver: None,
             swap_driver: None,
             extra_threads: 0,
-            sched_quantum: 64,
-            freq_hz: 2.3e9,
             load: LoadConfig::default(),
             auto_grow_stack: true,
-            max_stack: 8 * 1024 * 1024,
             fault_plan: None,
             threaded: crate::decode::ThreadedOpts::default(),
         }
@@ -578,7 +558,7 @@ pub struct TenantState {
     /// every call. Bounded by the deepest call stack seen.
     pub(crate) regs_pool: Vec<Vec<Value>>,
     /// Next scheduler-rotation point in retired instructions (see
-    /// [`VmConfig::sched_quantum`]); meaningful only while a thread is
+    /// `grant_quantum`); meaningful only while a thread is
     /// parked. Forced to 0 by a blocked join so the scheduler rotates at
     /// the next boundary.
     pub(crate) next_rotate_at: u64,
@@ -2747,12 +2727,14 @@ impl Core<'_> {
                 Ok(None)
             }
             Intrinsic::TrackEscape => {
+                /// Pending escapes that trigger an automatic flush.
+                const ESCAPE_BATCH: usize = 64;
                 self.table.track_escape(args[0].as_p());
                 self.t.counters.track_events += 1;
                 self.t.counters.track_cycles += self.kernel.cost.track_escape_enqueue;
                 self.t.counters.cycles += self.kernel.cost.track_escape_enqueue;
                 self.t.counters.instrumentation_insts += 1;
-                if self.table.pending_escapes() >= self.t.cfg.escape_batch {
+                if self.table.pending_escapes() >= ESCAPE_BATCH {
                     self.flush_escapes();
                 }
                 Ok(None)
@@ -3157,10 +3139,14 @@ impl TenantState {
     /// Start a fresh scheduler quantum at the current instruction count
     /// and refold the bail thresholds around the new boundary.
     fn grant_quantum(&mut self) {
-        self.next_rotate_at = self
-            .counters
-            .instructions
-            .saturating_add(self.cfg.sched_quantum.max(1));
+        /// Scheduler quantum in retired instructions: with parked threads,
+        /// the round-robin scheduler switches at the first instruction
+        /// boundary at or past this many instructions since the last switch
+        /// (a blocked join yields the rest of its quantum immediately).
+        /// Uniform across engines — every engine retires instructions
+        /// identically — so thread interleaving never depends on the engine.
+        const SCHED_QUANTUM: u64 = 64;
+        self.next_rotate_at = self.counters.instructions.saturating_add(SCHED_QUANTUM);
         self.recompute_bail();
     }
 
@@ -3325,9 +3311,10 @@ impl TenantState {
     /// Rebase every piece of host-side bookkeeping that refers into
     /// `[src, src+len)` after the kernel relocated it by `delta`: the
     /// heap allocator's block map, the image's global addresses, and the
-    /// stack bases. Used by the multi-process scheduler after a
-    /// cross-process shared-region move (the in-memory cells and
-    /// registers were already patched by the kernel).
+    /// stack bases. Every relocator's one rebase: the relocation driver,
+    /// stack growth, and the multi-process scheduler after a cross-process
+    /// shared-region move (the in-memory cells and registers were already
+    /// patched by the kernel).
     pub(crate) fn apply_relocation(&mut self, src: u64, len: u64, delta: i64) {
         self.heap.rebase(src, len, delta);
         for g in &mut self.image.globals {
@@ -3382,6 +3369,8 @@ impl Core<'_> {
     /// back (registers keep their pre-expansion snapshot — the rollback
     /// restored them, so no writeback happens).
     fn try_expand_stack(&mut self) -> Result<bool, VmError> {
+        /// Stack growth ceiling in bytes.
+        const MAX_STACK: u64 = 8 * 1024 * 1024;
         self.flush_escapes();
         let (mut regs, map) = self.t.snapshot_regs();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
@@ -3390,17 +3379,14 @@ impl Core<'_> {
             &mut regs,
             &mut self.t.image,
             threads,
-            self.t.cfg.max_stack,
+            MAX_STACK,
         )?
         else {
             return Ok(false);
         };
         self.t.writeback_regs(&regs, &map);
-        let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-        self.t
-            .heap
-            .rebase(outcome.moved_src, outcome.moved_len, delta);
-        SimKernel::patch_globals(&mut self.t.image, &outcome);
+        let (src, len, delta) = relocation_of(&outcome);
+        self.t.apply_relocation(src, len, delta);
         // The expanded stack block begins below the moved data.
         self.t.cur_stack_base = self.t.image.stack.0;
         let cycles = world.cycles + outcome.cost.total();

@@ -125,7 +125,9 @@ fn soak_one(tag: &str, module: &Module, mode: Mode, plan: FaultPlan, reference: 
 /// for moves also second) opportunity.
 fn explicit_plans() -> Vec<(&'static str, FaultPlan)> {
     vec![
-        ("journal-only", FaultPlan::new()),
+        // Arms nothing: every modeled counter must equal the run with no
+        // plan installed.
+        ("empty-plan", FaultPlan::new()),
         (
             "oom@1",
             FaultPlan::new().arm_persistent(FaultPoint::MoveDstAlloc, 1),
