@@ -277,8 +277,8 @@ pub enum KernelError {
         /// Pages that were requested.
         pages: u64,
     },
-    /// The world-stop protocol failed (stall or ordering violation); the
-    /// episode was aborted and the threads released.
+    /// The world-stop was refused (a thread stalled before its handler,
+    /// or there was no thread to stop); nothing had been touched.
     WorldStop(WorldStopError),
     /// A move was interrupted between patch and copy; the transaction
     /// rolled every cell and register back to its pre-move value.

@@ -1,5 +1,5 @@
 //! Memory management: the one stop-and-move spine (`alloc_move_dst`,
-//! `begin_stop`/`finish_stop`, `journaled`, `refuse_pinned`), the
+//! `stop_world`, `journaled`, `refuse_pinned`), the
 //! swap-aware memory view, and every relocator that rides them — page
 //! moves, the batch planner, page-out, page-in, stack growth and the
 //! cross-process shared move — plus the move planner's victim pick.
@@ -12,9 +12,8 @@ use crate::phys::PhysicalMemory;
 use crate::proc::{Pid, SharedId};
 use crate::trace::PagingEvent;
 use carat_runtime::{
-    check_unpinned, perform_move_batch_journaled, perform_shared_move_journaled, AllocationTable,
-    CostModel, MemAccess, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, Perms, WorldStop,
-    WorldStopError,
+    check_unpinned, expand_across_tables, move_transaction, AllocationTable, MemAccess,
+    MoveOutcome, MovePhase, MoveRequest, Perms, WorldStop, WorldStopError,
 };
 use std::collections::HashMap;
 
@@ -151,75 +150,68 @@ impl SimKernel {
         })
     }
 
-    /// Drive the front half of a world-stop episode (signal, handler
-    /// entry, first barrier, negotiation, patch computation), injecting
-    /// thread stalls when armed.
+    /// Stop the world over `threads` threads and return what the stop
+    /// costs. A mover calls this once, after it has picked its
+    /// destination and before it touches anything. Where Figure 8's steps
+    /// happen:
+    ///
+    /// - 1, the change request: the mover's call;
+    /// - 2, a signal to every thread: here, charged per thread;
+    /// - 3–4, each thread enters its handler and dumps its registers:
+    ///   here, where [`FaultPoint::WorldStopStall`] fires once per entering
+    ///   thread; the dump is the caller's `regs`;
+    /// - 5, the first barrier: here, charged per thread;
+    /// - 5–6, negotiation: the mover's pre-expansion, confirmed by
+    ///   [`move_transaction`]'s cross-table fixed point;
+    /// - 6–7, affected allocations and patches: the transaction's plans;
+    /// - 8–9, escapes and registers patched: the transaction's apply and
+    ///   register pass, up to its [`MovePhase::Patched`] checkpoint;
+    /// - 10, the data moves: the transaction's copies and table upkeep;
+    /// - 11, the second barrier: charged here, with the first;
+    /// - 12, the kernel is notified and the threads resume: the mover's
+    ///   region update and return.
     ///
     /// # Errors
     ///
-    /// [`KernelError::WorldStop`] on a stall or ordering violation; the
-    /// episode is aborted (threads released, machine idle) first.
-    fn begin_stop(&mut self, threads: usize) -> Result<WorldStop, KernelError> {
-        let mut world = WorldStop::new(threads);
-        let mut front_half = || {
-            world.signal_all(&self.cost)?;
-            for entered in 0..threads {
-                if self.fire(FaultPoint::WorldStopStall) {
-                    return Err(KernelError::WorldStop(WorldStopError::Stalled {
-                        entered,
-                        threads,
-                    }));
-                }
-                world.thread_entered()?;
-            }
-            world.barrier1(&self.cost)?;
-            world.negotiated()?;
-            world.patches_computed()?;
-            Ok(())
-        };
-        if let Err(e) = front_half() {
-            world.abort(&self.cost);
-            return Err(e);
+    /// [`KernelError::WorldStop`] when a thread stalls before its handler
+    /// ([`WorldStopError::Stalled`]) or when there is no thread to stop
+    /// ([`WorldStopError::NoThreads`]); nothing has been touched.
+    fn stop_world(&mut self, threads: usize) -> Result<WorldStop, KernelError> {
+        if threads == 0 {
+            return Err(KernelError::WorldStop(WorldStopError::NoThreads));
         }
-        Ok(world)
+        for entered in 0..threads {
+            if self.fire(FaultPoint::WorldStopStall) {
+                return Err(KernelError::WorldStop(WorldStopError::Stalled {
+                    entered,
+                    threads,
+                }));
+            }
+        }
+        Ok(WorldStop::run_all(threads, &self.cost))
     }
 
-    /// Drive the back half of a world-stop episode (patched, moved,
-    /// second barrier, completion).
-    fn finish_stop(world: &mut WorldStop, cost: &CostModel) -> Result<(), KernelError> {
-        world.patched()?;
-        world.moved()?;
-        world.barrier2(cost)?;
-        world.complete()?;
-        Ok(())
-    }
-
-    /// Run one runtime move transaction inside the stopped `world` — the
-    /// single carrier for every mover, paging included. `run` picks the
-    /// runtime adapter and is handed `reqs` back, the swap-aware memory
-    /// view, the cost model, and the interrupt hook: it fires when an
-    /// installed fault plan arms `MidMove` at the transaction's one
-    /// checkpoint (between the patch and copy phases), and the transaction
-    /// then restores a byte-identical pre-move state.
+    /// Run [`move_transaction`] over `tables` inside a stopped world — the
+    /// single carrier for every mover, paging included — through the
+    /// swap-aware memory view. `interrupt` is the fault point that may
+    /// interrupt the transaction at its one checkpoint (between the patch
+    /// and copy phases), after which the transaction has restored a
+    /// byte-identical pre-move state: [`FaultPoint::MidMove`] for moves
+    /// and stack growth, `None` for paging.
     ///
     /// `dst` is the single destination a one-request mover allocated for
-    /// this episode, if any: a failed transaction aborts the stop and
-    /// hands the destination back, a successful one records a fresh buddy
-    /// block as owned by the current process. (The batch planner passes
-    /// `None`: its destinations interleave with pre-published sources, so
-    /// it releases and commits them itself.)
-    fn journaled<T>(
+    /// this stop, if any: a failed transaction hands it back, a successful
+    /// one records a fresh buddy block as owned by the current process.
+    /// (The batch planner passes `None`: its destinations interleave with
+    /// pre-published sources, so it releases and commits them itself.)
+    fn journaled(
         &mut self,
-        world: &mut WorldStop,
+        tables: &mut [&mut AllocationTable],
+        regs: &mut [u64],
         reqs: &[MoveRequest],
         dst: Option<DstAlloc>,
-        run: impl FnOnce(
-            &[MoveRequest],
-            &mut dyn MemAccess,
-            &CostModel,
-            Option<&mut dyn FnMut(MovePhase) -> bool>,
-        ) -> Result<T, MoveInterrupted>,
-    ) -> Result<T, KernelError> {
+        interrupt: Option<FaultPoint>,
+    ) -> Result<Vec<MoveOutcome>, KernelError> {
         // Defense in depth: every caller screens its sources against the
         // pin registry before reaching here, but a pinned cell must never
         // be patched even if a new caller forgets — re-check each request
@@ -233,15 +225,23 @@ impl SimKernel {
             // The hook needs the plan while the router borrows mem+swap;
             // take the plan out for the duration of the move.
             let mut plan = self.faults.take();
-            let mut hook = |_: MovePhase| {
-                plan.as_mut()
-                    .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
-            };
+            let faults = &mut plan;
+            let mut hook = interrupt.map(|point| {
+                move |_: MovePhase| faults.as_mut().is_some_and(|p| p.should_fire(point))
+            });
             let mut routed = SwapAwareMem {
                 mem: &mut self.mem,
                 swap: &mut self.swap,
             };
-            let res = run(reqs, &mut routed, &self.cost, Some(&mut hook));
+            let res = move_transaction(
+                tables,
+                &mut routed,
+                regs,
+                reqs,
+                &self.cost,
+                hook.as_mut()
+                    .map(|h| h as &mut dyn FnMut(MovePhase) -> bool),
+            );
             self.faults = plan;
             res.map_err(|_| {
                 let req = reqs[0];
@@ -252,9 +252,6 @@ impl SimKernel {
                 }
             })
         };
-        if moved.is_err() {
-            world.abort(&self.cost);
-        }
         match dst {
             Some(dst) if moved.is_ok() => self.space.commit_dst_block(&dst),
             Some(dst) => self.space.release_move_dst(&mut self.buddy, dst),
@@ -319,7 +316,7 @@ impl SimKernel {
 
     /// Execute a full CARAT page movement: world stop, negotiation,
     /// patching (escapes + registers), data copy, region update, resume.
-    /// Returns the protocol record and the move outcome.
+    /// Returns the stop's cost and the move outcome.
     ///
     /// `regs` is the register state of all threads, dumped by the signal
     /// handlers; `threads` its thread count.
@@ -330,7 +327,7 @@ impl SimKernel {
     /// registers, and physical memory are as they were before the call.
     /// [`KernelError::OutOfFrames`] when no destination exists (after
     /// compaction + retries); [`KernelError::WorldStop`] when the stop
-    /// protocol stalls (the episode is aborted and threads released);
+    /// stalls (nothing was touched);
     /// [`KernelError::MoveInterrupted`] when the move was interrupted
     /// between patch and copy (the transaction has rolled back).
     pub fn move_pages(
@@ -341,15 +338,10 @@ impl SimKernel {
         pages: u64,
         threads: usize,
     ) -> Result<(WorldStop, MoveOutcome), KernelError> {
-        self.move_pages_batch(table, regs, &[(src, pages)], threads)
-            .and_then(|(world, mut outs)| {
-                let out = outs.pop().ok_or(KernelError::MoveInterrupted {
-                    src,
-                    len: pages * self.cost.page_size,
-                    dst: 0,
-                })?;
-                Ok((world, out))
-            })
+        let (world, mut outs) = self.move_pages_batch(table, regs, &[(src, pages)], threads)?;
+        // A batch of one either fails or moves its one request.
+        let out = outs.pop().expect("one request, one outcome");
+        Ok((world, out))
     }
 
     /// [`SimKernel::move_pages`] over a *batch* of `(src, pages)` requests
@@ -449,7 +441,7 @@ impl SimKernel {
                 .unwrap_or(KernelError::OutOfFrames { pages: 0 }));
         }
 
-        let mut world = match self.begin_stop(threads) {
+        let world = match self.stop_world(threads) {
             Ok(w) => w,
             Err(e) => {
                 release_all(self, dsts);
@@ -465,9 +457,7 @@ impl SimKernel {
                 dst: d.addr,
             })
             .collect();
-        let moved = self.journaled(&mut world, &reqs, None, |reqs, mem, cost, hook| {
-            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, hook)
-        });
+        let moved = self.journaled(&mut [table], regs, &reqs, None, Some(FaultPoint::MidMove));
         let mut outcomes = match moved {
             Ok(outs) => outs,
             Err(e) => {
@@ -481,7 +471,6 @@ impl SimKernel {
         for (d, _) in &dsts {
             self.space.commit_dst_block(d);
         }
-        Self::finish_stop(&mut world, &self.cost)?;
 
         // Region maintenance: each moved range leaves the capsule and its
         // destination becomes accessible. The vacated frames were already
@@ -523,19 +512,18 @@ impl SimKernel {
     /// to swap (too large, already in swap, or its process has no swap-slot
     /// id left to name it by).
     ///
-    /// Paging passes **no interrupt hook** to the transaction (page-in
+    /// Paging names **no interrupt point** for the transaction (page-in
     /// likewise), so it consults no [`FaultPoint::MidMove`]: that point
     /// fires on its N-th dynamic occurrence, so counting page-outs would
     /// renumber every seeded fault schedule and move the modeled numbers.
-    /// The transaction already carries its rollback data, so handing
-    /// `hook` through instead of `None` is all it takes to make paging
-    /// crash-consistent.
+    /// The transaction already carries its rollback data, so naming a
+    /// point is all it takes to make paging crash-consistent.
     ///
     /// # Errors
     ///
-    /// [`KernelError::WorldStop`] when the stop protocol stalls before
-    /// any state was touched (the episode is aborted, the slot id is not
-    /// consumed, and no data has been patched or copied).
+    /// [`KernelError::WorldStop`] when the stop stalls before any state
+    /// was touched (the slot id is not consumed, and no data has been
+    /// patched or copied).
     pub fn page_out(
         &mut self,
         table: &mut AllocationTable,
@@ -560,7 +548,7 @@ impl SimKernel {
 
         // All mutations happen after the world has stopped; a stall here
         // leaves every byte as it was.
-        let mut world = self.begin_stop(threads)?;
+        let world = self.stop_world(threads)?;
         self.space.swap_slots.commit(slot);
 
         // Escape cells may themselves live in other swapped ranges; the
@@ -570,17 +558,13 @@ impl SimKernel {
             len,
             dst: POISON_BASE + slot * POISON_SLOT_SPAN,
         };
-        self.journaled(&mut world, &[req], None, |reqs, mem, cost, _hook| {
-            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
-        })?;
+        self.journaled(&mut [table], regs, &[req], None, None)?;
         self.space.vacated.push((src, len));
         self.space.remap(&[(src, len)], &[]);
         self.trace.record(PagingEvent::Invalidate {
             first: src / pg,
             count: len / pg,
         });
-
-        Self::finish_stop(&mut world, &self.cost)?;
         Ok(Some((world, slot, src, len)))
     }
 
@@ -595,7 +579,7 @@ impl SimKernel {
     /// [`KernelError::SwapReadFailed`] when the swap store cannot produce
     /// the slot (injected read failure or corrupted entry);
     /// [`KernelError::OutOfFrames`] when no destination frames exist;
-    /// [`KernelError::WorldStop`] on a stop-protocol stall. In every
+    /// [`KernelError::WorldStop`] on a stop stall. In every
     /// case the swap entry is preserved so the fault can be retried —
     /// the data is never dropped on a failed page-in.
     pub fn page_in(
@@ -619,13 +603,12 @@ impl SimKernel {
         // succeeded: no failure below can lose the swapped data.
         let (dst, backoff) = self.alloc_move_dst(len)?;
         let mut world = self
-            .begin_stop(threads)
+            .stop_world(threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         world.cycles += backoff;
         if self.swap.get(&slot).map(|e| e.data.len() as u64) != Some(len) {
             // Corrupted (or vanished) entry: keep what is there for
             // post-mortem, release everything else, surface a typed error.
-            world.abort(&self.cost);
             self.space.release_move_dst(&mut self.buddy, dst);
             return Err(KernelError::SwapReadFailed { slot });
         }
@@ -637,9 +620,7 @@ impl SimKernel {
             len,
             dst: dst.addr,
         };
-        self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, _hook| {
-            perform_move_batch_journaled(table, mem, regs, reqs, cost, 1, None)
-        })?;
+        self.journaled(&mut [table], regs, &[req], Some(dst), None)?;
         self.swap.remove(&slot);
         self.space.remap(&[], &[(dst.addr, len, Perms::RW)]);
         let pg = self.cost.page_size;
@@ -649,8 +630,6 @@ impl SimKernel {
             });
         }
         self.space.swap_slots.release(slot);
-
-        Self::finish_stop(&mut world, &self.cost)?;
         Ok(Some((world, dst.addr)))
     }
 
@@ -694,7 +673,7 @@ impl SimKernel {
         let data_dst = dst_block + new_len - old_len;
 
         let mut world = self
-            .begin_stop(threads)
+            .stop_world(threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         world.cycles += backoff;
         let req = MoveRequest {
@@ -702,12 +681,16 @@ impl SimKernel {
             len: old_len,
             dst: data_dst,
         };
-        // One table, one request: the shared mover's shape with a single
-        // owner, which hands back the one outcome directly.
-        let outcome = self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, hook| {
-            perform_shared_move_journaled(&mut [table], mem, regs, reqs[0], cost, hook)
-        })?;
-        Self::finish_stop(&mut world, &self.cost)?;
+        let outcome = self
+            .journaled(
+                &mut [table],
+                regs,
+                &[req],
+                Some(dst),
+                Some(FaultPoint::MidMove),
+            )?
+            .pop()
+            .expect("one request, one outcome");
 
         // Extend the relocated stack allocation downward over the whole
         // new block.
@@ -769,30 +752,24 @@ impl SimKernel {
             (s.base, s.len, s.owners.clone())
         };
         // Pre-negotiate expansion across every owner so the destination
-        // is big enough (fixed point, mirroring the patch engine).
+        // is big enough: the transaction's own cross-table fixed point.
         let pg = self.cost.page_size;
-        let (mut xsrc, mut xlen) = (base, len);
-        loop {
-            let before = (xsrc, xlen);
-            for &pid in &owners {
-                if let Some(t) = self.procs.get(pid).and_then(|e| e.table.as_ref()) {
-                    let (s, l) = carat_runtime::expand_to_allocations(t, xsrc, xlen, pg);
-                    (xsrc, xlen) = (s, l);
-                }
-            }
-            if (xsrc, xlen) == before {
-                break;
-            }
-        }
+        let (xsrc, xlen) = {
+            let views: Vec<&AllocationTable> = owners
+                .iter()
+                .filter_map(|&pid| self.procs.get(pid).and_then(|e| e.table.as_ref()))
+                .collect();
+            expand_across_tables(&views, base, len, pg)
+        };
         // Shared regions are the natural DMA-buffer vehicle, so this is
         // the mover most likely to meet a pin. Refuse before allocating.
         self.refuse_pinned(xsrc, xlen)?;
         let (dst, backoff) = self.alloc_move_dst(xlen)?;
-        let mut world = self
-            .begin_stop(threads)
+        let world = self
+            .stop_world(threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         // Check out every owner's table; a missing one (stale owner, or a
-        // table still checked out to a running tenant) aborts the episode
+        // table still checked out to a running tenant) abandons the move
         // with everything restored.
         let mut tables: Vec<AllocationTable> = Vec::with_capacity(owners.len());
         let mut checked_out: Vec<Pid> = Vec::with_capacity(owners.len());
@@ -806,7 +783,6 @@ impl SimKernel {
                     for (&q, t) in checked_out.iter().zip(tables) {
                         self.procs.checkin_table(q, t);
                     }
-                    world.abort(&self.cost);
                     self.space.release_move_dst(&mut self.buddy, dst);
                     return Err(KernelError::StaleTenant { pid: p });
                 }
@@ -819,16 +795,19 @@ impl SimKernel {
         };
         let res = {
             let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-            self.journaled(&mut world, &[req], Some(dst), |reqs, mem, cost, hook| {
-                perform_shared_move_journaled(&mut refs, mem, regs, reqs[0], cost, hook)
-            })
+            self.journaled(
+                &mut refs,
+                regs,
+                &[req],
+                Some(dst),
+                Some(FaultPoint::MidMove),
+            )
         };
         for (&p, t) in owners.iter().zip(tables) {
             self.procs.checkin_table(p, t);
         }
-        let mut outcome = res?;
+        let mut outcome = res?.pop().expect("one request, one outcome");
         outcome.cost.alloc_and_move += backoff;
-        Self::finish_stop(&mut world, &self.cost)?;
 
         // Region maintenance, for every owner: the moved range leaves its
         // map; the destination enters it.
@@ -867,7 +846,7 @@ mod tests {
     use crate::faults::FaultPlan;
     use crate::loader::LoadConfig;
     use crate::pagetable::PageTable;
-    use carat_runtime::{Access, GuardImpl};
+    use carat_runtime::{Access, CostModel, GuardImpl};
 
     #[test]
     fn move_pages_end_to_end() {
@@ -882,10 +861,9 @@ mod tests {
 
         let mut regs = vec![g + 16, 0x0];
         let page = k.cost.page_size;
-        let (world, outcome) = k
+        let (_, outcome) = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("move succeeds");
-        assert!(world.is_complete());
         assert!(outcome.escapes_patched >= 1);
         // The escape cell points at the new location.
         let new_ptr = k.mem.read_uint(cell, 8);
@@ -932,8 +910,7 @@ mod tests {
             k.procs.checkin_table(pid, t);
         }
         let mut regs = vec![base + 16, 0xdead];
-        let (world, outcome) = k.move_shared(id, &mut regs, 2).expect("shared move");
-        assert!(world.is_complete());
+        let (_, outcome) = k.move_shared(id, &mut regs, 2).expect("shared move");
         assert_eq!(outcome.allocations, 2, "one tracked block per owner");
         assert_eq!(outcome.escapes_patched, 2, "one cell per owner");
         let new_base = k.procs.shared(id).unwrap().base;
@@ -1046,10 +1023,9 @@ mod tests {
         // One-shot exhaustion: the compaction+retry path must recover.
         k.install_fault_plan(FaultPlan::new().arm(FaultPoint::MoveDstAlloc, 1));
         let page = k.cost.page_size;
-        let (world, outcome) = k
+        let (_, outcome) = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("retry recovers");
-        assert!(world.is_complete());
         assert_eq!(k.oom_recoveries, 1);
         // The retry's backoff was charged to the move's cost breakdown.
         assert!(outcome.cost.alloc_and_move > k.cost.move_alloc_fixed + k.cost.copy_cost(page));
@@ -1080,10 +1056,9 @@ mod tests {
         );
         assert_eq!(k.fault_plan().unwrap().fired().len(), 1);
         // The machine is not poisoned: the same move now succeeds.
-        let (world, outcome) = k
+        let (_, outcome) = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("fault disarmed");
-        assert!(world.is_complete());
         assert!(outcome.escapes_patched >= 1);
     }
 
@@ -1105,11 +1080,9 @@ mod tests {
             other => panic!("expected a stall, got {other:?}"),
         }
         assert_eq!(k.mem.read_bytes(0, k.mem.size()), &mem_before[..]);
-        // Episode aborted, machine idle: the retry completes.
-        let (world, _) = k
-            .move_pages(&mut table, &mut regs, g / page * page, 1, 4)
+        // Nothing is left half-stopped: the retry completes.
+        k.move_pages(&mut table, &mut regs, g / page * page, 1, 4)
             .expect("stall cleared");
-        assert!(world.is_complete());
     }
 
     #[test]
@@ -1125,20 +1098,18 @@ mod tests {
         table.track_escape(cell);
         table.flush_escapes(|_| g + 8);
         let mut regs = vec![g + 16, 0x0];
-        let (world, slot, src, len) = k
+        let (_, slot, src, len) = k
             .page_out(&mut table, &mut regs, g, 2)
             .expect("no fault")
             .expect("swappable");
-        assert!(world.is_complete());
         let pre_swap: Vec<u64> = (0..16u64).map(|i| 0xA5A5_0000 + i).collect();
         // Bring it back via the poisoned pointer the register now holds.
         let poisoned = regs[0];
         assert!(SimKernel::is_poison(poisoned));
-        let (world, dst) = k
+        let (_, dst) = k
             .page_in(&mut table, &mut regs, poisoned, 2)
             .expect("no fault")
             .expect("slot live");
-        assert!(world.is_complete());
         assert!(!k.has_swap_slot(slot));
         // The resumed program reads back the exact pre-swap bytes.
         let g2 = dst + (g - src);
@@ -1366,6 +1337,190 @@ mod tests {
                     .any(|o| batched.iter().any(|e| e.moved_src == o.moved_dst));
                 assert!(recycled, "a later destination reuses a vacated page");
             }
+        }
+    }
+
+    /// Every entry point that stops the world to relocate memory.
+    #[derive(Debug, Clone, Copy)]
+    enum Mover {
+        MovePages,
+        MovePagesBatchOfTwo,
+        PageOut,
+        PageIn,
+        ExpandStack,
+        MoveShared,
+    }
+
+    impl Mover {
+        const ALL: [Mover; 6] = [
+            Mover::MovePages,
+            Mover::MovePagesBatchOfTwo,
+            Mover::PageOut,
+            Mover::PageIn,
+            Mover::ExpandStack,
+            Mover::MoveShared,
+        ];
+
+        /// Page-in and stack growth add their destination backoff to the
+        /// stop's cycles; the page movers charge it to the outcome's
+        /// `alloc_and_move`, and page-out allocates no destination.
+        fn stop_carries_backoff(self) -> bool {
+            matches!(self, Mover::PageIn | Mover::ExpandStack)
+        }
+    }
+
+    /// What a refused stop must leave exactly as it found.
+    #[derive(Debug, PartialEq)]
+    struct Untouched {
+        mem: Vec<u8>,
+        tables: Vec<Vec<(u64, u64, usize, u64)>>,
+        regs: Vec<u64>,
+        vacated: Vec<(u64, u64)>,
+        swap: Vec<(u64, u64, Vec<u8>)>,
+    }
+
+    fn untouched(
+        k: &SimKernel,
+        tables: Vec<Vec<(u64, u64, usize, u64)>>,
+        regs: &[u64],
+    ) -> Untouched {
+        let mut swap: Vec<(u64, u64, Vec<u8>)> = k
+            .swap
+            .iter()
+            .map(|(&slot, e)| (slot, e.len, e.data.clone()))
+            .collect();
+        swap.sort_unstable();
+        Untouched {
+            mem: k.mem.read_bytes(0, k.mem.size()).to_vec(),
+            tables,
+            regs: regs.to_vec(),
+            vacated: k.space.vacated.clone(),
+            swap,
+        }
+    }
+
+    /// Set `mover` up on a fresh kernel, install `plan`, and run it at
+    /// `threads`. Returns the stop's cycles (or the error) and the machine
+    /// state before and after the call.
+    fn run_mover(
+        mover: Mover,
+        threads: usize,
+        plan: FaultPlan,
+    ) -> (Result<u64, KernelError>, Untouched, Untouched) {
+        if let Mover::MoveShared = mover {
+            let (mut k, p0, p1, img0, img1) = boot_two_procs();
+            let id = k.shared_create(4096).expect("frames available");
+            let base = k.procs.shared(id).unwrap().base;
+            for (pid, img) in [(p0, &img0), (p1, &img1)] {
+                k.shared_map(pid, id).expect("maps");
+                let mut t = k.procs.checkout_table(pid).unwrap();
+                t.track_alloc(base, 4096, carat_runtime::AllocKind::Heap);
+                let cell = img.heap.0 + 64;
+                k.mem.write_uint(cell, base + 8, 8);
+                t.track_escape(cell);
+                t.flush_escapes(|_| base + 8);
+                k.procs.checkin_table(pid, t);
+            }
+            let tables = |k: &SimKernel| {
+                [p0, p1]
+                    .map(|p| k.procs.get(p).unwrap().table.as_ref().unwrap().snapshot())
+                    .to_vec()
+            };
+            let mut regs = vec![base + 16, 0xdead];
+            let before = untouched(&k, tables(&k), &regs);
+            k.install_fault_plan(plan);
+            let res = k.move_shared(id, &mut regs, threads).map(|(w, _)| w.cycles);
+            let after = untouched(&k, tables(&k), &regs);
+            return (res, before, after);
+        }
+        let (mut k, mut table, mut img) = boot_small();
+        let (a, b, mut regs) = track_linked_pair(&mut k, &mut table, &img);
+        if let Mover::PageIn = mover {
+            k.page_out(&mut table, &mut regs, a, 1)
+                .expect("no fault")
+                .expect("swappable");
+        }
+        let before = untouched(&k, vec![table.snapshot()], &regs);
+        k.install_fault_plan(plan);
+        let page = k.cost.page_size;
+        let res = match mover {
+            Mover::MovePages => k
+                .move_pages(&mut table, &mut regs, a / page * page, 1, threads)
+                .map(|(w, _)| w.cycles),
+            Mover::MovePagesBatchOfTwo => k
+                .move_pages_batch(&mut table, &mut regs, &[(a, 1), (b, 1)], threads)
+                .map(|(w, _)| w.cycles),
+            Mover::PageOut => k
+                .page_out(&mut table, &mut regs, a, threads)
+                .map(|r| r.expect("swappable").0.cycles),
+            Mover::PageIn => {
+                let poisoned = regs[0];
+                k.page_in(&mut table, &mut regs, poisoned, threads)
+                    .map(|r| r.expect("slot live").0.cycles)
+            }
+            Mover::ExpandStack => {
+                let max = 2 * img.stack.1;
+                k.expand_stack(&mut table, &mut regs, &mut img, threads, max)
+                    .map(|r| r.expect("room to grow").0.cycles)
+            }
+            Mover::MoveShared => unreachable!("set up above"),
+        };
+        let after = untouched(&k, vec![table.snapshot()], &regs);
+        (res, before, after)
+    }
+
+    /// What a caller observes of a stop, over every mover at 1, 2 and 4
+    /// threads: a completed stop charges each thread one signal and two
+    /// barriers, plus the mover's destination backoff; a thread stalling
+    /// at its handler surfaces as a typed stall naming how many threads
+    /// got there first, with nothing touched.
+    #[test]
+    fn every_mover_charges_one_stop_and_a_stall_touches_nothing() {
+        let cost = CostModel::default();
+        let per_thread = cost.move_signal_per_thread + 2 * cost.move_barrier_per_thread;
+        for mover in Mover::ALL {
+            for threads in [1usize, 2, 4] {
+                // One exhausted destination attempt: the retry's backoff.
+                let plan = FaultPlan::new().arm(FaultPoint::MoveDstAlloc, 1);
+                let (res, ..) = run_mover(mover, threads, plan);
+                let backoff = if mover.stop_carries_backoff() {
+                    cost.move_alloc_fixed
+                } else {
+                    0
+                };
+                assert_eq!(
+                    res,
+                    Ok(threads as u64 * per_thread + backoff),
+                    "{mover:?} at {threads} threads"
+                );
+                for k in 1..=threads {
+                    let plan = FaultPlan::new().arm(FaultPoint::WorldStopStall, k as u64);
+                    let (res, before, after) = run_mover(mover, threads, plan);
+                    assert_eq!(
+                        res,
+                        Err(KernelError::WorldStop(WorldStopError::Stalled {
+                            entered: k - 1,
+                            threads,
+                        })),
+                        "{mover:?} stalled at thread {k} of {threads}"
+                    );
+                    assert!(before == after, "{mover:?} stalled at {k}/{threads}");
+                }
+            }
+        }
+    }
+
+    /// A stop over no threads is refused, typed, before anything moves.
+    #[test]
+    fn every_mover_refuses_a_stop_over_zero_threads() {
+        for mover in Mover::ALL {
+            let (res, before, after) = run_mover(mover, 0, FaultPlan::new());
+            assert_eq!(
+                res,
+                Err(KernelError::WorldStop(WorldStopError::NoThreads)),
+                "{mover:?}"
+            );
+            assert!(before == after, "{mover:?}");
         }
     }
 

@@ -10,9 +10,10 @@
 //!   ordered map, each with its Allocation-to-Escape Map entry;
 //! * [`RegionTable`] — kernel-supplied regions with binary-search,
 //!   if-tree, and MPX-style guard evaluators;
-//! * [`perform_move_batch_journaled`] / [`perform_shared_move_journaled`] —
-//!   the pointer-swizzling move transaction (Figure 8);
-//! * [`WorldStop`] — the signal/barrier protocol state machine;
+//! * [`move_transaction`] — the pointer-swizzling move transaction
+//!   (Figure 8) over any number of tables and requests;
+//! * [`WorldStop`] — what a world-stop cost: a signal and two barriers per
+//!   thread;
 //! * [`CostModel`] — the shared simulated-machine cycle model.
 //!
 //! ## Example
@@ -43,10 +44,9 @@ pub use alloc_table::{AllocInfo, AllocKind, AllocationTable, TrackStats};
 pub use cost::CostModel;
 pub use fast_hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use patch::{
-    check_unpinned, expand_to_allocations, perform_move_alloc_granular,
-    perform_move_batch_journaled, perform_shared_move_journaled, MemAccess, MoveCostBreakdown,
-    MoveError, MoveInterrupted, MoveOutcome, MovePhase, MoveRequest, PatchPlan, PinnedRange,
-    PlannedPatch,
+    check_unpinned, expand_across_tables, expand_to_allocations, move_transaction,
+    perform_move_batch_journaled, MemAccess, MoveCostBreakdown, MoveError, MoveInterrupted,
+    MoveOutcome, MovePhase, MoveRequest, PatchPlan, PinnedRange, PlannedPatch,
 };
 pub use region::{Access, GuardCheck, GuardImpl, Perms, Region, RegionTable};
-pub use world::{ProtocolError, Step, WorldStop, WorldStopError};
+pub use world::{WorldStop, WorldStopError};

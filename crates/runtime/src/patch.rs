@@ -13,14 +13,13 @@
 //!    signal handler);
 //! 5. moves the data and updates the allocation table.
 //!
-//! There is one mover: a rollback-safe **move transaction** over any number
-//! of allocation tables and any number of requests, with two public
-//! shapes — [`perform_move_batch_journaled`] (one table, N requests under
-//! one world-stop) and [`perform_shared_move_journaled`] (N owner tables,
-//! one request); [`perform_move_alloc_granular`] is the same transaction
-//! over one allocation's exact extent, and the kernel's page-out and
-//! page-in are the batch shape aimed at (or out of) a swap slot's poison
-//! window. Patching is split into **plan** and **apply**: a
+//! There is one mover: [`move_transaction`], a rollback-safe transaction
+//! over any number of allocation tables (several for a cross-process
+//! shared region) and any number of requests (a batch under one
+//! world-stop). The kernel's page-out and page-in are the same transaction
+//! aimed at (or out of) a swap slot's poison window;
+//! [`perform_move_batch_journaled`] is its one-table shape, kept for the
+//! frozen `benchmark/` crate. Patching is split into **plan** and **apply**: a
 //! [`PatchPlan`] — one flat array of `(cell, old, new, owner)` records —
 //! is built from the allocation table(s) with pure reads, then written
 //! through [`MemAccess`] in plan order, on one thread: the serial patch
@@ -354,9 +353,10 @@ impl PatchPlan {
 /// Expand `[src, src+len)` against *every* table until no owner's
 /// allocation straddles it. One [`expand_to_allocations`] call leaves its
 /// own table at a fixed point, so the walk stops once every other table
-/// has confirmed the range in turn — a single call for a single table.
-fn expand_across_tables(
-    tables: &[&mut AllocationTable],
+/// has confirmed the range in turn — a single call for a single table, and
+/// none for no table.
+pub fn expand_across_tables(
+    tables: &[&AllocationTable],
     mut src: u64,
     mut len: u64,
     page: u64,
@@ -397,9 +397,8 @@ fn roll_back(
     }
 }
 
-/// The one move transaction behind both public movers: `reqs.len()`
-/// requests against `tables.len()` allocation tables, one outcome written
-/// per request into `outcomes` (same length as `reqs`).
+/// The move transaction: `reqs.len()` requests against `tables.len()`
+/// allocation tables, one outcome returned per request, in request order.
 ///
 /// 1. every request is expanded to a fixed point across every table;
 /// 2. one [`PatchPlan`] per request is built over all tables (pure reads),
@@ -413,21 +412,45 @@ fn roll_back(
 /// every transaction carries what undoes them — the plans' `(cell, old)`
 /// column and the register undo list — so an interrupt there restores the
 /// pre-move state whoever asked for the move.
-fn move_transaction(
+///
+/// `regs` is the dumped register state of every stopped thread of every
+/// table's process (patched in place). The caller has picked each `dst`
+/// with room for the *expanded* range; `dst` is adjusted by the same
+/// leading expansion so relative layout is preserved. A cell registered by
+/// more than one table is planned — and counted — once.
+///
+/// Requirements for a batch (the kernel's batch planner guarantees both):
+/// expanded source ranges are pairwise disjoint, and every destination is
+/// disjoint from its own and from every *later* request's source range. A
+/// destination may reuse an earlier request's source frames: the data
+/// copies run in request order, so that range has been evacuated by the
+/// time a later copy lands in it (which is exactly how sequential moves
+/// recycle vacated frames). Under those, the batch is bit-identical —
+/// memory, registers, tables — to executing the requests one transaction
+/// each, except that the register-patch charge (`regs.len()` inspections)
+/// is paid once and carried by the first outcome.
+///
+/// # Errors
+///
+/// [`MoveInterrupted`] when `interrupt` fired at the
+/// [`MovePhase::Patched`] checkpoint; every cell and register of every
+/// request, whichever table's escape set produced it, has been rolled back
+/// in reverse mutation order.
+pub fn move_transaction(
     tables: &mut [&mut AllocationTable],
     mem: &mut dyn MemAccess,
     regs: &mut [u64],
     reqs: &[MoveRequest],
     cost: &CostModel,
     interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
-    outcomes: &mut [MoveOutcome],
-) -> Result<(), MoveInterrupted> {
-    debug_assert_eq!(reqs.len(), outcomes.len(), "one outcome per request");
+) -> Result<Vec<MoveOutcome>, MoveInterrupted> {
+    // --- Phases 1 and 2 read the tables only ---
+    let views: Vec<&AllocationTable> = tables.iter().map(|t| &**t).collect();
 
     // --- Phase 1: page expand (negotiation), every request up front ---
     let mut expanded: Vec<(u64, u64, u64)> = Vec::with_capacity(reqs.len());
     for req in reqs {
-        let (src, len) = expand_across_tables(tables, req.src, req.len, cost.page_size);
+        let (src, len) = expand_across_tables(&views, req.src, req.len, cost.page_size);
         let dst = req.dst.wrapping_sub(req.src - src);
         debug_assert!(
             expanded
@@ -439,13 +462,10 @@ fn move_transaction(
     }
 
     // --- Phase 2: build every plan (pure reads), then apply them all ---
-    let plans: Vec<PatchPlan> = {
-        let views: Vec<&AllocationTable> = tables.iter().map(|t| &**t).collect();
-        expanded
-            .iter()
-            .map(|&(src, len, dst)| PatchPlan::build(&views, &*mem, src, len, dst))
-            .collect()
-    };
+    let plans: Vec<PatchPlan> = expanded
+        .iter()
+        .map(|&(src, len, dst)| PatchPlan::build(&views, &*mem, src, len, dst))
+        .collect();
     for plan in &plans {
         plan.write_cells(mem);
     }
@@ -466,9 +486,8 @@ fn move_transaction(
     }
 
     // --- Phase 4: data movement + table maintenance, request order ---
-    for (k, out) in outcomes.iter_mut().enumerate() {
-        let (src, len, dst) = expanded[k];
-        let plan = &plans[k];
+    let mut outcomes = Vec::with_capacity(reqs.len());
+    for (k, (&(src, len, dst), plan)) in expanded.iter().zip(&plans).enumerate() {
         mem.copy(src, dst, len);
         for (table, affected) in tables.iter_mut().zip(&plan.affected) {
             table.rebase_escape_cells(src, src + len, plan.delta);
@@ -477,7 +496,7 @@ fn move_transaction(
             }
         }
         let allocations: usize = plan.affected.iter().map(Vec::len).sum();
-        *out = MoveOutcome {
+        outcomes.push(MoveOutcome {
             moved_src: src,
             moved_len: len,
             moved_dst: dst,
@@ -497,39 +516,15 @@ fn move_transaction(
                 },
                 alloc_and_move: cost.move_alloc_fixed + cost.copy_cost(len),
             },
-        };
+        });
     }
-    Ok(())
+    Ok(outcomes)
 }
 
-/// Execute a *batch* of moves against one allocation table as one
-/// transaction: every request is expanded and planned up front, every
-/// plan is applied (cells first, then one register pass over all ranges),
-/// and only then — after the [`MovePhase::Patched`] checkpoint — are
-/// the data copies and table maintenance performed, in request order. The
-/// caller wraps the whole batch in ONE world-stop, amortizing the
-/// signal+barrier round and the register pass across every coalesced move.
-/// `regs` is the dumped register state of all stopped threads (patched in
-/// place); the caller has picked each `dst` with room for the *expanded*
-/// range, and `dst` is adjusted by the same leading expansion so relative
-/// layout is preserved.
-///
-/// Requirements (the kernel's batch planner guarantees both): expanded
-/// source ranges are pairwise disjoint, and every destination is disjoint
-/// from its own and from every *later* request's source range. A
-/// destination may reuse an earlier request's source frames: the data
-/// copies run in request order, so that range has been evacuated by the
-/// time a later copy lands in it (which is exactly how sequential moves
-/// recycle vacated frames). Under those, the batch is bit-identical —
-/// memory, registers, table — to executing the requests one transaction
-/// each.
-///
-/// Per-request outcomes match the one-at-a-time ones exactly, except that
-/// the register-patch charge (`regs.len()` inspections) is paid once per
-/// batch and carried by the first outcome.
-///
-/// `interrupt`, when present, is consulted once, at the
-/// [`MovePhase::Patched`] checkpoint.
+/// [`move_transaction`] over one allocation table: N requests under one
+/// world-stop, the interrupt hook consulted once, at the
+/// [`MovePhase::Patched`] checkpoint. This is the shape the frozen
+/// `benchmark/` crate calls.
 ///
 /// `_workers` is ignored: it is accepted only because the frozen
 /// `benchmark/` crate passes `1` here. There is no host-parallel apply.
@@ -548,78 +543,7 @@ pub fn perform_move_batch_journaled(
     _workers: usize,
     interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
 ) -> Result<Vec<MoveOutcome>, MoveInterrupted> {
-    let mut outcomes = vec![MoveOutcome::default(); reqs.len()];
-    move_transaction(
-        &mut [table],
-        mem,
-        regs,
-        reqs,
-        cost,
-        interrupt,
-        &mut outcomes,
-    )?;
-    Ok(outcomes)
-}
-
-/// Execute one move against *several* allocation tables at once — the
-/// cross-process shared-region case. Each table belongs to one process
-/// that has the moved range mapped; the escape sets of all of them are
-/// patched, `regs` is the concatenated dumped register state of every
-/// stopped thread of every owner, the data is copied exactly once, and
-/// every table's entries are relocated.
-///
-/// Escape patching is idempotent across tables: a cell registered by more
-/// than one owner is planned — and counted — exactly once.
-///
-/// The rollback spans all tables: an interrupt at the checkpoint restores
-/// every patched cell and register regardless of which owner's escape set
-/// produced it, leaving all processes byte-identical to their pre-move
-/// state (table maintenance happens strictly after the checkpoint).
-///
-/// Expansion negotiates against *all* tables until a fixed point, so no
-/// owner's allocation straddles the moved range.
-///
-/// # Errors
-///
-/// [`MoveInterrupted`] when the hook fired; the rollback across all
-/// owners has already happened.
-pub fn perform_shared_move_journaled(
-    tables: &mut [&mut AllocationTable],
-    mem: &mut dyn MemAccess,
-    regs: &mut [u64],
-    req: MoveRequest,
-    cost: &CostModel,
-    interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
-) -> Result<MoveOutcome, MoveInterrupted> {
-    let mut outcome = [MoveOutcome::default()];
-    move_transaction(tables, mem, regs, &[req], cost, interrupt, &mut outcome)?;
-    let [outcome] = outcome;
-    Ok(outcome)
-}
-
-/// Allocation-granularity move (the paper's §6 "Allocation Granularity"
-/// future-work extension, implemented here for the ablation benchmarks):
-/// moves exactly one allocation, with no page expansion or negotiation.
-/// It is the move transaction over the allocation's exact extent — which
-/// is its own expansion fixed point, so nothing grows.
-pub fn perform_move_alloc_granular(
-    table: &mut AllocationTable,
-    mem: &mut dyn MemAccess,
-    regs: &mut [u64],
-    alloc_start: u64,
-    dst: u64,
-    cost: &CostModel,
-) -> Option<MoveOutcome> {
-    let req = MoveRequest {
-        src: alloc_start,
-        len: table.info(alloc_start)?.len,
-        dst,
-    };
-    let mut outcome = [MoveOutcome::default()];
-    move_transaction(&mut [table], mem, regs, &[req], cost, None, &mut outcome).ok()?;
-    let [mut outcome] = outcome;
-    outcome.cost.page_expand = 0; // the whole point of allocation granularity
-    Some(outcome)
+    move_transaction(&mut [table], mem, regs, reqs, cost, interrupt)
 }
 
 #[cfg(test)]
@@ -781,19 +705,6 @@ mod tests {
             assert_eq!(p.new, p.old + 0x8000);
             assert_eq!(m.read_u64(p.cell), p.old, "build is pure reads");
         }
-    }
-
-    #[test]
-    fn alloc_granular_move_skips_expand() {
-        let (mut t, mut m) = setup();
-        let cost = CostModel::default();
-        let mut regs = vec![];
-        let out = perform_move_alloc_granular(&mut t, &mut m, &mut regs, 0x1000, 0x9000, &cost)
-            .expect("allocation exists");
-        assert_eq!(out.cost.page_expand, 0);
-        assert_eq!(out.moved_len, 0x100, "only the allocation itself");
-        assert_eq!(m.read_u64(0x5000), 0x9010);
-        assert_eq!(t.info(0x9000).map(|i| i.len), Some(0x100));
     }
 
     proptest::proptest! {
@@ -1071,25 +982,36 @@ mod tests {
         (t1, t2, m)
     }
 
+    /// The shared block to 0x90000, as one transaction over both owners.
+    fn shared_move(
+        t1: &mut AllocationTable,
+        t2: &mut AllocationTable,
+        m: &mut TestMem,
+        regs: &mut [u64],
+        interrupt: Option<&mut dyn FnMut(MovePhase) -> bool>,
+    ) -> Result<MoveOutcome, MoveInterrupted> {
+        let req = MoveRequest {
+            src: 0x20000,
+            len: 0x1000,
+            dst: 0x90000,
+        };
+        move_transaction(
+            &mut [t1, t2],
+            m,
+            regs,
+            &[req],
+            &CostModel::default(),
+            interrupt,
+        )
+        .map(|mut outs| outs.pop().expect("one request, one outcome"))
+    }
+
     #[test]
     fn shared_move_patches_every_owner() {
         let (mut t1, mut t2, mut m) = setup_shared();
-        let cost = CostModel::default();
         // regs = owner0's thread then owner1's thread.
         let mut regs = vec![0x20044u64, 0xdead, 0x20048];
-        let out = perform_shared_move_journaled(
-            &mut [&mut t1, &mut t2],
-            &mut m,
-            &mut regs,
-            MoveRequest {
-                src: 0x20000,
-                len: 0x1000,
-                dst: 0x90000,
-            },
-            &cost,
-            None,
-        )
-        .unwrap();
+        let out = shared_move(&mut t1, &mut t2, &mut m, &mut regs, None).unwrap();
         assert_eq!(out.allocations, 2, "one affected allocation per owner");
         // 0x5000, 0x6000, and 0x20080 — the doubly-tracked internal cell
         // counts once (idempotent patch).
@@ -1115,25 +1037,12 @@ mod tests {
     #[test]
     fn interrupted_shared_move_rolls_back_all_owners() {
         let (mut t1, mut t2, mut m) = setup_shared();
-        let cost = CostModel::default();
         let mut regs = vec![0x20044u64, 0x20048];
         let words_before = m.words.clone();
         let regs_before = regs.clone();
         let (snap1, snap2) = (t1.snapshot(), t2.snapshot());
         let mut fire = |phase: MovePhase| phase == MovePhase::Patched;
-        let err = perform_shared_move_journaled(
-            &mut [&mut t1, &mut t2],
-            &mut m,
-            &mut regs,
-            MoveRequest {
-                src: 0x20000,
-                len: 0x1000,
-                dst: 0x90000,
-            },
-            &cost,
-            Some(&mut fire),
-        )
-        .unwrap_err();
+        let err = shared_move(&mut t1, &mut t2, &mut m, &mut regs, Some(&mut fire)).unwrap_err();
         assert_eq!(err.phase, MovePhase::Patched);
         assert_eq!(err.cells_rolled_back, 3);
         assert_eq!(err.registers_rolled_back, 2);
@@ -1142,19 +1051,7 @@ mod tests {
         assert_eq!(t1.snapshot(), snap1);
         assert_eq!(t2.snapshot(), snap2);
         // Not poisoned: the same shared move succeeds afterwards.
-        let out = perform_shared_move_journaled(
-            &mut [&mut t1, &mut t2],
-            &mut m,
-            &mut regs,
-            MoveRequest {
-                src: 0x20000,
-                len: 0x1000,
-                dst: 0x90000,
-            },
-            &cost,
-            None,
-        )
-        .unwrap();
+        let out = shared_move(&mut t1, &mut t2, &mut m, &mut regs, None).unwrap();
         assert_eq!(out.escapes_patched, 3);
     }
 

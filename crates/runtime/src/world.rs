@@ -1,74 +1,19 @@
-//! The world-stop protocol (paper Figure 8).
+//! The world-stop's cost (paper Figure 8).
 //!
 //! On a kernel change request, every thread is signalled, dumps its
 //! register state, and synchronizes at a barrier before the runtime
-//! negotiates and patches; a second barrier precedes resumption. This
-//! module is the protocol state machine the VM and kernel drive; it
-//! validates step ordering and accounts the per-thread costs.
-//!
-//! An episode that cannot make progress (a step out of order, a thread
-//! that never reaches its handler) is not allowed to poison the machine:
-//! [`WorldStop::abort`] releases the stopped threads and returns the
-//! state machine to idle so a fresh episode can be started.
+//! negotiates and patches; a second barrier precedes resumption. The
+//! kernel drives those steps in one fixed order inside one function
+//! (`SimKernel::stop_world`), so what a stop leaves behind is only what
+//! it cost: a signal and two barriers per thread.
 
 use crate::cost::CostModel;
 use std::error::Error;
 use std::fmt;
 
-/// Protocol steps, in legal order (numbers follow Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// 1 — kernel received a change request.
-    RequestReceived,
-    /// 2 — signals delivered to all threads.
-    SignalsSent,
-    /// 3/4 — every thread entered its handler and dumped registers.
-    HandlersEntered,
-    /// 5 — first barrier passed ("world stopped").
-    Barrier1,
-    /// 5/6 — move negotiated with the kernel (page-set expansion).
-    Negotiated,
-    /// 6/7 — affected allocations determined and patches computed.
-    PatchesComputed,
-    /// 8 — escapes and registers patched.
-    Patched,
-    /// 10 — data moved.
-    Moved,
-    /// 11 — second barrier passed.
-    Barrier2,
-    /// 12 — kernel notified; threads resumed.
-    Completed,
-    /// The episode was interrupted: stopped threads were released and the
-    /// machine returned to idle without a change taking effect.
-    Aborted,
-}
-
-/// Ordering violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtocolError {
-    /// What was attempted.
-    pub attempted: Step,
-    /// What the protocol expected next.
-    pub expected: Step,
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "protocol violation: attempted {:?}, expected {:?}",
-            self.attempted, self.expected
-        )
-    }
-}
-
-impl Error for ProtocolError {}
-
-/// Why a world-stop episode failed.
+/// Why a world-stop was refused before anything was touched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorldStopError {
-    /// A step was driven out of order.
-    Protocol(ProtocolError),
     /// A thread never reached its signal handler (stall/timeout): only
     /// `entered` of `threads` threads arrived before the kernel gave up.
     Stalled {
@@ -77,195 +22,41 @@ pub enum WorldStopError {
         /// Threads that were signalled.
         threads: usize,
     },
+    /// The stop named no thread, so no barrier can ever be reached (a
+    /// shared block that nobody has mapped).
+    NoThreads,
 }
 
 impl fmt::Display for WorldStopError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WorldStopError::Protocol(e) => write!(f, "{e}"),
             WorldStopError::Stalled { entered, threads } => write!(
                 f,
                 "world-stop stalled: {entered}/{threads} threads reached their handlers"
             ),
+            WorldStopError::NoThreads => f.write_str("world-stop over zero threads"),
         }
     }
 }
 
 impl Error for WorldStopError {}
 
-impl From<ProtocolError> for WorldStopError {
-    fn from(e: ProtocolError) -> WorldStopError {
-        WorldStopError::Protocol(e)
-    }
-}
-
-/// One world-stop episode over `threads` threads.
+/// The cost record of one completed world-stop.
 #[derive(Debug, Clone)]
 pub struct WorldStop {
-    threads: usize,
-    entered: usize,
-    log: Vec<Step>,
-    /// Cycles charged to the episode so far.
+    /// Cycles charged to the stop: its signals and barriers, plus any
+    /// destination backoff the mover folds in.
     pub cycles: u64,
 }
 
 impl WorldStop {
-    /// Begin an episode for a process with `threads` threads.
-    pub fn new(threads: usize) -> WorldStop {
-        WorldStop {
-            threads,
-            entered: 0,
-            log: vec![Step::RequestReceived],
-            cycles: 0,
-        }
-    }
-
-    /// Steps taken so far.
-    pub fn log(&self) -> &[Step] {
-        &self.log
-    }
-
-    fn expect_last(&self, want: Step, attempted: Step) -> Result<(), WorldStopError> {
-        if self.log.last() == Some(&want) {
-            Ok(())
-        } else {
-            Err(WorldStopError::Protocol(ProtocolError {
-                attempted,
-                expected: want,
-            }))
-        }
-    }
-
-    /// Kernel signals every thread (step 2). Legal from idle — either a
-    /// fresh episode or one returned to idle by [`WorldStop::abort`].
-    pub fn signal_all(&mut self, cost: &CostModel) -> Result<(), WorldStopError> {
-        if self.log.last() == Some(&Step::Aborted) {
-            // Restarting after an abort begins a new request.
-            self.log.push(Step::RequestReceived);
-        }
-        self.expect_last(Step::RequestReceived, Step::SignalsSent)?;
-        self.cycles += self.threads as u64 * cost.move_signal_per_thread;
-        self.log.push(Step::SignalsSent);
-        Ok(())
-    }
-
-    /// One thread enters its handler and dumps registers (steps 3–4).
-    /// When the last thread arrives, the state advances.
-    pub fn thread_entered(&mut self) -> Result<bool, WorldStopError> {
-        self.expect_last(Step::SignalsSent, Step::HandlersEntered)
-            .or_else(|e| {
-                // Threads trickle in; allowed while still in SignalsSent.
-                if self.entered < self.threads && self.log.last() == Some(&Step::SignalsSent) {
-                    Ok(())
-                } else {
-                    Err(e)
-                }
-            })?;
-        self.entered += 1;
-        if self.entered == self.threads {
-            self.log.push(Step::HandlersEntered);
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// All threads synchronize (step 5, first barrier).
-    pub fn barrier1(&mut self, cost: &CostModel) -> Result<(), WorldStopError> {
-        self.expect_last(Step::HandlersEntered, Step::Barrier1)?;
-        self.cycles += self.threads as u64 * cost.move_barrier_per_thread;
-        self.log.push(Step::Barrier1);
-        Ok(())
-    }
-
-    /// Negotiation finished (steps 5–6).
-    pub fn negotiated(&mut self) -> Result<(), WorldStopError> {
-        self.expect_last(Step::Barrier1, Step::Negotiated)?;
-        self.log.push(Step::Negotiated);
-        Ok(())
-    }
-
-    /// Affected allocations found, patches computed (steps 6–7).
-    pub fn patches_computed(&mut self) -> Result<(), WorldStopError> {
-        self.expect_last(Step::Negotiated, Step::PatchesComputed)?;
-        self.log.push(Step::PatchesComputed);
-        Ok(())
-    }
-
-    /// Escapes + registers patched (step 8).
-    pub fn patched(&mut self) -> Result<(), WorldStopError> {
-        self.expect_last(Step::PatchesComputed, Step::Patched)?;
-        self.log.push(Step::Patched);
-        Ok(())
-    }
-
-    /// Data movement done (step 10).
-    pub fn moved(&mut self) -> Result<(), WorldStopError> {
-        self.expect_last(Step::Patched, Step::Moved)?;
-        self.log.push(Step::Moved);
-        Ok(())
-    }
-
-    /// Second barrier (step 11).
-    pub fn barrier2(&mut self, cost: &CostModel) -> Result<(), WorldStopError> {
-        self.expect_last(Step::Moved, Step::Barrier2)?;
-        self.cycles += self.threads as u64 * cost.move_barrier_per_thread;
-        self.log.push(Step::Barrier2);
-        Ok(())
-    }
-
-    /// Kernel notified, threads resume (step 12).
-    pub fn complete(&mut self) -> Result<(), WorldStopError> {
-        self.expect_last(Step::Barrier2, Step::Completed)?;
-        self.log.push(Step::Completed);
-        Ok(())
-    }
-
-    /// Abort an in-flight episode: release every thread that already
-    /// stopped (charging a release barrier for them) and return the state
-    /// machine to idle. After an abort, [`WorldStop::signal_all`] starts a
-    /// fresh episode on the same machine. A no-op on a completed episode.
-    pub fn abort(&mut self, cost: &CostModel) {
-        if self.is_complete() || self.is_aborted() {
-            return;
-        }
-        // Threads already parked in their handlers pass a release barrier
-        // on the way out.
-        self.cycles += self.entered as u64 * cost.move_barrier_per_thread;
-        self.entered = 0;
-        self.log.push(Step::Aborted);
-    }
-
-    /// Whether the episode finished.
-    pub fn is_complete(&self) -> bool {
-        self.log.last() == Some(&Step::Completed)
-    }
-
-    /// Whether the episode was aborted (and is back to idle).
-    pub fn is_aborted(&self) -> bool {
-        self.log.last() == Some(&Step::Aborted)
-    }
-
-    /// Drive a full episode, propagating any protocol failure.
-    pub fn try_run_all(threads: usize, cost: &CostModel) -> Result<WorldStop, WorldStopError> {
-        let mut w = WorldStop::new(threads);
-        w.signal_all(cost)?;
-        for _ in 0..threads {
-            w.thread_entered()?;
-        }
-        w.barrier1(cost)?;
-        w.negotiated()?;
-        w.patches_computed()?;
-        w.patched()?;
-        w.moved()?;
-        w.barrier2(cost)?;
-        w.complete()?;
-        Ok(w)
-    }
-
-    /// Drive a full episode in one call (used when the caller needs the
-    /// costs but not the intermediate states).
+    /// A completed stop over `threads` threads: each is signalled once and
+    /// passes both barriers.
     pub fn run_all(threads: usize, cost: &CostModel) -> WorldStop {
-        WorldStop::try_run_all(threads, cost).expect("fresh episode cannot violate the protocol")
+        WorldStop {
+            cycles: threads as u64
+                * (cost.move_signal_per_thread + 2 * cost.move_barrier_per_thread),
+        }
     }
 }
 
@@ -274,106 +65,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_episode_in_order() {
-        let cost = CostModel::default();
-        let w = WorldStop::run_all(4, &cost);
-        assert!(w.is_complete());
-        assert_eq!(w.log().first(), Some(&Step::RequestReceived));
-        assert_eq!(w.log().last(), Some(&Step::Completed));
-        assert_eq!(
-            w.cycles,
-            4 * cost.move_signal_per_thread + 2 * 4 * cost.move_barrier_per_thread
-        );
-    }
-
-    #[test]
-    fn out_of_order_is_rejected() {
-        let cost = CostModel::default();
-        let mut w = WorldStop::new(2);
-        assert!(w.barrier1(&cost).is_err(), "barrier before signals");
-        w.signal_all(&cost).unwrap();
-        assert!(w.negotiated().is_err(), "negotiate before barrier");
-        assert!(!w.thread_entered().unwrap());
-        assert!(w.barrier1(&cost).is_err(), "barrier before all threads in");
-        assert!(w.thread_entered().unwrap());
-        w.barrier1(&cost).unwrap();
-        assert!(w.patched().is_err(), "patch before negotiate+compute");
-    }
-
-    #[test]
-    fn errors_are_typed_protocol_violations() {
-        let cost = CostModel::default();
-        let mut w = WorldStop::new(1);
-        let err = w.barrier1(&cost).unwrap_err();
-        match err {
-            WorldStopError::Protocol(p) => {
-                assert_eq!(p.attempted, Step::Barrier1);
-                assert_eq!(p.expected, Step::HandlersEntered);
-            }
-            other => panic!("expected protocol error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn single_thread_episode() {
-        let cost = CostModel::default();
-        let w = WorldStop::run_all(1, &cost);
-        assert!(w.is_complete());
-    }
-
-    #[test]
-    fn costs_scale_with_threads() {
+    fn a_stop_charges_one_signal_and_two_barriers_per_thread() {
         let cost = CostModel::default();
         let w1 = WorldStop::run_all(1, &cost);
-        let w8 = WorldStop::run_all(8, &cost);
-        assert!(w8.cycles > w1.cycles);
-        assert_eq!(w8.cycles, 8 * w1.cycles);
-    }
-
-    #[test]
-    fn abort_returns_to_idle_and_allows_restart() {
-        let cost = CostModel::default();
-        let mut w = WorldStop::new(3);
-        w.signal_all(&cost).unwrap();
-        assert!(!w.thread_entered().unwrap());
-        // Third thread stalls; the kernel gives up.
-        w.abort(&cost);
-        assert!(w.is_aborted());
-        assert!(!w.is_complete());
-        // The same machine can start over and complete cleanly.
-        w.signal_all(&cost).unwrap();
-        for _ in 0..3 {
-            w.thread_entered().unwrap();
-        }
-        w.barrier1(&cost).unwrap();
-        w.negotiated().unwrap();
-        w.patches_computed().unwrap();
-        w.patched().unwrap();
-        w.moved().unwrap();
-        w.barrier2(&cost).unwrap();
-        w.complete().unwrap();
-        assert!(w.is_complete());
-    }
-
-    #[test]
-    fn abort_charges_release_barrier_for_entered_threads() {
-        let cost = CostModel::default();
-        let mut w = WorldStop::new(4);
-        w.signal_all(&cost).unwrap();
-        let signalled = w.cycles;
-        w.thread_entered().unwrap();
-        w.thread_entered().unwrap();
-        w.abort(&cost);
-        assert_eq!(w.cycles, signalled + 2 * cost.move_barrier_per_thread);
-    }
-
-    #[test]
-    fn abort_on_completed_episode_is_noop() {
-        let cost = CostModel::default();
-        let mut w = WorldStop::run_all(2, &cost);
-        let cycles = w.cycles;
-        w.abort(&cost);
-        assert!(w.is_complete());
-        assert_eq!(w.cycles, cycles);
+        assert_eq!(
+            w1.cycles,
+            cost.move_signal_per_thread + 2 * cost.move_barrier_per_thread
+        );
+        assert_eq!(
+            WorldStop::run_all(4, &cost).cycles,
+            4 * cost.move_signal_per_thread + 2 * 4 * cost.move_barrier_per_thread
+        );
+        assert_eq!(WorldStop::run_all(8, &cost).cycles, 8 * w1.cycles);
     }
 }

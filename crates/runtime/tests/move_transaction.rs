@@ -5,8 +5,8 @@
 //! is planned once, and planning is deterministic.
 
 use carat_runtime::{
-    perform_move_batch_journaled, perform_shared_move_journaled, AllocKind, AllocationTable,
-    CostModel, MemAccess, MoveOutcome, MovePhase, MoveRequest, PatchPlan,
+    move_transaction, perform_move_batch_journaled, AllocKind, AllocationTable, CostModel,
+    MemAccess, MoveOutcome, MovePhase, MoveRequest, PatchPlan,
 };
 
 /// Flat `Vec<u8>`-backed memory, so whole-image byte comparisons are
@@ -270,8 +270,9 @@ proptest::proptest! {
         let mut t1 = second_owner(n_allocs, &mut m);
         regs.extend([ALLOC_BASE + 0x28, 0x77]);
         let done =
-            perform_shared_move_journaled(&mut [&mut t0, &mut t1], &mut m, &mut regs, req, &cost, None)
-                .unwrap();
+            move_transaction(&mut [&mut t0, &mut t1], &mut m, &mut regs, &[req], &cost, None)
+                .unwrap()
+                .remove(0);
 
         let (mut t0, mut m, mut regs) = build_fixture(n_allocs, cells_per_alloc, seed);
         let mut t1 = second_owner(n_allocs, &mut m);
@@ -279,11 +280,11 @@ proptest::proptest! {
         let (bytes, pristine_regs) = (m.bytes.clone(), regs.clone());
         let tables = (t0.snapshot(), t1.snapshot());
         m.writes.clear();
-        let err = perform_shared_move_journaled(
+        let err = move_transaction(
             &mut [&mut t0, &mut t1],
             &mut m,
             &mut regs,
-            req,
+            &[req],
             &cost,
             Some(&mut fire),
         )
@@ -332,15 +333,16 @@ fn cell_registered_by_two_owners_is_planned_once() {
 
     let mut regs = vec![ALLOC_BASE + 0x44, 0xdead, ALLOC_BASE + 0x48];
     let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-    let out = perform_shared_move_journaled(
+    let out = move_transaction(
         &mut refs,
         &mut m,
         &mut regs,
-        req,
+        &[req],
         &CostModel::default(),
         None,
     )
-    .unwrap();
+    .unwrap()
+    .remove(0);
     assert_eq!(out.allocations, 2, "one affected allocation per owner");
     assert_eq!(out.escapes_patched, 3, "the shared cell counts once");
     assert_eq!(out.registers_patched, 2);

@@ -13,7 +13,7 @@
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::{CastKind, GlobalInit, Module, ModuleBuilder, Pred, Type};
 use carat_kernel::{FaultPlan, FaultPoint, KernelError, Pid, SimKernel};
-use carat_runtime::{AllocationTable, CostModel};
+use carat_runtime::{AllocationTable, CostModel, WorldStopError};
 use carat_vm::{
     Engine, Mode, MultiVm, MultiVmConfig, ProcOutcome, ProcReport, ProcSpec, Vm, VmConfig, VmError,
 };
@@ -582,6 +582,26 @@ fn interrupted_shared_move_rolls_back_every_owner_and_is_retryable() {
         };
         assert_eq!(rr.ret, 11 + 22 + 33 + 44, "{}", r.name);
     }
+}
+
+/// A block nobody has mapped yet has no thread to stop: its move is
+/// refused, typed, and nothing changes. (Every owner contributes at least
+/// its main thread, which stays live even after `main` returns.)
+#[test]
+fn shared_move_of_an_unmapped_block_is_refused() {
+    let (mut mv, _) = shared_pair(None);
+    let id = mv.shared_create(4096).expect("frames available");
+    let base = mv.kernel.procs.shared(id).unwrap().base;
+    let err = mv.move_shared(id).expect_err("no thread to stop");
+    assert!(
+        matches!(
+            err,
+            VmError::Kernel(KernelError::WorldStop(WorldStopError::NoThreads))
+        ),
+        "{err:?}"
+    );
+    assert_eq!(mv.kernel.procs.shared(id).unwrap().base, base);
+    assert_eq!(mv.kernel.procs.shared_moves, 0);
 }
 
 /// The pressure pass — with the move planner handing the kernel one
