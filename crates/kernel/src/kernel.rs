@@ -191,14 +191,24 @@ impl SimKernel {
         addr >= POISON_BASE
     }
 
+    /// The poison window of swap slot `slot`, as `(start, span)`: a
+    /// page-out patches every pointer into the range to an address in
+    /// `[start, start + span)`, and a guard that meets one faults to
+    /// [`SimKernel::page_in`]. The one spelling of the encoding;
+    /// [`SimKernel::swap_slot`] inverts it.
+    pub fn swap_window(slot: u64) -> (u64, u64) {
+        (POISON_BASE + slot * POISON_SLOT_SPAN, POISON_SLOT_SPAN)
+    }
+
+    /// The swap slot whose poison window holds `addr` (which must be
+    /// poison).
+    pub fn swap_slot(addr: u64) -> u64 {
+        (addr - POISON_BASE) / POISON_SLOT_SPAN
+    }
+
     /// Number of ranges currently in swap.
     pub fn swapped_ranges(&self) -> usize {
         self.swap.len()
-    }
-
-    /// Whether swap slot `slot` is live.
-    pub fn has_swap_slot(&self, slot: u64) -> bool {
-        self.swap.contains_key(&slot)
     }
 
     /// Test hook: corrupt swap slot `slot` by truncating its stored
@@ -214,17 +224,55 @@ impl SimKernel {
         }
     }
 
-    /// Integrity scan of the swap store: slots whose stored image does not
-    /// match its recorded length (corruption). Empty means healthy.
-    pub fn corrupt_swap_slots(&self) -> Vec<u64> {
-        let mut bad: Vec<u64> = self
+    /// The swap half of a structural audit of the one process whose
+    /// allocations `table` tracks, one line per violated invariant (empty
+    /// means consistent):
+    ///
+    /// * every swap entry's payload matches its recorded length;
+    /// * every allocation poisoned into the swap address space sits inside
+    ///   the window of a live slot;
+    /// * every live slot backs at least one allocation (a slot nothing
+    ///   lives in holds unreachable data).
+    pub fn audit_swap(&self, table: &AllocationTable) -> Vec<String> {
+        let mut corrupt: Vec<u64> = self
             .swap
             .iter()
             .filter(|(_, e)| e.data.len() as u64 != e.len || e.len == 0)
             .map(|(&s, _)| s)
             .collect();
-        bad.sort_unstable();
-        bad
+        corrupt.sort_unstable();
+        let mut violations: Vec<String> = corrupt
+            .into_iter()
+            .map(|slot| format!("swap slot {slot} length/payload mismatch"))
+            .collect();
+        let mut backed_slots = Vec::new();
+        for (start, info) in table.below(u64::MAX).filter(|&(s, _)| Self::is_poison(s)) {
+            let len = info.len;
+            let slot = Self::swap_slot(start);
+            let (window, span) = Self::swap_window(slot);
+            if !self.swap.contains_key(&slot) {
+                violations.push(format!(
+                    "allocation [{start:#x},+{len:#x}) is poisoned into dead swap slot {slot}"
+                ));
+            } else if (start - window)
+                .checked_add(len)
+                .is_none_or(|end| end > span)
+            {
+                violations.push(format!(
+                    "allocation [{start:#x},+{len:#x}) overruns the window of swap slot {slot}"
+                ));
+            } else if !backed_slots.contains(&slot) {
+                backed_slots.push(slot);
+            }
+        }
+        if backed_slots.len() != self.swap.len() {
+            violations.push(format!(
+                "{} live swap slots but tracked allocations back {}",
+                self.swap.len(),
+                backed_slots.len()
+            ));
+        }
+        violations
     }
 
     /// Park a serialized tenant capsule in the simulated swap device.

@@ -7,7 +7,6 @@
 use super::{SimKernel, SwapEntry, POISON_BASE, POISON_SLOT_SPAN};
 use crate::buddy::BuddyAllocator;
 use crate::faults::{FaultPoint, KernelError};
-use crate::loader::ProcessImage;
 use crate::phys::PhysicalMemory;
 use crate::proc::{Pid, SharedId};
 use crate::trace::PagingEvent;
@@ -52,8 +51,8 @@ pub struct SwapAwareMem<'a> {
 /// Split a poison address into its swap slot and the byte offset inside
 /// that slot's window.
 fn poison_slot(addr: u64) -> (u64, usize) {
-    let rel = addr - POISON_BASE;
-    (rel / POISON_SLOT_SPAN, (rel % POISON_SLOT_SPAN) as usize)
+    let slot = SimKernel::swap_slot(addr);
+    (slot, (addr - SimKernel::swap_window(slot).0) as usize)
 }
 
 impl MemAccess for SwapAwareMem<'_> {
@@ -159,7 +158,10 @@ impl SimKernel {
     /// - 2, a signal to every thread: here, charged per thread;
     /// - 3–4, each thread enters its handler and dumps its registers:
     ///   here, where [`FaultPoint::WorldStopStall`] fires once per entering
-    ///   thread; the dump is the caller's `regs`;
+    ///   thread; the dump is the caller's `regs`, which the VM takes with
+    ///   its one register visitor, `TenantState::visit_dump` (every
+    ///   pointer register, stack pointer and frame base, current thread
+    ///   first, then the parked ones by index);
     /// - 5, the first barrier: here, charged per thread;
     /// - 5–6, negotiation: the mover's pre-expansion, confirmed by
     ///   [`move_transaction`]'s cross-table fixed point;
@@ -169,7 +171,8 @@ impl SimKernel {
     /// - 10, the data moves: the transaction's copies and table upkeep;
     /// - 11, the second barrier: charged here, with the first;
     /// - 12, the kernel is notified and the threads resume: the mover's
-    ///   region update and return.
+    ///   region update and return, after which the VM writes the patched
+    ///   dump back through the same visitor.
     ///
     /// # Errors
     ///
@@ -258,6 +261,18 @@ impl SimKernel {
             None => {}
         }
         moved
+    }
+
+    /// Record a completed relocation in the paging trace: one
+    /// [`PagingEvent::Move`] per page it moved, whichever mover ran it.
+    fn record_moves(&mut self, outcome: &MoveOutcome) {
+        let pg = self.cost.page_size;
+        for p in 0..outcome.moved_len / pg {
+            self.trace.record(PagingEvent::Move {
+                from: outcome.moved_src / pg + p,
+                to: outcome.moved_dst / pg + p,
+            });
+        }
     }
 
     /// The worst-case page to move: the page-aligned address overlapping
@@ -477,12 +492,7 @@ impl SimKernel {
         // published during destination allocation above. One region
         // rebuild covers the whole batch.
         for outcome in &outcomes {
-            for p in 0..outcome.moved_len / page {
-                self.trace.record(PagingEvent::Move {
-                    from: outcome.moved_src / page + p,
-                    to: outcome.moved_dst / page + p,
-                });
-            }
+            self.record_moves(outcome);
         }
         let (unmapped, mapped): (Vec<_>, Vec<_>) = outcomes
             .iter()
@@ -556,7 +566,7 @@ impl SimKernel {
         let req = MoveRequest {
             src,
             len,
-            dst: POISON_BASE + slot * POISON_SLOT_SPAN,
+            dst: Self::swap_window(slot).0,
         };
         self.journaled(&mut [table], regs, &[req], None, None)?;
         self.space.vacated.push((src, len));
@@ -570,9 +580,10 @@ impl SimKernel {
 
     /// Service a fault on a poison address: bring the slot's data back
     /// into fresh frames, patch every poisoned pointer to the new
-    /// location, and restore the region. Returns the new base address of
-    /// the range, or `Ok(None)` when `poison_addr` does not name a live
-    /// swap slot.
+    /// location, and restore the region. Returns the stop's cost and the
+    /// move out of the slot's window (its `moved_dst` is the range's new
+    /// base), or `Ok(None)` when `poison_addr` does not name a live swap
+    /// slot.
     ///
     /// # Errors
     ///
@@ -588,7 +599,7 @@ impl SimKernel {
         regs: &mut [u64],
         poison_addr: u64,
         threads: usize,
-    ) -> Result<Option<(WorldStop, u64)>, KernelError> {
+    ) -> Result<Option<(WorldStop, MoveOutcome)>, KernelError> {
         if !Self::is_poison(poison_addr) {
             return Ok(None);
         }
@@ -616,11 +627,14 @@ impl SimKernel {
         // live inside this slot are patched through the router while the
         // entry still holds them, then travel with the copy.
         let req = MoveRequest {
-            src: POISON_BASE + slot * POISON_SLOT_SPAN,
+            src: Self::swap_window(slot).0,
             len,
             dst: dst.addr,
         };
-        self.journaled(&mut [table], regs, &[req], Some(dst), None)?;
+        let outcome = self
+            .journaled(&mut [table], regs, &[req], Some(dst), None)?
+            .pop()
+            .expect("one request, one outcome");
         self.swap.remove(&slot);
         self.space.remap(&[], &[(dst.addr, len, Perms::RW)]);
         let pg = self.cost.page_size;
@@ -630,7 +644,7 @@ impl SimKernel {
             });
         }
         self.space.swap_slots.release(slot);
-        Ok(Some((world, dst.addr)))
+        Ok(Some((world, outcome)))
     }
 
     /// Stack expansion, seamless to the guest (paper §2.2: "a failed guard involving the
@@ -641,8 +655,9 @@ impl SimKernel {
     /// by *moving* it: allocate a block twice the size, relocate the live
     /// stack contents to its top (patching escapes and registers via the
     /// normal move engine), extend the allocation downward, and install
-    /// the new region. Returns the move outcome, or `Ok(None)` when the
-    /// stack already reached `max_stack` bytes.
+    /// the new region. `stack` is the process's stack range
+    /// `(start, len)`, set to the grown block. Returns the move outcome,
+    /// or `Ok(None)` when the stack already reached `max_stack` bytes.
     ///
     /// # Errors
     ///
@@ -654,11 +669,11 @@ impl SimKernel {
         &mut self,
         table: &mut AllocationTable,
         regs: &mut [u64],
-        img: &mut ProcessImage,
+        stack: &mut (u64, u64),
         threads: usize,
         max_stack: u64,
     ) -> Result<Option<(WorldStop, MoveOutcome)>, KernelError> {
-        let (old_start, old_len) = img.stack;
+        let (old_start, old_len) = *stack;
         let new_len = (old_len * 2).min(max_stack);
         if new_len <= old_len {
             return Ok(None);
@@ -713,12 +728,9 @@ impl SimKernel {
             &[(outcome.moved_src, outcome.moved_len)],
             &[(dst_block, new_len, Perms::RW)],
         );
-        self.trace.record(PagingEvent::Move {
-            from: old_start / self.cost.page_size,
-            to: data_dst / self.cost.page_size,
-        });
+        self.record_moves(&outcome);
 
-        img.stack = (dst_block, new_len);
+        *stack = (dst_block, new_len);
         Ok(Some((world, outcome)))
     }
 
@@ -822,12 +834,7 @@ impl SimKernel {
                 );
             }
         }
-        for p in 0..outcome.moved_len / pg {
-            self.trace.record(PagingEvent::Move {
-                from: outcome.moved_src / pg + p,
-                to: outcome.moved_dst / pg + p,
-            });
-        }
+        self.record_moves(&outcome);
         let new_base = outcome
             .moved_dst
             .wrapping_add(base.wrapping_sub(outcome.moved_src));
@@ -844,7 +851,7 @@ mod tests {
     use super::super::tests::{boot, boot_small, boot_two_procs, module_with_global};
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::loader::LoadConfig;
+    use crate::loader::{LoadConfig, ProcessImage};
     use crate::pagetable::PageTable;
     use carat_runtime::{Access, CostModel, GuardImpl};
 
@@ -890,6 +897,21 @@ mod tests {
             g.wrapping_add(outcome.moved_dst.wrapping_sub(outcome.moved_src))
         );
         assert!(k.trace.moves >= 1);
+    }
+
+    /// Stack growth counts in the paging trace the way every other mover
+    /// does, one move per page: one growth of the default 256 KiB stack
+    /// moves its 64 pages.
+    #[test]
+    fn one_stack_growth_records_a_move_per_page() {
+        let (mut k, mut table, mut img) = boot();
+        assert_eq!(img.stack.1, LoadConfig::default().stack_size);
+        let before = k.trace.moves;
+        let max = 2 * img.stack.1;
+        k.expand_stack(&mut table, &mut [], &mut img.stack, 1, max)
+            .expect("no fault")
+            .expect("room to grow");
+        assert_eq!(k.trace.moves - before, 64);
     }
 
     #[test]
@@ -1106,11 +1128,13 @@ mod tests {
         // Bring it back via the poisoned pointer the register now holds.
         let poisoned = regs[0];
         assert!(SimKernel::is_poison(poisoned));
-        let (_, dst) = k
+        let dst = k
             .page_in(&mut table, &mut regs, poisoned, 2)
             .expect("no fault")
-            .expect("slot live");
-        assert!(!k.has_swap_slot(slot));
+            .expect("slot live")
+            .1
+            .moved_dst;
+        assert!(!k.swap.contains_key(&slot));
         // The resumed program reads back the exact pre-swap bytes.
         let g2 = dst + (g - src);
         let back: Vec<u64> = (0..16u64).map(|i| k.mem.read_uint(g2 + i * 8, 8)).collect();
@@ -1202,12 +1226,14 @@ mod tests {
             .expect("no fault")
             .expect("swappable");
         // The register keeps its interior offset inside the poison window.
-        let window = POISON_BASE + slot * POISON_SLOT_SPAN;
+        let (window, _) = SimKernel::swap_window(slot);
         assert_eq!(regs[0], window + (a - src) + 16);
-        let (_, dst) = k
+        let dst = k
             .page_in(&mut table, &mut regs, window, 1)
             .expect("no fault")
-            .expect("slot live");
+            .expect("slot live")
+            .1
+            .moved_dst;
         let a2 = dst + (a - src);
         assert_eq!(regs[0], a2 + 16);
         assert_eq!(k.mem.read_uint(a2 + 40, 8), a2 + 8, "self pointer");
@@ -1460,7 +1486,7 @@ mod tests {
             }
             Mover::ExpandStack => {
                 let max = 2 * img.stack.1;
-                k.expand_stack(&mut table, &mut regs, &mut img, threads, max)
+                k.expand_stack(&mut table, &mut regs, &mut img.stack, threads, max)
                     .map(|r| r.expect("room to grow").0.cycles)
             }
             Mover::MoveShared => unreachable!("set up above"),
@@ -1545,12 +1571,15 @@ mod tests {
             .expect("no fault")
             .expect("swappable");
         assert!(k.debug_corrupt_swap_slot(slot));
-        assert_eq!(k.corrupt_swap_slots(), vec![slot]);
+        assert_eq!(
+            k.audit_swap(&table),
+            vec![format!("swap slot {slot} length/payload mismatch")]
+        );
         let poisoned = regs[0];
         let err = k.page_in(&mut table, &mut regs, poisoned, 1).unwrap_err();
         assert_eq!(err, KernelError::SwapReadFailed { slot });
         // The (corrupt) entry is preserved for post-mortem, not dropped.
-        assert!(k.has_swap_slot(slot));
+        assert!(k.swap.contains_key(&slot));
     }
 
     #[test]
@@ -1568,18 +1597,23 @@ mod tests {
         k.install_fault_plan(FaultPlan::new().arm(FaultPoint::SwapRead, 1));
         let err = k.page_in(&mut table, &mut regs, poisoned, 1).unwrap_err();
         assert_eq!(err, KernelError::SwapReadFailed { slot });
-        assert!(k.has_swap_slot(slot), "data survives the failed read");
+        assert!(k.swap.contains_key(&slot), "data survives the failed read");
         // Second attempt: injected destination OOM.
         k.install_fault_plan(FaultPlan::new().arm_persistent(FaultPoint::MoveDstAlloc, 1));
         let err = k.page_in(&mut table, &mut regs, poisoned, 1).unwrap_err();
         assert!(matches!(err, KernelError::OutOfFrames { .. }));
-        assert!(k.has_swap_slot(slot), "OOM must not drop the swap entry");
+        assert!(
+            k.swap.contains_key(&slot),
+            "OOM must not drop the swap entry"
+        );
         // Third attempt: clean — the exact bytes come back.
         k.install_fault_plan(FaultPlan::new());
-        let (_, dst) = k
+        let dst = k
             .page_in(&mut table, &mut regs, poisoned, 1)
             .expect("no fault")
-            .expect("slot live");
+            .expect("slot live")
+            .1
+            .moved_dst;
         assert_eq!(k.mem.read_uint(dst + (g - src), 8), 0xFEED_FACE);
     }
 
@@ -1639,10 +1673,12 @@ mod tests {
         assert_ne!(slot0, slot1, "two tenants were issued the same swap slot");
         k.proc_switch(p0, false).unwrap();
         let (g0, poisoned) = (img0.globals[0], regs0[0]);
-        let (_, dst) = k
+        let dst = k
             .page_in(&mut t0, &mut regs0, poisoned, 1)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .1
+            .moved_dst;
         assert_eq!(
             k.mem.read_uint(dst + (g0 - src0), 8),
             0xAAAA_0000,
@@ -1657,14 +1693,16 @@ mod tests {
         let (mut k, [(p0, mut t0, img0, mut regs0, slot0, src0), (p1, _, _, _, slot1, _)]) =
             two_tenants_16384_apart_paged_out();
         assert!(k.proc_kill(p1));
-        assert!(!k.has_swap_slot(slot1), "the victim's entry is reaped");
-        assert!(k.has_swap_slot(slot0), "the bystander's is not");
+        assert!(!k.swap.contains_key(&slot1), "the victim's entry is reaped");
+        assert!(k.swap.contains_key(&slot0), "the bystander's is not");
         k.proc_switch(p0, false).unwrap();
         let (g0, poisoned) = (img0.globals[0], regs0[0]);
-        let (_, dst) = k
+        let dst = k
             .page_in(&mut t0, &mut regs0, poisoned, 1)
             .unwrap()
-            .unwrap();
+            .unwrap()
+            .1
+            .moved_dst;
         let back: Vec<u64> = (0..16u64)
             .map(|i| k.mem.read_uint(dst + (g0 - src0) + i * 8, 8))
             .collect();

@@ -575,12 +575,12 @@ mod tests {
             .expect("swappable");
         assert!(vm.check_integrity().ok(), "a clean page-out is consistent");
         // A live slot no allocation lives in: its data is unreachable.
-        let window = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
+        let (window, span) = carat_kernel::SimKernel::swap_window(slot);
         let poisoned: Vec<(u64, u64)> = vm
             .table
             .snapshot()
             .into_iter()
-            .filter(|&(s, ..)| s >= window && s < window + carat_kernel::POISON_SLOT_SPAN)
+            .filter(|&(s, ..)| s >= window && s < window + span)
             .map(|(s, len, ..)| (s, len))
             .collect();
         assert!(!poisoned.is_empty());
@@ -592,7 +592,7 @@ mod tests {
         assert!(report.violations[0].contains("1 live swap slots"));
         // An allocation poisoned into a slot whose entry is gone: the next
         // guard fault on it could never be serviced.
-        let dead = carat_kernel::POISON_BASE + (slot + 5) * carat_kernel::POISON_SLOT_SPAN;
+        let (dead, _) = carat_kernel::SimKernel::swap_window(slot + 5);
         vm.table
             .track_alloc(dead, 64, carat_runtime::AllocKind::Heap);
         let report = vm.check_integrity();

@@ -390,15 +390,6 @@ pub(crate) struct Frame {
     pub(crate) code: std::rc::Rc<[DecodedInst]>,
 }
 
-/// Bookkeeping for writing a patched register snapshot back into every
-/// thread (see [`TenantState::snapshot_regs`]).
-#[derive(Debug, Default)]
-pub(crate) struct SnapshotMap {
-    reg_slots: Vec<(usize, usize, usize)>,
-    sp_slots: Vec<(usize, usize)>,
-    base_slots: Vec<(usize, usize, usize)>,
-}
-
 /// A thread that is not currently executing.
 pub(crate) struct ParkedThread {
     pub(crate) frames: Vec<Frame>,
@@ -941,10 +932,8 @@ impl Vm {
     ///
     /// * tracked allocations are disjoint (no move landed on live data);
     /// * the frame allocator's usage accounting is within the arena;
-    /// * every swap entry's payload matches its recorded length;
-    /// * the table and the swap store agree: every allocation poisoned
-    ///   into the swap address space sits inside the window of a live
-    ///   slot, and every live slot backs at least one allocation;
+    /// * the swap store is sound and agrees with the table
+    ///   ([`SimKernel::audit_swap`]);
     /// * kernel regions are well-formed.
     pub fn check_integrity(&self) -> IntegrityReport {
         let mut violations = Vec::new();
@@ -972,36 +961,7 @@ impl Vm {
                 "frame allocator accounts {in_use} pages in use of {total}"
             ));
         }
-        for slot in self.kernel.corrupt_swap_slots() {
-            violations.push(format!("swap slot {slot} length/payload mismatch"));
-        }
-        // Table <-> swap: a page-out moved these allocations into a slot's
-        // poison window; the slot must still be live, and (this kernel
-        // serves one process) no other slot may exist.
-        let mut backed_slots = Vec::new();
-        for &(start, len) in allocs.iter().filter(|a| SimKernel::is_poison(a.0)) {
-            let slot = (start - carat_kernel::POISON_BASE) / carat_kernel::POISON_SLOT_SPAN;
-            let window_end =
-                carat_kernel::POISON_BASE + (slot + 1) * carat_kernel::POISON_SLOT_SPAN;
-            if !self.kernel.has_swap_slot(slot) {
-                violations.push(format!(
-                    "allocation [{start:#x},+{len:#x}) is poisoned into dead swap slot {slot}"
-                ));
-            } else if start.checked_add(len).is_none_or(|end| end > window_end) {
-                violations.push(format!(
-                    "allocation [{start:#x},+{len:#x}) overruns the window of swap slot {slot}"
-                ));
-            } else if !backed_slots.contains(&slot) {
-                backed_slots.push(slot);
-            }
-        }
-        let live_slots = self.kernel.swapped_ranges();
-        if backed_slots.len() != live_slots {
-            violations.push(format!(
-                "{live_slots} live swap slots but tracked allocations back {}",
-                backed_slots.len()
-            ));
-        }
+        violations.extend(self.kernel.audit_swap(&self.table));
         for r in self.kernel.space.regions.regions() {
             if r.len == 0 || r.start.checked_add(r.len).is_none() {
                 violations.push(format!("malformed region [{:#x},+{:#x})", r.start, r.len));
@@ -3196,97 +3156,43 @@ impl TenantState {
             .count()
     }
 
-    /// Snapshot every pointer-valued register of every frame (the
-    /// "registers dumped on the stack" by the signal handlers), plus the
-    /// stack pointer and frame bases. Returns the flat register image and
-    /// the bookkeeping needed to write it back.
-    pub(crate) fn snapshot_regs(&self) -> (Vec<u64>, SnapshotMap) {
-        let mut regs: Vec<u64> = Vec::new();
-        let mut map = SnapshotMap::default();
-        let mut visit = |tid: usize, frames: &[Frame], sp: u64, map: &mut SnapshotMap| {
-            for (fi, fr) in frames.iter().enumerate() {
-                for (ri, val) in fr.regs.iter().enumerate() {
-                    if let Value::P(p) = val {
-                        regs.push(*p);
-                        map.reg_slots.push((tid, fi, ri));
+    /// The register dump of a world stop (Figure 8, steps 3–4 and 8–9):
+    /// visit every pointer-valued register, then the stack pointer, then
+    /// every frame base of each live thread — the current thread first,
+    /// then the parked threads by index. Taking the dump and writing the
+    /// patched dump back ([`TenantState::restore_dump`]) are two walks of
+    /// this one order.
+    pub(crate) fn visit_dump(&mut self, mut f: impl FnMut(&mut u64)) {
+        let mut thread = |frames: &mut [Frame], sp: &mut u64| {
+            for fr in frames.iter_mut() {
+                for v in &mut fr.regs {
+                    if let Value::P(p) = v {
+                        f(p);
                     }
                 }
             }
-            regs.push(sp);
-            map.sp_slots.push((tid, regs.len() - 1));
-            for (fi, fr) in frames.iter().enumerate() {
-                regs.push(fr.sp_base);
-                map.base_slots.push((tid, fi, regs.len() - 1));
+            f(sp);
+            for fr in frames {
+                f(&mut fr.sp_base);
             }
         };
-        visit(self.cur_tid, &self.frames, self.sp, &mut map);
-        for (tid, t) in self.threads.iter().enumerate() {
+        thread(&mut self.frames, &mut self.sp);
+        for t in &mut self.threads {
             if let ThreadState::Parked(p) = t {
-                visit(tid, &p.frames, p.sp, &mut map);
+                thread(&mut p.frames, &mut p.sp);
             }
         }
-        (regs, map)
     }
 
-    pub(crate) fn writeback_regs(&mut self, regs: &[u64], map: &SnapshotMap) {
-        // A world stop relocated data: drop the translation front cache.
-        // (Invalidation is always safe — a dropped entry merely routes the
-        // next access through `TranslationUnit::access`, which charges the
-        // identical DTLB hit.)
+    /// Write a patched dump (taken by [`TenantState::visit_dump`]) back.
+    /// Data moved, so the translation front cache goes too: invalidation
+    /// is always safe — a dropped entry merely routes the next access
+    /// through `TranslationUnit::access`, which charges the identical DTLB
+    /// hit.
+    pub(crate) fn restore_dump(&mut self, dump: &[u64]) {
         self.last_vpn = u64::MAX;
-        // Replay the exact visit order of `snapshot_regs`: per thread, its
-        // pointer registers (positional), then sp and frame bases (by
-        // recorded absolute slot index).
-        let mut idx = 0usize;
-        let mut r = 0usize;
-        let mut spi = 0usize;
-        let mut bi = 0usize;
-        let order: Vec<usize> = {
-            let mut o = vec![self.cur_tid];
-            for (tid, t) in self.threads.iter().enumerate() {
-                if matches!(t, ThreadState::Parked(_)) {
-                    o.push(tid);
-                }
-            }
-            o
-        };
-        for tid in order {
-            // regs for this thread
-            while r < map.reg_slots.len() && map.reg_slots[r].0 == tid {
-                let (_, fi, ri) = map.reg_slots[r];
-                self.thread_frames_mut(tid)[fi].regs[ri] = Value::P(regs[idx]);
-                idx += 1;
-                r += 1;
-            }
-            // sp
-            debug_assert_eq!(map.sp_slots[spi].0, tid);
-            let sp_val = regs[map.sp_slots[spi].1];
-            if tid == self.cur_tid {
-                self.sp = sp_val;
-            } else if let ThreadState::Parked(p) = &mut self.threads[tid] {
-                p.sp = sp_val;
-            }
-            idx += 1;
-            spi += 1;
-            // frame bases
-            while bi < map.base_slots.len() && map.base_slots[bi].0 == tid {
-                let (_, fi, slot) = map.base_slots[bi];
-                self.thread_frames_mut(tid)[fi].sp_base = regs[slot];
-                idx += 1;
-                bi += 1;
-            }
-        }
-    }
-
-    fn thread_frames_mut(&mut self, tid: usize) -> &mut Vec<Frame> {
-        if tid == self.cur_tid {
-            &mut self.frames
-        } else {
-            match &mut self.threads[tid] {
-                ThreadState::Parked(p) => &mut p.frames,
-                _ => unreachable!("writeback targets live threads"),
-            }
-        }
+        let mut patched = dump.iter();
+        self.visit_dump(|r| *r = *patched.next().expect("one dumped word per visited slot"));
     }
 
     /// Keep `image.stack` in sync when a relocation touched it (the stack
@@ -3326,13 +3232,14 @@ impl TenantState {
     }
 
     /// The one relocation driver: dump the registers of every stopped
-    /// thread, hand the dump to `kernel_call` (a move, a batch, a page-out
-    /// or a page-in — anything that patches it in place), and on success
-    /// write the dump back and rebase the host-side bookkeeping by every
-    /// `(src, len, delta)` that `moved` reads off the call's result. On
-    /// `Err` (or `None`: the kernel declined) the kernel rolled the dump
-    /// back or never touched it, so the writeback is skipped and thread
-    /// state keeps its pre-call image.
+    /// thread, hand the dump to `kernel_call` (a move, a batch, a
+    /// page-out, a page-in or stack growth — anything that patches it in
+    /// place), and on success write the dump back (both through
+    /// [`TenantState::visit_dump`]) and rebase the host-side bookkeeping
+    /// by every `(src, len, delta)` that `moved` reads off the call's
+    /// result. On `Err` (or `None`: the kernel declined) the kernel rolled
+    /// the dump back or never touched it, so the write-back is skipped and
+    /// thread state keeps its pre-call image.
     ///
     /// It touches only tenant state, so the solo machine and the fleet
     /// both call it while holding the kernel and the table separately.
@@ -3341,11 +3248,12 @@ impl TenantState {
         kernel_call: impl FnOnce(&mut [u64]) -> Result<Option<T>, KernelError>,
         moved: impl FnOnce(&T) -> R,
     ) -> Result<Option<T>, KernelError> {
-        let (mut regs, map) = self.snapshot_regs();
+        let mut regs = Vec::new();
+        self.visit_dump(|r| regs.push(*r));
         let Some(out) = kernel_call(&mut regs)? else {
             return Ok(None);
         };
-        self.writeback_regs(&regs, &map);
+        self.restore_dump(&regs);
         for (src, len, delta) in moved(&out) {
             self.apply_relocation(src, len, delta);
         }
@@ -3366,29 +3274,27 @@ impl Core<'_> {
     /// # Errors
     ///
     /// [`VmError::Kernel`] when the kernel's expansion failed and rolled
-    /// back (registers keep their pre-expansion snapshot — the rollback
-    /// restored them, so no writeback happens).
+    /// back (registers keep their pre-expansion dump — the rollback
+    /// restored it, so no write-back happens).
     fn try_expand_stack(&mut self) -> Result<bool, VmError> {
         /// Stack growth ceiling in bytes.
         const MAX_STACK: u64 = 8 * 1024 * 1024;
         self.flush_escapes();
-        let (mut regs, map) = self.t.snapshot_regs();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        let Some((world, outcome)) = self.kernel.expand_stack(
-            self.table,
-            &mut regs,
-            &mut self.t.image,
-            threads,
-            MAX_STACK,
+        let mut stack = self.t.image.stack;
+        let Some((world, outcome)) = self.t.relocated_by(
+            |regs| {
+                self.kernel
+                    .expand_stack(self.table, regs, &mut stack, threads, MAX_STACK)
+            },
+            |(_, outcome)| [relocation_of(outcome)],
         )?
         else {
             return Ok(false);
         };
-        self.t.writeback_regs(&regs, &map);
-        let (src, len, delta) = relocation_of(&outcome);
-        self.t.apply_relocation(src, len, delta);
         // The expanded stack block begins below the moved data.
-        self.t.cur_stack_base = self.t.image.stack.0;
+        self.t.image.stack = stack;
+        self.t.cur_stack_base = stack.0;
         let cycles = world.cycles + outcome.cost.total();
         self.t.counters.stack_expansions += 1;
         self.t.counters.move_cycles += cycles;
@@ -3396,25 +3302,33 @@ impl Core<'_> {
         Ok(true)
     }
 
-    /// Inject one page-out (swap driver).
-    fn drive_swap(&mut self) -> Result<(), VmError> {
-        self.t.next_swap_at = self.t.next_swap_at.saturating_add(
-            self.t
-                .cfg
-                .swap_driver
-                .map(|d| d.period_cycles)
-                .unwrap_or(u64::MAX),
-        );
-        self.t.recompute_bail();
-        if let Some(d) = self.t.cfg.swap_driver {
-            if d.max_swaps != 0 && self.t.swaps_done >= d.max_swaps {
-                return Ok(());
-            }
+    /// The solo drivers' due-check, for the swap driver or the move
+    /// driver: push its next due point on by its period and refold the
+    /// bail thresholds; then, unless it already ran its `max_*` episodes,
+    /// bring escape state current (the victim pick and the patch read it)
+    /// and pick the victim, the most-escaped resident page that no DMA pin
+    /// covers. `None`: nothing to do this time.
+    fn due_victim(&mut self, swap: bool) -> Option<u64> {
+        let t = &mut *self.t;
+        let (next_at, driver, done) = if swap {
+            let d = t.cfg.swap_driver.map(|d| (d.period_cycles, d.max_swaps));
+            (&mut t.next_swap_at, d, t.swaps_done)
+        } else {
+            let d = t.cfg.move_driver.map(|d| (d.period_cycles, d.max_moves));
+            (&mut t.next_move_at, d, t.moves_done)
+        };
+        *next_at = next_at.saturating_add(driver.map_or(u64::MAX, |(period, _)| period));
+        t.recompute_bail();
+        if driver.is_some_and(|(_, max)| max != 0 && done >= max) {
+            return None;
         }
         self.flush_escapes();
-        // The move driver's victim: the most-escaped resident allocation
-        // that no DMA pin covers.
-        let Some(page) = self.kernel.worst_page(self.table) else {
+        self.kernel.worst_page(self.table)
+    }
+
+    /// Inject one page-out (swap driver).
+    fn drive_swap(&mut self) -> Result<(), VmError> {
+        let Some(page) = self.due_victim(true) else {
             return Ok(());
         };
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
@@ -3435,8 +3349,10 @@ impl Core<'_> {
     }
 
     /// Service a poison-address guard fault by paging the slot back in.
-    /// Returns `(slot_base, slot_span, delta)` for translating stale
-    /// locals, or `None` when `addr` is not poisoned swap data.
+    /// Returns the slot's poison window `(base, span)` and the delta its
+    /// data moved by, for translating stale locals, or `None` when `addr`
+    /// is not poisoned swap data. The move's cost breakdown is returned by
+    /// the kernel but not charged: a page-in costs the guest its stop.
     ///
     /// # Errors
     ///
@@ -3453,12 +3369,9 @@ impl Core<'_> {
         // before the kernel patches, or those cells would be missed.
         self.flush_escapes();
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        let span = carat_kernel::POISON_SLOT_SPAN;
-        let base = (addr - carat_kernel::POISON_BASE) / span * span + carat_kernel::POISON_BASE;
-        let delta_to = |dst: u64| dst.wrapping_sub(base) as i64;
-        let Some((world, dst)) = self.t.relocated_by(
+        let Some((world, outcome)) = self.t.relocated_by(
             |regs| self.kernel.page_in(self.table, regs, addr, threads),
-            |&(_, dst)| [(base, span, delta_to(dst))],
+            |(_, outcome)| [relocation_of(outcome)],
         )?
         else {
             return Ok(None);
@@ -3466,27 +3379,13 @@ impl Core<'_> {
         self.t.counters.swap_ins += 1;
         self.t.counters.cycles += world.cycles;
         self.t.counters.move_cycles += world.cycles;
-        Ok(Some((base, span, delta_to(dst))))
+        let (base, span) = SimKernel::swap_window(SimKernel::swap_slot(addr));
+        Ok(Some((base, span, relocation_of(&outcome).2)))
     }
 
     /// Inject one worst-case page movement (Figure 9 driver).
     fn drive_move(&mut self) -> Result<(), VmError> {
-        self.t.next_move_at = self.t.next_move_at.saturating_add(
-            self.t
-                .cfg
-                .move_driver
-                .map(|d| d.period_cycles)
-                .unwrap_or(u64::MAX),
-        );
-        self.t.recompute_bail();
-        if let Some(d) = self.t.cfg.move_driver {
-            if d.max_moves != 0 && self.t.moves_done >= d.max_moves {
-                return Ok(());
-            }
-        }
-        // Escape state must be current before patching.
-        self.flush_escapes();
-        let Some(page) = self.kernel.worst_page(self.table) else {
+        let Some(page) = self.due_victim(false) else {
             return Ok(());
         };
         let threads = self.t.live_threads() + self.t.cfg.extra_threads;
@@ -3514,7 +3413,7 @@ impl Core<'_> {
 /// The relocation a completed [`SimKernel::page_out`] performed: the
 /// range moved into its slot's poison window.
 pub(crate) fn paged_out(&(_, slot, src, len): &(WorldStop, u64, u64, u64)) -> [(u64, u64, i64); 1] {
-    let window = carat_kernel::POISON_BASE + slot * carat_kernel::POISON_SLOT_SPAN;
+    let (window, _) = SimKernel::swap_window(slot);
     [(src, len, window.wrapping_sub(src) as i64)]
 }
 
@@ -3552,7 +3451,7 @@ fn icmp_u(pred: Pred, a: u64, b: u64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The single fallible evaluator the total/fallible pair replaced,
@@ -3682,5 +3581,133 @@ mod tests {
         // right operands (`Undef`, `I(0)`, `P(0)` and every float).
         let zero_divisors = vals.iter().filter(|b| b.as_i() == 0).count();
         assert_eq!(trapped, 4 * 4 * vals.len() * zero_divisors);
+    }
+
+    /// Every word of `t`'s threads that a relocation may rebase or must
+    /// leave alone, walked independently of the VM's own dump: per thread
+    /// (current first, then parked by index) each frame's registers as
+    /// tag and bits, then its stack pointer, its frame bases and its stack
+    /// base, tagged as pointers.
+    pub(crate) fn thread_words(t: &TenantState) -> Vec<Vec<(u8, u64)>> {
+        let words = |frames: &[Frame], sp: u64, stack_base: u64| {
+            let mut w: Vec<(u8, u64)> = frames
+                .iter()
+                .flat_map(|f| f.regs.iter().map(|&v| bits(v)))
+                .collect();
+            w.push((2, sp));
+            w.extend(frames.iter().map(|f| (2, f.sp_base)));
+            w.push((2, stack_base));
+            w
+        };
+        let mut out = vec![words(&t.frames, t.sp, t.cur_stack_base)];
+        for th in &t.threads {
+            if let ThreadState::Parked(p) = th {
+                out.push(words(&p.frames, p.sp, p.stack_base));
+            }
+        }
+        out
+    }
+
+    /// `after` is `before` with every pointer word inside `[src, src+len)`
+    /// moved by `delta` and every other word bit-identical.
+    pub(crate) fn assert_rebased(
+        before: &[Vec<(u8, u64)>],
+        after: &[Vec<(u8, u64)>],
+        (src, len, delta): (u64, u64, i64),
+    ) {
+        assert_eq!(before.len(), after.len(), "thread count");
+        for (tid, (b, a)) in before.iter().zip(after).enumerate() {
+            let want: Vec<(u8, u64)> = b
+                .iter()
+                .map(|&(tag, x)| match tag {
+                    2 if x >= src && x < src + len => (2, x.wrapping_add(delta as u64)),
+                    _ => (tag, x),
+                })
+                .collect();
+            assert_eq!(a, &want, "thread #{tid} of the dump");
+        }
+    }
+
+    /// A solo move that lands while two or more threads are parked
+    /// rebases every pointer register, stack pointer and frame base of the
+    /// current and the parked threads by the move's delta, and leaves an
+    /// integer register holding the same bits alone.
+    #[test]
+    fn a_solo_move_rebases_every_thread_of_the_dump() {
+        let src = "
+            int* shared;
+            int work(int lo) {
+                int s = 0;
+                for (int i = 0; i < 100000; i += 1) { s += shared[(lo + i) % 64]; }
+                return s;
+            }
+            int main() {
+                shared = (int*) malloc(64 * sizeof(int));
+                int t0 = spawn(work, 0);
+                int t1 = spawn(work, 1);
+                int t2 = spawn(work, 2);
+                return join(t0) + join(t1) + join(t2);
+            }
+        ";
+        let module = carat_frontend::compile_cm("parked", src).expect("parses");
+        let m = carat_core::CaratCompiler::new(carat_core::CompileOptions::default())
+            .compile(module)
+            .expect("compiles")
+            .module;
+        let mut vm = Vm::new(m, VmConfig::default()).expect("loads");
+        vm.start().expect("starts");
+        while vm.state.parked_threads < 2 {
+            assert_eq!(vm.run_slice(256).expect("runs"), SliceExit::Quantum);
+        }
+        let page = vm.kernel.worst_page(&vm.table).expect("a tracked page");
+        // Aim a pointer register, an integer register with the same bits,
+        // every frame base and every stack pointer into the page; each
+        // planted value is distinct, so a permuted write-back shows.
+        let mut k = 0u64;
+        let mut next = || {
+            k += 8;
+            page + k % 4096
+        };
+        let mut plant = |frames: &mut Vec<Frame>, sp: &mut u64| {
+            for f in frames.iter_mut() {
+                let x = next();
+                f.regs.extend([Value::P(x), Value::I(x as i64)]);
+                f.sp_base = next();
+            }
+            *sp = next();
+        };
+        let t = &mut vm.state;
+        plant(&mut t.frames, &mut t.sp);
+        for th in &mut t.threads {
+            if let ThreadState::Parked(p) = th {
+                plant(&mut p.frames, &mut p.sp);
+            }
+        }
+        let before = thread_words(&vm.state);
+        assert!(before.len() >= 3, "the current thread and two parked");
+        let threads = vm.state.live_threads();
+        let Vm {
+            kernel,
+            table,
+            state,
+        } = &mut vm;
+        let (_, outcome) = state
+            .relocated_by(
+                |regs| kernel.move_pages(table, regs, page, 1, threads).map(Some),
+                |(_, o)| [relocation_of(o)],
+            )
+            .expect("moves")
+            .expect("moves");
+        let moved = relocation_of(&outcome);
+        assert!(moved.0 <= page && page + 4096 <= moved.0 + moved.1);
+        assert_ne!(moved.2, 0);
+        let after = thread_words(&vm.state);
+        assert_rebased(&before, &after, moved);
+        // The planted pair, spelled out: the pointer moved, the integer
+        // with the same bits did not.
+        let regs = &vm.state.frames[0].regs;
+        let (p, i) = (regs[regs.len() - 2], regs[regs.len() - 1]);
+        assert_eq!(bits(p).1, (bits(i).1).wrapping_add(moved.2 as u64));
+        assert!(matches!((p, i), (Value::P(_), Value::I(_))));
     }
 }

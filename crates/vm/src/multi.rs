@@ -931,36 +931,35 @@ impl MultiVm {
             s.owners.clone()
         };
         // Quiesced by construction: escapes were flushed when each owner
-        // was descheduled, and setup escapes were resolved eagerly. Each
-        // owner's registers are dumped from, and later patched in, its
-        // slot's state in place.
+        // was descheduled, and setup escapes were resolved eagerly. The
+        // owners' dumps are concatenated, owner by owner; each owner's
+        // slice is patched back into its slot's state in place.
         let mut regs: Vec<u64> = Vec::new();
         let mut spans = Vec::with_capacity(owners.len());
         let mut threads = 0usize;
         for &pid in &owners {
-            let state = self
-                .tenant(pid)
+            let state = Self::tenant_mut(&mut self.slots, pid)
                 .ok()
-                .and_then(|t| t.state.as_ref())
+                .and_then(|t| t.state.as_mut())
                 .ok_or(VmError::Kernel(KernelError::StaleTenant { pid }))?;
-            let (r, map) = state.snapshot_regs();
-            spans.push((pid, regs.len(), r.len(), map));
-            regs.extend(r);
+            let from = regs.len();
+            state.visit_dump(|r| regs.push(*r));
+            spans.push((pid, from..regs.len()));
             threads += state.live_threads();
         }
         let (_world, outcome) = self.kernel.move_shared(id, &mut regs, threads)?;
-        let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-        for (pid, off, n, map) in &spans {
+        let (src, len, delta) = relocation_of(&outcome);
+        for (pid, span) in spans {
             // Every owner was validated resident above and nothing ran
             // in between; a vanished one has no registers left to patch.
-            let Some(state) = Self::tenant_mut(&mut self.slots, *pid)
+            let Some(state) = Self::tenant_mut(&mut self.slots, pid)
                 .ok()
                 .and_then(|t| t.state.as_mut())
             else {
                 continue;
             };
-            state.writeback_regs(&regs[*off..*off + *n], map);
-            state.apply_relocation(outcome.moved_src, outcome.moved_len, delta);
+            state.restore_dump(&regs[span]);
+            state.apply_relocation(src, len, delta);
         }
         self.kernel
             .procs
@@ -1558,5 +1557,106 @@ mod tests {
         assert!(Rc::ptr_eq(&mv.modules[0].module, &b));
         assert!(mv.kill(b_pid));
         assert_eq!(mv.modules.len(), 1, "the caller can still present `b`");
+    }
+
+    /// A two-owner shared move while owner A has a parked thread holding
+    /// a pointer into the block: that pointer is patched (an integer with
+    /// the same bits is not), and owner B is bit-identical apart from its
+    /// own cell that publishes the block.
+    #[test]
+    fn a_shared_move_patches_a_parked_owner_thread_and_leaves_the_other_owner_alone() {
+        use crate::machine::tests::{assert_rebased, thread_words};
+        use crate::machine::{Frame, ParkedThread, ThreadState, Value};
+        let mut mb = ModuleBuilder::new("shm_holder");
+        mb.global("shm", Type::Ptr, GlobalInit::Zero);
+        let f = mb.declare("main", vec![], Some(Type::I64));
+        {
+            let mut b = mb.define(f);
+            let e = b.block("entry");
+            b.switch_to(e);
+            let c = b.const_i64(0);
+            b.ret(Some(c));
+        }
+        let module = carat_core::CaratCompiler::new(carat_core::CompileOptions::default())
+            .compile(mb.finish())
+            .expect("compiles")
+            .module;
+        let spec = |name: &str| ProcSpec {
+            name: name.to_string(),
+            module: module.clone(),
+            cfg: VmConfig::default(),
+        };
+        let mut mv =
+            MultiVm::new(vec![spec("a"), spec("b")], MultiVmConfig::default()).expect("loads");
+        let id = mv.shared_create(4096).expect("frames available");
+        let base = mv.kernel.procs.shared(id).expect("live").base;
+        mv.shared_map(Pid(0), id, 0).expect("maps");
+        mv.shared_map(Pid(1), id, 0).expect("maps");
+        fn state(mv: &MultiVm, pid: Pid) -> &TenantState {
+            let t = mv.tenant(pid).expect("live");
+            t.state.as_ref().expect("resident")
+        }
+        let held = base + 16;
+        {
+            let a = MultiVm::tenant_mut(&mut mv.slots, Pid(0))
+                .expect("live")
+                .state
+                .as_mut()
+                .expect("resident");
+            let main = &a.frames[0];
+            let frame = Frame {
+                func: main.func,
+                regs: vec![Value::P(held), Value::I(held as i64)],
+                block: main.block,
+                idx: main.idx,
+                prev_block: None,
+                sp_base: main.sp_base,
+                ret_to: None,
+                code: main.code.clone(),
+            };
+            let parked = ParkedThread {
+                frames: vec![frame],
+                sp: a.sp,
+                stack_base: a.cur_stack_base,
+            };
+            a.threads.push(ThreadState::Parked(parked));
+            a.parked_threads += 1;
+        }
+        let a_before = thread_words(state(&mv, Pid(0)));
+        let b = state(&mv, Pid(1));
+        let b_before = thread_words(b);
+        let (b_image, b_cell) = (b.image.capsule_region(), b.image.globals[0]);
+        let (b_globals, b_stack) = (b.image.globals.clone(), b.image.stack);
+        let b_mem = mv
+            .kernel
+            .mem
+            .read_bytes(b_image.start, b_image.len)
+            .to_vec();
+
+        let new_base = mv.move_shared(id).expect("clean move");
+        assert_ne!(new_base, base);
+        let moved = (base, 4096, new_base.wrapping_sub(base) as i64);
+        let a = state(&mv, Pid(0));
+        assert_rebased(&a_before, &thread_words(a), moved);
+        let ThreadState::Parked(p) = &a.threads[1] else {
+            panic!("the planted thread is still parked");
+        };
+        assert!(matches!(
+            p.frames[0].regs[..],
+            [Value::P(x), Value::I(y)] if x == new_base + 16 && y == held as i64
+        ));
+        let b = state(&mv, Pid(1));
+        assert_eq!(thread_words(b), b_before, "B's registers are untouched");
+        assert_eq!((&b.image.globals, b.image.stack), (&b_globals, b_stack));
+        let b_after = mv.kernel.mem.read_bytes(b_image.start, b_image.len);
+        let changed: Vec<u64> = (0..b_image.len / 8)
+            .map(|w| b_image.start + 8 * w)
+            .filter(|&c| {
+                let o = (c - b_image.start) as usize;
+                b_mem[o..o + 8] != b_after[o..o + 8]
+            })
+            .collect();
+        assert_eq!(changed, vec![b_cell], "only B's published cell moved");
+        assert_eq!(mv.kernel.mem.read_u64(b_cell), new_base);
     }
 }

@@ -94,8 +94,8 @@ fn moves_agree_across_engines() {
 }
 
 /// Thread world-stops: with live threads and `extra_threads > 0`, a
-/// forced move snapshots and patches every thread's registers and stack
-/// pointer (the `SnapshotMap` path). The decoded engine must reproduce
+/// forced move dumps and patches every thread's registers and stack
+/// pointer (`TenantState::visit_dump`). The decoded engine must reproduce
 /// the seed interpreter's patching exactly — same move episodes, same
 /// per-phase breakdown (register-patch cycles scale with the snapshot
 /// size), same final memory image.
@@ -136,7 +136,7 @@ fn thread_world_stops_agree_across_engines() {
     assert_eq!(dec.ret, refr.ret, "threaded result");
     assert_eq!(
         dec.counters.move_breakdown, refr.counters.move_breakdown,
-        "per-phase move costs (register patch reflects SnapshotMap size)"
+        "per-phase move costs (register patch reflects the dump size)"
     );
     assert_eq!(dec.counters, refr.counters, "full counters");
 }
