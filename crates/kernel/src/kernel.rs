@@ -433,7 +433,7 @@ impl SimKernel {
         table: &mut AllocationTable,
         cfg: LoadConfig,
     ) -> Result<ProcessImage, LoadError> {
-        let img = crate::loader::load_shared_preverified(
+        let img = crate::loader::load_image(
             module,
             text_len,
             &mut self.mem,
@@ -565,13 +565,13 @@ mod tests {
         let img0 = k
             .load_unsigned(module_with_global(), &mut t0, cfg)
             .expect("loads");
-        let p0 = k.register_proc("alpha", img0.clone()).expect("admitted");
+        let p0 = k.register_proc("alpha", &img0).expect("admitted");
         k.procs.checkin_table(p0, t0);
         let mut t1 = AllocationTable::new();
         let img1 = k
             .load_unsigned(module_with_global(), &mut t1, cfg)
             .expect("loads");
-        let p1 = k.register_proc("beta", img1.clone()).expect("admitted");
+        let p1 = k.register_proc("beta", &img1).expect("admitted");
         k.procs.checkin_table(p1, t1);
         (k, p0, p1, img0, img1)
     }

@@ -1634,7 +1634,7 @@ mod tests {
         let img0 = k
             .load_unsigned(module_with_global(), &mut t0, cfg)
             .expect("loads");
-        let p0 = k.register_proc("alpha", img0.clone()).expect("admitted");
+        let p0 = k.register_proc("alpha", &img0).expect("admitted");
         for _ in 1..16_384 {
             k.procs
                 .spawn(
@@ -1650,7 +1650,7 @@ mod tests {
         let img1 = k
             .load_unsigned(module_with_global(), &mut t1, cfg)
             .expect("loads");
-        let p1 = k.register_proc("beta", img1.clone()).expect("admitted");
+        let p1 = k.register_proc("beta", &img1).expect("admitted");
         assert_eq!((p0.index(), p1.index()), (0, 16_384));
         let tenants = [(p0, t0, img0, 0xAAAA_0000u64), (p1, t1, img1, 0xBBBB_0000)];
         let paged = tenants.map(|(pid, mut table, img, tag)| {

@@ -28,19 +28,17 @@ impl SimKernel {
     pub fn register_proc(
         &mut self,
         name: &str,
-        image: ProcessImage,
+        image: &ProcessImage,
     ) -> Result<Pid, crate::proc::AdmissionError> {
         let space = std::mem::take(&mut self.space);
-        let capsule_base = image.stack.0;
-        match self.procs.spawn_in(name.to_string(), image, space, None) {
-            Ok(pid) => Ok(pid),
-            Err(e) => {
-                // Roll the load back: the capsule is one contiguous buddy
-                // block based at the stack bottom.
-                let _ = self.buddy.free_pages(capsule_base);
-                Err(e)
-            }
+        let capsule = image.capsule_region();
+        let admitted = self.procs.spawn_in(name.to_string(), capsule, space, None);
+        if admitted.is_err() {
+            // Roll the load back: the capsule is one contiguous buddy
+            // block.
+            let _ = self.buddy.free_pages(capsule.start);
         }
+        admitted
     }
 
     /// Set the fleet admission quotas (tenant count and resident bytes);
@@ -69,7 +67,7 @@ impl SimKernel {
             // below sees it, leaving the kernel with nothing installed.
             entry.space = std::mem::take(&mut self.space);
         }
-        let _ = self.buddy.free_pages(entry.image.stack.0);
+        let _ = self.buddy.free_pages(entry.capsule.start);
         // The space knows exactly which slot ids it was ever issued; drop
         // the victim's pages — and only the victim's — from the simulated
         // device.
@@ -394,7 +392,7 @@ mod tests {
                         k.proc_park();
                         let mut table = AllocationTable::new();
                         let img = k.load_unsigned(module_with_global(), &mut table, cfg).expect("loads");
-                        let pid = k.register_proc("t", img.clone()).expect("admitted");
+                        let pid = k.register_proc("t", &img).expect("admitted");
                         k.procs.checkin_table(pid, table);
                         let charged = free_before - k.buddy.pages_free();
                         model.push((pid, pages_of(&[img.capsule_region()], page), charged));

@@ -55,10 +55,7 @@ pub use dev::{
 };
 pub use faults::{FaultPlan, FaultPoint, KernelError};
 pub use kernel::{checksum, fnv1a, PinError, PinStats, SimKernel, POISON_BASE, POISON_SLOT_SPAN};
-pub use loader::{
-    load_shared, load_shared_preverified, load_signed, load_unsigned, CapsuleLayout, LoadConfig,
-    LoadError, ProcessImage,
-};
+pub use loader::{CapsuleLayout, LoadConfig, LoadError, ProcessImage};
 pub use pagetable::{PageTable, Pte, Walk};
 pub use phys::PhysicalMemory;
 pub use proc::{

@@ -148,7 +148,7 @@ impl ProcessImage {
 ///
 /// See [`LoadError`]. An untrusted or tampered binary never reaches the
 /// parser (signature first, exactly as the paper orders the steps).
-pub fn load_signed(
+pub(crate) fn load_signed(
     signed: &SignedModule,
     trusted: &[SigningKey],
     mem: &mut PhysicalMemory,
@@ -186,25 +186,8 @@ pub fn load_signed(
 /// # Errors
 ///
 /// [`LoadError::Verify`] / [`LoadError::OutOfMemory`].
-pub fn load_unsigned(
+pub(crate) fn load_unsigned(
     module: Module,
-    mem: &mut PhysicalMemory,
-    buddy: &mut BuddyAllocator,
-    table: &mut AllocationTable,
-    cfg: LoadConfig,
-) -> Result<ProcessImage, LoadError> {
-    load_shared(Rc::new(module), mem, buddy, table, cfg)
-}
-
-/// [`load_unsigned`] over an already-shared module handle: the fleet
-/// spawn path, where thousands of tenants are loaded from one module
-/// without cloning the IR per tenant.
-///
-/// # Errors
-///
-/// [`LoadError::Verify`] / [`LoadError::OutOfMemory`].
-pub fn load_shared(
-    module: Rc<Module>,
     mem: &mut PhysicalMemory,
     buddy: &mut BuddyAllocator,
     table: &mut AllocationTable,
@@ -212,29 +195,7 @@ pub fn load_shared(
 ) -> Result<ProcessImage, LoadError> {
     carat_ir::verify_module(&module)?;
     let text_len = carat_ir::print_module(&module).len() as u64;
-    load_image(module, text_len, mem, buddy, table, cfg)
-}
-
-/// [`load_shared`] for a module the caller has **already verified and
-/// measured** — the batch-admission stamp path, where one verification
-/// pass covers N tenants. `text_len` must be the
-/// `carat_ir::print_module` length of this module (the batch entry point
-/// computes it once); passing the same value the sequential path would
-/// compute keeps per-tenant images bit-identical between the two paths.
-///
-/// # Errors
-///
-/// [`LoadError::OutOfMemory`]. Verification errors cannot occur here —
-/// that is the point.
-pub fn load_shared_preverified(
-    module: Rc<Module>,
-    text_len: u64,
-    mem: &mut PhysicalMemory,
-    buddy: &mut BuddyAllocator,
-    table: &mut AllocationTable,
-    cfg: LoadConfig,
-) -> Result<ProcessImage, LoadError> {
-    load_image(module, text_len, mem, buddy, table, cfg)
+    load_image(Rc::new(module), text_len, mem, buddy, table, cfg)
 }
 
 /// The capsule's section sizes, each rounded up to whole pages: stack |
@@ -279,7 +240,20 @@ impl CapsuleLayout {
     }
 }
 
-fn load_image(
+/// Load a module the caller has **already verified and measured**: lay
+/// out, copy and zero sections, bind globals, register static
+/// allocations. Every load ends here; the batch-admission stamp path
+/// calls it directly, one verification pass covering N tenants loaded
+/// from one shared handle. `text_len` must be the
+/// `carat_ir::print_module` length of this module (the batch entry point
+/// computes it once); passing the same value the sequential path would
+/// compute keeps per-tenant images bit-identical between the two paths.
+///
+/// # Errors
+///
+/// [`LoadError::OutOfMemory`]. Verification errors cannot occur here —
+/// that is the point.
+pub(crate) fn load_image(
     module: Rc<Module>,
     text_len: u64,
     mem: &mut PhysicalMemory,

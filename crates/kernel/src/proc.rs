@@ -269,10 +269,11 @@ pub struct ProcEntry {
     /// run queue stays in sync; the queue also re-validates on pop, so a
     /// direct write is lazily corrected rather than fatal.
     pub state: ProcState,
-    /// The admitted image — the record of what the trust chain accepted.
-    /// The *live* image (globals patched by moves, stack rebased) travels
-    /// with the VM; this copy is the admission-time snapshot.
-    pub image: ProcessImage,
+    /// The capsule region the loader granted at admission: the block the
+    /// kill returns to the frame allocator and the bytes admission
+    /// charged. The live image (globals patched by moves, stack rebased)
+    /// travels with the VM.
+    pub capsule: Region,
     /// The process's address space while descheduled. Taken (left
     /// default) while this process is current: the kernel has it
     /// installed as [`SimKernel::space`](crate::SimKernel::space).
@@ -523,7 +524,7 @@ impl ProcTable {
         let mut space = AddressSpace::default();
         space.regions.set_regions(regions);
         space.pagetable = pagetable;
-        self.spawn_in(name, image, space, table)
+        self.spawn_in(name, image.capsule_region(), space, table)
     }
 
     /// [`ProcTable::spawn`] for a process whose address space already
@@ -532,12 +533,11 @@ impl ProcTable {
     pub(crate) fn spawn_in(
         &mut self,
         name: String,
-        image: ProcessImage,
+        capsule: Region,
         mut space: AddressSpace,
         table: Option<AllocationTable>,
     ) -> Result<Pid, AdmissionError> {
-        let bytes = image.capsule_region().len;
-        self.admit(bytes)?;
+        self.admit(capsule.len)?;
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
@@ -552,13 +552,13 @@ impl ProcTable {
             pid,
             name,
             state: ProcState::Runnable,
-            image,
+            capsule,
             space,
             table,
             accounting: ProcAccounting::default(),
         });
         self.live += 1;
-        self.resident += bytes;
+        self.resident += capsule.len;
         self.enqueue(idx);
         Ok(pid)
     }
@@ -580,9 +580,7 @@ impl ProcTable {
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(idx);
         self.live -= 1;
-        self.resident = self
-            .resident
-            .saturating_sub(entry.image.capsule_region().len);
+        self.resident = self.resident.saturating_sub(entry.capsule.len);
         if self.current == Some(pid) {
             self.current = None;
         }

@@ -180,7 +180,7 @@ fn unpin_after_owner_death_does_not_credit_the_slot_successor() {
         let img = k
             .load_unsigned(module_with_global(), &mut table, LoadConfig::default())
             .expect("loads");
-        (k.register_proc(name, img.clone()).expect("admitted"), img)
+        (k.register_proc(name, &img).expect("admitted"), img)
     };
     let (a, img_a) = admit(&mut k, "a");
     let buf = heap_page(&k, &img_a);

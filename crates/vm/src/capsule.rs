@@ -9,6 +9,19 @@
 //! corrupted capsule surfaces as a typed, recoverable error — one lost
 //! tenant, never a poisoned fleet.
 //!
+//! ## One codec
+//!
+//! The format lives in one [`Capsule`] impl per encoded type, its `put`
+//! beside its `take`. Every bounds check is in a `take` or in the [`Dec`]
+//! cursor, so a damaged image decodes to `None`, never a panic. A
+//! tenant's field order appears twice, in declaration order: the
+//! exhaustive destructure of [`TenantState::externalize_into`] and the
+//! exhaustive struct literal of [`TenantState::rehydrate`]. A new field
+//! breaks the build on both sides. `capsule_format_golden` in
+//! `crates/vm/tests/capsule_roundtrip.rs` pins the bytes of fixed
+//! tenants, so any layout change fails it until `CAPSULE_MAGIC` is bumped
+//! and the golden updated with it.
+//!
 //! ## What is (and is not) in the image
 //!
 //! The image holds every *mutable* field of the tenant: registers,
@@ -29,198 +42,448 @@
 //!
 //! ## Determinism
 //!
-//! Serializing the same tenant twice yields identical bytes: the one
-//! hash-ordered structure (the heap's live-block map) is sorted on the
-//! way out. `Vec`/`String` capacities are recorded and restored so
+//! Serializing the same tenant twice yields identical bytes: the heap's
+//! live blocks are an ordered map, written by start address. `Vec`/`String`
+//! capacities are recorded and restored so
 //! [`TenantState::footprint_bytes`] reports the same number before and
 //! after a round trip.
 
-use crate::decode::DecodedProgram;
-use crate::heap::HeapAllocator;
+use crate::counters::{MoveBreakdownSum, OpcodeMix, PerfCounters};
+use crate::decode::{DecodedProgram, FusionStats};
 use crate::machine::{
     Frame, GuardFastPath, ParkedThread, TenantState, ThreadState, Value, VmConfig,
 };
-use crate::tlb::{Tlb, TranslationUnit};
 use carat_ir::{BlockId, FuncId, Module, ValueId};
 use carat_kernel::ProcessImage;
 use carat_runtime::Perms;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Image magic + format version. Bump on any layout change: a stale
 /// capsule then fails cleanly at the header instead of misparsing.
 const CAPSULE_MAGIC: u64 = 0x4341_5250_0000_0002; // "CARP" v2
 
-/// Little-endian byte sink.
-struct Enc {
-    buf: Vec<u8>,
+/// One encoded type of the capsule image.
+pub(crate) trait Capsule: Sized {
+    /// The fewest bytes one encoding occupies (every encoding occupies
+    /// one): a sequence of these is refused at its length prefix when the
+    /// rest of the image could not hold that many.
+    const MIN_BYTES: usize = 1;
+    /// Append the little-endian encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Read one value back; `None` for bytes no `put` writes.
+    fn take(d: &mut Dec) -> Option<Self>;
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn pair(&mut self, (a, b): (u64, u64)) {
-        self.u64(a);
-        self.u64(b);
-    }
-    fn value(&mut self, v: Value) {
-        match v {
-            Value::I(x) => {
-                self.u8(0);
-                self.u64(x as u64);
+/// [`Capsule`] for a struct that is its fields in declaration order, each
+/// through its own impl. The one field list makes `put` an exhaustive
+/// destructure and `take` an exhaustive struct literal.
+macro_rules! capsule_fields {
+    ($ty:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::capsule::Capsule for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($f),+ } = self;
+                $($f.put(out);)+
             }
-            Value::F(x) => {
-                self.u8(1);
-                self.u64(x.to_bits());
+            fn take(d: &mut $crate::capsule::Dec) -> Option<Self> {
+                Some($ty { $($f: d.read()?),+ })
             }
-            Value::P(p) => {
-                self.u8(2);
-                self.u64(p);
-            }
-            Value::Undef => self.u8(3),
         }
-    }
-    /// A register vector: contents plus capacity (footprint fidelity).
-    fn regs(&mut self, regs: &[Value], capacity: usize) {
-        self.usize(regs.len());
-        self.usize(capacity);
-        for &v in regs {
-            self.value(v);
-        }
-    }
-    fn frame(&mut self, f: &Frame) {
-        self.u32(f.func.0);
-        self.regs(&f.regs, f.regs.capacity());
-        self.u32(f.block.0);
-        self.usize(f.idx);
-        self.bool(f.prev_block.is_some());
-        self.u32(f.prev_block.map_or(0, |b| b.0));
-        self.u64(f.sp_base);
-        self.bool(f.ret_to.is_some());
-        self.u32(f.ret_to.map_or(0, |v| v.0));
-        // `f.code` is rebuilt from the program at rehydrate.
-    }
-    fn frames(&mut self, frames: &[Frame]) {
-        self.usize(frames.len());
-        for f in frames {
-            self.frame(f);
-        }
-    }
+    };
 }
+pub(crate) use capsule_fields;
 
-/// Little-endian cursor; every read is bounds-checked so a truncated or
-/// damaged image decodes to `None`, never a panic.
-struct Dec<'a> {
+/// Little-endian cursor over an image, carrying the host-side handles
+/// the image is rebuilt against. Every read is bounds-checked.
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Frames pin their code streams from it.
+    program: &'a DecodedProgram,
+    /// The process image's module handle.
+    module: &'a Rc<Module>,
 }
 
 impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    #[inline]
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
     }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+
+    /// Read one `T`.
+    #[inline]
+    pub(crate) fn read<T: Capsule>(&mut self) -> Option<T> {
+        T::take(self)
     }
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
+
+    /// A length prefix for a sequence of `T`s, refused when the rest of
+    /// the image could not hold it (so a corrupt length cannot trigger a
+    /// huge allocation).
+    #[inline]
+    pub(crate) fn len<T: Capsule>(&mut self) -> Option<usize> {
+        let n: usize = self.read()?;
+        (n.checked_mul(T::MIN_BYTES)? <= self.buf.len() - self.pos).then_some(n)
+    }
+
+    /// `n` elements into a vector of capacity `cap`. A capacity the host
+    /// cannot allocate is refused like any other damage.
+    #[inline]
+    fn elems<T: Capsule>(&mut self, n: usize, cap: usize) -> Option<Vec<T>> {
+        let mut v = Vec::new();
+        v.try_reserve_exact(cap).ok()?;
+        for _ in 0..n {
+            v.push(self.read()?);
+        }
+        Some(v)
+    }
+
+    /// A recorded capacity for `len` elements: at least `len`, at most 2³².
+    #[inline]
+    fn capacity(&mut self, len: usize) -> Option<usize> {
+        self.read().filter(|&cap| cap >= len && cap <= 1 << 32)
+    }
+}
+
+/// A sequence whose capacity the image does not record: its length, then
+/// each element. [`take_seq`] rebuilds it at exactly its length.
+#[inline]
+pub(crate) fn put_seq<T: Capsule>(items: &[T], out: &mut Vec<u8>) {
+    items.len().put(out);
+    for x in items {
+        x.put(out);
+    }
+}
+
+/// Read back what [`put_seq`] wrote.
+#[inline]
+pub(crate) fn take_seq<T: Capsule>(d: &mut Dec) -> Option<Vec<T>> {
+    let n = d.len::<T>()?;
+    d.elems(n, n)
+}
+
+macro_rules! le_int {
+    ($($t:ty),*) => {$(
+        impl Capsule for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn take(d: &mut Dec) -> Option<Self> {
+                Some(<$t>::from_le_bytes(d.bytes(Self::MIN_BYTES)?.try_into().ok()?))
+            }
+        }
+    )*};
+}
+le_int!(u8, u32, u64, i64);
+
+impl Capsule for usize {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        usize::try_from(d.read::<u64>()?).ok()
+    }
+}
+
+impl Capsule for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
+    }
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        match d.read::<u8>()? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+}
+
+/// A frame's optional block or value id: a presence flag, then the id,
+/// or 0 when absent.
+impl Capsule for Option<u32> {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        self.unwrap_or(0).put(out);
     }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        let present: bool = d.read()?;
+        let id: u32 = d.read()?;
+        Some(present.then_some(id))
     }
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
+}
+
+impl<A: Capsule, B: Capsule> Capsule for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
     }
-    /// A length prefix for a sequence of elements each at least
-    /// `elem_bytes` wide, rejected when the remaining buffer could not
-    /// possibly hold it (so a corrupt length cannot trigger a huge
-    /// allocation).
-    fn len(&mut self, elem_bytes: usize) -> Option<usize> {
-        let n = self.usize()?;
-        if n.checked_mul(elem_bytes.max(1))? > self.buf.len() - self.pos {
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some((d.read()?, d.read()?))
+    }
+}
+
+/// A fixed-length count array: its length, then each count. Any other
+/// length is refused.
+impl<const N: usize> Capsule for [u64; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(self, out);
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        if d.len::<u64>()? != N {
             return None;
         }
-        Some(n)
+        let mut counts = [0; N];
+        for c in &mut counts {
+            *c = d.read()?;
+        }
+        Some(counts)
     }
-    fn pair(&mut self) -> Option<(u64, u64)> {
-        Some((self.u64()?, self.u64()?))
+}
+
+/// A `Vec` with its capacity: length, capacity, then each element.
+impl<T: Capsule> Capsule for Vec<T> {
+    const MIN_BYTES: usize = 16;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        self.capacity().put(out);
+        for x in self {
+            x.put(out);
+        }
     }
-    fn value(&mut self) -> Option<Value> {
-        Some(match self.u8()? {
-            0 => Value::I(self.u64()? as i64),
-            1 => Value::F(f64::from_bits(self.u64()?)),
-            2 => Value::P(self.u64()?),
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        let n = d.len::<T>()?;
+        let cap = d.capacity(n)?;
+        d.elems(n, cap)
+    }
+}
+
+/// Length, capacity, then the UTF-8 bytes.
+impl Capsule for String {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        self.capacity().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        let n = d.len::<u8>()?;
+        let mut s = String::new();
+        s.try_reserve_exact(d.capacity(n)?).ok()?;
+        s.push_str(std::str::from_utf8(d.bytes(n)?).ok()?);
+        Some(s)
+    }
+}
+
+/// An ordered map as its entries in key order, so one map always writes
+/// the same bytes.
+impl<K: Capsule + Ord, V: Capsule> Capsule for BTreeMap<K, V> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for (k, v) in self {
+            k.put(out);
+            v.put(out);
+        }
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(take_seq::<(K, V)>(d)?.into_iter().collect())
+    }
+}
+
+/// A tag, then the payload bits (`Undef` is its tag alone).
+impl Capsule for Value {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, bits) = match *self {
+            Value::I(x) => (0u8, x as u64),
+            Value::F(x) => (1, x.to_bits()),
+            Value::P(p) => (2, p),
+            Value::Undef => return 3u8.put(out),
+        };
+        tag.put(out);
+        bits.put(out);
+    }
+    #[inline]
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(match d.read::<u8>()? {
+            0 => Value::I(d.read()?),
+            1 => Value::F(f64::from_bits(d.read()?)),
+            2 => Value::P(d.read()?),
             3 => Value::Undef,
             _ => return None,
         })
     }
-    fn regs(&mut self) -> Option<Vec<Value>> {
-        // Min 1 byte per value: `Undef` is tag-only.
-        let n = self.len(1)?;
-        let cap = self.usize()?;
-        if cap < n || cap > (1 << 32) {
-            return None;
-        }
-        let mut v = Vec::with_capacity(cap);
-        for _ in 0..n {
-            v.push(self.value()?);
-        }
-        Some(v)
+}
+
+/// Everything but the pinned code stream, which is rebuilt from the
+/// program by `(func, block)`.
+impl Capsule for Frame {
+    const MIN_BYTES: usize = 32;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.func.0.put(out);
+        self.regs.put(out);
+        self.block.0.put(out);
+        self.idx.put(out);
+        self.prev_block.map(|b| b.0).put(out);
+        self.sp_base.put(out);
+        self.ret_to.map(|v| v.0).put(out);
     }
-    fn frame(&mut self, program: &DecodedProgram) -> Option<Frame> {
-        let func = FuncId(self.u32()?);
-        let regs = self.regs()?;
-        let block = BlockId(self.u32()?);
-        let idx = self.usize()?;
-        let has_prev = self.bool()?;
-        let prev_raw = self.u32()?;
-        let sp_base = self.u64()?;
-        let has_ret = self.bool()?;
-        let ret_raw = self.u32()?;
-        let blk = program.funcs.get(func.index())?.blocks.get(block.index())?;
+    fn take(d: &mut Dec) -> Option<Self> {
+        let func = FuncId(d.read()?);
+        let regs = d.read()?;
+        let block = BlockId(d.read()?);
+        let idx = d.read()?;
+        let prev_block = d.read::<Option<u32>>()?.map(BlockId);
+        let sp_base = d.read()?;
+        let ret_to = d.read::<Option<u32>>()?.map(ValueId);
+        let blk = d
+            .program
+            .funcs
+            .get(func.index())?
+            .blocks
+            .get(block.index())?;
         Some(Frame {
             func,
             regs,
             block,
             idx,
-            prev_block: has_prev.then_some(BlockId(prev_raw)),
+            prev_block,
             sp_base,
-            ret_to: has_ret.then_some(ValueId(ret_raw)),
+            ret_to,
             code: blk.code.clone(),
         })
     }
-    fn frames(&mut self, program: &DecodedProgram) -> Option<Vec<Frame>> {
-        let n = self.len(32)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.frame(program)?);
+}
+
+/// A tag (current, parked, done), then a parked thread's frames and
+/// stack cursors or a finished thread's result.
+impl Capsule for ThreadState {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            ThreadState::Current => 0u8.put(out),
+            ThreadState::Parked(p) => {
+                1u8.put(out);
+                put_seq(&p.frames, out);
+                p.sp.put(out);
+                p.stack_base.put(out);
+            }
+            ThreadState::Done(ret) => {
+                2u8.put(out);
+                ret.put(out);
+            }
         }
-        Some(v)
     }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(match d.read::<u8>()? {
+            0 => ThreadState::Current,
+            1 => ThreadState::Parked(ParkedThread {
+                frames: take_seq(d)?,
+                sp: d.read()?,
+                stack_base: d.read()?,
+            }),
+            2 => ThreadState::Done(d.read()?),
+            _ => return None,
+        })
+    }
+}
+
+// The guard cache is serialized verbatim: its generation self-invalidates
+// against the freshly installed region table, and carrying it keeps
+// counters identical to a tenant that was never externalized.
+capsule_fields!(GuardFastPath {
+    generation,
+    start,
+    end,
+    perms,
+    probes,
+});
+capsule_fields!(Perms { read, write });
+capsule_fields!(FusionStats { executed });
+capsule_fields!(MoveBreakdownSum {
+    page_expand,
+    patch_gen_exec,
+    register_patch,
+    alloc_and_move,
+    episodes,
+});
+capsule_fields!(PerfCounters {
+    instructions,
+    instrumentation_insts,
+    cycles,
+    loads,
+    stores,
+    calls,
+    guards_executed,
+    guard_cycles,
+    guard_probes,
+    guards_elided,
+    guards_hoisted,
+    track_events,
+    track_cycles,
+    translation_cycles,
+    stack_expansions,
+    swap_outs,
+    swap_ins,
+    moves,
+    move_cycles,
+    move_breakdown,
+    opcode_mix,
+});
+
+impl Capsule for OpcodeMix {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(OpcodeMix(d.read()?))
+    }
+}
+
+/// The live image without its module handle, which the cursor supplies.
+impl Capsule for ProcessImage {
+    fn put(&self, out: &mut Vec<u8>) {
+        let ProcessImage {
+            module: _,
+            globals,
+            code,
+            stack,
+            heap,
+            initial_pages,
+            static_footprint,
+        } = self;
+        globals.put(out);
+        for range in [code, stack, heap] {
+            range.put(out);
+        }
+        initial_pages.put(out);
+        static_footprint.put(out);
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(ProcessImage {
+            module: Rc::clone(d.module),
+            globals: d.read()?,
+            code: d.read()?,
+            stack: d.read()?,
+            heap: d.read()?,
+            initial_pages: d.read()?,
+            static_footprint: d.read()?,
+        })
     }
 }
 
@@ -241,17 +504,20 @@ impl TenantState {
     /// allocations. The encoded bytes are identical to
     /// [`TenantState::externalize`]'s.
     pub fn externalize_into(&self, out: &mut Vec<u8>) {
-        // Exhaustive destructure: adding a TenantState field without
-        // deciding its capsule treatment is a compile error, not a
-        // silently-dropped field.
+        out.clear();
+        out.reserve(256 + self.footprint_bytes());
+        CAPSULE_MAGIC.put(out);
+        // Exhaustive, in declaration order, one line per field: a new
+        // field is a compile error until it is given a line here and in
+        // `rehydrate`.
         let TenantState {
-            cfg: _,     // host-side (respawn spec)
-            program: _, // host-side (shared decode cache)
+            cfg: _, // host-side (respawn spec)
             image,
             heap,
             tlb,
             counters,
             output,
+            program: _, // host-side (shared decode cache)
             phi_scratch,
             rng,
             sp,
@@ -277,179 +543,35 @@ impl TenantState {
             slice_limit,
             slice_cycle_limit,
         } = self;
-        let mut buf = std::mem::take(out);
-        buf.clear();
-        buf.reserve(256 + self.footprint_bytes());
-        let mut e = Enc { buf };
-        e.u64(CAPSULE_MAGIC);
-
-        // --- image (module handle excluded) ---
-        e.usize(image.globals.len());
-        e.usize(image.globals.capacity());
-        for &g in &image.globals {
-            e.u64(g);
-        }
-        e.pair(image.code);
-        e.pair(image.stack);
-        e.pair(image.heap);
-        e.u64(image.initial_pages);
-        e.u64(image.static_footprint);
-
-        // --- heap allocator ---
-        let (free, allocated) = heap.snapshot();
-        e.usize(free.len());
-        for &c in free {
-            e.pair(c);
-        }
-        e.usize(allocated.len());
-        for &b in &allocated {
-            e.pair(b);
-        }
-        e.u64(heap.peak_bytes);
-        e.u64(heap.live_bytes);
-
-        // --- TLB ---
-        let tlb_level = |e: &mut Enc, t: &Tlb| {
-            let (sets, assoc, stamp) = t.snapshot();
-            e.usize(sets.len());
-            for set in sets {
-                e.usize(set.len());
-                for &entry in set {
-                    e.pair(entry);
-                }
-            }
-            e.usize(assoc);
-            e.u64(stamp);
-            e.u64(t.hits);
-            e.u64(t.misses);
-        };
-        tlb_level(&mut e, &tlb.dtlb);
-        tlb_level(&mut e, &tlb.stlb);
-        e.u64(tlb.pagewalks);
-
-        // --- counters (exhaustive: a new counter breaks this build) ---
-        let crate::counters::PerfCounters {
-            instructions,
-            instrumentation_insts,
-            cycles,
-            loads,
-            stores,
-            calls,
-            guards_executed,
-            guard_cycles,
-            guard_probes,
-            guards_elided,
-            guards_hoisted,
-            track_events,
-            track_cycles,
-            translation_cycles,
-            stack_expansions,
-            swap_outs,
-            swap_ins,
-            moves,
-            move_cycles,
-            move_breakdown,
-            opcode_mix,
-        } = counters;
-        for v in [
-            instructions,
-            instrumentation_insts,
-            cycles,
-            loads,
-            stores,
-            calls,
-            guards_executed,
-            guard_cycles,
-            guard_probes,
-            guards_elided,
-            guards_hoisted,
-            track_events,
-            track_cycles,
-            translation_cycles,
-            stack_expansions,
-            swap_outs,
-            swap_ins,
-            moves,
-            move_cycles,
-        ] {
-            e.u64(*v);
-        }
-        e.u64(move_breakdown.page_expand);
-        e.u64(move_breakdown.patch_gen_exec);
-        e.u64(move_breakdown.register_patch);
-        e.u64(move_breakdown.alloc_and_move);
-        e.u64(move_breakdown.episodes);
-        e.usize(opcode_mix.0.len());
-        for &n in &opcode_mix.0 {
-            e.u64(n);
-        }
-
-        // --- buffered output ---
-        e.usize(output.len());
-        for s in output {
-            e.usize(s.len());
-            e.usize(s.capacity());
-            e.buf.extend_from_slice(s.as_bytes());
-        }
-
-        // --- interpreter state ---
-        e.regs(phi_scratch, phi_scratch.capacity());
-        e.u64(*rng);
-        e.u64(*sp);
-        e.frames(frames);
-        e.usize(threads.len());
-        for t in threads {
-            match t {
-                ThreadState::Current => e.u8(0),
-                ThreadState::Parked(p) => {
-                    e.u8(1);
-                    e.frames(&p.frames);
-                    e.u64(p.sp);
-                    e.u64(p.stack_base);
-                }
-                ThreadState::Done(ret) => {
-                    e.u8(2);
-                    e.u64(*ret as u64);
-                }
-            }
-        }
-        e.usize(*cur_tid);
-        e.usize(*parked_threads);
-        e.bool(*block_current);
-        e.u64(*cur_stack_base);
-        e.u64(*access_counter);
-        e.u64(*next_move_at);
-        e.u64(*moves_done);
-        e.u64(*next_swap_at);
-        e.u64(*swaps_done);
-        e.usize(*peak_tracking_bytes);
-
-        // --- caches (serialized verbatim: the guard cache generation
-        // self-invalidates against the freshly installed region table,
-        // and carrying it preserves counter identity with a tenant that
-        // was never externalized) ---
-        e.u64(guard_cache.generation);
-        e.u64(guard_cache.start);
-        e.u64(guard_cache.end);
-        e.bool(guard_cache.perms.read);
-        e.bool(guard_cache.perms.write);
-        e.u64(guard_cache.probes);
-        e.u64(*last_vpn);
-
-        e.usize(fusion.executed.len());
-        for &n in &fusion.executed {
-            e.u64(n);
-        }
-        e.usize(regs_pool.len());
-        for r in regs_pool {
-            e.regs(r, r.capacity());
-        }
-        e.u64(*next_rotate_at);
-        e.u64(*bail_insts_at);
-        e.u64(*bail_cycles_at);
-        e.u64(*slice_limit);
-        e.u64(*slice_cycle_limit);
-        *out = e.buf;
+        image.put(out);
+        heap.put(out);
+        tlb.put(out);
+        counters.put(out);
+        put_seq(output, out);
+        phi_scratch.put(out);
+        rng.put(out);
+        sp.put(out);
+        put_seq(frames, out);
+        put_seq(threads, out);
+        cur_tid.put(out);
+        parked_threads.put(out);
+        block_current.put(out);
+        cur_stack_base.put(out);
+        access_counter.put(out);
+        next_move_at.put(out);
+        moves_done.put(out);
+        next_swap_at.put(out);
+        swaps_done.put(out);
+        peak_tracking_bytes.put(out);
+        guard_cache.put(out);
+        last_vpn.put(out);
+        fusion.put(out);
+        put_seq(regs_pool, out);
+        next_rotate_at.put(out);
+        bail_insts_at.put(out);
+        bail_cycles_at.put(out);
+        slice_limit.put(out);
+        slice_cycle_limit.put(out);
     }
 
     /// Rebuild a tenant from a capsule image plus the host-side handles
@@ -464,223 +586,69 @@ impl TenantState {
         module: Rc<Module>,
         program: Rc<DecodedProgram>,
     ) -> Option<TenantState> {
-        let mut d = Dec { buf: bytes, pos: 0 };
-        if d.u64()? != CAPSULE_MAGIC || !program.decoded_for(cfg.engine, cfg.threaded) {
+        if !program.decoded_for(cfg.engine, cfg.threaded) {
             return None;
         }
-
-        // --- image ---
-        let nglobals = d.len(8)?;
-        let gcap = d.usize()?;
-        if gcap < nglobals || gcap > (1 << 32) {
+        let mut d = Dec {
+            buf: bytes,
+            pos: 0,
+            program: &program,
+            module: &module,
+        };
+        if d.read::<u64>()? != CAPSULE_MAGIC {
             return None;
         }
-        let mut globals = Vec::with_capacity(gcap);
-        for _ in 0..nglobals {
-            globals.push(d.u64()?);
-        }
-        let image = ProcessImage {
-            module,
-            globals,
-            code: d.pair()?,
-            stack: d.pair()?,
-            heap: d.pair()?,
-            initial_pages: d.u64()?,
-            static_footprint: d.u64()?,
-        };
-
-        // --- heap allocator ---
-        let nfree = d.len(16)?;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            free.push(d.pair()?);
-        }
-        let nalloc = d.len(16)?;
-        let mut allocated = Vec::with_capacity(nalloc);
-        for _ in 0..nalloc {
-            allocated.push(d.pair()?);
-        }
-        let peak_bytes = d.u64()?;
-        let live_bytes = d.u64()?;
-        let heap = HeapAllocator::restore(free, allocated, peak_bytes, live_bytes);
-
-        // --- TLB ---
-        let tlb_level = |d: &mut Dec| -> Option<Tlb> {
-            let nsets = d.len(8)?;
-            let mut fill = Vec::with_capacity(nsets);
-            let mut entries = Vec::new();
-            for _ in 0..nsets {
-                let n = d.len(16)?;
-                fill.push(n);
-                for _ in 0..n {
-                    entries.push(d.pair()?);
-                }
-            }
-            let assoc = d.usize()?;
-            let stamp = d.u64()?;
-            let hits = d.u64()?;
-            let misses = d.u64()?;
-            Tlb::restore(&fill, &entries, assoc, stamp, hits, misses)
-        };
-        let dtlb = tlb_level(&mut d)?;
-        let stlb = tlb_level(&mut d)?;
-        let tlb = TranslationUnit {
-            dtlb,
-            stlb,
-            pagewalks: d.u64()?,
-        };
-
-        // --- counters ---
-        let mut counters = crate::counters::PerfCounters::default();
-        {
-            let c = &mut counters;
-            for field in [
-                &mut c.instructions,
-                &mut c.instrumentation_insts,
-                &mut c.cycles,
-                &mut c.loads,
-                &mut c.stores,
-                &mut c.calls,
-                &mut c.guards_executed,
-                &mut c.guard_cycles,
-                &mut c.guard_probes,
-                &mut c.guards_elided,
-                &mut c.guards_hoisted,
-                &mut c.track_events,
-                &mut c.track_cycles,
-                &mut c.translation_cycles,
-                &mut c.stack_expansions,
-                &mut c.swap_outs,
-                &mut c.swap_ins,
-                &mut c.moves,
-                &mut c.move_cycles,
-            ] {
-                *field = d.u64()?;
-            }
-            c.move_breakdown.page_expand = d.u64()?;
-            c.move_breakdown.patch_gen_exec = d.u64()?;
-            c.move_breakdown.register_patch = d.u64()?;
-            c.move_breakdown.alloc_and_move = d.u64()?;
-            c.move_breakdown.episodes = d.u64()?;
-            let nops = d.len(8)?;
-            if nops != c.opcode_mix.0.len() {
-                return None;
-            }
-            for slot in c.opcode_mix.0.iter_mut() {
-                *slot = d.u64()?;
-            }
-        }
-
-        // --- buffered output ---
-        let nout = d.len(16)?;
-        let mut output = Vec::with_capacity(nout);
-        for _ in 0..nout {
-            let len = d.len(1)?;
-            let cap = d.usize()?;
-            if cap < len || cap > (1 << 32) {
-                return None;
-            }
-            let mut s = String::with_capacity(cap);
-            s.push_str(std::str::from_utf8(d.take(len)?).ok()?);
-            output.push(s);
-        }
-
-        // --- interpreter state ---
-        let phi_scratch = d.regs()?;
-        let rng = d.u64()?;
-        let sp = d.u64()?;
-        let frames = d.frames(&program)?;
-        let nthreads = d.len(1)?;
-        let mut threads = Vec::with_capacity(nthreads);
-        for _ in 0..nthreads {
-            threads.push(match d.u8()? {
-                0 => ThreadState::Current,
-                1 => ThreadState::Parked(ParkedThread {
-                    frames: d.frames(&program)?,
-                    sp: d.u64()?,
-                    stack_base: d.u64()?,
-                }),
-                2 => ThreadState::Done(d.u64()? as i64),
-                _ => return None,
-            });
-        }
-        let cur_tid = d.usize()?;
-        let parked_threads = d.usize()?;
-        let block_current = d.bool()?;
-        let cur_stack_base = d.u64()?;
-        let access_counter = d.u64()?;
-        let next_move_at = d.u64()?;
-        let moves_done = d.u64()?;
-        let next_swap_at = d.u64()?;
-        let swaps_done = d.u64()?;
-        let peak_tracking_bytes = d.usize()?;
-
-        let guard_cache = GuardFastPath {
-            generation: d.u64()?,
-            start: d.u64()?,
-            end: d.u64()?,
-            perms: Perms {
-                read: d.bool()?,
-                write: d.bool()?,
-            },
-            probes: d.u64()?,
-        };
-        let last_vpn = d.u64()?;
-
-        let nfused = d.len(8)?;
-        let mut fusion = crate::decode::FusionStats::default();
-        if nfused != fusion.executed.len() {
-            return None;
-        }
-        for slot in fusion.executed.iter_mut() {
-            *slot = d.u64()?;
-        }
-        let npool = d.len(16)?;
-        let mut regs_pool = Vec::with_capacity(npool);
-        for _ in 0..npool {
-            regs_pool.push(d.regs()?);
-        }
-        let next_rotate_at = d.u64()?;
-        let bail_insts_at = d.u64()?;
-        let bail_cycles_at = d.u64()?;
-        let slice_limit = d.u64()?;
-        let slice_cycle_limit = d.u64()?;
-        if !d.done() || cur_tid >= threads.len() {
-            return None;
-        }
-
-        Some(TenantState {
+        // Exhaustive, in declaration order, one line per field: read in
+        // the order `externalize_into` wrote.
+        let state = TenantState {
             cfg,
-            image,
-            heap,
-            tlb,
-            counters,
-            output,
-            program,
-            phi_scratch,
-            rng,
-            sp,
-            frames,
-            threads,
-            cur_tid,
-            parked_threads,
-            block_current,
-            cur_stack_base,
-            access_counter,
-            next_move_at,
-            moves_done,
-            next_swap_at,
-            swaps_done,
-            peak_tracking_bytes,
-            guard_cache,
-            last_vpn,
-            fusion,
-            regs_pool,
-            next_rotate_at,
-            bail_insts_at,
-            bail_cycles_at,
-            slice_limit,
-            slice_cycle_limit,
-        })
+            image: d.read()?,
+            heap: d.read()?,
+            tlb: d.read()?,
+            counters: d.read()?,
+            output: take_seq(&mut d)?,
+            program: Rc::clone(&program),
+            phi_scratch: d.read()?,
+            rng: d.read()?,
+            sp: d.read()?,
+            frames: take_seq(&mut d)?,
+            threads: take_seq(&mut d)?,
+            cur_tid: d.read()?,
+            parked_threads: d.read()?,
+            block_current: d.read()?,
+            cur_stack_base: d.read()?,
+            access_counter: d.read()?,
+            next_move_at: d.read()?,
+            moves_done: d.read()?,
+            next_swap_at: d.read()?,
+            swaps_done: d.read()?,
+            peak_tracking_bytes: d.read()?,
+            guard_cache: d.read()?,
+            last_vpn: d.read()?,
+            fusion: d.read()?,
+            regs_pool: take_seq(&mut d)?,
+            next_rotate_at: d.read()?,
+            bail_insts_at: d.read()?,
+            bail_cycles_at: d.read()?,
+            slice_limit: d.read()?,
+            slice_cycle_limit: d.read()?,
+        };
+        (d.pos == bytes.len() && state.cur_tid < state.threads.len()).then_some(state)
     }
+}
+
+/// Decode an image holding exactly one `T` against an empty program —
+/// for unit tests of types that hold no frames.
+#[cfg(test)]
+pub(crate) fn take_whole<T: Capsule>(bytes: &[u8]) -> Option<T> {
+    let module = Rc::new(carat_ir::ModuleBuilder::new("empty").finish());
+    let program = DecodedProgram::decode_for(&module, Default::default(), Default::default());
+    let mut d = Dec {
+        buf: bytes,
+        pos: 0,
+        program: &program,
+        module: &module,
+    };
+    let v = d.read()?;
+    (d.pos == bytes.len()).then_some(v)
 }

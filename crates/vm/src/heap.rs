@@ -7,6 +7,7 @@
 //! other pointer; here the metadata is host-side, so the rebase is
 //! explicit.
 
+use crate::capsule::{put_seq, take_seq, Capsule, Dec};
 use std::collections::BTreeMap;
 
 /// Allocation alignment.
@@ -96,30 +97,6 @@ impl HeapAllocator {
         self.allocated.len()
     }
 
-    /// Capsule view of the allocator: the free list and the live blocks,
-    /// both sorted by start address, so serializing the same heap twice
-    /// yields identical bytes.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot(&self) -> (&[(u64, u64)], Vec<(u64, u64)>) {
-        let allocated = self.allocated.iter().map(|(&s, &l)| (s, l)).collect();
-        (&self.free, allocated)
-    }
-
-    /// Rebuild an allocator from its capsule view.
-    pub(crate) fn restore(
-        free: Vec<(u64, u64)>,
-        allocated: Vec<(u64, u64)>,
-        peak_bytes: u64,
-        live_bytes: u64,
-    ) -> HeapAllocator {
-        HeapAllocator {
-            free,
-            allocated: allocated.into_iter().collect(),
-            peak_bytes,
-            live_bytes,
-        }
-    }
-
     /// Rebase bookkeeping after the kernel moved `[lo, lo+len)` by
     /// `delta`: live blocks inside the range get new start addresses, and
     /// the *portions* of free chunks inside the range move too (their
@@ -169,6 +146,31 @@ impl HeapAllocator {
                 i += 1;
             }
         }
+    }
+}
+
+/// The free list, then the live blocks by start address (so the same
+/// heap always writes the same bytes), then the byte counts.
+impl Capsule for HeapAllocator {
+    fn put(&self, out: &mut Vec<u8>) {
+        let HeapAllocator {
+            free,
+            allocated,
+            peak_bytes,
+            live_bytes,
+        } = self;
+        put_seq(free, out);
+        allocated.put(out);
+        peak_bytes.put(out);
+        live_bytes.put(out);
+    }
+    fn take(d: &mut Dec) -> Option<Self> {
+        Some(HeapAllocator {
+            free: take_seq(d)?,
+            allocated: d.read()?,
+            peak_bytes: d.read()?,
+            live_bytes: d.read()?,
+        })
     }
 }
 
@@ -252,6 +254,23 @@ mod tests {
             total += 16;
         }
         assert_eq!(total, 0x2000);
+    }
+
+    #[test]
+    fn capsule_round_trip_keeps_free_list_and_blocks() {
+        let mut h = HeapAllocator::new(0x1000, 0x1000);
+        let xs: Vec<u64> = (0..6).map(|i| h.alloc(16 * (i + 1)).unwrap()).collect();
+        h.free(xs[1]);
+        h.free(xs[4]);
+        let mut bytes = Vec::new();
+        h.put(&mut bytes);
+        let back: HeapAllocator = crate::capsule::take_whole(&bytes).unwrap();
+        assert_eq!((&back.free, &back.allocated), (&h.free, &h.allocated));
+        assert_eq!(
+            (back.peak_bytes, back.live_bytes),
+            (h.peak_bytes, h.live_bytes)
+        );
+        assert!(crate::capsule::take_whole::<HeapAllocator>(&bytes[..bytes.len() - 1]).is_none());
     }
 
     proptest! {

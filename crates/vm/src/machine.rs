@@ -2557,18 +2557,10 @@ impl Core<'_> {
     /// A *poison* (non-canonical) address raises the hardware fault the
     /// paper relies on for swapped data — even when the access's guard was
     /// optimized away — and the kernel services it by paging back in.
-    fn data_access(&mut self, mut addr: u64, size: u64, _write: bool) -> Result<u64, VmError> {
+    fn data_access(&mut self, mut addr: u64, size: u64, write: bool) -> Result<u64, VmError> {
         if SimKernel::is_poison(addr) {
-            match self.try_page_in(addr)? {
-                Some((base, span, delta)) => addr = translate(addr, base, span, delta),
-                None => {
-                    return Err(VmError::GuardFault {
-                        addr,
-                        len: size,
-                        write: _write,
-                    })
-                }
-            }
+            let (base, span, delta) = self.page_in_or_fault(addr, size, write)?;
+            addr = translate(addr, base, span, delta);
         }
         Ok(data_access_resolved(
             self.kernel,
@@ -2737,20 +2729,12 @@ impl Core<'_> {
                 // Resolve swapped operands up front so the bulk copy below
                 // sees resident memory.
                 if SimKernel::is_poison(dst) {
-                    let (b, sp, d) = self.try_page_in(dst)?.ok_or(VmError::GuardFault {
-                        addr: dst,
-                        len,
-                        write: true,
-                    })?;
+                    let (b, sp, d) = self.page_in_or_fault(dst, len, true)?;
                     dst = translate(dst, b, sp, d);
                     src = translate(src, b, sp, d);
                 }
                 if SimKernel::is_poison(src) {
-                    let (b, sp, d) = self.try_page_in(src)?.ok_or(VmError::GuardFault {
-                        addr: src,
-                        len,
-                        write: false,
-                    })?;
+                    let (b, sp, d) = self.page_in_or_fault(src, len, false)?;
                     src = translate(src, b, sp, d);
                     dst = translate(dst, b, sp, d);
                 }
@@ -2773,11 +2757,7 @@ impl Core<'_> {
                     args[2].as_i().max(0) as u64,
                 );
                 if SimKernel::is_poison(dst) {
-                    let (b, sp, d) = self.try_page_in(dst)?.ok_or(VmError::GuardFault {
-                        addr: dst,
-                        len,
-                        write: true,
-                    })?;
+                    let (b, sp, d) = self.page_in_or_fault(dst, len, true)?;
                     dst = translate(dst, b, sp, d);
                 }
                 let page = self.kernel.cost.page_size;
@@ -3383,6 +3363,19 @@ impl Core<'_> {
         Ok(Some((base, span, relocation_of(&outcome).2)))
     }
 
+    /// Page in the swapped slot an access of `len` bytes at poisoned
+    /// `addr` needs, or raise the guard fault that access would have:
+    /// [`Core::try_page_in`]'s window and delta.
+    fn page_in_or_fault(
+        &mut self,
+        addr: u64,
+        len: u64,
+        write: bool,
+    ) -> Result<(u64, u64, i64), VmError> {
+        self.try_page_in(addr)?
+            .ok_or(VmError::GuardFault { addr, len, write })
+    }
+
     /// Inject one worst-case page movement (Figure 9 driver).
     fn drive_move(&mut self) -> Result<(), VmError> {
         let Some(page) = self.due_victim(false) else {
@@ -3417,9 +3410,10 @@ pub(crate) fn paged_out(&(_, slot, src, len): &(WorldStop, u64, u64, u64)) -> [(
     [(src, len, window.wrapping_sub(src) as i64)]
 }
 
-/// Rebase `x` by `delta` when it lies within `[base, base+span)`.
+/// Rebase `x` by `delta` when it lies within `[base, base+span)` (a
+/// window may end at 2⁶⁴, so its end is never computed).
 fn translate(x: u64, base: u64, span: u64, delta: i64) -> u64 {
-    if x >= base && x < base + span {
+    if x.wrapping_sub(base) < span {
         x.wrapping_add(delta as u64)
     } else {
         x
@@ -3709,5 +3703,18 @@ pub(crate) mod tests {
         let (p, i) = (regs[regs.len() - 2], regs[regs.len() - 1]);
         assert_eq!(bits(p).1, (bits(i).1).wrapping_add(moved.2 as u64));
         assert!(matches!((p, i), (Value::P(_), Value::I(_))));
+    }
+
+    /// The last poison window ends at 2⁶⁴: an address in it is rebased,
+    /// and its neighbours on either side are not.
+    #[test]
+    fn translate_rebases_in_the_last_poison_window() {
+        let (base, span) = SimKernel::swap_window((1 << 23) - 1);
+        assert_eq!(base.wrapping_add(span), 0, "the window ends at 2^64");
+        let delta = 0x10_0000_i64 - base as i64;
+        assert_eq!(translate(base, base, span, delta), 0x10_0000);
+        assert_eq!(translate(u64::MAX, base, span, delta), 0x10_0000 + span - 1);
+        assert_eq!(translate(base - 1, base, span, delta), base - 1);
+        assert_eq!(translate(0, base, span, delta), 0);
     }
 }

@@ -520,7 +520,7 @@ impl MultiVm {
         let image =
             self.kernel
                 .load_shared_preverified(module.clone(), text_len, &mut table, cfg.load)?;
-        let pid = self.kernel.register_proc(name, image.clone())?;
+        let pid = self.kernel.register_proc(name, &image)?;
         if let Err(e) = self
             .kernel
             .proc_reserve_pool(pid, self.cfg.tenant_pool_pages)

@@ -4,6 +4,8 @@
 //! L1 DTLB (64-entry 4-way on modern Intel) backed by an STLB (1536-entry),
 //! with a radix pagewalk on a full miss.
 
+use crate::capsule::{capsule_fields, put_seq, Capsule, Dec};
+
 /// One set-associative TLB level with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -95,49 +97,63 @@ impl Tlb {
         self.slots.fill((0, 0));
     }
 
-    /// Capsule view: every set's entries in set order, associativity, LRU
-    /// stamp.
-    pub(crate) fn snapshot(&self) -> (impl ExactSizeIterator<Item = &[(u64, u64)]>, usize, u64) {
-        let sets = (0..self.nsets).map(|s| {
+    /// Every set's entries, set after set.
+    fn sets(&self) -> impl ExactSizeIterator<Item = &[(u64, u64)]> {
+        (0..self.nsets).map(|s| {
             let stripe = self.slots.get(s * self.assoc..).unwrap_or_default();
             let n = stripe.iter().take(self.assoc).take_while(|e| e.1 != 0);
             &stripe[..n.count()]
-        });
-        (sets, self.assoc, self.stamp)
+        })
     }
+}
 
-    /// Rebuild a TLB from its capsule view: `fill[s]` entries for each
-    /// set `s`, packed in set order in `entries`. `None` for a view no
-    /// `Tlb` produces: no sets, a set over `assoc` entries, an entry
-    /// stamped 0, or more than [`MAX_RESTORED_SLOTS`] slots.
-    pub(crate) fn restore(
-        fill: &[usize],
-        entries: &[(u64, u64)],
-        assoc: usize,
-        stamp: u64,
-        hits: u64,
-        misses: u64,
-    ) -> Option<Tlb> {
-        let nsets = fill.len();
-        let nslots = nsets
-            .checked_mul(assoc)
-            .filter(|&n| n <= MAX_RESTORED_SLOTS)?;
-        if nslots == 0 || fill.iter().any(|&n| n > assoc) || entries.iter().any(|e| e.1 == 0) {
-            return None;
+/// Each set's fill count and entries (not its empty slots), then the
+/// associativity, the LRU stamp and the hit and miss counts. `take`
+/// refuses a view no `Tlb` produces: no sets, a set over `assoc`
+/// entries, an entry stamped 0, or more than [`MAX_RESTORED_SLOTS`]
+/// slots.
+impl Capsule for Tlb {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.nsets.put(out);
+        for set in self.sets() {
+            put_seq(set, out);
+        }
+        self.assoc.put(out);
+        self.stamp.put(out);
+        self.hits.put(out);
+        self.misses.put(out);
+    }
+    fn take(d: &mut Dec) -> Option<Tlb> {
+        // Each set is at least its fill count.
+        let nsets = d.len::<u64>()?;
+        let mut fill = Vec::with_capacity(nsets);
+        let mut entries = Vec::new();
+        for _ in 0..nsets {
+            let n = d.len::<(u64, u64)>()?;
+            fill.push(n);
+            for _ in 0..n {
+                entries.push(d.read::<(u64, u64)>()?);
+            }
         }
         let mut tlb = Tlb {
             slots: Box::default(),
             nsets,
-            assoc,
-            stamp,
-            hits,
-            misses,
+            assoc: d.read()?,
+            stamp: d.read()?,
+            hits: d.read()?,
+            misses: d.read()?,
         };
+        let nslots = nsets
+            .checked_mul(tlb.assoc)
+            .filter(|&n| n > 0 && n <= MAX_RESTORED_SLOTS)?;
+        if fill.iter().any(|&n| n > tlb.assoc) || entries.iter().any(|e| e.1 == 0) {
+            return None;
+        }
         if !entries.is_empty() {
             tlb.slots = vec![(0, 0); nslots].into_boxed_slice();
-            let mut rest = entries;
-            for (stripe, &n) in tlb.slots.chunks_exact_mut(assoc).zip(fill) {
-                let (set, tail) = rest.split_at_checked(n)?;
+            let mut rest = &entries[..];
+            for (stripe, &n) in tlb.slots.chunks_exact_mut(tlb.assoc).zip(&fill) {
+                let (set, tail) = rest.split_at(n);
                 stripe[..n].copy_from_slice(set);
                 rest = tail;
             }
@@ -146,7 +162,7 @@ impl Tlb {
     }
 }
 
-/// The most slots [`Tlb::restore`] allocates for: the capsule's
+/// The most slots a decoded [`Tlb`] allocates for: the capsule's
 /// associativity is input, and real second-level TLBs hold a few thousand.
 const MAX_RESTORED_SLOTS: usize = 1 << 20;
 
@@ -197,6 +213,12 @@ impl TranslationUnit {
     }
 }
 
+capsule_fields!(TranslationUnit {
+    dtlb,
+    stlb,
+    pagewalks,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +261,8 @@ mod tests {
         assert!(!t.lookup(7));
         t.flush();
         assert!(t.slots.is_empty());
-        assert_eq!(t.snapshot().0.len(), 128);
-        assert!(t.snapshot().0.all(|set| set.is_empty()));
+        assert_eq!(t.sets().len(), 128);
+        assert!(t.sets().all(|set| set.is_empty()));
         t.insert(7);
         assert_eq!(t.slots.len(), 1536);
         assert!(t.lookup(7));
@@ -281,32 +303,55 @@ mod tests {
                     set.push((vpn, stamp));
                 }
             }
-            let (sets, ..) = t.snapshot();
-            assert!(sets.eq(model.iter().map(Vec::as_slice)), "step {step}");
+            assert!(t.sets().eq(model.iter().map(Vec::as_slice)), "step {step}");
         }
     }
 
+    /// The capsule bytes of a TLB view: `fill[s]` entries for set `s`,
+    /// taken in order from `entries` (as many as remain).
+    fn view(fill: &[usize], entries: &[(u64, u64)], assoc: usize, stamp: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        fill.len().put(&mut out);
+        let mut rest = entries;
+        for &n in fill {
+            n.put(&mut out);
+            let (set, tail) = rest.split_at(n.min(rest.len()));
+            set.iter().for_each(|e| e.put(&mut out));
+            rest = tail;
+        }
+        for v in [assoc as u64, stamp, 0, 0] {
+            v.put(&mut out);
+        }
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Tlb> {
+        crate::capsule::take_whole(bytes)
+    }
+
     #[test]
-    fn restore_round_trips_and_rejects_impossible_views() {
+    fn capsule_round_trips_and_rejects_impossible_views() {
         let mut t = Tlb::new(8, 2);
         for vpn in [1, 5, 9, 2] {
             t.insert(vpn);
         }
-        let (sets, assoc, stamp) = t.snapshot();
-        let sets: Vec<&[(u64, u64)]> = sets.collect();
+        let mut bytes = Vec::new();
+        t.put(&mut bytes);
+        let sets: Vec<&[(u64, u64)]> = t.sets().collect();
         let fill: Vec<usize> = sets.iter().map(|s| s.len()).collect();
-        let r = Tlb::restore(&fill, &sets.concat(), assoc, stamp, 0, 0).unwrap();
-        assert!(r.snapshot().0.eq(t.snapshot().0));
-        assert_eq!(r.snapshot().2, stamp);
+        assert_eq!(view(&fill, &sets.concat(), t.assoc, t.stamp), bytes);
+        let r = decode(&bytes).unwrap();
+        assert!(r.sets().eq(t.sets()));
+        assert_eq!(r.stamp, t.stamp);
 
-        let empty = Tlb::restore(&[0; 4], &[], 2, 0, 0, 0).unwrap();
+        let empty = decode(&view(&[0; 4], &[], 2, 0)).unwrap();
         assert!(empty.slots.is_empty());
-        assert!(Tlb::restore(&[], &[], 2, 0, 0, 0).is_none());
-        assert!(Tlb::restore(&[0; 4], &[], 0, 0, 0, 0).is_none());
-        assert!(Tlb::restore(&[3, 0], &[(1, 1); 3], 2, 0, 0, 0).is_none());
-        assert!(Tlb::restore(&[1, 1], &[(1, 1)], 2, 0, 0, 0).is_none());
-        assert!(Tlb::restore(&[1, 0], &[(1, 0)], 2, 0, 0, 0).is_none());
-        assert!(Tlb::restore(&[0; 4], &[], usize::MAX, 0, 0, 0).is_none());
+        assert!(decode(&view(&[], &[], 2, 0)).is_none());
+        assert!(decode(&view(&[0; 4], &[], 0, 0)).is_none());
+        assert!(decode(&view(&[3, 0], &[(1, 1); 3], 2, 0)).is_none());
+        assert!(decode(&view(&[1, 1], &[(1, 1)], 2, 0)).is_none());
+        assert!(decode(&view(&[1, 0], &[(1, 0)], 2, 0)).is_none());
+        assert!(decode(&view(&[0; 4], &[], usize::MAX, 0)).is_none());
     }
 
     #[test]

@@ -53,12 +53,55 @@ const WORKLOAD_SRC: &str = "
     }
 ";
 
-fn workload() -> Module {
-    let module = carat_frontend::compile_cm("capsule_workload", WORKLOAD_SRC).expect("compiles");
+/// Two workers and `main` in loops far longer than any golden boundary:
+/// at every such boundary three threads are live, so two are parked.
+const THREADS_SRC: &str = "
+    int spin(int lo) {
+        int s = 0;
+        for (int i = lo; i < lo + 1000000; i += 1) { s += i % 5; }
+        return s;
+    }
+    int main() {
+        int t0 = spawn(spin, 0);
+        int t1 = spawn(spin, 7);
+        return spin(3) + join(t0) + join(t1);
+    }
+";
+
+/// Mixed-size allocations with every third block freed and a line
+/// printed every fortieth, then a long loop: at the golden boundary the
+/// heap has a fragmented free list and the output buffer holds lines.
+const CHURN_SRC: &str = "
+    struct node { int v; struct node* n; };
+    int main() {
+        struct node* head = (struct node*) null;
+        for (int i = 0; i < 200; i += 1) {
+            struct node* x = (struct node*) malloc(sizeof(struct node) * (1 + i % 4));
+            x->v = i; x->n = head; head = x;
+            if (i % 3 == 2) {
+                struct node* y = head->n;
+                head->n = y->n;
+                free(y);
+            }
+            if (i % 40 == 0) { print_i64(i); }
+        }
+        int s = 0;
+        for (int i = 0; i < 1000000; i += 1) { s += i % 7; }
+        while (head != null) { s += head->v; head = head->n; }
+        return s;
+    }
+";
+
+fn instrumented(name: &str, src: &str) -> Module {
+    let module = carat_frontend::compile_cm(name, src).expect("compiles");
     CaratCompiler::new(CompileOptions::default())
         .compile(module)
         .expect("instruments")
         .module
+}
+
+fn workload() -> Module {
+    instrumented("capsule_workload", WORKLOAD_SRC)
 }
 
 fn config(mode: Mode, engine: Engine) -> VmConfig {
@@ -133,6 +176,77 @@ fn finish(mut vm: Vm, budget: u64) -> (i64, carat_vm::PerfCounters) {
             SliceExit::Quantum => {}
         }
     }
+}
+
+/// The capsule format, pinned: `(length, checksum)` of `externalize()`
+/// for fixed tenants at fixed slice boundaries. The round-trip tests
+/// below cannot see a change applied to both the encoder and the
+/// decoder; this one sees any change to the bytes. A layout change must
+/// bump `CAPSULE_MAGIC` and update these values together. A change to
+/// what a tenant computes (modeled costs, scheduling, allocation)
+/// updates the values only.
+#[test]
+fn capsule_format_golden() {
+    let threads = instrumented("capsule_threads", THREADS_SRC);
+    let churn = instrumented("capsule_churn", CHURN_SRC);
+    let cases = [
+        (
+            "carat_reference",
+            workload(),
+            config(Mode::Carat, Engine::Reference),
+            3,
+        ),
+        (
+            "carat_fused",
+            workload(),
+            config(Mode::Carat, Engine::Fused),
+            3,
+        ),
+        (
+            "traditional_fused",
+            workload(),
+            config(Mode::Traditional, Engine::Fused),
+            3,
+        ),
+        (
+            "parked_threads",
+            threads,
+            config(Mode::Carat, Engine::Fused),
+            4,
+        ),
+        (
+            "heap_churn_output",
+            churn,
+            config(Mode::Carat, Engine::Decoded),
+            2,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, module, cfg, slices) in cases {
+        let mut vm = Vm::new(module, cfg).expect("loads");
+        vm.start().expect("starts");
+        for _ in 0..slices {
+            let exit = vm.run_slice(12_000).expect("no faults armed");
+            assert_eq!(exit, SliceExit::Quantum, "{name}: still mid-run");
+        }
+        let (_, _, state) = vm.into_tenant();
+        if name.starts_with("traditional") {
+            // Translations ran, so both TLB levels hold entries.
+            assert!(state.counters().translation_cycles > 0, "{name}");
+        }
+        let image = state.externalize();
+        got.push((name, image.len(), checksum(&image)));
+    }
+    assert_eq!(
+        got,
+        [
+            ("carat_reference", 9206, 0x6f9f_650b_a280_dd68),
+            ("carat_fused", 9224, 0xc82d_1ce1_20c5_5e5c),
+            ("traditional_fused", 9544, 0xaa13_af85_cb1b_8b66),
+            ("parked_threads", 2723, 0x6236_8cac_a698_e6b7),
+            ("heap_churn_output", 4799, 0x648b_e0be_65e0_3e4d),
+        ]
+    );
 }
 
 #[test]

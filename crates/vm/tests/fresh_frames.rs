@@ -12,7 +12,8 @@ use std::rc::Rc;
 
 use carat_core::{CaratCompiler, CompileOptions};
 use carat_ir::Module;
-use carat_kernel::{DmaDir, LoadConfig, PhysicalMemory, ProcessImage};
+use carat_kernel::{DmaDir, LoadConfig, PhysicalMemory, SimKernel};
+use carat_runtime::AllocationTable;
 use carat_vm::{
     MoveDriverConfig, MultiVm, MultiVmConfig, SliceExit, SwapDriverConfig, Vm, VmConfig,
 };
@@ -165,8 +166,13 @@ int main() {
 }
 ";
 
-fn stack_and_data(img: &ProcessImage) -> (u64, u64) {
-    (img.stack.0, img.code.0 - img.stack.0)
+/// The stack and bss of `module`'s capsule at `start`: everything below
+/// its code. A probe load of the same module measures that span.
+fn stack_and_data(module: &Module, start: u64) -> (u64, u64) {
+    let img = SimKernel::new(16 * 1024 * 1024)
+        .load_unsigned(module.clone(), &mut AllocationTable::new(), SMALL_LOAD)
+        .expect("probe loads");
+    (start, img.code.0 - img.stack.0)
 }
 
 #[test]
@@ -186,7 +192,7 @@ fn reused_frames_are_zeroed_for_the_next_capsule() {
         .spawn_shared("dirty", module.clone(), small_cfg())
         .expect("admits");
     mv.run_batch(u64::MAX);
-    let (start, len) = stack_and_data(&mv.kernel.procs.get(a).expect("live").image);
+    let (start, len) = stack_and_data(&module, mv.kernel.procs.get(a).expect("live").capsule.start);
     let dirty = mv.kernel.mem.read_bytes(start, len);
     assert!(
         dirty.iter().filter(|&&b| b != 0).count() > 512,
@@ -196,9 +202,10 @@ fn reused_frames_are_zeroed_for_the_next_capsule() {
     assert!(mv.kill(a));
     let mark = mv.kernel.buddy.never_allocated_from();
     let b = mv
-        .spawn_shared("clean", module, small_cfg())
+        .spawn_shared("clean", module.clone(), small_cfg())
         .expect("admits");
-    let (b_start, b_len) = stack_and_data(&mv.kernel.procs.get(b).expect("live").image);
+    let (b_start, b_len) =
+        stack_and_data(&module, mv.kernel.procs.get(b).expect("live").capsule.start);
     assert_eq!(b_start, start, "the buddy hands the freed block back");
     assert!(b_start < mark, "the block was allocated before");
     assert!(

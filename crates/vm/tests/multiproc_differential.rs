@@ -461,13 +461,7 @@ fn cross_tenant_access_is_a_typed_protection_fault_not_a_panic() {
         let probe =
             MultiVm::new(five_specs(engine, 0x10), MultiVmConfig::default()).expect("probe loads");
         let foreign = {
-            let r = probe
-                .kernel
-                .procs
-                .get(Pid(0))
-                .unwrap()
-                .image
-                .capsule_region();
+            let r = probe.kernel.procs.get(Pid(0)).unwrap().capsule;
             r.start + r.len / 2
         };
         let reports = MultiVm::new(five_specs(engine, foreign), MultiVmConfig::default())
@@ -550,7 +544,9 @@ fn interrupted_shared_move_rolls_back_every_owner_and_is_retryable() {
     let plan = FaultPlan::new().arm(FaultPoint::MidMove, 1);
     let (mut mv, id) = shared_pair(Some(plan));
     let base = mv.kernel.procs.shared(id).unwrap().base;
-    let cell0 = mv.kernel.procs.get(Pid(0)).unwrap().image.globals[0];
+    // The cell is the capsule's one global, placed right above its stack.
+    let capsule = mv.kernel.procs.get(Pid(0)).unwrap().capsule;
+    let cell0 = capsule.start + carat_kernel::LoadConfig::default().stack_size;
     use carat_runtime::MemAccess;
     let held = mv.kernel.mem.read_u64(cell0);
     assert_eq!(held, base, "global cell publishes the shared base");
