@@ -271,16 +271,12 @@ impl RegionTable {
         while cursor < hi {
             let c = self.check_binary_search(cursor, 1, access);
             probes += c.probes;
-            if !c.ok {
-                return GuardCheck { ok: false, probes };
+            // A passing check found the region containing `cursor`:
+            // advance to its end.
+            match self.containing(cursor) {
+                Some(r) if c.ok => cursor = r.end(),
+                _ => return GuardCheck { ok: false, probes },
             }
-            // Advance to the end of the region containing `cursor`.
-            let r = self
-                .sorted
-                .iter()
-                .find(|r| r.covers(cursor, 1))
-                .expect("check passed");
-            cursor = r.end();
         }
         GuardCheck { ok: true, probes }
     }
@@ -377,6 +373,33 @@ mod tests {
         assert!(t.check_range(0x1800, 0x2800, Access::Write).ok);
         assert!(!t.check_range(0x1800, 0x3001, Access::Write).ok);
         assert!(t.check_range(0x9000, 0x9000, Access::Read).ok, "empty");
+    }
+
+    /// Three adjacent regions, the last read-only: a range charges the
+    /// binary-search probes of each region it enters, and stops at the
+    /// first one that refuses the access.
+    #[test]
+    fn range_check_charges_each_region_it_enters() {
+        let mut t = RegionTable::new();
+        t.set_regions(
+            (0..3)
+                .map(|i| Region {
+                    start: 0x1000 * (i + 1),
+                    len: 0x1000,
+                    perms: if i == 2 { Perms::R } else { Perms::RW },
+                })
+                .collect(),
+        );
+        let c = |lo, hi, access| {
+            let c = t.check_range(lo, hi, access);
+            (c.ok, c.probes)
+        };
+        assert_eq!(c(0x1800, 0x1900, Access::Write), (true, 2));
+        assert_eq!(c(0x1800, 0x2800, Access::Write), (true, 3));
+        assert_eq!(c(0x1000, 0x4000, Access::Read), (true, 5));
+        assert_eq!(c(0x1800, 0x3800, Access::Write), (false, 5));
+        assert_eq!(c(0x1800, 0x4001, Access::Read), (false, 7));
+        assert_eq!(c(0x800, 0x1800, Access::Read), (false, 2));
     }
 
     #[test]

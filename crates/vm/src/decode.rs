@@ -14,7 +14,11 @@
 //! across the full workload suite.
 //!
 //! Each block has one stream; [`DecodedProgram::decode_for`] decides what
-//! it holds from the [`Engine`], and the interpreter never asks.
+//! it holds from the [`Engine`], and the interpreter never asks. Whatever
+//! the recipe, a two-argument `guard_load`/`guard_store` decodes to one
+//! [`DecodedInst::Guard`] slot: fusion may fold it into the access it
+//! protects, and the threaded rewrite may elide it or give it an
+//! immediate length, but no stream carries a guard as an intrinsic call.
 
 use crate::machine::Engine;
 use carat_core::guards::frame_size;
@@ -205,7 +209,8 @@ pub enum DecodedInst {
         /// Argument registers.
         args: OperandRange,
     },
-    /// Direct-dispatch intrinsic call.
+    /// Direct-dispatch intrinsic call (every intrinsic but the
+    /// two-argument guards, which decode to [`DecodedInst::Guard`]).
     Intrinsic {
         /// Register receiving the result (if the intrinsic returns one).
         dst: u32,
@@ -213,6 +218,21 @@ pub enum DecodedInst {
         intr: Intrinsic,
         /// Argument registers.
         args: OperandRange,
+    },
+    /// A `guard_load`/`guard_store`: check `[gaddr, gaddr + len)` for the
+    /// access. One that passes runs in the fast tier; one that does not
+    /// (page-in, fault) runs the full guard path in the slow tier.
+    Guard {
+        /// Register holding the guarded address.
+        gaddr: u32,
+        /// Register holding the access length in bytes, or [`NO_REG`]
+        /// when the length is the `imm` immediate (threaded decodes only:
+        /// a single-use literal whose const slot was dropped).
+        glen: u32,
+        /// Immediate access length (valid when `glen` is [`NO_REG`]).
+        imm: u32,
+        /// Whether the guarded access is a write.
+        write: bool,
     },
     /// Unconditional branch.
     Jmp {
@@ -309,22 +329,21 @@ pub enum DecodedInst {
         /// Access class and size.
         cls: ScalarClass,
     },
-    /// A `guard_load` intrinsic folded into the `Load` it protects: one
-    /// dispatch performs check + access.
+    /// A read [`DecodedInst::Guard`] folded into the `Load` it protects:
+    /// one dispatch performs check + access.
     FusedGuardLoad {
-        /// Guarded-address register (the guard intrinsic's first arg).
+        /// Guarded-address register.
         gaddr: u32,
-        /// Guarded-length register (the guard intrinsic's second arg).
+        /// Guarded-length register.
         glen: u32,
         /// Load destination register.
         dst: u32,
-        /// Load address register (re-read after the guard: servicing a
-        /// poison fault patches registers).
+        /// Load address register.
         addr: u32,
         /// Access class and size.
         cls: ScalarClass,
     },
-    /// A `guard_store` intrinsic folded into the `Store` it protects.
+    /// A write [`DecodedInst::Guard`] folded into the `Store` it protects.
     FusedGuardStore {
         /// Guarded-address register.
         gaddr: u32,
@@ -415,23 +434,6 @@ pub enum DecodedInst {
         /// Index into [`DecodedFunc::hoists`].
         meta: u32,
     },
-    /// A surviving `GuardLoad`/`GuardStore` intrinsic strength-reduced to
-    /// a fast-tier range probe: same region-table check, same accounting,
-    /// but without leaving the fast dispatch loop for the intrinsic
-    /// machinery. On a check miss it falls back to the slow tier, which
-    /// re-runs the full guard path (page-in retry, fault reporting).
-    GuardFast {
-        /// Register holding the guarded address.
-        gaddr: u32,
-        /// Register holding the access length in bytes, or [`NO_REG`]
-        /// when the length is the `imm` immediate (a single-use literal
-        /// whose const slot was dropped from the threaded stream).
-        glen: u32,
-        /// Immediate access length (valid when `glen` is [`NO_REG`]).
-        imm: u32,
-        /// Whether the guarded access is a write.
-        write: bool,
-    },
 }
 
 impl DecodedInst {
@@ -456,7 +458,7 @@ impl DecodedInst {
             DecodedInst::Select { .. } => Opcode::Select,
             DecodedInst::PhiBatch => Opcode::Phi,
             DecodedInst::Call { .. } => Opcode::Call,
-            DecodedInst::Intrinsic { .. } => Opcode::CallIntrinsic,
+            DecodedInst::Intrinsic { .. } | DecodedInst::Guard { .. } => Opcode::CallIntrinsic,
             DecodedInst::Jmp { .. } => Opcode::Jmp,
             DecodedInst::Br { .. } => Opcode::Br,
             DecodedInst::Ret { .. } => Opcode::Ret,
@@ -485,16 +487,14 @@ impl DecodedInst {
             // The guard markers retire nothing (their arms account
             // explicitly), but `opcode` must stay total, and the guards
             // they stand in for were intrinsics.
-            DecodedInst::ElidedGuard
-            | DecodedInst::HoistedGuard { .. }
-            | DecodedInst::GuardFast { .. } => Opcode::CallIntrinsic,
+            DecodedInst::ElidedGuard | DecodedInst::HoistedGuard { .. } => Opcode::CallIntrinsic,
         }
     }
 }
 
 /// The fusion patterns the peephole pass recognizes: address computation
-/// feeding its memory access, guard intrinsics folded into the access
-/// they protect, an integer compare feeding its branch, and two
+/// feeding its memory access, guards folded into the access they
+/// protect, an integer compare feeding its branch, and two
 /// adjacency-only register pairs (`bin+bin`, `ptradd+const`). Each one
 /// stays because removing it costs measurable host time (EXPERIMENTS.md,
 /// "Which superinstructions pay"), and `tests/fused_differential.rs`
@@ -511,9 +511,9 @@ pub enum FusedKind {
     FieldLoad,
     /// `FieldAddr` + `Store`.
     FieldStore,
-    /// `guard_load` + `Load`.
+    /// Read `Guard` + `Load`.
     GuardLoad,
-    /// `guard_store` + `Store`.
+    /// Write `Guard` + `Store`.
     GuardStore,
     /// `Icmp` + `Br`.
     IcmpBr,
@@ -699,10 +699,8 @@ pub struct ThreadedReport {
     pub track_dedup_sites: u64,
     /// Widened preheader checks inserted (0 when `hoist` is off).
     pub hoisted_sites: u64,
-    /// Surviving guard intrinsics strength-reduced to fast-tier probes.
-    pub fast_guard_sites: u64,
     /// Constants dropped because their last use was an elided guard, or
-    /// was embedded as a fast-guard length immediate.
+    /// was embedded as a guard's length immediate.
     pub dead_consts: u64,
     /// Per-loop decisions for inspection.
     pub loops: Vec<LoopReport>,
@@ -917,7 +915,7 @@ fn decode_func(f: &carat_ir::Function, mut fuse: Option<&mut FusionSummary>) -> 
             code.push(decode_inst(f, v.0, inst, &alloca_offsets, &mut operands));
         }
         if let Some(fusion) = fuse.as_deref_mut() {
-            fuse_block(&mut code, &operands, fusion);
+            fuse_block(&mut code, fusion);
         }
         blocks.push(DecodedBlock {
             code: code.into(),
@@ -1044,6 +1042,15 @@ fn decode_inst(
             dst,
             callee: callee.0,
             args: pool(args),
+        },
+        Inst::CallIntrinsic {
+            intr: intr @ (Intrinsic::GuardLoad | Intrinsic::GuardStore),
+            args,
+        } if args.len() == 2 => DecodedInst::Guard {
+            gaddr: args[0].0,
+            glen: args[1].0,
+            imm: 0,
+            write: *intr == Intrinsic::GuardStore,
         },
         Inst::CallIntrinsic { intr, args } => DecodedInst::Intrinsic {
             dst,
@@ -1238,95 +1245,63 @@ fn thread_func(
         }
     }
 
-    // Surviving guards whose length is a single-use literal constant get
-    // the length embedded as an immediate and the const's slot dropped:
+    // Kept guards whose length is a single-use literal constant get the
+    // length embedded as an immediate and the const's slot dropped:
     // the fused baseline still executes (and counts) the const, but the
     // threaded stream has no other consumer for it.
-    let mut guard_imm: std::collections::HashMap<(usize, usize), u32> =
-        std::collections::HashMap::new();
-    {
-        let mut uses = vec![0u32; f.num_values()];
-        for (_, _, inst) in f.insts_in_layout_order() {
-            for o in inst.operands() {
-                uses[o.index()] += 1;
-            }
+    let mut codes: Vec<Vec<DecodedInst>> = df.blocks.iter().map(|b| b.code.to_vec()).collect();
+    let mut uses = vec![0u32; f.num_values()];
+    for (_, _, inst) in f.insts_in_layout_order() {
+        for o in inst.operands() {
+            uses[o.index()] += 1;
         }
-        for (_, v, inst) in f.insts_in_layout_order() {
-            let Inst::CallIntrinsic {
-                intr: Intrinsic::GuardLoad | Intrinsic::GuardStore,
-                args,
-            } = inst
-            else {
+    }
+    for (gb, code) in codes.iter_mut().enumerate() {
+        for (gs, inst) in code.iter_mut().enumerate() {
+            let DecodedInst::Guard { glen, imm, .. } = inst else {
                 continue;
             };
-            let [_, len_arg] = args.as_slice() else {
-                continue;
-            };
-            let Some((gb, gs)) = slot_of[v.index()] else {
-                continue;
-            };
-            if actions[gb][gs] != KEEP || uses[len_arg.index()] != 1 {
+            if actions[gb][gs] != KEEP || uses[*glen as usize] != 1 {
                 continue;
             }
-            let Some(Inst::Const(Const::Int(n, _))) = f.inst(*len_arg) else {
+            let Some(Inst::Const(Const::Int(n, _))) = f.inst(carat_ir::ValueId(*glen)) else {
                 continue;
             };
-            let Ok(imm) = u32::try_from(*n) else { continue };
-            if imm == 0 {
+            let Ok(n @ 1..) = u32::try_from(*n) else {
                 continue;
-            }
-            let Some((cb, cs)) = slot_of[len_arg.index()] else {
+            };
+            let Some((cb, cs)) = slot_of[*glen as usize] else {
                 continue;
             };
             if actions[cb][cs] != KEEP {
                 continue;
             }
             actions[cb][cs] = DROP;
-            guard_imm.insert((gb, gs), imm);
+            (*glen, *imm) = (NO_REG, n);
             report.dead_consts += 1;
         }
     }
 
     // Apply the actions per block; hoisted checks go right before the
     // preheader's terminator (the last slot, never dropped or marked).
-    // Surviving guard intrinsics become `GuardFast` probes here — before
-    // fusion, so `FusedGuardLoad`/`FusedGuardStore` never form in a
-    // threaded stream. Both spellings pass in the fast tier; `GuardFast`
-    // can also carry its length as an immediate.
-    for (bi, blk) in df.blocks.iter_mut().enumerate() {
-        let mut code: Vec<DecodedInst> = Vec::with_capacity(blk.code.len() + inserts[bi].len());
-        for (s, &inst) in blk.code.iter().enumerate() {
-            if s + 1 == blk.code.len() {
+    // A guard given an immediate length keeps no length register, so
+    // fusion then pairs only the guards whose length is still in one.
+    for ((bi, blk), old) in df.blocks.iter_mut().enumerate().zip(codes) {
+        let mut code: Vec<DecodedInst> = Vec::with_capacity(old.len() + inserts[bi].len());
+        for (s, &inst) in old.iter().enumerate() {
+            if s + 1 == old.len() {
                 code.extend(inserts[bi].iter().copied());
             }
             match actions[bi][s] {
                 DROP => {}
                 MARK => code.push(DecodedInst::ElidedGuard),
-                _ => match inst {
-                    DecodedInst::Intrinsic { intr, args, .. }
-                        if matches!(intr, Intrinsic::GuardLoad | Intrinsic::GuardStore)
-                            && args.len == 2 =>
-                    {
-                        let (glen, imm) = match guard_imm.get(&(bi, s)) {
-                            Some(&n) => (NO_REG, n),
-                            None => (df.operands[args.start as usize + 1], 0),
-                        };
-                        code.push(DecodedInst::GuardFast {
-                            gaddr: df.operands[args.start as usize],
-                            glen,
-                            imm,
-                            write: intr == Intrinsic::GuardStore,
-                        });
-                        report.fast_guard_sites += 1;
-                    }
-                    _ => code.push(inst),
-                },
+                _ => code.push(inst),
             }
         }
-        if blk.code.is_empty() {
+        if old.is_empty() {
             code.extend(inserts[bi].iter().copied());
         }
-        fuse_block(&mut code, &df.operands, fusion);
+        fuse_block(&mut code, fusion);
         blk.code = code.into();
     }
 }
@@ -1343,10 +1318,10 @@ fn thread_func(
 ///
 /// Pairs never overlap: after fusing at `i` the scan resumes at `i + 2`,
 /// so a tail slot is never also a fused head.
-fn fuse_block(code: &mut [DecodedInst], operands: &[u32], fusion: &mut FusionSummary) {
+fn fuse_block(code: &mut [DecodedInst], fusion: &mut FusionSummary) {
     let mut i = 0;
     while i + 1 < code.len() {
-        match try_fuse(code[i], code[i + 1], operands) {
+        match try_fuse(code[i], code[i + 1]) {
             Some((fused, kind)) => {
                 code[i] = fused;
                 fusion.sites[kind as usize] += 1;
@@ -1358,9 +1333,9 @@ fn fuse_block(code: &mut [DecodedInst], operands: &[u32], fusion: &mut FusionSum
 }
 
 /// Recognize one fusable adjacent pair. Immediates that must shrink to
-/// fit the 24-byte instruction (strides, field offsets, constants) gate
-/// fusion instead of truncating.
-fn try_fuse(a: DecodedInst, b: DecodedInst, operands: &[u32]) -> Option<(DecodedInst, FusedKind)> {
+/// fit the 24-byte instruction (strides, field offsets, constants, a
+/// guard's immediate length) gate fusion instead of truncating.
+fn try_fuse(a: DecodedInst, b: DecodedInst) -> Option<(DecodedInst, FusedKind)> {
     const U32_MAX: u64 = u32::MAX as u64;
     match (a, b) {
         (
@@ -1436,16 +1411,17 @@ fn try_fuse(a: DecodedInst, b: DecodedInst, operands: &[u32]) -> Option<(Decoded
             FusedKind::FieldStore,
         )),
         (
-            DecodedInst::Intrinsic {
-                intr: Intrinsic::GuardLoad,
-                args,
+            DecodedInst::Guard {
+                gaddr,
+                glen,
+                write: false,
                 ..
             },
             DecodedInst::Load { dst, addr, cls },
-        ) if args.len == 2 => Some((
+        ) if glen != NO_REG => Some((
             DecodedInst::FusedGuardLoad {
-                gaddr: operands[args.start as usize],
-                glen: operands[args.start as usize + 1],
+                gaddr,
+                glen,
                 dst,
                 addr,
                 cls,
@@ -1453,16 +1429,17 @@ fn try_fuse(a: DecodedInst, b: DecodedInst, operands: &[u32]) -> Option<(Decoded
             FusedKind::GuardLoad,
         )),
         (
-            DecodedInst::Intrinsic {
-                intr: Intrinsic::GuardStore,
-                args,
+            DecodedInst::Guard {
+                gaddr,
+                glen,
+                write: true,
                 ..
             },
             DecodedInst::Store { addr, value, cls },
-        ) if args.len == 2 => Some((
+        ) if glen != NO_REG => Some((
             DecodedInst::FusedGuardStore {
-                gaddr: operands[args.start as usize],
-                glen: operands[args.start as usize + 1],
+                gaddr,
+                glen,
                 addr,
                 value,
                 cls,
@@ -1755,10 +1732,7 @@ mod tests {
         assert!(
             body.iter().all(|i| !matches!(
                 i,
-                DecodedInst::Intrinsic {
-                    intr: Intrinsic::GuardLoad,
-                    ..
-                } | DecodedInst::FusedGuardLoad { .. }
+                DecodedInst::Guard { .. } | DecodedInst::FusedGuardLoad { .. }
             )),
             "loop guard must be elided from the threaded stream"
         );
@@ -1835,6 +1809,81 @@ mod tests {
                         "{} bb{b}",
                         w.name
                     );
+                }
+            }
+        }
+    }
+
+    /// A guard is one decoded instruction: no recipe leaves a two-argument
+    /// guard as an intrinsic call, and in the slot-parallel recipes every
+    /// static guard is exactly one `Guard` slot or one guard + access head.
+    #[test]
+    fn every_recipe_decodes_each_guard_to_one_guard_slot() {
+        use carat_core::{CaratCompiler, CompileOptions, OptPreset};
+        let recipes = [
+            (Engine::Decoded, ThreadedOpts::default()),
+            (Engine::Fused, ThreadedOpts::default()),
+            (Engine::Threaded, ThreadedOpts::default()),
+            (
+                Engine::Threaded,
+                ThreadedOpts {
+                    elide: false,
+                    hoist: false,
+                },
+            ),
+            (
+                Engine::Threaded,
+                ThreadedOpts {
+                    elide: true,
+                    hoist: false,
+                },
+            ),
+        ];
+        for w in carat_workloads::all_workloads() {
+            for opts in [
+                CompileOptions::default(),
+                CompileOptions::guards_only(OptPreset::None),
+            ] {
+                let m = CaratCompiler::new(opts)
+                    .compile(w.module(carat_workloads::Scale::Test).unwrap())
+                    .unwrap()
+                    .module;
+                let guards = m
+                    .func_ids()
+                    .flat_map(|fid| m.func(fid).insts_in_layout_order())
+                    .filter(|(_, _, inst)| {
+                        matches!(
+                            inst,
+                            Inst::CallIntrinsic {
+                                intr: Intrinsic::GuardLoad | Intrinsic::GuardStore,
+                                args,
+                            } if args.len() == 2
+                        )
+                    })
+                    .count();
+                for (engine, topts) in recipes {
+                    let prog = DecodedProgram::decode_for(&m, engine, topts);
+                    let code = prog
+                        .funcs
+                        .iter()
+                        .flat_map(|f| &f.blocks)
+                        .flat_map(|b| b.code.iter());
+                    let mut slots = 0;
+                    for inst in code {
+                        match inst {
+                            DecodedInst::Intrinsic {
+                                intr: Intrinsic::GuardLoad | Intrinsic::GuardStore,
+                                ..
+                            } => panic!("{} {engine:?} {topts:?}: guard intrinsic", w.name),
+                            DecodedInst::Guard { .. }
+                            | DecodedInst::FusedGuardLoad { .. }
+                            | DecodedInst::FusedGuardStore { .. } => slots += 1,
+                            _ => {}
+                        }
+                    }
+                    if engine != Engine::Threaded {
+                        assert_eq!(slots, guards, "{} {engine:?}", w.name);
+                    }
                 }
             }
         }

@@ -32,8 +32,8 @@ use carat_kernel::{
     PinError, ProcessImage, SimKernel,
 };
 use carat_runtime::{
-    Access, AllocKind, AllocationTable, CostModel, GuardImpl, MoveOutcome, RegionTable, TrackStats,
-    WorldStop,
+    Access, AllocKind, AllocationTable, CostModel, GuardCheck, GuardImpl, MoveOutcome, RegionTable,
+    TrackStats, WorldStop,
 };
 use std::error::Error;
 use std::fmt;
@@ -415,6 +415,50 @@ pub(crate) struct GuardFastPath {
 }
 
 impl GuardFastPath {
+    /// The guard check every guard path makes (the fast tier's passing
+    /// guard, and both checks of [`Core::exec_guard_access`]): a hit
+    /// answers with the cached probe count; a miss runs `imp`'s full
+    /// region check and, when it passes, refills the cache with the region
+    /// it resolved to.
+    #[inline(always)]
+    pub(crate) fn probe(
+        &mut self,
+        regions: &RegionTable,
+        imp: GuardImpl,
+        addr: u64,
+        len: u64,
+        access: Access,
+    ) -> GuardCheck {
+        if self.covers(regions, addr, len, access) {
+            return GuardCheck {
+                ok: true,
+                probes: self.probes,
+            };
+        }
+        self.miss(regions, imp, addr, len, access)
+    }
+
+    /// [`GuardFastPath::probe`] past a cache miss. Out of line: a miss is
+    /// rare (once per region change and tenant), and inlining the full
+    /// region check into every guard arm of the dispatch loop costs the
+    /// loop a register for its frame pointer.
+    #[cold]
+    #[inline(never)]
+    fn miss(
+        &mut self,
+        regions: &RegionTable,
+        imp: GuardImpl,
+        addr: u64,
+        len: u64,
+        access: Access,
+    ) -> GuardCheck {
+        let check = regions.check(imp, addr, len, access);
+        if check.ok {
+            self.refill(regions, addr, check.probes);
+        }
+        check
+    }
+
     /// Whether the cached region still stands (`regions` has not changed
     /// since the fill) and admits `access` to all of `[addr, addr+len)`.
     #[inline]
@@ -1433,19 +1477,22 @@ impl Core<'_> {
     ///
     /// | tier | variants |
     /// |---|---|
-    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedBinBin` `FusedPtrAddConst`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore` — on a poison address they break *after* the address component, onto the tail slot's plain access); `ElidedGuard` |
-    /// | both (fast arm, slow arm when it declines) | `Load` `Store` (poison address); `GuardFast` `FusedGuardLoad` `FusedGuardStore` (guard does not pass, or poison access address) |
-    /// | slow only | `Call` `Intrinsic` (every guard of a plain decode among them) `Ret` `Unreachable` `TrapAggregate` `HoistedGuard` |
+    /// | fast only | `ConstI` `ConstF` `ConstNull` `ConstGlobal` `Alloca` `PtrAdd` `FieldAddr` `Bin` `Icmp` `Fcmp` `Cast` `Select` `PhiBatch` `Jmp` `Br`; every register-only pair (`FusedIcmpBr` `FusedBinBin` `FusedPtrAddConst`); the address + access pairs (`FusedPtrAddLoad` `FusedPtrAddStore` `FusedFieldLoad` `FusedFieldStore`); `ElidedGuard` |
+    /// | both (fast arm, slow arm when it declines) | `Load` `Store` (poison address); `Guard` `FusedGuardLoad` `FusedGuardStore` (guard does not pass) |
+    /// | slow only | `Call` `Intrinsic` `Ret` `Unreachable` `TrapAggregate` `HoistedGuard` |
     ///
     /// Every instruction that can be half of a fused pair has one body (a
     /// [`Fast`] method or a `*_slow` method) holding its accounting, its
     /// effect and its cursor advance. A plain arm calls it; a fused arm is
     /// *first component, bail test, count the pair, second component*
     /// over the same bodies, so fused execution charges what unfused
-    /// execution does by construction. When the bail test fires, the arm
-    /// returns with the frame index already on the tail slot — which
-    /// holds the original unfused instruction — and the pair retires
-    /// unfused at the exact component boundary, uncounted.
+    /// execution does by construction. When the bail test fires, or the
+    /// access address of a pair with a memory tail is poison, the arm
+    /// leaves with the frame index already on the tail slot — which holds
+    /// the original unfused instruction — and the pair retires unfused at
+    /// the exact component boundary, uncounted. A guard pair whose guard
+    /// does not pass breaks before anything is accounted; the slow tier
+    /// runs only its guard component, and the tail slot follows unfused.
     ///
     /// Dispatch is batched: keep executing until
     /// [`TenantState::fusion_bail`] reports that the run loop could need
@@ -1764,7 +1811,9 @@ impl Core<'_> {
                         // that does not pass breaks to the slow tier with
                         // nothing accounted, where the full guard path
                         // (page-in retry, fault reporting) runs instead.
-                        DecodedInst::GuardFast {
+                        // The guard + access pairs then decline like the
+                        // address + access pairs above.
+                        DecodedInst::Guard {
                             gaddr,
                             glen,
                             imm,
@@ -1774,11 +1823,6 @@ impl Core<'_> {
                                 break;
                             }
                         }
-                        // Guard + access superinstructions. A guard that
-                        // passes here patches no register, so the access
-                        // address can be read up front: a poison one sends
-                        // the whole pair to the slow tier, like a guard
-                        // that does not pass.
                         DecodedInst::FusedGuardLoad {
                             gaddr,
                             glen,
@@ -1786,12 +1830,15 @@ impl Core<'_> {
                             addr,
                             cls,
                         } => {
-                            let a = f.fr.regs[addr as usize].as_p();
-                            if SimKernel::is_poison(a) || !f.guard(gaddr, glen, 0, false) {
+                            if !f.guard(gaddr, glen, 0, false) {
                                 break;
                             }
                             if f.bail() {
                                 return Ok(None);
+                            }
+                            let a = f.fr.regs[addr as usize].as_p();
+                            if SimKernel::is_poison(a) {
+                                break;
                             }
                             f.fusion.executed[FusedKind::GuardLoad as usize] += 1;
                             f.load(dst, a, cls);
@@ -1803,12 +1850,15 @@ impl Core<'_> {
                             value,
                             cls,
                         } => {
-                            let a = f.fr.regs[addr as usize].as_p();
-                            if SimKernel::is_poison(a) || !f.guard(gaddr, glen, 0, true) {
+                            if !f.guard(gaddr, glen, 0, true) {
                                 break;
                             }
                             if f.bail() {
                                 return Ok(None);
+                            }
+                            let a = f.fr.regs[addr as usize].as_p();
+                            if SimKernel::is_poison(a) {
+                                break;
                             }
                             f.fusion.executed[FusedKind::GuardStore as usize] += 1;
                             f.store(a, value, cls);
@@ -1913,53 +1963,22 @@ impl Core<'_> {
                         .into(),
                     ));
                 }
-                // Guard + access superinstructions whose fast arm declined
-                // (guard miss, or poison access address): the guard
-                // component can service a poison fault (a page-in
-                // world-stop that patches registers), so the access
-                // component reads its address register only when it runs —
-                // after the guard.
-                DecodedInst::FusedGuardLoad {
-                    gaddr,
-                    glen,
-                    dst,
-                    addr,
-                    cls,
-                } => {
-                    self.guard_slow(gaddr, glen, 0, false)?;
-                    if self.t.fusion_bail() {
-                        return Ok(None);
-                    }
-                    self.t.fusion.executed[FusedKind::GuardLoad as usize] += 1;
-                    self.t.counters.instructions += 1;
-                    self.t.counters.opcode_mix.record(Opcode::Load);
-                    self.load_slow(dst, addr, cls)?;
-                }
-                DecodedInst::FusedGuardStore {
-                    gaddr,
-                    glen,
-                    addr,
-                    value,
-                    cls,
-                } => {
-                    self.guard_slow(gaddr, glen, 0, true)?;
-                    if self.t.fusion_bail() {
-                        return Ok(None);
-                    }
-                    self.t.fusion.executed[FusedKind::GuardStore as usize] += 1;
-                    self.t.counters.instructions += 1;
-                    self.t.counters.opcode_mix.record(Opcode::Store);
-                    self.store_slow(addr, value, cls)?;
-                }
-                // A guard whose fast-tier probe did not pass (cold cache
-                // plus a failing or poison address): run the full guard
-                // path — accounting, page-in retry, fault reporting.
-                DecodedInst::GuardFast {
+                // A guard that did not pass in the fast tier (a failing or
+                // poison address) runs the full guard path — accounting,
+                // page-in retry, fault reporting. A guard pair runs only
+                // its guard here; its tail slot then retires unfused.
+                DecodedInst::Guard {
                     gaddr,
                     glen,
                     imm,
                     write,
                 } => self.guard_slow(gaddr, glen, imm, write)?,
+                DecodedInst::FusedGuardLoad { gaddr, glen, .. } => {
+                    self.guard_slow(gaddr, glen, 0, false)?
+                }
+                DecodedInst::FusedGuardStore { gaddr, glen, .. } => {
+                    self.guard_slow(gaddr, glen, 0, true)?
+                }
                 _ => unreachable!("fast-tier instruction reached the slow tier"),
             }
             if self.t.fusion_bail() {
@@ -2250,28 +2269,23 @@ impl Fast<'_> {
         self.counters.stores += 1;
     }
 
-    /// The guard component on its passing path: the last-hit region
-    /// cache, else a fresh region check that refills it — accounted
-    /// exactly like [`Core::exec_guard_access`]. Returns `false`, with
-    /// nothing accounted and the cursor unmoved, when the check fails;
-    /// the arm then breaks to the slow tier, whose guard path can page in
-    /// or fault.
+    /// The guard component on its passing path: [`GuardFastPath::probe`],
+    /// accounted exactly like [`Core::exec_guard_access`]. Returns
+    /// `false`, with nothing accounted and the cursor unmoved, when the
+    /// check fails; the arm then breaks to the slow tier, whose guard path
+    /// can page in or fault.
     #[inline(always)]
     fn guard(&mut self, gaddr: u32, glen: u32, imm: u32, write: bool) -> bool {
         let (addr, len, access) = guard_operands(self.fr, gaddr, glen, imm, write);
         let regions = &self.kernel.space.regions;
-        let probes = if self.guard_cache.covers(regions, addr, len, access) {
-            self.guard_cache.probes
-        } else {
-            let check = regions.check(self.guard_impl, addr, len, access);
-            if !check.ok {
-                return false;
-            }
-            self.guard_cache.refill(regions, addr, check.probes);
-            check.probes
-        };
+        let check = self
+            .guard_cache
+            .probe(regions, self.guard_impl, addr, len, access);
+        if !check.ok {
+            return false;
+        }
         self.retire(Opcode::CallIntrinsic);
-        account_guard(self.counters, self.kernel, self.guard_impl, probes);
+        account_guard(self.counters, self.kernel, self.guard_impl, check.probes);
         self.fr.idx += 1;
         true
     }
@@ -2315,7 +2329,7 @@ fn write_scalar(mem: &mut PhysicalMemory, paddr: u64, cls: ScalarClass, x: Value
 
 /// The `(addr, len, access)` a guard slot checks: the guarded-address
 /// register, and the length from its register — or from the immediate
-/// when the slot carries none ([`DecodedInst::GuardFast`] only).
+/// when the slot carries none (an immediate-length [`DecodedInst::Guard`]).
 #[inline(always)]
 fn guard_operands(fr: &Frame, gaddr: u32, glen: u32, imm: u32, write: bool) -> (u64, u64, Access) {
     let len = if glen == NO_REG {
@@ -2802,51 +2816,39 @@ impl Core<'_> {
         }
     }
 
-    /// Guard-check `[addr, addr+len)` for `access` — the body of the
-    /// `guard_load`/`guard_store` intrinsics, shared verbatim by the fused
-    /// guard+access superinstructions so their accounting is identical by
-    /// construction.
+    /// Guard-check `[addr, addr+len)` for `access` — the full guard path
+    /// of the `guard_load`/`guard_store` intrinsics (the reference
+    /// engine) and of every decoded guard the fast tier declined.
     ///
-    /// The last-hit region cache short-circuits the full [`RegionTable`]
-    /// search on the common path. Caching the *probe count* is sound
-    /// because regions are disjoint and sorted: for any address inside a
-    /// given region, every comparison against other regions' bounds
-    /// resolves the same way, so all three guard implementations take the
-    /// same search path — and charge the same probes — as they did on the
-    /// hit that filled the cache. The cache keys on the table's
-    /// generation, which the kernel bumps on every region change.
+    /// Both checks go through [`GuardFastPath::probe`], so the last-hit
+    /// region cache short-circuits the full [`RegionTable`] search on the
+    /// common path. Caching the *probe count* is sound because regions
+    /// are disjoint and sorted: for any address inside a given region,
+    /// every comparison against other regions' bounds resolves the same
+    /// way, so all three guard implementations take the same search path
+    /// — and charge the same probes — as they did on the hit that filled
+    /// the cache. The cache keys on the table's generation, which the
+    /// kernel bumps on every region change.
     fn exec_guard_access(&mut self, addr: u64, len: u64, access: Access) -> Result<(), VmError> {
-        let gc = self.t.guard_cache;
-        if gc.covers(&self.kernel.space.regions, addr, len, access) {
-            self.account_guard(gc.probes);
-            return Ok(());
-        }
+        let imp = self.t.cfg.guard_impl;
         let check = self
-            .kernel
-            .space
-            .regions
-            .check(self.t.cfg.guard_impl, addr, len, access);
+            .t
+            .guard_cache
+            .probe(&self.kernel.space.regions, imp, addr, len, access);
         self.account_guard(check.probes);
         if check.ok {
-            self.t
-                .guard_cache
-                .refill(&self.kernel.space.regions, addr, check.probes);
             return Ok(());
         }
         // A poison address means the data is in swap: the guard
         // fault reaches the kernel, which pages it back in.
         if let Some((base, span, delta)) = self.try_page_in(addr)? {
             let addr2 = translate(addr, base, span, delta);
-            let again = self
-                .kernel
-                .space
-                .regions
-                .check(self.t.cfg.guard_impl, addr2, len, access);
-            self.account_guard(again.probes);
-            if again.ok {
+            let again =
                 self.t
                     .guard_cache
-                    .refill(&self.kernel.space.regions, addr2, again.probes);
+                    .probe(&self.kernel.space.regions, imp, addr2, len, access);
+            self.account_guard(again.probes);
+            if again.ok {
                 return Ok(());
             }
         }

@@ -241,8 +241,8 @@ fn capsule_format_golden() {
         got,
         [
             ("carat_reference", 9206, 0x6f9f_650b_a280_dd68),
-            ("carat_fused", 9224, 0xc82d_1ce1_20c5_5e5c),
-            ("traditional_fused", 9544, 0xaa13_af85_cb1b_8b66),
+            ("carat_fused", 9224, 0xc406_3528_0f2c_dfa3),
+            ("traditional_fused", 9544, 0xaf27_ce6b_1811_2181),
             ("parked_threads", 2723, 0x6236_8cac_a698_e6b7),
             ("heap_churn_output", 4799, 0x648b_e0be_65e0_3e4d),
         ]

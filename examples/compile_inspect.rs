@@ -124,8 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The threaded tier's decode-time transform on the inspect program:
     // which loop guards the whole-trip prover elides (and why the ones it
-    // keeps survive), where the widened checks land, and what was
-    // strength-reduced. The substrate is the *unoptimized* guard build —
+    // keeps survive) and where the widened checks land. The substrate is the *unoptimized* guard build —
     // the proofs do all the work at decode time.
     let naive = CaratCompiler::new(CompileOptions::guards_only(OptPreset::None))
         .compile(compile_cm("inspect", PROGRAM)?)?;
@@ -133,12 +132,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rep = threaded.threaded.as_ref().expect("threaded report");
     println!(
         "\n==== threaded tier (per-loop decisions; {} elided, {} hoisted, {} dup-marked, \
-         {} fast-tier guards, {} dead consts) ====\n",
-        rep.elided_sites,
-        rep.hoisted_sites,
-        rep.dup_guard_sites,
-        rep.fast_guard_sites,
-        rep.dead_consts
+         {} dead consts) ====\n",
+        rep.elided_sites, rep.hoisted_sites, rep.dup_guard_sites, rep.dead_consts
     );
     for lp in &rep.loops {
         println!("  {} bb{}:", lp.func, lp.header);
@@ -157,8 +152,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // work the proofs remove from each workload's naive guard build.
     println!("\n==== per-workload threaded-tier census (Test scale, naive guard build) ====\n");
     println!(
-        "  {:<14} {:>7} {:>7} {:>7} {:>7}  skipped loops (reason)",
-        "workload", "elided", "hoisted", "fast", "dup"
+        "  {:<14} {:>7} {:>7} {:>7}  skipped loops (reason)",
+        "workload", "elided", "hoisted", "dup"
     );
     for w in all_workloads() {
         let module = w.module(Scale::Test)?;
@@ -172,13 +167,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             rep.skipped_loops.join("; ")
         };
         println!(
-            "  {:<14} {:>7} {:>7} {:>7} {:>7}  {}",
-            w.name,
-            rep.elided_sites,
-            rep.hoisted_sites,
-            rep.fast_guard_sites,
-            rep.dup_guard_sites,
-            skipped
+            "  {:<14} {:>7} {:>7} {:>7}  {}",
+            w.name, rep.elided_sites, rep.hoisted_sites, rep.dup_guard_sites, skipped
         );
     }
     Ok(())

@@ -376,7 +376,10 @@ fn guard_pairs_split_identically_at_every_slice_boundary() {
             assert!(pairs > 1_000, "guard pairs are the hot path: {pairs}");
             whole.counters.clone()
         } else {
-            assert!(whole.counters.guards_executed > 1_000, "lone guards run");
+            assert!(
+                whole.counters.guards_executed > 1_000,
+                "guards run, lone or fused with an access whose length is in a register"
+            );
             run(engine, quantum(1)).counters
         };
         for sched in (1..=64).map(quantum).chain([7, 50, 333].map(timer)) {
