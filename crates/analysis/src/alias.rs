@@ -1,32 +1,23 @@
-//! Alias analysis.
+//! Alias analysis: one query, "may these two accesses overlap?".
 //!
-//! The CARAT prototype combines 15 memory alias analyses with LLVM's alias
-//! chaining ("best-of-N"). We reproduce the architecture: several
-//! independent analyses behind one [`AliasAnalysis`] trait, combined by
-//! [`ChainedAlias`], which returns the most precise answer any member
-//! gives. The members implemented are the ones that matter for CARAT's
-//! guard optimizations on our IR:
+//! The CARAT prototype chains 15 LLVM alias analyses (paper §4.1.1) so
+//! that Opt 1 can treat a load as loop-invariant when no store in the loop
+//! may write it. Its one consumer here reads only "provably disjoint", so
+//! we reproduce three disjointness rules in one function,
+//! [`AliasQuery::disjoint`], each kept because a program in the end-to-end
+//! census hoists a guard that only it allows:
 //!
-//! * [`BaseObjectAlias`] — resolves each pointer to its base allocation
-//!   (alloca / global / malloc / argument) and reports `NoAlias` for
-//!   provably distinct bases.
-//! * [`OffsetAlias`] — for pointers with the same base, compares constant
-//!   byte offsets and access extents.
-//! * [`TypeBasedAlias`] — distinct scalar access types of different sizes
-//!   at identical SSA addresses cannot fully overlap.
+//! * **base object** — the two pointers derive from distinct allocations
+//!   (alloca / global / malloc), or one from an argument and the other
+//!   from a local allocation the caller cannot have seen;
+//! * **constant offset** — the same allocation at constant byte offsets
+//!   whose access extents do not meet;
+//! * **Steensgaard** — the pointers' points-to classes are distinct and
+//!   neither touched memory of unknown provenance; this sees through the
+//!   phis and selects that [`trace_base`] gives up on.
 
+use crate::steensgaard::Steensgaard;
 use carat_ir::{Const, Function, Inst, ValueId};
-
-/// The three-way alias verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AliasResult {
-    /// The accesses cannot overlap.
-    No,
-    /// The accesses may overlap.
-    May,
-    /// The accesses definitely overlap exactly.
-    Must,
-}
 
 /// A memory location: a pointer value plus an access size in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,12 +26,6 @@ pub struct MemLoc {
     pub ptr: ValueId,
     /// Access extent in bytes.
     pub size: u64,
-}
-
-/// An alias analysis answers queries about two locations in one function.
-pub trait AliasAnalysis {
-    /// May/must/no-alias verdict for `a` vs `b` in `f`.
-    fn alias(&self, f: &Function, a: MemLoc, b: MemLoc) -> AliasResult;
 }
 
 /// The base object a pointer is derived from.
@@ -92,9 +77,8 @@ pub fn trace_base(f: &Function, ptr: ValueId) -> (BaseObject, Option<i64>) {
                 offset = offset.map(|o| o + struct_ty.field_offset(*field as usize) as i64);
                 cur = *base;
             }
-            Some(Inst::Select { .. }) | Some(Inst::Phi { .. }) => {
-                return (BaseObject::Unknown, None)
-            }
+            // A phi, a select, a loaded pointer: the points-to classes
+            // of `AliasQuery` see through the first two.
             Some(_) => return (BaseObject::Unknown, None),
         }
     }
@@ -108,134 +92,42 @@ fn const_i64(f: &Function, v: ValueId) -> Option<i64> {
     }
 }
 
-/// Distinct base objects cannot alias.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaseObjectAlias;
-
-impl AliasAnalysis for BaseObjectAlias {
-    fn alias(&self, f: &Function, a: MemLoc, b: MemLoc) -> AliasResult {
-        let (ba, _) = trace_base(f, a.ptr);
-        let (bb, _) = trace_base(f, b.ptr);
-        match (ba, bb) {
-            (BaseObject::Unknown, _) | (_, BaseObject::Unknown) => AliasResult::May,
-            // Two distinct concrete allocations never overlap. Arguments may
-            // alias anything except provably-local objects.
-            (BaseObject::Arg(_), BaseObject::Alloca(_))
-            | (BaseObject::Alloca(_), BaseObject::Arg(_)) => AliasResult::No,
-            // A heap block allocated inside this function is fresh, so no
-            // incoming argument can already point into it.
-            (BaseObject::Arg(_), BaseObject::Malloc(_))
-            | (BaseObject::Malloc(_), BaseObject::Arg(_)) => AliasResult::No,
-            // An argument may well point at a global.
-            (BaseObject::Arg(_), BaseObject::Global(_))
-            | (BaseObject::Global(_), BaseObject::Arg(_)) => AliasResult::May,
-            // Two arguments may point at the same caller object.
-            (BaseObject::Arg(_), BaseObject::Arg(_)) => AliasResult::May,
-            (x, y) if x == y => AliasResult::May,
-            _ => AliasResult::No,
-        }
-    }
+/// The one alias query: a per-function Steensgaard solution plus the
+/// syntactic base-object and constant-offset rules.
+#[derive(Debug)]
+pub struct AliasQuery {
+    points_to: Steensgaard,
 }
 
-/// Same base, constant offsets: compare extents.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OffsetAlias;
+impl AliasQuery {
+    /// Solve the points-to classes of `f` once; every query then costs two
+    /// base traces and two class lookups.
+    pub fn for_function(f: &Function) -> AliasQuery {
+        AliasQuery {
+            points_to: Steensgaard::compute(f),
+        }
+    }
 
-impl AliasAnalysis for OffsetAlias {
-    fn alias(&self, f: &Function, a: MemLoc, b: MemLoc) -> AliasResult {
+    /// Whether accesses `a` and `b` in `f` provably never overlap.
+    pub fn disjoint(&self, f: &Function, a: MemLoc, b: MemLoc) -> bool {
         let (ba, oa) = trace_base(f, a.ptr);
         let (bb, ob) = trace_base(f, b.ptr);
-        if ba == BaseObject::Unknown || ba != bb {
-            return AliasResult::May;
-        }
-        match (oa, ob) {
-            (Some(x), Some(y)) => {
-                let (ax, bx) = (x, x + a.size as i64);
-                let (ay, by) = (y, y + b.size as i64);
-                if bx <= ay || by <= ax {
-                    AliasResult::No
-                } else if ax == ay && bx == by {
-                    AliasResult::Must
-                } else {
-                    AliasResult::May
-                }
-            }
-            _ => AliasResult::May,
-        }
-    }
-}
-
-/// Identical SSA pointers with identical sizes must alias; differing sizes
-/// at the same pointer partially overlap (`May`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TypeBasedAlias;
-
-impl AliasAnalysis for TypeBasedAlias {
-    fn alias(&self, _f: &Function, a: MemLoc, b: MemLoc) -> AliasResult {
-        if a.ptr == b.ptr {
-            if a.size == b.size {
-                AliasResult::Must
-            } else {
-                AliasResult::May
-            }
-        } else {
-            AliasResult::May
-        }
-    }
-}
-
-/// Best-of-N chaining over member analyses, mirroring LLVM's alias chaining
-/// as used by the CARAT prototype.
-pub struct ChainedAlias {
-    members: Vec<Box<dyn AliasAnalysis>>,
-}
-
-impl std::fmt::Debug for ChainedAlias {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChainedAlias({} members)", self.members.len())
-    }
-}
-
-impl Default for ChainedAlias {
-    fn default() -> ChainedAlias {
-        ChainedAlias::new()
-    }
-}
-
-impl ChainedAlias {
-    /// The standard chain: base-object, offset, and type-based analyses.
-    pub fn new() -> ChainedAlias {
-        ChainedAlias {
-            members: vec![
-                Box::new(BaseObjectAlias),
-                Box::new(OffsetAlias),
-                Box::new(TypeBasedAlias),
-            ],
-        }
-    }
-
-    /// The standard chain plus a per-function Steensgaard points-to
-    /// analysis (computed once here), which sees through phis and selects
-    /// that the syntactic base tracer punts on.
-    pub fn for_function(f: &Function) -> ChainedAlias {
-        let mut c = ChainedAlias::new();
-        c.members
-            .push(Box::new(crate::steensgaard::Steensgaard::compute(f)));
-        c
-    }
-}
-
-impl AliasAnalysis for ChainedAlias {
-    fn alias(&self, f: &Function, a: MemLoc, b: MemLoc) -> AliasResult {
-        let mut best = AliasResult::May;
-        for m in &self.members {
-            match m.alias(f, a, b) {
-                AliasResult::No => return AliasResult::No,
-                AliasResult::Must => best = AliasResult::Must,
-                AliasResult::May => {}
-            }
-        }
-        best
+        let syntactic = match (ba, bb) {
+            (BaseObject::Unknown, _) | (_, BaseObject::Unknown) => false,
+            // Constant offsets into one object: compare the extents.
+            (x, y) if x == y => match (oa, ob) {
+                (Some(sa), Some(sb)) => sa + a.size as i64 <= sb || sb + b.size as i64 <= sa,
+                _ => false,
+            },
+            // An argument may point at a global or at the caller object
+            // another argument points at, but never into an alloca or a
+            // heap block allocated in this function.
+            (BaseObject::Arg(_), BaseObject::Arg(_) | BaseObject::Global(_))
+            | (BaseObject::Global(_), BaseObject::Arg(_)) => false,
+            // Two distinct concrete allocations never overlap.
+            _ => true,
+        };
+        syntactic || self.points_to.disjoint(a.ptr, b.ptr)
     }
 }
 
@@ -277,41 +169,33 @@ mod tests {
     fn distinct_allocas_do_not_alias() {
         let (m, ids) = setup();
         let f = m.func(m.func_by_name("f").unwrap());
-        let aa = ChainedAlias::new();
-        assert_eq!(aa.alias(f, loc(ids[0]), loc(ids[1])), AliasResult::No);
-        assert_eq!(aa.alias(f, loc(ids[0]), loc(ids[2])), AliasResult::No);
-        assert_eq!(aa.alias(f, loc(ids[0]), loc(ids[5])), AliasResult::No);
+        let aa = AliasQuery::for_function(f);
+        assert!(aa.disjoint(f, loc(ids[0]), loc(ids[1])));
+        assert!(aa.disjoint(f, loc(ids[0]), loc(ids[2])));
+        assert!(aa.disjoint(f, loc(ids[0]), loc(ids[5])));
     }
 
     #[test]
     fn same_base_disjoint_offsets_do_not_alias() {
         let (m, ids) = setup();
         let f = m.func(m.func_by_name("f").unwrap());
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         // a1+16..24 vs a1+24..32
-        assert_eq!(aa.alias(f, loc(ids[3]), loc(ids[4])), AliasResult::No);
+        assert!(aa.disjoint(f, loc(ids[3]), loc(ids[4])));
         // a1+16..24 vs a1+0..8? base itself
-        assert_eq!(aa.alias(f, loc(ids[0]), loc(ids[3])), AliasResult::No);
-    }
-
-    #[test]
-    fn identical_pointer_must_alias() {
-        let (m, ids) = setup();
-        let f = m.func(m.func_by_name("f").unwrap());
-        let aa = ChainedAlias::new();
-        assert_eq!(aa.alias(f, loc(ids[3]), loc(ids[3])), AliasResult::Must);
+        assert!(aa.disjoint(f, loc(ids[0]), loc(ids[3])));
     }
 
     #[test]
     fn argument_vs_alloca_no_alias_but_arg_vs_global_may() {
         let (m, ids) = setup();
         let f = m.func(m.func_by_name("f").unwrap());
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         let arg = ids[6];
-        assert_eq!(aa.alias(f, loc(arg), loc(ids[0])), AliasResult::No);
-        assert_eq!(aa.alias(f, loc(arg), loc(ids[2])), AliasResult::May);
+        assert!(aa.disjoint(f, loc(arg), loc(ids[0])));
+        assert!(!aa.disjoint(f, loc(arg), loc(ids[2])));
         // Fresh heap memory cannot be reachable from an incoming argument.
-        assert_eq!(aa.alias(f, loc(arg), loc(ids[5])), AliasResult::No);
+        assert!(aa.disjoint(f, loc(arg), loc(ids[5])));
     }
 
     #[test]

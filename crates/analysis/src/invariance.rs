@@ -3,10 +3,10 @@
 //! CARAT's Opt 1 hoists a guard when the guarded address is loop-invariant.
 //! The paper notes that the default LLVM loop-invariance detection was
 //! enhanced with CARAT's program-dependence analysis; our equivalent is
-//! using the chained alias analysis to also classify *loads* as invariant
-//! when no store (or deallocation) inside the loop may alias them.
+//! using the alias query to also classify *loads* as invariant when no
+//! store (or deallocation) inside the loop may alias them.
 
-use crate::alias::{AliasAnalysis, AliasResult, MemLoc};
+use crate::alias::{AliasQuery, MemLoc};
 use crate::loops::Loop;
 use carat_ir::{Function, Inst, Intrinsic, ValueId};
 use std::collections::HashSet;
@@ -24,7 +24,7 @@ impl LoopInvariance {
     /// and constants included), or is a pure instruction all of whose
     /// operands are invariant. Loads are treated as pure when nothing in
     /// the loop may write or free the loaded location (checked via `aa`).
-    pub fn compute(f: &Function, lp: &Loop, aa: &dyn AliasAnalysis) -> LoopInvariance {
+    pub fn compute(f: &Function, lp: &Loop, aa: &AliasQuery) -> LoopInvariance {
         // Collect in-loop stores and whether the loop has calls/frees, to
         // decide load invariance.
         let mut stores: Vec<MemLoc> = Vec::new();
@@ -76,14 +76,14 @@ impl LoopInvariance {
                         Inst::Load { ty, addr } => {
                             !has_unknown_mem_effect
                                 && stores.iter().all(|s| {
-                                    aa.alias(
+                                    aa.disjoint(
                                         f,
                                         *s,
                                         MemLoc {
                                             ptr: *addr,
                                             size: ty.size(),
                                         },
-                                    ) == AliasResult::No
+                                    )
                                 })
                         }
                         _ => false,
@@ -118,7 +118,6 @@ impl LoopInvariance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::ChainedAlias;
     use crate::cfg::Cfg;
     use crate::dom::DomTree;
     use crate::loops::LoopForest;
@@ -171,7 +170,7 @@ mod tests {
         let forest = LoopForest::compute(f, &cfg, &dt);
         assert_eq!(forest.loops.len(), 1);
         let lp = &forest.loops[0];
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         let inv = LoopInvariance::compute(f, lp, &aa);
         let [i, q, ai, _x, i2] = ids[..] else {
             panic!()
@@ -191,7 +190,7 @@ mod tests {
         let dt = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dt);
         let lp = &forest.loops[0];
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         let inv = LoopInvariance::compute(f, lp, &aa);
         let x = ids[3];
         // The loop stores through arg0-derived addresses and loads from an

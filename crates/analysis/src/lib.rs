@@ -4,8 +4,9 @@
 //! (paper §4.1.1):
 //!
 //! * [`Cfg`], [`DomTree`], [`LoopForest`] — control-flow structure;
-//! * [`ChainedAlias`] — several alias analyses combined best-of-N, the
-//!   reproduction of the prototype's 15-analysis LLVM alias chain;
+//! * [`AliasQuery`] — one "provably disjoint" query built from three
+//!   rules (base object, constant offset, Steensgaard points-to), which
+//!   stands in for the prototype's chain of 15 LLVM alias analyses;
 //! * [`LoopInvariance`] — alias-enhanced loop-invariant detection (Opt 1);
 //! * [`canonical_loop_info`] / [`ptr_evolution`] — scalar evolution for
 //!   counted loops (Opt 2);
@@ -51,10 +52,7 @@ mod range;
 mod scev;
 mod steensgaard;
 
-pub use alias::{
-    trace_base, AliasAnalysis, AliasResult, BaseObject, BaseObjectAlias, ChainedAlias, MemLoc,
-    OffsetAlias, TypeBasedAlias,
-};
+pub use alias::{trace_base, AliasQuery, BaseObject, MemLoc};
 pub use cfg::Cfg;
 pub use dom::DomTree;
 pub use invariance::LoopInvariance;
@@ -66,4 +64,3 @@ pub use range::{Interval, ValueRanges};
 pub use scev::{
     affine_index, canonical_loop_info, ptr_evolution, AffineIndex, LoopTripInfo, PtrEvolution,
 };
-pub use steensgaard::Steensgaard;

@@ -36,7 +36,7 @@
 //! an earlier one with no intervening write. These become `dup_guards` /
 //! `dup_tracks`.
 
-use crate::alias::ChainedAlias;
+use crate::alias::AliasQuery;
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::invariance::LoopInvariance;
@@ -327,7 +327,7 @@ pub fn prove_function_in(f: &Function, module: Option<&Module>) -> FunctionProof
     let cfg = Cfg::compute(f);
     let dt = DomTree::compute(f, &cfg);
     let forest = LoopForest::compute(f, &cfg, &dt);
-    let aa = ChainedAlias::for_function(f);
+    let aa = AliasQuery::for_function(f);
     let ranges = ValueRanges::compute(f);
     let mut memo = vec![CS_UNKNOWN; module.map_or(0, Module::num_funcs)];
     let mut out = FunctionProofs::default();

@@ -268,7 +268,7 @@ fn const_i64(f: &Function, v: ValueId) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alias::ChainedAlias;
+    use crate::alias::AliasQuery;
     use crate::cfg::Cfg;
     use crate::dom::DomTree;
     use crate::loops::LoopForest;
@@ -313,7 +313,7 @@ mod tests {
         let dt = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dt);
         let lp = forest.loops[0].clone();
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         let inv = LoopInvariance::compute(f, &lp, &aa);
         (f, lp, inv)
     }
@@ -414,7 +414,7 @@ mod tests {
         let dt = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dt);
         let lp = forest.loops[0].clone();
-        let aa = ChainedAlias::new();
+        let aa = AliasQuery::for_function(f);
         let inv = LoopInvariance::compute(f, &lp, &aa);
         let trip = canonical_loop_info(f, &lp, &inv).expect("canonical");
         let a = affine_index(f, &lp, &inv, &trip, idx_good).expect("affine");

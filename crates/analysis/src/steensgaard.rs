@@ -1,6 +1,6 @@
 //! Flow-insensitive, field-insensitive Steensgaard-style points-to
-//! analysis — one of the member analyses of the best-of-N alias chain
-//! (the prototype combines 15, including Steensgaard's; paper §4.1.1).
+//! analysis — the third rule of `AliasQuery::disjoint` (the prototype's
+//! chain of 15 includes Steensgaard's; paper §4.1.1).
 //!
 //! Every pointer value and every abstract object gets a node in a
 //! union-find structure; each equivalence class has at most one pointee
@@ -9,7 +9,6 @@
 //! unified; separate classes that never touched "unknown" memory are
 //! provably disjoint.
 
-use crate::alias::{AliasAnalysis, AliasResult, MemLoc};
 use carat_ir::{Const, Function, Inst, Intrinsic, Type, ValueId};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -92,14 +91,14 @@ impl Uf {
 
 /// Per-function points-to solution.
 #[derive(Debug)]
-pub struct Steensgaard {
+pub(crate) struct Steensgaard {
     uf: RefCell<Uf>,
     value_node: HashMap<ValueId, Node>,
 }
 
 impl Steensgaard {
     /// Run the analysis over one function.
-    pub fn compute(f: &Function) -> Steensgaard {
+    pub(crate) fn compute(f: &Function) -> Steensgaard {
         let mut uf = Uf::new();
         let mut value_node: HashMap<ValueId, Node> = HashMap::new();
         // The class for everything of unknown provenance.
@@ -232,19 +231,13 @@ impl Steensgaard {
         let r = uf.find(p);
         Some((r, uf.unknown[r]))
     }
-}
 
-impl AliasAnalysis for Steensgaard {
-    fn alias(&self, _f: &Function, a: MemLoc, b: MemLoc) -> AliasResult {
-        match (self.pointee_class(a.ptr), self.pointee_class(b.ptr)) {
-            (Some((ca, ua)), Some((cb, ub))) => {
-                if ca != cb && !ua && !ub {
-                    AliasResult::No
-                } else {
-                    AliasResult::May
-                }
-            }
-            _ => AliasResult::May,
+    /// Whether pointers `a` and `b` point into distinct classes, neither of
+    /// which holds memory of unknown provenance.
+    pub(crate) fn disjoint(&self, a: ValueId, b: ValueId) -> bool {
+        match (self.pointee_class(a), self.pointee_class(b)) {
+            (Some((ca, ua)), Some((cb, ub))) => ca != cb && !ua && !ub,
+            _ => false,
         }
     }
 }
@@ -253,10 +246,6 @@ impl AliasAnalysis for Steensgaard {
 mod tests {
     use super::*;
     use carat_ir::{ModuleBuilder, Pred};
-
-    fn loc(v: ValueId) -> MemLoc {
-        MemLoc { ptr: v, size: 8 }
-    }
 
     #[test]
     fn disjoint_heap_objects_do_not_alias_even_through_phis() {
@@ -290,14 +279,10 @@ mod tests {
         let m = mb.finish();
         let f = m.func(m.func_by_name("f").unwrap());
         let st = Steensgaard::compute(f);
-        assert_eq!(st.alias(f, loc(phi), loc(pc)), AliasResult::No);
-        assert_eq!(st.alias(f, loc(phi), loc(pa)), AliasResult::May);
-        assert_eq!(st.alias(f, loc(phi), loc(pb)), AliasResult::May);
-        assert_eq!(
-            st.alias(f, loc(pa), loc(pb)),
-            AliasResult::May,
-            "unified by the phi"
-        );
+        assert!(st.disjoint(phi, pc));
+        assert!(!st.disjoint(phi, pa));
+        assert!(!st.disjoint(phi, pb));
+        assert!(!st.disjoint(pa, pb), "unified by the phi");
     }
 
     #[test]
@@ -321,7 +306,7 @@ mod tests {
         let m = mb.finish();
         let f = m.func(m.func_by_name("f").unwrap());
         let st = Steensgaard::compute(f);
-        assert_eq!(st.alias(f, loc(q), loc(reload)), AliasResult::May);
+        assert!(!st.disjoint(q, reload));
     }
 
     #[test]
@@ -342,7 +327,7 @@ mod tests {
         let m = mb.finish();
         let f = m.func(m.func_by_name("f").unwrap());
         let st = Steensgaard::compute(f);
-        assert_eq!(st.alias(f, loc(f.arg(0)), loc(f.arg(1))), AliasResult::May);
+        assert!(!st.disjoint(f.arg(0), f.arg(1)));
     }
 
     #[test]
@@ -364,7 +349,7 @@ mod tests {
         let m = mb.finish();
         let f = m.func(m.func_by_name("f").unwrap());
         let st = Steensgaard::compute(f);
-        assert_eq!(st.alias(f, loc(d1), loc(a2)), AliasResult::No);
-        assert_eq!(st.alias(f, loc(d1), loc(a1)), AliasResult::May);
+        assert!(st.disjoint(d1, a2));
+        assert!(!st.disjoint(d1, a1));
     }
 }

@@ -8,7 +8,7 @@
 
 use super::{GuardClass, GuardClasses};
 use carat_analysis::{
-    ensure_preheader, Cfg, ChainedAlias, DomTree, Loop, LoopForest, LoopInvariance,
+    ensure_preheader, AliasQuery, Cfg, DomTree, Loop, LoopForest, LoopInvariance,
 };
 use carat_ir::{Const, Function, Inst, Intrinsic, ValueId};
 use std::collections::HashSet;
@@ -30,7 +30,7 @@ pub fn run(f: &mut Function, classes: &mut GuardClasses) -> usize {
 }
 
 fn run_one_round(f: &mut Function, classes: &mut GuardClasses) -> usize {
-    let aa = ChainedAlias::for_function(f);
+    let aa = AliasQuery::for_function(f);
     let mut hoisted = 0;
     // Recompute loop structure each round (preheader creation adds blocks).
     let forest = {
@@ -49,7 +49,7 @@ fn run_one_round(f: &mut Function, classes: &mut GuardClasses) -> usize {
     hoisted
 }
 
-fn hoist_loop(f: &mut Function, lp: &Loop, aa: &ChainedAlias, classes: &mut GuardClasses) -> usize {
+fn hoist_loop(f: &mut Function, lp: &Loop, aa: &AliasQuery, classes: &mut GuardClasses) -> usize {
     let inv = LoopInvariance::compute(f, lp, aa);
     let loop_has_alloca = lp.blocks.iter().any(|&b| {
         f.block(b)

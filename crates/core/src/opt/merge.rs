@@ -12,8 +12,8 @@
 
 use super::{GuardClass, GuardClasses};
 use carat_analysis::{
-    canonical_loop_info, ensure_preheader, ptr_evolution, trace_base, AffineIndex, BaseObject, Cfg,
-    ChainedAlias, DomTree, Loop, LoopForest, LoopInvariance, LoopTripInfo, PtrEvolution,
+    canonical_loop_info, ensure_preheader, ptr_evolution, trace_base, AffineIndex, AliasQuery,
+    BaseObject, Cfg, DomTree, Loop, LoopForest, LoopInvariance, LoopTripInfo, PtrEvolution,
 };
 use carat_ir::{BinOp, BlockId, Const, Function, Inst, IntTy, Intrinsic, Pred, Type, ValueId};
 use std::collections::HashSet;
@@ -28,7 +28,7 @@ pub fn run(f: &mut Function, classes: &mut GuardClasses) -> usize {
 
 /// The scalar-evolution driven loop merging.
 fn merge_loop_ranges(f: &mut Function, classes: &mut GuardClasses) -> usize {
-    let aa = ChainedAlias::for_function(f);
+    let aa = AliasQuery::for_function(f);
     let forest = {
         let cfg = Cfg::compute(f);
         let dt = DomTree::compute(f, &cfg);
@@ -58,7 +58,7 @@ struct Candidate {
 fn merge_one_loop(
     f: &mut Function,
     lp: &Loop,
-    aa: &ChainedAlias,
+    aa: &AliasQuery,
     classes: &mut GuardClasses,
 ) -> usize {
     let inv = LoopInvariance::compute(f, lp, aa);

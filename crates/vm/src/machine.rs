@@ -83,7 +83,8 @@ pub struct SwapDriverConfig {
 pub enum Engine {
     /// Decode with superinstructions fused in place: dominant adjacent
     /// pairs — address computation + memory access, guard + access,
-    /// compare + branch, constant + ALU op — retire in a single dispatch
+    /// compare + branch, ALU op + ALU op, pointer add + constant — retire
+    /// in a single dispatch
     /// (see [`crate::decode`]'s fusion pass).
     #[default]
     Fused,

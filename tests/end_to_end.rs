@@ -282,6 +282,95 @@ fn carat_census_matches_static_guard_count() {
     );
 }
 
+/// In each program, one rule of `AliasQuery::disjoint` alone proves that
+/// the loop's store cannot write the index the loop loads. The load is
+/// then loop-invariant, so two guards hoist: one at an address that is
+/// invariant anyway, and the one at the address the loaded index selects.
+/// Without the rule, only the first hoists.
+#[test]
+fn each_alias_rule_hoists_a_guard_only_it_can() {
+    let cases = [
+        (
+            "base object: an argument against a local malloc",
+            r#"
+            int sum(int* p, int n) {
+                int* q = (int*) malloc(n * sizeof(int));
+                int s = 0;
+                for (int i = 0; i < n; i += 1) {
+                    q[i] = i;
+                    s += p[p[0]];
+                }
+                return s + q[n - 1];
+            }
+            int main() {
+                int* p = (int*) malloc(4 * sizeof(int));
+                p[0] = 2; p[1] = 5; p[2] = 7; p[3] = 9;
+                return sum(p, 8);
+            }
+            "#,
+        ),
+        (
+            "constant offset: two fields of one malloc'd struct",
+            r#"
+            struct acc { int k; int total; };
+            int run(int* data) {
+                struct acc* a = (struct acc*) malloc(sizeof(struct acc));
+                a->k = 1;
+                int s = 0;
+                for (int i = 0; i < 8; i += 1) {
+                    s += data[a->k] * data[0];
+                    a->total = s;
+                }
+                return a->total;
+            }
+            int main() {
+                int* data = (int*) malloc(4 * sizeof(int));
+                data[0] = 2; data[1] = 5; data[2] = 7; data[3] = 9;
+                return run(data);
+            }
+            "#,
+        ),
+        (
+            "Steensgaard: a phi of two mallocs",
+            r#"
+            int pick(int sel) {
+                int* a = (int*) malloc(4 * sizeof(int));
+                int* b = (int*) malloc(4 * sizeof(int));
+                int* tab = (int*) malloc(4 * sizeof(int));
+                int* out = (int*) malloc(8 * sizeof(int));
+                a[0] = 1; b[0] = 3;
+                tab[0] = 2; tab[1] = 5; tab[2] = 7; tab[3] = 9;
+                int* c = a;
+                if (sel > 0) { c = b; }
+                for (int i = 0; i < 8; i += 1) { out[i] = tab[c[0]] + i; }
+                return out[7];
+            }
+            int main() { return pick(1); }
+            "#,
+        ),
+    ];
+    // Every case runs before the verdict, so a lost rule names only its
+    // own program.
+    let mut not_hoisted = Vec::new();
+    for (rule, src) in cases {
+        let module = compile_cm("t", src).unwrap();
+        let compiled = CaratCompiler::new(CompileOptions::guards_only(OptPreset::CaratSpecific))
+            .compile(module)
+            .unwrap();
+        if compiled.census.hoisted != 2 {
+            not_hoisted.push((rule, compiled.census));
+        }
+        let base = run_src(src, CompileOptions::baseline(), VmConfig::default()).unwrap();
+        let full = run_src(src, CompileOptions::default(), VmConfig::default()).unwrap();
+        assert_ne!(base, 0, "{rule}: the program reads initialised data");
+        assert_eq!(base, full, "{rule}: hoisting changes no result");
+    }
+    assert!(
+        not_hoisted.is_empty(),
+        "the guard the loaded index selects did not hoist: {not_hoisted:?}"
+    );
+}
+
 /// `CapsuleLayout::of` is the loader's own arithmetic, so fleet admission
 /// can ask what a tenant will cost in resident bytes before building it:
 /// for every Cm source in the suite (the 21 workloads and the three
