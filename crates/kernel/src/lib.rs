@@ -56,7 +56,7 @@ pub use dev::{
 pub use faults::{FaultPlan, FaultPoint, KernelError};
 pub use kernel::{checksum, fnv1a, PinError, PinStats, SimKernel, POISON_BASE, POISON_SLOT_SPAN};
 pub use loader::{CapsuleLayout, LoadConfig, LoadError, ProcessImage};
-pub use pagetable::{PageTable, Pte, Walk};
+pub use pagetable::{PageTable, Pte};
 pub use phys::PhysicalMemory;
 pub use proc::{
     AdmissionError, Pid, ProcAccounting, ProcEntry, ProcState, ProcTable, ProtectionFault,

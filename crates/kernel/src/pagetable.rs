@@ -27,16 +27,6 @@ struct Node {
     entries: carat_runtime::FastMap<u16, Pte>,
 }
 
-/// Result of a walk: the PTE plus how many levels were touched (memory
-/// accesses a hardware pagewalker would perform).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Walk {
-    /// The translation, if mapped.
-    pub pte: Option<Pte>,
-    /// Radix levels visited (≤ 4).
-    pub levels: u32,
-}
-
 const LEVEL_BITS: u64 = 9;
 const LEVEL_MASK: u64 = (1 << LEVEL_BITS) - 1;
 
@@ -69,45 +59,16 @@ impl PageTable {
         prev
     }
 
-    /// Remove the mapping for `vpn`.
-    pub fn unmap(&mut self, vpn: u64) -> Option<Pte> {
-        let [i0, i1, i2, i3] = indices(vpn);
-        let mut node = &mut self.root;
-        for i in [i0, i1, i2] {
-            node = node.children.get_mut(&i)?;
-        }
-        let prev = node.entries.remove(&i3);
-        if prev.is_some() {
-            self.mapped -= 1;
-        }
-        prev
-    }
-
-    /// Walk the radix tree for `vpn`, counting levels touched.
-    pub fn walk(&self, vpn: u64) -> Walk {
+    /// Walk the radix tree for `vpn`: its PTE, if mapped. A TLB caches
+    /// the answer, so nothing unmaps a page: an entry removed here
+    /// would outlive its mapping in every TLB that holds it.
+    pub fn translate(&self, vpn: u64) -> Option<Pte> {
         let [i0, i1, i2, i3] = indices(vpn);
         let mut node = &self.root;
-        let mut levels = 1;
         for i in [i0, i1, i2] {
-            match node.children.get(&i) {
-                Some(n) => {
-                    node = n;
-                    levels += 1;
-                }
-                None => {
-                    return Walk { pte: None, levels };
-                }
-            }
+            node = node.children.get(&i)?;
         }
-        Walk {
-            pte: node.entries.get(&i3).copied(),
-            levels,
-        }
-    }
-
-    /// Convenience: the PTE for `vpn` if mapped.
-    pub fn translate(&self, vpn: u64) -> Option<Pte> {
-        self.walk(vpn).pte
+        node.entries.get(&i3).copied()
     }
 }
 
@@ -116,9 +77,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_walk_unmap() {
+    fn map_then_translate() {
         let mut pt = PageTable::new();
-        assert_eq!(pt.walk(5).pte, None);
+        assert_eq!(pt.translate(5), None);
         pt.map(
             5,
             Pte {
@@ -127,12 +88,8 @@ mod tests {
             },
         );
         assert_eq!(pt.mapped, 1);
-        let w = pt.walk(5);
-        assert_eq!(w.pte.map(|p| p.ppn), Some(1234));
-        assert_eq!(w.levels, 4, "full walk for a mapped page");
-        assert!(pt.unmap(5).is_some());
-        assert_eq!(pt.mapped, 0);
-        assert_eq!(pt.walk(5).pte, None);
+        assert_eq!(pt.translate(5).map(|p| p.ppn), Some(1234));
+        assert_eq!(pt.translate(4), None, "a neighbour in the same leaf");
     }
 
     #[test]
@@ -156,10 +113,8 @@ mod tests {
         );
         assert_eq!(pt.translate(a).map(|p| p.ppn), Some(1));
         assert_eq!(pt.translate(b).map(|p| p.ppn), Some(2));
-        // Unmapped page sharing no prefix aborts the walk early.
-        let w = pt.walk(2u64 << 27);
-        assert_eq!(w.pte, None);
-        assert_eq!(w.levels, 1);
+        // An unmapped page sharing no prefix is not found.
+        assert_eq!(pt.translate(2u64 << 27), None);
     }
 
     #[test]
@@ -198,8 +153,14 @@ mod tests {
         }
         assert_eq!(pt.mapped, 1000);
         for vpn in (0..1000).step_by(2) {
-            pt.unmap(vpn);
+            pt.map(
+                vpn,
+                Pte {
+                    ppn: vpn,
+                    writable: false,
+                },
+            );
         }
-        assert_eq!(pt.mapped, 500);
+        assert_eq!(pt.mapped, 1000, "a remap adds no mapping");
     }
 }

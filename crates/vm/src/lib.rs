@@ -57,7 +57,7 @@ pub use multi::{
     MultiVm, MultiVmConfig, ProcOutcome, ProcReport, ProcSpec, SchedSource, TenancyError,
 };
 pub use supervise::{SupervisionEvent, Supervisor, SupervisorConfig, TenantExit, Verdict};
-pub use tlb::{Tlb, TranslationUnit};
+pub use tlb::{Answered, Tlb, TranslationUnit};
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@
 use crate::counters::PerfCounters;
 use crate::decode::{DecodedInst, DecodedProgram, FusedKind, FusionStats, ScalarClass, NO_REG};
 use crate::heap::HeapAllocator;
-use crate::tlb::TranslationUnit;
+use crate::tlb::{Answered, TranslationUnit};
 use carat_ir::{
     BinOp, BlockId, CastKind, Const, FuncId, Inst, IntTy, Intrinsic, Module, Opcode, Pred, Type,
     ValueId,
@@ -297,8 +297,12 @@ pub struct RunResult {
     pub initial_pages: u64,
     /// Static footprint bytes (Table 2).
     pub static_footprint: u64,
+    /// DTLB hits (traditional mode).
+    pub dtlb_hits: u64,
     /// DTLB misses (traditional mode).
     pub dtlb_misses: u64,
+    /// STLB hits: DTLB misses answered without a walk (traditional mode).
+    pub stlb_hits: u64,
     /// DTLB misses per 1000 instructions.
     pub dtlb_mpki: f64,
     /// Pagewalks performed (traditional mode).
@@ -584,8 +588,9 @@ pub struct TenantState {
     /// Translation fast path (traditional mode): the last VPN that went
     /// through [`TranslationUnit::access`]. A repeat of the same VPN is a
     /// guaranteed DTLB hit (the entry was touched last and cannot have
-    /// been evicted without an intervening different-VPN access), so the
-    /// front cache charges the hit without the set walk.
+    /// been evicted without an intervening different-VPN access), and a
+    /// TLB hit is a mapped page (only a walk inserts, nothing unmaps), so
+    /// the front cache charges the hit without the set walk.
     pub(crate) last_vpn: u64,
     /// Superinstruction execution statistics (fused engine).
     pub(crate) fusion: FusionStats,
@@ -1144,7 +1149,9 @@ impl Core<'_> {
             page_moves: self.kernel.trace.moves,
             initial_pages: self.t.image.initial_pages,
             static_footprint: self.t.image.static_footprint,
+            dtlb_hits: self.t.tlb.dtlb.hits,
             dtlb_misses: self.t.tlb.dtlb.misses,
+            stlb_hits: self.t.tlb.stlb.hits,
             dtlb_mpki: mpki,
             pagewalks: self.t.tlb.pagewalks,
             fusion: self.t.fusion.clone(),
@@ -2532,19 +2539,30 @@ fn data_access_resolved(
             // `TranslationUnit::access` is a guaranteed DTLB hit (its
             // entry was the last touched in its set, so it cannot have
             // been evicted without an intervening different-VPN
-            // access) to an already-mapped page. Charge exactly what
-            // the full path would — one DTLB hit, zero extra cycles —
-            // without the set walk or the page-table probe. Skipping
-            // the LRU stamp refresh is invisible: consecutive repeats
-            // preserve the relative stamp order within the set.
+            // access), and a TLB hit is a mapped page. Charge exactly
+            // what the full path would — one DTLB hit, zero extra
+            // cycles — without the set walk. Skipping the LRU stamp
+            // refresh is invisible: consecutive repeats preserve the
+            // relative stamp order within the set.
             if vpn == *last_vpn {
                 tlb.dtlb.hits += 1;
                 return addr;
             }
             *last_vpn = vpn;
-            let extra = tlb.access(vpn, &kernel.cost);
+            let answered = tlb.access(vpn);
+            let extra = answered.extra_cycles(&kernel.cost);
             counters.translation_cycles += extra;
             counters.cycles += extra;
+            // The page table is the TLB's miss path: only a walk inserts
+            // an entry and nothing unmaps a page, so a hit is a mapped
+            // page and only a walk can find the page unmapped.
+            if answered != Answered::Walk {
+                debug_assert!(
+                    kernel.space.pagetable.translate(vpn).is_some(),
+                    "TLB hit on unmapped page {vpn:#x}"
+                );
+                return addr;
+            }
             // Demand fault on first touch (identity-mapped).
             if kernel.space.pagetable.translate(vpn).is_none() {
                 kernel.space.pagetable.map(

@@ -166,6 +166,28 @@ impl Capsule for Tlb {
 /// associativity is input, and real second-level TLBs hold a few thousand.
 const MAX_RESTORED_SLOTS: usize = 1 << 20;
 
+/// Which level of the translation path answered an access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answered {
+    /// The L1 DTLB hit.
+    Dtlb,
+    /// The DTLB missed and the STLB hit.
+    Stlb,
+    /// Both missed: the page table was walked.
+    Walk,
+}
+
+impl Answered {
+    /// Cycles beyond the L1 hit path (0 for a DTLB hit).
+    pub fn extra_cycles(self, cost: &carat_runtime::CostModel) -> u64 {
+        match self {
+            Answered::Dtlb => 0,
+            Answered::Stlb => cost.stlb_hit,
+            Answered::Walk => cost.stlb_hit + cost.pagewalk,
+        }
+    }
+}
+
 /// The two-level translation structure plus pagewalk counters.
 #[derive(Debug, Clone)]
 pub struct TranslationUnit {
@@ -187,20 +209,22 @@ impl TranslationUnit {
         }
     }
 
-    /// Translate access to `vpn`; returns extra cycles beyond the L1 hit
-    /// path (0 for a DTLB hit).
-    pub fn access(&mut self, vpn: u64, cost: &carat_runtime::CostModel) -> u64 {
+    /// Look `vpn` up and report which level answered. Only a walk
+    /// inserts an entry, and nothing unmaps a page, so a DTLB or STLB
+    /// hit is always to a page that is already mapped: the caller reads
+    /// the page table, and demand-maps, only on [`Answered::Walk`].
+    pub fn access(&mut self, vpn: u64) -> Answered {
         if self.dtlb.lookup(vpn) {
-            return 0;
+            return Answered::Dtlb;
         }
         if self.stlb.lookup(vpn) {
             self.dtlb.insert(vpn);
-            return cost.stlb_hit;
+            return Answered::Stlb;
         }
         self.pagewalks += 1;
         self.stlb.insert(vpn);
         self.dtlb.insert(vpn);
-        cost.stlb_hit + cost.pagewalk
+        Answered::Walk
     }
 
     /// DTLB misses per 1000 instructions (Figure 2's metric).
@@ -359,18 +383,23 @@ mod tests {
         let cost = CostModel::default();
         let mut tu = TranslationUnit::new(&cost);
         // Cold: full walk.
-        let c1 = tu.access(42, &cost);
-        assert_eq!(c1, cost.stlb_hit + cost.pagewalk);
+        assert_eq!(tu.access(42), Answered::Walk);
+        assert_eq!(
+            Answered::Walk.extra_cycles(&cost),
+            cost.stlb_hit + cost.pagewalk
+        );
         assert_eq!(tu.pagewalks, 1);
         // Warm: free.
-        let c2 = tu.access(42, &cost);
-        assert_eq!(c2, 0);
-        // Thrash the DTLB only: reuse within STLB reach.
-        for v in 0..2000 {
-            tu.access(v, &cost);
+        assert_eq!(tu.access(42), Answered::Dtlb);
+        assert_eq!(Answered::Dtlb.extra_cycles(&cost), 0);
+        // Thrash the DTLB only: 100 pages are past DTLB reach and within
+        // STLB reach.
+        for v in 0..100 {
+            tu.access(v);
         }
-        let c3 = tu.access(0, &cost);
-        assert!(c3 == cost.stlb_hit || c3 == cost.stlb_hit + cost.pagewalk);
+        assert_eq!(tu.access(0), Answered::Stlb);
+        assert_eq!(Answered::Stlb.extra_cycles(&cost), cost.stlb_hit);
+        assert_eq!(tu.pagewalks, 100, "only a miss in both levels walks");
     }
 
     #[test]
@@ -378,7 +407,7 @@ mod tests {
         let cost = CostModel::default();
         let mut tu = TranslationUnit::new(&cost);
         for v in 0..100 {
-            tu.access(v, &cost); // all DTLB misses
+            tu.access(v); // all DTLB misses
         }
         assert!((tu.dtlb_mpki(100_000) - 1.0).abs() < 1e-9);
         assert_eq!(tu.dtlb_mpki(0), 0.0);
@@ -390,12 +419,12 @@ mod tests {
         // Resident: 32 pages fit in the DTLB.
         let mut resident = TranslationUnit::new(&cost);
         for i in 0..10_000u64 {
-            resident.access(i % 32, &cost);
+            resident.access(i % 32);
         }
         // Streaming: new page every access.
         let mut streaming = TranslationUnit::new(&cost);
         for i in 0..10_000u64 {
-            streaming.access(i, &cost);
+            streaming.access(i);
         }
         assert!(resident.dtlb.misses * 10 < streaming.dtlb.misses);
     }
