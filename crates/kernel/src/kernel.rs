@@ -14,6 +14,7 @@ mod pins;
 mod process;
 
 pub(crate) use mm::DstAlloc;
+pub use mm::{Relocation, RelocationKind};
 pub use pins::{PinError, PinStats};
 
 use crate::arena::{ArenaStats, CapsuleArena};

@@ -2,7 +2,8 @@
 //! `stop_world`, `journaled`, `refuse_pinned`), the
 //! swap-aware memory view, and every relocator that rides them — page
 //! moves, the batch planner, page-out, page-in, stack growth and the
-//! cross-process shared move — plus the move planner's victim pick.
+//! cross-process shared move, each returning one [`Relocation`] receipt —
+//! plus the move planner's victim pick.
 
 use super::{SimKernel, SwapEntry, POISON_BASE, POISON_SLOT_SPAN};
 use crate::buddy::BuddyAllocator;
@@ -38,6 +39,50 @@ impl DstAlloc {
             len,
             from_buddy: true,
         })
+    }
+}
+
+/// Which mover a [`Relocation`] came from, and so how it is charged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RelocationKind {
+    /// Page moves, one or a batch ([`SimKernel::move_pages_batch`]).
+    Move,
+    /// Seamless stack growth ([`SimKernel::expand_stack`]).
+    StackGrowth,
+    /// A range moved into its swap slot's poison window.
+    PageOut,
+    /// A swapped range moved back out of its poison window.
+    PageIn,
+    /// A shared block moved under every owner ([`SimKernel::move_shared`]).
+    Shared,
+}
+
+/// The receipt every mover returns: the world-stop it ran inside and the
+/// outcome of each request it moved, in request order.
+#[derive(Debug, Clone)]
+pub struct Relocation {
+    /// The mover.
+    pub kind: RelocationKind,
+    /// The stop. Page-in and stack growth fold their destination backoff
+    /// into it; the page movers and the shared move put it in each
+    /// outcome's `alloc_and_move`.
+    pub stop: WorldStop,
+    /// One outcome per moved request.
+    pub moves: Vec<MoveOutcome>,
+}
+
+impl Relocation {
+    /// What the relocation costs, in cycles: its stop plus every
+    /// transaction it ran (expand, patch, register pass, copy) — except
+    /// paging, charged its stop alone. Charged in full, a page-out is one
+    /// uninterruptible stretch longer than the timer interval and
+    /// `io_latency`'s latency gate fails, so the paging arm stays until
+    /// paging can be interrupted or that gate is restated (ROADMAP 19).
+    pub fn cycles(&self) -> u64 {
+        match self.kind {
+            RelocationKind::PageOut | RelocationKind::PageIn => self.stop.cycles,
+            _ => self.stop.cycles + self.moves.iter().map(|o| o.cost.total()).sum::<u64>(),
+        }
     }
 }
 
@@ -149,10 +194,10 @@ impl SimKernel {
         })
     }
 
-    /// Stop the world over `threads` threads and return what the stop
-    /// costs. A mover calls this once, after it has picked its
-    /// destination and before it touches anything. Where Figure 8's steps
-    /// happen:
+    /// Stop the world over `threads` threads for a relocation of `kind`
+    /// and begin its receipt: the stop's cost, no moves yet. A mover calls
+    /// this once, after it has picked its destination and before it
+    /// touches anything. Where Figure 8's steps happen:
     ///
     /// - 1, the change request: the mover's call;
     /// - 2, a signal to every thread: here, charged per thread;
@@ -179,7 +224,11 @@ impl SimKernel {
     /// [`KernelError::WorldStop`] when a thread stalls before its handler
     /// ([`WorldStopError::Stalled`]) or when there is no thread to stop
     /// ([`WorldStopError::NoThreads`]); nothing has been touched.
-    fn stop_world(&mut self, threads: usize) -> Result<WorldStop, KernelError> {
+    fn stop_world(
+        &mut self,
+        kind: RelocationKind,
+        threads: usize,
+    ) -> Result<Relocation, KernelError> {
         if threads == 0 {
             return Err(KernelError::WorldStop(WorldStopError::NoThreads));
         }
@@ -191,16 +240,23 @@ impl SimKernel {
                 }));
             }
         }
-        Ok(WorldStop::run_all(threads, &self.cost))
+        Ok(Relocation {
+            kind,
+            stop: WorldStop::run_all(threads, &self.cost),
+            moves: Vec::new(),
+        })
     }
 
-    /// Run [`move_transaction`] over `tables` inside a stopped world — the
-    /// single carrier for every mover, paging included — through the
-    /// swap-aware memory view. `interrupt` is the fault point that may
-    /// interrupt the transaction at its one checkpoint (between the patch
-    /// and copy phases), after which the transaction has restored a
-    /// byte-identical pre-move state: [`FaultPoint::MidMove`] for moves
-    /// and stack growth, `None` for paging.
+    /// Run [`move_transaction`] over `tables` inside the stopped world
+    /// `receipt` began — the single carrier for every mover, paging
+    /// included — through the swap-aware memory view, and complete the
+    /// receipt with the transaction's outcomes. [`FaultPoint::MidMove`]
+    /// may interrupt the transaction at its one checkpoint (between the
+    /// patch and copy phases), after which the transaction has restored a
+    /// byte-identical pre-move state. A completed move is traced one
+    /// [`PagingEvent::Move`] per page, whichever mover ran it. Paging
+    /// names no interrupt point (see [`SimKernel::page_out`]) and traces
+    /// its own events.
     ///
     /// `dst` is the single destination a one-request mover allocated for
     /// this stop, if any: a failed transaction hands it back, a successful
@@ -209,12 +265,17 @@ impl SimKernel {
     /// pre-published sources, so it releases and commits them itself.)
     fn journaled(
         &mut self,
+        mut receipt: Relocation,
         tables: &mut [&mut AllocationTable],
         regs: &mut [u64],
         reqs: &[MoveRequest],
         dst: Option<DstAlloc>,
-        interrupt: Option<FaultPoint>,
-    ) -> Result<Vec<MoveOutcome>, KernelError> {
+    ) -> Result<Relocation, KernelError> {
+        let paging = matches!(
+            receipt.kind,
+            RelocationKind::PageOut | RelocationKind::PageIn
+        );
+        let interrupt = (!paging).then_some(FaultPoint::MidMove);
         // Defense in depth: every caller screens its sources against the
         // pin registry before reaching here, but a pinned cell must never
         // be patched even if a new caller forgets — re-check each request
@@ -260,19 +321,19 @@ impl SimKernel {
             Some(dst) => self.space.release_move_dst(&mut self.buddy, dst),
             None => {}
         }
-        moved
-    }
-
-    /// Record a completed relocation in the paging trace: one
-    /// [`PagingEvent::Move`] per page it moved, whichever mover ran it.
-    fn record_moves(&mut self, outcome: &MoveOutcome) {
+        receipt.moves = moved?;
         let pg = self.cost.page_size;
-        for p in 0..outcome.moved_len / pg {
-            self.trace.record(PagingEvent::Move {
-                from: outcome.moved_src / pg + p,
-                to: outcome.moved_dst / pg + p,
-            });
+        if !paging {
+            for o in &receipt.moves {
+                for p in 0..o.moved_len / pg {
+                    self.trace.record(PagingEvent::Move {
+                        from: o.moved_src / pg + p,
+                        to: o.moved_dst / pg + p,
+                    });
+                }
+            }
         }
+        Ok(receipt)
     }
 
     /// The worst-case page to move: the page-aligned address overlapping
@@ -331,7 +392,7 @@ impl SimKernel {
 
     /// Execute a full CARAT page movement: world stop, negotiation,
     /// patching (escapes + registers), data copy, region update, resume.
-    /// Returns the stop's cost and the move outcome.
+    /// A batch of one: returns its receipt, the stop and the one move.
     ///
     /// `regs` is the register state of all threads, dumped by the signal
     /// handlers; `threads` its thread count.
@@ -352,11 +413,8 @@ impl SimKernel {
         src: u64,
         pages: u64,
         threads: usize,
-    ) -> Result<(WorldStop, MoveOutcome), KernelError> {
-        let (world, mut outs) = self.move_pages_batch(table, regs, &[(src, pages)], threads)?;
-        // A batch of one either fails or moves its one request.
-        let out = outs.pop().expect("one request, one outcome");
-        Ok((world, out))
+    ) -> Result<Relocation, KernelError> {
+        self.move_pages_batch(table, regs, &[(src, pages)], threads)
     }
 
     /// [`SimKernel::move_pages`] over a *batch* of `(src, pages)` requests
@@ -380,7 +438,7 @@ impl SimKernel {
         regs: &mut [u64],
         moves: &[(u64, u64)],
         threads: usize,
-    ) -> Result<(WorldStop, Vec<MoveOutcome>), KernelError> {
+    ) -> Result<Relocation, KernelError> {
         let page = self.cost.page_size;
         // Pre-negotiate every request so each destination is large enough,
         // coalescing requests the expansion has already swallowed. A
@@ -456,13 +514,6 @@ impl SimKernel {
                 .unwrap_or(KernelError::OutOfFrames { pages: 0 }));
         }
 
-        let world = match self.stop_world(threads) {
-            Ok(w) => w,
-            Err(e) => {
-                release_all(self, dsts);
-                return Err(e);
-            }
-        };
         let reqs: Vec<MoveRequest> = accepted
             .iter()
             .zip(&dsts)
@@ -472,15 +523,17 @@ impl SimKernel {
                 dst: d.addr,
             })
             .collect();
-        let moved = self.journaled(&mut [table], regs, &reqs, None, Some(FaultPoint::MidMove));
-        let mut outcomes = match moved {
-            Ok(outs) => outs,
+        let moved = self
+            .stop_world(RelocationKind::Move, threads)
+            .and_then(|receipt| self.journaled(receipt, &mut [table], regs, &reqs, None));
+        let mut receipt = match moved {
+            Ok(receipt) => receipt,
             Err(e) => {
                 release_all(self, dsts);
                 return Err(e);
             }
         };
-        for (outcome, &(_, backoff)) in outcomes.iter_mut().zip(&dsts) {
+        for (outcome, &(_, backoff)) in receipt.moves.iter_mut().zip(&dsts) {
             outcome.cost.alloc_and_move += backoff;
         }
         for (d, _) in &dsts {
@@ -491,10 +544,8 @@ impl SimKernel {
         // destination becomes accessible. The vacated frames were already
         // published during destination allocation above. One region
         // rebuild covers the whole batch.
-        for outcome in &outcomes {
-            self.record_moves(outcome);
-        }
-        let (unmapped, mapped): (Vec<_>, Vec<_>) = outcomes
+        let (unmapped, mapped): (Vec<_>, Vec<_>) = receipt
+            .moves
             .iter()
             .map(|o| {
                 (
@@ -504,7 +555,7 @@ impl SimKernel {
             })
             .unzip();
         self.space.remap(&unmapped, &mapped);
-        Ok((world, outcomes))
+        Ok(receipt)
     }
 
     /// Page a range out to swap (paper §2.2: "to make a page unavailable,
@@ -518,7 +569,8 @@ impl SimKernel {
     /// address encoding the swap slot, the router's copy turns the frames
     /// into the slot's swap entry, and the tracking is rebased into the
     /// window. The kernel then revokes the region and recycles the frames.
-    /// Returns the slot id, or `Ok(None)` for a range the kernel declines
+    /// Returns the receipt, the slot id and the range `(src, len)` paged
+    /// out, or `Ok(None)` for a range the kernel declines
     /// to swap (too large, already in swap, or its process has no swap-slot
     /// id left to name it by).
     ///
@@ -540,7 +592,7 @@ impl SimKernel {
         regs: &mut [u64],
         page: u64,
         threads: usize,
-    ) -> Result<Option<(WorldStop, u64, u64, u64)>, KernelError> {
+    ) -> Result<Option<(Relocation, u64, u64, u64)>, KernelError> {
         let pg = self.cost.page_size;
         let (src, len) = carat_runtime::expand_to_allocations(table, page / pg * pg, pg, pg);
         if len > POISON_SLOT_SPAN || Self::is_poison(src) {
@@ -558,7 +610,7 @@ impl SimKernel {
 
         // All mutations happen after the world has stopped; a stall here
         // leaves every byte as it was.
-        let world = self.stop_world(threads)?;
+        let receipt = self.stop_world(RelocationKind::PageOut, threads)?;
         self.space.swap_slots.commit(slot);
 
         // Escape cells may themselves live in other swapped ranges; the
@@ -568,22 +620,22 @@ impl SimKernel {
             len,
             dst: Self::swap_window(slot).0,
         };
-        self.journaled(&mut [table], regs, &[req], None, None)?;
+        let receipt = self.journaled(receipt, &mut [table], regs, &[req], None)?;
         self.space.vacated.push((src, len));
         self.space.remap(&[(src, len)], &[]);
         self.trace.record(PagingEvent::Invalidate {
             first: src / pg,
             count: len / pg,
         });
-        Ok(Some((world, slot, src, len)))
+        Ok(Some((receipt, slot, src, len)))
     }
 
     /// Service a fault on a poison address: bring the slot's data back
     /// into fresh frames, patch every poisoned pointer to the new
-    /// location, and restore the region. Returns the stop's cost and the
-    /// move out of the slot's window (its `moved_dst` is the range's new
-    /// base), or `Ok(None)` when `poison_addr` does not name a live swap
-    /// slot.
+    /// location, and restore the region. Returns the receipt, whose one
+    /// move is out of the slot's window (its `moved_dst` is the range's
+    /// new base), or `Ok(None)` when `poison_addr` does not name a live
+    /// swap slot.
     ///
     /// # Errors
     ///
@@ -599,7 +651,7 @@ impl SimKernel {
         regs: &mut [u64],
         poison_addr: u64,
         threads: usize,
-    ) -> Result<Option<(WorldStop, MoveOutcome)>, KernelError> {
+    ) -> Result<Option<Relocation>, KernelError> {
         if !Self::is_poison(poison_addr) {
             return Ok(None);
         }
@@ -613,10 +665,10 @@ impl SimKernel {
         // The entry stays in the store until the move out of it has
         // succeeded: no failure below can lose the swapped data.
         let (dst, backoff) = self.alloc_move_dst(len)?;
-        let mut world = self
-            .stop_world(threads)
+        let mut receipt = self
+            .stop_world(RelocationKind::PageIn, threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
-        world.cycles += backoff;
+        receipt.stop.cycles += backoff;
         if self.swap.get(&slot).map(|e| e.data.len() as u64) != Some(len) {
             // Corrupted (or vanished) entry: keep what is there for
             // post-mortem, release everything else, surface a typed error.
@@ -631,10 +683,7 @@ impl SimKernel {
             len,
             dst: dst.addr,
         };
-        let outcome = self
-            .journaled(&mut [table], regs, &[req], Some(dst), None)?
-            .pop()
-            .expect("one request, one outcome");
+        let receipt = self.journaled(receipt, &mut [table], regs, &[req], Some(dst))?;
         self.swap.remove(&slot);
         self.space.remap(&[], &[(dst.addr, len, Perms::RW)]);
         let pg = self.cost.page_size;
@@ -644,7 +693,7 @@ impl SimKernel {
             });
         }
         self.space.swap_slots.release(slot);
-        Ok(Some((world, outcome)))
+        Ok(Some(receipt))
     }
 
     /// Stack expansion, seamless to the guest (paper §2.2: "a failed guard involving the
@@ -656,8 +705,8 @@ impl SimKernel {
     /// stack contents to its top (patching escapes and registers via the
     /// normal move engine), extend the allocation downward, and install
     /// the new region. `stack` is the process's stack range
-    /// `(start, len)`, set to the grown block. Returns the move outcome,
-    /// or `Ok(None)` when the stack already reached `max_stack` bytes.
+    /// `(start, len)`, set to the grown block. Returns the receipt, or
+    /// `Ok(None)` when the stack already reached `max_stack` bytes.
     ///
     /// # Errors
     ///
@@ -672,7 +721,7 @@ impl SimKernel {
         stack: &mut (u64, u64),
         threads: usize,
         max_stack: u64,
-    ) -> Result<Option<(WorldStop, MoveOutcome)>, KernelError> {
+    ) -> Result<Option<Relocation>, KernelError> {
         let (old_start, old_len) = *stack;
         let new_len = (old_len * 2).min(max_stack);
         if new_len <= old_len {
@@ -687,25 +736,18 @@ impl SimKernel {
         // top of the new block.
         let data_dst = dst_block + new_len - old_len;
 
-        let mut world = self
-            .stop_world(threads)
+        let mut receipt = self
+            .stop_world(RelocationKind::StackGrowth, threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
-        world.cycles += backoff;
+        receipt.stop.cycles += backoff;
         let req = MoveRequest {
             src: old_start,
             len: old_len,
             dst: data_dst,
         };
-        let outcome = self
-            .journaled(
-                &mut [table],
-                regs,
-                &[req],
-                Some(dst),
-                Some(FaultPoint::MidMove),
-            )?
-            .pop()
-            .expect("one request, one outcome");
+        let receipt = self.journaled(receipt, &mut [table], regs, &[req], Some(dst))?;
+        // One request, one outcome.
+        let outcome = &receipt.moves[0];
 
         // Extend the relocated stack allocation downward over the whole
         // new block.
@@ -728,10 +770,9 @@ impl SimKernel {
             &[(outcome.moved_src, outcome.moved_len)],
             &[(dst_block, new_len, Perms::RW)],
         );
-        self.record_moves(&outcome);
 
         *stack = (dst_block, new_len);
-        Ok(Some((world, outcome)))
+        Ok(Some(receipt))
     }
 
     /// Move shared block `id` to a fresh location, patching the escapes
@@ -755,7 +796,7 @@ impl SimKernel {
         id: SharedId,
         regs: &mut [u64],
         threads: usize,
-    ) -> Result<(WorldStop, MoveOutcome), KernelError> {
+    ) -> Result<Relocation, KernelError> {
         let (base, len, owners) = {
             let s = self
                 .procs
@@ -777,8 +818,8 @@ impl SimKernel {
         // the mover most likely to meet a pin. Refuse before allocating.
         self.refuse_pinned(xsrc, xlen)?;
         let (dst, backoff) = self.alloc_move_dst(xlen)?;
-        let world = self
-            .stop_world(threads)
+        let receipt = self
+            .stop_world(RelocationKind::Shared, threads)
             .inspect_err(|_| self.space.release_move_dst(&mut self.buddy, dst))?;
         // Check out every owner's table; a missing one (stale owner, or a
         // table still checked out to a running tenant) abandons the move
@@ -807,19 +848,15 @@ impl SimKernel {
         };
         let res = {
             let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-            self.journaled(
-                &mut refs,
-                regs,
-                &[req],
-                Some(dst),
-                Some(FaultPoint::MidMove),
-            )
+            self.journaled(receipt, &mut refs, regs, &[req], Some(dst))
         };
         for (&p, t) in owners.iter().zip(tables) {
             self.procs.checkin_table(p, t);
         }
-        let mut outcome = res?.pop().expect("one request, one outcome");
-        outcome.cost.alloc_and_move += backoff;
+        let mut receipt = res?;
+        // One request, one outcome.
+        receipt.moves[0].cost.alloc_and_move += backoff;
+        let outcome = &receipt.moves[0];
 
         // Region maintenance, for every owner: the moved range leaves its
         // map; the destination enters it.
@@ -834,15 +871,14 @@ impl SimKernel {
                 );
             }
         }
-        self.record_moves(&outcome);
         let new_base = outcome
             .moved_dst
             .wrapping_add(base.wrapping_sub(outcome.moved_src));
         let shared = self.procs.shared_mut(id);
         shared.base = new_base;
         self.procs.shared_moves += 1;
-        self.procs.shared_move_cycles += world.cycles + outcome.cost.total();
-        Ok((world, outcome))
+        self.procs.shared_move_cycles += receipt.cycles();
+        Ok(receipt)
     }
 }
 
@@ -868,9 +904,10 @@ mod tests {
 
         let mut regs = vec![g + 16, 0x0];
         let page = k.cost.page_size;
-        let (_, outcome) = k
+        let moved = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("move succeeds");
+        let outcome = &moved.moves[0];
         assert!(outcome.escapes_patched >= 1);
         // The escape cell points at the new location.
         let new_ptr = k.mem.read_uint(cell, 8);
@@ -932,7 +969,8 @@ mod tests {
             k.procs.checkin_table(pid, t);
         }
         let mut regs = vec![base + 16, 0xdead];
-        let (_, outcome) = k.move_shared(id, &mut regs, 2).expect("shared move");
+        let moved = k.move_shared(id, &mut regs, 2).expect("shared move");
+        let outcome = &moved.moves[0];
         assert_eq!(outcome.allocations, 2, "one tracked block per owner");
         assert_eq!(outcome.escapes_patched, 2, "one cell per owner");
         let new_base = k.procs.shared(id).unwrap().base;
@@ -1000,8 +1038,8 @@ mod tests {
             "table checked back in, untouched"
         );
         // The fault is spent; the same move now succeeds.
-        let (_, outcome) = k.move_shared(id, &mut regs, 1).expect("retry succeeds");
-        assert_eq!(outcome.escapes_patched, 1);
+        let moved = k.move_shared(id, &mut regs, 1).expect("retry succeeds");
+        assert_eq!(moved.moves[0].escapes_patched, 1);
     }
 
     /// Set up the escape + register fixture `move_pages_end_to_end` uses.
@@ -1045,12 +1083,14 @@ mod tests {
         // One-shot exhaustion: the compaction+retry path must recover.
         k.install_fault_plan(FaultPlan::new().arm(FaultPoint::MoveDstAlloc, 1));
         let page = k.cost.page_size;
-        let (_, outcome) = k
+        let moved = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("retry recovers");
         assert_eq!(k.oom_recoveries, 1);
         // The retry's backoff was charged to the move's cost breakdown.
-        assert!(outcome.cost.alloc_and_move > k.cost.move_alloc_fixed + k.cost.copy_cost(page));
+        assert!(
+            moved.moves[0].cost.alloc_and_move > k.cost.move_alloc_fixed + k.cost.copy_cost(page)
+        );
     }
 
     #[test]
@@ -1078,10 +1118,10 @@ mod tests {
         );
         assert_eq!(k.fault_plan().unwrap().fired().len(), 1);
         // The machine is not poisoned: the same move now succeeds.
-        let (_, outcome) = k
+        let moved = k
             .move_pages(&mut table, &mut regs, g / page * page, 1, 2)
             .expect("fault disarmed");
-        assert!(outcome.escapes_patched >= 1);
+        assert!(moved.moves[0].escapes_patched >= 1);
     }
 
     #[test]
@@ -1120,10 +1160,20 @@ mod tests {
         table.track_escape(cell);
         table.flush_escapes(|_| g + 8);
         let mut regs = vec![g + 16, 0x0];
-        let (_, slot, src, len) = k
+        let (out, slot, src, len) = k
             .page_out(&mut table, &mut regs, g, 2)
             .expect("no fault")
             .expect("swappable");
+        // The receipt's one move is the range into its slot's window: the
+        // relocation the VM rebases its host bookkeeping by.
+        let (window, _) = SimKernel::swap_window(slot);
+        assert_eq!(out.kind, RelocationKind::PageOut);
+        let [o] = &out.moves[..] else {
+            panic!("one request, one outcome: {:?}", out.moves);
+        };
+        let delta = o.moved_dst.wrapping_sub(o.moved_src) as i64;
+        let paged = (src, len, window.wrapping_sub(src) as i64);
+        assert_eq!((o.moved_src, o.moved_len, delta), paged);
         let pre_swap: Vec<u64> = (0..16u64).map(|i| 0xA5A5_0000 + i).collect();
         // Bring it back via the poisoned pointer the register now holds.
         let poisoned = regs[0];
@@ -1132,7 +1182,7 @@ mod tests {
             .page_in(&mut table, &mut regs, poisoned, 2)
             .expect("no fault")
             .expect("slot live")
-            .1
+            .moves[0]
             .moved_dst;
         assert!(!k.swap.contains_key(&slot));
         // The resumed program reads back the exact pre-swap bytes.
@@ -1232,7 +1282,7 @@ mod tests {
             .page_in(&mut table, &mut regs, window, 1)
             .expect("no fault")
             .expect("slot live")
-            .1
+            .moves[0]
             .moved_dst;
         let a2 = dst + (a - src);
         assert_eq!(regs[0], a2 + 16);
@@ -1317,15 +1367,19 @@ mod tests {
             let (mut ks, mut ts, _, mut rs) = twin();
             let before = rb.clone();
             let reqs: Vec<(u64, u64)> = pages.iter().map(|&p| (p, 1)).collect();
-            let (wb, batched) = kb
+            let Relocation {
+                stop: wb,
+                moves: batched,
+                ..
+            } = kb
                 .move_pages_batch(&mut tb, &mut rb, &reqs, 2)
                 .expect("batch moves");
             let mut stops = Vec::new();
             let mut alone = Vec::new();
             for &p in &pages {
-                let (w, o) = ks.move_pages(&mut ts, &mut rs, p, 1, 2).expect("moves");
-                stops.push(w.cycles);
-                alone.push(o);
+                let moved = ks.move_pages(&mut ts, &mut rs, p, 1, 2).expect("moves");
+                stops.push(moved.stop.cycles);
+                alone.extend(moved.moves);
             }
 
             assert_eq!(
@@ -1455,7 +1509,7 @@ mod tests {
             let mut regs = vec![base + 16, 0xdead];
             let before = untouched(&k, tables(&k), &regs);
             k.install_fault_plan(plan);
-            let res = k.move_shared(id, &mut regs, threads).map(|(w, _)| w.cycles);
+            let res = k.move_shared(id, &mut regs, threads).map(|r| r.stop.cycles);
             let after = untouched(&k, tables(&k), &regs);
             return (res, before, after);
         }
@@ -1472,22 +1526,22 @@ mod tests {
         let res = match mover {
             Mover::MovePages => k
                 .move_pages(&mut table, &mut regs, a / page * page, 1, threads)
-                .map(|(w, _)| w.cycles),
+                .map(|r| r.stop.cycles),
             Mover::MovePagesBatchOfTwo => k
                 .move_pages_batch(&mut table, &mut regs, &[(a, 1), (b, 1)], threads)
-                .map(|(w, _)| w.cycles),
+                .map(|r| r.stop.cycles),
             Mover::PageOut => k
                 .page_out(&mut table, &mut regs, a, threads)
-                .map(|r| r.expect("swappable").0.cycles),
+                .map(|r| r.expect("swappable").0.stop.cycles),
             Mover::PageIn => {
                 let poisoned = regs[0];
                 k.page_in(&mut table, &mut regs, poisoned, threads)
-                    .map(|r| r.expect("slot live").0.cycles)
+                    .map(|r| r.expect("slot live").stop.cycles)
             }
             Mover::ExpandStack => {
                 let max = 2 * img.stack.1;
                 k.expand_stack(&mut table, &mut regs, &mut img.stack, threads, max)
-                    .map(|r| r.expect("room to grow").0.cycles)
+                    .map(|r| r.expect("room to grow").stop.cycles)
             }
             Mover::MoveShared => unreachable!("set up above"),
         };
@@ -1612,7 +1666,7 @@ mod tests {
             .page_in(&mut table, &mut regs, poisoned, 1)
             .expect("no fault")
             .expect("slot live")
-            .1
+            .moves[0]
             .moved_dst;
         assert_eq!(k.mem.read_uint(dst + (g - src), 8), 0xFEED_FACE);
     }
@@ -1677,7 +1731,7 @@ mod tests {
             .page_in(&mut t0, &mut regs0, poisoned, 1)
             .unwrap()
             .unwrap()
-            .1
+            .moves[0]
             .moved_dst;
         assert_eq!(
             k.mem.read_uint(dst + (g0 - src0), 8),
@@ -1701,7 +1755,7 @@ mod tests {
             .page_in(&mut t0, &mut regs0, poisoned, 1)
             .unwrap()
             .unwrap()
-            .1
+            .moves[0]
             .moved_dst;
         let back: Vec<u64> = (0..16u64)
             .map(|i| k.mem.read_uint(dst + (g0 - src0) + i * 8, 8))

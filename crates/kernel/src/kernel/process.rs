@@ -426,7 +426,8 @@ mod tests {
                     (7, _) if !shared.is_empty() => {
                         let id = shared[b as usize % shared.len()];
                         let owners = k.procs.shared(id).expect("live id").owners.clone();
-                        let (_, out) = k.move_shared(id, &mut [], 1).expect("frames available");
+                        let moved = k.move_shared(id, &mut [], 1).expect("frames available");
+                        let out = &moved.moves[0];
                         // The destination block is charged to whoever is
                         // installed (nobody, when no process is).
                         let charged = free_before - k.buddy.pages_free();

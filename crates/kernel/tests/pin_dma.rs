@@ -128,10 +128,10 @@ fn movers_refuse_pinned_ranges_typed_and_side_effect_free() {
 
     // Unpinned, the very same move goes through.
     k.unpin_region(gpage, page).unwrap();
-    let (_world, outcome) = k
+    let moved = k
         .move_pages(&mut table, &mut regs, gpage, 1, 1)
         .expect("moves after unpin");
-    assert_ne!(outcome.moved_dst, outcome.moved_src);
+    assert_ne!(moved.moves[0].moved_dst, moved.moves[0].moved_src);
 }
 
 #[test]
@@ -152,9 +152,10 @@ fn batched_moves_skip_pinned_batchmates() {
 
     // The pinned request is skipped; its batchmate still moves.
     let mut regs: Vec<u64> = Vec::new();
-    let (_world, outs) = k
+    let outs = k
         .move_pages_batch(&mut table, &mut regs, &[(a, 1), (b, 1)], 1)
-        .expect("batchmate survives");
+        .expect("batchmate survives")
+        .moves;
     assert_eq!(outs.len(), 1);
     assert_eq!(outs[0].moved_src, b);
     assert_eq!(k.mem.read_bytes(a, page), &pinned_before[..]);
@@ -326,8 +327,8 @@ proptest! {
                                 r,
                                 Err(KernelError::Move(MoveError::Pinned { .. }))
                             ));
-                        } else if let Ok((_w, out)) = r {
-                            bufs[i].addr = out.moved_dst;
+                        } else if let Ok(moved) = r {
+                            bufs[i].addr = moved.moves[0].moved_dst;
                         }
                     }
                 }
@@ -340,10 +341,8 @@ proptest! {
                         .map(|b| (b.addr, 1))
                         .collect();
                     if !reqs.is_empty() {
-                        if let Ok((_w, outs)) =
-                            k.move_pages_batch(&mut table, &mut regs, &reqs, 1)
-                        {
-                            for out in outs {
+                        if let Ok(moved) = k.move_pages_batch(&mut table, &mut regs, &reqs, 1) {
+                            for out in moved.moves {
                                 if let Some(b) =
                                     bufs.iter_mut().find(|b| b.addr == out.moved_src)
                                 {

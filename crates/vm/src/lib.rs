@@ -433,27 +433,28 @@ mod tests {
         ";
         let module = carat_frontend::compile_cm("deep", src).unwrap();
         let m = compile(module, CompileOptions::default());
-        let r = Vm::new(m.clone(), VmConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+        let r = Vm::new(m, VmConfig::default()).unwrap().run().unwrap();
         assert_eq!(r.ret, 5000);
         assert!(
             r.counters.stack_expansions >= 1,
             "expansion happened: {}",
             r.counters.stack_expansions
         );
-        // With expansion disabled, the same program faults on the guard.
-        let err = Vm::new(
-            m,
-            VmConfig {
-                auto_grow_stack: false,
-                ..VmConfig::default()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap_err();
+        // Growth stops at the kernel's 8 MiB ceiling: 20 000 frames of at
+        // least 2 KiB each outgrow it, and the call guard that finds no
+        // room left faults.
+        let src = "
+            int deep(int n) {
+                int pad[256];
+                pad[0] = n;
+                if (n == 0) { return 0; }
+                return pad[0] + deep(n - 1) * 0;
+            }
+            int main() { return deep(20000); }
+        ";
+        let module = carat_frontend::compile_cm("deeper", src).unwrap();
+        let m = compile(module, CompileOptions::default());
+        let err = Vm::new(m, VmConfig::default()).unwrap().run().unwrap_err();
         assert!(
             matches!(err, VmError::GuardFault { write: true, .. }),
             "{err}"

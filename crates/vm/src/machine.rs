@@ -29,11 +29,10 @@ use carat_ir::{
 };
 use carat_kernel::{
     AdmissionError, FaultPlan, FaultPoint, KernelError, LoadConfig, LoadError, PhysicalMemory,
-    PinError, ProcessImage, SimKernel,
+    PinError, ProcessImage, Relocation, RelocationKind, SimKernel,
 };
 use carat_runtime::{
-    Access, AllocKind, AllocationTable, CostModel, GuardCheck, GuardImpl, MoveOutcome, RegionTable,
-    TrackStats, WorldStop,
+    Access, AllocKind, AllocationTable, CostModel, GuardCheck, GuardImpl, RegionTable, TrackStats,
 };
 use std::error::Error;
 use std::fmt;
@@ -150,13 +149,8 @@ pub struct VmConfig {
     pub move_driver: Option<MoveDriverConfig>,
     /// Optional swap injection.
     pub swap_driver: Option<SwapDriverConfig>,
-    /// Additional (idle) threads participating in world stops.
-    pub extra_threads: usize,
     /// Loader sizing.
     pub load: LoadConfig,
-    /// Let a failed call guard invoke the kernel for seamless stack
-    /// expansion (paper §2.2) instead of faulting.
-    pub auto_grow_stack: bool,
     /// Optional fault-injection schedule installed into the kernel.
     pub fault_plan: Option<FaultPlan>,
     /// Threaded-tier transform toggles (only read by [`Engine::Threaded`];
@@ -176,9 +170,7 @@ impl Default for VmConfig {
             seed: 0x5eed_cafe_f00d_0001,
             move_driver: None,
             swap_driver: None,
-            extra_threads: 0,
             load: LoadConfig::default(),
-            auto_grow_stack: true,
             fault_plan: None,
             threaded: crate::decode::ThreadedOpts::default(),
         }
@@ -2674,11 +2666,7 @@ impl Core<'_> {
                 // A failed guard involving the stack invokes the kernel,
                 // which implements seamless stack expansion (paper §2.2).
                 // Spawned threads' heap stacks are fixed-size.
-                if self.t.cfg.auto_grow_stack
-                    && self.t.cur_tid == 0
-                    && self.try_expand_stack()?
-                    && frame_ok(self)
-                {
+                if self.t.cur_tid == 0 && self.try_expand_stack()? && frame_ok(self) {
                     return Ok(None);
                 }
                 Err(VmError::GuardFault {
@@ -3196,77 +3184,79 @@ impl TenantState {
         self.visit_dump(|r| *r = *patched.next().expect("one dumped word per visited slot"));
     }
 
-    /// Keep `image.stack` in sync when a relocation touched it (the stack
-    /// is an ordinary allocation and moves/swaps like any other).
-    fn rebase_image_stack(&mut self, lo: u64, len: u64, delta: i64) {
-        let (s, _) = self.image.stack;
-        if s >= lo && s < lo + len {
-            self.image.stack.0 = s.wrapping_add(delta as u64);
-        }
-        if self.cur_stack_base >= lo && self.cur_stack_base < lo + len {
-            self.cur_stack_base = self.cur_stack_base.wrapping_add(delta as u64);
-        }
-        for t in &mut self.threads {
-            if let ThreadState::Parked(p) = t {
-                if p.stack_base >= lo && p.stack_base < lo + len {
-                    p.stack_base = p.stack_base.wrapping_add(delta as u64);
+    /// Rebase every piece of host-side bookkeeping that refers into a
+    /// range the receipt moved, by the distance it moved: the heap
+    /// allocator's block map, the image's global addresses, and the stack
+    /// bases (the stack is an ordinary allocation and moves and swaps like
+    /// any other). Every relocator's one rebase: the relocation driver,
+    /// and the multi-process scheduler after a cross-process shared-region
+    /// move (the in-memory cells and registers were already patched by the
+    /// kernel).
+    pub(crate) fn apply_relocation(&mut self, receipt: &Relocation) {
+        for o in &receipt.moves {
+            let (src, len) = (o.moved_src, o.moved_len);
+            let delta = o.moved_dst.wrapping_sub(src) as i64;
+            let rebase = |x: &mut u64| *x = translate(*x, src, len, delta);
+            self.heap.rebase(src, len, delta);
+            self.image.globals.iter_mut().for_each(rebase);
+            rebase(&mut self.image.stack.0);
+            rebase(&mut self.cur_stack_base);
+            for t in &mut self.threads {
+                if let ThreadState::Parked(p) = t {
+                    rebase(&mut p.stack_base);
                 }
             }
         }
     }
 
-    /// Rebase every piece of host-side bookkeeping that refers into
-    /// `[src, src+len)` after the kernel relocated it by `delta`: the
-    /// heap allocator's block map, the image's global addresses, and the
-    /// stack bases. Every relocator's one rebase: the relocation driver,
-    /// stack growth, and the multi-process scheduler after a cross-process
-    /// shared-region move (the in-memory cells and registers were already
-    /// patched by the kernel).
-    pub(crate) fn apply_relocation(&mut self, src: u64, len: u64, delta: i64) {
-        self.heap.rebase(src, len, delta);
-        for g in &mut self.image.globals {
-            if *g >= src && *g < src + len {
-                *g = g.wrapping_add(delta as u64);
-            }
-        }
-        self.rebase_image_stack(src, len, delta);
-    }
-
     /// The one relocation driver: dump the registers of every stopped
-    /// thread, hand the dump to `kernel_call` (a move, a batch, a
-    /// page-out, a page-in or stack growth — anything that patches it in
-    /// place), and on success write the dump back (both through
-    /// [`TenantState::visit_dump`]) and rebase the host-side bookkeeping
-    /// by every `(src, len, delta)` that `moved` reads off the call's
-    /// result. On `Err` (or `None`: the kernel declined) the kernel rolled
-    /// the dump back or never touched it, so the write-back is skipped and
-    /// thread state keeps its pre-call image.
+    /// thread, hand the dump and the live thread count to `kernel_call` (a
+    /// move, a batch, a page-out, a page-in or stack growth — anything
+    /// that patches it in place), and on success write the dump back (both
+    /// through [`TenantState::visit_dump`]) and rebase the host-side
+    /// bookkeeping by every move on the receipt. On `Err` (or `None`: the
+    /// kernel declined) the kernel rolled the dump back or never touched
+    /// it, so the write-back is skipped and thread state keeps its
+    /// pre-call image.
     ///
     /// It touches only tenant state, so the solo machine and the fleet
     /// both call it while holding the kernel and the table separately.
-    pub(crate) fn relocated_by<T, R: IntoIterator<Item = (u64, u64, i64)>>(
+    pub(crate) fn relocated_by(
         &mut self,
-        kernel_call: impl FnOnce(&mut [u64]) -> Result<Option<T>, KernelError>,
-        moved: impl FnOnce(&T) -> R,
-    ) -> Result<Option<T>, KernelError> {
+        kernel_call: impl FnOnce(&mut [u64], usize) -> Result<Option<Relocation>, KernelError>,
+    ) -> Result<Option<Relocation>, KernelError> {
         let mut regs = Vec::new();
         self.visit_dump(|r| regs.push(*r));
-        let Some(out) = kernel_call(&mut regs)? else {
+        let Some(receipt) = kernel_call(&mut regs, self.live_threads())? else {
             return Ok(None);
         };
         self.restore_dump(&regs);
-        for (src, len, delta) in moved(&out) {
-            self.apply_relocation(src, len, delta);
-        }
-        Ok(Some(out))
+        self.apply_relocation(&receipt);
+        Ok(Some(receipt))
     }
-}
 
-/// The `(src, len, delta)` a completed move relocated, in the shape
-/// [`TenantState::relocated_by`] consumes.
-pub(crate) fn relocation_of(outcome: &MoveOutcome) -> (u64, u64, i64) {
-    let delta = outcome.moved_dst.wrapping_sub(outcome.moved_src) as i64;
-    (outcome.moved_src, outcome.moved_len, delta)
+    /// Charge a completed relocation to this tenant's counters: its
+    /// [`Relocation::cycles`] to `cycles` and `move_cycles`, and one to
+    /// the counter of its kind. Only page moves add their breakdown to
+    /// `move_breakdown`, the numerators of Table 3's per-move averages.
+    pub(crate) fn charge(&mut self, receipt: &Relocation) {
+        let c = &mut self.counters;
+        c.cycles += receipt.cycles();
+        c.move_cycles += receipt.cycles();
+        match receipt.kind {
+            RelocationKind::Move => {
+                c.moves += receipt.moves.len() as u64;
+                for o in &receipt.moves {
+                    c.move_breakdown.add(&o.cost);
+                }
+            }
+            RelocationKind::StackGrowth => c.stack_expansions += 1,
+            RelocationKind::PageOut => c.swap_outs += 1,
+            RelocationKind::PageIn => c.swap_ins += 1,
+            // The kernel books a shared move to the process table.
+            RelocationKind::Shared => {}
+        }
+    }
 }
 
 impl Core<'_> {
@@ -3281,25 +3271,18 @@ impl Core<'_> {
         /// Stack growth ceiling in bytes.
         const MAX_STACK: u64 = 8 * 1024 * 1024;
         self.flush_escapes();
-        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         let mut stack = self.t.image.stack;
-        let Some((world, outcome)) = self.t.relocated_by(
-            |regs| {
-                self.kernel
-                    .expand_stack(self.table, regs, &mut stack, threads, MAX_STACK)
-            },
-            |(_, outcome)| [relocation_of(outcome)],
-        )?
+        let Some(receipt) = self.t.relocated_by(|regs, threads| {
+            self.kernel
+                .expand_stack(self.table, regs, &mut stack, threads, MAX_STACK)
+        })?
         else {
             return Ok(false);
         };
         // The expanded stack block begins below the moved data.
         self.t.image.stack = stack;
         self.t.cur_stack_base = stack.0;
-        let cycles = world.cycles + outcome.cost.total();
-        self.t.counters.stack_expansions += 1;
-        self.t.counters.move_cycles += cycles;
-        self.t.counters.cycles += cycles;
+        self.t.charge(&receipt);
         Ok(true)
     }
 
@@ -3332,19 +3315,16 @@ impl Core<'_> {
         let Some(page) = self.due_victim(true) else {
             return Ok(());
         };
-        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
         // Heap bookkeeping and code-image constants follow the data into
         // the poison range.
-        let Some((world, ..)) = self.t.relocated_by(
-            |regs| self.kernel.page_out(self.table, regs, page, threads),
-            paged_out,
-        )?
+        let Some(receipt) = self.t.relocated_by(|regs, threads| {
+            let out = self.kernel.page_out(self.table, regs, page, threads)?;
+            Ok(out.map(|(receipt, ..)| receipt))
+        })?
         else {
             return Ok(());
         };
-        self.t.counters.swap_outs += 1;
-        self.t.counters.cycles += world.cycles;
-        self.t.counters.move_cycles += world.cycles;
+        self.t.charge(&receipt);
         self.t.swaps_done += 1;
         Ok(())
     }
@@ -3352,8 +3332,8 @@ impl Core<'_> {
     /// Service a poison-address guard fault by paging the slot back in.
     /// Returns the slot's poison window `(base, span)` and the delta its
     /// data moved by, for translating stale locals, or `None` when `addr`
-    /// is not poisoned swap data. The move's cost breakdown is returned by
-    /// the kernel but not charged: a page-in costs the guest its stop.
+    /// is not poisoned swap data. It is charged through
+    /// [`TenantState::charge`], like every relocation.
     ///
     /// # Errors
     ///
@@ -3369,19 +3349,18 @@ impl Core<'_> {
         // poison pointers; their escape notifications must reach the table
         // before the kernel patches, or those cells would be missed.
         self.flush_escapes();
-        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        let Some((world, outcome)) = self.t.relocated_by(
-            |regs| self.kernel.page_in(self.table, regs, addr, threads),
-            |(_, outcome)| [relocation_of(outcome)],
-        )?
+        let Some(receipt) = self
+            .t
+            .relocated_by(|regs, threads| self.kernel.page_in(self.table, regs, addr, threads))?
         else {
             return Ok(None);
         };
-        self.t.counters.swap_ins += 1;
-        self.t.counters.cycles += world.cycles;
-        self.t.counters.move_cycles += world.cycles;
+        self.t.charge(&receipt);
         let (base, span) = SimKernel::swap_window(SimKernel::swap_slot(addr));
-        Ok(Some((base, span, relocation_of(&outcome).2)))
+        // One request, one outcome.
+        let o = &receipt.moves[0];
+        let delta = o.moved_dst.wrapping_sub(o.moved_src) as i64;
+        Ok(Some((base, span, delta)))
     }
 
     /// Page in the swapped slot an access of `len` bytes at poisoned
@@ -3402,33 +3381,18 @@ impl Core<'_> {
         let Some(page) = self.due_victim(false) else {
             return Ok(());
         };
-        let threads = self.t.live_threads() + self.t.cfg.extra_threads;
-        let Some((world, outcome)) = self.t.relocated_by(
-            |regs| {
-                self.kernel
-                    .move_pages(self.table, regs, page, 1, threads)
-                    .map(Some)
-            },
-            |(_, outcome)| [relocation_of(outcome)],
-        )?
+        let Some(receipt) = self.t.relocated_by(|regs, threads| {
+            self.kernel
+                .move_pages(self.table, regs, page, 1, threads)
+                .map(Some)
+        })?
         else {
             return Ok(());
         };
-        let cycles = world.cycles + outcome.cost.total();
-        self.t.counters.moves += 1;
-        self.t.counters.move_cycles += cycles;
-        self.t.counters.cycles += cycles;
-        self.t.counters.move_breakdown.add(&outcome.cost);
+        self.t.charge(&receipt);
         self.t.moves_done += 1;
         Ok(())
     }
-}
-
-/// The relocation a completed [`SimKernel::page_out`] performed: the
-/// range moved into its slot's poison window.
-pub(crate) fn paged_out(&(_, slot, src, len): &(WorldStop, u64, u64, u64)) -> [(u64, u64, i64); 1] {
-    let (window, _) = SimKernel::swap_window(slot);
-    [(src, len, window.wrapping_sub(src) as i64)]
 }
 
 /// Rebase `x` by `delta` when it lies within `[base, base+span)` (a
@@ -3700,20 +3664,23 @@ pub(crate) mod tests {
         }
         let before = thread_words(&vm.state);
         assert!(before.len() >= 3, "the current thread and two parked");
-        let threads = vm.state.live_threads();
         let Vm {
             kernel,
             table,
             state,
         } = &mut vm;
-        let (_, outcome) = state
-            .relocated_by(
-                |regs| kernel.move_pages(table, regs, page, 1, threads).map(Some),
-                |(_, o)| [relocation_of(o)],
-            )
+        let receipt = state
+            .relocated_by(|regs, threads| {
+                kernel.move_pages(table, regs, page, 1, threads).map(Some)
+            })
             .expect("moves")
             .expect("moves");
-        let moved = relocation_of(&outcome);
+        let o = &receipt.moves[0];
+        let moved = (
+            o.moved_src,
+            o.moved_len,
+            o.moved_dst.wrapping_sub(o.moved_src) as i64,
+        );
         assert!(moved.0 <= page && page + 4096 <= moved.0 + moved.1);
         assert_ne!(moved.2, 0);
         let after = thread_words(&vm.state);
@@ -3724,6 +3691,74 @@ pub(crate) mod tests {
         let (p, i) = (regs[regs.len() - 2], regs[regs.len() - 1]);
         assert_eq!(bits(p).1, (bits(i).1).wrapping_add(moved.2 as u64));
         assert!(matches!((p, i), (Value::P(_), Value::I(_))));
+    }
+
+    /// A CARAT tenant that builds a 300-node linked list from global #0
+    /// and walks it: every node is a tracked allocation its successor's
+    /// cell escapes into, so a mover always has cells to patch.
+    pub(crate) fn linked_list_module() -> Module {
+        let src = "
+            struct node { int v; struct node* n; };
+            struct node* head;
+            int main() {
+                head = (struct node*) null;
+                for (int i = 0; i < 300; i += 1) {
+                    struct node* x = (struct node*) malloc(sizeof(struct node));
+                    x->v = i; x->n = head; head = x;
+                }
+                int got = 0;
+                for (int pass = 0; pass < 50; pass += 1) {
+                    struct node* c = head;
+                    got = 0;
+                    while (c != null) { got += c->v; c = c->n; }
+                }
+                return got;
+            }
+        ";
+        let module = carat_frontend::compile_cm("list", src).expect("parses");
+        carat_core::CaratCompiler::new(carat_core::CompileOptions::default())
+            .compile(module)
+            .expect("compiles")
+            .module
+    }
+
+    /// The solo relocations of the charging table (`multi::tests`).
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Solo {
+        Move,
+        StackGrowth,
+        PageOut,
+        PageIn,
+    }
+
+    /// Run [`linked_list_module`] part-way, flush its escapes (and for a
+    /// page-in, page the worst range out), then drive `row` through the
+    /// solo machine's own path. The counters before and after it.
+    pub(crate) fn solo_charge(row: Solo) -> (PerfCounters, PerfCounters) {
+        let mut vm = Vm::new(linked_list_module(), VmConfig::default()).expect("loads");
+        vm.start().expect("starts");
+        assert_eq!(vm.run_slice(20_000).expect("runs"), SliceExit::Quantum);
+        let mut c = vm.core();
+        if let Solo::PageIn = row {
+            c.drive_swap().expect("pages out");
+        }
+        c.flush_escapes();
+        let before = c.t.counters.clone();
+        match row {
+            Solo::Move => c.drive_move().expect("moves"),
+            Solo::StackGrowth => assert!(c.try_expand_stack().expect("grows")),
+            Solo::PageOut => c.drive_swap().expect("pages out"),
+            Solo::PageIn => {
+                let poisoned = c
+                    .table
+                    .below(u64::MAX)
+                    .map(|(start, _)| start)
+                    .find(|&start| SimKernel::is_poison(start))
+                    .expect("a range is in swap");
+                assert!(c.try_page_in(poisoned).expect("pages in").is_some());
+            }
+        }
+        (before, vm.state.counters.clone())
     }
 
     /// The last poison window ends at 2⁶⁴: an address in it is rebased,

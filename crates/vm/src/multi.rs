@@ -34,9 +34,7 @@ use std::rc::Rc;
 
 use crate::counters::PerfCounters;
 use crate::decode::DecodedProgram;
-use crate::machine::{
-    paged_out, relocation_of, Core, Mode, RunResult, SliceExit, TenantState, VmConfig, VmError,
-};
+use crate::machine::{Core, Mode, RunResult, SliceExit, TenantState, VmConfig, VmError};
 use crate::supervise::{PendingRestart, Supervisor, SupervisorConfig, TenantExit, Verdict};
 use carat_ir::Module;
 use carat_kernel::{
@@ -947,8 +945,7 @@ impl MultiVm {
             spans.push((pid, from..regs.len()));
             threads += state.live_threads();
         }
-        let (_world, outcome) = self.kernel.move_shared(id, &mut regs, threads)?;
-        let (src, len, delta) = relocation_of(&outcome);
+        let receipt = self.kernel.move_shared(id, &mut regs, threads)?;
         for (pid, span) in spans {
             // Every owner was validated resident above and nothing ran
             // in between; a vanished one has no registers left to patch.
@@ -959,7 +956,7 @@ impl MultiVm {
                 continue;
             };
             state.restore_dump(&regs[span]);
-            state.apply_relocation(src, len, delta);
+            state.apply_relocation(&receipt);
         }
         self.kernel
             .procs
@@ -1405,7 +1402,6 @@ impl MultiVm {
             self.kernel.procs.checkin_table(victim, table);
             return;
         };
-        let threads = state.live_threads();
         // The move planner picks up to `pressure_batch` victim pages and
         // the kernel coalesces them into one world-stop.
         let reqs: Vec<(u64, u64)> = self
@@ -1415,28 +1411,25 @@ impl MultiVm {
             .map(|p| (p, 1))
             .collect();
         if !reqs.is_empty() {
-            if let Ok(Some((world, outcomes))) = state.relocated_by(
-                |regs| {
-                    self.kernel
-                        .move_pages_batch(&mut table, regs, &reqs, threads)
-                        .map(Some)
-                },
-                |(_, outcomes)| outcomes.iter().map(relocation_of).collect::<Vec<_>>(),
-            ) {
-                moves += outcomes.len() as u64;
-                cycles += world.cycles + outcomes.iter().map(|o| o.cost.total()).sum::<u64>();
+            if let Ok(Some(receipt)) = state.relocated_by(|regs, threads| {
+                self.kernel
+                    .move_pages_batch(&mut table, regs, &reqs, threads)
+                    .map(Some)
+            }) {
+                moves += receipt.moves.len() as u64;
+                cycles += receipt.cycles();
             }
         }
         // The kernel's victim pick skips already-swapped regions and
         // pinned DMA targets: `page_out` would refuse a pinned range with a
         // typed error anyway, but not selecting it keeps the rung useful.
         if let Some(page) = self.kernel.worst_page(&table) {
-            if let Ok(Some((world, ..))) = state.relocated_by(
-                |regs| self.kernel.page_out(&mut table, regs, page, threads),
-                paged_out,
-            ) {
+            if let Ok(Some(receipt)) = state.relocated_by(|regs, threads| {
+                let out = self.kernel.page_out(&mut table, regs, page, threads)?;
+                Ok(out.map(|(receipt, ..)| receipt))
+            }) {
                 outs += 1;
-                cycles += world.cycles;
+                cycles += receipt.cycles();
             }
         }
         self.kernel.procs.checkin_table(victim, table);
@@ -1658,5 +1651,188 @@ mod tests {
             .collect();
         assert_eq!(changed, vec![b_cell], "only B's published cell moved");
         assert_eq!(mv.kernel.mem.read_u64(b_cell), new_base);
+    }
+
+    /// The books a relocation may charge: the tenant's counters, its
+    /// process accounting, and the process table's shared-move totals.
+    struct Books {
+        counters: PerfCounters,
+        accounting: ProcAccounting,
+        shared: [u64; 2],
+    }
+
+    impl Books {
+        fn of(mv: &MultiVm, pid: Pid) -> Books {
+            let procs = &mv.kernel.procs;
+            Books {
+                counters: mv.counters(pid).expect("live").clone(),
+                accounting: procs.get(pid).expect("live").accounting,
+                shared: [procs.shared_moves, procs.shared_move_cycles],
+            }
+        }
+
+        fn solo(counters: PerfCounters) -> Books {
+            Books {
+                counters,
+                accounting: ProcAccounting::default(),
+                shared: [0; 2],
+            }
+        }
+    }
+
+    /// What one relocation added to each book that charges it.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Charge {
+        /// `cycles`, `move_cycles`.
+        cycles: [u64; 2],
+        /// `move_breakdown`: expand, patch, registers, alloc+move, episodes.
+        breakdown: [u64; 5],
+        /// The kind counters: `moves`, `stack_expansions`, `swap_outs`,
+        /// `swap_ins`.
+        kinds: [u64; 4],
+        /// `pressure_moves`, `pressure_page_outs`, `compaction_cycles`.
+        accounting: [u64; 3],
+        /// `shared_moves`, `shared_move_cycles`.
+        shared: [u64; 2],
+    }
+
+    impl Charge {
+        fn between(b: &Books, a: &Books) -> Charge {
+            let (cb, ca) = (&b.counters, &a.counters);
+            let (mb, ma) = (&cb.move_breakdown, &ca.move_breakdown);
+            let (pb, pa) = (&b.accounting, &a.accounting);
+            let d = |x: u64, y: u64| y - x;
+            Charge {
+                cycles: [d(cb.cycles, ca.cycles), d(cb.move_cycles, ca.move_cycles)],
+                breakdown: [
+                    d(mb.page_expand, ma.page_expand),
+                    d(mb.patch_gen_exec, ma.patch_gen_exec),
+                    d(mb.register_patch, ma.register_patch),
+                    d(mb.alloc_and_move, ma.alloc_and_move),
+                    d(mb.episodes, ma.episodes),
+                ],
+                kinds: [
+                    d(cb.moves, ca.moves),
+                    d(cb.stack_expansions, ca.stack_expansions),
+                    d(cb.swap_outs, ca.swap_outs),
+                    d(cb.swap_ins, ca.swap_ins),
+                ],
+                accounting: [
+                    d(pb.pressure_moves, pa.pressure_moves),
+                    d(pb.pressure_page_outs, pa.pressure_page_outs),
+                    d(pb.compaction_cycles, pa.compaction_cycles),
+                ],
+                shared: [d(b.shared[0], a.shared[0]), d(b.shared[1], a.shared[1])],
+            }
+        }
+    }
+
+    /// Every relocation path in the VM, with exactly what it charges
+    /// where. A one-thread stop costs `STOP`. A move and stack growth are
+    /// charged their stop plus their transaction, paging its stop alone,
+    /// and only a solo page move adds to `move_breakdown`. The fleet's
+    /// pressure pass books its batch of two (one stop, two transactions)
+    /// and its page-out (a stop) to the victim's accounting, and a shared
+    /// move over two one-thread owners books to the process table; neither
+    /// touches a tenant's counters.
+    #[test]
+    fn every_relocation_is_charged_by_the_table() {
+        use crate::machine::tests::{linked_list_module, solo_charge, Solo};
+        const STOP: u64 = 1200 + 2 * 300;
+        let spec = |name: &str| ProcSpec {
+            name: name.to_string(),
+            module: linked_list_module(),
+            cfg: VmConfig::default(),
+        };
+        let solo = |row: Solo| {
+            let (before, after) = solo_charge(row);
+            Charge::between(&Books::solo(before), &Books::solo(after))
+        };
+        let pressure = || {
+            let cfg = MultiVmConfig {
+                pressure_batch: 2,
+                ..MultiVmConfig::default()
+            };
+            let mut mv = MultiVm::new(vec![spec("list")], cfg).expect("loads");
+            assert_eq!(mv.run_batch(5), 5);
+            let before = Books::of(&mv, Pid(0));
+            mv.compaction_rungs();
+            Charge::between(&before, &Books::of(&mv, Pid(0)))
+        };
+        let shared = || {
+            let specs = vec![spec("a"), spec("b")];
+            let mut mv = MultiVm::new(specs, MultiVmConfig::default()).expect("loads");
+            let id = mv.shared_create(4096).expect("frames available");
+            mv.shared_map(Pid(0), id, 0).expect("maps");
+            mv.shared_map(Pid(1), id, 0).expect("maps");
+            let before = Books::of(&mv, Pid(0));
+            mv.move_shared(id).expect("clean move");
+            Charge::between(&before, &Books::of(&mv, Pid(0)))
+        };
+        let none = Charge {
+            cycles: [0; 2],
+            breakdown: [0; 5],
+            kinds: [0; 4],
+            accounting: [0; 3],
+            shared: [0; 2],
+        };
+        let rows = [
+            (
+                "solo move",
+                solo(Solo::Move),
+                Charge {
+                    cycles: [STOP + 17_900 + 5_280 + 52 + 1_824; 2],
+                    breakdown: [17_900, 5_280, 52, 1_824, 1],
+                    kinds: [1, 0, 0, 0],
+                    ..none
+                },
+            ),
+            (
+                "stack growth",
+                solo(Solo::StackGrowth),
+                Charge {
+                    cycles: [STOP + 69_238; 2],
+                    kinds: [0, 1, 0, 0],
+                    ..none
+                },
+            ),
+            (
+                "page-out",
+                solo(Solo::PageOut),
+                Charge {
+                    cycles: [STOP; 2],
+                    kinds: [0, 0, 1, 0],
+                    ..none
+                },
+            ),
+            (
+                "page-in",
+                solo(Solo::PageIn),
+                Charge {
+                    cycles: [STOP; 2],
+                    kinds: [0, 0, 0, 1],
+                    ..none
+                },
+            ),
+            (
+                "pressure batch and page-out",
+                pressure(),
+                Charge {
+                    accounting: [2, 1, STOP + 149_700 + STOP],
+                    ..none
+                },
+            ),
+            (
+                "shared move",
+                shared(),
+                Charge {
+                    shared: [1, 2 * STOP + 5_280],
+                    ..none
+                },
+            ),
+        ];
+        for (name, got, want) in rows {
+            assert_eq!(got, want, "{name}");
+        }
     }
 }

@@ -93,7 +93,7 @@ fn moves_agree_across_engines() {
     }
 }
 
-/// Thread world-stops: with live threads and `extra_threads > 0`, a
+/// Thread world-stops: with three spawned threads live, a
 /// forced move dumps and patches every thread's registers and stack
 /// pointer (`TenantState::visit_dump`). The decoded engine must reproduce
 /// the seed interpreter's patching exactly — same move episodes, same
@@ -127,7 +127,6 @@ fn thread_world_stops_agree_across_engines() {
             period_cycles: 20_000,
             max_moves: 60,
         }),
-        extra_threads: 2,
         ..VmConfig::default()
     };
     let dec = run_engine(m.clone(), &cfg, Engine::Decoded);

@@ -180,7 +180,7 @@ fn swaps_agree_across_engines() {
     }
 }
 
-/// Thread world-stops with `extra_threads > 0`: with parked threads the
+/// Thread world-stops over three spawned threads: with parked threads the
 /// scheduler rotates after every instruction, so fusion must split every
 /// pair at the component boundary — and still agree on all counters.
 #[test]
@@ -211,7 +211,6 @@ fn thread_world_stops_agree_across_engines() {
             period_cycles: 20_000,
             max_moves: 60,
         }),
-        extra_threads: 2,
         ..VmConfig::default()
     };
     let fus = assert_identical(&m, &cfg, "threaded stops");

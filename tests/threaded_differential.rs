@@ -323,7 +323,6 @@ fn guest_threads_agree_across_engines() {
             period_cycles: 10_000,
             max_moves: 8,
         }),
-        extra_threads: 2,
         ..VmConfig::default()
     };
     let (thr, fus) = assert_semantics(&m, &cfg, "guest threads");
